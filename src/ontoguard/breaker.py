@@ -5,8 +5,8 @@ resulting ratio drives a three-state gate. The breaker opens strictly above
 the threshold ("exceeds" means >, so a ratio exactly at the threshold stays
 closed), and warns when the ratio is still below threshold but has risen
 for three consecutive periods and its trend crosses the threshold next
-period. A toy risk model closes the loop at desk scale; its predictive
-quality is a non-goal.
+period. A toy risk model stands in for the retrained model at desk scale;
+its predictive quality is a non-goal.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .model import (
     CodedRecord,
-    InfluenceTag,
     PipelineConfig,
     ValidationError,
     canonical_dumps,
@@ -61,24 +58,12 @@ class ToyRiskModel:
     def version_number(self) -> int:
         return int(self.model_version.rsplit("-", 1)[-1])
 
-    def score(self, record: CodedRecord) -> float:
-        codes = [record.primary_code, *sorted(record.co_codes)]
-        values = [self.weights.get(code, 0.5) for code in codes]
-        return sum(values) / len(values)
-
 
 @dataclass(frozen=True)
 class Refusal:
     reason: str
     stats: InfluenceStats
     state: BreakerState
-
-
-@dataclass(frozen=True)
-class ModelSuggestion:
-    source_record: CodedRecord
-    suggested_code: str
-    confidence: float
 
 
 # Co-codes treated as the positive outcome when fitting the toy model.
@@ -185,64 +170,6 @@ def retrain_gate(
     )
 
 
-def suggest(
-    model: ToyRiskModel,
-    batch: Sequence[CodedRecord],
-    suggested_code: str,
-    top_fraction: float = 0.1,
-) -> list[ModelSuggestion]:
-    """Model suggestions for the highest-risk slice of a batch."""
-    scored = sorted(
-        ((model.score(record), record) for record in batch),
-        key=lambda pair: (-pair[0], pair[1].record_id),
-    )
-    keep = int(round(top_fraction * len(scored)))
-    return [
-        ModelSuggestion(source_record=record, suggested_code=suggested_code,
-                        confidence=min(1.0, score))
-        for score, record in scored[:keep]
-    ]
-
-
-def tag_outputs(
-    predictions: Sequence[ModelSuggestion],
-    model_version: str,
-    acceptance_fraction: float,
-    modification_fraction: float,
-    seed: int,
-) -> list[CodedRecord]:
-    """Turn accepted suggestions into new influence-tagged records.
-
-    Each suggestion is accepted with ``acceptance_fraction`` probability;
-    accepted ones become follow-up records tagged with the model version,
-    the suggestion confidence, and whether the clinician modified it.
-    """
-    rng = np.random.default_rng(seed)
-    accepted = rng.random(len(predictions)) < acceptance_fraction
-    modified = rng.random(len(predictions)) < modification_fraction
-    tagged: list[CodedRecord] = []
-    for i, suggestion in enumerate(predictions):
-        if not accepted[i]:
-            continue
-        source = suggestion.source_record
-        tagged.append(CodedRecord(
-            record_id=f"{source.record_id}-S",
-            patient_age_band=source.patient_age_band,
-            patient_sex=source.patient_sex,
-            institution_id=source.institution_id,
-            encounter_time=source.encounter_time,
-            primary_code=suggestion.suggested_code,
-            co_codes=frozenset(),
-            version_tag=source.version_tag,
-            influence_tag=InfluenceTag(
-                model_version=model_version,
-                model_confidence=suggestion.confidence,
-                clinician_modified=bool(modified[i]),
-            ),
-        ))
-    return tagged
-
-
 def write_influence_csv(
     rows: Iterable[tuple[str, InfluenceStats, BreakerState]], path: str | Path
 ) -> None:
@@ -270,11 +197,26 @@ def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:
 
 
 def read_history(text: str) -> list[tuple[str, float]]:
-    """Parse a period history from either JSON or a comma list of ratios."""
+    """Parse a period history from either JSON or a comma list of ratios.
+
+    Raises:
+        ValidationError: malformed JSON, or an entry that is not a number
+            (the message names it).
+    """
     text = text.strip()
     if not text:
         return []
     if text.startswith("["):
-        return [(p, float(r)) for p, r in json.loads(text)]
-    values = [float(part) for part in text.split(",") if part.strip()]
-    return [(f"period-{i + 1}", value) for i, value in enumerate(values)]
+        try:
+            return [(p, float(r)) for p, r in json.loads(text)]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"history is not a list of [period, ratio]: {exc}") from None
+    history = []
+    for part in (part.strip() for part in text.split(",")):
+        if not part:
+            continue
+        try:
+            history.append((f"period-{len(history) + 1}", float(part)))
+        except ValueError:
+            raise ValidationError(f"history entry {part!r} is not a number") from None
+    return history

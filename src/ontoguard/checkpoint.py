@@ -22,6 +22,7 @@ from .model import (
     FidelityAnnotation,
     PipelineConfig,
     ValidationError,
+    dominant_version,
 )
 
 TOP_K_COOCCURRENCE = 10
@@ -75,10 +76,7 @@ def build_reference_model(
     if not history:
         raise ValidationError("reference history must be non-empty")
     if version_label is None:
-        tags: dict[str, int] = {}
-        for record in history:
-            tags[record.version_tag] = tags.get(record.version_tag, 0) + 1
-        version_label = max(tags, key=lambda t: (tags[t], t))
+        version_label = dominant_version(history)
     code_set = tuple(sorted(system.codes(version_label)))
     n_codes = len(code_set)
 
@@ -205,12 +203,6 @@ class InstitutionFidelity:
 @dataclass(frozen=True)
 class FidelityReport:
     rows: tuple[InstitutionFidelity, ...]
-
-    def row_for(self, institution_id: str) -> InstitutionFidelity:
-        for row in self.rows:
-            if row.institution_id == institution_id:
-                return row
-        raise KeyError(institution_id)
 
 
 # The leading comment line states what the score is (and is not), so the

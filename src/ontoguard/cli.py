@@ -356,6 +356,10 @@ def _cmd_breaker_sweep(args) -> int:
         raise ValidationError(
             f"--thresholds must be start:stop:step, got {args.thresholds!r}"
         ) from None
+    if not step > 0 or start > stop:
+        raise ValidationError(
+            f"--thresholds needs step > 0 and start <= stop, got {args.thresholds!r}"
+        )
     print(f"ratio: {stats.ratio:.4f}")
     threshold = start
     while threshold <= stop + 1e-12:

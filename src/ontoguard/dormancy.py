@@ -263,7 +263,12 @@ def write_store(store: DormantStore, path: str | Path) -> None:
 
 
 def read_store(path: str | Path) -> DormantStore:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ValidationError(f"dormant store not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"dormant store {path} is not valid JSON: {exc}") from None
     entries = {}
     for item in data:
         entries[item["code"]] = DormantEntry(

@@ -10,7 +10,6 @@ clinical instruments.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -23,6 +22,7 @@ from .model import (
     CodeSystem,
     PipelineConfig,
     ValidationError,
+    iter_jsonl,
 )
 
 
@@ -98,15 +98,7 @@ def apply_clinical_overrides(
 
 
 def read_overrides(path: str | Path) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            overrides[data["record_id"]] = data["clinical_code"]
-    return overrides
+    return {data["record_id"]: data["clinical_code"] for data in iter_jsonl(path)}
 
 
 def divergence(

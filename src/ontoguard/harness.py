@@ -222,7 +222,6 @@ def run_scenario(
     prior_alerts: list[sentinel_mod.DriftAlert] = []
     dashboard_rows: list[tuple[str, breaker_mod.InfluenceStats, breaker_mod.BreakerState]] = []
     quarter_summaries: list[dict[str, Any]] = []
-    truth = synthgen_mod.GroundTruth({})
 
     for q in range(1, spec.quarters + 1):
         window = synthgen_mod.quarter_window(spec.start, q - 1)
@@ -239,13 +238,12 @@ def run_scenario(
             except Exception as exc:  # surface with stage context
                 raise StageError(f"stage {name} failed in quarter {q}: {exc}") from exc
 
-        batch, batch_truth = stage(
+        batch, _ = stage(
             "synthgen", synthgen_mod.generate_batch,
             system, spec.distortion, spec.n_per_quarter,
             seed=[seed, q - 1], window=window, id_prefix=f"Q{q}",
             quarter_index=q - 1,
         )
-        truth = truth.merged_with(batch_truth)
 
         ingest_op = compliance_mod.DataOperation(
             op_kind=compliance_mod.OpKind.INGEST, context=dict(spec.ingest_context)

@@ -1,77 +1,21 @@
-"""Numeric kernels for distribution divergence.
+"""Numeric kernel for distribution divergence.
 
-The hot path is the base-2 Jensen-Shannon divergence evaluated for every
-code and every fingerprint component during a drift scan. Kernels are
-JIT-compiled with numba when available; set ``ONTOGUARD_DISABLE_NUMBA=1``
-to force the pure-numpy path (``benchmarks/bench_kernels.py`` compares the
-two). Both paths agree to ~1e-15.
+The drift scan compares every fingerprinted code's four usage components
+with the base-2 Jensen-Shannon divergence. One numpy row kernel computes
+it; ``jsd_base2`` is a one-row call of the same kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("ONTOGUARD_DISABLE_NUMBA", "").strip().lower()
-NUMBA_REQUESTED = _FLAG not in ("1", "true", "yes")
 
-
-def _jsd_base2_numpy(p: np.ndarray, q: np.ndarray) -> float:
-    m = 0.5 * (p + q)
-    lp = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p / np.where(m > 0.0, m, 1.0), 1.0)), 0.0)
-    lq = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q / np.where(m > 0.0, m, 1.0), 1.0)), 0.0)
-    return float(0.5 * lp.sum() + 0.5 * lq.sum())
-
-
-def _jsd_rows_numpy(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+def _jsd_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     m = 0.5 * (ps + qs)
     safe_m = np.where(m > 0.0, m, 1.0)
     lp = np.where(ps > 0.0, ps * np.log2(np.where(ps > 0.0, ps, 1.0) / safe_m), 0.0)
     lq = np.where(qs > 0.0, qs * np.log2(np.where(qs > 0.0, qs, 1.0) / safe_m), 0.0)
     return 0.5 * lp.sum(axis=1) + 0.5 * lq.sum(axis=1)
-
-
-USING_NUMBA = False
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _jsd_base2_nb(p: np.ndarray, q: np.ndarray) -> float:  # pragma: no cover
-            acc = 0.0
-            for i in range(p.shape[0]):
-                m = 0.5 * (p[i] + q[i])
-                if p[i] > 0.0:
-                    acc += 0.5 * p[i] * np.log2(p[i] / m)
-                if q[i] > 0.0:
-                    acc += 0.5 * q[i] * np.log2(q[i] / m)
-            return acc
-
-        @njit(cache=True)
-        def _jsd_rows_nb(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:  # pragma: no cover
-            n = ps.shape[0]
-            out = np.empty(n)
-            for r in range(n):
-                acc = 0.0
-                for i in range(ps.shape[1]):
-                    m = 0.5 * (ps[r, i] + qs[r, i])
-                    if ps[r, i] > 0.0:
-                        acc += 0.5 * ps[r, i] * np.log2(ps[r, i] / m)
-                    if qs[r, i] > 0.0:
-                        acc += 0.5 * qs[r, i] * np.log2(qs[r, i] / m)
-                out[r] = acc
-            return out
-
-        _jsd_base2_impl = _jsd_base2_nb
-        _jsd_rows_impl = _jsd_rows_nb
-        USING_NUMBA = True
-    except ImportError:
-        _jsd_base2_impl = _jsd_base2_numpy
-        _jsd_rows_impl = _jsd_rows_numpy
-else:
-    _jsd_base2_impl = _jsd_base2_numpy
-    _jsd_rows_impl = _jsd_rows_numpy
 
 
 def jsd_base2(p: np.ndarray, q: np.ndarray) -> float:
@@ -80,18 +24,18 @@ def jsd_base2(p: np.ndarray, q: np.ndarray) -> float:
     Inputs must be non-negative and sum to ~1 each; the result lies in [0,1]
     (clamped against floating-point fuzz at the boundaries).
     """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    value = float(_jsd_base2_impl(p, q))
+    value = float(_jsd_rows(p.reshape(1, -1), q.reshape(1, -1))[0])
     return min(1.0, max(0.0, value))
 
 
 def jsd_rows(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Row-wise base-2 JSD for two (n, k) matrices of probability rows."""
-    ps = np.ascontiguousarray(ps, dtype=np.float64)
-    qs = np.ascontiguousarray(qs, dtype=np.float64)
+    ps = np.asarray(ps, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
     if ps.shape != qs.shape:
         raise ValueError(f"shape mismatch: {ps.shape} vs {qs.shape}")
-    return np.clip(_jsd_rows_impl(ps, qs), 0.0, 1.0)
+    return np.clip(_jsd_rows(ps, qs), 0.0, 1.0)

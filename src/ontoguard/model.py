@@ -222,6 +222,14 @@ class CodedRecord:
             raise ValidationError(f"unknown sex: {self.patient_sex!r}")
 
 
+def dominant_version(batch: Iterable[CodedRecord]) -> str:
+    """Most common version tag of a batch; ties go to the greater label."""
+    tags: dict[str, int] = {}
+    for record in batch:
+        tags[record.version_tag] = tags.get(record.version_tag, 0) + 1
+    return max(tags, key=lambda t: (tags[t], t))
+
+
 def record_to_dict(record: CodedRecord) -> dict[str, Any]:
     tag = record.influence_tag
     fid = record.fidelity
@@ -288,12 +296,17 @@ def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
             fh.write("\n")
 
 
-def iter_records(path: str | Path) -> Iterator[CodedRecord]:
+def iter_jsonl(path: str | Path) -> Iterator[Any]:
+    """Parsed value of every non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                yield record_from_dict(json.loads(line))
+                yield json.loads(line)
+
+
+def iter_records(path: str | Path) -> Iterator[CodedRecord]:
+    return map(record_from_dict, iter_jsonl(path))
 
 
 def read_records(path: str | Path) -> list[CodedRecord]:
@@ -314,9 +327,6 @@ class TimeWindow:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValidationError(f"window end {self.end} before start {self.start}")
-
-    def contains(self, when: datetime) -> bool:
-        return self.start <= when.date() <= self.end
 
     def to_dict(self) -> dict[str, str]:
         return {"start": self.start.isoformat(), "end": self.end.isoformat()}

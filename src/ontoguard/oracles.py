@@ -9,21 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    oracle_name: str
-    expected: float
-    observed: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.expected - self.observed) <= self.tolerance
 
 
 def jsd_oracle(p: Sequence[float], q: Sequence[float]) -> float:

@@ -32,6 +32,7 @@ from .model import (
     PipelineConfig,
     TimeWindow,
     ValidationError,
+    dominant_version,
     jsonl_dumps,
     record_code,
 )
@@ -48,16 +49,14 @@ class DriftType(str, Enum):
 class SemanticFingerprint:
     """Usage context of one code within one window.
 
-    ``temporal_profile`` is the per-month prevalence series;
-    ``temporal_mass`` is the same signal as a distribution (monthly share of
-    all window records carrying the code, plus the complement), which is
-    what the comparison uses so that pure level shifts register as drift.
+    ``temporal_mass`` is the monthly share of all window records carrying
+    the code, plus the complement, so that pure level shifts register as
+    drift.
     """
 
     code: str
     cooccurrence_dist: Mapping[str, float]
     demographic_dist: Mapping[tuple[str, str], float]
-    temporal_profile: tuple[float, ...]
     temporal_mass: tuple[float, ...]
     institutional_dist: Mapping[str, float]
     window: TimeWindow
@@ -104,7 +103,6 @@ def build_fingerprints(
         raise ValidationError("cannot fingerprint an empty batch")
     months = _month_index(window)
     month_pos = {ym: i for i, ym in enumerate(months)}
-    month_totals = np.zeros(len(months))
     n = len(batch)
 
     per_code: dict[str, dict[str, Any]] = {}
@@ -126,7 +124,6 @@ def build_fingerprints(
         pos = month_pos.get(ym)
         if pos is not None:
             info["months"][pos] += 1
-            month_totals[pos] += 1
         info["inst"][record.institution_id] = info["inst"].get(record.institution_id, 0) + 1
 
     def normalized(counts: Mapping) -> dict:
@@ -142,16 +139,11 @@ def build_fingerprints(
         if info["count"] < cfg.fingerprint_min_support:
             low_support.append((code, info["count"]))
             continue
-        profile = np.divide(
-            info["months"], month_totals,
-            out=np.zeros_like(month_totals), where=month_totals > 0,
-        )
         mass = info["months"] / n
         by_code[code] = SemanticFingerprint(
             code=code,
             cooccurrence_dist=normalized(info["co"]),
             demographic_dist=normalized(info["demo"]),
-            temporal_profile=tuple(float(x) for x in profile),
             temporal_mass=tuple(float(x) for x in mass) + (float(1.0 - mass.sum()),),
             institutional_dist=normalized(info["inst"]),
             window=window,
@@ -279,7 +271,7 @@ def scan(
         labels = [v.version_label for v in system.versions]
         touched = changed_codes(system, labels[0], labels[-1])
 
-    version_label = _dominant_version(current_batch)
+    version_label = dominant_version(current_batch)
     code_defs = system.codes(version_label)
 
     alerts: list[DriftAlert] = []
@@ -336,13 +328,6 @@ def _infer_window(batch: Sequence[CodedRecord]) -> TimeWindow:
         raise ValidationError("cannot infer a window from an empty batch")
     days = [record.encounter_time.date() for record in batch]
     return TimeWindow(min(days), max(days))
-
-
-def _dominant_version(batch: Sequence[CodedRecord]) -> str:
-    tags: dict[str, int] = {}
-    for record in batch:
-        tags[record.version_tag] = tags.get(record.version_tag, 0) + 1
-    return max(tags, key=lambda t: (tags[t], t))
 
 
 def write_alerts(alerts: Iterable[DriftAlert], path: str | Path) -> None:

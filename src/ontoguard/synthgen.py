@@ -12,7 +12,6 @@ with n is integral yields exactly that count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta
 from enum import Enum
@@ -29,6 +28,7 @@ from .model import (
     InfluenceTag,
     TimeWindow,
     ValidationError,
+    iter_jsonl,
     jsonl_dumps,
 )
 
@@ -579,15 +579,10 @@ def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
 
 
 def read_ground_truth(path: str | Path) -> GroundTruth:
-    entries: dict[str, GroundTruthEntry] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            entries[data["record_id"]] = GroundTruthEntry(
-                true_clinical_code=data["true_clinical_code"],
-                distortion_labels=frozenset(data["distortion_labels"]),
-            )
-    return GroundTruth(entries)
+    return GroundTruth({
+        data["record_id"]: GroundTruthEntry(
+            true_clinical_code=data["true_clinical_code"],
+            distortion_labels=frozenset(data["distortion_labels"]),
+        )
+        for data in iter_jsonl(path)
+    })

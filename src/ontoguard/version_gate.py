@@ -10,7 +10,6 @@ ambiguous one-to-many mapping counts as unmappable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -21,6 +20,7 @@ from .model import (
     CodeSystem,
     PipelineConfig,
     ValidationError,
+    iter_jsonl,
     jsonl_dumps,
     record_to_dict,
 )
@@ -60,7 +60,7 @@ class GateOutcome:
         return len(self.accepted) + len(self.reconciled) + len(self.quarantined)
 
     def processed_records(self) -> list[CodedRecord]:
-        """Accepted plus reconciled records, in original batch order."""
+        """Accepted plus reconciled records, sorted by ``record_id``."""
         merged = list(self.accepted) + [r.record for r in self.reconciled]
         return sorted(merged, key=lambda r: r.record_id)
 
@@ -253,10 +253,4 @@ def write_quarantine(path: str | Path, quarantined: Iterable[QuarantinedRecord])
 
 
 def read_quarantine(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return list(iter_jsonl(path))

@@ -10,20 +10,16 @@ from ontoguard import synthgen
 from ontoguard.breaker import (
     BreakerStateKind,
     InfluenceStats,
-    ModelSuggestion,
     Refusal,
     ToyRiskModel,
     compute_stats,
     evaluate,
     read_history,
     retrain_gate,
-    suggest,
-    tag_outputs,
     write_influence_csv,
     write_refusal_packet,
 )
 from ontoguard.model import InfluenceTag, PipelineConfig, ValidationError
-from ontoguard.oracles import binomial_interval
 
 CFG = PipelineConfig()  # breaker threshold 0.15
 
@@ -144,38 +140,6 @@ class TestRetrainGate:
         ]
         assert [r for _, r in outcomes] == [False, False, False, True]
         assert model.version_number() == 4  # three successful retrains
-
-
-class TestTagOutputs:
-    def suggestions(self, n):
-        return [
-            ModelSuggestion(make_record(f"R-{i}"), "SCREEN-DM", 0.9)
-            for i in range(n)
-        ]
-
-    def test_zero_acceptance_tags_nothing(self):
-        assert tag_outputs(self.suggestions(100), "m2", 0.0, 0.25, seed=1) == []
-
-    def test_modification_fraction_within_binomial_bounds(self):
-        tagged_records = tag_outputs(self.suggestions(1_000), "m2", 1.0, 0.25, seed=5)
-        assert len(tagged_records) == 1_000
-        modified = sum(1 for r in tagged_records if r.influence_tag.clinician_modified)
-        assert abs(modified / 1_000 - 0.25) <= 0.02
-        lo, hi = binomial_interval(1_000, 0.25, 0.99)
-        assert lo <= modified <= hi
-
-    def test_model_version_propagates(self):
-        tagged_records = tag_outputs(self.suggestions(50), "m7", 1.0, 0.0, seed=2)
-        assert all(r.influence_tag.model_version == "m7" for r in tagged_records)
-        assert all(r.primary_code == "SCREEN-DM" for r in tagged_records)
-
-    def test_suggest_returns_top_fraction(self):
-        model = ToyRiskModel("toy-risk-2", {"DM2-HYPER": 1.0}, "c1")
-        batch = [make_record(f"R-{i}", code="DM2-HYPER") for i in range(5)] \
-            + [make_record(f"S-{i}", code="WELL-EXAM") for i in range(95)]
-        picks = suggest(model, batch, "SCREEN-DM", top_fraction=0.05)
-        assert len(picks) == 5
-        assert all(p.source_record.primary_code == "DM2-HYPER" for p in picks)
 
 
 class TestProperties:

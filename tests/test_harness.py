@@ -1,6 +1,9 @@
 """Scenario harness: wiring order, compliance wrapping, determinism, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -257,6 +260,33 @@ class TestCli:
         status = cli.main(["oracle", "jsd", "--p", "1,0", "--q", "0,1"])
         assert status == 0
         assert capsys.readouterr().out.strip() == "1.000000000000"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["breaker", "sweep", "--thresholds", "0.05:0.3:0"], "0.05:0.3:0"),
+        (["breaker", "sweep", "--thresholds", "0.3:0.05:0.05"], "0.3:0.05:0.05"),
+        (["breaker", "check", "--history", "0.1,abc"], "'abc'"),
+        (["breaker", "check", "--history", '[["q1", "x"]]'], "[period, ratio]"),
+        (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
+        (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
+    ], ids=[
+        "zero-step", "start-after-stop", "bad-history", "bad-json-history",
+        "missing-store", "bad-store",
+    ])
+    def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
+        # A child process with a timeout, so a flag that loops forever fails
+        # the test instead of hanging the suite.
+        (tmp_path / "records.jsonl").write_text("", encoding="utf-8")
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "ontoguard.cli", *argv, "--records", "records.jsonl"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 1
+        assert "error:" in result.stderr and named in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_report_and_dormancy_subcommands(self, tmp_path, capsys, walkthrough_spec):
         # One small corpus driven through fidelity-report, infer-clinical,

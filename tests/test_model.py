@@ -1,7 +1,7 @@
 """Core types, config loading, and code-system loading."""
 
 import json
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 
@@ -163,11 +163,6 @@ class TestRecords:
 
 
 class TestTimeWindow:
-    def test_contains(self):
-        window = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
-        assert window.contains(datetime(2025, 2, 15, 8, 0))
-        assert not window.contains(datetime(2025, 4, 1, 0, 0))
-
     def test_inverted_window_rejected(self):
         with pytest.raises(ValidationError):
             TimeWindow(date(2025, 3, 1), date(2025, 1, 1))

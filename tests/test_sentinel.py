@@ -28,7 +28,6 @@ def fingerprint(code="X", co=None, demo=None, temporal_mass=(0.2, 0.8), inst=Non
         code=code,
         cooccurrence_dist=co if co is not None else {"A": 1.0},
         demographic_dist=demo if demo is not None else {("50-59", "female"): 1.0},
-        temporal_profile=(0.2,),
         temporal_mass=tuple(temporal_mass),
         institutional_dist=inst if inst is not None else {"I1": 1.0},
         window=Q1,

@@ -151,6 +151,10 @@ class TestGateBatch:
                 [r.record.record_id for r in outcome.reconciled],
                 [r.record.record_id for r in outcome.quarantined],
             )
+            assert [r.record_id for r in outcome.processed_records()] == sorted(
+                [r.record_id for r in outcome.accepted]
+                + [r.record.record_id for r in outcome.reconciled]
+            )
 
     def test_quarantine_file_round_trip(self, tmp_path):
         system = migration_system()
