@@ -10,7 +10,7 @@ calibrated probabilities.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -23,6 +23,7 @@ from .model import (
     PipelineConfig,
     ValidationError,
     dominant_version,
+    with_fields,
 )
 
 TOP_K_COOCCURRENCE = 10
@@ -138,58 +139,72 @@ def build_reference_model(
     )
 
 
-def _prevalence_subscore(record: CodedRecord, ref: ReferenceModel) -> float:
-    expected = ref.expected_prevalence(
-        record.primary_code, record.patient_age_band, record.patient_sex
-    )
-    marginal = ref.marginal_prevalence(record.primary_code)
-    ratio = expected / marginal
+def _prevalence_subscore(ref: ReferenceModel, code: str, age_band: str, sex: str) -> float:
+    ratio = ref.expected_prevalence(code, age_band, sex) / ref.marginal_prevalence(code)
     return min(1.0, ratio / (1.0 + ratio))
 
 
-def _cooccurrence_subscore(record: CodedRecord, ref: ReferenceModel) -> float:
-    if not record.co_codes:
+def _cooccurrence_subscore(ref: ReferenceModel, code: str, co_codes: frozenset[str]) -> float:
+    if not co_codes:
         return 0.5
-    top = ref.top_cooccurring.get(record.primary_code, ())
+    top = ref.top_cooccurring.get(code, ())
     if not top:
         return 0.5
-    overlap = len(record.co_codes & set(top))
-    return overlap / min(len(record.co_codes), len(top))
+    overlap = len(co_codes & set(top))
+    return overlap / min(len(co_codes), len(top))
 
 
-def _institutional_subscore(record: CodedRecord, ref: ReferenceModel) -> float:
-    rate = ref.institution_rate(record.institution_id, record.primary_code)
-    median = ref.peer_median(record.primary_code)
+def _institutional_subscore(ref: ReferenceModel, institution_id: str, code: str) -> float:
+    rate = ref.institution_rate(institution_id, code)
+    median = ref.peer_median(code)
     if median <= 0:
         return 0.0
     return 1.0 - min(1.0, abs(rate - median) / median)
 
 
-def annotate(record: CodedRecord, ref: ReferenceModel, cfg: PipelineConfig) -> CodedRecord:
-    """Return the record with its fidelity annotation populated.
-
-    Pure per record and idempotent: re-annotating with the same reference
-    yields the same annotation. Never rejects.
-    """
-    prev = _prevalence_subscore(record, ref)
-    cooc = _cooccurrence_subscore(record, ref)
-    inst = _institutional_subscore(record, ref)
-    w_prev, w_cooc, w_inst = cfg.fidelity_weights
-    score = w_prev * prev + w_cooc * cooc + w_inst * inst
-    annotation = FidelityAnnotation(
-        score=min(1.0, max(0.0, score)),
-        prevalence_subscore=prev,
-        cooccurrence_subscore=cooc,
-        institutional_subscore=inst,
-        rationale=f"prev={prev:.3f} cooc={cooc:.3f} inst={inst:.3f}",
-    )
-    return replace(record, fidelity=annotation)
-
-
 def annotate_batch(
     batch: Iterable[CodedRecord], ref: ReferenceModel, cfg: PipelineConfig
 ) -> list[CodedRecord]:
-    return [annotate(record, ref, cfg) for record in batch]
+    """Return each record with its fidelity annotation populated.
+
+    Pure and idempotent: re-annotating with the same reference yields the
+    same annotation. Never rejects. Each subscore depends on a few record
+    fields only, so it is computed once per distinct key of the batch, and
+    records with the same three subscores share one immutable annotation.
+    """
+    w_prev, w_cooc, w_inst = cfg.fidelity_weights
+    prevalence: dict[tuple[str, str, str], float] = {}
+    cooccurrence: dict[tuple[str, frozenset[str]], float] = {}
+    institutional: dict[tuple[str, str], float] = {}
+    annotations: dict[tuple[float, float, float], FidelityAnnotation] = {}
+    annotated = []
+    for record in batch:
+        code = record.primary_code
+        prev_key = (code, record.patient_age_band, record.patient_sex)
+        prev = prevalence.get(prev_key)
+        if prev is None:
+            prev = prevalence[prev_key] = _prevalence_subscore(ref, *prev_key)
+        cooc_key = (code, record.co_codes)
+        cooc = cooccurrence.get(cooc_key)
+        if cooc is None:
+            cooc = cooccurrence[cooc_key] = _cooccurrence_subscore(ref, *cooc_key)
+        inst_key = (record.institution_id, code)
+        inst = institutional.get(inst_key)
+        if inst is None:
+            inst = institutional[inst_key] = _institutional_subscore(ref, *inst_key)
+        subscores = (prev, cooc, inst)
+        annotation = annotations.get(subscores)
+        if annotation is None:
+            score = w_prev * prev + w_cooc * cooc + w_inst * inst
+            annotation = annotations[subscores] = FidelityAnnotation(
+                score=min(1.0, max(0.0, score)),
+                prevalence_subscore=prev,
+                cooccurrence_subscore=cooc,
+                institutional_subscore=inst,
+                rationale=f"prev={prev:.3f} cooc={cooc:.3f} inst={inst:.3f}",
+            )
+        annotated.append(with_fields(record, fidelity=annotation))
+    return annotated
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ default is the administrative layer, stated explicitly rather than assumed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import sys
 from datetime import date, datetime
 from pathlib import Path
@@ -346,6 +348,9 @@ def _cmd_breaker_check(args) -> int:
     return 0
 
 
+MAX_SWEEP_THRESHOLDS = 10_000
+
+
 def _cmd_breaker_sweep(args) -> int:
     records = read_records(args.records)
     history = breaker_mod.read_history(args.history)
@@ -356,9 +361,16 @@ def _cmd_breaker_sweep(args) -> int:
         raise ValidationError(
             f"--thresholds must be start:stop:step, got {args.thresholds!r}"
         ) from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValidationError(f"--thresholds must be finite, got {args.thresholds!r}")
     if not step > 0 or start > stop:
         raise ValidationError(
             f"--thresholds needs step > 0 and start <= stop, got {args.thresholds!r}"
+        )
+    if (stop - start) / step >= MAX_SWEEP_THRESHOLDS:
+        raise ValidationError(
+            f"--thresholds sweeps more than {MAX_SWEEP_THRESHOLDS} thresholds, "
+            f"got {args.thresholds!r}"
         )
     print(f"ratio: {stats.ratio:.4f}")
     threshold = start
@@ -425,6 +437,19 @@ def _cmd_oracle_partition(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Records are acyclic and freed by reference counting, so the cyclic
+    # collector would only re-scan them; a run leaves a fixed number of
+    # cyclic objects whatever its input size. Pause it for the command.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -262,6 +262,13 @@ def write_store(store: DormantStore, path: str | Path) -> None:
     Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
 
 
+# Keys of every entry ``write_store`` writes, in its order.
+_STORE_KEYS = (
+    "code", "count", "frequency", "top_co_codes", "significance_note",
+    "activation_conditions", "last_observed",
+)
+
+
 def read_store(path: str | Path) -> DormantStore:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -269,8 +276,17 @@ def read_store(path: str | Path) -> DormantStore:
         raise ValidationError(f"dormant store not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"dormant store {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise ValidationError(f"dormant store {path} must be a JSON list of entries")
     entries = {}
-    for item in data:
+    for index, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise ValidationError(f"dormant store {path} entry {index} is not an object")
+        missing = [key for key in _STORE_KEYS if key not in item]
+        if missing:
+            raise ValidationError(
+                f"dormant store {path} entry {index} is missing key {missing[0]!r}"
+            )
         entries[item["code"]] = DormantEntry(
             code=item["code"],
             count=item["count"],

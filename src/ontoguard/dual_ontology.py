@@ -11,7 +11,7 @@ clinical instruments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +23,7 @@ from .model import (
     PipelineConfig,
     ValidationError,
     iter_jsonl,
+    with_fields,
 )
 
 
@@ -41,37 +42,20 @@ class DivergenceReport:
     n: int
 
 
-def _cocode_likelihood(record: CodedRecord, candidate: str, ref: ReferenceModel) -> float:
+def _cocode_likelihood(co_codes: frozenset[str], candidate: str, ref: ReferenceModel) -> float:
     dist = ref.cooccurrence[candidate]
-    return sum(math.log(dist[co]) for co in sorted(record.co_codes) if co in dist)
+    return sum(math.log(dist[co]) for co in sorted(co_codes) if co in dist)
 
 
-def infer_clinical_code(
-    record: CodedRecord, ref: ReferenceModel, cfg: PipelineConfig
-) -> str:
-    """Most plausible clinical code for one annotated record.
-
-    High-fidelity records keep their administrative code. Below the cutoff,
-    the winner is the candidate code maximizing the naive
-    conditional-independence likelihood of the record's co-codes under the
-    reference co-occurrence model; ties break by lexicographic code order.
-    Records with no co-codes carry no overriding evidence and keep their
-    administrative code.
-    """
-    if record.fidelity is None:
-        raise ValidationError(f"record {record.record_id} is not annotated")
-    if record.fidelity.score >= cfg.inference_fidelity_cutoff:
-        return record.primary_code
-    if not record.co_codes:
-        return record.primary_code
+def _likeliest_code(co_codes: frozenset[str], ref: ReferenceModel) -> str | None:
     best_code = None
     best_score = -math.inf
     for candidate in ref.candidate_codes:
-        score = _cocode_likelihood(record, candidate, ref)
+        score = _cocode_likelihood(co_codes, candidate, ref)
         if score > best_score or (score == best_score and (best_code is None or candidate < best_code)):
             best_code = candidate
             best_score = score
-    return record.primary_code if best_code is None else best_code
+    return best_code
 
 
 def infer_clinical_layer(
@@ -80,11 +64,31 @@ def infer_clinical_layer(
     system: CodeSystem,
     cfg: PipelineConfig,
 ) -> list[CodedRecord]:
-    """Populate the clinical layer for a checkpoint-annotated batch."""
-    return [
-        replace(record, clinical_code=infer_clinical_code(record, ref, cfg))
-        for record in batch
-    ]
+    """Populate the clinical layer for a checkpoint-annotated batch.
+
+    High-fidelity records keep their administrative code. Below the cutoff,
+    the winner is the candidate code maximizing the naive
+    conditional-independence likelihood of the record's co-codes under the
+    reference co-occurrence model; ties break by lexicographic code order.
+    Records with no co-codes carry no overriding evidence, and a reference
+    with no candidate codes offers no alternative: both keep their
+    administrative code. The winner depends on the co-code set alone, so it
+    is picked once per distinct set.
+    """
+    winners: dict[frozenset[str], str | None] = {}
+    inferred = []
+    for record in batch:
+        if record.fidelity is None:
+            raise ValidationError(f"record {record.record_id} is not annotated")
+        code = record.primary_code
+        co_codes = record.co_codes
+        if record.fidelity.score < cfg.inference_fidelity_cutoff and co_codes:
+            if co_codes not in winners:
+                winners[co_codes] = _likeliest_code(co_codes, ref)
+            if winners[co_codes] is not None:
+                code = winners[co_codes]
+        inferred.append(with_fields(record, clinical_code=code))
+    return inferred
 
 
 def apply_clinical_overrides(
@@ -92,7 +96,7 @@ def apply_clinical_overrides(
 ) -> list[CodedRecord]:
     """Apply structured-instrument annotations, overriding inferred values."""
     return [
-        replace(record, clinical_code=overrides.get(record.record_id, record.clinical_code))
+        with_fields(record, clinical_code=overrides.get(record.record_id, record.clinical_code))
         for record in batch
     ]
 

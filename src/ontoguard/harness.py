@@ -15,7 +15,7 @@ keeps outputs byte-identical for a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime
 from importlib import resources
 from pathlib import Path

@@ -222,6 +222,11 @@ class CodedRecord:
             raise ValidationError(f"unknown sex: {self.patient_sex!r}")
 
 
+def with_fields(record: CodedRecord, **changes: Any) -> CodedRecord:
+    """Copy of ``record`` with ``changes`` applied, validated by the constructor."""
+    return CodedRecord(**{**record.__dict__, **changes})
+
+
 def dominant_version(batch: Iterable[CodedRecord]) -> str:
     """Most common version tag of a batch; ties go to the greater label."""
     tags: dict[str, int] = {}
@@ -299,10 +304,15 @@ def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
 def iter_jsonl(path: str | Path) -> Iterator[Any]:
     """Parsed value of every non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno} is not valid JSON: {exc.msg}") from None
+            yield value
 
 
 def iter_records(path: str | Path) -> Iterator[CodedRecord]:

@@ -10,7 +10,7 @@ ambiguous one-to-many mapping counts as unmappable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,6 +23,7 @@ from .model import (
     iter_jsonl,
     jsonl_dumps,
     record_to_dict,
+    with_fields,
 )
 
 
@@ -163,7 +164,7 @@ def gate_batch(
             ))
             continue
         reconciled.append(ReconciledRecord(
-            record=replace(record, primary_code=mapped, version_tag=target_version),
+            record=with_fields(record, primary_code=mapped, version_tag=target_version),
             original_code=original_code,
             original_version=original_version,
         ))

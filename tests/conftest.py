@@ -90,6 +90,23 @@ def q3_products(walkthrough_spec, bundled_system, bundled_cfg):
     return _quarter_products(walkthrough_spec, bundled_system, bundled_cfg, 3)
 
 
+@pytest.fixture(scope="session")
+def seeded_batch(walkthrough_spec, bundled_system, bundled_cfg):
+    """A gated 2,000-record batch with every quarter-3 distortion switched on."""
+    batch, _ = synthgen.generate_batch(
+        bundled_system,
+        walkthrough_spec.distortion,
+        2000,
+        seed=[SEED, 2000],
+        window=synthgen.quarter_window(walkthrough_spec.start, 2),
+        quarter_index=2,
+    )
+    outcome = version_gate.gate_batch(
+        batch, bundled_system, walkthrough_spec.target_version, bundled_cfg
+    )
+    return outcome.processed_records()
+
+
 def make_record(
     record_id: str = "R-000000",
     age_band: str = "50-59",

@@ -8,7 +8,6 @@ from conftest import make_record, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.checkpoint import (
     FidelityReport,
-    annotate,
     annotate_batch,
     build_reference_model,
     fidelity_report,
@@ -77,7 +76,9 @@ class TestAnnotate:
                                            code="BBB", version="v2"))
                 i += 1
         ref = build_reference_model(history, system, "v2")
-        record = annotate(make_record(institution="HOT", code="AAA", version="v2"), ref, cfg)
+        record = annotate_batch(
+            [make_record(institution="HOT", code="AAA", version="v2")], ref, cfg
+        )[0]
         assert record.fidelity.institutional_subscore < 0.5
 
     def test_best_case_record_scores_high(self, cfg):
@@ -98,10 +99,10 @@ class TestAnnotate:
                 code="BBB", version="v2",
             ))
         ref = build_reference_model(history, system, "v2")
-        record = annotate(
-            make_record(institution="I0", code="AAA", co_codes=("CCC",), version="v2"),
+        record = annotate_batch(
+            [make_record(institution="I0", code="AAA", co_codes=("CCC",), version="v2")],
             ref, cfg,
-        )
+        )[0]
         fid = record.fidelity
         assert fid.prevalence_subscore >= 0.9
         assert fid.cooccurrence_subscore >= 0.9
@@ -110,10 +111,20 @@ class TestAnnotate:
     def test_annotation_is_idempotent(self, q1_products, cfg, bundled_cfg):
         record = q1_products["outcome"].accepted[0]
         ref = q1_products["ref"]
-        once = annotate(record, ref, bundled_cfg)
-        twice = annotate(once, ref, bundled_cfg)
+        once = annotate_batch([record], ref, bundled_cfg)[0]
+        twice = annotate_batch([once], ref, bundled_cfg)[0]
         assert once.fidelity == twice.fidelity
         assert once.record_id == record.record_id
+
+    def test_batch_scores_each_record_as_alone(self, seeded_batch, q1_products, bundled_cfg):
+        # Subscores are cached per key within a batch; the result must not
+        # depend on which other records share the batch.
+        ref = q1_products["ref"]
+        together = annotate_batch(seeded_batch, ref, bundled_cfg)
+        alone = [annotate_batch([record], ref, bundled_cfg)[0] for record in seeded_batch]
+        assert len(together) == len(seeded_batch) == 2000
+        assert together == alone
+        assert len({r.fidelity for r in together}) > 1
 
     def test_catch_all_records_score_lower_on_average(self, q1_products):
         truth = q1_products["truth"]

@@ -1,5 +1,6 @@
 """Dual administrative/clinical layers: inference, overrides, divergence."""
 
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -48,6 +49,31 @@ class TestInference:
         record = annotated(make_record(code="DM2-UNSPEC", co_codes=()), 0.1)
         out = infer_clinical_layer([record], q1_products["ref"], bundled_system, bundled_cfg)
         assert out[0].clinical_code == "DM2-UNSPEC"
+
+    def test_batch_infers_each_record_as_alone(
+        self, seeded_batch, q1_products, bundled_system, bundled_cfg
+    ):
+        # The likelihood winner is cached per co-code set within a batch.
+        ref = q1_products["ref"]
+        batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
+        together = infer_clinical_layer(batch, ref, bundled_system, bundled_cfg)
+        alone = [
+            infer_clinical_layer([record], ref, bundled_system, bundled_cfg)[0]
+            for record in batch
+        ]
+        assert together == alone
+        assert any(r.clinical_code != r.primary_code for r in together)
+
+    def test_no_candidate_codes_keeps_primary(
+        self, seeded_batch, q1_products, bundled_system, bundled_cfg
+    ):
+        ref = replace(q1_products["ref"], candidate_codes=())
+        batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
+        low = [r for r in batch
+               if r.fidelity.score < bundled_cfg.inference_fidelity_cutoff and r.co_codes]
+        assert low
+        out = infer_clinical_layer(batch, ref, bundled_system, bundled_cfg)
+        assert [r.clinical_code for r in out] == [r.primary_code for r in batch]
 
     def test_unannotated_record_rejected(self, q1_products, bundled_system, bundled_cfg):
         with pytest.raises(ValidationError, match="not annotated"):

@@ -1,9 +1,11 @@
 """Scenario harness: wiring order, compliance wrapping, determinism, CLI."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -268,25 +270,80 @@ class TestCli:
         (["breaker", "check", "--history", '[["q1", "x"]]'], "[period, ratio]"),
         (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
         (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
+        (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
+        (["breaker", "sweep", "--thresholds", "0.05:inf:0.05"], "0.05:inf:0.05"),
+        (["dormancy", "activate", "--store", "partial.json"],
+         "partial.json entry 0 is missing key 'count'"),
+        (["dormancy", "activate", "--store", "object.json"],
+         "object.json must be a JSON list"),
+        (["breaker", "check", "--records", "trunc.jsonl"], "trunc.jsonl:1 is not valid JSON"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
-        "missing-store", "bad-store",
+        "missing-store", "bad-store", "tiny-step", "infinite-stop",
+        "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
         # the test instead of hanging the suite.
         (tmp_path / "records.jsonl").write_text("", encoding="utf-8")
         (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        (tmp_path / "partial.json").write_text('[{"code": "X"}]', encoding="utf-8")
+        (tmp_path / "object.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "trunc.jsonl").write_text('{"record_id": "a",\n', encoding="utf-8")
+        if "--records" not in argv:
+            argv = [*argv, "--records", "records.jsonl"]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
-            [sys.executable, "-m", "ontoguard.cli", *argv, "--records", "records.jsonl"],
+            [sys.executable, "-m", "ontoguard.cli", *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
         )
         assert result.returncode == 1
         assert "error:" in result.stderr and named in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, status", [
+        (["oracle", "jsd", "--p", "1,0", "--q", "0,1"], 0),
+        (["comply-check", "--op", "deploy", "--context", "no-equals-sign"], 1),
+        (["drift-scan", "--bogus-flag", "x"], 1),
+    ], ids=["exit-0", "validation-error", "usage-error"])
+    def test_main_pauses_and_restores_gc(self, monkeypatch, enabled, argv, status):
+        seen = []
+        real_jsd = cli._cmd_oracle_jsd
+
+        def recording_jsd(args):
+            seen.append(gc.isenabled())
+            return real_jsd(args)
+
+        monkeypatch.setattr(cli, "_cmd_oracle_jsd", recording_jsd)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert cli.main(argv) == status
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == ([False] if status == 0 else [])
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, walkthrough_spec, tmp_path):
+        # The collector is paused inside cli.main; that is safe only while
+        # the cyclic garbage a run leaves is independent of its size.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            counts = []
+            for i, n in enumerate((1000, 1000, 3000)):
+                gc.collect()
+                spec = replace(walkthrough_spec, n_per_quarter=n)
+                harness.run_scenario(spec, 42, tmp_path / f"run-{i}")
+                counts.append(gc.collect())
+        finally:
+            if was_enabled:
+                gc.enable()
+        # The first run warms module-level caches.
+        assert counts[1] == counts[2]
 
     def test_report_and_dormancy_subcommands(self, tmp_path, capsys, walkthrough_spec):
         # One small corpus driven through fidelity-report, infer-clinical,
