@@ -77,6 +77,25 @@ def _parse_context_value(raw: str):
         return raw
 
 
+def _read_json_object(path: str, flag: str) -> dict:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ValidationError(f"{flag} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{flag} file {path} is not valid JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{flag} file {path} must hold a JSON object")
+    return data
+
+
+def _float_list(raw: str, flag: str) -> list[float]:
+    try:
+        return [float(x) for x in raw.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ontoguard")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -187,9 +206,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
-    spec = synthgen_mod.spec_from_dict(
-        json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    )
+    spec = synthgen_mod.spec_from_dict(_read_json_object(args.spec, "--spec"))
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(system, spec, args.n, args.seed)
         write_records(args.out, records)
@@ -265,7 +282,7 @@ def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     records = read_records(args.records)
-    significance = json.loads(Path(args.significance).read_text(encoding="utf-8"))
+    significance = _read_json_object(args.significance, "--significance")
     classification = dormancy_mod.classify_features(
         records, significance.keys(), cfg, args.layer
     )
@@ -274,7 +291,7 @@ def _cmd_dormancy_classify(args) -> int:
     if args.store:
         conditions = {}
         if args.conditions:
-            raw = json.loads(Path(args.conditions).read_text(encoding="utf-8"))
+            raw = _read_json_object(args.conditions, "--conditions")
             conditions = {
                 code: tuple(dormancy_mod.ActivationCondition.from_dict(c) for c in conds)
                 for code, conds in raw.items()
@@ -397,7 +414,14 @@ def _cmd_comply_check(args) -> int:
     op = compliance_mod.DataOperation(
         op_kind=compliance_mod.OpKind(args.op), context=context
     )
-    now = None if args.timestamp is None else datetime.fromisoformat(args.timestamp)
+    now = None
+    if args.timestamp is not None:
+        try:
+            now = datetime.fromisoformat(args.timestamp)
+        except ValueError:
+            raise ValidationError(
+                f"--timestamp must be an ISO 8601 timestamp, got {args.timestamp!r}"
+            ) from None
     verdict, audit = compliance_mod.compose(adapters, op, now=now)
     print(f"verdict: {verdict.kind.value}")
     for condition in verdict.conditions:
@@ -422,9 +446,12 @@ def _cmd_scenario_run(args) -> int:
 
 
 def _cmd_oracle_jsd(args) -> int:
-    p = [float(x) for x in args.p.split(",")]
-    q = [float(x) for x in args.q.split(",")]
-    print(f"{oracles_mod.jsd_oracle(p, q):.12f}")
+    p, q = _float_list(args.p, "--p"), _float_list(args.q, "--q")
+    try:
+        value = oracles_mod.jsd_oracle(p, q)
+    except ValueError as exc:
+        raise ValidationError(f"--p/--q: {exc}") from None
+    print(f"{value:.12f}")
     return 0
 
 

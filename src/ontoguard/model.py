@@ -263,32 +263,74 @@ def record_to_dict(record: CodedRecord) -> dict[str, Any]:
     }
 
 
+_STRING_FIELDS = ("record_id", "institution_id", "primary_code", "version_tag", "encounter_time")
+
+
+def _field_error(name: str, value: Any) -> ValidationError:
+    return ValidationError(f"record field {name!r} has type {type(value).__name__}")
+
+
+def _number(data: Mapping[str, Any], name: str) -> float:
+    value = data[name]
+    if type(value) is not float and type(value) is not int:
+        raise _field_error(name, value)
+    return value
+
+
 def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
-    tag = data.get("influence_tag")
-    fid = data.get("fidelity")
+    """Parse one record; a missing or mistyped field raises a ValidationError naming it.
+
+    The type checks are plain ``type(...) is`` tests because every record
+    read from a JSON Lines file passes through here.
+    """
+    if type(data) is not dict:
+        raise ValidationError(f"record must be a JSON object, got {type(data).__name__}")
     try:
+        for name in _STRING_FIELDS:
+            if type(data[name]) is not str:
+                raise _field_error(name, data[name])
+        co_codes = data["co_codes"]
+        if type(co_codes) is not list:
+            raise _field_error("co_codes", co_codes)
+        for co in co_codes:
+            if type(co) is not str:
+                raise _field_error("co_codes", co)
+        clinical_code = data.get("clinical_code")
+        if clinical_code is not None and type(clinical_code) is not str:
+            raise _field_error("clinical_code", clinical_code)
+        try:
+            encounter_time = datetime.fromisoformat(data["encounter_time"])
+        except ValueError:
+            raise ValidationError(
+                "record field 'encounter_time' is not an ISO 8601 timestamp: "
+                f"{data['encounter_time']!r}"
+            ) from None
+        tag = data.get("influence_tag")
+        if tag is not None:
+            if type(tag) is not dict:
+                raise _field_error("influence_tag", tag)
+            if type(tag["model_version"]) is not str:
+                raise _field_error("model_version", tag["model_version"])
+            if type(tag["clinician_modified"]) is not bool:
+                raise _field_error("clinician_modified", tag["clinician_modified"])
+            tag = InfluenceTag(
+                tag["model_version"], _number(tag, "model_confidence"), tag["clinician_modified"]
+            )
+        fid = data.get("fidelity")
+        if fid is not None:
+            if type(fid) is not dict:
+                raise _field_error("fidelity", fid)
+            if type(fid["rationale"]) is not str:
+                raise _field_error("rationale", fid["rationale"])
+            fid = FidelityAnnotation(
+                _number(fid, "score"), _number(fid, "prevalence_subscore"),
+                _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
+                fid["rationale"],
+            )
         return CodedRecord(
-            record_id=data["record_id"],
-            patient_age_band=data["patient_age_band"],
-            patient_sex=data["patient_sex"],
-            institution_id=data["institution_id"],
-            encounter_time=datetime.fromisoformat(data["encounter_time"]),
-            primary_code=data["primary_code"],
-            co_codes=frozenset(data["co_codes"]),
-            version_tag=data["version_tag"],
-            influence_tag=None if tag is None else InfluenceTag(
-                model_version=tag["model_version"],
-                model_confidence=tag["model_confidence"],
-                clinician_modified=tag["clinician_modified"],
-            ),
-            fidelity=None if fid is None else FidelityAnnotation(
-                score=fid["score"],
-                prevalence_subscore=fid["prevalence_subscore"],
-                cooccurrence_subscore=fid["cooccurrence_subscore"],
-                institutional_subscore=fid["institutional_subscore"],
-                rationale=fid["rationale"],
-            ),
-            clinical_code=data.get("clinical_code"),
+            data["record_id"], data["patient_age_band"], data["patient_sex"],
+            data["institution_id"], encounter_time, data["primary_code"],
+            frozenset(co_codes), data["version_tag"], tag, fid, clinical_code,
         )
     except KeyError as exc:
         raise ValidationError(f"record missing field {exc.args[0]!r}") from None
@@ -301,8 +343,8 @@ def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
             fh.write("\n")
 
 
-def iter_jsonl(path: str | Path) -> Iterator[Any]:
-    """Parsed value of every non-blank line of a JSON Lines file."""
+def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """Line number and parsed value of every non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -312,11 +354,21 @@ def iter_jsonl(path: str | Path) -> Iterator[Any]:
                 value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno} is not valid JSON: {exc.msg}") from None
-            yield value
+            yield lineno, value
+
+
+def iter_jsonl(path: str | Path) -> Iterator[Any]:
+    """Parsed value of every non-blank line of a JSON Lines file."""
+    return (value for _, value in _numbered_jsonl(path))
 
 
 def iter_records(path: str | Path) -> Iterator[CodedRecord]:
-    return map(record_from_dict, iter_jsonl(path))
+    """Records of a JSON Lines file; a bad record raises a ValidationError at path:line."""
+    for lineno, data in _numbered_jsonl(path):
+        try:
+            yield record_from_dict(data)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
 def read_records(path: str | Path) -> list[CodedRecord]:

@@ -13,10 +13,11 @@ with n is integral yields exactly that count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from enum import Enum
+from itertools import compress
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -138,11 +139,6 @@ class GroundTruth:
     def labels(self, record_id: str) -> frozenset[str]:
         return self.entries[record_id].distortion_labels
 
-    def merged_with(self, other: "GroundTruth") -> "GroundTruth":
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return GroundTruth(merged)
-
 
 def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
     if not system.has_version(spec.current_version):
@@ -251,16 +247,26 @@ def _profile_arrays(profile: Mapping[str, float], support: Sequence[str]) -> np.
 
 def _weighted_sample_without_replacement(
     rng: np.random.Generator, weights: np.ndarray, sizes: np.ndarray
-) -> list[np.ndarray]:
-    """Per-row weighted sampling without replacement (Efraimidis-Spirakis keys)."""
-    m = len(sizes)
-    if m == 0:
-        return []
-    u = rng.random((m, len(weights)))
-    keys = u ** (1.0 / np.maximum(weights, 1e-12))
+) -> np.ndarray:
+    """Per-row weighted sampling without replacement (Efraimidis-Spirakis keys).
+
+    Returns a boolean mask over the support: row i marks its ``sizes[i]``
+    largest keys.
+    """
+    keys = rng.random((len(sizes), len(weights))) ** (1.0 / np.maximum(weights, 1e-12))
     keys[:, weights <= 0] = -1.0
-    order = np.argsort(-keys, axis=1)
-    return [order[i, : sizes[i]] for i in range(m)]
+    picked = np.empty(keys.shape, dtype=bool)
+    np.put_along_axis(
+        picked, np.argsort(-keys, axis=1), np.arange(len(weights)) < sizes[:, None], axis=1
+    )
+    return picked
+
+
+def _take(table: Sequence[Any], index: np.ndarray) -> list[Any]:
+    """``[table[i] for i in index]``: every row shares the table's objects."""
+    column = np.empty(len(table), dtype=object)
+    column[:] = table
+    return column[index].tolist()
 
 
 def generate_batch(
@@ -289,53 +295,49 @@ def generate_batch(
     codes_def = system.codes(spec.current_version)
     prevalence = _effective_prevalence(system, spec, window)
     code_list = sorted(prevalence)
+    # Code columns index ``names``: the generated codes first, then the
+    # codes only a distortion can write.
+    names = code_list + sorted(set(codes_def) - set(prevalence))
+    pos = {code: i for i, code in enumerate(names)}
 
-    code_counts = _largest_remainder(
-        [prevalence[c] for c in code_list], code_list, n
+    code_counts = list(
+        _largest_remainder([prevalence[c] for c in code_list], code_list, n).values()
     )
-    code_index = np.repeat(
-        np.arange(len(code_list)), [code_counts[c] for c in code_list]
-    )
+    code_index = np.repeat(np.arange(len(code_list)), code_counts)
     rng.shuffle(code_index)
+    rows_of_code = np.split(np.argsort(code_index, kind="stable"), np.cumsum(code_counts)[:-1])
 
     inst_ids = [i for i, _ in spec.institutions]
     inst_counts = _largest_remainder([w for _, w in spec.institutions], inst_ids, n)
     inst_index = np.repeat(np.arange(len(inst_ids)), [inst_counts[i] for i in inst_ids])
     rng.shuffle(inst_index)
 
-    outbreak_codes: dict[str, float] = {}
-    if spec.outbreak is not None and window.start >= spec.outbreak.start:
-        group = codes_def[spec.outbreak.code].clinical_group
-        for code, cdef in codes_def.items():
-            if cdef.clinical_group == group:
-                outbreak_codes[code] = 0.5
+    outbreak = spec.outbreak
+    if outbreak is not None and window.start < outbreak.start:
+        outbreak = None
+    outbreak_group = None if outbreak is None else codes_def[outbreak.code].clinical_group
 
     age_idx = np.zeros(n, dtype=np.int64)
     sex_idx = np.zeros(n, dtype=np.int64)
     tilt = _profile_arrays(OUTBREAK_AGE_TILT, AGE_BANDS)
-    for ci, code in enumerate(code_list):
-        rows = np.flatnonzero(code_index == ci)
+    for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
             continue
         profile = system.demographic_profiles.get(code, {})
         age_p = _profile_arrays(profile.get("age", {}), AGE_BANDS)
-        blend = outbreak_codes.get(code)
-        if blend is not None:
-            age_p = (1.0 - blend) * age_p + blend * tilt
+        if code in codes_def and codes_def[code].clinical_group == outbreak_group:
+            age_p = 0.5 * age_p + 0.5 * tilt
         sex_p = _profile_arrays(profile.get("sex", {}), SEXES)
         age_idx[rows] = rng.choice(len(AGE_BANDS), size=rows.size, p=age_p)
         sex_idx[rows] = rng.choice(len(SEXES), size=rows.size, p=sex_p)
 
-    window_seconds = int(
-        (datetime.combine(window.end, datetime.min.time()) + timedelta(days=1)
-         - datetime.combine(window.start, datetime.min.time())).total_seconds()
-    )
+    window_seconds = ((window.end - window.start).days + 1) * 86_400
     offsets = rng.integers(0, window_seconds, size=n)
-    start_dt = datetime.combine(window.start, datetime.min.time())
 
-    co_codes: list[tuple[str, ...]] = [()] * n
-    for ci, code in enumerate(code_list):
-        rows = np.flatnonzero(code_index == ci)
+    # One frozenset per distinct co-code set, shared by every row that drew it.
+    co_code_sets: dict[frozenset[str], int] = {frozenset(): 0}
+    co_index = np.zeros(n, dtype=np.int64)
+    for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
             continue
         profile = system.cooccurrence_profiles.get(code, {})
@@ -348,32 +350,33 @@ def generate_batch(
             sizes = np.full(rows.size, len(support))
         else:
             sizes = rng.integers(2, k_max + 1, size=rows.size)
-        picks = _weighted_sample_without_replacement(rng, weights, sizes)
-        for row, pick in zip(rows, picks):
-            co_codes[row] = tuple(support[j] for j in pick)
+        masks, inverse = np.unique(
+            _weighted_sample_without_replacement(rng, weights, sizes),
+            axis=0, return_inverse=True,
+        )
+        ids = [co_code_sets.setdefault(frozenset(compress(support, mask)), len(co_code_sets))
+               for mask in masks]
+        co_index[rows] = np.array(ids)[inverse.reshape(-1)]
 
-    true_codes = [code_list[i] for i in code_index]
-    primary = list(true_codes)
-    labels: list[set[str]] = [set() for _ in range(n)]
-    institutions = [inst_ids[i] for i in inst_index]
+    # Distortions act on code and institution columns; ``labels`` holds one
+    # bit per DistortionLabel, in declaration order.
+    bit = {label: 1 << i for i, label in enumerate(DistortionLabel)}
+    primary = code_index.copy()
+    labels = np.zeros(n, dtype=np.int64)
 
     # Catch-all habit: rewrites siblings to the configured target.
     for entry in spec.catch_all:
-        target_def = codes_def.get(entry.target_code)
-        if target_def is None:
-            continue
-        siblings = {
-            c for c, d in codes_def.items()
+        target_def = codes_def[entry.target_code]
+        siblings = [
+            pos[c] for c, d in codes_def.items()
             if d.clinical_group == target_def.clinical_group and c != entry.target_code
-        }
+        ]
         draws = rng.random(n)
-        for i in range(n):
-            if (institutions[i] == entry.institution_id
-                    and true_codes[i] in siblings
-                    and primary[i] == true_codes[i]
-                    and draws[i] < entry.excess_rate):
-                primary[i] = entry.target_code
-                labels[i].add(DistortionLabel.CATCH_ALL.value)
+        at_institution = np.array([i == entry.institution_id for i in inst_ids])[inst_index]
+        hit = (at_institution & np.isin(code_index, siblings)
+               & (primary == code_index) & (draws < entry.excess_rate))
+        primary[hit] = pos[entry.target_code]
+        labels[hit] |= bit[DistortionLabel.CATCH_ALL]
 
     # Billing-guideline recoding into a category, scaling its coded rate.
     for entry in spec.billing_inflation:
@@ -395,35 +398,27 @@ def generate_batch(
         member_mass = sum(prevalence[c] for c in members)
         donor_mass = sum(prevalence[c] for c in donors)
         p_rewrite = min(1.0, (entry.rate_multiplier - 1.0) * member_mass / donor_mass)
-        group_targets = {
-            group: sorted(c for c in members if codes_def[c].clinical_group == group)
-            for group in member_groups
-        }
         draws = rng.random(n)
         target_draws = rng.random(n)
-        for i in range(n):
-            code = true_codes[i]
-            if code not in donors or primary[i] != code or draws[i] >= p_rewrite:
-                continue
-            targets = group_targets[codes_def[code].clinical_group]
+        open_rows = (primary == code_index) & (draws < p_rewrite)
+        for group in member_groups:
+            targets = sorted(c for c in members if codes_def[c].clinical_group == group)
+            group_donors = [pos[c] for c in donors if codes_def[c].clinical_group == group]
+            rows = np.flatnonzero(open_rows & np.isin(code_index, group_donors))
             weights = np.array([prevalence[t] for t in targets])
             cumulative = np.cumsum(weights / weights.sum())
-            primary[i] = targets[int(np.searchsorted(cumulative, target_draws[i]))]
-            labels[i].add(DistortionLabel.BILLING_INFLATION.value)
+            picks = np.searchsorted(cumulative, target_draws[rows])
+            primary[rows] = np.array([pos[t] for t in targets])[picks]
+            labels[rows] |= bit[DistortionLabel.BILLING_INFLATION]
 
-    if spec.outbreak is not None and window.start >= spec.outbreak.start:
-        for i in range(n):
-            if true_codes[i] == spec.outbreak.code:
-                labels[i].add(DistortionLabel.OUTBREAK.value)
+    if outbreak is not None:
+        labels[code_index == pos[outbreak.code]] |= bit[DistortionLabel.OUTBREAK]
 
-    version_tags = [spec.current_version] * n
-    for i in range(n):
-        lag = spec.version_mix.get(institutions[i])
-        if lag is not None and lag != spec.current_version:
-            version_tags[i] = lag
-            labels[i].add(DistortionLabel.VERSION_LAG.value)
+    versions = [spec.version_mix.get(i, spec.current_version) for i in inst_ids]
+    lagging = np.array([v != spec.current_version for v in versions])[inst_index]
+    labels[lagging] |= bit[DistortionLabel.VERSION_LAG]
 
-    influence: list[InfluenceTag | None] = [None] * n
+    influence = np.full(n, None, dtype=object)
     if spec.ai_influence is not None:
         fraction = spec.ai_influence.fraction_for(quarter_index)
         count = int(round(fraction * n))
@@ -431,34 +426,38 @@ def generate_batch(
             chosen = rng.choice(n, size=count, replace=False)
             confidences = rng.uniform(0.55, 0.95, size=count)
             modified = rng.random(count) < 0.25
-            for j, i in enumerate(chosen):
-                influence[i] = InfluenceTag(
-                    model_version=spec.ai_influence.model_version,
-                    model_confidence=float(confidences[j]),
-                    clinician_modified=bool(modified[j]),
-                )
-                labels[i].add(DistortionLabel.AI_INFLUENCED.value)
+            influence[chosen] = [
+                InfluenceTag(spec.ai_influence.model_version, confidence, flag)
+                for confidence, flag in zip(confidences.tolist(), modified.tolist())
+            ]
+            labels[chosen] |= bit[DistortionLabel.AI_INFLUENCED]
 
-    records: list[CodedRecord] = []
-    truth: dict[str, GroundTruthEntry] = {}
-    for i in range(n):
-        record_id = f"{id_prefix}-{i:06d}"
-        records.append(CodedRecord(
-            record_id=record_id,
-            patient_age_band=AGE_BANDS[age_idx[i]],
-            patient_sex=SEXES[sex_idx[i]],
-            institution_id=institutions[i],
-            encounter_time=start_dt + timedelta(seconds=int(offsets[i])),
-            primary_code=primary[i],
-            co_codes=frozenset(co_codes[i]),
-            version_tag=version_tags[i],
-            influence_tag=influence[i],
-        ))
-        truth[record_id] = GroundTruthEntry(
-            true_clinical_code=true_codes[i],
-            distortion_labels=frozenset(labels[i]),
+    # One ground-truth entry per distinct (true code, label bits) pair.
+    truth_keys, truth_index = np.unique(code_index * (1 << len(bit)) + labels,
+                                        return_inverse=True)
+    entries = [
+        GroundTruthEntry(
+            true_clinical_code=names[key >> len(bit)],
+            distortion_labels=frozenset(l.value for l, b in bit.items() if key & b),
         )
-    return records, GroundTruth(truth)
+        for key in truth_keys.tolist()
+    ]
+
+    record_ids = [f"{id_prefix}-{i:06d}" for i in range(n)]
+    times = (np.datetime64(window.start, "s") + offsets.astype("timedelta64[s]")).tolist()
+    records = list(map(
+        CodedRecord,
+        record_ids,
+        _take(AGE_BANDS, age_idx),
+        _take(SEXES, sex_idx),
+        _take(inst_ids, inst_index),
+        times,
+        _take(names, primary),
+        _take(list(co_code_sets), co_index),
+        _take(versions, inst_index),
+        influence.tolist(),
+    ))
+    return records, GroundTruth(dict(zip(record_ids, _take(entries, truth_index))))
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
@@ -483,7 +482,7 @@ def generate_quarter_series(
     if quarters <= 0:
         raise ValidationError(f"quarters must be positive, got {quarters}")
     batches: list[list[CodedRecord]] = []
-    truth = GroundTruth({})
+    truth: dict[str, GroundTruthEntry] = {}
     for q in range(quarters):
         window = quarter_window(start, q)
         batch, batch_truth = generate_batch(
@@ -496,8 +495,8 @@ def generate_quarter_series(
             quarter_index=q,
         )
         batches.append(batch)
-        truth = truth.merged_with(batch_truth)
-    return batches, truth
+        truth.update(batch_truth.entries)
+    return batches, GroundTruth(truth)
 
 
 # ---------------------------------------------------------------------------

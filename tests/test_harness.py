@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_record
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
     PipelineConfig,
@@ -19,6 +20,7 @@ from ontoguard.model import (
     canonical_dumps,
     code_system_from_dict,
     config_to_dict,
+    record_to_dict,
     serialize_code_system,
     serialize_config,
 )
@@ -127,6 +129,26 @@ class TestNullScenario:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() \
                 == (tmp_path / "b" / rel).read_bytes(), rel
+
+    def test_run_files_do_not_depend_on_hash_seed(self, tmp_path):
+        # String hashing is randomised per process, so only separate
+        # processes can show output that depends on set or dict order.
+        spec_path = write_null_scenario(tmp_path, n=4_000)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-m", "ontoguard.cli", "scenario", "run", str(spec_path),
+                 "--seed", "11", "--out-dir", str(tmp_path / hash_seed)],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+        files = sorted(
+            p.relative_to(tmp_path / "0") for p in (tmp_path / "0").rglob("*") if p.is_file()
+        )
+        assert files
+        for rel in files:
+            assert (tmp_path / "0" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
 
     def test_different_seeds_differ(self, tmp_path):
         spec_path = write_null_scenario(tmp_path, n=4_000)
@@ -277,10 +299,15 @@ class TestCli:
         (["dormancy", "activate", "--store", "object.json"],
          "object.json must be a JSON list"),
         (["breaker", "check", "--records", "trunc.jsonl"], "trunc.jsonl:1 is not valid JSON"),
+        (["oracle", "jsd", "--p", "1,x", "--q", "0,1"], "--p"),
+        (["comply-check", "--op", "deploy", "--timestamp", "notatime"], "--timestamp"),
+        (["dormancy", "classify", "--significance", "missing.json"], "missing.json"),
+        (["breaker", "check", "--records", "badtype.jsonl"], "badtype.jsonl:1"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
         "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
+        "jsd-not-a-number", "bad-timestamp", "missing-significance", "record-bad-time",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -290,7 +317,10 @@ class TestCli:
         (tmp_path / "partial.json").write_text('[{"code": "X"}]', encoding="utf-8")
         (tmp_path / "object.json").write_text("{}", encoding="utf-8")
         (tmp_path / "trunc.jsonl").write_text('{"record_id": "a",\n', encoding="utf-8")
-        if "--records" not in argv:
+        (tmp_path / "badtype.jsonl").write_text(
+            json.dumps({**record_to_dict(make_record()), "encounter_time": "notatime"}) + "\n", encoding="utf-8"
+        )
+        if argv[0] in ("breaker", "dormancy") and "--records" not in argv:
             argv = [*argv, "--records", "records.jsonl"]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

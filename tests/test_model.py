@@ -17,6 +17,7 @@ from ontoguard.model import (
     code_system_from_dict,
     load_code_system,
     load_config,
+    read_records,
     record_from_dict,
     record_to_dict,
     serialize_code_system,
@@ -160,6 +161,45 @@ class TestRecords:
     def test_missing_field_named(self):
         with pytest.raises(ValidationError, match="record_id"):
             record_from_dict({"primary_code": "X"})
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("co_codes", "LAB-GLU-HI", "'co_codes' has type str"),
+        ("co_codes", ["LAB-GLU-HI", 7], "'co_codes' has type int"),
+        ("encounter_time", "notatime", "'encounter_time' is not an ISO 8601"),
+        ("encounter_time", 20250215, "'encounter_time' has type int"),
+        ("record_id", 17, "'record_id' has type int"),
+        ("clinical_code", ["DM2-HYPER"], "'clinical_code' has type list"),
+        ("influence_tag", {"model_version": "m1", "model_confidence": "0.7",
+                           "clinician_modified": False}, "'model_confidence' has type str"),
+        ("influence_tag", {"model_version": "m1", "model_confidence": True,
+                           "clinician_modified": False}, "'model_confidence' has type bool"),
+        ("influence_tag", {"model_version": "m1", "model_confidence": 0.7,
+                           "clinician_modified": "no"}, "'clinician_modified' has type str"),
+        ("fidelity", {"score": "high", "prevalence_subscore": 0.5,
+                      "cooccurrence_subscore": 0.5, "institutional_subscore": 0.5,
+                      "rationale": ""}, "'score' has type str"),
+        ("fidelity", [0.5], "'fidelity' has type list"),
+    ], ids=[
+        "co-codes-string", "co-code-not-string", "time-not-iso", "time-not-string",
+        "record-id-int", "clinical-code-list", "confidence-string", "confidence-bool",
+        "modified-string", "score-string", "fidelity-list",
+    ])
+    def test_mistyped_field_named(self, field, value, named):
+        data = {**record_to_dict(make_record()), field: value}
+        with pytest.raises(ValidationError, match=named):
+            record_from_dict(data)
+
+    def test_record_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="JSON object, got list"):
+            record_from_dict(["R-000000"])
+
+    def test_read_records_names_path_and_line(self, tmp_path):
+        good = json.dumps(record_to_dict(make_record()))
+        bad = json.dumps({**record_to_dict(make_record()), "co_codes": "LAB-GLU-HI"})
+        path = tmp_path / "records.jsonl"
+        path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"records\.jsonl:3: .*'co_codes'"):
+            read_records(path)
 
 
 class TestTimeWindow:

@@ -1,5 +1,6 @@
 """Generator: exact stratified counts, labeled distortions, determinism."""
 
+import hashlib
 import io
 from datetime import date
 
@@ -7,7 +8,13 @@ import pytest
 
 from conftest import SEED
 from ontoguard import synthgen
-from ontoguard.model import TimeWindow, ValidationError, jsonl_dumps, record_to_dict
+from ontoguard.model import (
+    TimeWindow,
+    ValidationError,
+    jsonl_dumps,
+    record_to_dict,
+    write_records,
+)
 from ontoguard.oracles import binomial_interval, prevalence_recount
 
 
@@ -180,3 +187,70 @@ class TestInvariants:
             outbreak=synthgen.OutbreakSpec("RESP-FLU", date(2025, 7, 1), 3.0),
         )
         assert synthgen.spec_from_dict(synthgen.spec_to_dict(spec)) == spec
+
+
+# Every distortion switches on by 2025-07-01: catch-alls at two institutions,
+# billing inflation, version lag, an outbreak and a rising AI fraction.
+ALL_DISTORTIONS = {
+    "institutions": [
+        {"institution_id": "INST-01", "weight": 0.3},
+        {"institution_id": "INST-03", "weight": 0.1},
+        {"institution_id": "INST-06", "weight": 0.25},
+        {"institution_id": "INST-07", "weight": 0.35},
+    ],
+    "current_version": "2025",
+    "catch_all": [
+        {"institution_id": "INST-06", "target_code": "HLD-UNSPEC", "excess_rate": 0.7},
+        {"institution_id": "INST-07", "target_code": "DM2-UNSPEC", "excess_rate": 0.8},
+    ],
+    "billing_inflation": [
+        {"billing_category": "bc-chronic-specific", "start": "2025-04-01",
+         "rate_multiplier": 2.5},
+    ],
+    "version_mix": {"INST-03": "2024"},
+    "ai_influence": {"model_version": "toy-risk-1", "schedule": [0.05, 0.15, 0.25]},
+    "outbreak": {"code": "RESP-FLU", "start": "2025-07-01", "prevalence_multiplier": 3.0},
+}
+
+
+def output_digest(tmp_path, records, truth):
+    """sha256 of the records file followed by the ground-truth file."""
+    write_records(tmp_path / "records.jsonl", records)
+    synthgen.write_ground_truth(tmp_path / "truth.jsonl", truth)
+    digest = hashlib.sha256()
+    for name in ("records.jsonl", "truth.jsonl"):
+        digest.update((tmp_path / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestGolden:
+    """Pins the exact output, and so the random draw stream behind it.
+
+    The digests were taken from the row-at-a-time generator; a change that
+    reorders, adds or drops a draw changes them.
+    """
+
+    @pytest.mark.parametrize("seed, expected", [
+        (42, "2ceaab81d7d1cf0f839ddee2921348122f488bd4d532140791df37a7183773fe"),
+        (7, "7da713752627b215b743df1af735acf3ee6450689e4600af21a4ff6cf1faafc8"),
+    ])
+    def test_batch_with_every_distortion(self, bundled_system, tmp_path, seed, expected):
+        spec = synthgen.spec_from_dict(ALL_DISTORTIONS)
+        records, truth = synthgen.generate_batch(
+            bundled_system, spec, 5_000, seed,
+            window=synthgen.quarter_window(date(2025, 1, 1), 2),
+            id_prefix="G", quarter_index=2,
+        )
+        labels = set().union(*(e.distortion_labels for e in truth.entries.values()))
+        assert labels == {label.value for label in synthgen.DistortionLabel}
+        assert output_digest(tmp_path, records, truth) == expected
+
+    def test_quarter_series(self, bundled_system, tmp_path):
+        spec = synthgen.spec_from_dict(ALL_DISTORTIONS)
+        batches, truth = synthgen.generate_quarter_series(
+            bundled_system, spec, 3, 2_000, SEED
+        )
+        records = [r for batch in batches for r in batch]
+        assert output_digest(tmp_path, records, truth) == (
+            "08d41d872ceeffe2462d5c23785b2cb427b85e152b3ab44bf71ffbd72ab33eb1"
+        )
