@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 from datetime import date, datetime
@@ -30,8 +29,10 @@ from .model import (
     PipelineConfig,
     StageError,
     ValidationError,
+    json_object,
     load_code_system,
     load_config,
+    load_json,
     read_records,
     write_records,
 )
@@ -58,9 +59,7 @@ def _print_layer(layer: Layer) -> None:
 
 
 def _load_cfg(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return load_config(path)
+    return PipelineConfig() if path is None else load_config(path)
 
 
 def _parse_context_value(raw: str):
@@ -77,18 +76,6 @@ def _parse_context_value(raw: str):
         return raw
 
 
-def _read_json_object(path: str, flag: str) -> dict:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"{flag} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{flag} file {path} is not valid JSON: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{flag} file {path} must hold a JSON object")
-    return data
-
-
 def _float_list(raw: str, flag: str) -> list[float]:
     try:
         return [float(x) for x in raw.split(",")]
@@ -103,6 +90,7 @@ def build_parser() -> _Parser:
     synth = sub.add_parser("synth", help="synthetic data generation")
     synth_sub = synth.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     gen = synth_sub.add_parser("generate", help="generate a labeled batch")
+    gen.set_defaults(handler=_cmd_synth_generate)
     gen.add_argument("--system", required=True)
     gen.add_argument("--spec", required=True, help="distortion spec JSON file")
     gen.add_argument("--n", type=int, required=True)
@@ -113,6 +101,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--start", default="2025-01-01")
 
     gate = sub.add_parser("gate", help="version-gate a batch")
+    gate.set_defaults(handler=_cmd_gate)
     gate.add_argument("--records", required=True)
     gate.add_argument("--system", required=True)
     gate.add_argument("--target-version", required=True)
@@ -120,6 +109,7 @@ def build_parser() -> _Parser:
     gate.add_argument("--out-dir", required=True)
 
     fid = sub.add_parser("fidelity-report", help="annotate and report fidelity")
+    fid.set_defaults(handler=_cmd_fidelity_report)
     fid.add_argument("--records", required=True)
     fid.add_argument("--history", required=True)
     fid.add_argument("--system", required=True)
@@ -128,6 +118,7 @@ def build_parser() -> _Parser:
     fid.add_argument("--layer", type=_layer_arg, default=Layer.ADMINISTRATIVE)
 
     infer = sub.add_parser("infer-clinical", help="populate the clinical layer")
+    infer.set_defaults(handler=_cmd_infer_clinical)
     infer.add_argument("--records", required=True)
     infer.add_argument("--history", required=True)
     infer.add_argument("--system", required=True)
@@ -139,6 +130,7 @@ def build_parser() -> _Parser:
     dorm = sub.add_parser("dormancy", help="dormant feature management")
     dorm_sub = dorm.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     classify = dorm_sub.add_parser("classify")
+    classify.set_defaults(handler=_cmd_dormancy_classify)
     classify.add_argument("--records", required=True)
     classify.add_argument("--significance", required=True,
                           help="JSON file mapping code -> note")
@@ -149,6 +141,7 @@ def build_parser() -> _Parser:
     classify.add_argument("--prune-log", default=None)
     classify.add_argument("--layer", type=_layer_arg, default=Layer.ADMINISTRATIVE)
     activate = dorm_sub.add_parser("activate")
+    activate.set_defaults(handler=_cmd_dormancy_activate)
     activate.add_argument("--store", required=True)
     activate.add_argument("--records", required=True)
     activate.add_argument("--domain-transfer", default=None)
@@ -156,6 +149,7 @@ def build_parser() -> _Parser:
     activate.add_argument("--layer", type=_layer_arg, default=Layer.ADMINISTRATIVE)
 
     scan = sub.add_parser("drift-scan", help="scan for semantic drift")
+    scan.set_defaults(handler=_cmd_drift_scan)
     scan.add_argument("--baseline", required=True)
     scan.add_argument("--current", required=True)
     scan.add_argument("--system", required=True)
@@ -166,17 +160,20 @@ def build_parser() -> _Parser:
     brk = sub.add_parser("breaker", help="AI-influence circuit breaker")
     brk_sub = brk.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     check = brk_sub.add_parser("check")
+    check.set_defaults(handler=_cmd_breaker_check)
     check.add_argument("--records", required=True)
     check.add_argument("--history", default="", help="comma list of prior ratios")
     check.add_argument("--config", default=None)
     check.add_argument("--out", default=None)
     sweep = brk_sub.add_parser("sweep")
+    sweep.set_defaults(handler=_cmd_breaker_sweep)
     sweep.add_argument("--records", required=True)
     sweep.add_argument("--history", default="")
     sweep.add_argument("--thresholds", default="0.05:0.30:0.05",
                        help="start:stop:step threshold sweep")
 
     comply = sub.add_parser("comply-check", help="evaluate compliance adapters")
+    comply.set_defaults(handler=_cmd_comply_check)
     comply.add_argument("--op", required=True,
                         choices=[k.value for k in compliance_mod.OpKind])
     comply.add_argument("--context", nargs="*", default=[], metavar="KEY=VALUE")
@@ -187,6 +184,7 @@ def build_parser() -> _Parser:
     scenario = sub.add_parser("scenario", help="run a bundled or custom scenario")
     scen_sub = scenario.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     run = scen_sub.add_parser("run")
+    run.set_defaults(handler=_cmd_scenario_run)
     run.add_argument("name", help="bundled scenario name or spec file path")
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--out-dir", default="run-output")
@@ -194,9 +192,11 @@ def build_parser() -> _Parser:
     oracle = sub.add_parser("oracle", help="independent verification oracles")
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     jsd = oracle_sub.add_parser("jsd")
+    jsd.set_defaults(handler=_cmd_oracle_jsd)
     jsd.add_argument("--p", required=True, help="comma list of probabilities")
     jsd.add_argument("--q", required=True, help="comma list of probabilities")
     partition = oracle_sub.add_parser("partition")
+    partition.set_defaults(handler=_cmd_oracle_partition)
     partition.add_argument("--input", required=True)
     partition.add_argument("--accepted", required=True)
     partition.add_argument("--reconciled", required=True)
@@ -206,7 +206,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
-    spec = synthgen_mod.spec_from_dict(_read_json_object(args.spec, "--spec"))
+    spec = load_json(args.spec, "--spec file", synthgen_mod.spec_from_dict)
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(system, spec, args.n, args.seed)
         write_records(args.out, records)
@@ -282,7 +282,7 @@ def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     records = read_records(args.records)
-    significance = _read_json_object(args.significance, "--significance")
+    significance = load_json(args.significance, "--significance file", json_object)
     classification = dormancy_mod.classify_features(
         records, significance.keys(), cfg, args.layer
     )
@@ -291,11 +291,9 @@ def _cmd_dormancy_classify(args) -> int:
     if args.store:
         conditions = {}
         if args.conditions:
-            raw = _read_json_object(args.conditions, "--conditions")
-            conditions = {
-                code: tuple(dormancy_mod.ActivationCondition.from_dict(c) for c in conds)
-                for code, conds in raw.items()
-            }
+            conditions = load_json(
+                args.conditions, "--conditions file", dormancy_mod.conditions_from_dict
+            )
         store = dormancy_mod.store_dormant(
             classification, records, conditions, args.layer,
             notes_by_code=significance, path=args.store,
@@ -480,32 +478,8 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        command = args.command
-        if command == "synth":
-            return _cmd_synth_generate(args)
-        if command == "gate":
-            return _cmd_gate(args)
-        if command == "fidelity-report":
-            return _cmd_fidelity_report(args)
-        if command == "infer-clinical":
-            return _cmd_infer_clinical(args)
-        if command == "dormancy":
-            return (_cmd_dormancy_classify(args) if args.subcommand == "classify"
-                    else _cmd_dormancy_activate(args))
-        if command == "drift-scan":
-            return _cmd_drift_scan(args)
-        if command == "breaker":
-            return (_cmd_breaker_check(args) if args.subcommand == "check"
-                    else _cmd_breaker_sweep(args))
-        if command == "comply-check":
-            return _cmd_comply_check(args)
-        if command == "scenario":
-            return _cmd_scenario_run(args)
-        if command == "oracle":
-            return (_cmd_oracle_jsd(args) if args.subcommand == "jsd"
-                    else _cmd_oracle_partition(args))
-        raise ValidationError(f"unknown command {command!r}")
-    except ValidationError as exc:
+        return args.handler(args)
+    except (ValidationError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:

@@ -11,14 +11,13 @@ prevails: deny > permit-with-conditions > permit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .model import ValidationError, canonical_dumps
+from .model import ValidationError, canonical_dumps, load_json
 
 
 class OpKind(str, Enum):
@@ -132,10 +131,7 @@ class AdapterRuleSet:
 
 
 def _parse_clause(data: Mapping[str, Any]) -> Clause:
-    try:
-        key, op = data["key"], data["op"]
-    except KeyError as exc:
-        raise ValidationError(f"rule clause missing {exc.args[0]!r}") from None
+    key, op = data["key"], data["op"]
     if op not in _OPS:
         raise ValidationError(f"unknown clause operator {op!r}")
     if op in ("present", "absent"):
@@ -176,13 +172,7 @@ def adapter_from_dict(data: Mapping[str, Any]) -> AdapterRuleSet:
 def load_adapter(path: str | Path) -> AdapterRuleSet:
     """Load one adapter rule file; malformed conditions fail here, at load
     time, never during evaluation."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"adapter file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"adapter file {path} is not valid JSON: {exc}") from None
-    return adapter_from_dict(data)
+    return load_json(path, "adapter file", adapter_from_dict)
 
 
 # Deterministic placeholder used when no wall-clock timestamp is supplied,

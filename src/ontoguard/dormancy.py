@@ -8,7 +8,6 @@ significance is always a configured code list, never inferred.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -21,6 +20,8 @@ from .model import (
     PipelineConfig,
     ValidationError,
     canonical_dumps,
+    json_object,
+    load_json,
     record_code,
 )
 
@@ -76,6 +77,14 @@ class ActivationCondition:
             domain=data.get("domain"),
             signal_code=data.get("signal_code"),
         )
+
+
+def conditions_from_dict(data: Any) -> dict[str, tuple[ActivationCondition, ...]]:
+    """Activation conditions by code, from a JSON object of code -> list of conditions."""
+    return {
+        code: tuple(ActivationCondition.from_dict(c) for c in conds)
+        for code, conds in json_object(data).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -262,43 +271,33 @@ def write_store(store: DormantStore, path: str | Path) -> None:
     Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
 
 
-# Keys of every entry ``write_store`` writes, in its order.
-_STORE_KEYS = (
-    "code", "count", "frequency", "top_co_codes", "significance_note",
-    "activation_conditions", "last_observed",
-)
+def _store_entries(data: Any) -> dict[str, DormantEntry]:
+    """Entries of a store file: the JSON list ``write_store`` writes."""
+    if type(data) is not list:
+        raise ValidationError("must be a JSON list of entries")
+    entries = {}
+    for index, item in enumerate(data):
+        if type(item) is not dict:
+            raise ValidationError(f"entry {index} is not an object")
+        try:
+            entries[item["code"]] = DormantEntry(
+                code=item["code"],
+                count=item["count"],
+                frequency=item["frequency"],
+                top_co_codes=tuple((c, n) for c, n in item["top_co_codes"]),
+                significance_note=item["significance_note"],
+                activation_conditions=tuple(
+                    ActivationCondition.from_dict(c) for c in item["activation_conditions"]
+                ),
+                last_observed=datetime.fromisoformat(item["last_observed"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"entry {index} is missing key {exc.args[0]!r}") from None
+    return entries
 
 
 def read_store(path: str | Path) -> DormantStore:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"dormant store not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"dormant store {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ValidationError(f"dormant store {path} must be a JSON list of entries")
-    entries = {}
-    for index, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise ValidationError(f"dormant store {path} entry {index} is not an object")
-        missing = [key for key in _STORE_KEYS if key not in item]
-        if missing:
-            raise ValidationError(
-                f"dormant store {path} entry {index} is missing key {missing[0]!r}"
-            )
-        entries[item["code"]] = DormantEntry(
-            code=item["code"],
-            count=item["count"],
-            frequency=item["frequency"],
-            top_co_codes=tuple((c, n) for c, n in item["top_co_codes"]),
-            significance_note=item["significance_note"],
-            activation_conditions=tuple(
-                ActivationCondition.from_dict(c) for c in item["activation_conditions"]
-            ),
-            last_observed=datetime.fromisoformat(item["last_observed"]),
-        )
-    return DormantStore(entries=entries, prune_log=[], path=Path(path))
+    return DormantStore(load_json(path, "dormant store", _store_entries), [], Path(path))
 
 
 def write_prune_log(store: DormantStore, path: str | Path) -> None:

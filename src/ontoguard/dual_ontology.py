@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .checkpoint import ReferenceModel
 from .model import (
@@ -101,8 +101,16 @@ def apply_clinical_overrides(
     ]
 
 
+def _override(data: Mapping[str, Any]) -> tuple[str, str]:
+    record_id, clinical_code = data["record_id"], data["clinical_code"]
+    if type(record_id) is not str or type(clinical_code) is not str:
+        raise ValidationError("record_id and clinical_code must be strings")
+    return record_id, clinical_code
+
+
 def read_overrides(path: str | Path) -> dict[str, str]:
-    return {data["record_id"]: data["clinical_code"] for data in iter_jsonl(path)}
+    """Clinical code by record id, one ``{"record_id", "clinical_code"}`` per line."""
+    return dict(iter_jsonl(path, _override))
 
 
 def divergence(

@@ -14,7 +14,6 @@ keeps outputs byte-identical for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime
 from importlib import resources
@@ -39,6 +38,7 @@ from .model import (
     canonical_dumps,
     load_code_system,
     load_config,
+    load_json,
 )
 
 STAGE_LAYERS = {
@@ -131,19 +131,17 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
             path = candidate
         else:
             raise ValidationError(f"scenario not found: {name_or_path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    base = path.parent
+    return load_json(path, "scenario file", lambda data: _scenario_from_dict(data, path.parent))
 
+
+def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
+    """Parse a scenario object; file references resolve against ``base``."""
     def resolve(ref: str) -> Path:
         resolved = (base / ref) if not Path(ref).is_absolute() else Path(ref)
         if not resolved.exists():
-            raise ValidationError(f"scenario references missing file: {ref}")
+            raise ValidationError(f"references missing file: {ref}")
         return resolved
 
-    conditions = {
-        code: tuple(dormancy_mod.ActivationCondition.from_dict(c) for c in conds)
-        for code, conds in data.get("activation_conditions", {}).items()
-    }
     return ScenarioSpec(
         name=data["name"],
         code_system_path=resolve(data["code_system"]),
@@ -155,7 +153,9 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
         target_version=data["target_version"],
         distortion=synthgen_mod.spec_from_dict(data["distortion"]),
         significance=dict(data.get("significance_list", {})),
-        activation_conditions=conditions,
+        activation_conditions=dormancy_mod.conditions_from_dict(
+            data.get("activation_conditions", {})
+        ),
         ingest_context=dict(data.get("ingest_context", {})),
         deploy_context=dict(data.get("deploy_context", {})),
         assertions=tuple(data.get("assertions", ())),

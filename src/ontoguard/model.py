@@ -7,11 +7,11 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 
 class OntoguardError(Exception):
@@ -69,6 +69,70 @@ def canonical_dumps(obj: Any) -> str:
 def jsonl_dumps(obj: Any) -> str:
     """Serialize one JSON Lines record (compact, sorted keys)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+# ---------------------------------------------------------------------------
+# Input files: every JSON and JSON Lines file is read here
+# ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+# What a parse function raises on data of the wrong shape.
+_PARSE_FAULTS = (ValidationError, LookupError, TypeError, ValueError, AttributeError,
+                 ArithmeticError)
+
+
+def _fault(exc: Exception) -> str:
+    """A parse fault, worded to follow the name of the file."""
+    if isinstance(exc, KeyError):
+        return f"is missing key {exc.args[0]!r}"
+    return str(exc) if isinstance(exc, ValidationError) else f"is malformed: {exc}"
+
+
+def _identity(value: T) -> T:
+    return value
+
+
+def json_object(data: Any) -> dict:
+    """``data`` if it is a JSON object; a ``parse`` for :func:`load_json`."""
+    if type(data) is not dict:
+        raise ValidationError("must hold a JSON object")
+    return data
+
+
+def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
+    """``parse`` of a JSON file's value; any fault names ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return parse(data)
+    except _PARSE_FAULTS as exc:
+        raise ValidationError(f"{what} {path} {_fault(exc)}") from None
+
+
+def iter_jsonl(path: str | Path, parse: Callable[[Any], T] = _identity) -> Iterator[T]:
+    """``parse`` of each non-blank line of a JSON Lines file; a fault names ``path:line``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    value = parse(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    if line.isspace():
+                        continue
+                    raise ValidationError(f"{path}:{lineno} is not valid JSON: {exc.msg}") from None
+                except _PARSE_FAULTS as exc:
+                    raise ValidationError(f"{path}:{lineno}: {_fault(exc)}") from None
+                yield value
+    except FileNotFoundError:
+        raise ValidationError(f"JSON Lines file not found: {path}") from None
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,36 +407,8 @@ def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
             fh.write("\n")
 
 
-def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """Line number and parsed value of every non-blank line of a JSON Lines file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno} is not valid JSON: {exc.msg}") from None
-            yield lineno, value
-
-
-def iter_jsonl(path: str | Path) -> Iterator[Any]:
-    """Parsed value of every non-blank line of a JSON Lines file."""
-    return (value for _, value in _numbered_jsonl(path))
-
-
-def iter_records(path: str | Path) -> Iterator[CodedRecord]:
-    """Records of a JSON Lines file; a bad record raises a ValidationError at path:line."""
-    for lineno, data in _numbered_jsonl(path):
-        try:
-            yield record_from_dict(data)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-
-
 def read_records(path: str | Path) -> list[CodedRecord]:
-    return list(iter_records(path))
+    return list(iter_jsonl(path, record_from_dict))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +457,9 @@ class PipelineConfig:
     drift_component_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
-        if len(self.fidelity_weights) != 3 or any(w < 0 for w in self.fidelity_weights):
+        if len(self.fidelity_weights) != 3 or not all(w >= 0 for w in self.fidelity_weights):
             raise ValidationError("fidelity_weights must be three non-negative reals")
-        if abs(sum(self.fidelity_weights) - 1.0) > 1e-9:
+        if not abs(sum(self.fidelity_weights) - 1.0) <= 1e-9:
             raise ValidationError("fidelity_weights: weights must sum to 1")
         if not self.drift_threshold > 0:
             raise ValidationError(f"drift_threshold must be > 0, got {self.drift_threshold}")
@@ -447,81 +483,57 @@ class PipelineConfig:
             raise ValidationError("inference_fidelity_cutoff must be in [0,1]")
         if self.fingerprint_min_support < 1:
             raise ValidationError("fingerprint_min_support must be >= 1")
-        if len(self.drift_component_weights) != 4 or any(
-            w < 0 for w in self.drift_component_weights
+        if len(self.drift_component_weights) != 4 or not all(
+            w >= 0 for w in self.drift_component_weights
         ):
             raise ValidationError("drift_component_weights must be four non-negative reals")
-        if abs(sum(self.drift_component_weights) - 1.0) > 1e-9:
+        if not abs(sum(self.drift_component_weights) - 1.0) <= 1e-9:
             raise ValidationError("drift_component_weights: weights must sum to 1")
 
 
-_CONFIG_KEYS = {
-    "fidelity_weights", "drift_threshold", "breaker_threshold",
-    "dormancy_frequency_threshold", "activation_prevalence_threshold",
-    "release_correlation_window_days", "baseline_window", "current_window",
-    "inference_fidelity_cutoff", "fingerprint_min_support",
-    "drift_component_weights",
+_NUMBER = (int, float)
+
+# JSON shape of a PipelineConfig field, keyed by the type of its default:
+# what the value must be, the test of the JSON value, and its conversion.
+_CONFIG_SHAPES: Mapping[type, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
+    float: ("a number", lambda v: type(v) in _NUMBER, float),
+    int: ("an integer", lambda v: type(v) is int, _identity),
+    tuple: ("a list of numbers",
+            lambda v: type(v) is list and all(type(w) in _NUMBER for w in v),
+            lambda v: tuple(map(float, v))),
+    type(None): ("an object with start and end dates, or null",
+                 lambda v: v is None or type(v) is dict,
+                 lambda v: None if v is None else TimeWindow.from_dict(v)),
 }
 
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    unknown = set(data) - _CONFIG_KEYS
+    """Parse a config object; its keys and their JSON types are PipelineConfig's fields.
+
+    Absent keys take the field defaults. Float fields accept any JSON number,
+    int fields only integers, and neither accepts a bool.
+    """
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    unknown = set(json_object(data)) - defaults.keys()
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict[str, Any] = {}
-    for key in ("fidelity_weights", "drift_component_weights"):
-        if key in data:
-            kwargs[key] = tuple(float(w) for w in data[key])
-    for key in ("drift_threshold", "breaker_threshold", "dormancy_frequency_threshold",
-                "activation_prevalence_threshold", "inference_fidelity_cutoff"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    for key in ("release_correlation_window_days", "fingerprint_min_support"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    for key in ("baseline_window", "current_window"):
-        if key in data:
-            kwargs[key] = None if data[key] is None else TimeWindow.from_dict(data[key])
+    for key, value in data.items():
+        expected, accepts, convert = _CONFIG_SHAPES[type(defaults[key])]
+        if not accepts(value):
+            raise ValidationError(f"{key} must be {expected}, got {value!r}")
+        kwargs[key] = convert(value)
     return PipelineConfig(**kwargs)
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict[str, Any]:
-    return {
-        "fidelity_weights": list(cfg.fidelity_weights),
-        "drift_threshold": cfg.drift_threshold,
-        "breaker_threshold": cfg.breaker_threshold,
-        "dormancy_frequency_threshold": cfg.dormancy_frequency_threshold,
-        "activation_prevalence_threshold": cfg.activation_prevalence_threshold,
-        "release_correlation_window_days": cfg.release_correlation_window_days,
-        "baseline_window": None if cfg.baseline_window is None else cfg.baseline_window.to_dict(),
-        "current_window": None if cfg.current_window is None else cfg.current_window.to_dict(),
-        "inference_fidelity_cutoff": cfg.inference_fidelity_cutoff,
-        "fingerprint_min_support": cfg.fingerprint_min_support,
-        "drift_component_weights": list(cfg.drift_component_weights),
-    }
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Load and validate a pipeline config file, applying defaults for absent keys.
 
     Raises:
-        ValidationError: on parse failure or an out-of-range threshold
-            (the message names the offending key).
+        ValidationError: on parse failure, a mistyped value or an
+            out-of-range threshold (the message names the offending key).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    return config_from_dict(data)
-
-
-def serialize_config(cfg: PipelineConfig) -> str:
-    return canonical_dumps(config_to_dict(cfg))
+    return load_json(path, "config file", config_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +548,7 @@ def load_code_system(path: str | Path) -> CodeSystem:
             ordered by release date, transition tables referencing unknown
             codes, or taxonomy violations.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"code-system file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"code-system file {path} is not valid JSON: {exc}") from None
-    return code_system_from_dict(data)
+    return load_json(path, "code-system file", code_system_from_dict)
 
 
 def code_system_from_dict(data: Mapping[str, Any]) -> CodeSystem:
@@ -656,58 +661,3 @@ def code_system_from_dict(data: Mapping[str, Any]) -> CodeSystem:
         demographic_profiles=demographic_profiles,
         cooccurrence_profiles=cooccurrence_profiles,
     )
-
-
-def code_system_to_dict(system: CodeSystem) -> dict[str, Any]:
-    return {
-        "system_id": system.system_id,
-        "versions": [
-            {
-                "label": v.version_label,
-                "release_date": v.release_date.isoformat(),
-                "validated": v.validated,
-            }
-            for v in system.versions
-        ],
-        "clinical_groups": list(system.clinical_groups),
-        "billing_categories": list(system.billing_categories),
-        "codes": {
-            label: [
-                {
-                    "code": cdef.code,
-                    "clinical_group": cdef.clinical_group,
-                    "billing_category": cdef.billing_category,
-                    "description": cdef.description,
-                }
-                for _, cdef in sorted(table.items())
-            ]
-            for label, table in sorted(system.codes_by_version.items())
-        },
-        "transitions": [
-            {
-                "from": table.from_version,
-                "to": table.to_version,
-                "mappings": [
-                    {"from_code": from_code, "to_code": to_code}
-                    for from_code in sorted(table.mappings)
-                    for to_code in table.mappings[from_code]
-                ],
-                "unmappable": sorted(table.unmappable),
-            }
-            for _, table in sorted(system.transitions.items())
-        ],
-        "base_prevalence": dict(sorted(system.base_prevalence.items())),
-        "demographic_profiles": {
-            code: {axis: dict(sorted(dist.items()))
-                   for axis, dist in sorted(profile.items())}
-            for code, profile in sorted(system.demographic_profiles.items())
-        },
-        "cooccurrence_profiles": {
-            code: dict(sorted(profile.items()))
-            for code, profile in sorted(system.cooccurrence_profiles.items())
-        },
-    }
-
-
-def serialize_code_system(system: CodeSystem) -> str:
-    return canonical_dumps(code_system_to_dict(system))

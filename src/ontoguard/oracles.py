@@ -23,9 +23,10 @@ def jsd_oracle(p: Sequence[float], q: Sequence[float]) -> float:
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     for name, dist in (("p", p), ("q", q)):
-        if any(x < 0 for x in dist):
-            raise ValueError(f"{name} has negative entries")
-        if abs(sum(dist) - 1.0) > 1e-6:
+        # Written so that NaN, which fails every comparison, fails both checks.
+        if not all(x >= 0 for x in dist):
+            raise ValueError(f"{name} has negative or NaN entries")
+        if not abs(sum(dist) - 1.0) <= 1e-6:
             raise ValueError(f"{name} is not normalized (sum={sum(dist)})")
     total = 0.0
     for pi, qi in zip(p, q):

@@ -266,10 +266,13 @@ def scan(
     release = _release_match(
         current_window, release_calendar, cfg.release_correlation_window_days
     )
+    # Only the hop into the matched release can explain this window; the
+    # first release has no predecessor and changed nothing.
+    labels = [v.version_label for v in system.versions]
     touched: frozenset[str] = frozenset()
-    if release is not None and len(system.versions) >= 2:
-        labels = [v.version_label for v in system.versions]
-        touched = changed_codes(system, labels[0], labels[-1])
+    if release is not None and release[0] in labels[1:]:
+        previous = labels[labels.index(release[0]) - 1]
+        touched = changed_codes(system, previous, release[0])
 
     version_label = dominant_version(current_batch)
     code_defs = system.codes(version_label)

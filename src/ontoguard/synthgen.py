@@ -577,11 +577,14 @@ def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
             fh.write("\n")
 
 
+def _truth_entry(data: Mapping[str, Any]) -> tuple[str, GroundTruthEntry]:
+    if type(data["record_id"]) is not str:
+        raise ValidationError("record_id must be a string")
+    return data["record_id"], GroundTruthEntry(
+        true_clinical_code=data["true_clinical_code"],
+        distortion_labels=frozenset(data["distortion_labels"]),
+    )
+
+
 def read_ground_truth(path: str | Path) -> GroundTruth:
-    return GroundTruth({
-        data["record_id"]: GroundTruthEntry(
-            true_clinical_code=data["true_clinical_code"],
-            distortion_labels=frozenset(data["distortion_labels"]),
-        )
-        for data in iter_jsonl(path)
-    })
+    return GroundTruth(dict(iter_jsonl(path, _truth_entry)))

@@ -1,0 +1,270 @@
+"""The file boundary: every input file is read through model.load_json or
+model.iter_jsonl, and any malformed file raises a ValidationError naming it."""
+
+import ast
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_record
+from ontoguard import compliance, dormancy, dual_ontology, harness, synthgen
+from ontoguard.model import (
+    ValidationError,
+    iter_jsonl,
+    load_code_system,
+    load_config,
+    load_json,
+    read_records,
+    record_to_dict,
+)
+
+FIXTURES = harness.fixture_dir()
+SRC = Path(harness.__file__).resolve().parent
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def _scenario():
+    # Absolute references, so that a copy written elsewhere still resolves.
+    data = _fixture("diabetes_walkthrough.json")
+    for key in ("code_system", "config"):
+        data[key] = str(FIXTURES / data[key])
+    data["adapters"] = [str(FIXTURES / ref) for ref in data["adapters"]]
+    return data
+
+
+STORE = [{
+    "code": "DM-OTHER", "count": 3, "frequency": 0.01, "top_co_codes": [["LAB-A1C", 2]],
+    "significance_note": "rare subtype",
+    "activation_conditions": [{"kind": "prevalence_exceeds", "threshold": 0.005}],
+    "last_observed": "2025-03-01T08:00:00",
+}]
+
+# Each loader with a valid document for it; the fuzzer feeds it arbitrary
+# JSON values and mutations of that document.
+LOADERS = {
+    "config": (load_config, _fixture("pipeline_config.json")),
+    "code-system": (load_code_system, _fixture("syn_icd.json")),
+    "adapter": (compliance.load_adapter, _fixture("adapters/ai_act_demo.json")),
+    "store": (dormancy.read_store, STORE),
+    "scenario": (harness.load_scenario, _scenario()),
+    "spec": (lambda path: load_json(path, "--spec file", synthgen.spec_from_dict),
+             _scenario()["distortion"]),
+    "conditions": (
+        lambda path: load_json(path, "--conditions file", dormancy.conditions_from_dict),
+        _scenario()["activation_conditions"],
+    ),
+}
+LINE_LOADERS = {
+    "records": (read_records, record_to_dict(make_record(co_codes=("LAB-A1C",)))),
+    "overrides": (dual_ontology.read_overrides,
+                  {"record_id": "R-000000", "clinical_code": "DM2-HYPER"}),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutations(draw, document):
+    """``document`` with one to three values replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(json_values)
+            break
+    return doc
+
+
+def _documents(document):
+    return st.one_of(json_values, mutations(document))
+
+
+def _lines(document):
+    line = st.one_of(
+        _documents(document).map(json.dumps),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    ).map(lambda text: text.encode("utf-8"))
+    return st.lists(st.one_of(line, st.binary(max_size=30)), max_size=4)
+
+
+def _assert_only_validation_error(load, path):
+    try:
+        load(path)
+    except ValidationError as exc:
+        assert str(path) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loader_accepts_its_valid_document(fuzz_dir, name):
+    load, document = LOADERS[name]
+    path = fuzz_dir / f"valid-{name}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    load(path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_json_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name):
+    load, document = LOADERS[name]
+
+    @given(_documents(document))
+    @settings(max_examples=150, deadline=None)
+    def check(value):
+        path = fuzz_dir / f"{name}.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        _assert_only_validation_error(load, path)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(LINE_LOADERS))
+def test_jsonl_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name):
+    load, document = LINE_LOADERS[name]
+
+    @given(_lines(document))
+    @settings(max_examples=150, deadline=None)
+    def check(lines):
+        path = fuzz_dir / f"{name}.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        _assert_only_validation_error(load, path)
+
+    check()
+
+
+class TestLoadJson:
+    def write(self, tmp_path, text):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="thing not found: .*nope.json"):
+            load_json(tmp_path / "nope.json", "thing", dict)
+
+    def test_invalid_json(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"input\.json is not valid JSON"):
+            load_json(self.write(tmp_path, "{"), "thing", dict)
+
+    @pytest.mark.parametrize("fault, message", [
+        (KeyError("name"), "input.json is missing key 'name'"),
+        (TypeError("'int' object is not iterable"), "input.json is malformed: 'int'"),
+        (ValidationError("must hold a JSON object"), "input.json must hold a JSON object"),
+    ], ids=["missing-key", "wrong-type", "validation-error"])
+    def test_parse_fault_names_file(self, tmp_path, fault, message):
+        def parse(data):
+            raise fault
+
+        with pytest.raises(ValidationError, match=message) as info:
+            load_json(self.write(tmp_path, "{}"), "thing", parse)
+        assert str(info.value).startswith("thing ")
+
+    def test_returns_parse_of_value(self, tmp_path):
+        assert load_json(self.write(tmp_path, '{"a": [1]}'), "thing", len) == 1
+
+
+class TestConfigSchema:
+    def write(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("data, named", [
+        ({"drift_threshold": True}, "drift_threshold must be a number, got True"),
+        ({"drift_threshold": "0.1"}, "drift_threshold must be a number"),
+        ({"fingerprint_min_support": 2.7}, "fingerprint_min_support must be an integer"),
+        ({"fingerprint_min_support": True}, "fingerprint_min_support must be an integer"),
+        ({"fidelity_weights": [0.5, "0.25", 0.25]}, "fidelity_weights must be a list of numbers"),
+        ({"fidelity_weights": [float("nan"), 0.5, 0.5]}, "fidelity_weights must be three"),
+        ({"drift_component_weights": [float("nan")] * 4}, "drift_component_weights must be four"),
+        ({"baseline_window": {"start": "2025-01-01"}}, "is missing key 'end'"),
+        ({"current_window": []}, "current_window must be an object"),
+        ({"drift_threshold": 10 ** 400}, "is malformed: int too large to convert to float"),
+    ], ids=["bool-for-float", "string-for-float", "float-for-int", "bool-for-int",
+            "string-weight", "nan-weight", "nan-component-weights", "window-without-end",
+            "window-list", "integer-too-large-for-float"])
+    def test_mistyped_value_named(self, tmp_path, data, named):
+        with pytest.raises(ValidationError, match=rf"config\.json {named}"):
+            load_config(self.write(tmp_path, data))
+
+    def test_integers_accepted_for_float_fields(self, tmp_path):
+        cfg = load_config(self.write(tmp_path, {
+            "drift_threshold": 1, "fidelity_weights": [1, 0, 0],
+            "baseline_window": {"start": "2025-01-01", "end": "2025-03-31"},
+        }))
+        assert type(cfg.drift_threshold) is float and cfg.drift_threshold == 1.0
+        assert cfg.fidelity_weights == (1.0, 0.0, 0.0)
+        assert cfg.baseline_window.end.month == 3
+
+
+class TestIterJsonl:
+    def test_parse_fault_names_path_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"rows\.jsonl:3: is missing key 'a'"):
+            list(iter_jsonl(path, lambda row: row["a"]))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('\n{"a": 1}\n  \n{"a": 2}', encoding="utf-8")
+        assert list(iter_jsonl(path)) == [{"a": 1}, {"a": 2}]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="not found: .*rows.jsonl"):
+            list(iter_jsonl(tmp_path / "rows.jsonl"))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"a": "\xff"}\n')
+        with pytest.raises(ValidationError, match=r"rows\.jsonl is not UTF-8 text"):
+            list(iter_jsonl(path))
+
+
+# Modules allowed to call json.load/json.loads, and where. The oracles keep
+# an independent reader by design; breaker.read_history parses a flag string.
+JSON_READERS = {"model.py": None, "oracles.py": None, "breaker.py": "read_history"}
+
+
+def test_json_is_parsed_only_at_the_boundary():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = JSON_READERS.get(path.name, ())
+        inside = set()
+        if isinstance(allowed, str):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == allowed:
+                    inside.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders.append(f"{path.name}:{node.lineno} imports from json")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("load", "loads")
+                    and allowed is not None and id(node) not in inside):
+                offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
+    assert offenders == []

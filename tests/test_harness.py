@@ -14,15 +14,10 @@ import pytest
 from conftest import make_record
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
-    PipelineConfig,
     StageError,
     ValidationError,
     canonical_dumps,
-    code_system_from_dict,
-    config_to_dict,
     record_to_dict,
-    serialize_code_system,
-    serialize_config,
 )
 
 NULL_SYSTEM = {
@@ -62,15 +57,14 @@ NULL_SYSTEM = {
 
 
 def write_null_scenario(root: Path, *, n=8_000, quarters=2, distortion=None) -> Path:
-    system = code_system_from_dict(NULL_SYSTEM)
-    (root / "system.json").write_text(serialize_code_system(system), encoding="utf-8")
-    cfg = PipelineConfig(
-        fidelity_weights=(0.3, 0.4, 0.3),
-        drift_threshold=0.03,
-        fingerprint_min_support=200,
-        inference_fidelity_cutoff=0.8,
-    )
-    (root / "config.json").write_text(serialize_config(cfg), encoding="utf-8")
+    (root / "system.json").write_text(canonical_dumps(NULL_SYSTEM), encoding="utf-8")
+    cfg = {
+        "fidelity_weights": [0.3, 0.4, 0.3],
+        "drift_threshold": 0.03,
+        "fingerprint_min_support": 200,
+        "inference_fidelity_cutoff": 0.8,
+    }
+    (root / "config.json").write_text(canonical_dumps(cfg), encoding="utf-8")
     if distortion is None:
         distortion = {
             "institutions": [
@@ -211,6 +205,30 @@ class TestWiring:
             harness.load_scenario("no-such-scenario")
 
 
+SYSTEM = str(harness.fixture_dir() / "syn_icd.json")
+
+# Input files of the bad-input CLI cases, by name.
+CLI_INPUT_FILES = {
+    "records.jsonl": "",
+    "one.jsonl": json.dumps(record_to_dict(make_record())) + "\n",
+    "bad.json": "{not json",
+    "partial.json": '[{"code": "X"}]',
+    "object.json": "{}",
+    "trunc.jsonl": '{"record_id": "a",\n',
+    "badtype.jsonl": json.dumps(
+        {**record_to_dict(make_record()), "encounter_time": "notatime"}) + "\n",
+    "cfg-drift.json": '{"drift_threshold": [1]}',
+    "cfg-weights.json": '{"fidelity_weights": 5}',
+    "cfg-window.json": '{"baseline_window": "x"}',
+    "cfg-support.json": '{"fingerprint_min_support": 2.7}',
+    "norules.json": '{"adapter_id": "a"}',
+    "significance.json": '{"DM2-UNSPEC": "common code"}',
+    "cond-int.json": '{"DM2-UNSPEC": 5}',
+    "cond-kind.json": '{"DM2-UNSPEC": [{"kind": "bogus"}]}',
+    "overrides.jsonl": '{"record_id": "R-000000"}\n',
+}
+
+
 class TestCli:
     def test_scenario_run_bundled(self, tmp_path, capsys):
         status = cli.main([
@@ -303,23 +321,54 @@ class TestCli:
         (["comply-check", "--op", "deploy", "--timestamp", "notatime"], "--timestamp"),
         (["dormancy", "classify", "--significance", "missing.json"], "missing.json"),
         (["breaker", "check", "--records", "badtype.jsonl"], "badtype.jsonl:1"),
+        (["scenario", "run", "bad.json", "--seed", "1"], "bad.json is not valid JSON"),
+        (["scenario", "run", "object.json", "--seed", "1"], "object.json is missing key 'name'"),
+        (["breaker", "check", "--config", "cfg-drift.json"], "cfg-drift.json drift_threshold"),
+        (["breaker", "check", "--config", "cfg-weights.json"],
+         "cfg-weights.json fidelity_weights"),
+        (["breaker", "check", "--config", "cfg-window.json"], "cfg-window.json baseline_window"),
+        (["breaker", "check", "--config", "cfg-support.json"],
+         "cfg-support.json fingerprint_min_support"),
+        (["gate", "--records", "records.jsonl", "--system", "object.json",
+          "--target-version", "2025", "--out-dir", "gated"], "object.json is missing key 'system_id'"),
+        (["comply-check", "--op", "deploy", "--adapters", "norules.json"],
+         "norules.json is missing key 'rules'"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "object.json", "--n", "10",
+          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "object.json is missing key 'institutions'"),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+          "--conditions", "cond-int.json", "--store", "store.json"], "cond-int.json"),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+          "--conditions", "cond-kind.json", "--store", "store.json"], "cond-kind.json"),
+        (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
+          "--out", "inferred.jsonl", "--overrides", "overrides.jsonl"],
+         "overrides.jsonl:1: is missing key 'clinical_code'"),
+        (["breaker", "check", "--records", "missing.jsonl"], "missing.jsonl"),
+        (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
+          "--out", "nodir/inferred.jsonl"], "nodir/inferred.jsonl"),
+        (["drift-scan", "--baseline", "one.jsonl", "--current", "one.jsonl", "--system", SYSTEM,
+          "--out", "nodir/alerts.jsonl"], "nodir/alerts.jsonl"),
+        (["breaker", "check", "--config", "cfgdir"], "cfgdir"),
+        (["oracle", "partition", "--input", "records.jsonl", "--accepted", "missing.jsonl",
+          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "missing.jsonl"),
+        (["oracle", "jsd", "--p", "nan,1", "--q", "0,1"], "--p"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
         "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
         "jsd-not-a-number", "bad-timestamp", "missing-significance", "record-bad-time",
+        "scenario-not-json", "scenario-no-name", "config-list-threshold", "config-number-weights",
+        "config-string-window", "config-float-support", "system-empty", "adapter-no-rules",
+        "spec-empty", "conditions-not-lists", "conditions-bad-kind", "override-missing-code",
+        "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
+        "partition-missing", "jsd-nan",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
         # the test instead of hanging the suite.
-        (tmp_path / "records.jsonl").write_text("", encoding="utf-8")
-        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
-        (tmp_path / "partial.json").write_text('[{"code": "X"}]', encoding="utf-8")
-        (tmp_path / "object.json").write_text("{}", encoding="utf-8")
-        (tmp_path / "trunc.jsonl").write_text('{"record_id": "a",\n', encoding="utf-8")
-        (tmp_path / "badtype.jsonl").write_text(
-            json.dumps({**record_to_dict(make_record()), "encounter_time": "notatime"}) + "\n", encoding="utf-8"
-        )
+        for name, text in CLI_INPUT_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / "cfgdir").mkdir()
         if argv[0] in ("breaker", "dormancy") and "--records" not in argv:
             argv = [*argv, "--records", "records.jsonl"]
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -20,7 +20,6 @@ from ontoguard.model import (
     read_records,
     record_from_dict,
     record_to_dict,
-    serialize_code_system,
 )
 
 
@@ -70,16 +69,6 @@ class TestLoadCodeSystem:
         assert bundled_system.system_id == "SYN-ICD"
         assert [v.version_label for v in bundled_system.versions] == ["2024", "2025"]
         assert ("2024", "2025") in bundled_system.transitions
-
-    def test_round_trip_is_byte_identical(self, walkthrough_spec, bundled_system):
-        original = walkthrough_spec.code_system_path.read_text(encoding="utf-8")
-        assert serialize_code_system(bundled_system) == original
-
-    def test_config_round_trip(self, walkthrough_spec, bundled_cfg):
-        from ontoguard.model import serialize_config
-
-        original = walkthrough_spec.config_path.read_text(encoding="utf-8")
-        assert serialize_config(bundled_cfg) == original
 
     def test_single_version_no_tables(self):
         system = tiny_system(versions=[

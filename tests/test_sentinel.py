@@ -174,6 +174,54 @@ class TestScan:
         assert alert.confidence == 1.0
         assert alert.evidence["release_match"]["version"] == "2025"
 
+    @pytest.mark.parametrize("code, version, year, terminological", [
+        ("DDD", "v3", 2025, True),
+        ("NEW", "v3", 2025, False),
+        ("OLD", "v1", 2023, False),
+    ], ids=["changed-by-matched-hop", "changed-by-earlier-hop", "first-release"])
+    def test_terminological_cause_uses_only_the_hop_into_the_matched_release(
+        self, code, version, year, terminological
+    ):
+        # v1 -> v2 renames OLD to NEW and v2 -> v3 renames CCC to DDD. A
+        # window just after a release can blame only the codes its own hop
+        # changed; v1 has no predecessor, so it changed none.
+        def codes(*names):
+            return [{"code": c, "clinical_group": "g", "billing_category": f"b-{c}",
+                     "description": ""} for c in names]
+
+        def hop(source, target, renames):
+            return {"from": source, "to": target, "unmappable": [], "mappings": [
+                {"from_code": c, "to_code": renames.get(c, c)}
+                for c in ("AAA", "OLD" if source == "v1" else "NEW", "CCC")
+            ]}
+
+        system = tiny_system(
+            versions=[
+                {"label": "v1", "release_date": "2023-01-01", "validated": True},
+                {"label": "v2", "release_date": "2024-01-01", "validated": True},
+                {"label": "v3", "release_date": "2025-01-01", "validated": True},
+            ],
+            codes={"v1": codes("AAA", "OLD", "CCC"), "v2": codes("AAA", "NEW", "CCC"),
+                   "v3": codes("AAA", "NEW", "DDD")},
+            transitions=[hop("v1", "v2", {"OLD": "NEW"}), hop("v2", "v3", {"CCC": "DDD"})],
+        )
+        batches = [
+            [make_record(f"{month}-{i}", code=code, version=version, institution=f"I-{month}",
+                         when=datetime(year, month, 10, 8, 0)) for i in range(40)]
+            for month in (1, 2)
+        ]
+        alerts = scan(
+            *batches, system, system.release_calendar(),
+            PipelineConfig(drift_threshold=0.1, fingerprint_min_support=20),
+            Layer.ADMINISTRATIVE,
+            baseline_window=TimeWindow(date(year, 1, 1), date(year, 1, 31)),
+            current_window=TimeWindow(date(year, 2, 1), date(year, 2, 28)),
+        )
+        assert [alert.code for alert in alerts] == [code]
+        assert alerts[0].evidence["release_match"]["version"] == version
+        assert alerts[0].evidence["release_changed_code"] is terminological
+        assert (alerts[0].drift_type is DriftType.TYPE_C) is terminological
+
     def test_identical_windows_give_no_alerts(self, q1_products, bundled_system,
                                               bundled_cfg):
         batch = q1_products["inferred"][:10_000]
