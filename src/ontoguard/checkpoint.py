@@ -20,9 +20,10 @@ from .model import (
     CodedRecord,
     CodeSystem,
     FidelityAnnotation,
+    Layer,
     PipelineConfig,
     ValidationError,
-    dominant_version,
+    profile_batch,
     with_fields,
 )
 
@@ -74,37 +75,32 @@ def build_reference_model(
     The smoothing support is the code set of ``version_label`` (defaults to
     the most common version tag in the history).
     """
-    if not history:
+    profile = profile_batch(history, Layer.ADMINISTRATIVE)
+    if not profile.n:
         raise ValidationError("reference history must be non-empty")
     if version_label is None:
-        version_label = dominant_version(history)
+        version_label = profile.dominant_version()
     code_set = tuple(sorted(system.codes(version_label)))
     n_codes = len(code_set)
 
-    code_counts: dict[str, int] = {}
+    code_counts = {code: usage.count for code, usage in profile.codes.items()}
     stratum_counts: dict[tuple[str, str], int] = {}
     code_stratum_counts: dict[tuple[str, str, str], int] = {}
-    co_counts: dict[str, dict[str, int]] = {}
     inst_totals: dict[str, int] = {}
     inst_code_counts: dict[tuple[str, str], int] = {}
-    for record in history:
-        code = record.primary_code
-        stratum = (record.patient_age_band, record.patient_sex)
-        code_counts[code] = code_counts.get(code, 0) + 1
-        stratum_counts[stratum] = stratum_counts.get(stratum, 0) + 1
-        key = (code, record.patient_age_band, record.patient_sex)
-        code_stratum_counts[key] = code_stratum_counts.get(key, 0) + 1
-        per_code = co_counts.setdefault(code, {})
-        for co in record.co_codes:
-            per_code[co] = per_code.get(co, 0) + 1
-        inst_totals[record.institution_id] = inst_totals.get(record.institution_id, 0) + 1
-        inst_key = (record.institution_id, code)
-        inst_code_counts[inst_key] = inst_code_counts.get(inst_key, 0) + 1
+    for code, usage in profile.codes.items():
+        for stratum, count in usage.strata.items():
+            stratum_counts[stratum] = stratum_counts.get(stratum, 0) + count
+            code_stratum_counts[(code, *stratum)] = count
+        for institution, count in usage.institutions.items():
+            inst_totals[institution] = inst_totals.get(institution, 0) + count
+            inst_code_counts[(institution, code)] = count
 
     cooccurrence: dict[str, dict[str, float]] = {}
     top_cooccurring: dict[str, tuple[str, ...]] = {}
     for code in code_set:
-        counts = co_counts.get(code, {})
+        usage = profile.codes.get(code)
+        counts = usage.co_codes if usage is not None else {}
         denominator = sum(counts.values()) + n_codes
         dist = {co: (counts.get(co, 0) + 1) / denominator for co in code_set}
         cooccurrence[code] = dist
@@ -128,7 +124,7 @@ def build_reference_model(
         version_label=version_label,
         code_set=code_set,
         candidate_codes=candidates,
-        n_records=len(history),
+        n_records=profile.n,
         code_counts=code_counts,
         stratum_counts=stratum_counts,
         code_stratum_counts=code_stratum_counts,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation/usage error, 2 stage error. Analytical
-subcommands take ``--layer`` and always print which layer they used; the
-default is the administrative layer, stated explicitly rather than assumed.
+subcommands always print the code layer they read. Those that count codes
+(dormancy, drift-scan) take ``--layer``, by default the administrative one.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
     load_code_system,
     load_config,
     load_json,
+    profile_batch,
     read_records,
     write_records,
 )
@@ -110,20 +111,13 @@ def build_parser() -> _Parser:
 
     fid = sub.add_parser("fidelity-report", help="annotate and report fidelity")
     fid.set_defaults(handler=_cmd_fidelity_report)
-    fid.add_argument("--records", required=True)
-    fid.add_argument("--history", required=True)
-    fid.add_argument("--system", required=True)
-    fid.add_argument("--config", default=None)
-    fid.add_argument("--out", required=True)
-    fid.add_argument("--layer", type=_layer_arg, default=Layer.ADMINISTRATIVE)
-
     infer = sub.add_parser("infer-clinical", help="populate the clinical layer")
     infer.set_defaults(handler=_cmd_infer_clinical)
-    infer.add_argument("--records", required=True)
-    infer.add_argument("--history", required=True)
-    infer.add_argument("--system", required=True)
-    infer.add_argument("--config", default=None)
-    infer.add_argument("--out", required=True)
+    for annotating in (fid, infer):  # the arguments of _annotate, then --out
+        for flag in ("--records", "--history", "--system"):
+            annotating.add_argument(flag, required=True)
+        annotating.add_argument("--config", default=None)
+        annotating.add_argument("--out", required=True)
     infer.add_argument("--overrides", default=None)
     infer.add_argument("--divergence-out", default=None)
 
@@ -243,27 +237,28 @@ def _cmd_gate(args) -> int:
     return 0
 
 
-def _cmd_fidelity_report(args) -> int:
-    _print_layer(args.layer)
+def _annotate(args):
+    """``--records`` annotated against a reference model of ``--history``.
+
+    Fidelity scores the administrative code as billed, and inference reads
+    it to write the clinical layer, so both commands print that layer.
+    """
+    _print_layer(Layer.ADMINISTRATIVE)
     system = load_code_system(args.system)
     cfg = _load_cfg(args.config)
-    history = read_records(args.history)
-    ref = checkpoint_mod.build_reference_model(history, system)
-    annotated = checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
-    report = checkpoint_mod.fidelity_report(annotated)
+    ref = checkpoint_mod.build_reference_model(read_records(args.history), system)
+    return system, cfg, ref, checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
+
+
+def _cmd_fidelity_report(args) -> int:
+    report = checkpoint_mod.fidelity_report(_annotate(args)[-1])
     checkpoint_mod.write_fidelity_report(report, args.out)
     print(f"wrote fidelity report for {len(report.rows)} institutions to {args.out}")
     return 0
 
 
 def _cmd_infer_clinical(args) -> int:
-    # Inference reads the administrative layer and writes the clinical one.
-    _print_layer(Layer.ADMINISTRATIVE)
-    system = load_code_system(args.system)
-    cfg = _load_cfg(args.config)
-    history = read_records(args.history)
-    ref = checkpoint_mod.build_reference_model(history, system)
-    annotated = checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
+    system, cfg, ref, annotated = _annotate(args)
     inferred = dual_mod.infer_clinical_layer(annotated, ref, system, cfg)
     if args.overrides:
         inferred = dual_mod.apply_clinical_overrides(
@@ -281,11 +276,9 @@ def _cmd_infer_clinical(args) -> int:
 def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
-    records = read_records(args.records)
+    profile = profile_batch(read_records(args.records), args.layer)
     significance = load_json(args.significance, "--significance file", json_object)
-    classification = dormancy_mod.classify_features(
-        records, significance.keys(), cfg, args.layer
-    )
+    classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
     for code in sorted(classification):
         print(f"{code}: {classification[code].value}")
     if args.store:
@@ -295,8 +288,7 @@ def _cmd_dormancy_classify(args) -> int:
                 args.conditions, "--conditions file", dormancy_mod.conditions_from_dict
             )
         store = dormancy_mod.store_dormant(
-            classification, records, conditions, args.layer,
-            notes_by_code=significance, path=args.store,
+            classification, profile, conditions, notes_by_code=significance, path=args.store,
         )
         if args.prune_log:
             dormancy_mod.write_prune_log(store, args.prune_log)
@@ -306,7 +298,7 @@ def _cmd_dormancy_classify(args) -> int:
 def _cmd_dormancy_activate(args) -> int:
     _print_layer(args.layer)
     store = dormancy_mod.read_store(args.store)
-    records = read_records(args.records)
+    profile = profile_batch(read_records(args.records), args.layer)
     events = []
     if args.domain_transfer:
         events.append(dormancy_mod.Event(
@@ -318,7 +310,7 @@ def _cmd_dormancy_activate(args) -> int:
             kind=dormancy_mod.ActivationKind.OUTBREAK_SIGNAL,
             signal_code=args.outbreak_signal,
         ))
-    activations = dormancy_mod.check_activation(store, records, events, args.layer)
+    activations = dormancy_mod.check_activation(store, profile, events)
     for code, condition in activations:
         print(f"activated {code}: {condition.kind.value}")
     if not activations:
@@ -330,11 +322,9 @@ def _cmd_drift_scan(args) -> int:
     _print_layer(args.layer)
     system = load_code_system(args.system)
     cfg = _load_cfg(args.config)
-    baseline = read_records(args.baseline)
-    current = read_records(args.current)
-    alerts = sentinel_mod.scan(
-        baseline, current, system, system.release_calendar(), cfg, args.layer
-    )
+    baseline = profile_batch(read_records(args.baseline), args.layer)
+    current = profile_batch(read_records(args.current), args.layer)
+    alerts = sentinel_mod.scan(baseline, current, system, system.release_calendar(), cfg)
     for alert in alerts:
         print(
             f"alert {alert.code}: divergence={alert.divergence:.4f} "
@@ -454,9 +444,12 @@ def _cmd_oracle_jsd(args) -> int:
 
 
 def _cmd_oracle_partition(args) -> int:
-    ok = oracles_mod.partition_oracle_files(
-        args.input, args.accepted, args.reconciled, args.quarantine
-    )
+    try:
+        ok = oracles_mod.partition_oracle_files(
+            args.input, args.accepted, args.reconciled, args.quarantine
+        )
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise ValidationError(f"oracle partition: {exc}") from None
     print("partition holds" if ok else "partition violated")
     return 0 if ok else 1
 

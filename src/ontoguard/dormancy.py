@@ -15,14 +15,12 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .model import (
-    CodedRecord,
-    Layer,
+    BatchProfile,
     PipelineConfig,
     ValidationError,
     canonical_dumps,
     json_object,
     load_json,
-    record_code,
 )
 
 
@@ -125,27 +123,21 @@ class DormantStore:
 
 
 def classify_features(
-    batch: Sequence[CodedRecord],
+    profile: BatchProfile,
     significance_list: Iterable[str],
     cfg: PipelineConfig,
-    layer: Layer,
 ) -> dict[str, FeatureClass]:
-    """Classify every distinct code in the batch on the selected layer.
+    """Classify every distinct code of the profiled batch on its layer.
 
     Frequency at or above the dormancy threshold: active. Below threshold
     and on the significance list: dormant. Below threshold otherwise: pruned.
     """
-    if not batch:
+    if not profile.n:
         raise ValidationError("cannot classify features of an empty batch")
     significant = set(significance_list)
-    counts: dict[str, int] = {}
-    for record in batch:
-        code = record_code(record, layer)
-        counts[code] = counts.get(code, 0) + 1
-    n = len(batch)
     classification: dict[str, FeatureClass] = {}
-    for code, count in counts.items():
-        if count / n >= cfg.dormancy_frequency_threshold:
+    for code, usage in profile.codes.items():
+        if usage.count / profile.n >= cfg.dormancy_frequency_threshold:
             classification[code] = FeatureClass.ACTIVE
         elif code in significant:
             classification[code] = FeatureClass.DORMANT
@@ -156,9 +148,8 @@ def classify_features(
 
 def store_dormant(
     classification: Mapping[str, FeatureClass],
-    batch: Sequence[CodedRecord],
+    profile: BatchProfile,
     conditions_by_code: Mapping[str, Sequence[ActivationCondition]],
-    layer: Layer,
     notes_by_code: Mapping[str, str] | None = None,
     path: str | Path | None = None,
     store: DormantStore | None = None,
@@ -178,20 +169,9 @@ def store_dormant(
     elif path is not None:
         store.path = Path(path)
 
-    stats: dict[str, dict[str, Any]] = {}
-    for record in batch:
-        code = record_code(record, layer)
-        info = stats.setdefault(code, {"count": 0, "co": {}, "last": record.encounter_time})
-        info["count"] += 1
-        if record.encounter_time > info["last"]:
-            info["last"] = record.encounter_time
-        for co in record.co_codes:
-            info["co"][co] = info["co"].get(co, 0) + 1
-
-    n = len(batch)
     for code, feature_class in sorted(classification.items()):
-        info = stats.get(code)
-        if info is None:
+        usage = profile.codes.get(code)
+        if usage is None:
             continue
         if feature_class is FeatureClass.DORMANT:
             conditions = tuple(conditions_by_code.get(code, ()))
@@ -199,20 +179,20 @@ def store_dormant(
                 raise ValidationError(
                     f"dormant code {code!r} has no configured activation condition"
                 )
-            top = sorted(info["co"].items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+            top = sorted(usage.co_codes.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
             store.entries[code] = DormantEntry(
                 code=code,
-                count=info["count"],
-                frequency=info["count"] / n,
+                count=usage.count,
+                frequency=usage.count / profile.n,
                 top_co_codes=tuple(top),
                 significance_note=notes.get(code, ""),
                 activation_conditions=conditions,
-                last_observed=info["last"],
+                last_observed=usage.last_seen,
             )
         elif feature_class is FeatureClass.PRUNED:
             store.prune_log = [e for e in store.prune_log if e.code != code]
             store.prune_log.append(PruneLogEntry(
-                code=code, count=info["count"], last_observed=info["last"],
+                code=code, count=usage.count, last_observed=usage.last_seen,
             ))
     store.prune_log.sort(key=lambda e: e.code)
     if store.path is not None:
@@ -222,24 +202,19 @@ def store_dormant(
 
 def check_activation(
     store: DormantStore,
-    quarterly_batch: Sequence[CodedRecord],
+    quarter: BatchProfile,
     events: Sequence[Event],
-    layer: Layer,
 ) -> list[tuple[str, ActivationCondition]]:
-    """Codes whose activation conditions fire against this quarter.
+    """Codes whose activation conditions fire against this quarter's profile.
 
     A code appears once per triggered condition; prevalence conditions use
     strict exceedance, so adding more records of a code never un-triggers.
     """
-    n = len(quarterly_batch)
-    counts: dict[str, int] = {}
-    for record in quarterly_batch:
-        code = record_code(record, layer)
-        counts[code] = counts.get(code, 0) + 1
     activations: list[tuple[str, ActivationCondition]] = []
     for code in sorted(store.entries):
         entry = store.entries[code]
-        prevalence = counts.get(code, 0) / n if n else 0.0
+        usage = quarter.codes.get(code)
+        prevalence = usage.count / quarter.n if usage is not None else 0.0
         for condition in entry.activation_conditions:
             if condition.kind is ActivationKind.PREVALENCE_EXCEEDS:
                 if condition.threshold is not None and prevalence > condition.threshold:

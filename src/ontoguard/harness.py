@@ -29,7 +29,7 @@ from . import sentinel as sentinel_mod
 from . import synthgen as synthgen_mod
 from . import version_gate as gate_mod
 from .model import (
-    CodedRecord,
+    BatchProfile,
     Layer,
     PipelineConfig,
     StageError,
@@ -39,6 +39,7 @@ from .model import (
     load_code_system,
     load_config,
     load_json,
+    profile_batch,
 )
 
 STAGE_LAYERS = {
@@ -142,13 +143,23 @@ def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
             raise ValidationError(f"references missing file: {ref}")
         return resolved
 
+    def count(key: str) -> int:
+        if type(data[key]) is not int or data[key] < 1:
+            raise ValidationError(f"{key} must be an integer >= 1, got {data[key]!r}")
+        return data[key]
+
+    assertions = data.get("assertions", [])
+    if type(assertions) is not list or not all(
+        type(a) is dict and type(a.get("kind")) is str for a in assertions
+    ):
+        raise ValidationError("assertions must be a list of objects, each with a string kind")
     return ScenarioSpec(
         name=data["name"],
         code_system_path=resolve(data["code_system"]),
         config_path=resolve(data["config"]),
         adapter_paths=tuple(resolve(p) for p in data["adapters"]),
-        quarters=int(data["quarters"]),
-        n_per_quarter=int(data["n_per_quarter"]),
+        quarters=count("quarters"),
+        n_per_quarter=count("n_per_quarter"),
         start=date.fromisoformat(data["start"]),
         target_version=data["target_version"],
         distortion=synthgen_mod.spec_from_dict(data["distortion"]),
@@ -158,7 +169,7 @@ def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
         ),
         ingest_context=dict(data.get("ingest_context", {})),
         deploy_context=dict(data.get("deploy_context", {})),
-        assertions=tuple(data.get("assertions", ())),
+        assertions=tuple(assertions),
     )
 
 
@@ -217,7 +228,7 @@ def run_scenario(
     )
     ratios: tuple[tuple[str, float], ...] = ()
     store = dormancy_mod.DormantStore(entries={}, prune_log=[], path=out / "dormant_store.json")
-    baseline_batch: list[CodedRecord] | None = None
+    baseline: BatchProfile | None = None
     baseline_window: TimeWindow | None = None
     prior_alerts: list[sentinel_mod.DriftAlert] = []
     dashboard_rows: list[tuple[str, breaker_mod.InfluenceStats, breaker_mod.BreakerState]] = []
@@ -305,9 +316,12 @@ def run_scenario(
             "disagreement_rate": div_reports[0].disagreement_rate,
         })
 
+        # Dormancy and the drift scan read one profile of the quarter; the
+        # first quarter's profile is the scan baseline for the whole run.
+        profile = profile_batch(inferred, Layer.ADMINISTRATIVE)
         classification = stage(
             "dormancy.classify", dormancy_mod.classify_features,
-            inferred, spec.significance.keys(), cfg, Layer.ADMINISTRATIVE,
+            profile, spec.significance.keys(), cfg,
         )
         tracer.add(q, "dormancy.classify", {
             "active": sum(1 for c in classification.values()
@@ -319,8 +333,8 @@ def run_scenario(
         })
         store = stage(
             "dormancy.store", dormancy_mod.store_dormant,
-            classification, inferred, spec.activation_conditions,
-            Layer.ADMINISTRATIVE, notes_by_code=spec.significance, store=store,
+            classification, profile, spec.activation_conditions,
+            notes_by_code=spec.significance, store=store,
         )
         dormancy_mod.write_prune_log(store, out / "prune_log.csv")
         tracer.add(q, "dormancy.store", {"entries": len(store.entries)})
@@ -332,8 +346,7 @@ def run_scenario(
             if alert.drift_type is sentinel_mod.DriftType.TYPE_A
         ]
         activations = stage(
-            "dormancy.activation", dormancy_mod.check_activation,
-            store, inferred, events, Layer.ADMINISTRATIVE,
+            "dormancy.activation", dormancy_mod.check_activation, store, profile, events
         )
         tracer.add(q, "dormancy.activation", {"activated": sorted({c for c, _ in activations})})
 
@@ -356,13 +369,11 @@ def run_scenario(
             model = gate_result
             tracer.add(q, "breaker.retrain", {"model_version": model.model_version})
 
-        if baseline_batch is None:
-            baseline_batch = inferred
-            baseline_window = window
+        if baseline is None:
+            baseline, baseline_window = profile, window
         alerts = stage(
             "sentinel.scan", sentinel_mod.scan,
-            baseline_batch, inferred, system, system.release_calendar(), cfg,
-            Layer.ADMINISTRATIVE,
+            baseline, profile, system, system.release_calendar(), cfg,
             baseline_window=baseline_window, current_window=window,
         )
         sentinel_mod.write_alerts(alerts, qdir / "alerts.jsonl")

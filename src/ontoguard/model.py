@@ -291,12 +291,75 @@ def with_fields(record: CodedRecord, **changes: Any) -> CodedRecord:
     return CodedRecord(**{**record.__dict__, **changes})
 
 
-def dominant_version(batch: Iterable[CodedRecord]) -> str:
-    """Most common version tag of a batch; ties go to the greater label."""
-    tags: dict[str, int] = {}
-    for record in batch:
-        tags[record.version_tag] = tags.get(record.version_tag, 0) + 1
-    return max(tags, key=lambda t: (tags[t], t))
+@dataclass(slots=True)
+class CodeUsage:
+    """How one code is used in a batch: its count, and its counts by co-code,
+    (age band, sex), (year, month) of encounter and institution."""
+
+    count: int
+    last_seen: datetime
+    co_codes: dict[str, int] = field(default_factory=dict)
+    strata: dict[tuple[str, str], int] = field(default_factory=dict)
+    months: dict[tuple[int, int], int] = field(default_factory=dict)
+    institutions: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class BatchProfile:
+    """The per-code usage of one batch on one code layer.
+
+    ``codes`` is in first-seen order; ``first_day`` and ``last_day`` are
+    None for an empty batch.
+    """
+
+    layer: Layer
+    n: int
+    codes: Mapping[str, CodeUsage]
+    versions: Mapping[str, int]
+    first_day: date | None
+    last_day: date | None
+
+    def dominant_version(self) -> str:
+        """Most common version tag; ties go to the greater label."""
+        return max(self.versions, key=lambda t: (self.versions[t], t))
+
+
+def profile_batch(batch: Iterable[CodedRecord], layer: Layer) -> BatchProfile:
+    """Count a batch per code on ``layer`` in one pass over its records.
+
+    This is the one place that picks each record's code on a layer; every
+    stage that counts codes reads the profile instead of the records.
+    """
+    codes: dict[str, CodeUsage] = {}
+    versions: dict[str, int] = {}
+    days: set[date] = set()
+    n = 0
+    for n, record in enumerate(batch, start=1):
+        when = record.encounter_time
+        code = record_code(record, layer)
+        usage = codes.get(code)
+        if usage is None:
+            usage = codes[code] = CodeUsage(0, when)
+        usage.count += 1
+        try:
+            if when > usage.last_seen:
+                usage.last_seen = when
+        except TypeError:  # one time has a UTC offset and the other has none
+            raise ValidationError(f"record {record.record_id!r}: encounter times of code "
+                                  f"{code!r} mix naive and UTC-offset timestamps") from None
+        co_codes = usage.co_codes
+        for co in record.co_codes:
+            co_codes[co] = co_codes.get(co, 0) + 1
+        stratum = (record.patient_age_band, record.patient_sex)
+        usage.strata[stratum] = usage.strata.get(stratum, 0) + 1
+        month = (when.year, when.month)
+        usage.months[month] = usage.months.get(month, 0) + 1
+        institution = record.institution_id
+        usage.institutions[institution] = usage.institutions.get(institution, 0) + 1
+        versions[record.version_tag] = versions.get(record.version_tag, 0) + 1
+        days.add(when.date())
+    return BatchProfile(layer, n, codes, versions, min(days, default=None),
+                        max(days, default=None))
 
 
 def record_to_dict(record: CodedRecord) -> dict[str, Any]:

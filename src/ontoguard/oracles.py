@@ -56,17 +56,26 @@ def partition_oracle_files(
     reconciled_path: str | Path,
     quarantine_path: str | Path,
 ) -> bool:
-    """File-level variant of :func:`partition_oracle`, recounting raw JSONL."""
+    """File-level variant of :func:`partition_oracle`, recounting raw JSONL.
+
+    A line that is not a JSON record raises a ValueError naming ``path:line``.
+    """
     def ids(path: str | Path, key: str = "record_id") -> list[str]:
         out: list[str] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            if key not in data and "record" in data:
-                data = data["record"]
-            out.append(data["record_id"])
+            try:
+                data = json.loads(line)
+                if key not in data and "record" in data:
+                    data = data["record"]
+                if type(data["record_id"]) is not str:  # ids of mixed types do not sort
+                    raise TypeError(f"record_id {data['record_id']!r} is not a string")
+                out.append(data["record_id"])
+            except (ValueError, LookupError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno} is not a JSON record: {exc}") from None
         return out
 
     return partition_oracle(

@@ -26,15 +26,12 @@ import numpy as np
 
 from . import kernels
 from .model import (
-    CodedRecord,
+    BatchProfile,
     CodeSystem,
-    Layer,
     PipelineConfig,
     TimeWindow,
     ValidationError,
-    dominant_version,
     jsonl_dumps,
-    record_code,
 )
 from .version_gate import changed_codes
 
@@ -92,62 +89,34 @@ def _month_index(window: TimeWindow) -> list[tuple[int, int]]:
 
 
 def build_fingerprints(
-    batch: Sequence[CodedRecord],
-    window: TimeWindow,
-    cfg: PipelineConfig,
-    layer: Layer,
+    profile: BatchProfile, window: TimeWindow, cfg: PipelineConfig
 ) -> FingerprintSet:
     """One fingerprint per code observed at least ``fingerprint_min_support``
     times; under-supported codes are listed instead of fingerprinted."""
-    if not batch:
+    if not profile.n:
         raise ValidationError("cannot fingerprint an empty batch")
     months = _month_index(window)
-    month_pos = {ym: i for i, ym in enumerate(months)}
-    n = len(batch)
 
-    per_code: dict[str, dict[str, Any]] = {}
-    for record in batch:
-        code = record_code(record, layer)
-        info = per_code.setdefault(code, {
-            "count": 0,
-            "co": {},
-            "demo": {},
-            "months": np.zeros(len(months)),
-            "inst": {},
-        })
-        info["count"] += 1
-        for co in record.co_codes:
-            info["co"][co] = info["co"].get(co, 0) + 1
-        demo_key = (record.patient_age_band, record.patient_sex)
-        info["demo"][demo_key] = info["demo"].get(demo_key, 0) + 1
-        ym = (record.encounter_time.year, record.encounter_time.month)
-        pos = month_pos.get(ym)
-        if pos is not None:
-            info["months"][pos] += 1
-        info["inst"][record.institution_id] = info["inst"].get(record.institution_id, 0) + 1
-
-    def normalized(counts: Mapping) -> dict:
-        total = sum(counts.values())
-        if total == 0:
-            return {}
+    def normalized(counts: Mapping[Any, int]) -> dict:
+        total = sum(counts.values())  # every count is >= 1, so an empty dict stays empty
         return {key: value / total for key, value in counts.items()}
 
     by_code: dict[str, SemanticFingerprint] = {}
     low_support: list[tuple[str, int]] = []
-    for code in sorted(per_code):
-        info = per_code[code]
-        if info["count"] < cfg.fingerprint_min_support:
-            low_support.append((code, info["count"]))
+    for code in sorted(profile.codes):
+        usage = profile.codes[code]
+        if usage.count < cfg.fingerprint_min_support:
+            low_support.append((code, usage.count))
             continue
-        mass = info["months"] / n
+        mass = np.array([usage.months.get(ym, 0) for ym in months], dtype=np.float64) / profile.n
         by_code[code] = SemanticFingerprint(
             code=code,
-            cooccurrence_dist=normalized(info["co"]),
-            demographic_dist=normalized(info["demo"]),
+            cooccurrence_dist=normalized(usage.co_codes),
+            demographic_dist=normalized(usage.strata),
             temporal_mass=tuple(float(x) for x in mass) + (float(1.0 - mass.sum()),),
-            institutional_dist=normalized(info["inst"]),
+            institutional_dist=normalized(usage.institutions),
             window=window,
-            support=info["count"],
+            support=usage.count,
         )
     return FingerprintSet(by_code=by_code, low_support=tuple(low_support), window=window)
 
@@ -199,21 +168,7 @@ def component_divergences(
     }
 
 
-def compare(
-    baseline: SemanticFingerprint,
-    current: SemanticFingerprint,
-    cfg: PipelineConfig | None = None,
-) -> float:
-    """Weighted mean of the four component divergences; symmetric, in [0,1],
-    and zero exactly when all components agree."""
-    weights = (cfg.drift_component_weights if cfg is not None else (0.25,) * 4)
-    parts = component_divergences(baseline, current)
-    return sum(w * parts[name] for w, name in zip(weights, COMPONENTS))
-
-
 def _jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
-        return 0.0
     union = a | b
     return len(a & b) / len(union) if union else 0.0
 
@@ -231,12 +186,11 @@ def _release_match(
 
 
 def scan(
-    baseline_batch: Sequence[CodedRecord],
-    current_batch: Sequence[CodedRecord],
+    baseline: BatchProfile,
+    current: BatchProfile,
     system: CodeSystem,
     release_calendar: Sequence[tuple[str, date]],
     cfg: PipelineConfig,
-    layer: Layer,
     baseline_window: TimeWindow | None = None,
     current_window: TimeWindow | None = None,
 ) -> list[DriftAlert]:
@@ -247,10 +201,10 @@ def scan(
     administrative type, the conservative "investigate coding practice"
     default.
     """
-    baseline_window = baseline_window or cfg.baseline_window or _infer_window(baseline_batch)
-    current_window = current_window or cfg.current_window or _infer_window(current_batch)
-    base_fps = build_fingerprints(baseline_batch, baseline_window, cfg, layer)
-    curr_fps = build_fingerprints(current_batch, current_window, cfg, layer)
+    baseline_window = baseline_window or cfg.baseline_window or _infer_window(baseline)
+    current_window = current_window or cfg.current_window or _infer_window(current)
+    base_fps = build_fingerprints(baseline, baseline_window, cfg)
+    curr_fps = build_fingerprints(current, current_window, cfg)
 
     shared = sorted(set(base_fps.by_code) & set(curr_fps.by_code))
     divergences: dict[str, float] = {}
@@ -274,8 +228,7 @@ def scan(
         previous = labels[labels.index(release[0]) - 1]
         touched = changed_codes(system, previous, release[0])
 
-    version_label = dominant_version(current_batch)
-    code_defs = system.codes(version_label)
+    code_defs = system.codes(current.dominant_version())
 
     alerts: list[DriftAlert] = []
     for code in sorted(drifting):
@@ -326,11 +279,10 @@ def scan(
     return alerts
 
 
-def _infer_window(batch: Sequence[CodedRecord]) -> TimeWindow:
-    if not batch:
+def _infer_window(profile: BatchProfile) -> TimeWindow:
+    if profile.first_day is None:
         raise ValidationError("cannot infer a window from an empty batch")
-    days = [record.encounter_time.date() for record in batch]
-    return TimeWindow(min(days), max(days))
+    return TimeWindow(profile.first_day, profile.last_day)
 
 
 def write_alerts(alerts: Iterable[DriftAlert], path: str | Path) -> None:

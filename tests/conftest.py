@@ -10,9 +10,11 @@ import pytest
 from ontoguard import checkpoint, dual_ontology, harness, synthgen, version_gate
 from ontoguard.model import (
     CodedRecord,
+    Layer,
     code_system_from_dict,
     load_code_system,
     load_config,
+    profile_batch,
 )
 
 SEED = 42
@@ -129,6 +131,11 @@ def make_record(
         version_tag=version,
         **kwargs,
     )
+
+
+def admin(batch):
+    """The administrative-layer profile of ``batch``."""
+    return profile_batch(batch, Layer.ADMINISTRATIVE)
 
 
 def tiny_system(

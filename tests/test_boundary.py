@@ -268,3 +268,22 @@ def test_json_is_parsed_only_at_the_boundary():
                     and allowed is not None and id(node) not in inside):
                 offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
     assert offenders == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_layer_codes_are_read_only_by_profile_batch():
+    # Which code a record carries on a layer is decided in one place;
+    # stages count codes from the profile, never from the records.
+    everywhere = [
+        (path.name, call.lineno) for path in sorted(SRC.glob("*.py"))
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "record_code")
+    ]
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    profile_batch = next(node for node in ast.walk(model)
+                         if isinstance(node, ast.FunctionDef) and node.name == "profile_batch")
+    inside = [("model.py", call.lineno) for call in _calls(profile_batch, "record_code")]
+    assert inside and everywhere == inside

@@ -4,7 +4,7 @@ from datetime import date, datetime
 
 import pytest
 
-from conftest import make_record
+from conftest import admin, make_record
 from ontoguard import synthgen
 from ontoguard.dormancy import (
     ActivationCondition,
@@ -19,7 +19,7 @@ from ontoguard.dormancy import (
     write_prune_log,
     write_store,
 )
-from ontoguard.model import Layer, PipelineConfig, ValidationError
+from ontoguard.model import Layer, PipelineConfig, ValidationError, profile_batch
 from ontoguard.sentinel import DriftType, scan
 
 CFG = PipelineConfig()  # dormancy threshold 0.002
@@ -44,29 +44,26 @@ def batch_with_counts(counts: dict[str, int]) -> list:
 
 class TestClassifyFeatures:
     def test_rare_significant_code_goes_dormant(self, q1_products, bundled_cfg):
-        classes = classify_features(
-            q1_products["inferred"], {"DM-OTHER"}, bundled_cfg, Layer.ADMINISTRATIVE
-        )
+        classes = classify_features(admin(q1_products["inferred"]), {"DM-OTHER"}, bundled_cfg)
         assert classes["DM-OTHER"] is FeatureClass.DORMANT
 
     def test_common_code_is_active(self):
         batch = batch_with_counts({"AAA": 1_000, "BBB": 9_000})
-        classes = classify_features(batch, set(), CFG, Layer.ADMINISTRATIVE)
+        classes = classify_features(admin(batch), set(), CFG)
         assert classes["AAA"] is FeatureClass.ACTIVE
 
     def test_rare_unlisted_code_is_pruned(self):
         batch = batch_with_counts({"AAA": 9_999, "RARE": 1})
-        classes = classify_features(batch, set(), CFG, Layer.ADMINISTRATIVE)
+        classes = classify_features(admin(batch), set(), CFG)
         assert classes["RARE"] is FeatureClass.PRUNED
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError, match="empty batch"):
-            classify_features([], set(), CFG, Layer.ADMINISTRATIVE)
+            classify_features(admin([]), set(), CFG)
 
     def test_no_silent_loss(self, q1_products, bundled_cfg):
         batch = q1_products["inferred"]
-        classes = classify_features(batch, {"DM-OTHER"}, bundled_cfg,
-                                    Layer.ADMINISTRATIVE)
+        classes = classify_features(admin(batch), {"DM-OTHER"}, bundled_cfg)
         assert set(classes) == {r.primary_code for r in batch}
 
     def test_clinical_layer_selector(self):
@@ -74,22 +71,20 @@ class TestClassifyFeatures:
             make_record(f"R-{i}", code="AAA", clinical_code="BBB")
             for i in range(100)
         ]
-        admin = classify_features(batch, set(), CFG, Layer.ADMINISTRATIVE)
-        clinical = classify_features(batch, set(), CFG, Layer.CLINICAL)
-        assert set(admin) == {"AAA"}
+        administrative = classify_features(admin(batch), set(), CFG)
+        clinical = classify_features(profile_batch(batch, Layer.CLINICAL), set(), CFG)
+        assert set(administrative) == {"AAA"}
         assert set(clinical) == {"BBB"}
 
 
 class TestStoreDormant:
     def test_walkthrough_entry_has_both_conditions(self, q1_products, bundled_cfg,
                                                    tmp_path):
-        batch = q1_products["inferred"]
-        classes = classify_features(batch, {"DM-OTHER"}, bundled_cfg,
-                                    Layer.ADMINISTRATIVE)
+        profile = admin(q1_products["inferred"])
+        classes = classify_features(profile, {"DM-OTHER"}, bundled_cfg)
         store = store_dormant(
-            classes, batch,
+            classes, profile,
             {"DM-OTHER": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)},
-            Layer.ADMINISTRATIVE,
             notes_by_code={"DM-OTHER": "rare diabetes subtype"},
             path=tmp_path / "store.json",
         )
@@ -100,10 +95,9 @@ class TestStoreDormant:
         assert entry.top_co_codes
 
     def test_no_dormant_codes_empty_store_with_prune_log(self, tmp_path):
-        batch = batch_with_counts({"AAA": 9_999, "RARE": 1})
-        classes = classify_features(batch, set(), CFG, Layer.ADMINISTRATIVE)
-        store = store_dormant(classes, batch, {}, Layer.ADMINISTRATIVE,
-                              path=tmp_path / "store.json")
+        profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
+        classes = classify_features(profile, set(), CFG)
+        store = store_dormant(classes, profile, {}, path=tmp_path / "store.json")
         assert store.entries == {}
         assert [e.code for e in store.prune_log] == ["RARE"]
         write_prune_log(store, tmp_path / "prune.csv")
@@ -112,28 +106,26 @@ class TestStoreDormant:
         assert lines[1].startswith("RARE,1,")
 
     def test_restore_is_idempotent(self, tmp_path):
-        batch = batch_with_counts({"AAA": 9_999, "RARE": 1})
-        classes = classify_features(batch, {"RARE"}, CFG, Layer.ADMINISTRATIVE)
+        profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
+        classes = classify_features(profile, {"RARE"}, CFG)
         conditions = {"RARE": (PREVALENCE_HALF_PERCENT,)}
-        store = store_dormant(classes, batch, conditions, Layer.ADMINISTRATIVE,
-                              path=tmp_path / "store.json")
-        store = store_dormant(classes, batch, conditions, Layer.ADMINISTRATIVE,
-                              store=store)
+        store = store_dormant(classes, profile, conditions, path=tmp_path / "store.json")
+        store = store_dormant(classes, profile, conditions, store=store)
         assert len(store.entries) == 1
         assert store.entries["RARE"].count == 1
 
     def test_dormant_code_without_condition_rejected(self):
-        batch = batch_with_counts({"AAA": 9_999, "RARE": 1})
-        classes = classify_features(batch, {"RARE"}, CFG, Layer.ADMINISTRATIVE)
+        profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
+        classes = classify_features(profile, {"RARE"}, CFG)
         with pytest.raises(ValidationError, match="no configured activation condition"):
-            store_dormant(classes, batch, {}, Layer.ADMINISTRATIVE)
+            store_dormant(classes, profile, {})
 
     def test_store_file_round_trip(self, tmp_path):
-        batch = batch_with_counts({"AAA": 9_999, "RARE": 1})
-        classes = classify_features(batch, {"RARE"}, CFG, Layer.ADMINISTRATIVE)
+        profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
+        classes = classify_features(profile, {"RARE"}, CFG)
         store = store_dormant(
-            classes, batch, {"RARE": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)},
-            Layer.ADMINISTRATIVE, path=tmp_path / "store.json",
+            classes, profile, {"RARE": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)},
+            path=tmp_path / "store.json",
         )
         loaded = read_store(tmp_path / "store.json")
         assert loaded.entries["RARE"].activation_conditions \
@@ -144,41 +136,40 @@ class TestStoreDormant:
 
 class TestCheckActivation:
     def make_store(self, conditions) -> DormantStore:
-        batch = batch_with_counts({"AAA": 999, "RARE": 1})
-        classes = classify_features(batch, {"RARE"}, CFG, Layer.ADMINISTRATIVE)
-        return store_dormant(classes, batch, {"RARE": conditions},
-                             Layer.ADMINISTRATIVE)
+        profile = admin(batch_with_counts({"AAA": 999, "RARE": 1}))
+        classes = classify_features(profile, {"RARE"}, CFG)
+        return store_dormant(classes, profile, {"RARE": conditions})
 
     def test_prevalence_above_threshold_activates(self):
         store = self.make_store((PREVALENCE_HALF_PERCENT,))
         quarterly = batch_with_counts({"RARE": 6, "AAA": 994})  # 0.6%
-        activations = check_activation(store, quarterly, [], Layer.ADMINISTRATIVE)
+        activations = check_activation(store, admin(quarterly), [])
         assert activations == [("RARE", PREVALENCE_HALF_PERCENT)]
 
     def test_prevalence_at_threshold_does_not_activate(self):
         store = self.make_store((PREVALENCE_HALF_PERCENT,))
         quarterly = batch_with_counts({"RARE": 5, "AAA": 995})  # exactly 0.5%
-        assert check_activation(store, quarterly, [], Layer.ADMINISTRATIVE) == []
+        assert check_activation(store, admin(quarterly), []) == []
 
     def test_no_events_no_activation(self):
         store = self.make_store((PREVALENCE_HALF_PERCENT, ENDO_TRANSFER))
         quarterly = batch_with_counts({"AAA": 1_000})
-        assert check_activation(store, quarterly, [], Layer.ADMINISTRATIVE) == []
+        assert check_activation(store, admin(quarterly), []) == []
 
     def test_domain_transfer_event_activates(self):
         store = self.make_store((ENDO_TRANSFER,))
         quarterly = batch_with_counts({"AAA": 1_000})
         events = [Event(kind=ActivationKind.DOMAIN_TRANSFER_REQUEST,
                         domain="endocrinology")]
-        activations = check_activation(store, quarterly, events, Layer.ADMINISTRATIVE)
+        activations = check_activation(store, admin(quarterly), events)
         assert activations == [("RARE", ENDO_TRANSFER)]
 
     def test_activation_monotone_in_code_records(self):
         store = self.make_store((PREVALENCE_HALF_PERCENT,))
         quarterly = batch_with_counts({"RARE": 6, "AAA": 994})
-        assert check_activation(store, quarterly, [], Layer.ADMINISTRATIVE)
+        assert check_activation(store, admin(quarterly), [])
         more = quarterly + batch_with_counts({"RARE": 50})
-        assert check_activation(store, more, [], Layer.ADMINISTRATIVE)
+        assert check_activation(store, admin(more), [])
 
     def test_outbreak_signal_from_drift_alert_end_to_end(self, bundled_system):
         # An outbreak-injected series raises an epidemiological alert whose
@@ -197,8 +188,8 @@ class TestCheckActivation:
             drift_component_weights=(0.05, 0.55, 0.35, 0.05),
         )
         alerts = scan(
-            batches[0], batches[1], bundled_system,
-            bundled_system.release_calendar(), cfg, Layer.ADMINISTRATIVE,
+            admin(batches[0]), admin(batches[1]), bundled_system,
+            bundled_system.release_calendar(), cfg,
             baseline_window=synthgen.quarter_window(date(2025, 1, 1), 0),
             current_window=synthgen.quarter_window(date(2025, 1, 1), 1),
         )
@@ -213,9 +204,7 @@ class TestCheckActivation:
             Event(kind=ActivationKind.OUTBREAK_SIGNAL, signal_code=a.code)
             for a in alerts if a.drift_type is DriftType.TYPE_A
         ]
-        activations = check_activation(
-            store, batch_with_counts({"AAA": 100}), events, Layer.ADMINISTRATIVE
-        )
+        activations = check_activation(store, admin(batch_with_counts({"AAA": 100})), events)
         assert activations == [("RARE", condition)]
 
 

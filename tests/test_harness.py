@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -207,6 +207,16 @@ class TestWiring:
 
 SYSTEM = str(harness.fixture_dir() / "syn_icd.json")
 
+
+def walkthrough_text(**changes) -> str:
+    """The walkthrough scenario with absolute file references and ``changes``."""
+    spec = harness.load_scenario("diabetes-walkthrough")
+    data = json.loads((harness.fixture_dir() / "diabetes_walkthrough.json").read_text())
+    data.update(code_system=str(spec.code_system_path), config=str(spec.config_path),
+                adapters=[str(p) for p in spec.adapter_paths], **changes)
+    return json.dumps(data)
+
+
 # Input files of the bad-input CLI cases, by name.
 CLI_INPUT_FILES = {
     "records.jsonl": "",
@@ -226,6 +236,14 @@ CLI_INPUT_FILES = {
     "cond-int.json": '{"DM2-UNSPEC": 5}',
     "cond-kind.json": '{"DM2-UNSPEC": [{"kind": "bogus"}]}',
     "overrides.jsonl": '{"record_id": "R-000000"}\n',
+    "no-kind.json": walkthrough_text(assertions=[{"quarter": 1}]),
+    "quarters-float.json": walkthrough_text(quarters=1.9),
+    "quarters-bool.json": walkthrough_text(quarters=True),
+    "n-string.json": walkthrough_text(n_per_quarter="2"),
+    "n-zero.json": walkthrough_text(n_per_quarter=0),
+    "int-id.jsonl": '{"record_id": 5}\n',
+    "mixed-offsets.jsonl": "".join(json.dumps(record_to_dict(r)) + "\n" for r in (
+        make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
 
 
@@ -352,6 +370,27 @@ class TestCli:
         (["oracle", "partition", "--input", "records.jsonl", "--accepted", "missing.jsonl",
           "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "missing.jsonl"),
         (["oracle", "jsd", "--p", "nan,1", "--q", "0,1"], "--p"),
+        (["scenario", "run", "no-kind.json", "--seed", "1"],
+         "no-kind.json assertions must be a list of objects, each with a string kind"),
+        (["scenario", "run", "quarters-float.json", "--seed", "1"],
+         "quarters-float.json quarters must be an integer >= 1, got 1.9"),
+        (["scenario", "run", "quarters-bool.json", "--seed", "1"],
+         "quarters-bool.json quarters must be an integer >= 1, got True"),
+        (["scenario", "run", "n-string.json", "--seed", "1"],
+         "n-string.json n_per_quarter must be an integer >= 1, got '2'"),
+        (["scenario", "run", "n-zero.json", "--seed", "1"],
+         "n-zero.json n_per_quarter must be an integer >= 1, got 0"),
+        (["oracle", "partition", "--input", "records.jsonl", "--accepted", "trunc.jsonl",
+          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "trunc.jsonl:1"),
+        (["oracle", "partition", "--input", "one.jsonl", "--accepted", "one.jsonl",
+          "--reconciled", "int-id.jsonl", "--quarantine", "records.jsonl"],
+         "int-id.jsonl:1 is not a JSON record: record_id 5 is not a string"),
+        (["fidelity-report", "--records", "one.jsonl", "--history", "one.jsonl",
+          "--system", SYSTEM, "--out", "fidelity.csv", "--layer", "clinical"],
+         "unrecognized arguments: --layer clinical"),
+        (["dormancy", "classify", "--records", "mixed-offsets.jsonl",
+          "--significance", "significance.json", "--store", "store.json"],
+         "record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive and UTC-offset"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -361,7 +400,9 @@ class TestCli:
         "config-string-window", "config-float-support", "system-empty", "adapter-no-rules",
         "spec-empty", "conditions-not-lists", "conditions-bad-kind", "override-missing-code",
         "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
-        "partition-missing", "jsd-nan",
+        "partition-missing", "jsd-nan", "assertion-no-kind", "quarters-float",
+        "quarters-bool", "n-per-quarter-string", "n-per-quarter-zero", "partition-bad-line",
+        "partition-int-id", "fidelity-layer", "mixed-utc-offsets",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

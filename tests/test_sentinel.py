@@ -5,16 +5,15 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 
-from conftest import make_record, tiny_system
+from conftest import admin, make_record, tiny_system
 from ontoguard import synthgen
-from ontoguard.model import Layer, PipelineConfig, TimeWindow, ValidationError
+from ontoguard.model import PipelineConfig, TimeWindow, ValidationError
 from ontoguard.oracles import jsd_oracle
 from ontoguard.sentinel import (
     DriftType,
     SemanticFingerprint,
     aligned_jsd,
     build_fingerprints,
-    compare,
     component_divergences,
     scan,
     write_alerts,
@@ -42,7 +41,7 @@ class TestBuildFingerprints:
             [make_record(f"R-{i}", code="COMMON") for i in range(30)]
             + [make_record(f"S-{i}", code="SPARSE") for i in range(5)]
         )
-        fps = build_fingerprints(batch, Q1, cfg, Layer.ADMINISTRATIVE)
+        fps = build_fingerprints(admin(batch), Q1, cfg)
         assert "SPARSE" not in fps.by_code
         assert ("SPARSE", 5) in fps.low_support
         assert "COMMON" in fps.by_code
@@ -55,7 +54,7 @@ class TestBuildFingerprints:
             institutions=(("I-A", 1.0),), current_version="v2"
         )
         batch, _ = synthgen.generate_batch(system, spec, 50_000, 13, window=Q1)
-        fps = build_fingerprints(batch, Q1, bundled_cfg, Layer.ADMINISTRATIVE)
+        fps = build_fingerprints(admin(batch), Q1, bundled_cfg)
         demo = fps.by_code["AAA"].demographic_dist
         uniform = 1.0 / 30.0
         assert len(demo) == 30
@@ -64,15 +63,13 @@ class TestBuildFingerprints:
 
     def test_same_batch_gives_identical_fingerprints(self, q1_products, bundled_cfg):
         batch = q1_products["inferred"][:5000]
-        a = build_fingerprints(batch, Q1, bundled_cfg, Layer.ADMINISTRATIVE)
-        b = build_fingerprints(batch, Q1, bundled_cfg, Layer.ADMINISTRATIVE)
+        a = build_fingerprints(admin(batch), Q1, bundled_cfg)
+        b = build_fingerprints(admin(batch), Q1, bundled_cfg)
         assert a.by_code == b.by_code
         assert a.low_support == b.low_support
 
     def test_distributions_normalized(self, q1_products, bundled_cfg):
-        fps = build_fingerprints(
-            q1_products["inferred"], Q1, bundled_cfg, Layer.ADMINISTRATIVE
-        )
+        fps = build_fingerprints(admin(q1_products["inferred"]), Q1, bundled_cfg)
         for fp in fps.by_code.values():
             for dist in (fp.cooccurrence_dist, fp.demographic_dist, fp.institutional_dist):
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
@@ -80,20 +77,29 @@ class TestBuildFingerprints:
 
     def test_empty_batch_rejected(self, bundled_cfg):
         with pytest.raises(ValidationError, match="empty"):
-            build_fingerprints([], Q1, bundled_cfg, Layer.ADMINISTRATIVE)
+            build_fingerprints(admin([]), Q1, bundled_cfg)
 
 
 class TestCompare:
     def test_identical_fingerprints_give_zero(self):
         fp = fingerprint()
-        assert compare(fp, fp) == 0.0
+        assert set(component_divergences(fp, fp).values()) == {0.0}
 
     def test_single_flipped_component_gives_quarter(self):
-        # One component at maximal JSD (disjoint point masses), the rest
-        # equal, equal weights: total = 1/4.
-        a = fingerprint(co={"A": 1.0})
-        b = fingerprint(co={"B": 1.0})
-        assert compare(a, b) == pytest.approx(0.25)
+        # Two batches that differ only in their co-code: one component at
+        # maximal JSD (disjoint point masses), the rest equal, equal
+        # weights: total = 1/4.
+        batches = [
+            [make_record(f"{co}-{i}", code="AAA", version="v2", co_codes=(co,))
+             for i in range(30)]
+            for co in ("BBB", "CCC")
+        ]
+        alerts = scan(
+            *map(admin, batches), tiny_system(), [], PipelineConfig(),
+            baseline_window=Q1, current_window=Q1,
+        )
+        assert [alert.code for alert in alerts] == ["AAA"]
+        assert alerts[0].divergence == pytest.approx(0.25)
 
     def test_symmetry_on_random_fingerprints(self):
         rng = np.random.default_rng(23)
@@ -113,11 +119,13 @@ class TestCompare:
                 demo=random_dist([("50-59", "female"), ("60-69", "male")]),
                 inst=random_dist(["I1", "I2"]),
             )
-            assert compare(a, b) == pytest.approx(compare(b, a), abs=1e-12)
+            assert component_divergences(a, b) == pytest.approx(
+                component_divergences(b, a), abs=1e-12
+            )
 
     def test_code_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="code mismatch"):
-            compare(fingerprint(code="X"), fingerprint(code="Y"))
+            component_divergences(fingerprint(code="X"), fingerprint(code="Y"))
 
     def test_aligned_jsd_matches_oracle(self):
         rng = np.random.default_rng(29)
@@ -164,8 +172,8 @@ class TestScan:
             for i in range(40)
         ]
         alerts = scan(
-            baseline, current, bundled_system, bundled_system.release_calendar(),
-            cfg, Layer.ADMINISTRATIVE, baseline_window=jan, current_window=feb,
+            admin(baseline), admin(current), bundled_system,
+            bundled_system.release_calendar(), cfg, baseline_window=jan, current_window=feb,
         )
         assert len(alerts) == 1
         alert = alerts[0]
@@ -211,9 +219,8 @@ class TestScan:
             for month in (1, 2)
         ]
         alerts = scan(
-            *batches, system, system.release_calendar(),
+            *map(admin, batches), system, system.release_calendar(),
             PipelineConfig(drift_threshold=0.1, fingerprint_min_support=20),
-            Layer.ADMINISTRATIVE,
             baseline_window=TimeWindow(date(year, 1, 1), date(year, 1, 31)),
             current_window=TimeWindow(date(year, 2, 1), date(year, 2, 28)),
         )
@@ -224,9 +231,9 @@ class TestScan:
 
     def test_identical_windows_give_no_alerts(self, q1_products, bundled_system,
                                               bundled_cfg):
-        batch = q1_products["inferred"][:10_000]
+        profile = admin(q1_products["inferred"][:10_000])
         alerts = scan(
-            batch, batch, bundled_system, [], bundled_cfg, Layer.ADMINISTRATIVE,
+            profile, profile, bundled_system, [], bundled_cfg,
             baseline_window=Q1, current_window=Q1,
         )
         assert alerts == []
@@ -247,12 +254,10 @@ class TestScan:
             baseline_window=Q1,
             current_window=TimeWindow(date(2025, 7, 1), date(2025, 9, 30)),
         )
-        a = scan(q1_products["inferred"], q3_products["inferred"], bundled_system,
-                 bundled_system.release_calendar(), bundled_cfg,
-                 Layer.ADMINISTRATIVE, **kwargs)
-        b = scan(q1_products["inferred"], q3_products["inferred"], bundled_system,
-                 bundled_system.release_calendar(), bundled_cfg,
-                 Layer.ADMINISTRATIVE, **kwargs)
+        a = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
+                 bundled_system, bundled_system.release_calendar(), bundled_cfg, **kwargs)
+        b = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
+                 bundled_system, bundled_system.release_calendar(), bundled_cfg, **kwargs)
         assert [(x.code, x.divergence, x.drift_type, x.confidence) for x in a] \
             == [(x.code, x.divergence, x.drift_type, x.confidence) for x in b]
 
