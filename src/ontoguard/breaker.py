@@ -134,24 +134,15 @@ def retrain_gate(
     state: BreakerState,
     cohort: Sequence[CodedRecord],
     model: ToyRiskModel,
-    stats: InfluenceStats | None = None,
+    stats: InfluenceStats,
 ) -> ToyRiskModel | Refusal:
     """Retrain in closed/warning state; refuse with an audit packet when open.
 
     Retraining fits per-code empirical outcome rates over the cohort and
-    bumps the model version.
+    bumps the model version; the new model is trained on ``stats``' cohort.
     """
     if state.state is BreakerStateKind.OPEN:
-        if stats is None:
-            stats = InfluenceStats(
-                cohort_id=model.training_cohort_id, ratio=0.0,
-                tagged_count=0, total_count=0, history=(),
-            )
-        return Refusal(
-            reason=state.reason,
-            stats=stats,
-            state=state,
-        )
+        return Refusal(reason=state.reason, stats=stats, state=state)
     if not cohort:
         raise ValidationError("cannot retrain on an empty cohort")
     totals: dict[str, int] = {}
@@ -166,7 +157,7 @@ def retrain_gate(
     return ToyRiskModel(
         model_version=f"toy-risk-{model.version_number() + 1}",
         weights=weights,
-        training_cohort_id=stats.cohort_id if stats is not None else model.training_cohort_id,
+        training_cohort_id=stats.cohort_id,
     )
 
 
@@ -200,23 +191,35 @@ def read_history(text: str) -> list[tuple[str, float]]:
     """Parse a period history from either JSON or a comma list of ratios.
 
     Raises:
-        ValidationError: malformed JSON, or an entry that is not a number
-            (the message names it).
+        ValidationError: malformed JSON, a JSON period that is not a string,
+            or a ratio that is not a number in [0,1] (the message names the
+            entry).
     """
     text = text.strip()
     if not text:
         return []
     if text.startswith("["):
         try:
-            return [(p, float(r)) for p, r in json.loads(text)]
-        except (TypeError, ValueError) as exc:
+            entries = json.loads(text)
+        except ValueError as exc:
             raise ValidationError(f"history is not a list of [period, ratio]: {exc}") from None
+        history = []
+        for entry in entries:
+            if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str
+                    and type(entry[1]) in (int, float) and 0.0 <= entry[1] <= 1.0):
+                raise ValidationError(f"history entry {entry!r} is not a [period, ratio] "
+                                      "with a string period and a ratio in [0,1]")
+            history.append((entry[0], float(entry[1])))
+        return history
     history = []
     for part in (part.strip() for part in text.split(",")):
         if not part:
             continue
         try:
-            history.append((f"period-{len(history) + 1}", float(part)))
+            ratio = float(part)
         except ValueError:
             raise ValidationError(f"history entry {part!r} is not a number") from None
+        if not 0.0 <= ratio <= 1.0:  # also false for nan
+            raise ValidationError(f"history entry {part!r} is not a ratio in [0,1]")
+        history.append((f"period-{len(history) + 1}", ratio))
     return history

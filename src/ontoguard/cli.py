@@ -55,6 +55,25 @@ def _layer_arg(value: str) -> Layer:
         ) from None
 
 
+def _seed_arg(value: str) -> int:
+    try:
+        seed = int(value)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+
+
+def _date_arg(value: str) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an ISO 8601 date (YYYY-MM-DD), got {value!r}"
+        ) from None
+
+
 def _print_layer(layer: Layer) -> None:
     print(f"layer: {layer.value}")
 
@@ -95,11 +114,11 @@ def build_parser() -> _Parser:
     gen.add_argument("--system", required=True)
     gen.add_argument("--spec", required=True, help="distortion spec JSON file")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_seed_arg, required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--truth", required=True)
     gen.add_argument("--quarters", type=int, default=None)
-    gen.add_argument("--start", default="2025-01-01")
+    gen.add_argument("--start", type=_date_arg, default="2025-01-01")
 
     gate = sub.add_parser("gate", help="version-gate a batch")
     gate.set_defaults(handler=_cmd_gate)
@@ -131,7 +150,8 @@ def build_parser() -> _Parser:
     classify.add_argument("--conditions", default=None,
                           help="JSON file mapping code -> activation conditions")
     classify.add_argument("--config", default=None)
-    classify.add_argument("--store", default=None, help="dormant store output path")
+    classify.add_argument("--store", default=None,
+                          help="dormant store path; an existing store is carried forward")
     classify.add_argument("--prune-log", default=None)
     classify.add_argument("--layer", type=_layer_arg, default=Layer.ADMINISTRATIVE)
     activate = dorm_sub.add_parser("activate")
@@ -180,7 +200,7 @@ def build_parser() -> _Parser:
     run = scen_sub.add_parser("run")
     run.set_defaults(handler=_cmd_scenario_run)
     run.add_argument("name", help="bundled scenario name or spec file path")
-    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--seed", type=_seed_arg, required=True)
     run.add_argument("--out-dir", default="run-output")
 
     oracle = sub.add_parser("oracle", help="independent verification oracles")
@@ -208,8 +228,7 @@ def _cmd_synth_generate(args) -> int:
         print(f"wrote {len(records)} records to {args.out}")
         return 0
     batches, truth = synthgen_mod.generate_quarter_series(
-        system, spec, args.quarters, args.n, args.seed,
-        start=date.fromisoformat(args.start),
+        system, spec, args.quarters, args.n, args.seed, start=args.start,
     )
     out = Path(args.out)
     for i, batch in enumerate(batches, start=1):
@@ -222,9 +241,9 @@ def _cmd_synth_generate(args) -> int:
 
 def _cmd_gate(args) -> int:
     system = load_code_system(args.system)
-    cfg = _load_cfg(args.config)
+    _load_cfg(args.config)  # the gate reads no setting, but a bad --config file still exits 1
     records = read_records(args.records)
-    outcome = gate_mod.gate_batch(records, system, args.target_version, cfg)
+    outcome = gate_mod.gate_batch(records, system, args.target_version)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(out / "accepted.jsonl", outcome.accepted)
@@ -247,7 +266,7 @@ def _annotate(args):
     system = load_code_system(args.system)
     cfg = _load_cfg(args.config)
     ref = checkpoint_mod.build_reference_model(read_records(args.history), system)
-    return system, cfg, ref, checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
+    return cfg, ref, checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
 
 
 def _cmd_fidelity_report(args) -> int:
@@ -258,17 +277,17 @@ def _cmd_fidelity_report(args) -> int:
 
 
 def _cmd_infer_clinical(args) -> int:
-    system, cfg, ref, annotated = _annotate(args)
-    inferred = dual_mod.infer_clinical_layer(annotated, ref, system, cfg)
+    cfg, ref, annotated = _annotate(args)
+    inferred = dual_mod.infer_clinical_layer(annotated, ref, cfg)
     if args.overrides:
         inferred = dual_mod.apply_clinical_overrides(
             inferred, dual_mod.read_overrides(args.overrides)
         )
     write_records(args.out, inferred)
     if args.divergence_out:
-        reports = dual_mod.divergence(inferred, dual_mod.DivergenceScope.POPULATION)
-        dual_mod.write_divergence_csv(reports, args.divergence_out)
-        print(f"population disagreement rate: {reports[0].disagreement_rate:.4f}")
+        report = dual_mod.divergence(inferred)
+        dual_mod.write_divergence_csv(report, args.divergence_out)
+        print(f"population disagreement rate: {report.disagreement_rate:.4f}")
     print(f"wrote {len(inferred)} records to {args.out}")
     return 0
 
@@ -287,8 +306,12 @@ def _cmd_dormancy_classify(args) -> int:
             conditions = load_json(
                 args.conditions, "--conditions file", dormancy_mod.conditions_from_dict
             )
+        # An existing store is carried forward: its entries stay unless
+        # this batch updates them.
+        existing = dormancy_mod.read_store(args.store) if Path(args.store).exists() else None
         store = dormancy_mod.store_dormant(
             classification, profile, conditions, notes_by_code=significance, path=args.store,
+            store=existing,
         )
         if args.prune_log:
             dormancy_mod.write_prune_log(store, args.prune_log)
@@ -324,7 +347,7 @@ def _cmd_drift_scan(args) -> int:
     cfg = _load_cfg(args.config)
     baseline = profile_batch(read_records(args.baseline), args.layer)
     current = profile_batch(read_records(args.current), args.layer)
-    alerts = sentinel_mod.scan(baseline, current, system, system.release_calendar(), cfg)
+    alerts = sentinel_mod.scan(baseline, current, system, cfg)
     for alert in alerts:
         print(
             f"alert {alert.code}: divergence={alert.divergence:.4f} "

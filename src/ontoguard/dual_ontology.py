@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .checkpoint import ReferenceModel
 from .model import (
     CodedRecord,
-    CodeSystem,
     PipelineConfig,
     ValidationError,
     iter_jsonl,
@@ -27,18 +25,11 @@ from .model import (
 )
 
 
-class DivergenceScope(str, Enum):
-    RECORD = "record"
-    INSTITUTION = "institution"
-    POPULATION = "population"
-
-
 @dataclass(frozen=True)
 class DivergenceReport:
-    scope: DivergenceScope
-    scope_key: str
+    """Share of a batch's ``n`` records whose two code layers disagree."""
+
     disagreement_rate: float
-    per_code_confusion: Mapping[tuple[str, str], int]
     n: int
 
 
@@ -61,7 +52,6 @@ def _likeliest_code(co_codes: frozenset[str], ref: ReferenceModel) -> str | None
 def infer_clinical_layer(
     batch: Iterable[CodedRecord],
     ref: ReferenceModel,
-    system: CodeSystem,
     cfg: PipelineConfig,
 ) -> list[CodedRecord]:
     """Populate the clinical layer for a checkpoint-annotated batch.
@@ -113,60 +103,27 @@ def read_overrides(path: str | Path) -> dict[str, str]:
     return dict(iter_jsonl(path, _override))
 
 
-def divergence(
-    batch: Sequence[CodedRecord],
-    scope: DivergenceScope,
-) -> tuple[DivergenceReport, ...]:
+def divergence(batch: Sequence[CodedRecord]) -> DivergenceReport:
     """Measure disagreement between the administrative and clinical layers.
-
-    Returns one report per scope key (a single "all" report for POPULATION,
-    one per institution for INSTITUTION, one per record for RECORD).
 
     Raises:
         ValidationError: a record's clinical layer is not populated.
     """
+    disagreements = 0
     for record in batch:
         if record.clinical_code is None:
             raise ValidationError(
                 f"record {record.record_id} has no clinical layer; run inference first"
             )
-
-    def key_of(record: CodedRecord) -> str:
-        if scope is DivergenceScope.POPULATION:
-            return "all"
-        if scope is DivergenceScope.INSTITUTION:
-            return record.institution_id
-        return record.record_id
-
-    groups: dict[str, list[CodedRecord]] = {}
-    for record in batch:
-        groups.setdefault(key_of(record), []).append(record)
-
-    reports = []
-    for key in sorted(groups):
-        records = groups[key]
-        confusion: dict[tuple[str, str], int] = {}
-        disagreements = 0
-        for record in records:
-            pair = (record.primary_code, record.clinical_code)
-            confusion[pair] = confusion.get(pair, 0) + 1
-            if record.clinical_code != record.primary_code:
-                disagreements += 1
-        reports.append(DivergenceReport(
-            scope=scope,
-            scope_key=key,
-            disagreement_rate=disagreements / len(records) if records else 0.0,
-            per_code_confusion=confusion,
-            n=len(records),
-        ))
-    return tuple(reports)
+        if record.clinical_code != record.primary_code:
+            disagreements += 1
+    return DivergenceReport(disagreements / len(batch) if batch else 0.0, len(batch))
 
 
-def write_divergence_csv(reports: Sequence[DivergenceReport], path: str | Path) -> None:
-    lines = ["scope,scope_key,n,disagreement_rate"]
-    for report in reports:
-        lines.append(
-            f"{report.scope.value},{report.scope_key},{report.n},"
-            f"{report.disagreement_rate:.6f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_divergence_csv(report: DivergenceReport, path: str | Path) -> None:
+    """Write the report as one CSV row, scoped to the whole batch (``population,all``)."""
+    Path(path).write_text(
+        "scope,scope_key,n,disagreement_rate\n"
+        f"population,all,{report.n},{report.disagreement_rate:.6f}\n",
+        encoding="utf-8",
+    )

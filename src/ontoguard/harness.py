@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from . import breaker as breaker_mod
 from . import checkpoint as checkpoint_mod
@@ -31,7 +31,6 @@ from . import version_gate as gate_mod
 from .model import (
     BatchProfile,
     Layer,
-    PipelineConfig,
     StageError,
     TimeWindow,
     ValidationError,
@@ -285,7 +284,7 @@ def run_scenario(
                 })
 
         outcome = stage(
-            "gate.batch", gate_mod.gate_batch, batch, system, spec.target_version, cfg
+            "gate.batch", gate_mod.gate_batch, batch, system, spec.target_version
         )
         gate_mod.write_quarantine(qdir / "quarantine.jsonl", outcome.quarantined)
         tracer.add(q, "gate.batch", {
@@ -302,18 +301,12 @@ def run_scenario(
         checkpoint_mod.write_fidelity_report(fid_report, qdir / "fidelity_report.csv")
         tracer.add(q, "checkpoint.annotate", {"n": len(annotated)})
 
-        inferred = stage(
-            "dual_ontology.infer", dual_mod.infer_clinical_layer,
-            annotated, ref, system, cfg,
-        )
+        inferred = stage("dual_ontology.infer", dual_mod.infer_clinical_layer, annotated, ref, cfg)
         tracer.add(q, "dual_ontology.infer", {"n": len(inferred)})
-        div_reports = stage(
-            "dual_ontology.divergence", dual_mod.divergence,
-            inferred, dual_mod.DivergenceScope.POPULATION,
-        )
-        dual_mod.write_divergence_csv(div_reports, qdir / "divergence.csv")
+        div_report = stage("dual_ontology.divergence", dual_mod.divergence, inferred)
+        dual_mod.write_divergence_csv(div_report, qdir / "divergence.csv")
         tracer.add(q, "dual_ontology.divergence", {
-            "disagreement_rate": div_reports[0].disagreement_rate,
+            "disagreement_rate": div_report.disagreement_rate,
         })
 
         # Dormancy and the drift scan read one profile of the quarter; the
@@ -373,7 +366,7 @@ def run_scenario(
             baseline, baseline_window = profile, window
         alerts = stage(
             "sentinel.scan", sentinel_mod.scan,
-            baseline, profile, system, system.release_calendar(), cfg,
+            baseline, profile, system, cfg,
             baseline_window=baseline_window, current_window=window,
         )
         sentinel_mod.write_alerts(alerts, qdir / "alerts.jsonl")
@@ -402,8 +395,8 @@ def run_scenario(
                 for row in fid_report.rows
             },
             "divergence": {
-                "disagreement_rate": div_reports[0].disagreement_rate,
-                "n": div_reports[0].n,
+                "disagreement_rate": div_report.disagreement_rate,
+                "n": div_report.n,
             },
             "dormancy": {
                 "classes": {

@@ -203,9 +203,6 @@ class CodeSystem:
         except KeyError:
             raise ValidationError(f"unknown version: {version_label!r}") from None
 
-    def release_calendar(self) -> tuple[tuple[str, date], ...]:
-        return tuple((v.version_label, v.release_date) for v in self.versions)
-
     def version_chain(self, from_label: str, to_label: str) -> tuple[tuple[str, str], ...]:
         """Adjacent (from, to) hops between two version labels, oldest first."""
         labels = [v.version_label for v in self.versions]
@@ -312,7 +309,6 @@ class BatchProfile:
     None for an empty batch.
     """
 
-    layer: Layer
     n: int
     codes: Mapping[str, CodeUsage]
     versions: Mapping[str, int]
@@ -358,8 +354,7 @@ def profile_batch(batch: Iterable[CodedRecord], layer: Layer) -> BatchProfile:
         usage.institutions[institution] = usage.institutions.get(institution, 0) + 1
         versions[record.version_tag] = versions.get(record.version_tag, 0) + 1
         days.add(when.date())
-    return BatchProfile(layer, n, codes, versions, min(days, default=None),
-                        max(days, default=None))
+    return BatchProfile(n, codes, versions, min(days, default=None), max(days, default=None))
 
 
 def record_to_dict(record: CodedRecord) -> dict[str, Any]:
@@ -499,8 +494,6 @@ class TimeWindow:
 
 # Paper-suggested starting point for the AI-influence breaker threshold.
 DEFAULT_BREAKER_THRESHOLD = 0.15
-# Quarterly prevalence above which a dormant code reactivates.
-DEFAULT_ACTIVATION_PREVALENCE = 0.005
 
 
 @dataclass(frozen=True)
@@ -511,7 +504,6 @@ class PipelineConfig:
     drift_threshold: float = 0.1
     breaker_threshold: float = DEFAULT_BREAKER_THRESHOLD
     dormancy_frequency_threshold: float = 0.002
-    activation_prevalence_threshold: float = DEFAULT_ACTIVATION_PREVALENCE
     release_correlation_window_days: int = 90
     baseline_window: TimeWindow | None = None
     current_window: TimeWindow | None = None
@@ -534,11 +526,6 @@ class PipelineConfig:
             raise ValidationError(
                 "dormancy_frequency_threshold must be in (0,1), "
                 f"got {self.dormancy_frequency_threshold}"
-            )
-        if not 0.0 < self.activation_prevalence_threshold < 1.0:
-            raise ValidationError(
-                "activation_prevalence_threshold must be in (0,1), "
-                f"got {self.activation_prevalence_threshold}"
             )
         if self.release_correlation_window_days <= 0:
             raise ValidationError("release_correlation_window_days must be positive")

@@ -17,10 +17,9 @@ The classification confidence is an ordinal score ratio, not a probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -56,15 +55,12 @@ class SemanticFingerprint:
     demographic_dist: Mapping[tuple[str, str], float]
     temporal_mass: tuple[float, ...]
     institutional_dist: Mapping[str, float]
-    window: TimeWindow
-    support: int
 
 
 @dataclass(frozen=True)
 class FingerprintSet:
     by_code: Mapping[str, SemanticFingerprint]
     low_support: tuple[tuple[str, int], ...]
-    window: TimeWindow
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,8 @@ def build_fingerprints(
             demographic_dist=normalized(usage.strata),
             temporal_mass=tuple(float(x) for x in mass) + (float(1.0 - mass.sum()),),
             institutional_dist=normalized(usage.institutions),
-            window=window,
-            support=usage.count,
         )
-    return FingerprintSet(by_code=by_code, low_support=tuple(low_support), window=window)
+    return FingerprintSet(by_code=by_code, low_support=tuple(low_support))
 
 
 def aligned_jsd(dist_a: Mapping, dist_b: Mapping) -> float:
@@ -173,15 +167,12 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(union) if union else 0.0
 
 
-def _release_match(
-    window: TimeWindow,
-    release_calendar: Sequence[tuple[str, date]],
-    window_days: int,
-) -> tuple[str, date] | None:
-    for label, released in release_calendar:
-        delta = (window.start - released).days
-        if 0 <= delta <= window_days:
-            return label, released
+def _release_match(window: TimeWindow, system: CodeSystem, window_days: int) -> int | None:
+    """Index in ``system.versions`` of the first release that the window
+    starts at most ``window_days`` after."""
+    for index, version in enumerate(system.versions):
+        if 0 <= (window.start - version.release_date).days <= window_days:
+            return index
     return None
 
 
@@ -189,7 +180,6 @@ def scan(
     baseline: BatchProfile,
     current: BatchProfile,
     system: CodeSystem,
-    release_calendar: Sequence[tuple[str, date]],
     cfg: PipelineConfig,
     baseline_window: TimeWindow | None = None,
     current_window: TimeWindow | None = None,
@@ -217,16 +207,15 @@ def scan(
         )
 
     drifting = {code for code, d in divergences.items() if d >= cfg.drift_threshold}
-    release = _release_match(
-        current_window, release_calendar, cfg.release_correlation_window_days
-    )
+    index = _release_match(current_window, system, cfg.release_correlation_window_days)
+    release = None if index is None else system.versions[index]
     # Only the hop into the matched release can explain this window; the
     # first release has no predecessor and changed nothing.
-    labels = [v.version_label for v in system.versions]
     touched: frozenset[str] = frozenset()
-    if release is not None and release[0] in labels[1:]:
-        previous = labels[labels.index(release[0]) - 1]
-        touched = changed_codes(system, previous, release[0])
+    if index:  # neither no match (None) nor the first release (0)
+        touched = changed_codes(
+            system, system.versions[index - 1].version_label, release.version_label
+        )
 
     code_defs = system.codes(current.dominant_version())
 
@@ -242,7 +231,7 @@ def scan(
             c for c, d in code_defs.items()
             if cdef is not None and d.clinical_group == cdef.clinical_group and c != code
         }
-        score_c = 1.0 if (release is not None and code in touched) else 0.0
+        score_c = 1.0 if code in touched else 0.0
         score_b = _jaccard(co_drifting, billing_peers)
         score_a = _jaccard(co_drifting, clinical_peers)
         total = score_a + score_b + score_c
@@ -270,7 +259,8 @@ def scan(
                 "clinical_group": None if cdef is None else cdef.clinical_group,
                 "clinical_overlap": score_a,
                 "release_match": None if release is None else {
-                    "version": release[0], "release_date": release[1].isoformat(),
+                    "version": release.version_label,
+                    "release_date": release.release_date.isoformat(),
                 },
                 "release_changed_code": bool(score_c),
             },

@@ -29,7 +29,6 @@ from .model import (
     InfluenceTag,
     TimeWindow,
     ValidationError,
-    iter_jsonl,
     jsonl_dumps,
 )
 
@@ -126,18 +125,8 @@ class GroundTruthEntry:
     distortion_labels: frozenset[str]
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    entries: Mapping[str, GroundTruthEntry]
-
-    def __getitem__(self, record_id: str) -> GroundTruthEntry:
-        return self.entries[record_id]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def labels(self, record_id: str) -> frozenset[str]:
-        return self.entries[record_id].distortion_labels
+# The ground-truth entry of each generated record, by record id.
+GroundTruth = dict[str, GroundTruthEntry]
 
 
 def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
@@ -289,7 +278,7 @@ def generate_batch(
     if window is None:
         window = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
     if n == 0:
-        return [], GroundTruth({})
+        return [], {}
 
     rng = np.random.default_rng(seed)
     codes_def = system.codes(spec.current_version)
@@ -457,7 +446,7 @@ def generate_batch(
         _take(versions, inst_index),
         influence.tolist(),
     ))
-    return records, GroundTruth(dict(zip(record_ids, _take(entries, truth_index))))
+    return records, dict(zip(record_ids, _take(entries, truth_index)))
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
@@ -482,7 +471,7 @@ def generate_quarter_series(
     if quarters <= 0:
         raise ValidationError(f"quarters must be positive, got {quarters}")
     batches: list[list[CodedRecord]] = []
-    truth: dict[str, GroundTruthEntry] = {}
+    truth: GroundTruth = {}
     for q in range(quarters):
         window = quarter_window(start, q)
         batch, batch_truth = generate_batch(
@@ -495,8 +484,8 @@ def generate_quarter_series(
             quarter_index=q,
         )
         batches.append(batch)
-        truth.update(batch_truth.entries)
-    return batches, GroundTruth(truth)
+        truth.update(batch_truth)
+    return batches, truth
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +556,8 @@ def spec_to_dict(spec: DistortionSpec) -> dict[str, Any]:
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record_id in sorted(truth.entries):
-            entry = truth.entries[record_id]
+        for record_id in sorted(truth):
+            entry = truth[record_id]
             fh.write(jsonl_dumps({
                 "record_id": record_id,
                 "true_clinical_code": entry.true_clinical_code,
@@ -576,15 +565,3 @@ def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
             }))
             fh.write("\n")
 
-
-def _truth_entry(data: Mapping[str, Any]) -> tuple[str, GroundTruthEntry]:
-    if type(data["record_id"]) is not str:
-        raise ValidationError("record_id must be a string")
-    return data["record_id"], GroundTruthEntry(
-        true_clinical_code=data["true_clinical_code"],
-        distortion_labels=frozenset(data["distortion_labels"]),
-    )
-
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    return GroundTruth(dict(iter_jsonl(path, _truth_entry)))

@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .model import (
     CodedRecord,
     CodeSystem,
-    PipelineConfig,
     ValidationError,
     iter_jsonl,
     jsonl_dumps,
@@ -104,7 +103,6 @@ def gate_batch(
     batch: Sequence[CodedRecord],
     system: CodeSystem,
     target_version: str,
-    cfg: PipelineConfig,
 ) -> GateOutcome:
     """Partition a batch into accepted / reconciled / quarantined.
 

@@ -64,11 +64,9 @@ def _quarter_products(walkthrough_spec, system, cfg, quarter: int):
         id_prefix=f"Q{quarter}",
         quarter_index=quarter - 1,
     )
-    outcome = version_gate.gate_batch(
-        batch, system, walkthrough_spec.target_version, cfg
-    )
+    outcome = version_gate.gate_batch(batch, system, walkthrough_spec.target_version)
     annotated = checkpoint.annotate_batch(outcome.processed_records(), ref, cfg)
-    inferred = dual_ontology.infer_clinical_layer(annotated, ref, system, cfg)
+    inferred = dual_ontology.infer_clinical_layer(annotated, ref, cfg)
     return {
         "history": history,
         "ref": ref,
@@ -93,7 +91,7 @@ def q3_products(walkthrough_spec, bundled_system, bundled_cfg):
 
 
 @pytest.fixture(scope="session")
-def seeded_batch(walkthrough_spec, bundled_system, bundled_cfg):
+def seeded_batch(walkthrough_spec, bundled_system):
     """A gated 2,000-record batch with every quarter-3 distortion switched on."""
     batch, _ = synthgen.generate_batch(
         bundled_system,
@@ -103,9 +101,7 @@ def seeded_batch(walkthrough_spec, bundled_system, bundled_cfg):
         window=synthgen.quarter_window(walkthrough_spec.start, 2),
         quarter_index=2,
     )
-    outcome = version_gate.gate_batch(
-        batch, bundled_system, walkthrough_spec.target_version, bundled_cfg
-    )
+    outcome = version_gate.gate_batch(batch, bundled_system, walkthrough_spec.target_version)
     return outcome.processed_records()
 
 

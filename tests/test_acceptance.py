@@ -88,7 +88,7 @@ def test_a2_checkpoint_separation(q1_products):
         truth = q1_products["truth"]
         catch, clean = [], []
         for record in q1_products["annotated"]:
-            labels = truth.labels(record.record_id)
+            labels = truth[record.record_id].distortion_labels
             if "catch_all" in labels:
                 catch.append(record.fidelity.score)
             elif not labels:
@@ -148,7 +148,6 @@ def test_a4_gate_conservation():
                 "unmappable": ["GONE"],
             }],
         )
-        cfg = PipelineConfig()
         rng = np.random.default_rng(SEED)
         codes = ["KEEP", "RENAME-1", "GONE", "OLD", "UNKNOWN-CODE"]
         versions = ["v0", "v1", "v2", "v-unregistered"]
@@ -161,7 +160,7 @@ def test_a4_gate_conservation():
                 )
                 for i in range(int(rng.integers(0, 60)))
             ]
-            outcome = gate_batch(batch, system, "v2", cfg)
+            outcome = gate_batch(batch, system, "v2")
             assert partition_oracle(
                 [r.record_id for r in batch],
                 [r.record_id for r in outcome.accepted],

@@ -4,6 +4,7 @@ model.iter_jsonl, and any malformed file raises a ValidationError naming it."""
 import ast
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import make_record
 from ontoguard import compliance, dormancy, dual_ontology, harness, synthgen
 from ontoguard.model import (
+    PipelineConfig,
     ValidationError,
     iter_jsonl,
     load_code_system,
@@ -287,3 +289,50 @@ def test_layer_codes_are_read_only_by_profile_batch():
                          if isinstance(node, ast.FunctionDef) and node.name == "profile_batch")
     inside = [("model.py", call.lineno) for call in _calls(profile_batch, "record_code")]
     assert inside and everywhere == inside
+
+
+def test_every_config_field_is_read_outside_model():
+    # A config key that no stage reads is a knob that does nothing.
+    read = {
+        node.attr for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [f.name for f in fields(PipelineConfig) if f.name not in read] == []
+
+
+def _imported_names(tree: ast.AST) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter is a dependency, so this is the unused-import lint.
+    # __init__.py imports names only to re-export them.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []

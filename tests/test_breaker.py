@@ -93,8 +93,9 @@ class TestRetrainGate:
     def test_closed_state_retrains_with_version_bump(self):
         model = ToyRiskModel("toy-risk-1", {}, "c0")
         cohort = cohort_with_ratio(100, 0.0)
-        state = evaluate(compute_stats(cohort, []), CFG)
-        new = retrain_gate(state, cohort, model)
+        stats = compute_stats(cohort, [])
+        state = evaluate(stats, CFG)
+        new = retrain_gate(state, cohort, model, stats)
         assert isinstance(new, ToyRiskModel)
         assert new.version_number() == 2
 
@@ -110,9 +111,10 @@ class TestRetrainGate:
 
     def test_empty_cohort_with_closed_state_rejected(self):
         model = ToyRiskModel("toy-risk-1", {}, "c0")
-        state = evaluate(compute_stats(cohort_with_ratio(10, 0.0), []), CFG)
+        stats = compute_stats(cohort_with_ratio(10, 0.0), [])
+        state = evaluate(stats, CFG)
         with pytest.raises(ValidationError, match="empty cohort"):
-            retrain_gate(state, [], model)
+            retrain_gate(state, [], model, stats)
 
     def test_four_cycle_loop_refuses_on_schedule_breach(self, bundled_system):
         # Quarterly influence 4 -> 8 -> 12 -> 18 percent: cycles 1-2 retrain

@@ -130,7 +130,7 @@ class TestAnnotate:
         truth = q1_products["truth"]
         scores = {"catch": [], "clean": []}
         for record in q1_products["annotated"]:
-            labels = truth.labels(record.record_id)
+            labels = truth[record.record_id].distortion_labels
             if "catch_all" in labels:
                 scores["catch"].append(record.fidelity.score)
             elif not labels:
@@ -142,7 +142,7 @@ class TestAnnotate:
         truth = q1_products["truth"]
         median = statistics.median(r.fidelity.score for r in batch)
         catch = [r.fidelity.score for r in batch
-                 if "catch_all" in truth.labels(r.record_id)]
+                 if "catch_all" in truth[r.record_id].distortion_labels]
         below = sum(1 for s in catch if s < median)
         assert below / len(catch) > 0.9
 

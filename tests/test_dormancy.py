@@ -188,8 +188,7 @@ class TestCheckActivation:
             drift_component_weights=(0.05, 0.55, 0.35, 0.05),
         )
         alerts = scan(
-            admin(batches[0]), admin(batches[1]), bundled_system,
-            bundled_system.release_calendar(), cfg,
+            admin(batches[0]), admin(batches[1]), bundled_system, cfg,
             baseline_window=synthgen.quarter_window(date(2025, 1, 1), 0),
             current_window=synthgen.quarter_window(date(2025, 1, 1), 1),
         )

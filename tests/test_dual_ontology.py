@@ -8,7 +8,7 @@ import pytest
 from conftest import make_record, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.dual_ontology import (
-    DivergenceScope,
+    DivergenceReport,
     apply_clinical_overrides,
     divergence,
     infer_clinical_layer,
@@ -27,13 +27,13 @@ def annotated(record, score):
 
 
 class TestInference:
-    def test_high_fidelity_copies_primary(self, q1_products, bundled_system, bundled_cfg):
+    def test_high_fidelity_copies_primary(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_system, bundled_cfg)
+        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "HTN-ESS"
 
     def test_low_fidelity_catch_all_recovers_subtype(
-        self, q1_products, bundled_system, bundled_cfg
+        self, q1_products, bundled_cfg
     ):
         # Catch-all coded record whose co-codes carry the hyperglycaemia
         # markers: the clinical layer lands on the specific subtype.
@@ -42,43 +42,43 @@ class TestInference:
                         co_codes=("LAB-HBA1C-HI", "LAB-GLU-HI", "RX-INSULIN")),
             0.3,
         )
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_system, bundled_cfg)
+        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "DM2-HYPER"
 
-    def test_no_co_codes_keeps_primary(self, q1_products, bundled_system, bundled_cfg):
+    def test_no_co_codes_keeps_primary(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="DM2-UNSPEC", co_codes=()), 0.1)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_system, bundled_cfg)
+        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "DM2-UNSPEC"
 
     def test_batch_infers_each_record_as_alone(
-        self, seeded_batch, q1_products, bundled_system, bundled_cfg
+        self, seeded_batch, q1_products, bundled_cfg
     ):
         # The likelihood winner is cached per co-code set within a batch.
         ref = q1_products["ref"]
         batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
-        together = infer_clinical_layer(batch, ref, bundled_system, bundled_cfg)
+        together = infer_clinical_layer(batch, ref, bundled_cfg)
         alone = [
-            infer_clinical_layer([record], ref, bundled_system, bundled_cfg)[0]
+            infer_clinical_layer([record], ref, bundled_cfg)[0]
             for record in batch
         ]
         assert together == alone
         assert any(r.clinical_code != r.primary_code for r in together)
 
     def test_no_candidate_codes_keeps_primary(
-        self, seeded_batch, q1_products, bundled_system, bundled_cfg
+        self, seeded_batch, q1_products, bundled_cfg
     ):
         ref = replace(q1_products["ref"], candidate_codes=())
         batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
         low = [r for r in batch
                if r.fidelity.score < bundled_cfg.inference_fidelity_cutoff and r.co_codes]
         assert low
-        out = infer_clinical_layer(batch, ref, bundled_system, bundled_cfg)
+        out = infer_clinical_layer(batch, ref, bundled_cfg)
         assert [r.clinical_code for r in out] == [r.primary_code for r in batch]
 
-    def test_unannotated_record_rejected(self, q1_products, bundled_system, bundled_cfg):
+    def test_unannotated_record_rejected(self, q1_products, bundled_cfg):
         with pytest.raises(ValidationError, match="not annotated"):
             infer_clinical_layer(
-                [make_record()], q1_products["ref"], bundled_system, bundled_cfg
+                [make_record()], q1_products["ref"], bundled_cfg
             )
 
     def test_clinical_layer_beats_administrative_accuracy(self, q3_products):
@@ -92,9 +92,9 @@ class TestInference:
         )
         assert clinical > admin
 
-    def test_overrides_win_over_inference(self, q1_products, bundled_system, bundled_cfg):
+    def test_overrides_win_over_inference(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_system, bundled_cfg)
+        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
         out = apply_clinical_overrides(out, {record.record_id: "MH-DEPR"})
         assert out[0].clinical_code == "MH-DEPR"
 
@@ -111,7 +111,7 @@ class TestDivergence:
         batch = [
             make_record(f"R-{i}", clinical_code="DM2-UNSPEC") for i in range(10)
         ]
-        report = divergence(batch, DivergenceScope.POPULATION)[0]
+        report = divergence(batch)
         assert report.disagreement_rate == 0.0
         assert report.n == 10
 
@@ -120,7 +120,7 @@ class TestDivergence:
             make_record(f"R-{i}", code="DM2-UNSPEC", clinical_code="DM2-HYPER")
             for i in range(10)
         ]
-        report = divergence(batch, DivergenceScope.POPULATION)[0]
+        report = divergence(batch)
         assert report.disagreement_rate == 1.0
 
     def test_ten_percent_injection_lands_in_band(self, bundled_cfg):
@@ -166,13 +166,11 @@ class TestDivergence:
         batch, truth = synthgen.generate_batch(system, spec, 20_000, 5)
         ref = checkpoint.build_reference_model(batch, system, "v2")
         cfg = PipelineConfig(inference_fidelity_cutoff=0.8)
-        inferred = infer_clinical_layer(
-            checkpoint.annotate_batch(batch, ref, cfg), ref, system, cfg
-        )
-        report = divergence(inferred, DivergenceScope.POPULATION)[0]
+        inferred = infer_clinical_layer(checkpoint.annotate_batch(batch, ref, cfg), ref, cfg)
+        report = divergence(inferred)
         assert 0.05 <= report.disagreement_rate <= 0.15
 
-    def test_transposing_layers_preserves_rate_and_transposes_confusion(self):
+    def test_transposing_layers_preserves_rate(self):
         batch = [
             make_record("R-1", code="AAA", clinical_code="BBB"),
             make_record("R-2", code="AAA", clinical_code="AAA"),
@@ -182,44 +180,22 @@ class TestDivergence:
             make_record(r.record_id, code=r.clinical_code, clinical_code=r.primary_code)
             for r in batch
         ]
-        fwd = divergence(batch, DivergenceScope.POPULATION)[0]
-        rev = divergence(swapped, DivergenceScope.POPULATION)[0]
-        assert fwd.disagreement_rate == rev.disagreement_rate
-        assert {(b, a): n for (a, b), n in fwd.per_code_confusion.items()} \
-            == dict(rev.per_code_confusion)
+        fwd, rev = divergence(batch), divergence(swapped)
+        assert fwd.disagreement_rate == rev.disagreement_rate == 2 / 3
 
-    def test_confusion_counts_sum_to_n(self, q1_products):
-        report = divergence(
-            q1_products["inferred"][:5000], DivergenceScope.POPULATION
-        )[0]
-        assert sum(report.per_code_confusion.values()) == report.n
-
-    def test_institution_scope_groups_rows(self):
-        batch = [
-            make_record("R-1", institution="A", clinical_code="DM2-UNSPEC"),
-            make_record("R-2", institution="B", clinical_code="DM2-HYPER"),
-        ]
-        reports = divergence(batch, DivergenceScope.INSTITUTION)
-        assert [r.scope_key for r in reports] == ["A", "B"]
-        assert reports[1].disagreement_rate == 1.0
-
-    def test_record_scope_yields_one_row_per_record(self):
-        batch = [
-            make_record("R-1", clinical_code="DM2-UNSPEC"),
-            make_record("R-2", code="DM2-UNSPEC", clinical_code="DM2-HYPER"),
-        ]
-        reports = divergence(batch, DivergenceScope.RECORD)
-        assert [r.scope_key for r in reports] == ["R-1", "R-2"]
-        assert [r.disagreement_rate for r in reports] == [0.0, 1.0]
+    def test_empty_batch_gives_one_report_of_zero(self):
+        # `infer-clinical --divergence-out` on an empty records file writes
+        # a population row of n=0 instead of failing on a missing report.
+        assert divergence([]) == DivergenceReport(disagreement_rate=0.0, n=0)
 
     def test_unpopulated_record_rejected(self):
         with pytest.raises(ValidationError, match="no clinical layer"):
-            divergence([make_record()], DivergenceScope.POPULATION)
+            divergence([make_record()])
 
     def test_csv_export(self, tmp_path):
         batch = [make_record("R-1", clinical_code="DM2-UNSPEC")]
         path = tmp_path / "divergence.csv"
-        write_divergence_csv(divergence(batch, DivergenceScope.POPULATION), path)
+        write_divergence_csv(divergence(batch), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "scope,scope_key,n,disagreement_rate"
         assert lines[1] == "population,all,1,0.000000"

@@ -242,6 +242,8 @@ CLI_INPUT_FILES = {
     "n-string.json": walkthrough_text(n_per_quarter="2"),
     "n-zero.json": walkthrough_text(n_per_quarter=0),
     "int-id.jsonl": '{"record_id": 5}\n',
+    "spec.json": json.dumps(synthgen.spec_to_dict(synthgen.DistortionSpec(
+        institutions=(("I-A", 1.0),), current_version="2025"))),
     "mixed-offsets.jsonl": "".join(json.dumps(record_to_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
@@ -391,6 +393,18 @@ class TestCli:
         (["dormancy", "classify", "--records", "mixed-offsets.jsonl",
           "--significance", "significance.json", "--store", "store.json"],
          "record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive and UTC-offset"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
+          "--seed", "-1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "argument --seed: must be a non-negative integer, got '-1'"),
+        (["scenario", "run", "diabetes-walkthrough", "--seed", "-1"],
+         "argument --seed: must be a non-negative integer, got '-1'"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
+          "--seed", "1", "--quarters", "2", "--start", "notadate",
+          "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "argument --start: must be an ISO 8601 date"),
+        (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
+        (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
+        (["breaker", "check", "--history", "[[1,2]]"], "history entry [1, 2] is not a"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -402,7 +416,9 @@ class TestCli:
         "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
         "partition-missing", "jsd-nan", "assertion-no-kind", "quarters-float",
         "quarters-bool", "n-per-quarter-string", "n-per-quarter-zero", "partition-bad-line",
-        "partition-int-id", "fidelity-layer", "mixed-utc-offsets",
+        "partition-int-id", "fidelity-layer", "mixed-utc-offsets", "synth-negative-seed",
+        "scenario-negative-seed", "synth-bad-start", "history-nan", "history-out-of-range",
+        "history-int-period",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -543,6 +559,30 @@ class TestCli:
             "--quarantine", str(tmp_path / "gated" / "quarantine.jsonl"),
         ]) == 0
         assert "partition holds" in capsys.readouterr().out
+
+    def test_dormancy_classify_carries_an_existing_store_forward(self, tmp_path, capsys):
+        # DM-OTHER goes dormant in the first batch and is absent from the
+        # second; classifying the second into the same store keeps it.
+        common = [make_record(f"C-{i}") for i in range(1000)]
+        batches = {"q1.jsonl": common + [make_record("R-1", code="DM-OTHER")],
+                   "q2.jsonl": common}
+        for name, batch in batches.items():
+            (tmp_path / name).write_text(
+                "".join(json.dumps(record_to_dict(r)) + "\n" for r in batch), encoding="utf-8")
+        (tmp_path / "significance.json").write_text('{"DM-OTHER": "rare"}', encoding="utf-8")
+        (tmp_path / "conditions.json").write_text(
+            '{"DM-OTHER": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}',
+            encoding="utf-8")
+        store = tmp_path / "store.json"
+        for name in batches:
+            assert cli.main([
+                "dormancy", "classify", "--records", str(tmp_path / name),
+                "--significance", str(tmp_path / "significance.json"),
+                "--conditions", str(tmp_path / "conditions.json"), "--store", str(store),
+            ]) == 0
+        capsys.readouterr()
+        entries = json.loads(store.read_text(encoding="utf-8"))
+        assert [(e["code"], e["count"]) for e in entries] == [("DM-OTHER", 1)]
 
     def test_breaker_check_subcommand(self, tmp_path, capsys, walkthrough_spec):
         spec_dict = synthgen.spec_to_dict(synthgen.DistortionSpec(

@@ -34,10 +34,6 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, {"drift_threshold": 0.1}))
         assert cfg.breaker_threshold == 0.15
 
-    def test_omitted_activation_threshold_defaults(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {}))
-        assert cfg.activation_prevalence_threshold == 0.005
-
     def test_weights_must_sum_to_one(self, tmp_path):
         path = write_config(tmp_path, {"fidelity_weights": [0.5, 0.3, 0.3]})
         with pytest.raises(ValidationError, match="weights must sum to 1"):
@@ -201,7 +197,6 @@ class TestPipelineConfig:
     def test_defaults_are_valid(self):
         cfg = PipelineConfig()
         assert cfg.breaker_threshold == 0.15
-        assert cfg.activation_prevalence_threshold == 0.005
         assert cfg.dormancy_frequency_threshold == 0.002
 
     def test_drift_threshold_must_be_positive(self):

@@ -16,7 +16,6 @@ from ontoguard.compliance import (
     adapter_from_dict,
     compose,
 )
-from ontoguard.model import PipelineConfig
 from ontoguard.oracles import jsd_oracle, partition_oracle
 from ontoguard.sentinel import aligned_jsd
 from ontoguard.synthgen import _largest_remainder
@@ -117,7 +116,7 @@ def test_gate_partitions_arbitrary_batches(entries):
         make_record(f"R-{i}", code=code, version=version)
         for i, (code, version) in enumerate(entries)
     ]
-    outcome = gate_batch(batch, system, "v2", PipelineConfig())
+    outcome = gate_batch(batch, system, "v2")
     assert partition_oracle(
         [r.record_id for r in batch],
         [r.record_id for r in outcome.accepted],

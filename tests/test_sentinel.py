@@ -29,8 +29,6 @@ def fingerprint(code="X", co=None, demo=None, temporal_mass=(0.2, 0.8), inst=Non
         demographic_dist=demo if demo is not None else {("50-59", "female"): 1.0},
         temporal_mass=tuple(temporal_mass),
         institutional_dist=inst if inst is not None else {"I1": 1.0},
-        window=Q1,
-        support=100,
     )
 
 
@@ -95,7 +93,7 @@ class TestCompare:
             for co in ("BBB", "CCC")
         ]
         alerts = scan(
-            *map(admin, batches), tiny_system(), [], PipelineConfig(),
+            *map(admin, batches), tiny_system(), PipelineConfig(),
             baseline_window=Q1, current_window=Q1,
         )
         assert [alert.code for alert in alerts] == ["AAA"]
@@ -172,8 +170,8 @@ class TestScan:
             for i in range(40)
         ]
         alerts = scan(
-            admin(baseline), admin(current), bundled_system,
-            bundled_system.release_calendar(), cfg, baseline_window=jan, current_window=feb,
+            admin(baseline), admin(current), bundled_system, cfg,
+            baseline_window=jan, current_window=feb,
         )
         assert len(alerts) == 1
         alert = alerts[0]
@@ -219,7 +217,7 @@ class TestScan:
             for month in (1, 2)
         ]
         alerts = scan(
-            *map(admin, batches), system, system.release_calendar(),
+            *map(admin, batches), system,
             PipelineConfig(drift_threshold=0.1, fingerprint_min_support=20),
             baseline_window=TimeWindow(date(year, 1, 1), date(year, 1, 31)),
             current_window=TimeWindow(date(year, 2, 1), date(year, 2, 28)),
@@ -233,7 +231,7 @@ class TestScan:
                                               bundled_cfg):
         profile = admin(q1_products["inferred"][:10_000])
         alerts = scan(
-            profile, profile, bundled_system, [], bundled_cfg,
+            profile, profile, bundled_system, bundled_cfg,
             baseline_window=Q1, current_window=Q1,
         )
         assert alerts == []
@@ -255,9 +253,9 @@ class TestScan:
             current_window=TimeWindow(date(2025, 7, 1), date(2025, 9, 30)),
         )
         a = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
-                 bundled_system, bundled_system.release_calendar(), bundled_cfg, **kwargs)
+                 bundled_system, bundled_cfg, **kwargs)
         b = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
-                 bundled_system, bundled_system.release_calendar(), bundled_cfg, **kwargs)
+                 bundled_system, bundled_cfg, **kwargs)
         assert [(x.code, x.divergence, x.drift_type, x.confidence) for x in a] \
             == [(x.code, x.divergence, x.drift_type, x.confidence) for x in b]
 

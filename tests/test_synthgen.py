@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 from datetime import date
 
 import pytest
@@ -48,7 +49,7 @@ class TestGenerateBatch:
         assert len(lagging) == 3_200
         assert all(r.institution_id == "INST-LAG" for r in lagging)
         assert all(
-            "version_lag" in truth.labels(r.record_id) for r in lagging
+            "version_lag" in truth[r.record_id].distortion_labels for r in lagging
         )
 
     def test_rare_code_count_pinned_and_plausible(self, bundled_system):
@@ -88,7 +89,7 @@ class TestGenerateBatch:
         records, truth = synthgen.generate_batch(bundled_system, spec, 20_000, SEED)
         rewritten = [
             r for r in records
-            if "catch_all" in truth.labels(r.record_id)
+            if "catch_all" in truth[r.record_id].distortion_labels
         ]
         assert rewritten
         for r in rewritten:
@@ -117,7 +118,7 @@ class TestQuarterSeries:
         for batch in batches:
             assert all(r.influence_tag is None for r in batch)
         assert all("ai_influenced" not in e.distortion_labels
-                   for e in truth.entries.values())
+                   for e in truth.values())
 
     def test_outbreak_prevalence_ratio(self, bundled_system):
         spec = simple_spec(
@@ -173,8 +174,14 @@ class TestInvariants:
         _, truth = synthgen.generate_batch(bundled_system, spec, 500, 5)
         path = tmp_path / "truth.jsonl"
         synthgen.write_ground_truth(path, truth)
-        loaded = synthgen.read_ground_truth(path)
-        assert loaded.entries == dict(truth.entries)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        loaded = {
+            row["record_id"]: synthgen.GroundTruthEntry(
+                row["true_clinical_code"], frozenset(row["distortion_labels"])
+            )
+            for row in rows
+        }
+        assert loaded == truth
 
     def test_spec_round_trip(self, bundled_system):
         spec = simple_spec(
@@ -241,7 +248,7 @@ class TestGolden:
             window=synthgen.quarter_window(date(2025, 1, 1), 2),
             id_prefix="G", quarter_index=2,
         )
-        labels = set().union(*(e.distortion_labels for e in truth.entries.values()))
+        labels = set().union(*(e.distortion_labels for e in truth.values()))
         assert labels == {label.value for label in synthgen.DistortionLabel}
         assert output_digest(tmp_path, records, truth) == expected
 
