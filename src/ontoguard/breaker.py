@@ -21,7 +21,7 @@ from .model import (
     CodedRecord,
     PipelineConfig,
     ValidationError,
-    canonical_dumps,
+    write_json,
 )
 
 
@@ -53,7 +53,6 @@ class ToyRiskModel:
 
     model_version: str
     weights: Mapping[str, float]
-    training_cohort_id: str
 
     def version_number(self) -> int:
         return int(self.model_version.rsplit("-", 1)[-1])
@@ -157,7 +156,6 @@ def retrain_gate(
     return ToyRiskModel(
         model_version=f"toy-risk-{model.version_number() + 1}",
         weights=weights,
-        training_cohort_id=stats.cohort_id,
     )
 
 
@@ -172,19 +170,12 @@ def write_influence_csv(
 
 
 def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "reason": refusal.reason,
-        "state": refusal.state.state.value,
+        "state": refusal.state.state,
         "threshold_used": refusal.state.threshold_used,
-        "stats": {
-            "cohort_id": refusal.stats.cohort_id,
-            "ratio": refusal.stats.ratio,
-            "tagged_count": refusal.stats.tagged_count,
-            "total_count": refusal.stats.total_count,
-            "history": [[p, r] for p, r in refusal.stats.history],
-        },
-    }
-    Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+        "stats": refusal.stats,
+    })
 
 
 def read_history(text: str) -> list[tuple[str, float]]:

@@ -450,10 +450,10 @@ def _cmd_scenario_run(args) -> int:
     spec = harness_mod.load_scenario(args.name)
     report = harness_mod.run_scenario(spec, args.seed, args.out_dir)
     print(f"report written to {Path(args.out_dir) / 'report.json'}")
-    for result in report.assertion_results:
+    for result in report.assertions:
         status = "PASS" if result["passed"] else "FAIL"
         print(f"{status} {result['assertion']['kind']}: {result['detail']}")
-    return 0 if report.all_assertions_passed() else 1
+    return 0 if all(result["passed"] for result in report.assertions) else 1
 
 
 def _cmd_oracle_jsd(args) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .model import ValidationError, canonical_dumps, load_json
+from .model import ValidationError, load_json, write_json
 
 
 class OpKind(str, Enum):
@@ -143,17 +143,22 @@ def _parse_clause(data: Mapping[str, Any]) -> Clause:
 
 def adapter_from_dict(data: Mapping[str, Any]) -> AdapterRuleSet:
     rules: list[Rule] = []
-    for raw in data["rules"]:
+    for index, raw in enumerate(data["rules"]):
         clauses = tuple(_parse_clause(c) for c in raw.get("when", ()))
         kind = VerdictKind(raw["verdict"])
+        conditions = raw.get("conditions", [])
+        if type(conditions) is not list or not all(type(c) is str for c in conditions):
+            raise ValidationError(
+                f"rule {index}: conditions must be a list of strings, got {conditions!r}"
+            )
+        reason, provision = raw.get("reason", ""), raw["provision"]
+        for name, value in (("reason", reason), ("provision", provision)):
+            if type(value) is not str:
+                raise ValidationError(f"rule {index}: {name} must be a string, got {value!r}")
         rules.append(Rule(
             when=clauses,
-            verdict=Verdict(
-                kind=kind,
-                conditions=tuple(raw.get("conditions", ())),
-                reason=raw.get("reason", ""),
-            ),
-            provision=raw["provision"],
+            verdict=Verdict(kind=kind, conditions=tuple(conditions), reason=reason),
+            provision=provision,
         ))
     if not rules or rules[-1].when:
         raise ValidationError(
@@ -262,22 +267,7 @@ def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
     }
 
 
-def audit_to_dict(entry: AuditEntry) -> dict[str, Any]:
-    return {
-        "regulation_id": entry.regulation_id,
-        "regulation_version": entry.regulation_version,
-        "provision": entry.provision,
-        "reasoning": entry.reasoning,
-        "adapter_id": entry.adapter_id,
-        "timestamp": entry.timestamp,
-    }
-
-
 def write_decision(
     verdict: Verdict, audit: Sequence[AuditEntry], path: str | Path
 ) -> None:
-    payload = {
-        "verdict": verdict_to_dict(verdict),
-        "audit_trail": [audit_to_dict(entry) for entry in audit],
-    }
-    Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+    write_json(path, {"verdict": verdict, "audit_trail": audit})

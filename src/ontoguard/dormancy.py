@@ -18,9 +18,9 @@ from .model import (
     BatchProfile,
     PipelineConfig,
     ValidationError,
-    canonical_dumps,
     json_object,
     load_json,
+    write_json,
 )
 
 
@@ -231,19 +231,39 @@ def check_activation(
 
 
 def write_store(store: DormantStore, path: str | Path) -> None:
-    payload = [
-        {
-            "code": entry.code,
-            "count": entry.count,
-            "frequency": entry.frequency,
-            "top_co_codes": [[c, n] for c, n in entry.top_co_codes],
-            "significance_note": entry.significance_note,
-            "activation_conditions": [c.to_dict() for c in entry.activation_conditions],
-            "last_observed": entry.last_observed.isoformat(),
-        }
+    write_json(path, [
+        {**vars(entry),
+         "activation_conditions": [c.to_dict() for c in entry.activation_conditions]}
         for _, entry in sorted(store.entries.items())
-    ]
-    Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+    ])
+
+
+def _store_entry(item: Mapping[str, Any]) -> DormantEntry:
+    """One entry of a store file; a mistyped field raises a ValidationError naming it."""
+    count, frequency, top = item["count"], item["frequency"], item["top_co_codes"]
+    if type(count) is not int or count < 0:
+        raise ValidationError(f"count must be an integer >= 0, got {count!r}")
+    if type(frequency) not in (int, float) or not 0.0 <= frequency <= 1.0:
+        raise ValidationError(f"frequency must be a number in [0,1], got {frequency!r}")
+    if type(top) is not list or not all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is int
+        for pair in top
+    ):
+        raise ValidationError(f"top_co_codes must be a list of [code, count] pairs, got {top!r}")
+    for name in ("code", "significance_note", "last_observed"):
+        if type(item[name]) is not str:
+            raise ValidationError(f"{name} must be a string, got {item[name]!r}")
+    return DormantEntry(
+        code=item["code"],
+        count=count,
+        frequency=frequency,
+        top_co_codes=tuple((c, n) for c, n in top),
+        significance_note=item["significance_note"],
+        activation_conditions=tuple(
+            ActivationCondition.from_dict(c) for c in item["activation_conditions"]
+        ),
+        last_observed=datetime.fromisoformat(item["last_observed"]),
+    )
 
 
 def _store_entries(data: Any) -> dict[str, DormantEntry]:
@@ -255,19 +275,12 @@ def _store_entries(data: Any) -> dict[str, DormantEntry]:
         if type(item) is not dict:
             raise ValidationError(f"entry {index} is not an object")
         try:
-            entries[item["code"]] = DormantEntry(
-                code=item["code"],
-                count=item["count"],
-                frequency=item["frequency"],
-                top_co_codes=tuple((c, n) for c, n in item["top_co_codes"]),
-                significance_note=item["significance_note"],
-                activation_conditions=tuple(
-                    ActivationCondition.from_dict(c) for c in item["activation_conditions"]
-                ),
-                last_observed=datetime.fromisoformat(item["last_observed"]),
-            )
+            entry = _store_entry(item)
         except KeyError as exc:
             raise ValidationError(f"entry {index} is missing key {exc.args[0]!r}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"entry {index}: {exc}") from None
+        entries[entry.code] = entry
     return entries
 
 

@@ -34,11 +34,11 @@ from .model import (
     StageError,
     TimeWindow,
     ValidationError,
-    canonical_dumps,
     load_code_system,
     load_config,
     load_json,
     profile_batch,
+    write_json,
 )
 
 STAGE_LAYERS = {
@@ -97,21 +97,7 @@ class RunReport:
     quarters: list[dict[str, Any]]
     trace: list[dict[str, Any]]
     deploy: dict[str, Any]
-    assertion_results: list[dict[str, Any]]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "target_version": self.target_version,
-            "quarters": self.quarters,
-            "trace": self.trace,
-            "deploy": self.deploy,
-            "assertions": self.assertion_results,
-        }
-
-    def all_assertions_passed(self) -> bool:
-        return all(result["passed"] for result in self.assertion_results)
+    assertions: list[dict[str, Any]]
 
 
 def fixture_dir() -> Path:
@@ -222,9 +208,7 @@ def run_scenario(
     )
     ref = checkpoint_mod.build_reference_model(history, system, spec.target_version)
 
-    model = breaker_mod.ToyRiskModel(
-        model_version="toy-risk-1", weights={}, training_cohort_id="bootstrap"
-    )
+    model = breaker_mod.ToyRiskModel(model_version="toy-risk-1", weights={})
     ratios: tuple[tuple[str, float], ...] = ()
     store = dormancy_mod.DormantStore(entries={}, prune_log=[], path=out / "dormant_store.json")
     baseline: BatchProfile | None = None
@@ -378,7 +362,7 @@ def run_scenario(
         quarter_summaries.append({
             "quarter": q,
             "period": period,
-            "window": window.to_dict(),
+            "window": window,
             "migration": None if migration is None else {
                 "from_version": migration.from_version,
                 "to_version": migration.to_version,
@@ -478,12 +462,10 @@ def run_scenario(
             "model_version": model.model_version,
             "deployed": deployed,
         },
-        assertion_results=[],
+        assertions=[],
     )
-    report.assertion_results = [
-        _check_assertion(a, report) for a in spec.assertions
-    ]
-    (out / "report.json").write_text(canonical_dumps(report.to_dict()), encoding="utf-8")
+    report.assertions = [_check_assertion(a, report) for a in spec.assertions]
+    write_json(out / "report.json", report)
     (out / "report.txt").write_text(_text_summary(report), encoding="utf-8")
     return report
 
@@ -565,9 +547,9 @@ def _text_summary(report: RunReport) -> str:
     )
     for condition in verdict["conditions"]:
         lines.append(f"  condition: {condition}")
-    if report.assertion_results:
+    if report.assertions:
         lines.append("")
-        for result in report.assertion_results:
+        for result in report.assertions:
             status = "PASS" if result["passed"] else "FAIL"
             lines.append(f"{status} {result['assertion']['kind']}: {result['detail']}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
@@ -58,17 +58,43 @@ def record_code(record: "CodedRecord", layer: Layer) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Canonical serialization helpers
+# Output files: every JSON and JSON Lines file is written here
 # ---------------------------------------------------------------------------
 
+def _plain(obj: Any) -> Any:
+    """The JSON value of what ``json`` cannot encode itself: dates as ISO 8601
+    text, frozensets as sorted lists and dataclasses as their fields."""
+    if isinstance(obj, date):  # a datetime too
+        return obj.isoformat()
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj: Any) -> str:
-    """Serialize to the canonical pretty JSON form used for fixture files."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Serialize to the canonical pretty JSON form used for whole-file documents."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, default=_plain) + "\n"
 
 
-def jsonl_dumps(obj: Any) -> str:
-    """Serialize one JSON Lines record (compact, sorted keys)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# One JSON Lines line (compact, sorted keys); a single encoder serves every call.
+jsonl_dumps: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_plain,
+).encode
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write ``obj`` as one canonical JSON document."""
+    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+    """Write each of ``rows`` as one JSON Lines line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(jsonl_dumps(row))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -357,34 +383,6 @@ def profile_batch(batch: Iterable[CodedRecord], layer: Layer) -> BatchProfile:
     return BatchProfile(n, codes, versions, min(days, default=None), max(days, default=None))
 
 
-def record_to_dict(record: CodedRecord) -> dict[str, Any]:
-    tag = record.influence_tag
-    fid = record.fidelity
-    return {
-        "record_id": record.record_id,
-        "patient_age_band": record.patient_age_band,
-        "patient_sex": record.patient_sex,
-        "institution_id": record.institution_id,
-        "encounter_time": record.encounter_time.isoformat(),
-        "primary_code": record.primary_code,
-        "co_codes": sorted(record.co_codes),
-        "version_tag": record.version_tag,
-        "influence_tag": None if tag is None else {
-            "model_version": tag.model_version,
-            "model_confidence": tag.model_confidence,
-            "clinician_modified": tag.clinician_modified,
-        },
-        "fidelity": None if fid is None else {
-            "score": fid.score,
-            "prevalence_subscore": fid.prevalence_subscore,
-            "cooccurrence_subscore": fid.cooccurrence_subscore,
-            "institutional_subscore": fid.institutional_subscore,
-            "rationale": fid.rationale,
-        },
-        "clinical_code": record.clinical_code,
-    }
-
-
 _STRING_FIELDS = ("record_id", "institution_id", "primary_code", "version_tag", "encounter_time")
 
 
@@ -459,10 +457,8 @@ def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
 
 
 def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(jsonl_dumps(record_to_dict(record)))
-            fh.write("\n")
+    """Write ``records`` as a records file, one JSON object per line."""
+    write_jsonl(path, records)
 
 
 def read_records(path: str | Path) -> list[CodedRecord]:
@@ -483,9 +479,6 @@ class TimeWindow:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValidationError(f"window end {self.end} before start {self.start}")
-
-    def to_dict(self) -> dict[str, str]:
-        return {"start": self.start.isoformat(), "end": self.end.isoformat()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, str]) -> "TimeWindow":
@@ -611,11 +604,16 @@ def code_system_from_dict(data: Mapping[str, Any]) -> CodeSystem:
         if label in seen_labels:
             raise ValidationError(f"duplicate version label: {label!r}")
         seen_labels.add(label)
+        validated = entry["validated"]
+        if type(validated) is not bool:
+            raise ValidationError(
+                f"version {label!r}: validated must be true or false, got {validated!r}"
+            )
         versions.append(TerminologyVersion(
             system_id=system_id,
             version_label=label,
             release_date=date.fromisoformat(entry["release_date"]),
-            validated=bool(entry["validated"]),
+            validated=validated,
         ))
     for earlier, later in zip(versions, versions[1:]):
         if not earlier.release_date < later.release_date:

@@ -30,7 +30,7 @@ from .model import (
     PipelineConfig,
     TimeWindow,
     ValidationError,
-    jsonl_dumps,
+    write_jsonl,
 )
 from .version_gate import changed_codes
 
@@ -276,14 +276,4 @@ def _infer_window(profile: BatchProfile) -> TimeWindow:
 
 
 def write_alerts(alerts: Iterable[DriftAlert], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for alert in alerts:
-            fh.write(jsonl_dumps({
-                "code": alert.code,
-                "divergence": alert.divergence,
-                "drift_type": alert.drift_type.value,
-                "confidence": alert.confidence,
-                "component_divergences": dict(alert.component_divergences),
-                "evidence": dict(alert.evidence),
-            }))
-            fh.write("\n")
+    write_jsonl(path, alerts)

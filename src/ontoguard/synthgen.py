@@ -29,7 +29,7 @@ from .model import (
     InfluenceTag,
     TimeWindow,
     ValidationError,
-    jsonl_dumps,
+    write_jsonl,
 )
 
 
@@ -555,13 +555,6 @@ def spec_to_dict(spec: DistortionSpec) -> dict[str, Any]:
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record_id in sorted(truth):
-            entry = truth[record_id]
-            fh.write(jsonl_dumps({
-                "record_id": record_id,
-                "true_clinical_code": entry.true_clinical_code,
-                "distortion_labels": sorted(entry.distortion_labels),
-            }))
-            fh.write("\n")
+    write_jsonl(path, ({"record_id": record_id, **vars(truth[record_id])}
+                       for record_id in sorted(truth)))
 

@@ -20,9 +20,8 @@ from .model import (
     CodeSystem,
     ValidationError,
     iter_jsonl,
-    jsonl_dumps,
-    record_to_dict,
     with_fields,
+    write_jsonl,
 )
 
 
@@ -240,15 +239,7 @@ def changed_codes(system: CodeSystem, from_version: str, to_version: str) -> fro
 def write_quarantine(path: str | Path, quarantined: Iterable[QuarantinedRecord]) -> None:
     """Persist quarantined records as a side file; quarantine is never an
     in-memory-only loss."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in quarantined:
-            fh.write(jsonl_dumps({
-                "record": record_to_dict(item.record),
-                "reason": item.reason.value,
-                "original_code": item.original_code,
-                "original_version": item.original_version,
-            }))
-            fh.write("\n")
+    write_jsonl(path, quarantined)
 
 
 def read_quarantine(path: str | Path) -> list[dict]:

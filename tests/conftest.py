@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from datetime import date, datetime
 
@@ -12,6 +13,7 @@ from ontoguard.model import (
     CodedRecord,
     Layer,
     code_system_from_dict,
+    jsonl_dumps,
     load_code_system,
     load_config,
     profile_batch,
@@ -127,6 +129,11 @@ def make_record(
         version_tag=version,
         **kwargs,
     )
+
+
+def record_dict(record: CodedRecord) -> dict:
+    """``record`` as the JSON object a records file holds."""
+    return json.loads(jsonl_dumps(record))
 
 
 def admin(batch):

@@ -179,7 +179,7 @@ def test_a5_breaker_boundary():
         assert evaluate(just_above, cfg).state is BreakerStateKind.OPEN
 
         rng = np.random.default_rng(SEED)
-        model = ToyRiskModel("toy-risk-1", {}, "c0")
+        model = ToyRiskModel("toy-risk-1", {})
         cohort = [make_record(f"R-{i}") for i in range(10)]
         for _ in range(1_000):
             ratio = float(rng.random())

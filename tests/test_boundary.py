@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, record_dict
 from ontoguard import compliance, dormancy, dual_ontology, harness, synthgen
 from ontoguard.model import (
     PipelineConfig,
@@ -21,7 +21,6 @@ from ontoguard.model import (
     load_config,
     load_json,
     read_records,
-    record_to_dict,
 )
 
 FIXTURES = harness.fixture_dir()
@@ -64,7 +63,7 @@ LOADERS = {
     ),
 }
 LINE_LOADERS = {
-    "records": (read_records, record_to_dict(make_record(co_codes=("LAB-A1C",)))),
+    "records": (read_records, record_dict(make_record(co_codes=("LAB-A1C",)))),
     "overrides": (dual_ontology.read_overrides,
                   {"record_id": "R-000000", "clinical_code": "DM2-HYPER"}),
 }
@@ -269,6 +268,24 @@ def test_json_is_parsed_only_at_the_boundary():
                     and node.func.attr in ("load", "loads")
                     and allowed is not None and id(node) not in inside):
                 offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
+    assert offenders == []
+
+
+def test_output_format_is_decided_only_in_model():
+    # Every output file is encoded by model.write_json, model.write_jsonl or
+    # model.write_records, so no other module names the encoders or json.dump(s).
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
+                names.add(f"json.{node.attr}")
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(
+                names & {"jsonl_dumps", "canonical_dumps", "json.dump", "json.dumps"})]
     assert offenders == []
 
 

@@ -91,7 +91,7 @@ class TestEvaluate:
 
 class TestRetrainGate:
     def test_closed_state_retrains_with_version_bump(self):
-        model = ToyRiskModel("toy-risk-1", {}, "c0")
+        model = ToyRiskModel("toy-risk-1", {})
         cohort = cohort_with_ratio(100, 0.0)
         stats = compute_stats(cohort, [])
         state = evaluate(stats, CFG)
@@ -100,7 +100,7 @@ class TestRetrainGate:
         assert new.version_number() == 2
 
     def test_open_state_refuses_and_keeps_model(self):
-        model = ToyRiskModel("toy-risk-1", {"AAA": 0.5}, "c0")
+        model = ToyRiskModel("toy-risk-1", {"AAA": 0.5})
         cohort = cohort_with_ratio(100, 0.2)
         stats = compute_stats(cohort, [])
         state = evaluate(stats, CFG)
@@ -110,7 +110,7 @@ class TestRetrainGate:
         assert model.model_version == "toy-risk-1"
 
     def test_empty_cohort_with_closed_state_rejected(self):
-        model = ToyRiskModel("toy-risk-1", {}, "c0")
+        model = ToyRiskModel("toy-risk-1", {})
         stats = compute_stats(cohort_with_ratio(10, 0.0), [])
         state = evaluate(stats, CFG)
         with pytest.raises(ValidationError, match="empty cohort"):
@@ -125,7 +125,7 @@ class TestRetrainGate:
             ai_influence=synthgen.AIInfluenceSpec("m1", (0.04, 0.08, 0.12, 0.18)),
         )
         batches, _ = synthgen.generate_quarter_series(bundled_system, spec, 4, 5_000, 3)
-        model = ToyRiskModel("toy-risk-1", {}, "c0")
+        model = ToyRiskModel("toy-risk-1", {})
         history: tuple = ()
         outcomes = []
         for i, batch in enumerate(batches):
@@ -148,7 +148,7 @@ class TestProperties:
     def test_gate_soundness_over_random_states(self):
         # No retraining ever happens while the breaker is open.
         rng = np.random.default_rng(37)
-        model = ToyRiskModel("toy-risk-1", {}, "c0")
+        model = ToyRiskModel("toy-risk-1", {})
         for _ in range(1_000):
             ratio = float(rng.random())
             history = tuple(
@@ -187,10 +187,38 @@ class TestIO:
     def test_refusal_packet(self, tmp_path):
         stats = stats_for(0.2)
         state = evaluate(stats, CFG)
-        result = retrain_gate(state, [], ToyRiskModel("toy-risk-1", {}, "c0"), stats)
+        result = retrain_gate(state, [], ToyRiskModel("toy-risk-1", {}), stats)
         write_refusal_packet(result, tmp_path / "refusal.json")
         import json
 
         payload = json.loads((tmp_path / "refusal.json").read_text())
         assert payload["state"] == "open"
         assert payload["stats"]["ratio"] == pytest.approx(0.2)
+
+    def test_refusal_packet_text(self, tmp_path):
+        stats = stats_for(0.2, [("q1", 0.04)])
+        refusal = retrain_gate(evaluate(stats, CFG), [], ToyRiskModel("toy-risk-1", {}), stats)
+        write_refusal_packet(refusal, tmp_path / "refusal.json")
+        assert (tmp_path / "refusal.json").read_text(encoding="utf-8") == """{
+  "reason": "AI influence ratio 0.2000 exceeds threshold 0.1500; automatic retraining \
+paused pending audit",
+  "state": "open",
+  "stats": {
+    "cohort_id": "cohort",
+    "history": [
+      [
+        "q1",
+        0.04
+      ],
+      [
+        "period-2",
+        0.2
+      ]
+    ],
+    "ratio": 0.2,
+    "tagged_count": 200,
+    "total_count": 1000
+  },
+  "threshold_used": 0.15
+}
+"""

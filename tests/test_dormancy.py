@@ -1,14 +1,17 @@
 """Dormancy: classification, persisted store, activation triggers."""
 
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import admin, make_record
 from ontoguard import synthgen
 from ontoguard.dormancy import (
     ActivationCondition,
     ActivationKind,
+    DormantEntry,
     DormantStore,
     Event,
     FeatureClass,
@@ -132,6 +135,35 @@ class TestStoreDormant:
             == store.entries["RARE"].activation_conditions
         assert loaded.entries["RARE"].last_observed \
             == store.entries["RARE"].last_observed
+
+
+_CONDITIONS = st.one_of(
+    st.builds(ActivationCondition, kind=st.just(ActivationKind.PREVALENCE_EXCEEDS),
+              threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.builds(ActivationCondition, kind=st.just(ActivationKind.DOMAIN_TRANSFER_REQUEST),
+              domain=st.text(min_size=1)),
+    st.builds(ActivationCondition, kind=st.just(ActivationKind.OUTBREAK_SIGNAL),
+              signal_code=st.text(min_size=1)),
+)
+_ENTRIES = st.lists(st.builds(
+    DormantEntry,
+    code=st.text(),
+    count=st.integers(0, 10**12),
+    frequency=st.floats(0.0, 1.0),
+    top_co_codes=st.lists(st.tuples(st.text(), st.integers(0, 10**12)), max_size=5).map(tuple),
+    significance_note=st.text(),
+    activation_conditions=st.lists(_CONDITIONS, min_size=1, max_size=3).map(tuple),
+    last_observed=st.datetimes(timezones=st.sampled_from([None, timezone.utc])),
+), max_size=4, unique_by=lambda e: e.code).map(lambda entries: {e.code: e for e in entries})
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=_ENTRIES)
+def test_store_entries_round_trip(tmp_path, entries):
+    path = tmp_path / "store.json"
+    write_store(DormantStore(entries, []), path)
+    assert read_store(path).entries == entries
 
 
 class TestCheckActivation:

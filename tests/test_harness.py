@@ -1,6 +1,7 @@
 """Scenario harness: wiring order, compliance wrapping, determinism, CLI."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -11,13 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_record
+from conftest import make_record, record_dict
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
     StageError,
     ValidationError,
     canonical_dumps,
-    record_to_dict,
 )
 
 NULL_SYSTEM = {
@@ -153,6 +153,40 @@ class TestNullScenario:
             != (tmp_path / "b" / "report.json").read_bytes()
 
 
+# sha256 of every file of the walkthrough run directory at the acceptance seed.
+WALKTHROUGH_DIGESTS = {
+    "deploy_decision.json": "5eff0c9aaf2979be6fc66b87038541238377e0f2a4d29c9c5de6980b9fd98310",
+    "dormant_store.json": "45fd0d6cfb7fa6dec6321982c07f5fbce58c16079c71511ea3f98bee521d1edd",
+    "influence_dashboard.csv": "7321256cac5aaf6cc168ca6dd9e3562778b6475aa773ce2eca6cde86e10379a6",
+    "prune_log.csv": "8c548ba88af74a941407cdcda863567d44e6b77077fac33c8abd4f2c5195008b",
+    "q1/alerts.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q1/divergence.csv": "fe945f439070170327db4414684d608633f97abbd1bc52a2810df00cb3f2f680",
+    "q1/fidelity_report.csv": "ff7deeb946bb36ee3172375d4ac09da653c0539b17e130093ab8573efe1c154a",
+    "q1/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q2/alerts.jsonl": "cfdb8a7953337330e12eb070dedf36d2f1b5f65b49190092ae0c0cd96bdb3442",
+    "q2/divergence.csv": "77beb3c7f0be2f862a6217e75dd948d6e88adfb9181bb4db043957c622e61cfc",
+    "q2/fidelity_report.csv": "a205bddecd9210f6454c161ec0c76bc06e5f81e157c79c21ff6e8236d044e2c1",
+    "q2/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q3/alerts.jsonl": "ee14a4b8e15745124c9cc85daea7d9df5ff472e3233df2b7c0ab280ce8ed70d7",
+    "q3/divergence.csv": "97d326399bdd808caede51e2de8acc7fa4862109358a53fb718fc17ed9e2c1e4",
+    "q3/fidelity_report.csv": "98c12c679ec21af2a3404cc79424212f13e4778ba5381e0b5ad5695e46dfe8a3",
+    "q3/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report.json": "671478f972bd0343ef1a8599cc80c5119315d3e28e2b66362c5356557c340ceb",
+    "report.txt": "c83ecf4cb2fee934f7c734af756d84858d7f25fbb72a5821c2727d74698b4412",
+}
+
+
+class TestGolden:
+    def test_walkthrough_run_files(self, scenario_run):
+        """Pins every byte the walkthrough writes, so a serialisation change shows."""
+        out = scenario_run["out_dir"]
+        digests = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*") if path.is_file()
+        }
+        assert digests == WALKTHROUGH_DIGESTS
+
+
 class TestWiring:
     def test_layers_run_in_order_within_each_quarter(self, scenario_run):
         trace = scenario_run["report"].trace
@@ -217,16 +251,33 @@ def walkthrough_text(**changes) -> str:
     return json.dumps(data)
 
 
+def _system_with_string_validated() -> dict:
+    data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
+    data["versions"][-1]["validated"] = "false"
+    return data
+
+
+def _adapter_text(**rule) -> str:
+    """One conditional-permit adapter whose only rule takes ``rule``'s fields."""
+    return json.dumps({
+        "adapter_id": "a", "jurisdiction": "x", "regulation_id": "r",
+        "regulation_version": "1", "rules": [{
+            "verdict": "permit_with_conditions", "conditions": ["pseudonymise"],
+            "provision": "p", **rule,
+        }],
+    })
+
+
 # Input files of the bad-input CLI cases, by name.
 CLI_INPUT_FILES = {
     "records.jsonl": "",
-    "one.jsonl": json.dumps(record_to_dict(make_record())) + "\n",
+    "one.jsonl": json.dumps(record_dict(make_record())) + "\n",
     "bad.json": "{not json",
     "partial.json": '[{"code": "X"}]',
     "object.json": "{}",
     "trunc.jsonl": '{"record_id": "a",\n',
     "badtype.jsonl": json.dumps(
-        {**record_to_dict(make_record()), "encounter_time": "notatime"}) + "\n",
+        {**record_dict(make_record()), "encounter_time": "notatime"}) + "\n",
     "cfg-drift.json": '{"drift_threshold": [1]}',
     "cfg-weights.json": '{"fidelity_weights": 5}',
     "cfg-window.json": '{"baseline_window": "x"}',
@@ -244,7 +295,15 @@ CLI_INPUT_FILES = {
     "int-id.jsonl": '{"record_id": 5}\n',
     "spec.json": json.dumps(synthgen.spec_to_dict(synthgen.DistortionSpec(
         institutions=(("I-A", 1.0),), current_version="2025"))),
-    "mixed-offsets.jsonl": "".join(json.dumps(record_to_dict(r)) + "\n" for r in (
+    "system-validated.json": json.dumps(_system_with_string_validated()),
+    "adapter-conditions.json": _adapter_text(conditions="pseudonymise"),
+    "adapter-reason.json": _adapter_text(reason=5),
+    "store-types.json": json.dumps([{
+        "code": "DM2-UNSPEC", "count": "many", "frequency": [1], "top_co_codes": [],
+        "significance_note": "", "last_observed": "2025-03-01T08:00:00",
+        "activation_conditions": [{"kind": "outbreak_signal", "signal_code": "DM2-UNSPEC"}],
+    }]),
+    "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
 
@@ -405,6 +464,16 @@ class TestCli:
         (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
         (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
         (["breaker", "check", "--history", "[[1,2]]"], "history entry [1, 2] is not a"),
+        (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
+          "--target-version", "2025", "--out-dir", "gated"],
+         "system-validated.json version '2025': validated must be true or false, got 'false'"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-conditions.json"],
+         "adapter-conditions.json rule 0: conditions must be a list of strings, "
+         "got 'pseudonymise'"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-reason.json"],
+         "adapter-reason.json rule 0: reason must be a string, got 5"),
+        (["dormancy", "activate", "--store", "store-types.json", "--records", "one.jsonl"],
+         "store-types.json entry 0: count must be an integer >= 0, got 'many'"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -418,7 +487,8 @@ class TestCli:
         "quarters-bool", "n-per-quarter-string", "n-per-quarter-zero", "partition-bad-line",
         "partition-int-id", "fidelity-layer", "mixed-utc-offsets", "synth-negative-seed",
         "scenario-negative-seed", "synth-bad-start", "history-nan", "history-out-of-range",
-        "history-int-period",
+        "history-int-period", "system-string-validated", "adapter-string-conditions",
+        "adapter-int-reason", "store-entry-types",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -568,7 +638,7 @@ class TestCli:
                    "q2.jsonl": common}
         for name, batch in batches.items():
             (tmp_path / name).write_text(
-                "".join(json.dumps(record_to_dict(r)) + "\n" for r in batch), encoding="utf-8")
+                "".join(json.dumps(record_dict(r)) + "\n" for r in batch), encoding="utf-8")
         (tmp_path / "significance.json").write_text('{"DM-OTHER": "rare"}', encoding="utf-8")
         (tmp_path / "conditions.json").write_text(
             '{"DM-OTHER": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}',

@@ -5,7 +5,7 @@ from datetime import date
 
 import pytest
 
-from conftest import make_record, tiny_system
+from conftest import make_record, record_dict, tiny_system
 from ontoguard.model import (
     AGE_BANDS,
     CodedRecord,
@@ -19,7 +19,6 @@ from ontoguard.model import (
     load_config,
     read_records,
     record_from_dict,
-    record_to_dict,
 )
 
 
@@ -125,7 +124,7 @@ class TestRecords:
             fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, "test"),
             clinical_code="DM2-HYPER",
         )
-        assert record_from_dict(record_to_dict(record)) == record
+        assert record_from_dict(record_dict(record)) == record
 
     def test_unknown_age_band_rejected(self):
         with pytest.raises(ValidationError, match="age band"):
@@ -170,7 +169,7 @@ class TestRecords:
         "modified-string", "score-string", "fidelity-list",
     ])
     def test_mistyped_field_named(self, field, value, named):
-        data = {**record_to_dict(make_record()), field: value}
+        data = {**record_dict(make_record()), field: value}
         with pytest.raises(ValidationError, match=named):
             record_from_dict(data)
 
@@ -179,8 +178,8 @@ class TestRecords:
             record_from_dict(["R-000000"])
 
     def test_read_records_names_path_and_line(self, tmp_path):
-        good = json.dumps(record_to_dict(make_record()))
-        bad = json.dumps({**record_to_dict(make_record()), "co_codes": "LAB-GLU-HI"})
+        good = json.dumps(record_dict(make_record()))
+        bad = json.dumps({**record_dict(make_record()), "co_codes": "LAB-GLU-HI"})
         path = tmp_path / "records.jsonl"
         path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"records\.jsonl:3: .*'co_codes'"):

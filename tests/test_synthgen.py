@@ -13,7 +13,6 @@ from ontoguard.model import (
     TimeWindow,
     ValidationError,
     jsonl_dumps,
-    record_to_dict,
     write_records,
 )
 from ontoguard.oracles import binomial_interval, prevalence_recount
@@ -29,7 +28,7 @@ def simple_spec(**overrides):
 
 
 def serialize(records):
-    return "\n".join(jsonl_dumps(record_to_dict(r)) for r in records)
+    return "\n".join(jsonl_dumps(r) for r in records)
 
 
 class TestGenerateBatch:

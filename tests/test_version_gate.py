@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, tiny_system
-from ontoguard.model import ValidationError
+from ontoguard.model import FidelityAnnotation, InfluenceTag, ValidationError
 from ontoguard.oracles import partition_oracle
 from ontoguard.version_gate import (
     MigrationVerdict,
@@ -165,6 +165,26 @@ class TestGateBatch:
         assert rows[0]["reason"] == "unmappable_code"
         assert rows[0]["original_code"] == "GONE"
         assert rows[0]["original_version"] == "v1"
+
+    def test_quarantine_line_text(self, tmp_path):
+        record = make_record(
+            "R-7", code="GONE", version="v1", co_codes=("ZZ", "AA"),
+            influence_tag=InfluenceTag("m1", 0.8, True),
+            fidelity=FidelityAnnotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
+            clinical_code="GONE",
+        )
+        outcome = gate_batch([record], migration_system(), "v2")
+        path = tmp_path / "quarantine.jsonl"
+        write_quarantine(path, outcome.quarantined)
+        assert path.read_text(encoding="utf-8") == (
+            '{"original_code":"GONE","original_version":"v1","reason":"unmappable_code",'
+            '"record":{"clinical_code":"GONE","co_codes":["AA","ZZ"],'
+            '"encounter_time":"2025-02-15T12:00:00","fidelity":{"cooccurrence_subscore":0.125,'
+            '"institutional_subscore":0.0,"prevalence_subscore":0.5,"rationale":"low \u00e9",'
+            '"score":0.25},"influence_tag":{"clinician_modified":true,"model_confidence":0.8,'
+            '"model_version":"m1"},"institution_id":"INST-01","patient_age_band":"50-59",'
+            '"patient_sex":"female","primary_code":"GONE","record_id":"R-7","version_tag":"v1"}}\n'
+        )
 
 
 class TestValidateMigration:
