@@ -29,7 +29,6 @@ from .model import (
     PipelineConfig,
     StageError,
     ValidationError,
-    json_object,
     load_code_system,
     load_config,
     load_json,
@@ -296,7 +295,9 @@ def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     profile = profile_batch(read_records(args.records), args.layer)
-    significance = load_json(args.significance, "--significance file", json_object)
+    significance = load_json(
+        args.significance, "--significance file", dormancy_mod.significance_from_dict
+    )
     classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
     for code in sorted(classification):
         print(f"{code}: {classification[code].value}")

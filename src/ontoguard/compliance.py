@@ -130,8 +130,14 @@ class AdapterRuleSet:
     rules: tuple[Rule, ...]
 
 
+def _string(name: str, value: Any) -> str:
+    if type(value) is not str:
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _parse_clause(data: Mapping[str, Any]) -> Clause:
-    key, op = data["key"], data["op"]
+    key, op = _string("clause key", data["key"]), data["op"]
     if op not in _OPS:
         raise ValidationError(f"unknown clause operator {op!r}")
     if op in ("present", "absent"):
@@ -141,35 +147,35 @@ def _parse_clause(data: Mapping[str, Any]) -> Clause:
     return Clause(key=key, op=op, value=data["value"])
 
 
+def _parse_rule(data: Mapping[str, Any]) -> Rule:
+    conditions = data.get("conditions", [])
+    if type(conditions) is not list or not all(type(c) is str for c in conditions):
+        raise ValidationError(f"conditions must be a list of strings, got {conditions!r}")
+    return Rule(
+        when=tuple(_parse_clause(c) for c in data.get("when", ())),
+        verdict=Verdict(kind=VerdictKind(data["verdict"]), conditions=tuple(conditions),
+                        reason=_string("reason", data.get("reason", ""))),
+        provision=_string("provision", data["provision"]),
+    )
+
+
 def adapter_from_dict(data: Mapping[str, Any]) -> AdapterRuleSet:
     rules: list[Rule] = []
     for index, raw in enumerate(data["rules"]):
-        clauses = tuple(_parse_clause(c) for c in raw.get("when", ()))
-        kind = VerdictKind(raw["verdict"])
-        conditions = raw.get("conditions", [])
-        if type(conditions) is not list or not all(type(c) is str for c in conditions):
-            raise ValidationError(
-                f"rule {index}: conditions must be a list of strings, got {conditions!r}"
-            )
-        reason, provision = raw.get("reason", ""), raw["provision"]
-        for name, value in (("reason", reason), ("provision", provision)):
-            if type(value) is not str:
-                raise ValidationError(f"rule {index}: {name} must be a string, got {value!r}")
-        rules.append(Rule(
-            when=clauses,
-            verdict=Verdict(kind=kind, conditions=tuple(conditions), reason=reason),
-            provision=provision,
-        ))
+        try:
+            rules.append(_parse_rule(raw))
+        except ValidationError as exc:
+            raise ValidationError(f"rule {index}: {exc}") from None
     if not rules or rules[-1].when:
         raise ValidationError(
             f"adapter {data.get('adapter_id')!r}: rule set must end with an "
             "unconditional default rule"
         )
     return AdapterRuleSet(
-        adapter_id=data["adapter_id"],
-        jurisdiction_tag=data["jurisdiction"],
-        regulation_id=data["regulation_id"],
-        regulation_version=data["regulation_version"],
+        adapter_id=_string("adapter_id", data["adapter_id"]),
+        jurisdiction_tag=_string("jurisdiction", data["jurisdiction"]),
+        regulation_id=_string("regulation_id", data["regulation_id"]),
+        regulation_version=_string("regulation_version", data["regulation_version"]),
         rules=tuple(rules),
     )
 

@@ -18,6 +18,7 @@ from .model import (
     BatchProfile,
     PipelineConfig,
     ValidationError,
+    from_json,
     json_object,
     load_json,
     write_json,
@@ -67,22 +68,21 @@ class ActivationCondition:
             data["signal_code"] = self.signal_code
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ActivationCondition":
-        return cls(
-            kind=ActivationKind(data["kind"]),
-            threshold=data.get("threshold"),
-            domain=data.get("domain"),
-            signal_code=data.get("signal_code"),
-        )
-
 
 def conditions_from_dict(data: Any) -> dict[str, tuple[ActivationCondition, ...]]:
     """Activation conditions by code, from a JSON object of code -> list of conditions."""
     return {
-        code: tuple(ActivationCondition.from_dict(c) for c in conds)
+        code: tuple(from_json(ActivationCondition, c) for c in conds)
         for code, conds in json_object(data).items()
     }
+
+
+def significance_from_dict(data: Any) -> dict[str, str]:
+    """Significance notes by code, from a JSON object of code -> note."""
+    for code, note in json_object(data).items():
+        if type(note) is not str:
+            raise ValidationError(f"significance note of {code!r} must be a string, got {note!r}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,12 @@ class DormantEntry:
     significance_note: str
     activation_conditions: tuple[ActivationCondition, ...]
     last_observed: datetime
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValidationError(f"count must be >= 0, got {self.count}")
+        if not 0.0 <= self.frequency <= 1.0:
+            raise ValidationError(f"frequency must be in [0,1], got {self.frequency}")
 
 
 @dataclass(frozen=True)
@@ -238,44 +244,14 @@ def write_store(store: DormantStore, path: str | Path) -> None:
     ])
 
 
-def _store_entry(item: Mapping[str, Any]) -> DormantEntry:
-    """One entry of a store file; a mistyped field raises a ValidationError naming it."""
-    count, frequency, top = item["count"], item["frequency"], item["top_co_codes"]
-    if type(count) is not int or count < 0:
-        raise ValidationError(f"count must be an integer >= 0, got {count!r}")
-    if type(frequency) not in (int, float) or not 0.0 <= frequency <= 1.0:
-        raise ValidationError(f"frequency must be a number in [0,1], got {frequency!r}")
-    if type(top) is not list or not all(
-        type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is int
-        for pair in top
-    ):
-        raise ValidationError(f"top_co_codes must be a list of [code, count] pairs, got {top!r}")
-    for name in ("code", "significance_note", "last_observed"):
-        if type(item[name]) is not str:
-            raise ValidationError(f"{name} must be a string, got {item[name]!r}")
-    return DormantEntry(
-        code=item["code"],
-        count=count,
-        frequency=frequency,
-        top_co_codes=tuple((c, n) for c, n in top),
-        significance_note=item["significance_note"],
-        activation_conditions=tuple(
-            ActivationCondition.from_dict(c) for c in item["activation_conditions"]
-        ),
-        last_observed=datetime.fromisoformat(item["last_observed"]),
-    )
-
-
 def _store_entries(data: Any) -> dict[str, DormantEntry]:
     """Entries of a store file: the JSON list ``write_store`` writes."""
     if type(data) is not list:
         raise ValidationError("must be a JSON list of entries")
     entries = {}
     for index, item in enumerate(data):
-        if type(item) is not dict:
-            raise ValidationError(f"entry {index} is not an object")
         try:
-            entry = _store_entry(item)
+            entry = from_json(DormantEntry, item)
         except KeyError as exc:
             raise ValidationError(f"entry {index} is missing key {exc.args[0]!r}") from None
         except ValidationError as exc:

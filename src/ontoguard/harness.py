@@ -62,12 +62,6 @@ STAGE_LAYERS = {
     "export": 5,
 }
 
-EXTERNAL_STAGES = {
-    "gate.batch": "compliance.ingest",
-    "deploy": "compliance.deploy",
-    "export": "compliance.export",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -148,7 +142,7 @@ def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
         start=date.fromisoformat(data["start"]),
         target_version=data["target_version"],
         distortion=synthgen_mod.spec_from_dict(data["distortion"]),
-        significance=dict(data.get("significance_list", {})),
+        significance=dormancy_mod.significance_from_dict(data.get("significance_list", {})),
         activation_conditions=dormancy_mod.conditions_from_dict(
             data.get("activation_conditions", {})
         ),

@@ -7,11 +7,15 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from collections.abc import Mapping as AbcMapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, datetime
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from types import UnionType
+from typing import (Any, Callable, Iterable, Iterator, Mapping, TypeVar, Union, get_args,
+                    get_origin, get_type_hints)
 
 
 class OntoguardError(Exception):
@@ -84,6 +88,11 @@ jsonl_dumps: Callable[[Any], str] = json.JSONEncoder(
 ).encode
 
 
+def to_json(obj: Any) -> Any:
+    """The plain JSON value that the encoder writes for ``obj``."""
+    return json.loads(jsonl_dumps(obj))
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     """Write ``obj`` as one canonical JSON document."""
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
@@ -124,6 +133,99 @@ def json_object(data: Any) -> dict:
     if type(data) is not dict:
         raise ValidationError("must hold a JSON object")
     return data
+
+
+def _only(*types: type) -> Callable[[Any], Any]:
+    """The identity on values of exactly ``types``, so a bool is never an int."""
+    def check(value: Any) -> Any:
+        if type(value) not in types:
+            raise TypeError
+        return value
+    return check
+
+
+_list, _object, _json_number = _only(list), _only(dict), _only(int, float)
+
+# A field's JSON shape: what its value must be, what a list of such values
+# holds, and the conversion of its JSON value, which raises TypeError or
+# ValueError on a value of the wrong type.
+_Shape = tuple[str, str, Callable[[Any], Any]]
+_SCALARS: Mapping[type, _Shape] = {
+    str: ("a string", "strings", _only(str)),
+    int: ("an integer", "integers", _only(int)),
+    bool: ("true or false", "booleans", _only(bool)),
+    float: ("a number", "numbers", lambda value: float(_json_number(value))),
+    date: ("an ISO 8601 date", "ISO 8601 dates", date.fromisoformat),
+    datetime: ("an ISO 8601 timestamp", "ISO 8601 timestamps", datetime.fromisoformat),
+}
+
+
+@cache
+def _shape(tp: Any) -> _Shape:
+    """The JSON shape of a field annotated ``tp``."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # X | None
+        what, items, convert = _shape(next(a for a in args if a is not type(None)))
+        return (f"{what} or null", f"{items} or nulls",
+                lambda value: None if value is None else convert(value))
+    if origin is frozenset or (origin is tuple and args[-1] is Ellipsis):
+        _, items, item = _shape(args[0])
+        return (f"a list of {items}", f"lists of {items}",
+                lambda value: origin(map(item, _list(value))))
+    if origin is tuple:
+        shapes = [_shape(arg) for arg in args]
+        what = (f"a list of {shapes[0][1]} of length {len(args)}" if len(set(args)) == 1
+                else f"a list [{', '.join(s[0] for s in shapes)}]")
+        return what, "lists" + what[len("a list"):], lambda value: tuple(
+            s[2](v) for s, v in zip(shapes, _list(value), strict=True))
+    if origin is AbcMapping:
+        _, items, item = _shape(args[1])
+        return (f"an object of {items}", f"objects of {items}",
+                lambda value: {k: item(v) for k, v in _object(value).items()})
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        what = f"one of {[member.value for member in tp]}"
+        return what, f"values {what}", tp
+    if is_dataclass(tp):
+        return "an object", "objects", lambda value: from_json(tp, _object(value))
+    raise TypeError(f"no JSON shape for {tp!r}")
+
+
+@cache
+def _plan(cls: type) -> tuple[Mapping[str, _Shape], tuple[str, ...]]:
+    """The shape of each field of dataclass ``cls``, and its required fields."""
+    hints = get_type_hints(cls)
+    return ({f.name: _shape(hints[f.name]) for f in fields(cls)},
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING))
+
+
+def from_json(cls: type[T], data: Any) -> T:
+    """Build dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Each field's annotation decides the JSON value it takes: ``str``, ``int``
+    and ``bool`` exactly that type, ``float`` any number, ``date`` and
+    ``datetime`` ISO 8601 text, an Enum a member's value, ``X | None`` also
+    null, tuples and frozensets a list, ``Mapping[str, X]`` and dataclasses
+    an object. An absent key takes the field's default; an absent required
+    key raises KeyError. Range checks are the class's own ``__post_init__``.
+    """
+    shapes, required = _plan(cls)
+    unknown = json_object(data).keys() - shapes.keys()
+    if unknown:
+        raise ValidationError(f"has unknown keys {sorted(unknown)}")
+    for name in required:
+        if name not in data:
+            raise KeyError(name)
+    kwargs = {}
+    for key, value in data.items():
+        what, _, convert = shapes[key]
+        try:
+            kwargs[key] = convert(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{key} must be {what}, got {value!r}") from None
+    return cls(**kwargs)
 
 
 def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
@@ -480,10 +582,6 @@ class TimeWindow:
         if self.end < self.start:
             raise ValidationError(f"window end {self.end} before start {self.start}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, str]) -> "TimeWindow":
-        return cls(date.fromisoformat(data["start"]), date.fromisoformat(data["end"]))
-
 
 # Paper-suggested starting point for the AI-influence breaker threshold.
 DEFAULT_BREAKER_THRESHOLD = 0.15
@@ -534,41 +632,6 @@ class PipelineConfig:
             raise ValidationError("drift_component_weights: weights must sum to 1")
 
 
-_NUMBER = (int, float)
-
-# JSON shape of a PipelineConfig field, keyed by the type of its default:
-# what the value must be, the test of the JSON value, and its conversion.
-_CONFIG_SHAPES: Mapping[type, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
-    float: ("a number", lambda v: type(v) in _NUMBER, float),
-    int: ("an integer", lambda v: type(v) is int, _identity),
-    tuple: ("a list of numbers",
-            lambda v: type(v) is list and all(type(w) in _NUMBER for w in v),
-            lambda v: tuple(map(float, v))),
-    type(None): ("an object with start and end dates, or null",
-                 lambda v: v is None or type(v) is dict,
-                 lambda v: None if v is None else TimeWindow.from_dict(v)),
-}
-
-
-def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    """Parse a config object; its keys and their JSON types are PipelineConfig's fields.
-
-    Absent keys take the field defaults. Float fields accept any JSON number,
-    int fields only integers, and neither accepts a bool.
-    """
-    defaults = {f.name: f.default for f in fields(PipelineConfig)}
-    unknown = set(json_object(data)) - defaults.keys()
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        expected, accepts, convert = _CONFIG_SHAPES[type(defaults[key])]
-        if not accepts(value):
-            raise ValidationError(f"{key} must be {expected}, got {value!r}")
-        kwargs[key] = convert(value)
-    return PipelineConfig(**kwargs)
-
-
 def load_config(path: str | Path) -> PipelineConfig:
     """Load and validate a pipeline config file, applying defaults for absent keys.
 
@@ -576,7 +639,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         ValidationError: on parse failure, a mistyped value or an
             out-of-range threshold (the message names the offending key).
     """
-    return load_json(path, "config file", config_from_dict)
+    return load_json(path, "config file", lambda data: from_json(PipelineConfig, data))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .model import (
     InfluenceTag,
     TimeWindow,
     ValidationError,
+    from_json,
+    to_json,
     write_jsonl,
 )
 
@@ -95,8 +97,16 @@ OUTBREAK_AGE_TILT: Mapping[str, float] = {
 
 
 @dataclass(frozen=True)
+class InstitutionWeight:
+    """One institution and its share of the generated records."""
+
+    institution_id: str
+    weight: float
+
+
+@dataclass(frozen=True)
 class DistortionSpec:
-    institutions: tuple[tuple[str, float], ...]
+    institutions: tuple[InstitutionWeight, ...]
     current_version: str
     catch_all: tuple[CatchAllSpec, ...] = ()
     billing_inflation: tuple[BillingInflationSpec, ...] = ()
@@ -105,7 +115,7 @@ class DistortionSpec:
     outbreak: OutbreakSpec | None = None
 
     def institution_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.institutions)
+        return tuple(i.institution_id for i in self.institutions)
 
     def without_onset_distortions(self) -> "DistortionSpec":
         """Standing institutional habits only: strips the distortions that
@@ -136,10 +146,10 @@ def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
     institutions = set(spec.institution_ids())
     if not institutions:
         raise ValidationError("spec declares no institutions")
-    total_weight = sum(w for _, w in spec.institutions)
+    total_weight = sum(i.weight for i in spec.institutions)
     if abs(total_weight - 1.0) > 1e-6:
         raise ValidationError(f"institution weights must sum to 1, got {total_weight}")
-    if any(w < 0 for _, w in spec.institutions):
+    if any(i.weight < 0 for i in spec.institutions):
         raise ValidationError("institution weights must be non-negative")
     for entry in spec.catch_all:
         if entry.institution_id not in institutions:
@@ -296,8 +306,8 @@ def generate_batch(
     rng.shuffle(code_index)
     rows_of_code = np.split(np.argsort(code_index, kind="stable"), np.cumsum(code_counts)[:-1])
 
-    inst_ids = [i for i, _ in spec.institutions]
-    inst_counts = _largest_remainder([w for _, w in spec.institutions], inst_ids, n)
+    inst_ids = list(spec.institution_ids())
+    inst_counts = _largest_remainder([i.weight for i in spec.institutions], inst_ids, n)
     inst_index = np.repeat(np.arange(len(inst_ids)), [inst_counts[i] for i in inst_ids])
     rng.shuffle(inst_index)
 
@@ -492,66 +502,13 @@ def generate_quarter_series(
 # Spec and ground-truth (de)serialization
 # ---------------------------------------------------------------------------
 
-def spec_from_dict(data: Mapping[str, Any]) -> DistortionSpec:
-    ai = data.get("ai_influence")
-    outbreak = data.get("outbreak")
-    return DistortionSpec(
-        institutions=tuple(
-            (entry["institution_id"], float(entry["weight"]))
-            for entry in data["institutions"]
-        ),
-        current_version=data["current_version"],
-        catch_all=tuple(
-            CatchAllSpec(e["institution_id"], e["target_code"], float(e["excess_rate"]))
-            for e in data.get("catch_all", ())
-        ),
-        billing_inflation=tuple(
-            BillingInflationSpec(
-                e["billing_category"], date.fromisoformat(e["start"]),
-                float(e["rate_multiplier"]),
-            )
-            for e in data.get("billing_inflation", ())
-        ),
-        version_mix=dict(data.get("version_mix", {})),
-        ai_influence=None if ai is None else AIInfluenceSpec(
-            model_version=ai["model_version"],
-            schedule=tuple(float(f) for f in ai["schedule"]),
-        ),
-        outbreak=None if outbreak is None else OutbreakSpec(
-            code=outbreak["code"],
-            start=date.fromisoformat(outbreak["start"]),
-            prevalence_multiplier=float(outbreak["prevalence_multiplier"]),
-        ),
-    )
+def spec_from_dict(data: Any) -> DistortionSpec:
+    """Parse a distortion spec; its keys and their JSON types are DistortionSpec's fields."""
+    return from_json(DistortionSpec, data)
 
 
 def spec_to_dict(spec: DistortionSpec) -> dict[str, Any]:
-    return {
-        "institutions": [
-            {"institution_id": i, "weight": w} for i, w in spec.institutions
-        ],
-        "current_version": spec.current_version,
-        "catch_all": [
-            {"institution_id": e.institution_id, "target_code": e.target_code,
-             "excess_rate": e.excess_rate}
-            for e in spec.catch_all
-        ],
-        "billing_inflation": [
-            {"billing_category": e.billing_category, "start": e.start.isoformat(),
-             "rate_multiplier": e.rate_multiplier}
-            for e in spec.billing_inflation
-        ],
-        "version_mix": dict(sorted(spec.version_mix.items())),
-        "ai_influence": None if spec.ai_influence is None else {
-            "model_version": spec.ai_influence.model_version,
-            "schedule": list(spec.ai_influence.schedule),
-        },
-        "outbreak": None if spec.outbreak is None else {
-            "code": spec.outbreak.code,
-            "start": spec.outbreak.start.isoformat(),
-            "prevalence_multiplier": spec.outbreak.prevalence_multiplier,
-        },
-    }
+    return to_json(spec)
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:

@@ -130,41 +130,29 @@ def gate_batch(
     quarantined: list[QuarantinedRecord] = []
     for record in batch:
         original_code, original_version = record.primary_code, record.version_tag
+        mapped = None
         if original_version == target_version:
-            if original_code in target_codes:
-                accepted.append(record)
-            else:
-                quarantined.append(QuarantinedRecord(
-                    record, QuarantineReason.UNKNOWN_CODE, original_code, original_version
-                ))
-            continue
-        if not system.has_version(original_version) or not system.version(original_version).validated:
-            quarantined.append(QuarantinedRecord(
-                record, QuarantineReason.UNVALIDATED_VERSION, original_code, original_version
-            ))
-            continue
-        if version_order[original_version] > target_rank:
+            reason = None if original_code in target_codes else QuarantineReason.UNKNOWN_CODE
+        elif not system.has_version(original_version) or not system.version(original_version).validated:
+            reason = QuarantineReason.UNVALIDATED_VERSION
+        elif version_order[original_version] > target_rank:
             # No reverse tables exist; a newer-than-target record is unmappable.
-            quarantined.append(QuarantinedRecord(
-                record, QuarantineReason.UNMAPPABLE_CODE, original_code, original_version
+            reason = QuarantineReason.UNMAPPABLE_CODE
+        elif original_code not in system.codes(original_version):
+            reason = QuarantineReason.UNKNOWN_CODE
+        else:
+            mapped = _map_code(system, original_code, original_version, target_version)
+            reason = QuarantineReason.UNMAPPABLE_CODE if mapped is None else None
+        if reason is not None:
+            quarantined.append(QuarantinedRecord(record, reason, original_code, original_version))
+        elif mapped is None:
+            accepted.append(record)
+        else:
+            reconciled.append(ReconciledRecord(
+                record=with_fields(record, primary_code=mapped, version_tag=target_version),
+                original_code=original_code,
+                original_version=original_version,
             ))
-            continue
-        if original_code not in system.codes(original_version):
-            quarantined.append(QuarantinedRecord(
-                record, QuarantineReason.UNKNOWN_CODE, original_code, original_version
-            ))
-            continue
-        mapped = _map_code(system, original_code, original_version, target_version)
-        if mapped is None:
-            quarantined.append(QuarantinedRecord(
-                record, QuarantineReason.UNMAPPABLE_CODE, original_code, original_version
-            ))
-            continue
-        reconciled.append(ReconciledRecord(
-            record=with_fields(record, primary_code=mapped, version_tag=target_version),
-            original_code=original_code,
-            original_version=original_version,
-        ))
     return GateOutcome(
         accepted=tuple(accepted),
         reconciled=tuple(reconciled),

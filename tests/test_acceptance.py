@@ -33,7 +33,7 @@ from ontoguard.compliance import (
 from ontoguard.model import PipelineConfig
 from ontoguard.oracles import accuracy_recount, jsd_oracle, partition_oracle
 from ontoguard.sentinel import aligned_jsd
-from ontoguard.synthgen import DistortionSpec, spec_to_dict
+from ontoguard.synthgen import DistortionSpec, InstitutionWeight, spec_to_dict
 from ontoguard.version_gate import gate_batch
 
 
@@ -248,7 +248,7 @@ def test_a8_cli_determinism(tmp_path, capsys, walkthrough_spec):
     with criterion("A8 CLI determinism"):
         system_path = str(walkthrough_spec.code_system_path)
         spec_dict = spec_to_dict(DistortionSpec(
-            institutions=(("I-A", 0.6), ("I-B", 0.4)),
+            institutions=(InstitutionWeight("I-A", 0.6), InstitutionWeight("I-B", 0.4)),
             current_version="2025",
         ))
         spec_path = tmp_path / "spec.json"

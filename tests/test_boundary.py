@@ -25,6 +25,7 @@ from ontoguard.model import (
 
 FIXTURES = harness.fixture_dir()
 SRC = Path(harness.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def _fixture(name):
@@ -352,4 +353,44 @@ def test_no_module_imports_a_name_it_never_uses():
         used = _used_names(tree)
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else [
+        getattr(statement, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _referenced_names(statement: ast.stmt) -> set[str]:
+    # String constants count: the perfbench tracer names the functions it wraps.
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public name that only the tests use is code the pipeline does not run.
+    # oracles.py is reference code for the tests; __init__.py only re-exports.
+    statements = [
+        (path, statement)
+        for path in sorted([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
+        if path.name != "__init__.py"
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    references = [(statement, _referenced_names(statement)) for _, statement in statements]
+    unused = [
+        f"{path.name} {name}" for path, statement in statements
+        if path.parent == SRC and path.name != "oracles.py"
+        for name in _defined_names(statement) if not name.startswith("_")
+        and not any(name in names for other, names in references if other is not statement)
+    ]
     assert unused == []

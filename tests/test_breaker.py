@@ -20,6 +20,7 @@ from ontoguard.breaker import (
     write_refusal_packet,
 )
 from ontoguard.model import InfluenceTag, PipelineConfig, ValidationError
+from ontoguard.synthgen import InstitutionWeight
 
 CFG = PipelineConfig()  # breaker threshold 0.15
 
@@ -120,7 +121,7 @@ class TestRetrainGate:
         # Quarterly influence 4 -> 8 -> 12 -> 18 percent: cycles 1-2 retrain
         # quietly, cycle 3 warns, cycle 4 opens and refuses.
         spec = synthgen.DistortionSpec(
-            institutions=(("I-A", 0.5), ("I-B", 0.5)),
+            institutions=(InstitutionWeight("I-A", 0.5), InstitutionWeight("I-B", 0.5)),
             current_version="2025",
             ai_influence=synthgen.AIInfluenceSpec("m1", (0.04, 0.08, 0.12, 0.18)),
         )

@@ -14,6 +14,7 @@ from ontoguard.checkpoint import (
     write_fidelity_report,
 )
 from ontoguard.model import PipelineConfig, ValidationError
+from ontoguard.synthgen import InstitutionWeight
 
 
 @pytest.fixture()
@@ -47,7 +48,8 @@ class TestBuildReferenceModel:
 
     def test_prevalences_track_generator_base_rates(self, bundled_system, cfg):
         spec = synthgen.DistortionSpec(
-            institutions=(("INST-A", 0.5), ("INST-B", 0.5)), current_version="2025",
+            institutions=(InstitutionWeight("INST-A", 0.5), InstitutionWeight("INST-B", 0.5)),
+            current_version="2025",
         )
         history, _ = synthgen.generate_batch(bundled_system, spec, 50_000, 9)
         ref = build_reference_model(history, bundled_system, "2025")

@@ -22,8 +22,16 @@ from ontoguard.dormancy import (
     write_prune_log,
     write_store,
 )
-from ontoguard.model import Layer, PipelineConfig, ValidationError, profile_batch
+from ontoguard.model import (
+    Layer,
+    PipelineConfig,
+    ValidationError,
+    from_json,
+    profile_batch,
+    to_json,
+)
 from ontoguard.sentinel import DriftType, scan
+from ontoguard.synthgen import InstitutionWeight
 
 CFG = PipelineConfig()  # dormancy threshold 0.002
 
@@ -166,6 +174,12 @@ def test_store_entries_round_trip(tmp_path, entries):
     assert read_store(path).entries == entries
 
 
+@settings(max_examples=100, deadline=None)
+@given(condition=_CONDITIONS)
+def test_condition_json_round_trip(condition):
+    assert from_json(ActivationCondition, to_json(condition)) == condition
+
+
 class TestCheckActivation:
     def make_store(self, conditions) -> DormantStore:
         profile = admin(batch_with_counts({"AAA": 999, "RARE": 1}))
@@ -207,7 +221,7 @@ class TestCheckActivation:
         # An outbreak-injected series raises an epidemiological alert whose
         # code matches a stored activation condition.
         spec = synthgen.DistortionSpec(
-            institutions=(("I-A", 0.5), ("I-B", 0.5)),
+            institutions=(InstitutionWeight("I-A", 0.5), InstitutionWeight("I-B", 0.5)),
             current_version="2025",
             outbreak=synthgen.OutbreakSpec("RESP-FLU", date(2025, 4, 1), 3.0),
         )

@@ -17,6 +17,7 @@ from ontoguard.dual_ontology import (
 )
 from ontoguard.model import FidelityAnnotation, PipelineConfig, ValidationError
 from ontoguard.oracles import accuracy_recount
+from ontoguard.synthgen import InstitutionWeight
 
 
 def annotated(record, score):
@@ -159,7 +160,7 @@ class TestDivergence:
             },
         )
         spec = synthgen.DistortionSpec(
-            institutions=(("I-A", 0.5), ("I-B", 0.5)),
+            institutions=(InstitutionWeight("I-A", 0.5), InstitutionWeight("I-B", 0.5)),
             current_version="v2",
             catch_all=(synthgen.CatchAllSpec("I-A", "CA-TARGET", 0.4),),
         )

@@ -19,6 +19,7 @@ from ontoguard.model import (
     ValidationError,
     canonical_dumps,
 )
+from ontoguard.synthgen import InstitutionWeight
 
 NULL_SYSTEM = {
     "system_id": "NULL-SYS",
@@ -205,12 +206,19 @@ class TestWiring:
                 assert entry["detail"]["baseline_quarter"] <= entry["quarter"]
 
     def test_external_stages_preceded_by_compliance(self, scenario_run):
+        # Each stage that touches data outside the pipeline, and the
+        # compliance check that must come first in its quarter.
+        external_stages = {
+            "gate.batch": "compliance.ingest",
+            "deploy": "compliance.deploy",
+            "export": "compliance.export",
+        }
         trace = scenario_run["report"].trace
         by_stage = {}
         for entry in trace:
             by_stage.setdefault((entry["quarter"], entry["stage"]), []).append(entry["seq"])
         for (quarter, stage), seqs in by_stage.items():
-            wrapper = harness.EXTERNAL_STAGES.get(stage)
+            wrapper = external_stages.get(stage)
             if wrapper is None:
                 continue
             wrapper_seqs = by_stage.get((quarter, wrapper), [])
@@ -294,7 +302,7 @@ CLI_INPUT_FILES = {
     "n-zero.json": walkthrough_text(n_per_quarter=0),
     "int-id.jsonl": '{"record_id": 5}\n',
     "spec.json": json.dumps(synthgen.spec_to_dict(synthgen.DistortionSpec(
-        institutions=(("I-A", 1.0),), current_version="2025"))),
+        institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025"))),
     "system-validated.json": json.dumps(_system_with_string_validated()),
     "adapter-conditions.json": _adapter_text(conditions="pseudonymise"),
     "adapter-reason.json": _adapter_text(reason=5),
@@ -303,6 +311,25 @@ CLI_INPUT_FILES = {
         "significance_note": "", "last_observed": "2025-03-01T08:00:00",
         "activation_conditions": [{"kind": "outbreak_signal", "signal_code": "DM2-UNSPEC"}],
     }]),
+    "store-negative.json": json.dumps([{
+        "code": "DM2-UNSPEC", "count": -1, "frequency": 0.5, "top_co_codes": [],
+        "significance_note": "", "last_observed": "2025-03-01T08:00:00",
+        "activation_conditions": [{"kind": "outbreak_signal", "signal_code": "DM2-UNSPEC"}],
+    }]),
+    "adapter-ids.json": json.dumps({**json.loads(_adapter_text()), "adapter_id": 5,
+                                    "jurisdiction": ["x"], "regulation_version": 1}),
+    "adapter-key.json": json.dumps({**json.loads(_adapter_text()), "rules": [
+        {"when": [{"key": ["model_card_present"], "op": "present"}], "verdict": "permit",
+         "provision": "p"},
+        {"verdict": "permit", "provision": "p"},
+    ]}),
+    "sig-int.json": '{"DM2-UNSPEC": 5}',
+    "sig-scenario.json": walkthrough_text(significance_list={"DM-OTHER": 5}),
+    "spec-weight.json": json.dumps({"current_version": "2025", "institutions": [
+        {"institution_id": "I-A", "weight": "1.0"}]}),
+    "spec-extra.json": json.dumps({"current_version": "2025", "outbreaks": None, "institutions": [
+        {"institution_id": "I-A", "weight": 1.0}]}),
+    "cond-domain.json": '{"DM2-UNSPEC": [{"kind": "domain_transfer_request", "domain": 5}]}',
     "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
@@ -335,7 +362,7 @@ class TestCli:
     def test_drift_scan_identical_files_zero_alerts(self, tmp_path, capsys,
                                                     walkthrough_spec):
         spec_dict = synthgen.spec_to_dict(synthgen.DistortionSpec(
-            institutions=(("I-A", 1.0),), current_version="2025",
+            institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025",
         ))
         (tmp_path / "spec.json").write_text(json.dumps(spec_dict), encoding="utf-8")
         status = cli.main([
@@ -473,7 +500,27 @@ class TestCli:
         (["comply-check", "--op", "deploy", "--adapters", "adapter-reason.json"],
          "adapter-reason.json rule 0: reason must be a string, got 5"),
         (["dormancy", "activate", "--store", "store-types.json", "--records", "one.jsonl"],
-         "store-types.json entry 0: count must be an integer >= 0, got 'many'"),
+         "store-types.json entry 0: count must be an integer, got 'many'"),
+        (["dormancy", "activate", "--store", "store-negative.json", "--records", "one.jsonl"],
+         "store-negative.json entry 0: count must be >= 0, got -1"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-ids.json"],
+         "adapter-ids.json adapter_id must be a string, got 5"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-key.json"],
+         "adapter-key.json rule 0: clause key must be a string, got ['model_card_present']"),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "sig-int.json",
+          "--store", "store.json"],
+         "sig-int.json significance note of 'DM2-UNSPEC' must be a string, got 5"),
+        (["scenario", "run", "sig-scenario.json", "--seed", "1"],
+         "sig-scenario.json significance note of 'DM-OTHER' must be a string, got 5"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-weight.json", "--n", "10",
+          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "spec-weight.json weight must be a number, got '1.0'"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-extra.json", "--n", "10",
+          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "spec-extra.json has unknown keys ['outbreaks']"),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+          "--conditions", "cond-domain.json", "--store", "store.json"],
+         "cond-domain.json domain must be a string or null, got 5"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -488,7 +535,10 @@ class TestCli:
         "partition-int-id", "fidelity-layer", "mixed-utc-offsets", "synth-negative-seed",
         "scenario-negative-seed", "synth-bad-start", "history-nan", "history-out-of-range",
         "history-int-period", "system-string-validated", "adapter-string-conditions",
-        "adapter-int-reason", "store-entry-types",
+        "adapter-int-reason", "store-entry-types", "store-entry-negative-count",
+        "adapter-int-fields", "adapter-list-clause-key", "significance-int-note",
+        "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
+        "conditions-int-domain",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -555,7 +605,7 @@ class TestCli:
         # One small corpus driven through fidelity-report, infer-clinical,
         # dormancy classify/activate, breaker sweep, and the partition oracle.
         spec_dict = synthgen.spec_to_dict(synthgen.DistortionSpec(
-            institutions=(("I-A", 0.5), ("I-B", 0.5)),
+            institutions=(InstitutionWeight("I-A", 0.5), InstitutionWeight("I-B", 0.5)),
             current_version="2025",
         ))
         (tmp_path / "spec.json").write_text(json.dumps(spec_dict), encoding="utf-8")
@@ -656,7 +706,7 @@ class TestCli:
 
     def test_breaker_check_subcommand(self, tmp_path, capsys, walkthrough_spec):
         spec_dict = synthgen.spec_to_dict(synthgen.DistortionSpec(
-            institutions=(("I-A", 1.0),), current_version="2025",
+            institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025",
             ai_influence=synthgen.AIInfluenceSpec("m1", (0.12,)),
         ))
         (tmp_path / "spec.json").write_text(json.dumps(spec_dict), encoding="utf-8")

@@ -4,6 +4,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record, record_dict, tiny_system
 from ontoguard.model import (
@@ -15,10 +17,12 @@ from ontoguard.model import (
     TimeWindow,
     ValidationError,
     code_system_from_dict,
+    from_json,
     load_code_system,
     load_config,
     read_records,
     record_from_dict,
+    to_json,
 )
 
 
@@ -205,3 +209,67 @@ class TestPipelineConfig:
     def test_component_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="drift_component_weights"):
             PipelineConfig(drift_component_weights=(0.5, 0.5, 0.5, 0.5))
+
+
+def _weights(n):
+    # n positive weights that sum to 1 within the config's tolerance.
+    return st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n).map(
+        lambda ws: tuple(w / sum(ws) for w in ws))
+
+
+_WINDOWS = st.none() | st.lists(st.dates(), min_size=2, max_size=2).map(
+    lambda days: TimeWindow(*sorted(days)))
+CONFIGS = st.builds(
+    PipelineConfig,
+    fidelity_weights=_weights(3),
+    drift_threshold=st.floats(1e-9, 1e9),
+    breaker_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    dormancy_frequency_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    release_correlation_window_days=st.integers(1, 10**9),
+    baseline_window=_WINDOWS,
+    current_window=_WINDOWS,
+    inference_fidelity_cutoff=st.floats(0.0, 1.0),
+    fingerprint_min_support=st.integers(1, 10**9),
+    drift_component_weights=_weights(4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=CONFIGS)
+def test_config_json_round_trip(cfg):
+    assert from_json(PipelineConfig, to_json(cfg)) == cfg
+
+
+class TestFromJson:
+    @pytest.mark.parametrize("data, message", [
+        ({"start": "2025-01-01", "end": "2025-03-31", "days": 90}, r"has unknown keys \['days'\]"),
+        ({"start": 20250101, "end": "2025-03-31"}, "start must be an ISO 8601 date, got 20250101"),
+        ({"start": "2025-13-01", "end": "2025-03-31"}, "start must be an ISO 8601 date"),
+        ({"start": "2025-03-31", "end": "2025-01-01"}, "window end 2025-01-01 before start"),
+        ([], "must hold a JSON object"),
+    ], ids=["unknown-key", "number-for-date", "bad-date", "post-init", "not-an-object"])
+    def test_rejects(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            from_json(TimeWindow, data)
+
+    def test_absent_required_key_is_a_key_error(self):
+        with pytest.raises(KeyError, match="end"):
+            from_json(TimeWindow, {"start": "2025-01-01"})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"model_version": "m", "model_confidence": 0.5, "clinician_modified": 1},
+         "clinician_modified must be true or false, got 1"),
+        ({"model_version": "m", "model_confidence": False, "clinician_modified": True},
+         "model_confidence must be a number, got False"),
+        ({"model_version": ["m"], "model_confidence": 0.5, "clinician_modified": True},
+         r"model_version must be a string, got \['m'\]"),
+    ], ids=["int-for-bool", "bool-for-float", "list-for-string"])
+    def test_a_bool_is_never_a_number_and_a_number_never_a_bool(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            from_json(InfluenceTag, data)
+
+    def test_absent_keys_take_defaults_and_integers_become_floats(self):
+        assert from_json(PipelineConfig, {}) == PipelineConfig()
+        tag = from_json(InfluenceTag, {"model_version": "m", "model_confidence": 1,
+                                       "clinician_modified": False})
+        assert type(tag.model_confidence) is float

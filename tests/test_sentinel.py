@@ -18,6 +18,7 @@ from ontoguard.sentinel import (
     scan,
     write_alerts,
 )
+from ontoguard.synthgen import InstitutionWeight
 
 Q1 = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
 
@@ -49,7 +50,7 @@ class TestBuildFingerprints:
         # age x sex grid; the fingerprint should recover that within 0.03.
         system = tiny_system(base_prevalence={"AAA": 1.0})
         spec = synthgen.DistortionSpec(
-            institutions=(("I-A", 1.0),), current_version="v2"
+            institutions=(InstitutionWeight("I-A", 1.0),), current_version="v2"
         )
         batch, _ = synthgen.generate_batch(system, spec, 50_000, 13, window=Q1)
         fps = build_fingerprints(admin(batch), Q1, bundled_cfg)

@@ -6,6 +6,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEED
 from ontoguard import synthgen
@@ -16,11 +18,29 @@ from ontoguard.model import (
     write_records,
 )
 from ontoguard.oracles import binomial_interval, prevalence_recount
+from ontoguard.synthgen import InstitutionWeight
+
+
+_NAMES = st.text(max_size=8)
+_NUMBERS = st.floats(allow_nan=False)
+SPECS = st.builds(
+    synthgen.DistortionSpec,
+    institutions=st.lists(st.builds(InstitutionWeight, _NAMES, _NUMBERS), max_size=3).map(tuple),
+    current_version=_NAMES,
+    catch_all=st.lists(st.builds(synthgen.CatchAllSpec, _NAMES, _NAMES, _NUMBERS),
+                       max_size=2).map(tuple),
+    billing_inflation=st.lists(st.builds(synthgen.BillingInflationSpec, _NAMES, st.dates(),
+                                         _NUMBERS), max_size=2).map(tuple),
+    version_mix=st.dictionaries(_NAMES, _NAMES, max_size=3),
+    ai_influence=st.none() | st.builds(synthgen.AIInfluenceSpec, _NAMES,
+                                       st.lists(_NUMBERS, max_size=3).map(tuple)),
+    outbreak=st.none() | st.builds(synthgen.OutbreakSpec, _NAMES, st.dates(), _NUMBERS),
+)
 
 
 def simple_spec(**overrides):
     base = dict(
-        institutions=(("INST-A", 0.5), ("INST-B", 0.5)),
+        institutions=(InstitutionWeight("INST-A", 0.5), InstitutionWeight("INST-B", 0.5)),
         current_version="2025",
     )
     base.update(overrides)
@@ -40,7 +60,8 @@ class TestGenerateBatch:
     def test_exact_count_for_lagging_institution(self, bundled_system):
         # 6.4% weight over 50,000 records lands on exactly 3,200.
         spec = simple_spec(
-            institutions=(("INST-A", 0.936), ("INST-LAG", 0.064)),
+            institutions=(InstitutionWeight("INST-A", 0.936),
+                          InstitutionWeight("INST-LAG", 0.064)),
             version_mix={"INST-LAG": "2024"},
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 50_000, SEED)
@@ -161,7 +182,9 @@ class TestInvariants:
                 assert entry.distortion_labels, record.record_id
 
     def test_stratified_institution_exactness(self, bundled_system):
-        spec = simple_spec(institutions=(("A", 0.25), ("B", 0.25), ("C", 0.5)))
+        spec = simple_spec(institutions=(
+            InstitutionWeight("A", 0.25), InstitutionWeight("B", 0.25), InstitutionWeight("C", 0.5),
+        ))
         records, _ = synthgen.generate_batch(bundled_system, spec, 10_000, 3)
         counts = {}
         for r in records:
@@ -182,16 +205,9 @@ class TestInvariants:
         }
         assert loaded == truth
 
-    def test_spec_round_trip(self, bundled_system):
-        spec = simple_spec(
-            catch_all=(synthgen.CatchAllSpec("INST-A", "DM2-UNSPEC", 0.8),),
-            billing_inflation=(
-                synthgen.BillingInflationSpec("bc-acute", date(2025, 4, 1), 2.0),
-            ),
-            version_mix={"INST-B": "2024"},
-            ai_influence=synthgen.AIInfluenceSpec("m1", (0.04, 0.08)),
-            outbreak=synthgen.OutbreakSpec("RESP-FLU", date(2025, 7, 1), 3.0),
-        )
+    @settings(max_examples=100, deadline=None)
+    @given(spec=SPECS)
+    def test_spec_round_trip(self, spec):
         assert synthgen.spec_from_dict(synthgen.spec_to_dict(spec)) == spec
 
 
