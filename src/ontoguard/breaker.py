@@ -12,6 +12,7 @@ its predictive quality is a non-goal.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -125,10 +126,6 @@ def evaluate(stats: InfluenceStats, cfg: PipelineConfig) -> BreakerState:
     )
 
 
-def _outcome(record: CodedRecord) -> bool:
-    return bool(record.co_codes & OUTCOME_MARKERS)
-
-
 def retrain_gate(
     state: BreakerState,
     cohort: Sequence[CodedRecord],
@@ -139,6 +136,8 @@ def retrain_gate(
 
     Retraining fits per-code empirical outcome rates over the cohort and
     bumps the model version; the new model is trained on ``stats``' cohort.
+    A record's codes and outcome depend on its primary code and co-code set
+    alone, so each distinct pair is counted once.
     """
     if state.state is BreakerStateKind.OPEN:
         return Refusal(reason=state.reason, stats=stats, state=state)
@@ -146,12 +145,13 @@ def retrain_gate(
         raise ValidationError("cannot retrain on an empty cohort")
     totals: dict[str, int] = {}
     positives: dict[str, int] = {}
-    for record in cohort:
-        outcome = _outcome(record)
-        for code in {record.primary_code, *record.co_codes}:
-            totals[code] = totals.get(code, 0) + 1
+    pairs = Counter((record.primary_code, record.co_codes) for record in cohort)
+    for (primary_code, co_codes), n in pairs.items():
+        outcome = bool(co_codes & OUTCOME_MARKERS)
+        for code in {primary_code, *co_codes}:
+            totals[code] = totals.get(code, 0) + n
             if outcome:
-                positives[code] = positives.get(code, 0) + 1
+                positives[code] = positives.get(code, 0) + n
     weights = {code: positives.get(code, 0) / totals[code] for code in sorted(totals)}
     return ToyRiskModel(
         model_version=f"toy-risk-{model.version_number() + 1}",

@@ -127,6 +127,16 @@ def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
             raise ValidationError(f"{key} must be an integer >= 1, got {data[key]!r}")
         return data[key]
 
+    def context(key: str) -> dict[str, compliance_mod.ContextValue]:
+        values = data.get(key, {})
+        if type(values) is not dict:
+            raise ValidationError(f"{key} must be a JSON object, got {values!r}")
+        for name, value in values.items():
+            if type(value) not in (str, int, float, bool):
+                raise ValidationError(f"{key} value of {name!r} must be a string, number "
+                                      f"or true or false, got {value!r}")
+        return values
+
     assertions = data.get("assertions", [])
     if type(assertions) is not list or not all(
         type(a) is dict and type(a.get("kind")) is str for a in assertions
@@ -146,8 +156,8 @@ def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
         activation_conditions=dormancy_mod.conditions_from_dict(
             data.get("activation_conditions", {})
         ),
-        ingest_context=dict(data.get("ingest_context", {})),
-        deploy_context=dict(data.get("deploy_context", {})),
+        ingest_context=context("ingest_context"),
+        deploy_context=context("deploy_context"),
         assertions=tuple(assertions),
     )
 
@@ -201,6 +211,7 @@ def run_scenario(
         id_prefix="H",
     )
     ref = checkpoint_mod.build_reference_model(history, system, spec.target_version)
+    del history  # no stage reads the history records again
 
     model = breaker_mod.ToyRiskModel(model_version="toy-risk-1", weights={})
     ratios: tuple[tuple[str, float], ...] = ()
@@ -265,21 +276,27 @@ def run_scenario(
             "gate.batch", gate_mod.gate_batch, batch, system, spec.target_version
         )
         gate_mod.write_quarantine(qdir / "quarantine.jsonl", outcome.quarantined)
-        tracer.add(q, "gate.batch", {
+        gate_counts = {
             "accepted": len(outcome.accepted),
             "reconciled": len(outcome.reconciled),
             "quarantined": len(outcome.quarantined),
-        })
+        }
+        tracer.add(q, "gate.batch", gate_counts)
 
+        # Each record list is freed after its last reader, so a quarter holds
+        # at most two copies of its records and none of the last quarter's.
         processed = outcome.processed_records()
+        del batch, outcome
         annotated = stage(
             "checkpoint.annotate", checkpoint_mod.annotate_batch, processed, ref, cfg
         )
+        del processed
         fid_report = checkpoint_mod.fidelity_report(annotated)
         checkpoint_mod.write_fidelity_report(fid_report, qdir / "fidelity_report.csv")
         tracer.add(q, "checkpoint.annotate", {"n": len(annotated)})
 
         inferred = stage("dual_ontology.infer", dual_mod.infer_clinical_layer, annotated, ref, cfg)
+        del annotated
         tracer.add(q, "dual_ontology.infer", {"n": len(inferred)})
         div_report = stage("dual_ontology.divergence", dual_mod.divergence, inferred)
         dual_mod.write_divergence_csv(div_report, qdir / "divergence.csv")
@@ -339,6 +356,7 @@ def run_scenario(
         else:
             model = gate_result
             tracer.add(q, "breaker.retrain", {"model_version": model.model_version})
+        del inferred
 
         if baseline is None:
             baseline, baseline_window = profile, window
@@ -363,11 +381,7 @@ def run_scenario(
                 "coverage": migration.mapping_coverage,
                 "verdict": migration.verdict.value,
             },
-            "gate": {
-                "accepted": len(outcome.accepted),
-                "reconciled": len(outcome.reconciled),
-                "quarantined": len(outcome.quarantined),
-            },
+            "gate": gate_counts,
             "fidelity_by_institution": {
                 row.institution_id: {"n": row.n, "mean": row.mean}
                 for row in fid_report.rows

@@ -309,6 +309,30 @@ def test_layer_codes_are_read_only_by_profile_batch():
     assert inside and everywhere == inside
 
 
+def _builds_record_from_fields(call: ast.Call) -> bool:
+    """``CodedRecord(**...)`` or ``object.__new__(CodedRecord)``."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) == "CodedRecord":
+        return any(keyword.arg is None for keyword in call.keywords)
+    return (getattr(call.func, "attr", None) == "__new__"
+            and any(getattr(arg, "id", None) == "CodedRecord" for arg in call.args))
+
+
+def test_records_are_copied_only_by_with_fields():
+    # A record copy is one model.with_fields call, so every copy costs and
+    # checks the same; no other module builds a record from another's fields.
+    offenders = [
+        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _builds_record_from_fields(node)
+    ]
+    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    with_fields = next(node for node in ast.walk(model)
+                       if isinstance(node, ast.FunctionDef) and node.name == "with_fields")
+    inside = [f"model.py:{node.lineno}" for node in ast.walk(with_fields)
+              if isinstance(node, ast.Call) and _builds_record_from_fields(node)]
+    assert inside and offenders == inside
+
+
 def test_every_config_field_is_read_outside_model():
     # A config key that no stage reads is a knob that does nothing.
     read = {

@@ -4,10 +4,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
 from ontoguard import synthgen
 from ontoguard.breaker import (
+    OUTCOME_MARKERS,
     BreakerStateKind,
     InfluenceStats,
     Refusal,
@@ -116,6 +119,25 @@ class TestRetrainGate:
         state = evaluate(stats, CFG)
         with pytest.raises(ValidationError, match="empty cohort"):
             retrain_gate(state, [], model, stats)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(
+        st.sampled_from(["AAA", "BBB", "LAB-GLU-HI"]),
+        st.frozensets(st.sampled_from(["AAA", "CCC", *sorted(OUTCOME_MARKERS)]), max_size=3),
+    ), min_size=1, max_size=30))
+    def test_weights_are_per_code_outcome_rates(self, pairs):
+        cohort = [make_record(f"R-{i}", code=code, co_codes=co)
+                  for i, (code, co) in enumerate(pairs)]
+        stats = compute_stats(cohort, [])
+        model = retrain_gate(evaluate(stats, CFG), cohort, ToyRiskModel("toy-risk-1", {}), stats)
+        counts = {}  # code -> (records carrying it, of which positive), record by record
+        for record in cohort:
+            positive = bool(record.co_codes & OUTCOME_MARKERS)
+            for code in {record.primary_code, *record.co_codes}:
+                n, k = counts.get(code, (0, 0))
+                counts[code] = (n + 1, k + positive)
+        assert list(model.weights) == sorted(counts)
+        assert model.weights == {code: k / n for code, (n, k) in counts.items()}
 
     def test_four_cycle_loop_refuses_on_schedule_breach(self, bundled_system):
         # Quarterly influence 4 -> 8 -> 12 -> 18 percent: cycles 1-2 retrain

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -188,6 +189,27 @@ class TestGolden:
         assert digests == WALKTHROUGH_DIGESTS
 
 
+class TestRecordLifetimes:
+    def test_no_earlier_batch_is_alive_when_a_quarter_generates(self, tmp_path, monkeypatch):
+        # The history batch dies once the reference model is built, and each
+        # quarter's records die before the next quarter generates its batch.
+        spec = harness.load_scenario(write_null_scenario(tmp_path, n=600, quarters=3))
+        generate_batch = synthgen.generate_batch
+        samples: list[list[weakref.ref]] = []
+        alive: list[list[int]] = []
+
+        def sampling_generate_batch(*args, **kwargs):
+            alive.append([sum(ref() is not None for ref in refs) for refs in samples])
+            batch, truth = generate_batch(*args, **kwargs)
+            samples.append([weakref.ref(record) for record in batch[::20]])
+            return batch, truth
+
+        monkeypatch.setattr(harness.synthgen_mod, "generate_batch", sampling_generate_batch)
+        harness.run_scenario(spec, 3, tmp_path / "out")
+        assert [len(refs) for refs in samples] == [30] * 4  # history, then three quarters
+        assert alive == [[], [0], [0, 0], [0, 0, 0]]
+
+
 class TestWiring:
     def test_layers_run_in_order_within_each_quarter(self, scenario_run):
         trace = scenario_run["report"].trace
@@ -265,6 +287,12 @@ def _system_with_string_validated() -> dict:
     return data
 
 
+def _system_with_string_prevalence() -> dict:
+    data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
+    data["base_prevalence"]["DM-OTHER"] = str(data["base_prevalence"]["DM-OTHER"])
+    return data
+
+
 def _adapter_text(**rule) -> str:
     """One conditional-permit adapter whose only rule takes ``rule``'s fields."""
     return json.dumps({
@@ -304,6 +332,9 @@ CLI_INPUT_FILES = {
     "spec.json": json.dumps(synthgen.spec_to_dict(synthgen.DistortionSpec(
         institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025"))),
     "system-validated.json": json.dumps(_system_with_string_validated()),
+    "system-prevalence.json": json.dumps(_system_with_string_prevalence()),
+    "context-list.json": walkthrough_text(ingest_context={"purpose": ["training"]}),
+    "context-pairs.json": walkthrough_text(deploy_context=[["purpose", "demo"]]),
     "adapter-conditions.json": _adapter_text(conditions="pseudonymise"),
     "adapter-reason.json": _adapter_text(reason=5),
     "store-types.json": json.dumps([{
@@ -521,6 +552,14 @@ class TestCli:
         (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
           "--conditions", "cond-domain.json", "--store", "store.json"],
          "cond-domain.json domain must be a string or null, got 5"),
+        (["synth", "generate", "--system", "system-prevalence.json", "--spec", "spec.json",
+          "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "system-prevalence.json base_prevalence of 'DM-OTHER' must be a number, got '0."),
+        (["scenario", "run", "context-list.json", "--seed", "1"],
+         "context-list.json ingest_context value of 'purpose' must be a string, number "
+         "or true or false, got ['training']"),
+        (["scenario", "run", "context-pairs.json", "--seed", "1"],
+         "context-pairs.json deploy_context must be a JSON object"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -538,7 +577,8 @@ class TestCli:
         "adapter-int-reason", "store-entry-types", "store-entry-negative-count",
         "adapter-int-fields", "adapter-list-clause-key", "significance-int-note",
         "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
-        "conditions-int-domain",
+        "conditions-int-domain", "system-string-prevalence", "scenario-context-list-value",
+        "scenario-context-not-object",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

@@ -1,6 +1,8 @@
 """Core types, config loading, and code-system loading."""
 
 import json
+import re
+from dataclasses import FrozenInstanceError
 from datetime import date
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import make_record, record_dict, tiny_system
 from ontoguard.model import (
     AGE_BANDS,
+    SEXES,
     CodedRecord,
     FidelityAnnotation,
     InfluenceTag,
@@ -18,11 +21,13 @@ from ontoguard.model import (
     ValidationError,
     code_system_from_dict,
     from_json,
+    jsonl_dumps,
     load_code_system,
     load_config,
     read_records,
     record_from_dict,
     to_json,
+    with_fields,
 )
 
 
@@ -90,6 +95,15 @@ class TestLoadCodeSystem:
                 {"label": "v1", "release_date": "2024-01-01", "validated": True},
                 {"label": "v1", "release_date": "2025-01-01", "validated": True},
             ])
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_base_prevalence_must_be_a_number(self, value):
+        named = re.escape(f"base_prevalence of 'BBB' must be a number, got {value!r}")
+        with pytest.raises(ValidationError, match=named):
+            tiny_system(base_prevalence={"AAA": 0.5, "BBB": value})
+
+    def test_integer_base_prevalence_is_a_float(self):
+        assert tiny_system(base_prevalence={"AAA": 1}).base_prevalence == {"AAA": 1.0}
 
     def test_versions_must_be_ordered_by_release_date(self):
         with pytest.raises(ValidationError, match="ordered by release date"):
@@ -188,6 +202,43 @@ class TestRecords:
         path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"records\.jsonl:3: .*'co_codes'"):
             read_records(path)
+
+
+_TEXT = st.text(max_size=8)
+_ANNOTATIONS = st.builds(FidelityAnnotation, st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                         st.floats(0, 1), _TEXT)
+RECORDS = st.builds(
+    make_record, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
+    sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(), code=_TEXT,
+    co_codes=st.frozensets(_TEXT, max_size=4), version=_TEXT,
+    influence_tag=st.none() | st.builds(InfluenceTag, _TEXT, st.floats(0, 1), st.booleans()),
+    fidelity=st.none() | _ANNOTATIONS, clinical_code=st.none() | _TEXT,
+)
+# The fields that the pipeline's record copies change.
+CHANGES = st.fixed_dictionaries({}, optional={
+    "fidelity": st.none() | _ANNOTATIONS, "clinical_code": st.none() | _TEXT,
+    "primary_code": _TEXT, "version_tag": _TEXT,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=RECORDS, changes=CHANGES)
+def test_with_fields_copies_as_the_constructor_does(record, changes):
+    before = dict(vars(record))
+    copy = with_fields(record, **changes)
+    built = CodedRecord(**{**vars(record), **changes})
+    assert type(copy) is CodedRecord
+    assert copy == built and hash(copy) == hash(built)
+    assert jsonl_dumps(copy) == jsonl_dumps(built)
+    assert vars(record) == before
+    with pytest.raises(FrozenInstanceError):
+        copy.clinical_code = "X"
+    with pytest.raises(TypeError, match="no field"):
+        with_fields(record, **changes, bogus=None)
+    with pytest.raises(ValidationError, match="age band"):
+        with_fields(record, **changes, patient_age_band="200+")
+    with pytest.raises(ValidationError, match="sex"):
+        with_fields(record, **changes, patient_sex="unknown")
 
 
 class TestTimeWindow:
