@@ -11,9 +11,10 @@ from dataclasses import replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import make_record, record_dict
+from conftest import SEED, make_record, record_dict
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
     StageError,
@@ -187,6 +188,28 @@ class TestGolden:
             for path in out.rglob("*") if path.is_file()
         }
         assert digests == WALKTHROUGH_DIGESTS
+
+
+class TestRecordOrder:
+    def test_shuffled_batches_write_a_byte_identical_run(self, scenario_run, walkthrough_spec,
+                                                         tmp_path, monkeypatch):
+        # Metamorphic relation: the order of a batch's records, the history
+        # batch included, changes no byte of the run directory.
+        generate_batch = synthgen.generate_batch
+        rng = np.random.default_rng(2024)
+
+        def shuffled_generate_batch(*args, **kwargs):
+            batch, truth = generate_batch(*args, **kwargs)
+            order = rng.permutation(len(batch))
+            return [batch[i] for i in order], truth
+
+        monkeypatch.setattr(harness.synthgen_mod, "generate_batch", shuffled_generate_batch)
+        harness.run_scenario(walkthrough_spec, SEED, tmp_path)
+        files = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(scenario_run["out_dir"])
+                               for p in scenario_run["out_dir"].rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / rel).read_bytes() == (scenario_run["out_dir"] / rel).read_bytes(), rel
 
 
 class TestRecordLifetimes:
