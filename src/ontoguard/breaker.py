@@ -12,16 +12,18 @@ its predictive quality is a non-goal.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .model import (
-    CodedRecord,
     PipelineConfig,
+    RecordBatch,
     ValidationError,
+    group,
     write_json,
 )
 
@@ -71,14 +73,14 @@ OUTCOME_MARKERS = frozenset({"LAB-HBA1C-HI", "LAB-GLU-HI"})
 
 
 def compute_stats(
-    cohort: Sequence[CodedRecord],
+    cohort: RecordBatch,
     history: Sequence[tuple[str, float]],
     cohort_id: str = "cohort",
     period: str | None = None,
 ) -> InfluenceStats:
     """Tagged-over-total ratio for a cohort, appended to the period history."""
     total = len(cohort)
-    tagged = sum(1 for record in cohort if record.influence_tag is not None)
+    tagged = int(np.count_nonzero(np.not_equal(cohort.influence, None)))
     ratio = tagged / total if total else 0.0
     if period is None:
         period = f"period-{len(history) + 1}"
@@ -128,7 +130,7 @@ def evaluate(stats: InfluenceStats, cfg: PipelineConfig) -> BreakerState:
 
 def retrain_gate(
     state: BreakerState,
-    cohort: Sequence[CodedRecord],
+    cohort: RecordBatch,
     model: ToyRiskModel,
     stats: InfluenceStats,
 ) -> ToyRiskModel | Refusal:
@@ -141,12 +143,15 @@ def retrain_gate(
     """
     if state.state is BreakerStateKind.OPEN:
         return Refusal(reason=state.reason, stats=stats, state=state)
-    if not cohort:
+    if not len(cohort):
         raise ValidationError("cannot retrain on an empty cohort")
     totals: dict[str, int] = {}
     positives: dict[str, int] = {}
-    pairs = Counter((record.primary_code, record.co_codes) for record in cohort)
-    for (primary_code, co_codes), n in pairs.items():
+    n_sets = len(cohort.co_sets)
+    pairs, _, counts, _ = group(cohort.code.astype(np.int64) * n_sets + cohort.co,
+                                len(cohort.codes) * n_sets)
+    for pair, n in zip(pairs.tolist(), counts.tolist()):
+        primary_code, co_codes = cohort.codes[pair // n_sets], cohort.co_sets[pair % n_sets]
         outcome = bool(co_codes & OUTCOME_MARKERS)
         for code in {primary_code, *co_codes}:
             totals[code] = totals.get(code, 0) + n

@@ -10,21 +10,23 @@ calibrated probabilities.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .model import (
-    CodedRecord,
+    AGE_BANDS,
+    SEXES,
     CodeSystem,
     FidelityAnnotation,
     Layer,
     PipelineConfig,
+    RecordBatch,
     ValidationError,
+    group,
     profile_batch,
-    with_fields,
 )
 
 TOP_K_COOCCURRENCE = 10
@@ -66,7 +68,7 @@ class ReferenceModel:
 
 
 def build_reference_model(
-    history: Sequence[CodedRecord],
+    history: RecordBatch,
     system: CodeSystem,
     version_label: str | None = None,
 ) -> ReferenceModel:
@@ -158,10 +160,15 @@ def _institutional_subscore(ref: ReferenceModel, institution_id: str, code: str)
     return 1.0 - min(1.0, abs(rate - median) / median)
 
 
-def annotate_batch(
-    batch: Iterable[CodedRecord], ref: ReferenceModel, cfg: PipelineConfig
-) -> list[CodedRecord]:
-    """Return each record with its fidelity annotation populated.
+def _per_key(keys: np.ndarray, size: int, value: Callable[[int], Any]
+             ) -> tuple[np.ndarray, list[Any]]:
+    """Each row's index into its distinct key, and ``value`` of each distinct key."""
+    distinct, _, _, index = group(keys, size)
+    return index, [value(key) for key in distinct.tolist()]
+
+
+def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig) -> RecordBatch:
+    """Return the batch with each record's fidelity annotation populated.
 
     Pure and idempotent: re-annotating with the same reference yields the
     same annotation. Never rejects. Each subscore depends on a few record
@@ -169,38 +176,57 @@ def annotate_batch(
     records with the same three subscores share one immutable annotation.
     """
     w_prev, w_cooc, w_inst = cfg.fidelity_weights
-    prevalence: dict[tuple[str, str, str], float] = {}
-    cooccurrence: dict[tuple[str, frozenset[str]], float] = {}
-    institutional: dict[tuple[str, str], float] = {}
-    annotations: dict[tuple[float, float, float], FidelityAnnotation] = {}
-    annotated = []
-    for record in batch:
-        code = record.primary_code
-        prev_key = (code, record.patient_age_band, record.patient_sex)
-        prev = prevalence.get(prev_key)
-        if prev is None:
-            prev = prevalence[prev_key] = _prevalence_subscore(ref, *prev_key)
-        cooc_key = (code, record.co_codes)
-        cooc = cooccurrence.get(cooc_key)
-        if cooc is None:
-            cooc = cooccurrence[cooc_key] = _cooccurrence_subscore(ref, *cooc_key)
-        inst_key = (record.institution_id, code)
-        inst = institutional.get(inst_key)
-        if inst is None:
-            inst = institutional[inst_key] = _institutional_subscore(ref, *inst_key)
-        subscores = (prev, cooc, inst)
-        annotation = annotations.get(subscores)
-        if annotation is None:
-            score = w_prev * prev + w_cooc * cooc + w_inst * inst
-            annotation = annotations[subscores] = FidelityAnnotation(
-                score=min(1.0, max(0.0, score)),
-                prevalence_subscore=prev,
-                cooccurrence_subscore=cooc,
-                institutional_subscore=inst,
-                rationale=f"prev={prev:.3f} cooc={cooc:.3f} inst={inst:.3f}",
-            )
-        annotated.append(with_fields(record, fidelity=annotation))
-    return annotated
+    codes, sets, institutions = batch.codes, batch.co_sets, batch.institutions
+    n_strata = len(AGE_BANDS) * len(SEXES)
+    prev_row, prev = _per_key(
+        batch.code.astype(np.int64) * n_strata + batch.age_band * len(SEXES) + batch.sex,
+        len(codes) * n_strata,
+        lambda key: _prevalence_subscore(ref, codes[key // n_strata],
+                                         AGE_BANDS[key % n_strata // len(SEXES)],
+                                         SEXES[key % len(SEXES)]))
+    cooc_row, cooc = _per_key(
+        batch.code.astype(np.int64) * len(sets) + batch.co, len(codes) * len(sets),
+        lambda key: _cooccurrence_subscore(ref, codes[key // len(sets)], sets[key % len(sets)]))
+    inst_row, inst = _per_key(
+        batch.institution.astype(np.int64) * len(codes) + batch.code,
+        len(institutions) * len(codes),
+        lambda key: _institutional_subscore(ref, institutions[key // len(codes)],
+                                            codes[key % len(codes)]))
+
+    # Rows with the same three subscores share one annotation.
+    annotations: dict[tuple[float, float, float], int] = {}
+
+    def annotation(key: int) -> int:
+        rest, i = divmod(key, len(inst))
+        p, c = divmod(rest, len(cooc))
+        return annotations.setdefault((prev[p], cooc[c], inst[i]), len(annotations))
+
+    fidelity, index = _per_key((prev_row * len(cooc) + cooc_row) * len(inst) + inst_row,
+                               len(prev) * len(cooc) * len(inst), annotation)
+    table = []
+    for p, c, i in annotations:
+        score = w_prev * p + w_cooc * c + w_inst * i
+        table.append(FidelityAnnotation(
+            score=min(1.0, max(0.0, score)),
+            prevalence_subscore=p,
+            cooccurrence_subscore=c,
+            institutional_subscore=i,
+            rationale=f"prev={p:.3f} cooc={c:.3f} inst={i:.3f}",
+        ))
+    return replace(batch, fidelity=np.array(index, dtype=np.int32)[fidelity],
+                   annotations=tuple(table))
+
+
+def annotation_scores(batch: RecordBatch) -> np.ndarray:
+    """Each row's fidelity score.
+
+    Raises:
+        ValidationError: a record is not annotated (the first one is named).
+    """
+    if (batch.fidelity < 0).any():
+        row = int(np.argmax(batch.fidelity < 0))
+        raise ValidationError(f"record {batch.record_id[row]} is not annotated")
+    return np.array([a.score for a in batch.annotations], dtype=np.float64)[batch.fidelity]
 
 
 @dataclass(frozen=True)
@@ -224,21 +250,19 @@ REPORT_PREAMBLE = (
 )
 
 
-def fidelity_report(batch: Sequence[CodedRecord]) -> FidelityReport:
+def fidelity_report(batch: RecordBatch) -> FidelityReport:
     """Per-institution fidelity score distribution (mean and deciles)."""
-    by_institution: dict[str, list[float]] = {}
-    for record in batch:
-        if record.fidelity is None:
-            raise ValidationError(f"record {record.record_id} is not annotated")
-        by_institution.setdefault(record.institution_id, []).append(record.fidelity.score)
+    scores = annotation_scores(batch)
     rows = []
-    for institution in sorted(by_institution):
-        scores = np.array(by_institution[institution])
-        deciles = np.quantile(scores, np.arange(1, 10) / 10.0)
+    present = np.bincount(batch.institution, minlength=len(batch.institutions))
+    for institution in sorted(np.flatnonzero(present).tolist(),
+                              key=batch.institutions.__getitem__):
+        own = scores[batch.institution == institution]
+        deciles = np.quantile(own, np.arange(1, 10) / 10.0)
         rows.append(InstitutionFidelity(
-            institution_id=institution,
-            n=len(scores),
-            mean=float(scores.mean()),
+            institution_id=batch.institutions[institution],
+            n=len(own),
+            mean=float(own.mean()),
             deciles=tuple(float(d) for d in deciles),
         ))
     return FidelityReport(rows=tuple(rows))

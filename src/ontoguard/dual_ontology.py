@@ -11,17 +11,18 @@ clinical instruments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
-from .checkpoint import ReferenceModel
+import numpy as np
+
+from .checkpoint import ReferenceModel, annotation_scores
 from .model import (
-    CodedRecord,
     PipelineConfig,
+    RecordBatch,
     ValidationError,
     iter_jsonl,
-    with_fields,
 )
 
 
@@ -49,11 +50,19 @@ def _likeliest_code(co_codes: frozenset[str], ref: ReferenceModel) -> str | None
     return best_code
 
 
+def _with_clinical(batch: RecordBatch, rows: np.ndarray, codes: list[str]) -> RecordBatch:
+    """The batch with the clinical code of each of ``rows`` set to the code beside it."""
+    index = {code: i for i, code in enumerate(batch.codes)}
+    clinical = batch.clinical.copy()
+    clinical[rows] = [index.setdefault(code, len(index)) for code in codes]
+    return replace(batch, clinical=clinical, codes=tuple(index))
+
+
 def infer_clinical_layer(
-    batch: Iterable[CodedRecord],
+    batch: RecordBatch,
     ref: ReferenceModel,
     cfg: PipelineConfig,
-) -> list[CodedRecord]:
+) -> RecordBatch:
     """Populate the clinical layer for a checkpoint-annotated batch.
 
     High-fidelity records keep their administrative code. Below the cutoff,
@@ -63,32 +72,21 @@ def infer_clinical_layer(
     Records with no co-codes carry no overriding evidence, and a reference
     with no candidate codes offers no alternative: both keep their
     administrative code. The winner depends on the co-code set alone, so it
-    is picked once per distinct set.
+    is picked once per distinct set and scattered to its records.
     """
-    winners: dict[frozenset[str], str | None] = {}
-    inferred = []
-    for record in batch:
-        if record.fidelity is None:
-            raise ValidationError(f"record {record.record_id} is not annotated")
-        code = record.primary_code
-        co_codes = record.co_codes
-        if record.fidelity.score < cfg.inference_fidelity_cutoff and co_codes:
-            if co_codes not in winners:
-                winners[co_codes] = _likeliest_code(co_codes, ref)
-            if winners[co_codes] is not None:
-                code = winners[co_codes]
-        inferred.append(with_fields(record, clinical_code=code))
-    return inferred
+    low = annotation_scores(batch) < cfg.inference_fidelity_cutoff
+    low &= np.array([bool(co_codes) for co_codes in batch.co_sets], dtype=bool)[batch.co]
+    sets = np.unique(batch.co[low]).tolist()
+    winners = {s: w for s in sets if (w := _likeliest_code(batch.co_sets[s], ref)) is not None}
+    batch = replace(batch, clinical=batch.code)
+    rows = np.flatnonzero(low & np.isin(batch.co, list(winners)))
+    return _with_clinical(batch, rows, [winners[s] for s in batch.co[rows].tolist()])
 
 
-def apply_clinical_overrides(
-    batch: Sequence[CodedRecord], overrides: Mapping[str, str]
-) -> list[CodedRecord]:
+def apply_clinical_overrides(batch: RecordBatch, overrides: Mapping[str, str]) -> RecordBatch:
     """Apply structured-instrument annotations, overriding inferred values."""
-    return [
-        with_fields(record, clinical_code=overrides.get(record.record_id, record.clinical_code))
-        for record in batch
-    ]
+    rows = np.flatnonzero(np.isin(batch.record_id, list(overrides)))
+    return _with_clinical(batch, rows, [overrides[i] for i in batch.record_id[rows].tolist()])
 
 
 def _override(data: Mapping[str, Any]) -> tuple[str, str]:
@@ -103,21 +101,20 @@ def read_overrides(path: str | Path) -> dict[str, str]:
     return dict(iter_jsonl(path, _override))
 
 
-def divergence(batch: Sequence[CodedRecord]) -> DivergenceReport:
+def divergence(batch: RecordBatch) -> DivergenceReport:
     """Measure disagreement between the administrative and clinical layers.
 
     Raises:
         ValidationError: a record's clinical layer is not populated.
     """
-    disagreements = 0
-    for record in batch:
-        if record.clinical_code is None:
-            raise ValidationError(
-                f"record {record.record_id} has no clinical layer; run inference first"
-            )
-        if record.clinical_code != record.primary_code:
-            disagreements += 1
-    return DivergenceReport(disagreements / len(batch) if batch else 0.0, len(batch))
+    if (batch.clinical < 0).any():
+        row = int(np.argmax(batch.clinical < 0))
+        raise ValidationError(
+            f"record {batch.record_id[row]} has no clinical layer; run inference first"
+        )
+    n = len(batch)
+    disagreements = int(np.count_nonzero(batch.clinical != batch.code))
+    return DivergenceReport(disagreements / n if n else 0.0, n)
 
 
 def write_divergence_csv(report: DivergenceReport, path: str | Path) -> None:

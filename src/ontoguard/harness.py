@@ -20,6 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 from . import breaker as breaker_mod
 from . import checkpoint as checkpoint_mod
 from . import compliance as compliance_mod
@@ -258,14 +260,15 @@ def run_scenario(
 
         migration = None
         if q == 1:
-            lagging = sorted({
-                r.version_tag for r in batch if r.version_tag != spec.target_version
-            })
-            for from_version in lagging:
+            lagging = sorted(
+                (batch.versions[v], v) for v in np.unique(batch.version).tolist()
+                if batch.versions[v] != spec.target_version
+            )
+            for from_version, v in lagging:
                 migration = stage(
                     "gate.validate_migration", gate_mod.validate_migration,
                     system, from_version, spec.target_version,
-                    {r.primary_code for r in batch if r.version_tag == from_version},
+                    {batch.codes[c] for c in np.unique(batch.code[batch.version == v]).tolist()},
                 )
                 tracer.add(q, "gate.validate_migration", {
                     "from": from_version, "coverage": migration.mapping_coverage,
@@ -283,8 +286,8 @@ def run_scenario(
         }
         tracer.add(q, "gate.batch", gate_counts)
 
-        # Each record list is freed after its last reader, so a quarter holds
-        # at most two copies of its records and none of the last quarter's.
+        # Each batch is freed after its last reader, so a quarter holds at
+        # most two batches of its records and none of the last quarter's.
         processed = outcome.processed_records()
         del batch, outcome
         annotated = stage(

@@ -7,15 +7,19 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping as AbcMapping
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from datetime import date, datetime
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Callable, Iterable, Iterator, Mapping, TypeVar, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
+                    Union, get_args, get_origin, get_type_hints)
+
+import numpy as np
 
 
 class OntoguardError(Exception):
@@ -48,17 +52,6 @@ class Layer(str, Enum):
 
     ADMINISTRATIVE = "administrative"
     CLINICAL = "clinical"
-
-
-def record_code(record: "CodedRecord", layer: Layer) -> str:
-    """Return the record's code on the requested layer.
-
-    Falls back to the administrative code when the clinical layer has not
-    been populated yet.
-    """
-    if layer is Layer.CLINICAL and record.clinical_code is not None:
-        return record.clinical_code
-    return record.primary_code
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +404,127 @@ class CodedRecord:
             raise ValidationError(f"unknown sex: {self.patient_sex!r}")
 
 
-_RECORD_FIELDS = frozenset(f.name for f in fields(CodedRecord))
+def gather(table: Sequence[Any], index: np.ndarray) -> list[Any]:
+    """``[table[i] for i in index]``, where index -1 gives None; rows share the table's objects."""
+    column = np.empty(len(table) + 1, dtype=object)
+    column[:-1] = table
+    return column[index].tolist()
 
 
-def with_fields(record: CodedRecord, **changes: Any) -> CodedRecord:
-    """Copy of ``record`` with ``changes`` applied, checked as the constructor checks.
+def _intern(values: Sequence[Hashable | None],
+            index: dict[Any, int] | None = None) -> tuple[np.ndarray, tuple[Any, ...]]:
+    """Each value's position in ``index`` (extended with new values), -1 for
+    None, and the values of the extended index in position order."""
+    index = {} if index is None else index
+    column = np.fromiter((-1 if value is None else index.setdefault(value, len(index))
+                          for value in values), np.int32, len(values))
+    return column, tuple(index)
 
-    The copy takes the source's field dict instead of running the generated
-    ``__init__``, which makes one ``object.__setattr__`` call per field, and
-    costs less than half as much. A key that is not a field raises TypeError,
-    and ``__post_init__`` validates the copy.
+
+# The per-row fields of a RecordBatch; every other field is a table.
+_COLUMNS = ("record_id", "times", "zone", "age_band", "sex", "institution", "code",
+            "clinical", "version", "co", "influence", "fidelity")
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """A batch of coded records held as columns, one row per record.
+
+    Each string field is interned: its column holds a row's index into a
+    table of distinct values. ``codes`` serves both code layers, and the
+    ``age_band`` and ``sex`` columns index ``AGE_BANDS`` and ``SEXES``.
+    Co-code sets, fidelity annotations and UTC offsets are interned the
+    same way. Index -1 stands for None: no clinical code, no annotation, or
+    a naive timestamp. ``times`` holds each encounter's wall-clock time.
+
+    Stages read and write the columns. Iterating yields each row as a
+    ``CodedRecord``, built on demand, for the files and the oracles.
     """
-    if not _RECORD_FIELDS.issuperset(changes):
-        raise TypeError(f"CodedRecord has no field {sorted(changes.keys() - _RECORD_FIELDS)}")
-    copy = object.__new__(CodedRecord)
-    vars(copy).update(record.__dict__, **changes)
-    copy.__post_init__()
-    return copy
+
+    record_id: np.ndarray            # str objects
+    times: np.ndarray                # datetime64[us], wall clock
+    zone: np.ndarray                 # index into zones, -1 when naive
+    zones: tuple[tzinfo, ...]
+    age_band: np.ndarray             # index into AGE_BANDS
+    sex: np.ndarray                  # index into SEXES
+    institution: np.ndarray          # index into institutions
+    institutions: tuple[str, ...]
+    code: np.ndarray                 # index into codes: the administrative layer
+    clinical: np.ndarray             # index into codes: the clinical layer, -1 when empty
+    codes: tuple[str, ...]
+    version: np.ndarray              # index into versions
+    versions: tuple[str, ...]
+    co: np.ndarray                   # index into co_sets
+    co_sets: tuple[frozenset[str], ...]
+    influence: np.ndarray            # InfluenceTag or None objects
+    fidelity: np.ndarray             # index into annotations, -1 when not annotated
+    annotations: tuple[FidelityAnnotation, ...]
+
+    @classmethod
+    def from_records(cls, records: Iterable[CodedRecord]) -> RecordBatch:
+        rows = list(records)
+
+        def column(name: str) -> list[Any]:
+            return list(map(attrgetter(name), rows))
+
+        times = column("encounter_time")
+        zone, zones = _intern([when.tzinfo for when in times])
+        if zones:
+            times = [when.replace(tzinfo=None) for when in times]
+        code_index: dict[str, int] = {}
+        code = _intern(column("primary_code"), code_index)[0]
+        clinical, codes = _intern(column("clinical_code"), code_index)
+        # Equal annotations share a row of the table only if their numbers
+        # are written alike: an integer score and -0.0 stay as they were read.
+        annotations = column("fidelity")
+        written = [None if a is None else tuple(map(repr, vars(a).values())) for a in annotations]
+        fidelity, distinct = _intern(written)
+        by_text = dict(zip(written, annotations))
+        institution, institutions = _intern(column("institution_id"))
+        version, versions = _intern(column("version_tag"))
+        co, co_sets = _intern(column("co_codes"))
+        return cls(
+            record_id=np.array(column("record_id"), dtype=object),
+            times=np.array(times, dtype="datetime64[us]"), zone=zone, zones=zones,
+            age_band=_intern(column("patient_age_band"),
+                             {b: i for i, b in enumerate(AGE_BANDS)})[0],
+            sex=_intern(column("patient_sex"), {s: i for i, s in enumerate(SEXES)})[0],
+            institution=institution, institutions=institutions,
+            code=code, clinical=clinical, codes=codes, version=version, versions=versions,
+            co=co, co_sets=co_sets, influence=np.array(column("influence_tag"), dtype=object),
+            fidelity=fidelity, annotations=tuple(by_text[text] for text in distinct),
+        )
+
+    def __len__(self) -> int:
+        return len(self.record_id)
+
+    def select(self, rows: Any) -> RecordBatch:
+        """The batch of the rows that ``rows`` (a mask, indices or a slice) picks."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    def __getitem__(self, rows: Any) -> Any:
+        """Row ``rows`` as a record when it is an integer, else ``select(rows)``."""
+        if isinstance(rows, (int, np.integer)):
+            return next(iter(self.select([rows])))
+        return self.select(rows)
+
+    def encounter_time(self, row: int) -> datetime:
+        """Row ``row``'s encounter time, with its UTC offset if it has one."""
+        zone = self.zone[row]
+        return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
+
+    def __iter__(self) -> Iterator[CodedRecord]:
+        times = self.times.tolist()
+        if self.zones:
+            times = [when.replace(tzinfo=zone)
+                     for when, zone in zip(times, gather(self.zones, self.zone))]
+        return map(
+            CodedRecord, self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
+            gather(SEXES, self.sex), gather(self.institutions, self.institution), times,
+            gather(self.codes, self.code), gather(self.co_sets, self.co),
+            gather(self.versions, self.version), self.influence.tolist(),
+            gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
+        )
 
 
 @dataclass(slots=True)
@@ -462,41 +559,88 @@ class BatchProfile:
         return max(self.versions, key=lambda t: (self.versions[t], t))
 
 
-def profile_batch(batch: Iterable[CodedRecord], layer: Layer) -> BatchProfile:
-    """Count a batch per code on ``layer`` in one pass over its records.
+def group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by their integer ``keys``, each in ``range(size)``.
+
+    Returns the distinct keys in increasing order, the first row and the
+    count of each, and each row's index into the distinct keys. Counting
+    is one pass over the rows; keys spread over a range much wider than
+    the rows are numbered densely first.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    distinct = None
+    if size > 2 * len(keys) + 4096:
+        distinct, keys = np.unique(keys, return_inverse=True)
+        size = len(distinct)
+    counts = np.bincount(keys, minlength=size)
+    first = np.full(size, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    present = np.flatnonzero(counts)
+    index = (np.cumsum(counts > 0) - 1)[keys]
+    return (present if distinct is None else distinct[present]), first[present], \
+        counts[present], index
+
+
+def _first_seen(keys: np.ndarray, size: int) -> zip:
+    """Each distinct key of ``keys`` with its count, in first-seen order."""
+    distinct, first, counts, _ = group(keys, size)
+    order = np.argsort(first)
+    return zip(distinct[order].tolist(), counts[order].tolist())
+
+
+def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
+    """Count a batch per code on ``layer``, one column pass per count.
 
     This is the one place that picks each record's code on a layer; every
     stage that counts codes reads the profile instead of the records.
+    Every dict keeps first-seen order. A code's ``last_seen`` is its latest
+    encounter time; among equal instants the first one seen wins. Months
+    and days are the records' own wall-clock dates.
     """
-    codes: dict[str, CodeUsage] = {}
-    versions: dict[str, int] = {}
-    days: set[date] = set()
-    n = 0
-    for n, record in enumerate(batch, start=1):
-        when = record.encounter_time
-        code = record_code(record, layer)
-        usage = codes.get(code)
-        if usage is None:
-            usage = codes[code] = CodeUsage(0, when)
-        usage.count += 1
-        try:
-            if when > usage.last_seen:
-                usage.last_seen = when
-        except TypeError:  # one time has a UTC offset and the other has none
-            raise ValidationError(f"record {record.record_id!r}: encounter times of code "
-                                  f"{code!r} mix naive and UTC-offset timestamps") from None
-        co_codes = usage.co_codes
-        for co in record.co_codes:
-            co_codes[co] = co_codes.get(co, 0) + 1
-        stratum = (record.patient_age_band, record.patient_sex)
-        usage.strata[stratum] = usage.strata.get(stratum, 0) + 1
-        month = (when.year, when.month)
-        usage.months[month] = usage.months.get(month, 0) + 1
-        institution = record.institution_id
-        usage.institutions[institution] = usage.institutions.get(institution, 0) + 1
-        versions[record.version_tag] = versions.get(record.version_tag, 0) + 1
-        days.add(when.date())
-    return BatchProfile(n, codes, versions, min(days, default=None), max(days, default=None))
+    code = batch.code
+    if layer is Layer.CLINICAL:
+        code = np.where(batch.clinical >= 0, batch.clinical, batch.code)
+    if not len(batch):
+        return BatchProfile(0, {}, {}, None, None)
+    distinct, first, counts, inverse = group(code, len(batch.codes))
+
+    # A code's times compare as instants, so they must all be naive or all
+    # carry a UTC offset; the first row that breaks this is named.
+    aware = batch.zone >= 0
+    mixed = aware != aware[first][inverse]
+    if mixed.any():
+        row = int(np.argmax(mixed))
+        raise ValidationError(f"record {batch.record_id[row]!r}: encounter times of code "
+                              f"{batch.codes[code[row]]!r} mix naive and UTC-offset timestamps")
+    offsets = [zone.utcoffset(None) // timedelta(microseconds=1) for zone in batch.zones]
+    instant = (batch.times.astype(np.int64)
+               - np.array(offsets + [0], dtype=np.int64)[batch.zone])
+    latest = np.lexsort((-instant, inverse))[np.cumsum(counts) - counts]
+
+    usages = [CodeUsage(n, batch.encounter_time(row))
+              for n, row in zip(counts.tolist(), latest.tolist())]
+    codes = {batch.codes[distinct[key]]: usages[key] for key in np.argsort(first).tolist()}
+
+    def tally(name: str, other: np.ndarray, width: int, label: Callable[[int], Any]) -> None:
+        for key, n in _first_seen(inverse * width + other, len(distinct) * width):
+            getattr(usages[key // width], name)[label(key % width)] = n
+
+    strata = [(band, sex) for band in AGE_BANDS for sex in SEXES]
+    tally("strata", batch.age_band * len(SEXES) + batch.sex, len(strata), strata.__getitem__)
+    month = batch.times.astype("datetime64[M]").astype(np.int64)  # months since 1970-01
+    low = int(month.min())
+    tally("months", month - low, int(month.max()) - low + 1,
+          lambda m: (1970 + (m + low) // 12, (m + low) % 12 + 1))
+    tally("institutions", batch.institution, len(batch.institutions),
+          batch.institutions.__getitem__)
+    for key, n in _first_seen(inverse * len(batch.co_sets) + batch.co,
+                              len(distinct) * len(batch.co_sets)):
+        co_codes = usages[key // len(batch.co_sets)].co_codes
+        for co in batch.co_sets[key % len(batch.co_sets)]:
+            co_codes[co] = co_codes.get(co, 0) + n
+    versions = {batch.versions[v]: n for v, n in _first_seen(batch.version, len(batch.versions))}
+    days = batch.times.astype("datetime64[D]")
+    return BatchProfile(len(batch), codes, versions, days.min().item(), days.max().item())
 
 
 _STRING_FIELDS = ("record_id", "institution_id", "primary_code", "version_tag", "encounter_time")
@@ -577,8 +721,8 @@ def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
     write_jsonl(path, records)
 
 
-def read_records(path: str | Path) -> list[CodedRecord]:
-    return list(iter_jsonl(path, record_from_dict))
+def read_records(path: str | Path) -> RecordBatch:
+    return RecordBatch.from_records(iter_jsonl(path, record_from_dict))
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +914,34 @@ def code_system_from_dict(data: Mapping[str, Any]) -> CodeSystem:
         if type(value) is not float and type(value) is not int:  # a bool is not a number
             raise ValidationError(f"base_prevalence of {code!r} must be a number, got {value!r}")
         base_prevalence[code] = float(value)
-    demographic_profiles = data.get("demographic_profiles", {})
-    cooccurrence_profiles = data.get("cooccurrence_profiles", {})
-    for section, profiles in (("demographic_profiles", demographic_profiles),
-                              ("cooccurrence_profiles", cooccurrence_profiles)):
+
+    def section(where: str, value: Any) -> dict:
+        if type(value) is not dict:
+            raise ValidationError(f"{where} must be a JSON object, got {value!r}")
+        return value
+
+    def weights(where: str, value: Any) -> dict:
+        """``value`` if it is a JSON object of numbers >= 0 (a bool is not a number)."""
+        for key, weight in section(where, value).items():
+            if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+                raise ValidationError(f"{where}: {key!r} must be a number >= 0, got {weight!r}")
+        return value
+
+    demographic_profiles = section("demographic_profiles", data.get("demographic_profiles", {}))
+    cooccurrence_profiles = section("cooccurrence_profiles",
+                                    data.get("cooccurrence_profiles", {}))
+    for name, profiles in (("demographic_profiles", demographic_profiles),
+                           ("cooccurrence_profiles", cooccurrence_profiles)):
         for code in profiles:
             if code not in all_codes:
-                raise ValidationError(f"{section} lists unknown code {code!r}")
+                raise ValidationError(f"{name} lists unknown code {code!r}")
+    for code, profile in cooccurrence_profiles.items():
+        weights(f"cooccurrence_profiles of {code!r}", profile)
+    for code, profile in demographic_profiles.items():
+        for key, dist in section(f"demographic_profiles of {code!r}", profile).items():
+            if key not in ("age", "sex"):
+                raise ValidationError(f"demographic_profiles of {code!r} has unknown key {key!r}")
+            weights(f"demographic_profiles of {code!r} {key}", dist)
 
     return CodeSystem(
         system_id=system_id,

@@ -24,12 +24,14 @@ import numpy as np
 from .model import (
     AGE_BANDS,
     SEXES,
-    CodedRecord,
     CodeSystem,
     InfluenceTag,
+    RecordBatch,
     TimeWindow,
     ValidationError,
     from_json,
+    gather,
+    group,
     to_json,
     write_jsonl,
 )
@@ -213,13 +215,13 @@ def _effective_prevalence(
         return {code: rate / total for code, rate in prevalence.items()}
 
     codes = system.codes(spec.current_version)
-    group = codes[outbreak.code].clinical_group
+    outbreak_group = codes[outbreak.code].clinical_group
     sibling_multiplier = 1.0 + (outbreak.prevalence_multiplier - 1.0) / 2.0
     boosted: dict[str, float] = {}
     for code, rate in prevalence.items():
         if code == outbreak.code:
             boosted[code] = rate * outbreak.prevalence_multiplier
-        elif code in codes and codes[code].clinical_group == group:
+        elif code in codes and codes[code].clinical_group == outbreak_group:
             boosted[code] = rate * sibling_multiplier
     base_total = sum(prevalence.values())
     boosted_total = sum(boosted.values())
@@ -261,13 +263,6 @@ def _weighted_sample_without_replacement(
     return picked
 
 
-def _take(table: Sequence[Any], index: np.ndarray) -> list[Any]:
-    """``[table[i] for i in index]``: every row shares the table's objects."""
-    column = np.empty(len(table), dtype=object)
-    column[:] = table
-    return column[index].tolist()
-
-
 def generate_batch(
     system: CodeSystem,
     spec: DistortionSpec,
@@ -276,7 +271,7 @@ def generate_batch(
     window: TimeWindow | None = None,
     id_prefix: str = "R",
     quarter_index: int = 0,
-) -> tuple[list[CodedRecord], GroundTruth]:
+) -> tuple[RecordBatch, GroundTruth]:
     """Generate exactly n records plus ground truth for one window.
 
     Deterministic for a fixed seed. ``quarter_index`` selects the AI
@@ -288,7 +283,7 @@ def generate_batch(
     if window is None:
         window = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
     if n == 0:
-        return [], {}
+        return RecordBatch.from_records(()), {}
 
     rng = np.random.default_rng(seed)
     codes_def = system.codes(spec.current_version)
@@ -400,9 +395,10 @@ def generate_batch(
         draws = rng.random(n)
         target_draws = rng.random(n)
         open_rows = (primary == code_index) & (draws < p_rewrite)
-        for group in member_groups:
-            targets = sorted(c for c in members if codes_def[c].clinical_group == group)
-            group_donors = [pos[c] for c in donors if codes_def[c].clinical_group == group]
+        for member_group in member_groups:
+            targets = sorted(c for c in members if codes_def[c].clinical_group == member_group)
+            group_donors = [pos[c] for c in donors
+                            if codes_def[c].clinical_group == member_group]
             rows = np.flatnonzero(open_rows & np.isin(code_index, group_donors))
             weights = np.array([prevalence[t] for t in targets])
             cumulative = np.cumsum(weights / weights.sum())
@@ -432,8 +428,8 @@ def generate_batch(
             labels[chosen] |= bit[DistortionLabel.AI_INFLUENCED]
 
     # One ground-truth entry per distinct (true code, label bits) pair.
-    truth_keys, truth_index = np.unique(code_index * (1 << len(bit)) + labels,
-                                        return_inverse=True)
+    truth_keys, _, _, truth_index = group(code_index * (1 << len(bit)) + labels,
+                                          len(names) << len(bit))
     entries = [
         GroundTruthEntry(
             true_clinical_code=names[key >> len(bit)],
@@ -442,21 +438,21 @@ def generate_batch(
         for key in truth_keys.tolist()
     ]
 
-    record_ids = [f"{id_prefix}-{i:06d}" for i in range(n)]
-    times = (np.datetime64(window.start, "s") + offsets.astype("timedelta64[s]")).tolist()
-    records = list(map(
-        CodedRecord,
-        record_ids,
-        _take(AGE_BANDS, age_idx),
-        _take(SEXES, sex_idx),
-        _take(inst_ids, inst_index),
-        times,
-        _take(names, primary),
-        _take(list(co_code_sets), co_index),
-        _take(versions, inst_index),
-        influence.tolist(),
-    ))
-    return records, dict(zip(record_ids, _take(entries, truth_index)))
+    record_ids = list(map((id_prefix.replace("%", "%%") + "-%06d").__mod__, range(n)))
+    version_table, version_index = np.unique(versions, return_inverse=True)
+    no_row = np.full(n, -1, dtype=np.int32)
+    batch = RecordBatch(
+        record_id=np.array(record_ids, dtype=object),
+        times=np.datetime64(window.start, "us") + offsets.astype("timedelta64[s]"),
+        zone=no_row, zones=(),
+        age_band=age_idx.astype(np.int32), sex=sex_idx.astype(np.int32),
+        institution=inst_index.astype(np.int32), institutions=tuple(inst_ids),
+        code=primary.astype(np.int32), clinical=no_row, codes=tuple(names),
+        version=version_index.astype(np.int32)[inst_index], versions=tuple(version_table.tolist()),
+        co=co_index.astype(np.int32), co_sets=tuple(co_code_sets),
+        influence=influence, fidelity=no_row, annotations=(),
+    )
+    return batch, dict(zip(record_ids, gather(entries, truth_index)))
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
@@ -475,12 +471,12 @@ def generate_quarter_series(
     n_per_quarter: int,
     seed: int,
     start: date = date(2025, 1, 1),
-) -> tuple[list[list[CodedRecord]], GroundTruth]:
+) -> tuple[list[RecordBatch], GroundTruth]:
     """Generate consecutive quarterly batches; the AI influence fraction is
     taken per quarter from the spec's schedule."""
     if quarters <= 0:
         raise ValidationError(f"quarters must be positive, got {quarters}")
-    batches: list[list[CodedRecord]] = []
+    batches: list[RecordBatch] = []
     truth: GroundTruth = {}
     for q in range(quarters):
         window = quarter_window(start, q)

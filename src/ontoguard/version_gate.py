@@ -10,17 +10,21 @@ ambiguous one-to-many mapping counts as unmappable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .model import (
     CodedRecord,
     CodeSystem,
+    RecordBatch,
     ValidationError,
+    group,
     iter_jsonl,
-    with_fields,
     write_jsonl,
 )
 
@@ -46,22 +50,64 @@ class QuarantinedRecord:
     original_version: str
 
 
-@dataclass(frozen=True)
-class GateOutcome:
-    """Partition of an input batch; cardinality is always conserved."""
+# A row's gate status: accepted, reconciled, or the index of its reason in
+# QUARANTINE_REASONS.
+ACCEPTED, RECONCILED = -2, -1
+QUARANTINE_REASONS = tuple(QuarantineReason)
 
-    accepted: tuple[CodedRecord, ...]
-    reconciled: tuple[ReconciledRecord, ...]
-    quarantined: tuple[QuarantinedRecord, ...]
+
+@dataclass(frozen=True, eq=False)
+class GateOutcome:
+    """Partition of an input batch; cardinality is always conserved.
+
+    ``gated`` is the input batch with each reconciled row's code and
+    version mapped to the target; ``status`` is each row's bucket.
+    """
+
+    batch: RecordBatch
+    gated: RecordBatch
+    status: np.ndarray
     target_version: str
 
     def total(self) -> int:
-        return len(self.accepted) + len(self.reconciled) + len(self.quarantined)
+        return len(self.status)
 
-    def processed_records(self) -> list[CodedRecord]:
+    @property
+    def accepted(self) -> RecordBatch:
+        return self.gated.select(self.status == ACCEPTED)
+
+    @property
+    def reconciled(self) -> Sequence[ReconciledRecord]:
+        return _Bucket(self, np.flatnonzero(self.status == RECONCILED))
+
+    @property
+    def quarantined(self) -> Sequence[QuarantinedRecord]:
+        return _Bucket(self, np.flatnonzero(self.status >= 0))
+
+    def processed_records(self) -> RecordBatch:
         """Accepted plus reconciled records, sorted by ``record_id``."""
-        merged = list(self.accepted) + [r.record for r in self.reconciled]
-        return sorted(merged, key=lambda r: r.record_id)
+        rows = np.concatenate([np.flatnonzero(self.status == ACCEPTED),
+                               np.flatnonzero(self.status == RECONCILED)])
+        return self.gated.select(rows[np.argsort(self.gated.record_id[rows], kind="stable")])
+
+
+class _Bucket(Sequence):
+    """The reconciled or quarantined rows of a gate outcome, each built when read."""
+
+    def __init__(self, outcome: GateOutcome, rows: np.ndarray) -> None:
+        self.outcome, self.rows = outcome, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        outcome, row = self.outcome, int(self.rows[i])
+        source = outcome.batch
+        original = (source.codes[source.code[row]], source.versions[source.version[row]])
+        status = outcome.status[row]
+        if status == RECONCILED:
+            return ReconciledRecord(outcome.gated[row], *original)
+        return QuarantinedRecord(source[row], QUARANTINE_REASONS[status], *original)
 
 
 class MigrationVerdict(str, Enum):
@@ -98,8 +144,30 @@ def _map_code(
     return current
 
 
+def _gate(system: CodeSystem, code: str, version: str, target_version: str
+          ) -> tuple[int, str]:
+    """The gate status of a record with ``code`` on ``version``, and its code after the gate."""
+    if version == target_version:
+        known = code in system.codes(target_version)
+        return (ACCEPTED if known else QUARANTINE_REASONS.index(QuarantineReason.UNKNOWN_CODE),
+                code)
+    if not system.has_version(version) or not system.version(version).validated:
+        reason = QuarantineReason.UNVALIDATED_VERSION
+    elif system.version_chain(target_version, version):
+        # No reverse tables exist; a newer-than-target record is unmappable.
+        reason = QuarantineReason.UNMAPPABLE_CODE
+    elif code not in system.codes(version):
+        reason = QuarantineReason.UNKNOWN_CODE
+    else:
+        mapped = _map_code(system, code, version, target_version)
+        if mapped is not None:
+            return RECONCILED, mapped
+        reason = QuarantineReason.UNMAPPABLE_CODE
+    return QUARANTINE_REASONS.index(reason), code
+
+
 def gate_batch(
-    batch: Sequence[CodedRecord],
+    batch: RecordBatch,
     system: CodeSystem,
     target_version: str,
 ) -> GateOutcome:
@@ -108,7 +176,9 @@ def gate_batch(
     Records already on the target version are accepted (unknown codes
     quarantined); records on an older validated version whose code has a
     total one-to-one mapping are reconciled with the original code and
-    version preserved; everything else is quarantined with a reason.
+    version preserved; everything else is quarantined with a reason. The
+    outcome depends on a record's code and version alone, so each distinct
+    pair is gated once.
 
     Raises:
         ValidationError: target version unknown or not validated; the gate
@@ -121,44 +191,25 @@ def gate_batch(
         raise ValidationError(
             f"target version {target_version!r} has not passed migration validation"
         )
-    target_codes = system.codes(target_version)
-    version_order = {v.version_label: i for i, v in enumerate(system.versions)}
-    target_rank = version_order[target_version]
-
-    accepted: list[CodedRecord] = []
-    reconciled: list[ReconciledRecord] = []
-    quarantined: list[QuarantinedRecord] = []
-    for record in batch:
-        original_code, original_version = record.primary_code, record.version_tag
-        mapped = None
-        if original_version == target_version:
-            reason = None if original_code in target_codes else QuarantineReason.UNKNOWN_CODE
-        elif not system.has_version(original_version) or not system.version(original_version).validated:
-            reason = QuarantineReason.UNVALIDATED_VERSION
-        elif version_order[original_version] > target_rank:
-            # No reverse tables exist; a newer-than-target record is unmappable.
-            reason = QuarantineReason.UNMAPPABLE_CODE
-        elif original_code not in system.codes(original_version):
-            reason = QuarantineReason.UNKNOWN_CODE
-        else:
-            mapped = _map_code(system, original_code, original_version, target_version)
-            reason = QuarantineReason.UNMAPPABLE_CODE if mapped is None else None
-        if reason is not None:
-            quarantined.append(QuarantinedRecord(record, reason, original_code, original_version))
-        elif mapped is None:
-            accepted.append(record)
-        else:
-            reconciled.append(ReconciledRecord(
-                record=with_fields(record, primary_code=mapped, version_tag=target_version),
-                original_code=original_code,
-                original_version=original_version,
-            ))
-    return GateOutcome(
-        accepted=tuple(accepted),
-        reconciled=tuple(reconciled),
-        quarantined=tuple(quarantined),
-        target_version=target_version,
+    n_versions = len(batch.versions)
+    pairs, _, _, inverse = group(batch.code.astype(np.int64) * n_versions + batch.version,
+                                 len(batch.codes) * n_versions)
+    codes = {code: i for i, code in enumerate(batch.codes)}
+    versions = {version: i for i, version in enumerate(batch.versions)}
+    target_index = versions.setdefault(target_version, len(versions))
+    status, mapped = [], []
+    for pair in pairs.tolist():
+        code, version = divmod(pair, n_versions)
+        gated, image = _gate(system, batch.codes[code], batch.versions[version], target_version)
+        status.append(gated)
+        mapped.append(codes.setdefault(image, len(codes)))
+    status = np.array(status, dtype=np.int8)[inverse]
+    gated = replace(
+        batch, code=np.array(mapped, dtype=np.int32)[inverse], codes=tuple(codes),
+        version=np.where(status == RECONCILED, target_index, batch.version).astype(np.int32),
+        versions=tuple(versions),
     )
+    return GateOutcome(batch=batch, gated=gated, status=status, target_version=target_version)
 
 
 def validate_migration(

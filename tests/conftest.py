@@ -12,6 +12,7 @@ from ontoguard import checkpoint, dual_ontology, harness, synthgen, version_gate
 from ontoguard.model import (
     CodedRecord,
     Layer,
+    RecordBatch,
     code_system_from_dict,
     jsonl_dumps,
     load_code_system,
@@ -137,7 +138,9 @@ def record_dict(record: CodedRecord) -> dict:
 
 
 def admin(batch):
-    """The administrative-layer profile of ``batch``."""
+    """The administrative-layer profile of ``batch``, a batch or a list of records."""
+    if not isinstance(batch, RecordBatch):
+        batch = as_batch(batch)
     return profile_batch(batch, Layer.ADMINISTRATIVE)
 
 
@@ -179,3 +182,8 @@ def tiny_system(
     if demographics is not None:
         data["demographic_profiles"] = demographics
     return code_system_from_dict(data)
+
+
+def as_batch(records) -> RecordBatch:
+    """``records`` as the batch a stage takes."""
+    return RecordBatch.from_records(records)

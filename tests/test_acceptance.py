@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import SEED, make_record, tiny_system
+from conftest import SEED, as_batch, make_record, tiny_system
 from ontoguard import cli
 from ontoguard.breaker import (
     BreakerStateKind,
@@ -160,7 +160,7 @@ def test_a4_gate_conservation():
                 )
                 for i in range(int(rng.integers(0, 60)))
             ]
-            outcome = gate_batch(batch, system, "v2")
+            outcome = gate_batch(as_batch(batch), system, "v2")
             assert partition_oracle(
                 [r.record_id for r in batch],
                 [r.record_id for r in outcome.accepted],
@@ -180,7 +180,7 @@ def test_a5_breaker_boundary():
 
         rng = np.random.default_rng(SEED)
         model = ToyRiskModel("toy-risk-1", {})
-        cohort = [make_record(f"R-{i}") for i in range(10)]
+        cohort = as_batch([make_record(f"R-{i}") for i in range(10)])
         for _ in range(1_000):
             ratio = float(rng.random())
             history = tuple(

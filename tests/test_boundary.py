@@ -295,42 +295,42 @@ def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
+def _clinical_layer_reads(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "CLINICAL"]
+
+
 def test_layer_codes_are_read_only_by_profile_batch():
     # Which code a record carries on a layer is decided in one place;
-    # stages count codes from the profile, never from the records.
+    # stages count codes from the profile, never from the batch's columns.
     everywhere = [
-        (path.name, call.lineno) for path in sorted(SRC.glob("*.py"))
-        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "record_code")
+        (path.name, line) for path in sorted(SRC.glob("*.py"))
+        for line in _clinical_layer_reads(ast.parse(path.read_text(encoding="utf-8")))
     ]
     model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
     profile_batch = next(node for node in ast.walk(model)
                          if isinstance(node, ast.FunctionDef) and node.name == "profile_batch")
-    inside = [("model.py", call.lineno) for call in _calls(profile_batch, "record_code")]
+    inside = [("model.py", line) for line in _clinical_layer_reads(profile_batch)]
     assert inside and everywhere == inside
 
 
-def _builds_record_from_fields(call: ast.Call) -> bool:
-    """``CodedRecord(**...)`` or ``object.__new__(CodedRecord)``."""
-    if getattr(call.func, "id", getattr(call.func, "attr", None)) == "CodedRecord":
-        return any(keyword.arg is None for keyword in call.keywords)
-    return (getattr(call.func, "attr", None) == "__new__"
-            and any(getattr(arg, "id", None) == "CodedRecord" for arg in call.args))
+def _builds_record(call: ast.Call) -> bool:
+    """A call of ``CodedRecord`` or one that is handed it: ``map(CodedRecord, ...)``,
+    ``object.__new__(CodedRecord)``."""
+    return any(getattr(node, "id", getattr(node, "attr", None)) == "CodedRecord"
+               for node in (call.func, *call.args, *(k.value for k in call.keywords)))
 
 
-def test_records_are_copied_only_by_with_fields():
-    # A record copy is one model.with_fields call, so every copy costs and
-    # checks the same; no other module builds a record from another's fields.
-    offenders = [
-        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and _builds_record_from_fields(node)
-    ]
-    model = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
-    with_fields = next(node for node in ast.walk(model)
-                       if isinstance(node, ast.FunctionDef) and node.name == "with_fields")
-    inside = [f"model.py:{node.lineno}" for node in ast.walk(with_fields)
-              if isinstance(node, ast.Call) and _builds_record_from_fields(node)]
-    assert inside and offenders == inside
+def test_records_are_built_only_in_model():
+    # Stages work on RecordBatch columns; a CodedRecord row is built only by
+    # model.py, when a batch is read from a file or iterated.
+    built = {
+        path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Call) and _builds_record(node)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert built.pop("model.py")
+    assert {name: lines for name, lines in built.items() if lines} == {}
 
 
 def test_every_config_field_is_read_outside_model():

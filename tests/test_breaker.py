@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import as_batch, make_record
 from ontoguard import synthgen
 from ontoguard.breaker import (
     OUTCOME_MARKERS,
@@ -34,8 +34,8 @@ def tagged(record_id, modified=False):
 
 def cohort_with_ratio(n, ratio):
     k = int(round(n * ratio))
-    return [tagged(f"T-{i}") for i in range(k)] \
-        + [make_record(f"U-{i}") for i in range(n - k)]
+    return as_batch([tagged(f"T-{i}") for i in range(k)]
+                    + [make_record(f"U-{i}") for i in range(n - k)])
 
 
 def stats_for(ratio, history=()):
@@ -51,12 +51,12 @@ class TestComputeStats:
         assert stats.total_count == 50_000
 
     def test_zero_tags_closed(self):
-        stats = compute_stats([make_record(f"R-{i}") for i in range(100)], [])
+        stats = compute_stats(as_batch([make_record(f"R-{i}") for i in range(100)]), [])
         assert stats.ratio == 0.0
         assert evaluate(stats, CFG).state is BreakerStateKind.CLOSED
 
     def test_empty_cohort(self):
-        stats = compute_stats([], [])
+        stats = compute_stats(as_batch([]), [])
         assert stats.ratio == 0.0
         assert stats.total_count == 0
 
@@ -118,7 +118,7 @@ class TestRetrainGate:
         stats = compute_stats(cohort_with_ratio(10, 0.0), [])
         state = evaluate(stats, CFG)
         with pytest.raises(ValidationError, match="empty cohort"):
-            retrain_gate(state, [], model, stats)
+            retrain_gate(state, as_batch([]), model, stats)
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(
@@ -126,8 +126,8 @@ class TestRetrainGate:
         st.frozensets(st.sampled_from(["AAA", "CCC", *sorted(OUTCOME_MARKERS)]), max_size=3),
     ), min_size=1, max_size=30))
     def test_weights_are_per_code_outcome_rates(self, pairs):
-        cohort = [make_record(f"R-{i}", code=code, co_codes=co)
-                  for i, (code, co) in enumerate(pairs)]
+        cohort = as_batch([make_record(f"R-{i}", code=code, co_codes=co)
+                           for i, (code, co) in enumerate(pairs)])
         stats = compute_stats(cohort, [])
         model = retrain_gate(evaluate(stats, CFG), cohort, ToyRiskModel("toy-risk-1", {}), stats)
         counts = {}  # code -> (records carrying it, of which positive), record by record
@@ -189,7 +189,7 @@ class TestProperties:
     def test_ratio_monotone_in_tagged_records(self):
         cohort = cohort_with_ratio(200, 0.1)
         base = compute_stats(cohort, []).ratio
-        grown = compute_stats(cohort + [tagged("X-1"), tagged("X-2")], []).ratio
+        grown = compute_stats(as_batch([*cohort, tagged("X-1"), tagged("X-2")]), []).ratio
         assert grown >= base
 
 
@@ -210,7 +210,7 @@ class TestIO:
     def test_refusal_packet(self, tmp_path):
         stats = stats_for(0.2)
         state = evaluate(stats, CFG)
-        result = retrain_gate(state, [], ToyRiskModel("toy-risk-1", {}), stats)
+        result = retrain_gate(state, as_batch([]), ToyRiskModel("toy-risk-1", {}), stats)
         write_refusal_packet(result, tmp_path / "refusal.json")
         import json
 
@@ -220,7 +220,8 @@ class TestIO:
 
     def test_refusal_packet_text(self, tmp_path):
         stats = stats_for(0.2, [("q1", 0.04)])
-        refusal = retrain_gate(evaluate(stats, CFG), [], ToyRiskModel("toy-risk-1", {}), stats)
+        refusal = retrain_gate(evaluate(stats, CFG), as_batch([]), ToyRiskModel("toy-risk-1", {}),
+                               stats)
         write_refusal_packet(refusal, tmp_path / "refusal.json")
         assert (tmp_path / "refusal.json").read_text(encoding="utf-8") == """{
   "reason": "AI influence ratio 0.2000 exceeds threshold 0.1500; automatic retraining \

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from conftest import make_record, tiny_system
+from conftest import as_batch, make_record, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.checkpoint import (
     FidelityReport,
@@ -29,14 +29,15 @@ class TestBuildReferenceModel:
             [make_record(f"R-{i:03d}", code="AAA", version="v2") for i in range(60)]
             + [make_record(f"S-{i:03d}", code="BBB", version="v2") for i in range(40)]
         )
-        ref = build_reference_model(history, system, "v2")
+        ref = build_reference_model(as_batch(history), system, "v2")
         # 3-code smoothing support: (60 + 1) / (100 + 3)
         assert ref.expected_prevalence("AAA", "50-59", "female") == pytest.approx(61 / 103)
         assert ref.marginal_prevalence("AAA") == pytest.approx(61 / 103)
 
     def test_single_record_history(self):
         system = tiny_system()
-        ref = build_reference_model([make_record(code="AAA", version="v2")], system, "v2")
+        ref = build_reference_model(as_batch([make_record(code="AAA", version="v2")]), system,
+                                    "v2")
         observed = ref.expected_prevalence("AAA", "50-59", "female")
         assert observed == pytest.approx(2 / 4)
         for band in ("0-9", "60-69"):
@@ -44,7 +45,7 @@ class TestBuildReferenceModel:
 
     def test_empty_history_rejected(self, bundled_system):
         with pytest.raises(ValidationError, match="non-empty"):
-            build_reference_model([], bundled_system)
+            build_reference_model(as_batch([]), bundled_system)
 
     def test_prevalences_track_generator_base_rates(self, bundled_system, cfg):
         spec = synthgen.DistortionSpec(
@@ -77,9 +78,9 @@ class TestAnnotate:
                 history.append(make_record(f"R-{i:04d}", institution=inst,
                                            code="BBB", version="v2"))
                 i += 1
-        ref = build_reference_model(history, system, "v2")
+        ref = build_reference_model(as_batch(history), system, "v2")
         record = annotate_batch(
-            [make_record(institution="HOT", code="AAA", version="v2")], ref, cfg
+            as_batch([make_record(institution="HOT", code="AAA", version="v2")]), ref, cfg
         )[0]
         assert record.fidelity.institutional_subscore < 0.5
 
@@ -100,9 +101,10 @@ class TestAnnotate:
                 f"S-{i:04d}", age_band="20-29", sex="male", institution=inst,
                 code="BBB", version="v2",
             ))
-        ref = build_reference_model(history, system, "v2")
+        ref = build_reference_model(as_batch(history), system, "v2")
         record = annotate_batch(
-            [make_record(institution="I0", code="AAA", co_codes=("CCC",), version="v2")],
+            as_batch([make_record(institution="I0", code="AAA", co_codes=("CCC",),
+                                  version="v2")]),
             ref, cfg,
         )[0]
         fid = record.fidelity
@@ -113,8 +115,8 @@ class TestAnnotate:
     def test_annotation_is_idempotent(self, q1_products, cfg, bundled_cfg):
         record = q1_products["outcome"].accepted[0]
         ref = q1_products["ref"]
-        once = annotate_batch([record], ref, bundled_cfg)[0]
-        twice = annotate_batch([once], ref, bundled_cfg)[0]
+        once = annotate_batch(as_batch([record]), ref, bundled_cfg)[0]
+        twice = annotate_batch(as_batch([once]), ref, bundled_cfg)[0]
         assert once.fidelity == twice.fidelity
         assert once.record_id == record.record_id
 
@@ -123,9 +125,10 @@ class TestAnnotate:
         # depend on which other records share the batch.
         ref = q1_products["ref"]
         together = annotate_batch(seeded_batch, ref, bundled_cfg)
-        alone = [annotate_batch([record], ref, bundled_cfg)[0] for record in seeded_batch]
+        alone = [annotate_batch(as_batch([record]), ref, bundled_cfg)[0]
+                 for record in seeded_batch]
         assert len(together) == len(seeded_batch) == 2000
-        assert together == alone
+        assert list(together) == alone
         assert len({r.fidelity for r in together}) > 1
 
     def test_catch_all_records_score_lower_on_average(self, q1_products):
@@ -175,7 +178,8 @@ class TestAnnotate:
 class TestFidelityReport:
     def test_single_institution(self, cfg):
         system = tiny_system()
-        history = [make_record(f"R-{i:03d}", code="AAA", version="v2") for i in range(30)]
+        history = as_batch([make_record(f"R-{i:03d}", code="AAA", version="v2")
+                            for i in range(30)])
         ref = build_reference_model(history, system, "v2")
         batch = annotate_batch(history, ref, cfg)
         report = fidelity_report(batch)
@@ -189,11 +193,11 @@ class TestFidelityReport:
         assert lowest.institution_id == "INST-07"
 
     def test_empty_batch_gives_empty_report(self):
-        assert fidelity_report([]) == FidelityReport(rows=())
+        assert fidelity_report(as_batch([])) == FidelityReport(rows=())
 
     def test_unannotated_record_rejected(self):
         with pytest.raises(ValidationError, match="not annotated"):
-            fidelity_report([make_record()])
+            fidelity_report(as_batch([make_record()]))
 
     def test_csv_header_states_ordinal_semantics(self, q1_products, tmp_path):
         report = fidelity_report(q1_products["annotated"][:100])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import admin, make_record
+from conftest import admin, as_batch, make_record
 from ontoguard import synthgen
 from ontoguard.dormancy import (
     ActivationCondition,
@@ -83,7 +83,7 @@ class TestClassifyFeatures:
             for i in range(100)
         ]
         administrative = classify_features(admin(batch), set(), CFG)
-        clinical = classify_features(profile_batch(batch, Layer.CLINICAL), set(), CFG)
+        clinical = classify_features(profile_batch(as_batch(batch), Layer.CLINICAL), set(), CFG)
         assert set(administrative) == {"AAA"}
         assert set(clinical) == {"BBB"}
 

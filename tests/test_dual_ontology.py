@@ -5,7 +5,7 @@ from datetime import date
 
 import pytest
 
-from conftest import make_record, tiny_system
+from conftest import as_batch, make_record, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.dual_ontology import (
     DivergenceReport,
@@ -30,7 +30,7 @@ def annotated(record, score):
 class TestInference:
     def test_high_fidelity_copies_primary(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
+        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "HTN-ESS"
 
     def test_low_fidelity_catch_all_recovers_subtype(
@@ -43,12 +43,12 @@ class TestInference:
                         co_codes=("LAB-HBA1C-HI", "LAB-GLU-HI", "RX-INSULIN")),
             0.3,
         )
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
+        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "DM2-HYPER"
 
     def test_no_co_codes_keeps_primary(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="DM2-UNSPEC", co_codes=()), 0.1)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
+        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
         assert out[0].clinical_code == "DM2-UNSPEC"
 
     def test_batch_infers_each_record_as_alone(
@@ -59,10 +59,10 @@ class TestInference:
         batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
         together = infer_clinical_layer(batch, ref, bundled_cfg)
         alone = [
-            infer_clinical_layer([record], ref, bundled_cfg)[0]
+            infer_clinical_layer(as_batch([record]), ref, bundled_cfg)[0]
             for record in batch
         ]
-        assert together == alone
+        assert list(together) == alone
         assert any(r.clinical_code != r.primary_code for r in together)
 
     def test_no_candidate_codes_keeps_primary(
@@ -79,7 +79,7 @@ class TestInference:
     def test_unannotated_record_rejected(self, q1_products, bundled_cfg):
         with pytest.raises(ValidationError, match="not annotated"):
             infer_clinical_layer(
-                [make_record()], q1_products["ref"], bundled_cfg
+                as_batch([make_record()]), q1_products["ref"], bundled_cfg
             )
 
     def test_clinical_layer_beats_administrative_accuracy(self, q3_products):
@@ -95,7 +95,7 @@ class TestInference:
 
     def test_overrides_win_over_inference(self, q1_products, bundled_cfg):
         record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer([record], q1_products["ref"], bundled_cfg)
+        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
         out = apply_clinical_overrides(out, {record.record_id: "MH-DEPR"})
         assert out[0].clinical_code == "MH-DEPR"
 
@@ -109,18 +109,18 @@ class TestInference:
 
 class TestDivergence:
     def test_identical_layers_give_zero(self):
-        batch = [
+        batch = as_batch([
             make_record(f"R-{i}", clinical_code="DM2-UNSPEC") for i in range(10)
-        ]
+        ])
         report = divergence(batch)
         assert report.disagreement_rate == 0.0
         assert report.n == 10
 
     def test_fully_rewritten_gives_one(self):
-        batch = [
+        batch = as_batch([
             make_record(f"R-{i}", code="DM2-UNSPEC", clinical_code="DM2-HYPER")
             for i in range(10)
-        ]
+        ])
         report = divergence(batch)
         assert report.disagreement_rate == 1.0
 
@@ -172,29 +172,29 @@ class TestDivergence:
         assert 0.05 <= report.disagreement_rate <= 0.15
 
     def test_transposing_layers_preserves_rate(self):
-        batch = [
+        batch = as_batch([
             make_record("R-1", code="AAA", clinical_code="BBB"),
             make_record("R-2", code="AAA", clinical_code="AAA"),
             make_record("R-3", code="BBB", clinical_code="AAA"),
-        ]
-        swapped = [
+        ])
+        swapped = as_batch([
             make_record(r.record_id, code=r.clinical_code, clinical_code=r.primary_code)
             for r in batch
-        ]
+        ])
         fwd, rev = divergence(batch), divergence(swapped)
         assert fwd.disagreement_rate == rev.disagreement_rate == 2 / 3
 
     def test_empty_batch_gives_one_report_of_zero(self):
         # `infer-clinical --divergence-out` on an empty records file writes
         # a population row of n=0 instead of failing on a missing report.
-        assert divergence([]) == DivergenceReport(disagreement_rate=0.0, n=0)
+        assert divergence(as_batch([])) == DivergenceReport(disagreement_rate=0.0, n=0)
 
     def test_unpopulated_record_rejected(self):
         with pytest.raises(ValidationError, match="no clinical layer"):
-            divergence([make_record()])
+            divergence(as_batch([make_record()]))
 
     def test_csv_export(self, tmp_path):
-        batch = [make_record("R-1", clinical_code="DM2-UNSPEC")]
+        batch = as_batch([make_record("R-1", clinical_code="DM2-UNSPEC")])
         path = tmp_path / "divergence.csv"
         write_divergence_csv(divergence(batch), path)
         lines = path.read_text().splitlines()

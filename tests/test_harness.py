@@ -200,8 +200,7 @@ class TestRecordOrder:
 
         def shuffled_generate_batch(*args, **kwargs):
             batch, truth = generate_batch(*args, **kwargs)
-            order = rng.permutation(len(batch))
-            return [batch[i] for i in order], truth
+            return batch.select(rng.permutation(len(batch))), truth
 
         monkeypatch.setattr(harness.synthgen_mod, "generate_batch", shuffled_generate_batch)
         harness.run_scenario(walkthrough_spec, SEED, tmp_path)
@@ -209,13 +208,15 @@ class TestRecordOrder:
         assert files == sorted(p.relative_to(scenario_run["out_dir"])
                                for p in scenario_run["out_dir"].rglob("*") if p.is_file())
         for rel in files:
-            assert (tmp_path / rel).read_bytes() == (scenario_run["out_dir"] / rel).read_bytes(), rel
+            assert (tmp_path / rel).read_bytes() \
+                == (scenario_run["out_dir"] / rel).read_bytes(), rel
 
 
 class TestRecordLifetimes:
     def test_no_earlier_batch_is_alive_when_a_quarter_generates(self, tmp_path, monkeypatch):
         # The history batch dies once the reference model is built, and each
-        # quarter's records die before the next quarter generates its batch.
+        # quarter's batch dies, with every column array it holds, before the
+        # next quarter generates its batch.
         spec = harness.load_scenario(write_null_scenario(tmp_path, n=600, quarters=3))
         generate_batch = synthgen.generate_batch
         samples: list[list[weakref.ref]] = []
@@ -224,12 +225,14 @@ class TestRecordLifetimes:
         def sampling_generate_batch(*args, **kwargs):
             alive.append([sum(ref() is not None for ref in refs) for refs in samples])
             batch, truth = generate_batch(*args, **kwargs)
-            samples.append([weakref.ref(record) for record in batch[::20]])
+            samples.append([weakref.ref(batch)] + [
+                weakref.ref(value) for value in vars(batch).values()
+                if isinstance(value, np.ndarray)])
             return batch, truth
 
         monkeypatch.setattr(harness.synthgen_mod, "generate_batch", sampling_generate_batch)
         harness.run_scenario(spec, 3, tmp_path / "out")
-        assert [len(refs) for refs in samples] == [30] * 4  # history, then three quarters
+        assert [len(refs) for refs in samples] == [13] * 4  # history, then three quarters
         assert alive == [[], [0], [0, 0], [0, 0, 0]]
 
 
@@ -316,6 +319,12 @@ def _system_with_string_prevalence() -> dict:
     return data
 
 
+def _system_with_string_cooccurrence() -> dict:
+    data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
+    data["cooccurrence_profiles"]["DM-OTHER"]["LAB-GLU-HI"] = "0.3"
+    return data
+
+
 def _adapter_text(**rule) -> str:
     """One conditional-permit adapter whose only rule takes ``rule``'s fields."""
     return json.dumps({
@@ -356,6 +365,7 @@ CLI_INPUT_FILES = {
         institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025"))),
     "system-validated.json": json.dumps(_system_with_string_validated()),
     "system-prevalence.json": json.dumps(_system_with_string_prevalence()),
+    "system-cooccurrence.json": json.dumps(_system_with_string_cooccurrence()),
     "context-list.json": walkthrough_text(ingest_context={"purpose": ["training"]}),
     "context-pairs.json": walkthrough_text(deploy_context=[["purpose", "demo"]]),
     "adapter-conditions.json": _adapter_text(conditions="pseudonymise"),
@@ -578,6 +588,10 @@ class TestCli:
         (["synth", "generate", "--system", "system-prevalence.json", "--spec", "spec.json",
           "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
          "system-prevalence.json base_prevalence of 'DM-OTHER' must be a number, got '0."),
+        (["synth", "generate", "--system", "system-cooccurrence.json", "--spec", "spec.json",
+          "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "system-cooccurrence.json cooccurrence_profiles of 'DM-OTHER': 'LAB-GLU-HI' must be a "
+         "number >= 0, got '0.3'"),
         (["scenario", "run", "context-list.json", "--seed", "1"],
          "context-list.json ingest_context value of 'purpose' must be a string, number "
          "or true or false, got ['training']"),
@@ -600,7 +614,8 @@ class TestCli:
         "adapter-int-reason", "store-entry-types", "store-entry-negative-count",
         "adapter-int-fields", "adapter-list-clause-key", "significance-int-note",
         "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
-        "conditions-int-domain", "system-string-prevalence", "scenario-context-list-value",
+        "conditions-int-domain", "system-string-prevalence", "system-string-cooccurrence",
+        "scenario-context-list-value",
         "scenario-context-not-object",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):

@@ -3,7 +3,7 @@
 import json
 import re
 from dataclasses import FrozenInstanceError
-from datetime import date
+from datetime import date, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from ontoguard.model import (
     FidelityAnnotation,
     InfluenceTag,
     PipelineConfig,
+    RecordBatch,
     TimeWindow,
     ValidationError,
     code_system_from_dict,
@@ -27,7 +28,6 @@ from ontoguard.model import (
     read_records,
     record_from_dict,
     to_json,
-    with_fields,
 )
 
 
@@ -101,6 +101,33 @@ class TestLoadCodeSystem:
         named = re.escape(f"base_prevalence of 'BBB' must be a number, got {value!r}")
         with pytest.raises(ValidationError, match=named):
             tiny_system(base_prevalence={"AAA": 0.5, "BBB": value})
+
+    @pytest.mark.parametrize("profiles, named", [
+        ({"cooccurrence": "x"}, "cooccurrence_profiles must be a JSON object, got 'x'"),
+        ({"cooccurrence": {"AAA": [0.3]}},
+         "cooccurrence_profiles of 'AAA' must be a JSON object, got [0.3]"),
+        ({"cooccurrence": {"AAA": {"CCC": "0.3"}}},
+         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got '0.3'"),
+        ({"cooccurrence": {"AAA": {"CCC": True}}},
+         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got True"),
+        ({"cooccurrence": {"AAA": {"CCC": -0.1}}},
+         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got -0.1"),
+        ({"demographics": [1]}, "demographic_profiles must be a JSON object, got [1]"),
+        ({"demographics": {"AAA": {"sex": [1]}}},
+         "demographic_profiles of 'AAA' sex must be a JSON object, got [1]"),
+        ({"demographics": {"AAA": {"age": {"50-59": "0.2"}}}},
+         "demographic_profiles of 'AAA' age: '50-59' must be a number >= 0, got '0.2'"),
+        ({"demographics": {"AAA": {"ages": {}}}},
+         "demographic_profiles of 'AAA' has unknown key 'ages'"),
+    ])
+    def test_profiles_hold_objects_of_numbers(self, profiles, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            tiny_system(**profiles)
+
+    def test_integer_profile_weights_accepted(self):
+        system = tiny_system(cooccurrence={"AAA": {"CCC": 1}},
+                             demographics={"AAA": {"age": {"50-59": 2}, "sex": {}}})
+        assert system.cooccurrence_profiles == {"AAA": {"CCC": 1}}
 
     def test_integer_base_prevalence_is_a_float(self):
         assert tiny_system(base_prevalence={"AAA": 1}).base_prevalence == {"AAA": 1.0}
@@ -205,40 +232,34 @@ class TestRecords:
 
 
 _TEXT = st.text(max_size=8)
-_ANNOTATIONS = st.builds(FidelityAnnotation, st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
-                         st.floats(0, 1), _TEXT)
+# Integers and -0.0 are valid JSON numbers that must be written back as read.
+_SCORES = st.floats(0, 1) | st.sampled_from([0, 1, -0.0])
+_ANNOTATIONS = st.builds(FidelityAnnotation, _SCORES, _SCORES, _SCORES, _SCORES, _TEXT)
+_ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                          timezone(timedelta(hours=-8))])
 RECORDS = st.builds(
     make_record, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
-    sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(), code=_TEXT,
-    co_codes=st.frozensets(_TEXT, max_size=4), version=_TEXT,
+    sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(timezones=_ZONES),
+    code=_TEXT, co_codes=st.frozensets(_TEXT, max_size=4), version=_TEXT,
     influence_tag=st.none() | st.builds(InfluenceTag, _TEXT, st.floats(0, 1), st.booleans()),
     fidelity=st.none() | _ANNOTATIONS, clinical_code=st.none() | _TEXT,
 )
-# The fields that the pipeline's record copies change.
-CHANGES = st.fixed_dictionaries({}, optional={
-    "fidelity": st.none() | _ANNOTATIONS, "clinical_code": st.none() | _TEXT,
-    "primary_code": _TEXT, "version_tag": _TEXT,
-})
 
 
 @settings(max_examples=200, deadline=None)
-@given(record=RECORDS, changes=CHANGES)
-def test_with_fields_copies_as_the_constructor_does(record, changes):
-    before = dict(vars(record))
-    copy = with_fields(record, **changes)
-    built = CodedRecord(**{**vars(record), **changes})
-    assert type(copy) is CodedRecord
-    assert copy == built and hash(copy) == hash(built)
-    assert jsonl_dumps(copy) == jsonl_dumps(built)
-    assert vars(record) == before
-    with pytest.raises(FrozenInstanceError):
-        copy.clinical_code = "X"
-    with pytest.raises(TypeError, match="no field"):
-        with_fields(record, **changes, bogus=None)
-    with pytest.raises(ValidationError, match="age band"):
-        with_fields(record, **changes, patient_age_band="200+")
-    with pytest.raises(ValidationError, match="sex"):
-        with_fields(record, **changes, patient_sex="unknown")
+@given(records=st.lists(RECORDS, max_size=6))
+def test_batch_rows_read_as_the_constructor_builds(records):
+    batch = RecordBatch.from_records(records)
+    rows = list(batch)
+    assert len(batch) == len(rows) == len(records)
+    for i, (row, record) in enumerate(zip(rows, records)):
+        built = CodedRecord(**vars(record))
+        assert type(row) is CodedRecord
+        assert row == built and hash(row) == hash(built)
+        assert jsonl_dumps(row) == jsonl_dumps(built)
+        assert batch[i] == built
+        with pytest.raises(FrozenInstanceError):
+            row.clinical_code = "X"
 
 
 class TestTimeWindow:

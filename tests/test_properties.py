@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, tiny_system
+from conftest import as_batch, make_record, tiny_system
 from ontoguard.compliance import (
     RESTRICTIVENESS,
     DataOperation,
@@ -116,7 +116,7 @@ def test_gate_partitions_arbitrary_batches(entries):
         make_record(f"R-{i}", code=code, version=version)
         for i, (code, version) in enumerate(entries)
     ]
-    outcome = gate_batch(batch, system, "v2")
+    outcome = gate_batch(as_batch(batch), system, "v2")
     assert partition_oracle(
         [r.record_id for r in batch],
         [r.record_id for r in outcome.accepted],

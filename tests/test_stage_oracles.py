@@ -11,6 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_batch
 from ontoguard import oracles
 from ontoguard.breaker import (
     OUTCOME_MARKERS,
@@ -95,7 +96,7 @@ def batches(draw, codes=CODES, versions=("v2",), min_size=0):
 
 
 def _batch(rows):
-    return [record_from_dict(row) for row in rows]
+    return as_batch([record_from_dict(row) for row in rows])
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_record, tiny_system
+from conftest import as_batch, make_record, tiny_system
 from ontoguard.model import FidelityAnnotation, InfluenceTag, ValidationError
 from ontoguard.oracles import partition_oracle
 from ontoguard.version_gate import (
@@ -62,29 +62,29 @@ class TestGateBatch:
     def test_batch_already_on_target_is_identity(self):
         system = migration_system()
         batch = [make_record(f"R-{i}", code="KEEP", version="v2") for i in range(5)]
-        outcome = gate_batch(batch, system, "v2")
+        outcome = gate_batch(as_batch(batch), system, "v2")
         assert list(outcome.accepted) == batch
-        assert outcome.reconciled == ()
-        assert outcome.quarantined == ()
+        assert len(outcome.reconciled) == 0
+        assert len(outcome.quarantined) == 0
 
     def test_unmappable_code_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="GONE", version="v1")], system, "v2"
+            as_batch([make_record(code="GONE", version="v1")]), system, "v2"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
 
     def test_one_to_many_treated_as_unmappable(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="SPLIT", version="v1")], system, "v2"
+            as_batch([make_record(code="SPLIT", version="v1")]), system, "v2"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
 
     def test_rename_reconciled_with_audit_fields(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="RENAME-1", version="v1")], system, "v2"
+            as_batch([make_record(code="RENAME-1", version="v1")]), system, "v2"
         )
         item = outcome.reconciled[0]
         assert item.record.primary_code == "RENAME-2"
@@ -95,38 +95,38 @@ class TestGateBatch:
     def test_unknown_code_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="BOGUS", version="v1")], system, "v2"
+            as_batch([make_record(code="BOGUS", version="v1")]), system, "v2"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNKNOWN_CODE
 
     def test_unvalidated_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="OLD", version="v0")], system, "v2"
+            as_batch([make_record(code="OLD", version="v0")]), system, "v2"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNVALIDATED_VERSION
 
     def test_unknown_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="KEEP", version="v99")], system, "v2"
+            as_batch([make_record(code="KEEP", version="v99")]), system, "v2"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNVALIDATED_VERSION
 
     def test_newer_than_target_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="KEEP", version="v2")], system, "v1"
+            as_batch([make_record(code="KEEP", version="v2")]), system, "v1"
         )
         assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
 
     def test_unknown_target_refused(self):
         with pytest.raises(ValidationError, match="unknown version"):
-            gate_batch([], migration_system(), "v9")
+            gate_batch(as_batch([]), migration_system(), "v9")
 
     def test_unvalidated_target_refused(self):
         with pytest.raises(ValidationError, match="migration validation"):
-            gate_batch([], migration_system(), "v0")
+            gate_batch(as_batch([]), migration_system(), "v0")
 
     def test_partition_on_randomized_batches(self):
         system = migration_system()
@@ -142,7 +142,7 @@ class TestGateBatch:
                 )
                 for i in range(int(rng.integers(1, 40)))
             ]
-            outcome = gate_batch(batch, system, "v2")
+            outcome = gate_batch(as_batch(batch), system, "v2")
             assert partition_oracle(
                 [r.record_id for r in batch],
                 [r.record_id for r in outcome.accepted],
@@ -157,7 +157,7 @@ class TestGateBatch:
     def test_quarantine_file_round_trip(self, tmp_path):
         system = migration_system()
         outcome = gate_batch(
-            [make_record(code="GONE", version="v1")], system, "v2"
+            as_batch([make_record(code="GONE", version="v1")]), system, "v2"
         )
         path = tmp_path / "quarantine.jsonl"
         write_quarantine(path, outcome.quarantined)
@@ -173,7 +173,7 @@ class TestGateBatch:
             fidelity=FidelityAnnotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
             clinical_code="GONE",
         )
-        outcome = gate_batch([record], migration_system(), "v2")
+        outcome = gate_batch(as_batch([record]), migration_system(), "v2")
         path = tmp_path / "quarantine.jsonl"
         write_quarantine(path, outcome.quarantined)
         assert path.read_text(encoding="utf-8") == (
