@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
 from functools import cache
-from operator import attrgetter
+from itertools import islice
 from pathlib import Path
 from types import UnionType
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
@@ -412,13 +412,30 @@ def gather(table: Sequence[Any], index: np.ndarray) -> list[Any]:
 
 
 def _intern(values: Sequence[Hashable | None],
-            index: dict[Any, int] | None = None) -> tuple[np.ndarray, tuple[Any, ...]]:
-    """Each value's position in ``index`` (extended with new values), -1 for
-    None, and the values of the extended index in position order."""
-    index = {} if index is None else index
-    column = np.fromiter((-1 if value is None else index.setdefault(value, len(index))
-                          for value in values), np.int32, len(values))
-    return column, tuple(index)
+            table: Iterable[Hashable] = ()) -> tuple[np.ndarray, tuple[Any, ...]]:
+    """``table`` extended with the distinct new ``values`` in first-seen
+    order, and each value's position in it (-1 for None)."""
+    positions = dict.fromkeys(table)
+    positions.update(dict.fromkeys(values))
+    positions.pop(None, None)
+    table = tuple(positions)
+    positions = dict(zip(table, range(len(table))))
+    positions[None] = -1
+    return np.fromiter(map(positions.__getitem__, values), np.int32, len(values)), table
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(CodedRecord))
+
+
+def _record(values: Iterable[Any]) -> CodedRecord:
+    """``CodedRecord(*values)``, checked as the constructor checks. It takes
+    its field dict in one update instead of one ``object.__setattr__`` call
+    per field, which costs less than half as much."""
+    record = object.__new__(CodedRecord)
+    vars(record).update(zip(_RECORD_FIELDS, values))
+    record.__post_init__()
+    return record
+_EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
 
 
 # The per-row fields of a RecordBatch; every other field is a table.
@@ -433,9 +450,10 @@ class RecordBatch:
     Each string field is interned: its column holds a row's index into a
     table of distinct values. ``codes`` serves both code layers, and the
     ``age_band`` and ``sex`` columns index ``AGE_BANDS`` and ``SEXES``.
-    Co-code sets, fidelity annotations and UTC offsets are interned the
-    same way. Index -1 stands for None: no clinical code, no annotation, or
-    a naive timestamp. ``times`` holds each encounter's wall-clock time.
+    Co-code sets and UTC offsets are interned the same way, and
+    ``fidelity`` indexes ``annotations``, which rows annotated together
+    share. Index -1 stands for None: no clinical code, no annotation, or a
+    naive timestamp. ``times`` holds each encounter's wall-clock time.
 
     Stages read and write the columns. Iterating yields each row as a
     ``CodedRecord``, built on demand, for the files and the oracles.
@@ -462,37 +480,37 @@ class RecordBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[CodedRecord]) -> RecordBatch:
-        rows = list(records)
-
-        def column(name: str) -> list[Any]:
-            return list(map(attrgetter(name), rows))
-
-        times = column("encounter_time")
+        """The batch of ``records``. Fidelity annotations are not merged, so
+        each row keeps its own, written back exactly as it was read."""
+        # Fields are moved into column lists a block of records at a time, so
+        # that no more than a block of record objects is alive at once.
+        column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
+        records = iter(records)
+        while block := [vars(record).values() for record in islice(records, 4096)]:
+            for values, fields_of_block in zip(column.values(), zip(*block)):
+                values.extend(fields_of_block)
+        times = column["encounter_time"]
         zone, zones = _intern([when.tzinfo for when in times])
         if zones:
             times = [when.replace(tzinfo=None) for when in times]
-        code_index: dict[str, int] = {}
-        code = _intern(column("primary_code"), code_index)[0]
-        clinical, codes = _intern(column("clinical_code"), code_index)
-        # Equal annotations share a row of the table only if their numbers
-        # are written alike: an integer score and -0.0 stay as they were read.
-        annotations = column("fidelity")
-        written = [None if a is None else tuple(map(repr, vars(a).values())) for a in annotations]
-        fidelity, distinct = _intern(written)
-        by_text = dict(zip(written, annotations))
-        institution, institutions = _intern(column("institution_id"))
-        version, versions = _intern(column("version_tag"))
-        co, co_sets = _intern(column("co_codes"))
+        code, codes = _intern(column["primary_code"])
+        clinical, codes = _intern(column["clinical_code"], codes)
+        annotated = np.array([a is not None for a in column["fidelity"]], dtype=bool)
+        institution, institutions = _intern(column["institution_id"])
+        version, versions = _intern(column["version_tag"])
+        co, co_sets = _intern(column["co_codes"])
         return cls(
-            record_id=np.array(column("record_id"), dtype=object),
-            times=np.array(times, dtype="datetime64[us]"), zone=zone, zones=zones,
-            age_band=_intern(column("patient_age_band"),
-                             {b: i for i, b in enumerate(AGE_BANDS)})[0],
-            sex=_intern(column("patient_sex"), {s: i for i, s in enumerate(SEXES)})[0],
+            record_id=np.array(column["record_id"], dtype=object),
+            times=np.fromiter(((when - _EPOCH) // _MICROSECOND for when in times), np.int64,
+                              len(times)).astype("datetime64[us]"),
+            zone=zone, zones=zones,
+            age_band=_intern(column["patient_age_band"], AGE_BANDS)[0],
+            sex=_intern(column["patient_sex"], SEXES)[0],
             institution=institution, institutions=institutions,
             code=code, clinical=clinical, codes=codes, version=version, versions=versions,
-            co=co, co_sets=co_sets, influence=np.array(column("influence_tag"), dtype=object),
-            fidelity=fidelity, annotations=tuple(by_text[text] for text in distinct),
+            co=co, co_sets=co_sets, influence=np.array(column["influence_tag"], dtype=object),
+            fidelity=np.where(annotated, np.cumsum(annotated) - 1, -1).astype(np.int32),
+            annotations=tuple(a for a in column["fidelity"] if a is not None),
         )
 
     def __len__(self) -> int:
@@ -518,13 +536,13 @@ class RecordBatch:
         if self.zones:
             times = [when.replace(tzinfo=zone)
                      for when, zone in zip(times, gather(self.zones, self.zone))]
-        return map(
-            CodedRecord, self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
+        return map(_record, zip(
+            self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
             gather(SEXES, self.sex), gather(self.institutions, self.institution), times,
             gather(self.codes, self.code), gather(self.co_sets, self.co),
             gather(self.versions, self.version), self.influence.tolist(),
             gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
-        )
+        ))
 
 
 @dataclass(slots=True)
@@ -707,11 +725,11 @@ def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
                 _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
                 fid["rationale"],
             )
-        return CodedRecord(
+        return _record((
             data["record_id"], data["patient_age_band"], data["patient_sex"],
             data["institution_id"], encounter_time, data["primary_code"],
             frozenset(co_codes), data["version_tag"], tag, fid, clinical_code,
-        )
+        ))
     except KeyError as exc:
         raise ValidationError(f"record missing field {exc.args[0]!r}") from None
 

@@ -92,7 +92,7 @@ class GateOutcome:
 
 
 class _Bucket(Sequence):
-    """The reconciled or quarantined rows of a gate outcome, each built when read."""
+    """The reconciled or quarantined rows of a gate outcome, built when read."""
 
     def __init__(self, outcome: GateOutcome, rows: np.ndarray) -> None:
         self.outcome, self.rows = outcome, rows
@@ -101,13 +101,18 @@ class _Bucket(Sequence):
         return len(self.rows)
 
     def __getitem__(self, i):
-        outcome, row = self.outcome, int(self.rows[i])
-        source = outcome.batch
-        original = (source.codes[source.code[row]], source.versions[source.version[row]])
-        status = outcome.status[row]
-        if status == RECONCILED:
-            return ReconciledRecord(outcome.gated[row], *original)
-        return QuarantinedRecord(source[row], QUARANTINE_REASONS[status], *original)
+        return next(iter(_Bucket(self.outcome, self.rows[[i]])))
+
+    def __iter__(self):
+        outcome = self.outcome
+        for source, gated, status in zip(outcome.batch.select(self.rows),
+                                         outcome.gated.select(self.rows),
+                                         outcome.status[self.rows].tolist()):
+            original = (source.primary_code, source.version_tag)
+            if status == RECONCILED:
+                yield ReconciledRecord(gated, *original)
+            else:
+                yield QuarantinedRecord(source, QUARANTINE_REASONS[status], *original)
 
 
 class MigrationVerdict(str, Enum):
