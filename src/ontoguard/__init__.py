@@ -19,6 +19,7 @@ from .model import (
     Layer,
     OntoguardError,
     PipelineConfig,
+    RecordBatch,
     StageError,
     TimeWindow,
     ValidationError,
@@ -36,6 +37,7 @@ __all__ = [
     "Layer",
     "OntoguardError",
     "PipelineConfig",
+    "RecordBatch",
     "StageError",
     "TimeWindow",
     "ValidationError",
