@@ -63,8 +63,10 @@ SYSTEM = code_system_from_dict(SYSTEM_DATA)
 # ZZZ is in no version, so it is missing from every reference model.
 CODES = ("AAA", "BBB", "CCC", "ZZZ")
 CO_CODES = ("AAA", "CCC", "LAB-GLU-HI", "LAB-HBA1C-HI", "ZZZ")
-TIMES = ("2024-12-31T23:59:59.999999", "2025-01-01T00:00:00", "2025-01-31T23:59:59",
-         "2025-02-01T00:00:00", "2025-03-31T23:59:59", "2025-04-01T00:00:00")
+# 05:30 at +05:30 and 00:00 at +00:00 are one instant written two ways.
+TIMES = ("2024-12-31T23:59:59.999999", "2025-01-01T00:00:00", "2025-01-01T05:30:00",
+         "2025-01-31T23:59:59", "2025-02-01T00:00:00", "2025-03-31T23:59:59",
+         "2025-04-01T00:00:00")
 OFFSETS = ("+00:00", "+05:30", "-08:00")
 TAG = {"model_version": "m-1", "model_confidence": 0.7, "clinician_modified": False}
 
