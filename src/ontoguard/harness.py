@@ -204,14 +204,16 @@ def run_scenario(
     # Reference history: the quarter before the scenario starts, carrying
     # only the standing institutional habits (no onset distortions).
     history_window = synthgen_mod.quarter_window(spec.start, -1)
-    history, _ = synthgen_mod.generate_batch(
+    # The ground truth is not read, and holding it would keep every record
+    # id of the batch alive.
+    history = synthgen_mod.generate_batch(
         system,
         spec.distortion.without_onset_distortions(),
         spec.n_per_quarter,
         seed=[seed, 10_007],
         window=history_window,
         id_prefix="H",
-    )
+    )[0]
     ref = checkpoint_mod.build_reference_model(history, system, spec.target_version)
     del history  # no stage reads the history records again
 
@@ -239,12 +241,12 @@ def run_scenario(
             except Exception as exc:  # surface with stage context
                 raise StageError(f"stage {name} failed in quarter {q}: {exc}") from exc
 
-        batch, _ = stage(
+        batch = stage(
             "synthgen", synthgen_mod.generate_batch,
             system, spec.distortion, spec.n_per_quarter,
             seed=[seed, q - 1], window=window, id_prefix=f"Q{q}",
             quarter_index=q - 1,
-        )
+        )[0]
 
         ingest_op = compliance_mod.DataOperation(
             op_kind=compliance_mod.OpKind.INGEST, context=dict(spec.ingest_context)
