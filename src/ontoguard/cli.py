@@ -12,7 +12,9 @@ import gc
 import math
 import sys
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
+from typing import Mapping
 
 from . import breaker as breaker_mod
 from . import checkpoint as checkpoint_mod
@@ -29,6 +31,7 @@ from .model import (
     PipelineConfig,
     StageError,
     ValidationError,
+    from_json,
     load_code_system,
     load_config,
     load_json,
@@ -295,18 +298,16 @@ def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     profile = profile_batch(read_records(args.records), args.layer)
-    significance = load_json(
-        args.significance, "--significance file", dormancy_mod.significance_from_dict
-    )
+    significance = load_json(args.significance, "--significance file",
+                             partial(from_json, Mapping[str, str]))
     classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
     for code in sorted(classification):
         print(f"{code}: {classification[code].value}")
     if args.store:
         conditions = {}
         if args.conditions:
-            conditions = load_json(
-                args.conditions, "--conditions file", dormancy_mod.conditions_from_dict
-            )
+            conditions = load_json(args.conditions, "--conditions file",
+                                   partial(from_json, dormancy_mod.Conditions))
         # An existing store is carried forward: its entries stay unless
         # this batch updates them.
         existing = dormancy_mod.read_store(args.store) if Path(args.store).exists() else None

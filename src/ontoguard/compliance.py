@@ -11,13 +11,13 @@ prevails: deny > permit-with-conditions > permit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .model import ValidationError, load_json, write_json
+from .model import ValidationError, from_json, load_json, write_json
 
 
 class OpKind(str, Enum):
@@ -89,6 +89,12 @@ class Clause:
     op: str
     value: ContextValue | None = None
 
+    def __post_init__(self) -> None:
+        if self.op not in _OPS:
+            raise ValidationError(f"unknown clause operator {self.op!r}")
+        if self.value is None and self.op not in ("present", "absent"):
+            raise ValidationError(f"clause on {self.key!r} with op {self.op!r} requires a value")
+
     def matches(self, op: DataOperation) -> bool:
         if self.key == "op_kind":
             actual: ContextValue | None = op.op_kind.value
@@ -113,9 +119,18 @@ class Clause:
 
 @dataclass(frozen=True)
 class Rule:
-    when: tuple[Clause, ...]
-    verdict: Verdict
+    """One rule as an adapter file writes it: the verdict's kind, conditions
+    and reason sit beside the clauses, and ``verdict`` is built from them."""
+
+    kind: VerdictKind = field(metadata={"json": "verdict"})
     provision: str
+    when: tuple[Clause, ...] = ()
+    conditions: tuple[str, ...] = ()
+    reason: str = ""
+    verdict: Verdict = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict", Verdict(self.kind, self.conditions, self.reason))
 
     def matches(self, op: DataOperation) -> bool:
         return all(clause.matches(op) for clause in self.when)
@@ -124,60 +139,18 @@ class Rule:
 @dataclass(frozen=True)
 class AdapterRuleSet:
     adapter_id: str
-    jurisdiction_tag: str
+    jurisdiction_tag: str = field(metadata={"json": "jurisdiction"})
     regulation_id: str
     regulation_version: str
     rules: tuple[Rule, ...]
 
 
-def _string(name: str, value: Any) -> str:
-    if type(value) is not str:
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _parse_clause(data: Mapping[str, Any]) -> Clause:
-    key, op = _string("clause key", data["key"]), data["op"]
-    if op not in _OPS:
-        raise ValidationError(f"unknown clause operator {op!r}")
-    if op in ("present", "absent"):
-        return Clause(key=key, op=op)
-    if "value" not in data:
-        raise ValidationError(f"clause on {key!r} with op {op!r} requires a value")
-    return Clause(key=key, op=op, value=data["value"])
-
-
-def _parse_rule(data: Mapping[str, Any]) -> Rule:
-    conditions = data.get("conditions", [])
-    if type(conditions) is not list or not all(type(c) is str for c in conditions):
-        raise ValidationError(f"conditions must be a list of strings, got {conditions!r}")
-    return Rule(
-        when=tuple(_parse_clause(c) for c in data.get("when", ())),
-        verdict=Verdict(kind=VerdictKind(data["verdict"]), conditions=tuple(conditions),
-                        reason=_string("reason", data.get("reason", ""))),
-        provision=_string("provision", data["provision"]),
-    )
-
-
-def adapter_from_dict(data: Mapping[str, Any]) -> AdapterRuleSet:
-    rules: list[Rule] = []
-    for index, raw in enumerate(data["rules"]):
-        try:
-            rules.append(_parse_rule(raw))
-        except ValidationError as exc:
-            raise ValidationError(f"rule {index}: {exc}") from None
-    if not rules or rules[-1].when:
-        raise ValidationError(
-            f"adapter {data.get('adapter_id')!r}: rule set must end with an "
-            "unconditional default rule"
-        )
-    return AdapterRuleSet(
-        adapter_id=_string("adapter_id", data["adapter_id"]),
-        jurisdiction_tag=_string("jurisdiction", data["jurisdiction"]),
-        regulation_id=_string("regulation_id", data["regulation_id"]),
-        regulation_version=_string("regulation_version", data["regulation_version"]),
-        rules=tuple(rules),
-    )
+def adapter_from_dict(data: Any) -> AdapterRuleSet:
+    adapter = from_json(AdapterRuleSet, data)
+    if not adapter.rules or adapter.rules[-1].when:
+        raise ValidationError(f"adapter {adapter.adapter_id!r}: rule set must end with an "
+                              "unconditional default rule")
+    return adapter
 
 
 def load_adapter(path: str | Path) -> AdapterRuleSet:

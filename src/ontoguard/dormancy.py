@@ -11,18 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import (
-    BatchProfile,
-    PipelineConfig,
-    ValidationError,
-    from_json,
-    json_object,
-    load_json,
-    write_json,
-)
+from .model import BatchProfile, PipelineConfig, ValidationError, from_json, load_json, write_json
 
 
 class FeatureClass(str, Enum):
@@ -69,20 +62,8 @@ class ActivationCondition:
         return data
 
 
-def conditions_from_dict(data: Any) -> dict[str, tuple[ActivationCondition, ...]]:
-    """Activation conditions by code, from a JSON object of code -> list of conditions."""
-    return {
-        code: tuple(from_json(ActivationCondition, c) for c in conds)
-        for code, conds in json_object(data).items()
-    }
-
-
-def significance_from_dict(data: Any) -> dict[str, str]:
-    """Significance notes by code, from a JSON object of code -> note."""
-    for code, note in json_object(data).items():
-        if type(note) is not str:
-            raise ValidationError(f"significance note of {code!r} must be a string, got {note!r}")
-    return dict(data)
+# Activation conditions by code, as a conditions file holds them.
+Conditions = Mapping[str, tuple[ActivationCondition, ...]]
 
 
 @dataclass(frozen=True)
@@ -244,24 +225,9 @@ def write_store(store: DormantStore, path: str | Path) -> None:
     ])
 
 
-def _store_entries(data: Any) -> dict[str, DormantEntry]:
-    """Entries of a store file: the JSON list ``write_store`` writes."""
-    if type(data) is not list:
-        raise ValidationError("must be a JSON list of entries")
-    entries = {}
-    for index, item in enumerate(data):
-        try:
-            entry = from_json(DormantEntry, item)
-        except KeyError as exc:
-            raise ValidationError(f"entry {index} is missing key {exc.args[0]!r}") from None
-        except ValidationError as exc:
-            raise ValidationError(f"entry {index}: {exc}") from None
-        entries[entry.code] = entry
-    return entries
-
-
 def read_store(path: str | Path) -> DormantStore:
-    return DormantStore(load_json(path, "dormant store", _store_entries), [], Path(path))
+    entries = load_json(path, "dormant store", partial(from_json, tuple[DormantEntry, ...]))
+    return DormantStore({entry.code: entry for entry in entries}, [], Path(path))
 
 
 def write_prune_log(store: DormantStore, path: str | Path) -> None:

@@ -14,7 +14,7 @@ keeps outputs byte-identical for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time as dtime
 from importlib import resources
 from pathlib import Path
@@ -36,6 +36,7 @@ from .model import (
     StageError,
     TimeWindow,
     ValidationError,
+    from_json,
     load_code_system,
     load_config,
     load_json,
@@ -67,22 +68,34 @@ STAGE_LAYERS = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario file. Its file references resolve against the file's
+    directory; ``layer_notes`` is free text on what each distortion
+    exercises, which the run never reads."""
+
     name: str
-    code_system_path: Path
-    config_path: Path
-    adapter_paths: tuple[Path, ...]
+    code_system_path: Path = field(metadata={"json": "code_system"})
+    config_path: Path = field(metadata={"json": "config"})
+    adapter_paths: tuple[Path, ...] = field(metadata={"json": "adapters"})
     quarters: int
     n_per_quarter: int
     start: date
     target_version: str
     distortion: synthgen_mod.DistortionSpec
-    significance: Mapping[str, str] = field(default_factory=dict)
-    activation_conditions: Mapping[str, tuple[dormancy_mod.ActivationCondition, ...]] = field(
-        default_factory=dict
-    )
-    ingest_context: Mapping[str, Any] = field(default_factory=dict)
-    deploy_context: Mapping[str, Any] = field(default_factory=dict)
+    significance: Mapping[str, str] = field(default_factory=dict,
+                                            metadata={"json": "significance_list"})
+    activation_conditions: dormancy_mod.Conditions = field(default_factory=dict)
+    ingest_context: Mapping[str, compliance_mod.ContextValue] = field(default_factory=dict)
+    deploy_context: Mapping[str, compliance_mod.ContextValue] = field(default_factory=dict)
     assertions: tuple[Mapping[str, Any], ...] = ()
+    layer_notes: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("quarters", "n_per_quarter"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not all(type(a.get("kind")) is str for a in self.assertions):
+            raise ValidationError("assertions must be a list of objects, each with a string kind")
 
 
 @dataclass
@@ -113,55 +126,18 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
             path = candidate
         else:
             raise ValidationError(f"scenario not found: {name_or_path}")
-    return load_json(path, "scenario file", lambda data: _scenario_from_dict(data, path.parent))
+    return load_json(path, "scenario file",
+                     lambda data: _resolve_files(from_json(ScenarioSpec, data), path.parent))
 
 
-def _scenario_from_dict(data: Mapping[str, Any], base: Path) -> ScenarioSpec:
-    """Parse a scenario object; file references resolve against ``base``."""
-    def resolve(ref: str) -> Path:
-        resolved = (base / ref) if not Path(ref).is_absolute() else Path(ref)
-        if not resolved.exists():
+def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
+    def resolve(ref: Path) -> Path:
+        if not (base / ref).exists():
             raise ValidationError(f"references missing file: {ref}")
-        return resolved
-
-    def count(key: str) -> int:
-        if type(data[key]) is not int or data[key] < 1:
-            raise ValidationError(f"{key} must be an integer >= 1, got {data[key]!r}")
-        return data[key]
-
-    def context(key: str) -> dict[str, compliance_mod.ContextValue]:
-        values = data.get(key, {})
-        if type(values) is not dict:
-            raise ValidationError(f"{key} must be a JSON object, got {values!r}")
-        for name, value in values.items():
-            if type(value) not in (str, int, float, bool):
-                raise ValidationError(f"{key} value of {name!r} must be a string, number "
-                                      f"or true or false, got {value!r}")
-        return values
-
-    assertions = data.get("assertions", [])
-    if type(assertions) is not list or not all(
-        type(a) is dict and type(a.get("kind")) is str for a in assertions
-    ):
-        raise ValidationError("assertions must be a list of objects, each with a string kind")
-    return ScenarioSpec(
-        name=data["name"],
-        code_system_path=resolve(data["code_system"]),
-        config_path=resolve(data["config"]),
-        adapter_paths=tuple(resolve(p) for p in data["adapters"]),
-        quarters=count("quarters"),
-        n_per_quarter=count("n_per_quarter"),
-        start=date.fromisoformat(data["start"]),
-        target_version=data["target_version"],
-        distortion=synthgen_mod.spec_from_dict(data["distortion"]),
-        significance=dormancy_mod.significance_from_dict(data.get("significance_list", {})),
-        activation_conditions=dormancy_mod.conditions_from_dict(
-            data.get("activation_conditions", {})
-        ),
-        ingest_context=context("ingest_context"),
-        deploy_context=context("deploy_context"),
-        assertions=tuple(assertions),
-    )
+        return base / ref
+    return replace(spec, code_system_path=resolve(spec.code_system_path),
+                   config_path=resolve(spec.config_path),
+                   adapter_paths=tuple(map(resolve, spec.adapter_paths)))
 
 
 class _Tracer:

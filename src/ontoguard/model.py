@@ -121,13 +121,6 @@ def _identity(value: T) -> T:
     return value
 
 
-def json_object(data: Any) -> dict:
-    """``data`` if it is a JSON object; a ``parse`` for :func:`load_json`."""
-    if type(data) is not dict:
-        raise ValidationError("must hold a JSON object")
-    return data
-
-
 def _only(*types: type) -> Callable[[Any], Any]:
     """The identity on values of exactly ``types``, so a bool is never an int."""
     def check(value: Any) -> Any:
@@ -137,88 +130,137 @@ def _only(*types: type) -> Callable[[Any], Any]:
     return check
 
 
-_list, _object, _json_number = _only(list), _only(dict), _only(int, float)
+_list, _object, _str, _json_number = _only(list), _only(dict), _only(str), _only(int, float)
 
 # A field's JSON shape: what its value must be, what a list of such values
 # holds, and the conversion of its JSON value, which raises TypeError or
 # ValueError on a value of the wrong type.
 _Shape = tuple[str, str, Callable[[Any], Any]]
-_SCALARS: Mapping[type, _Shape] = {
-    str: ("a string", "strings", _only(str)),
+_SCALARS: Mapping[Any, _Shape] = {
+    str: ("a string", "strings", _str),
     int: ("an integer", "integers", _only(int)),
     bool: ("true or false", "booleans", _only(bool)),
     float: ("a number", "numbers", lambda value: float(_json_number(value))),
     date: ("an ISO 8601 date", "ISO 8601 dates", date.fromisoformat),
     datetime: ("an ISO 8601 timestamp", "ISO 8601 timestamps", datetime.fromisoformat),
+    Path: ("a string", "strings", lambda value: Path(_str(value))),
+    Any: ("a JSON value", "JSON values", _identity),
 }
+
+
+class _Fault(ValidationError):
+    """A fault at ``path`` inside a JSON value, such as ``rules[0].when[1].key``;
+    ``detail`` follows the path, as in `` must be …`` or ``: …``."""
+
+    def __init__(self, path: str, detail: str) -> None:
+        super().__init__((path.lstrip(".") + detail).lstrip())
+        self.path, self.detail = path, detail
+
+
+def _at(step: str, shape: _Shape, value: Any) -> Any:
+    """``shape``'s conversion of ``value``, which its parent holds at ``step``
+    (``.key``, ``[0]`` or ``['key']``); a fault names its path from there."""
+    try:
+        return shape[2](value)
+    except _Fault as fault:
+        raise _Fault(step + fault.path, fault.detail) from None
+    except KeyError as exc:  # an object lacks a required key
+        raise _Fault(step, f" is missing key {exc.args[0]!r}") from None
+    except ValidationError as exc:  # a __post_init__ check
+        raise _Fault(step, f": {exc}") from None
+    except (TypeError, ValueError):
+        raise _Fault(step, f" must be {shape[0]}, got {value!r}") from None
+
+
+def _either(words: Sequence[str]) -> str:
+    """``a, b or c``."""
+    return " or ".join(filter(None, (", ".join(words[:-1]), words[-1])))
 
 
 @cache
 def _shape(tp: Any) -> _Shape:
-    """The JSON shape of a field annotated ``tp``."""
+    """The JSON shape of a value annotated ``tp``."""
     if tp in _SCALARS:
         return _SCALARS[tp]
     origin, args = get_origin(tp), get_args(tp)
-    if origin in (Union, UnionType):  # X | None
-        what, items, convert = _shape(next(a for a in args if a is not type(None)))
+    if origin in (Union, UnionType):  # X | None, or scalars, each kept as it is
+        options = [a for a in args if a is not type(None)]
+        shapes = [_shape(a) for a in options]
+        what, items = _either([s[0] for s in shapes]), _either([s[1] for s in shapes])
+        convert = shapes[0][2] if len(options) == 1 else _only(*options)
+        if len(options) == len(args):
+            return what, items, convert
         return (f"{what} or null", f"{items} or nulls",
                 lambda value: None if value is None else convert(value))
     if origin is frozenset or (origin is tuple and args[-1] is Ellipsis):
-        _, items, item = _shape(args[0])
-        return (f"a list of {items}", f"lists of {items}",
-                lambda value: origin(map(item, _list(value))))
+        item = _shape(args[0])
+        return (f"a list of {item[1]}", f"lists of {item[1]}", lambda value: origin(
+            _at(f"[{i}]", item, v) for i, v in enumerate(_list(value))))
     if origin is tuple:
         shapes = [_shape(arg) for arg in args]
         what = (f"a list of {shapes[0][1]} of length {len(args)}" if len(set(args)) == 1
                 else f"a list [{', '.join(s[0] for s in shapes)}]")
         return what, "lists" + what[len("a list"):], lambda value: tuple(
-            s[2](v) for s, v in zip(shapes, _list(value), strict=True))
+            _at(f"[{i}]", s, v) for i, (s, v) in enumerate(zip(shapes, _list(value), strict=True)))
     if origin is AbcMapping:
-        _, items, item = _shape(args[1])
-        return (f"an object of {items}", f"objects of {items}",
-                lambda value: {k: item(v) for k, v in _object(value).items()})
+        item = _shape(args[1])
+        return (f"an object of {item[1]}", f"objects of {item[1]}", lambda value: {
+            key: _at(f"[{key!r}]", item, v) for key, v in _object(value).items()})
     if isinstance(tp, type) and issubclass(tp, Enum):
         what = f"one of {[member.value for member in tp]}"
         return what, f"values {what}", tp
     if is_dataclass(tp):
-        return "an object", "objects", lambda value: from_json(tp, _object(value))
+        return "an object", "objects", lambda value: _decode(tp, _object(value))
     raise TypeError(f"no JSON shape for {tp!r}")
 
 
 @cache
-def _plan(cls: type) -> tuple[Mapping[str, _Shape], tuple[str, ...]]:
-    """The shape of each field of dataclass ``cls``, and its required fields."""
+def _plan(cls: type) -> tuple[Mapping[str, tuple[str, _Shape]], tuple[str, ...]]:
+    """Each JSON key of dataclass ``cls`` with its field and shape, and the
+    required keys. A key is its field's name unless ``metadata["json"]``
+    names it; fields outside ``__init__`` have none."""
     hints = get_type_hints(cls)
-    return ({f.name: _shape(hints[f.name]) for f in fields(cls)},
-            tuple(f.name for f in fields(cls)
+    keyed = [(f.metadata.get("json", f.name), f) for f in fields(cls) if f.init]
+    return ({key: (f.name, _shape(hints[f.name])) for key, f in keyed},
+            tuple(key for key, f in keyed
                   if f.default is MISSING and f.default_factory is MISSING))
 
 
-def from_json(cls: type[T], data: Any) -> T:
-    """Build dataclass ``cls`` from a JSON object keyed by its field names.
-
-    Each field's annotation decides the JSON value it takes: ``str``, ``int``
-    and ``bool`` exactly that type, ``float`` any number, ``date`` and
-    ``datetime`` ISO 8601 text, an Enum a member's value, ``X | None`` also
-    null, tuples and frozensets a list, ``Mapping[str, X]`` and dataclasses
-    an object. An absent key takes the field's default; an absent required
-    key raises KeyError. Range checks are the class's own ``__post_init__``.
-    """
-    shapes, required = _plan(cls)
-    unknown = json_object(data).keys() - shapes.keys()
+def _decode(cls: type[T], data: dict) -> T:
+    plan, required = _plan(cls)
+    unknown = data.keys() - plan.keys()
     if unknown:
-        raise ValidationError(f"has unknown keys {sorted(unknown)}")
-    for name in required:
-        if name not in data:
-            raise KeyError(name)
+        raise _Fault("", f" has unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise KeyError(key)
     kwargs = {}
     for key, value in data.items():
-        what, _, convert = shapes[key]
-        try:
-            kwargs[key] = convert(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{key} must be {what}, got {value!r}") from None
+        name, shape = plan[key]
+        kwargs[name] = _at(f".{key}", shape, value)
     return cls(**kwargs)
+
+
+def from_json(tp: Any, data: Any) -> Any:
+    """The value of type ``tp`` that JSON value ``data`` holds.
+
+    ``tp`` is any annotation a field may carry: ``str``, ``int`` and
+    ``bool`` exactly that type, ``float`` any number, ``date`` and
+    ``datetime`` ISO 8601 text, ``Path`` a string, ``Any`` any JSON value,
+    an Enum a member's value, ``X | None`` also null, a union of scalars
+    exactly those types, tuples and frozensets a list, ``Mapping[str, X]``
+    an object, and a dataclass an object keyed by its fields' names or
+    ``metadata["json"]``. An absent key takes the field's default, an
+    unknown key is a fault, and range checks are each class's own
+    ``__post_init__``. A fault names its path, as in ``rules[0].when[1].key
+    must be a string, got 5``; a dataclass missing a required key at the
+    top raises KeyError.
+    """
+    if not is_dataclass(tp):
+        return _at("", _shape(tp), data)
+    if type(data) is not dict:
+        raise ValidationError("must hold a JSON object")
+    return _decode(tp, data)
 
 
 def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
@@ -267,7 +309,7 @@ class CodeDef:
     code: str
     clinical_group: str
     billing_category: str
-    description: str
+    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -833,142 +875,134 @@ def load_code_system(path: str | Path) -> CodeSystem:
     return load_json(path, "code-system file", code_system_from_dict)
 
 
-def code_system_from_dict(data: Mapping[str, Any]) -> CodeSystem:
-    system_id = data["system_id"]
+@dataclass(frozen=True)
+class _VersionEntry:
+    label: str
+    release_date: date
+    validated: bool
 
-    versions: list[TerminologyVersion] = []
-    seen_labels: set[str] = set()
-    for entry in data["versions"]:
-        label = entry["label"]
-        if label in seen_labels:
+
+@dataclass(frozen=True)
+class _CodeMapping:
+    from_code: str
+    to_code: str
+
+
+@dataclass(frozen=True)
+class _TransitionEntry:
+    from_version: str = field(metadata={"json": "from"})
+    to_version: str = field(metadata={"json": "to"})
+    mappings: tuple[_CodeMapping, ...]
+    unmappable: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class _Demographics:
+    age: Mapping[str, float] = field(default_factory=dict)
+    sex: Mapping[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _CodeSystemFile:
+    """A code-system file as it is written, such as ``fixtures/syn_icd.json``."""
+
+    system_id: str
+    versions: tuple[_VersionEntry, ...]
+    codes: Mapping[str, tuple[CodeDef, ...]]
+    transitions: tuple[_TransitionEntry, ...] = ()
+    clinical_groups: tuple[str, ...] = ()
+    billing_categories: tuple[str, ...] = ()
+    base_prevalence: Mapping[str, float] = field(default_factory=dict)
+    cooccurrence_profiles: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+    demographic_profiles: Mapping[str, _Demographics] = field(default_factory=dict)
+
+
+def _check_weights(where: str, weights: Mapping[str, float], keys: Sequence[str] = ()) -> None:
+    """Each weight is finite and >= 0, and its key one of ``keys`` if any are given."""
+    unknown = weights.keys() - set(keys) if keys else ()
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys {sorted(unknown)}")
+    for key, weight in weights.items():
+        if not 0 <= weight < math.inf:
+            raise ValidationError(f"{where}[{key!r}] must be a number >= 0, got {weight!r}")
+
+
+def code_system_from_dict(data: Any) -> CodeSystem:
+    """The code system a code-system file's JSON value declares, checked
+    for what its types cannot say: version order and every reference
+    between versions, codes, taxonomy and profiles."""
+    file = from_json(_CodeSystemFile, data)
+    labels = [v.label for v in file.versions]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
             raise ValidationError(f"duplicate version label: {label!r}")
-        seen_labels.add(label)
-        validated = entry["validated"]
-        if type(validated) is not bool:
-            raise ValidationError(
-                f"version {label!r}: validated must be true or false, got {validated!r}"
-            )
-        versions.append(TerminologyVersion(
-            system_id=system_id,
-            version_label=label,
-            release_date=date.fromisoformat(entry["release_date"]),
-            validated=validated,
-        ))
-    for earlier, later in zip(versions, versions[1:]):
+    for earlier, later in zip(file.versions, file.versions[1:]):
         if not earlier.release_date < later.release_date:
-            raise ValidationError(
-                f"versions must be strictly ordered by release date: "
-                f"{earlier.version_label!r} !< {later.version_label!r}"
-            )
-
-    clinical_groups = tuple(data.get("clinical_groups", ()))
-    billing_categories = tuple(data.get("billing_categories", ()))
+            raise ValidationError(f"versions must be strictly ordered by release date: "
+                                  f"{earlier.label!r} !< {later.label!r}")
 
     codes_by_version: dict[str, dict[str, CodeDef]] = {}
-    for label, entries in data["codes"].items():
-        if label not in seen_labels:
+    for label, entries in file.codes.items():
+        if label not in labels:
             raise ValidationError(f"codes listed for unknown version: {label!r}")
-        table: dict[str, CodeDef] = {}
-        for entry in entries:
-            cdef = CodeDef(
-                code=entry["code"],
-                clinical_group=entry["clinical_group"],
-                billing_category=entry["billing_category"],
-                description=entry.get("description", ""),
-            )
+        table = codes_by_version[label] = {}
+        for cdef in entries:
             if not cdef.clinical_group or not cdef.billing_category:
                 raise ValidationError(f"code {cdef.code!r} has empty taxonomy fields")
-            if clinical_groups and cdef.clinical_group not in clinical_groups:
-                raise ValidationError(
-                    f"code {cdef.code!r} references undeclared clinical group "
-                    f"{cdef.clinical_group!r}"
-                )
-            if billing_categories and cdef.billing_category not in billing_categories:
-                raise ValidationError(
-                    f"code {cdef.code!r} references undeclared billing category "
-                    f"{cdef.billing_category!r}"
-                )
+            for kind, value, declared in (
+                ("clinical group", cdef.clinical_group, file.clinical_groups),
+                ("billing category", cdef.billing_category, file.billing_categories),
+            ):
+                if declared and value not in declared:
+                    raise ValidationError(
+                        f"code {cdef.code!r} references undeclared {kind} {value!r}")
             table[cdef.code] = cdef
-        codes_by_version[label] = table
-    for version in versions:
-        codes_by_version.setdefault(version.version_label, {})
+    for label in labels:
+        codes_by_version.setdefault(label, {})
 
     transitions: dict[tuple[str, str], TransitionTable] = {}
-    for entry in data.get("transitions", ()):
-        from_v, to_v = entry["from"], entry["to"]
-        for label in (from_v, to_v):
-            if label not in seen_labels:
+    for entry in file.transitions:
+        hop = entry.from_version, entry.to_version
+        for label in hop:
+            if label not in codes_by_version:
                 raise ValidationError(f"transition references unknown version: {label!r}")
+        source, target = (codes_by_version[label] for label in hop)
         mappings: dict[str, list[str]] = {}
-        for m in entry["mappings"]:
-            from_code, to_code = m["from_code"], m["to_code"]
-            if from_code not in codes_by_version[from_v]:
-                raise ValidationError(
-                    f"transition {from_v}->{to_v} maps unknown code {from_code!r}"
-                )
-            if to_code not in codes_by_version[to_v]:
-                raise ValidationError(
-                    f"transition {from_v}->{to_v} targets unknown code {to_code!r}"
-                )
-            mappings.setdefault(from_code, []).append(to_code)
-        unmappable = frozenset(entry.get("unmappable", ()))
-        for code in unmappable:
-            if code not in codes_by_version[from_v]:
-                raise ValidationError(
-                    f"transition {from_v}->{to_v} lists unknown unmappable code {code!r}"
-                )
-        transitions[(from_v, to_v)] = TransitionTable(
-            from_version=from_v,
-            to_version=to_v,
-            mappings={k: tuple(sorted(v)) for k, v in mappings.items()},
-            unmappable=unmappable,
-        )
+        for m in entry.mappings:
+            if m.from_code not in source:
+                raise ValidationError(f"transition {hop[0]}->{hop[1]} maps unknown code "
+                                      f"{m.from_code!r}")
+            if m.to_code not in target:
+                raise ValidationError(f"transition {hop[0]}->{hop[1]} targets unknown code "
+                                      f"{m.to_code!r}")
+            mappings.setdefault(m.from_code, []).append(m.to_code)
+        if unknown := sorted(entry.unmappable - source.keys()):
+            raise ValidationError(f"transition {hop[0]}->{hop[1]} lists unknown unmappable "
+                                  f"code {unknown[0]!r}")
+        transitions[hop] = TransitionTable(
+            *hop, {k: tuple(sorted(v)) for k, v in mappings.items()}, entry.unmappable)
 
     all_codes = {code for table in codes_by_version.values() for code in table}
-    base_prevalence = {}
-    for code, value in data.get("base_prevalence", {}).items():
-        if code not in all_codes:
-            raise ValidationError(f"base_prevalence lists unknown code {code!r}")
-        if type(value) is not float and type(value) is not int:  # a bool is not a number
-            raise ValidationError(f"base_prevalence of {code!r} must be a number, got {value!r}")
-        base_prevalence[code] = float(value)
-
-    def section(where: str, value: Any) -> dict:
-        if type(value) is not dict:
-            raise ValidationError(f"{where} must be a JSON object, got {value!r}")
-        return value
-
-    def weights(where: str, value: Any) -> dict:
-        """``value`` if it is a JSON object of numbers >= 0 (a bool is not a number)."""
-        for key, weight in section(where, value).items():
-            if type(weight) not in (int, float) or not 0 <= weight < math.inf:
-                raise ValidationError(f"{where}: {key!r} must be a number >= 0, got {weight!r}")
-        return value
-
-    demographic_profiles = section("demographic_profiles", data.get("demographic_profiles", {}))
-    cooccurrence_profiles = section("cooccurrence_profiles",
-                                    data.get("cooccurrence_profiles", {}))
-    for name, profiles in (("demographic_profiles", demographic_profiles),
-                           ("cooccurrence_profiles", cooccurrence_profiles)):
-        for code in profiles:
+    for name in ("base_prevalence", "cooccurrence_profiles", "demographic_profiles"):
+        for code in getattr(file, name):
             if code not in all_codes:
                 raise ValidationError(f"{name} lists unknown code {code!r}")
-    for code, profile in cooccurrence_profiles.items():
-        weights(f"cooccurrence_profiles of {code!r}", profile)
-    for code, profile in demographic_profiles.items():
-        for key, dist in section(f"demographic_profiles of {code!r}", profile).items():
-            if key not in ("age", "sex"):
-                raise ValidationError(f"demographic_profiles of {code!r} has unknown key {key!r}")
-            weights(f"demographic_profiles of {code!r} {key}", dist)
+    for code, profile in file.cooccurrence_profiles.items():
+        _check_weights(f"cooccurrence_profiles[{code!r}]", profile)
+    for code, profile in file.demographic_profiles.items():
+        _check_weights(f"demographic_profiles[{code!r}].age", profile.age, AGE_BANDS)
+        _check_weights(f"demographic_profiles[{code!r}].sex", profile.sex, SEXES)
 
     return CodeSystem(
-        system_id=system_id,
-        versions=tuple(versions),
+        system_id=file.system_id,
+        versions=tuple(TerminologyVersion(file.system_id, v.label, v.release_date, v.validated)
+                       for v in file.versions),
         codes_by_version=codes_by_version,
         transitions=transitions,
-        clinical_groups=clinical_groups,
-        billing_categories=billing_categories,
-        base_prevalence=base_prevalence,
-        demographic_profiles=demographic_profiles,
-        cooccurrence_profiles=cooccurrence_profiles,
+        clinical_groups=file.clinical_groups,
+        billing_categories=file.billing_categories,
+        base_prevalence=file.base_prevalence,
+        demographic_profiles={code: {"age": profile.age, "sex": profile.sex}
+                              for code, profile in file.demographic_profiles.items()},
+        cooccurrence_profiles=file.cooccurrence_profiles,
     )

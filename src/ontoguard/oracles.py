@@ -326,3 +326,23 @@ def retrain_recount(rows: Sequence[dict], markers: Sequence[str]) -> dict[str, f
             totals[code] = totals.get(code, 0) + 1
             positives[code] = positives.get(code, 0) + (1 if outcome else 0)
     return {code: positives[code] / totals[code] for code in sorted(totals)}
+
+
+def dormancy_recount(rows: Sequence[dict], layer: str, significant: Sequence[str],
+                     threshold: float) -> dict[str, str]:
+    """Each code of a batch on ``layer``, in first-seen order, with its class:
+    "active" when its share of the records is at least ``threshold``, else
+    "dormant" when it is on the ``significant`` list, else "pruned"."""
+    counts: dict[str, int] = {}
+    for row in rows:
+        code = _layer_code(row, layer)
+        counts[code] = counts.get(code, 0) + 1
+    classes = {}
+    for code, count in counts.items():
+        if count / len(rows) >= threshold:
+            classes[code] = "active"
+        elif code in significant:
+            classes[code] = "dormant"
+        else:
+            classes[code] = "pruned"
+    return classes

@@ -145,9 +145,12 @@ def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
     if not system.has_version(spec.current_version):
         raise ValidationError(f"unknown version: {spec.current_version!r}")
     codes = system.codes(spec.current_version)
-    institutions = set(spec.institution_ids())
-    if not institutions:
+    ids = spec.institution_ids()
+    if not ids:
         raise ValidationError("spec declares no institutions")
+    if repeated := sorted({i for i in ids if ids.count(i) > 1}):
+        raise ValidationError(f"spec lists institution {repeated[0]!r} more than once")
+    institutions = set(ids)
     total_weight = sum(i.weight for i in spec.institutions)
     if abs(total_weight - 1.0) > 1e-6:
         raise ValidationError(f"institution weights must sum to 1, got {total_weight}")

@@ -5,6 +5,7 @@ import ast
 import copy
 import json
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from ontoguard import compliance, dormancy, dual_ontology, harness, synthgen
 from ontoguard.model import (
     PipelineConfig,
     ValidationError,
+    from_json,
     iter_jsonl,
     load_code_system,
     load_config,
@@ -59,9 +61,22 @@ LOADERS = {
     "spec": (lambda path: load_json(path, "--spec file", synthgen.spec_from_dict),
              _scenario()["distortion"]),
     "conditions": (
-        lambda path: load_json(path, "--conditions file", dormancy.conditions_from_dict),
+        lambda path: load_json(path, "--conditions file", partial(from_json, dormancy.Conditions)),
         _scenario()["activation_conditions"],
     ),
+}
+# Where each loader's valid document holds an object whose keys are fixed,
+# at the top and one level down: its path in the document, and as a fault
+# names it. A conditions file's top level is keyed by code, so any key goes;
+# the config's windows are null, so it nests none.
+FIXED_KEY_OBJECTS = {
+    "config": [((), "")],
+    "code-system": [((), ""), (("versions", 0), "versions[0]")],
+    "adapter": [((), ""), (("rules", 0), "rules[0]")],
+    "store": [((0,), "[0]")],
+    "scenario": [((), ""), (("distortion",), "distortion")],
+    "spec": [((), ""), (("institutions", 0), "institutions[0]")],
+    "conditions": [(("DM-OTHER", 0), "['DM-OTHER'][0]")],
 }
 LINE_LOADERS = {
     "records": (read_records, record_dict(make_record(co_codes=("LAB-A1C",)))),
@@ -144,6 +159,23 @@ def test_json_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name):
     check()
 
 
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_unknown_keys_are_rejected_by_path(fuzz_dir, name):
+    load, document = LOADERS[name]
+    assert FIXED_KEY_OBJECTS[name]
+    for steps, named in FIXED_KEY_OBJECTS[name]:
+        doc = copy.deepcopy(document)
+        node = doc
+        for step in steps:
+            node = node[step]
+        node["surplus_key"] = 1
+        path = fuzz_dir / f"unknown-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert f"{path} {named}".rstrip() + " has unknown keys ['surplus_key']" in str(info.value)
+
+
 @pytest.mark.parametrize("name", sorted(LINE_LOADERS))
 def test_jsonl_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name):
     load, document = LINE_LOADERS[name]
@@ -200,10 +232,11 @@ class TestConfigSchema:
         ({"drift_threshold": "0.1"}, "drift_threshold must be a number"),
         ({"fingerprint_min_support": 2.7}, "fingerprint_min_support must be an integer"),
         ({"fingerprint_min_support": True}, "fingerprint_min_support must be an integer"),
-        ({"fidelity_weights": [0.5, "0.25", 0.25]}, "fidelity_weights must be a list of numbers"),
+        ({"fidelity_weights": [0.5, "0.25", 0.25]},
+         r"fidelity_weights\[1\] must be a number, got '0.25'"),
         ({"fidelity_weights": [float("nan"), 0.5, 0.5]}, "fidelity_weights must be three"),
         ({"drift_component_weights": [float("nan")] * 4}, "drift_component_weights must be four"),
-        ({"baseline_window": {"start": "2025-01-01"}}, "is missing key 'end'"),
+        ({"baseline_window": {"start": "2025-01-01"}}, "baseline_window is missing key 'end'"),
         ({"current_window": []}, "current_window must be an object"),
         ({"drift_threshold": 10 ** 400}, "is malformed: int too large to convert to float"),
     ], ids=["bool-for-float", "string-for-float", "float-for-int", "bool-for-int",

@@ -257,3 +257,16 @@ class TestNumericClauses:
         assert evaluate(adapter, high)[0].kind is VerdictKind.DENY
         assert evaluate(adapter, low)[0].kind is VerdictKind.PERMIT
         assert evaluate(adapter, missing)[0].kind is VerdictKind.PERMIT_WITH_CONDITIONS
+
+    def test_clause_values_keep_their_json_type(self):
+        adapter = adapter_from_dict({
+            "adapter_id": "n", "jurisdiction": "T", "regulation_id": "R",
+            "regulation_version": "1",
+            "rules": [{"when": [{"key": "a", "op": "eq", "value": 5},
+                                {"key": "b", "op": "eq", "value": 5.0},
+                                {"key": "c", "op": "eq", "value": True}],
+                       "verdict": "permit", "provision": "p"},
+                      {"verdict": "permit", "provision": "p"}],
+        })
+        assert [(type(c.value), c.value) for c in adapter.rules[0].when] == [
+            (int, 5), (float, 5.0), (bool, True)]

@@ -325,6 +325,12 @@ def _system_with_string_cooccurrence() -> dict:
     return data
 
 
+def _system_with_misspelt_transitions() -> dict:
+    data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
+    data["transitons"] = data.pop("transitions")
+    return data
+
+
 def _adapter_text(**rule) -> str:
     """One conditional-permit adapter whose only rule takes ``rule``'s fields."""
     return json.dumps({
@@ -350,7 +356,8 @@ CLI_INPUT_FILES = {
     "cfg-weights.json": '{"fidelity_weights": 5}',
     "cfg-window.json": '{"baseline_window": "x"}',
     "cfg-support.json": '{"fingerprint_min_support": 2.7}',
-    "norules.json": '{"adapter_id": "a"}',
+    "norules.json": json.dumps({k: v for k, v in json.loads(_adapter_text()).items()
+                                 if k != "rules"}),
     "significance.json": '{"DM2-UNSPEC": "common code"}',
     "cond-int.json": '{"DM2-UNSPEC": 5}',
     "cond-kind.json": '{"DM2-UNSPEC": [{"kind": "bogus"}]}',
@@ -394,6 +401,20 @@ CLI_INPUT_FILES = {
     "spec-extra.json": json.dumps({"current_version": "2025", "outbreaks": None, "institutions": [
         {"institution_id": "I-A", "weight": 1.0}]}),
     "cond-domain.json": '{"DM2-UNSPEC": [{"kind": "domain_transfer_request", "domain": 5}]}',
+    "sig-typo.json": walkthrough_text(signficance_list={"DM-OTHER": "rare subtype"}),
+    "system-transitons.json": json.dumps(_system_with_misspelt_transitions()),
+    "adapter-wehn.json": json.dumps({**json.loads(_adapter_text()), "rules": [
+        {"wehn": [{"key": "risk_class", "op": "eq", "value": "high"}], "verdict": "permit",
+         "provision": "p"},
+        {"verdict": "permit", "provision": "p"},
+    ]}),
+    "adapter-value-list.json": json.dumps({**json.loads(_adapter_text()), "rules": [
+        {"when": [{"key": "risk_class", "op": "eq", "value": ["high"]}], "verdict": "permit",
+         "provision": "p"},
+        {"verdict": "permit", "provision": "p"},
+    ]}),
+    "spec-twice.json": json.dumps({"current_version": "2025", "institutions": [
+        {"institution_id": "I-A", "weight": 0.5}, {"institution_id": "I-A", "weight": 0.5}]}),
     "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
@@ -483,9 +504,9 @@ class TestCli:
         (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
         (["breaker", "sweep", "--thresholds", "0.05:inf:0.05"], "0.05:inf:0.05"),
         (["dormancy", "activate", "--store", "partial.json"],
-         "partial.json entry 0 is missing key 'count'"),
+         "partial.json [0] is missing key 'count'"),
         (["dormancy", "activate", "--store", "object.json"],
-         "object.json must be a JSON list"),
+         "object.json must be a list of objects, got {}"),
         (["breaker", "check", "--records", "trunc.jsonl"], "trunc.jsonl:1 is not valid JSON"),
         (["oracle", "jsd", "--p", "1,x", "--q", "0,1"], "--p"),
         (["comply-check", "--op", "deploy", "--timestamp", "notatime"], "--timestamp"),
@@ -525,11 +546,11 @@ class TestCli:
         (["scenario", "run", "no-kind.json", "--seed", "1"],
          "no-kind.json assertions must be a list of objects, each with a string kind"),
         (["scenario", "run", "quarters-float.json", "--seed", "1"],
-         "quarters-float.json quarters must be an integer >= 1, got 1.9"),
+         "quarters-float.json quarters must be an integer, got 1.9"),
         (["scenario", "run", "quarters-bool.json", "--seed", "1"],
-         "quarters-bool.json quarters must be an integer >= 1, got True"),
+         "quarters-bool.json quarters must be an integer, got True"),
         (["scenario", "run", "n-string.json", "--seed", "1"],
-         "n-string.json n_per_quarter must be an integer >= 1, got '2'"),
+         "n-string.json n_per_quarter must be an integer, got '2'"),
         (["scenario", "run", "n-zero.json", "--seed", "1"],
          "n-zero.json n_per_quarter must be an integer >= 1, got 0"),
         (["oracle", "partition", "--input", "records.jsonl", "--accepted", "trunc.jsonl",
@@ -557,46 +578,60 @@ class TestCli:
         (["breaker", "check", "--history", "[[1,2]]"], "history entry [1, 2] is not a"),
         (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
           "--target-version", "2025", "--out-dir", "gated"],
-         "system-validated.json version '2025': validated must be true or false, got 'false'"),
+         "system-validated.json versions[1].validated must be true or false, got 'false'"),
         (["comply-check", "--op", "deploy", "--adapters", "adapter-conditions.json"],
-         "adapter-conditions.json rule 0: conditions must be a list of strings, "
+         "adapter-conditions.json rules[0].conditions must be a list of strings, "
          "got 'pseudonymise'"),
         (["comply-check", "--op", "deploy", "--adapters", "adapter-reason.json"],
-         "adapter-reason.json rule 0: reason must be a string, got 5"),
+         "adapter-reason.json rules[0].reason must be a string, got 5"),
         (["dormancy", "activate", "--store", "store-types.json", "--records", "one.jsonl"],
-         "store-types.json entry 0: count must be an integer, got 'many'"),
+         "store-types.json [0].count must be an integer, got 'many'"),
         (["dormancy", "activate", "--store", "store-negative.json", "--records", "one.jsonl"],
-         "store-negative.json entry 0: count must be >= 0, got -1"),
+         "store-negative.json [0]: count must be >= 0, got -1"),
         (["comply-check", "--op", "deploy", "--adapters", "adapter-ids.json"],
          "adapter-ids.json adapter_id must be a string, got 5"),
         (["comply-check", "--op", "deploy", "--adapters", "adapter-key.json"],
-         "adapter-key.json rule 0: clause key must be a string, got ['model_card_present']"),
+         "adapter-key.json rules[0].when[0].key must be a string, got ['model_card_present']"),
         (["dormancy", "classify", "--records", "one.jsonl", "--significance", "sig-int.json",
           "--store", "store.json"],
-         "sig-int.json significance note of 'DM2-UNSPEC' must be a string, got 5"),
+         "sig-int.json ['DM2-UNSPEC'] must be a string, got 5"),
         (["scenario", "run", "sig-scenario.json", "--seed", "1"],
-         "sig-scenario.json significance note of 'DM-OTHER' must be a string, got 5"),
+         "sig-scenario.json significance_list['DM-OTHER'] must be a string, got 5"),
         (["synth", "generate", "--system", SYSTEM, "--spec", "spec-weight.json", "--n", "10",
           "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "spec-weight.json weight must be a number, got '1.0'"),
+         "spec-weight.json institutions[0].weight must be a number, got '1.0'"),
         (["synth", "generate", "--system", SYSTEM, "--spec", "spec-extra.json", "--n", "10",
           "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
          "spec-extra.json has unknown keys ['outbreaks']"),
         (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
           "--conditions", "cond-domain.json", "--store", "store.json"],
-         "cond-domain.json domain must be a string or null, got 5"),
+         "cond-domain.json ['DM2-UNSPEC'][0].domain must be a string or null, got 5"),
         (["synth", "generate", "--system", "system-prevalence.json", "--spec", "spec.json",
           "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-prevalence.json base_prevalence of 'DM-OTHER' must be a number, got '0."),
+         "system-prevalence.json base_prevalence['DM-OTHER'] must be a number, got '0."),
         (["synth", "generate", "--system", "system-cooccurrence.json", "--spec", "spec.json",
           "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-cooccurrence.json cooccurrence_profiles of 'DM-OTHER': 'LAB-GLU-HI' must be a "
-         "number >= 0, got '0.3'"),
+         "system-cooccurrence.json cooccurrence_profiles['DM-OTHER']['LAB-GLU-HI'] must be a "
+         "number, got '0.3'"),
         (["scenario", "run", "context-list.json", "--seed", "1"],
-         "context-list.json ingest_context value of 'purpose' must be a string, number "
+         "context-list.json ingest_context['purpose'] must be a string, an integer, a number "
          "or true or false, got ['training']"),
         (["scenario", "run", "context-pairs.json", "--seed", "1"],
-         "context-pairs.json deploy_context must be a JSON object"),
+         "context-pairs.json deploy_context must be an object of strings, integers, numbers "
+         "or booleans, got [['purpose', 'demo']]"),
+        (["scenario", "run", "sig-typo.json", "--seed", "1"],
+         "sig-typo.json has unknown keys ['signficance_list']"),
+        (["gate", "--records", "records.jsonl", "--system", "system-transitons.json",
+          "--target-version", "2025", "--out-dir", "gated"],
+         "system-transitons.json has unknown keys ['transitons']"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-wehn.json"],
+         "adapter-wehn.json rules[0] has unknown keys ['wehn']"),
+        (["comply-check", "--op", "deploy", "--adapters", "adapter-value-list.json"],
+         "adapter-value-list.json rules[0].when[0].value must be a string, an integer, a number "
+         "or true or false or null, got ['high']"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-twice.json", "--n", "10",
+          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "spec lists institution 'I-A' more than once"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -616,7 +651,8 @@ class TestCli:
         "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
         "conditions-int-domain", "system-string-prevalence", "system-string-cooccurrence",
         "scenario-context-list-value",
-        "scenario-context-not-object",
+        "scenario-context-not-object", "scenario-misspelt-key", "system-misspelt-key",
+        "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

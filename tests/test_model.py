@@ -98,27 +98,32 @@ class TestLoadCodeSystem:
 
     @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
     def test_base_prevalence_must_be_a_number(self, value):
-        named = re.escape(f"base_prevalence of 'BBB' must be a number, got {value!r}")
+        named = re.escape(f"base_prevalence['BBB'] must be a number, got {value!r}")
         with pytest.raises(ValidationError, match=named):
             tiny_system(base_prevalence={"AAA": 0.5, "BBB": value})
 
     @pytest.mark.parametrize("profiles, named", [
-        ({"cooccurrence": "x"}, "cooccurrence_profiles must be a JSON object, got 'x'"),
+        ({"cooccurrence": "x"},
+         "cooccurrence_profiles must be an object of objects of numbers, got 'x'"),
         ({"cooccurrence": {"AAA": [0.3]}},
-         "cooccurrence_profiles of 'AAA' must be a JSON object, got [0.3]"),
+         "cooccurrence_profiles['AAA'] must be an object of numbers, got [0.3]"),
         ({"cooccurrence": {"AAA": {"CCC": "0.3"}}},
-         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got '0.3'"),
+         "cooccurrence_profiles['AAA']['CCC'] must be a number, got '0.3'"),
         ({"cooccurrence": {"AAA": {"CCC": True}}},
-         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got True"),
+         "cooccurrence_profiles['AAA']['CCC'] must be a number, got True"),
         ({"cooccurrence": {"AAA": {"CCC": -0.1}}},
-         "cooccurrence_profiles of 'AAA': 'CCC' must be a number >= 0, got -0.1"),
-        ({"demographics": [1]}, "demographic_profiles must be a JSON object, got [1]"),
+         "cooccurrence_profiles['AAA']['CCC'] must be a number >= 0, got -0.1"),
+        ({"demographics": [1]}, "demographic_profiles must be an object of objects, got [1]"),
         ({"demographics": {"AAA": {"sex": [1]}}},
-         "demographic_profiles of 'AAA' sex must be a JSON object, got [1]"),
+         "demographic_profiles['AAA'].sex must be an object of numbers, got [1]"),
         ({"demographics": {"AAA": {"age": {"50-59": "0.2"}}}},
-         "demographic_profiles of 'AAA' age: '50-59' must be a number >= 0, got '0.2'"),
+         "demographic_profiles['AAA'].age['50-59'] must be a number, got '0.2'"),
         ({"demographics": {"AAA": {"ages": {}}}},
-         "demographic_profiles of 'AAA' has unknown key 'ages'"),
+         "demographic_profiles['AAA'] has unknown keys ['ages']"),
+        ({"demographics": {"AAA": {"age": {"55-64": 0.2}}}},
+         "demographic_profiles['AAA'].age has unknown keys ['55-64']"),
+        ({"demographics": {"AAA": {"sex": {"femal": 0.5}}}},
+         "demographic_profiles['AAA'].sex has unknown keys ['femal']"),
     ])
     def test_profiles_hold_objects_of_numbers(self, profiles, named):
         with pytest.raises(ValidationError, match=re.escape(named)):

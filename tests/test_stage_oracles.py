@@ -22,6 +22,7 @@ from ontoguard.breaker import (
     retrain_gate,
 )
 from ontoguard.checkpoint import annotate_batch, build_reference_model
+from ontoguard.dormancy import classify_features
 from ontoguard.dual_ontology import infer_clinical_layer
 from ontoguard.model import (
     Layer,
@@ -128,6 +129,23 @@ def test_profile_batch_matches_recount(rows, layer):
     days = [None if day is None else day.isoformat()
             for day in (profile.first_day, profile.last_day)]
     assert days == [expect["first_day"], expect["last_day"]]
+
+
+@given(batches(min_size=1), st.sampled_from(list(Layer)), st.sets(st.sampled_from(CODES)),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_dormancy_classes_match_recount(rows, layer, significant, data):
+    # Half the thresholds are a count's exact share of the batch, where
+    # "at least the threshold" and "above it" part.
+    n = len(rows)
+    threshold = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(1, n).map(lambda k: k / n),
+    ).filter(lambda t: t < 1.0))
+    classes = classify_features(profile_batch(_batch(rows), layer), significant,
+                                PipelineConfig(dormancy_frequency_threshold=threshold))
+    expect = oracles.dormancy_recount(rows, layer.value, sorted(significant), threshold)
+    assert [(code, c.value) for code, c in classes.items()] == list(expect.items())
 
 
 @given(batches(min_size=1))

@@ -95,6 +95,15 @@ class TestGenerateBatch:
         with pytest.raises(ValidationError, match="unknown institution"):
             synthgen.generate_batch(bundled_system, spec, 10, 1)
 
+    def test_repeated_institution_rejected(self, bundled_system):
+        spec = synthgen.DistortionSpec(
+            institutions=(synthgen.InstitutionWeight("INST-A", 0.5),
+                          synthgen.InstitutionWeight("INST-A", 0.5)),
+            current_version="2025",
+        )
+        with pytest.raises(ValidationError, match="institution 'INST-A' more than once"):
+            synthgen.validate_spec(bundled_system, spec)
+
     def test_unknown_code_rejected(self, bundled_system):
         spec = simple_spec(
             outbreak=synthgen.OutbreakSpec("BOGUS", date(2025, 1, 1), 3.0),
