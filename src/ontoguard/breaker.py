@@ -23,6 +23,7 @@ from .model import (
     PipelineConfig,
     RecordBatch,
     ValidationError,
+    from_json,
     group,
     write_json,
 )
@@ -187,26 +188,24 @@ def read_history(text: str) -> list[tuple[str, float]]:
     """Parse a period history from either JSON or a comma list of ratios.
 
     Raises:
-        ValidationError: malformed JSON, a JSON period that is not a string,
-            or a ratio that is not a number in [0,1] (the message names the
-            entry).
+        ValidationError: malformed JSON, a JSON entry that is not a
+            [period, ratio] of a string and a number, or a ratio that is not
+            in [0,1] (the message names the entry).
     """
     text = text.strip()
     if not text:
         return []
     if text.startswith("["):
         try:
-            entries = json.loads(text)
+            history = from_json(tuple[tuple[str, float], ...], json.loads(text))
         except ValueError as exc:
             raise ValidationError(f"history is not a list of [period, ratio]: {exc}") from None
-        history = []
-        for entry in entries:
-            if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is str
-                    and type(entry[1]) in (int, float) and 0.0 <= entry[1] <= 1.0):
-                raise ValidationError(f"history entry {entry!r} is not a [period, ratio] "
-                                      "with a string period and a ratio in [0,1]")
-            history.append((entry[0], float(entry[1])))
-        return history
+        except ValidationError as exc:
+            raise ValidationError(f"history {exc}") from None
+        for i, (_, ratio) in enumerate(history):
+            if not 0.0 <= ratio <= 1.0:
+                raise ValidationError(f"history [{i}][1] must be a ratio in [0,1], got {ratio!r}")
+        return list(history)
     history = []
     for part in (part.strip() for part in text.split(",")):
         if not part:

@@ -222,7 +222,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
-    spec = load_json(args.spec, "--spec file", synthgen_mod.spec_from_dict)
+    spec = load_json(args.spec, "--spec file", partial(from_json, synthgen_mod.DistortionSpec))
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(system, spec, args.n, args.seed)
         write_records(args.out, records)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import ValidationError, from_json, load_json, write_json
 
@@ -144,19 +145,16 @@ class AdapterRuleSet:
     regulation_version: str
     rules: tuple[Rule, ...]
 
-
-def adapter_from_dict(data: Any) -> AdapterRuleSet:
-    adapter = from_json(AdapterRuleSet, data)
-    if not adapter.rules or adapter.rules[-1].when:
-        raise ValidationError(f"adapter {adapter.adapter_id!r}: rule set must end with an "
-                              "unconditional default rule")
-    return adapter
+    def __post_init__(self) -> None:
+        if not self.rules or self.rules[-1].when:
+            raise ValidationError(f"adapter {self.adapter_id!r}: rule set must end with an "
+                                  "unconditional default rule")
 
 
 def load_adapter(path: str | Path) -> AdapterRuleSet:
     """Load one adapter rule file; malformed conditions fail here, at load
     time, never during evaluation."""
-    return load_json(path, "adapter file", adapter_from_dict)
+    return load_json(path, "adapter file", partial(from_json, AdapterRuleSet))
 
 
 # Deterministic placeholder used when no wall-clock timestamp is supplied,
@@ -236,14 +234,6 @@ def compose(
             reason=note,
         ), audit
     return Verdict(kind=VerdictKind.PERMIT), audit
-
-
-def verdict_to_dict(verdict: Verdict) -> dict[str, Any]:
-    return {
-        "kind": verdict.kind.value,
-        "conditions": list(verdict.conditions),
-        "reason": verdict.reason,
-    }
 
 
 def write_decision(

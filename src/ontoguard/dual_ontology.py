@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .model import (
     PipelineConfig,
     RecordBatch,
     ValidationError,
+    from_json,
     iter_jsonl,
 )
 
@@ -89,16 +91,18 @@ def apply_clinical_overrides(batch: RecordBatch, overrides: Mapping[str, str]) -
     return _with_clinical(batch, rows, [overrides[i] for i in batch.record_id[rows].tolist()])
 
 
-def _override(data: Mapping[str, Any]) -> tuple[str, str]:
-    record_id, clinical_code = data["record_id"], data["clinical_code"]
-    if type(record_id) is not str or type(clinical_code) is not str:
-        raise ValidationError("record_id and clinical_code must be strings")
-    return record_id, clinical_code
+@dataclass(frozen=True)
+class ClinicalOverride:
+    """One line of an overrides file: a record's clinical code."""
+
+    record_id: str
+    clinical_code: str
 
 
 def read_overrides(path: str | Path) -> dict[str, str]:
     """Clinical code by record id, one ``{"record_id", "clinical_code"}`` per line."""
-    return dict(iter_jsonl(path, _override))
+    return {override.record_id: override.clinical_code
+            for override in iter_jsonl(path, partial(from_json, ClinicalOverride))}
 
 
 def divergence(batch: RecordBatch) -> DivergenceReport:

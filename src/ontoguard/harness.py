@@ -41,6 +41,7 @@ from .model import (
     load_config,
     load_json,
     profile_batch,
+    to_json,
     write_json,
 )
 
@@ -96,6 +97,10 @@ class ScenarioSpec:
                     f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not all(type(a.get("kind")) is str for a in self.assertions):
             raise ValidationError("assertions must be a list of objects, each with a string kind")
+        for code in self.significance:
+            if not self.activation_conditions.get(code):
+                raise ValidationError(
+                    f"significance_list code {code!r} has no activation_conditions entry")
 
 
 @dataclass
@@ -117,7 +122,9 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     """Load a scenario spec by bundled name or filesystem path.
 
     Relative file references resolve against the spec file's directory, and
-    every referenced file must exist at load time.
+    every referenced file must exist at load time. The codes of
+    ``significance_list`` and ``activation_conditions`` must be defined by
+    the code system.
     """
     path = Path(name_or_path)
     if not path.exists():
@@ -126,8 +133,15 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
             path = candidate
         else:
             raise ValidationError(f"scenario not found: {name_or_path}")
-    return load_json(path, "scenario file",
+    spec = load_json(path, "scenario file",
                      lambda data: _resolve_files(from_json(ScenarioSpec, data), path.parent))
+    system = load_code_system(spec.code_system_path)
+    defined = {code for codes in system.codes_by_version.values() for code in codes}
+    for name, codes in (("significance_list", spec.significance),
+                        ("activation_conditions", spec.activation_conditions)):
+        if unknown := sorted(codes.keys() - defined):
+            raise ValidationError(f"scenario file {path} {name} lists unknown code {unknown[0]!r}")
+    return spec
 
 
 def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
@@ -445,7 +459,7 @@ def run_scenario(
         quarters=quarter_summaries,
         trace=tracer.entries,
         deploy={
-            "verdict": compliance_mod.verdict_to_dict(deploy_verdict),
+            "verdict": to_json(deploy_verdict),
             "audit_entries": len(deploy_audit),
             "audit_adapters": [entry.adapter_id for entry in deploy_audit],
             "model_version": model.model_version,

@@ -12,7 +12,7 @@ from collections.abc import Mapping as AbcMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
 from types import UnionType
@@ -311,54 +311,151 @@ class CodeDef:
     billing_category: str
     description: str = ""
 
+    def __post_init__(self) -> None:
+        if not self.clinical_group or not self.billing_category:
+            raise ValidationError(f"code {self.code!r} has empty taxonomy fields")
+
 
 @dataclass(frozen=True)
 class TerminologyVersion:
-    system_id: str
-    version_label: str
+    label: str
     release_date: date
     validated: bool
+
+
+@dataclass(frozen=True)
+class CodeMapping:
+    from_code: str
+    to_code: str
 
 
 @dataclass(frozen=True)
 class TransitionTable:
     """Official mapping between two adjacent terminology versions.
 
-    ``mappings`` maps a source code to the tuple of its target codes; more
-    than one target means the mapping is ambiguous and the gate treats the
-    code as unmappable rather than picking one.
+    ``targets`` maps a source code to the sorted tuple of its target codes;
+    more than one target means the mapping is ambiguous and the gate treats
+    the code as unmappable rather than picking one.
     """
 
-    from_version: str
-    to_version: str
-    mappings: Mapping[str, tuple[str, ...]]
-    unmappable: frozenset[str]
+    from_version: str = field(metadata={"json": "from"})
+    to_version: str = field(metadata={"json": "to"})
+    mappings: tuple[CodeMapping, ...]
+    unmappable: frozenset[str] = frozenset()
+    targets: Mapping[str, tuple[str, ...]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        targets: dict[str, list[str]] = {}
+        for m in self.mappings:
+            targets.setdefault(m.from_code, []).append(m.to_code)
+        object.__setattr__(self, "targets", {k: tuple(sorted(v)) for k, v in targets.items()})
+
+
+@dataclass(frozen=True)
+class Demographics:
+    """A code's patient mix: weights by age band and by sex."""
+
+    age: Mapping[str, float] = field(default_factory=dict)
+    sex: Mapping[str, float] = field(default_factory=dict)
+
+
+def _check_weights(where: str, weights: Mapping[str, float], keys: Sequence[str] = ()) -> None:
+    """Each weight is finite and >= 0, and its key one of ``keys`` if any are given."""
+    unknown = weights.keys() - set(keys) if keys else ()
+    if unknown:
+        raise ValidationError(f"{where} has unknown keys {sorted(unknown)}")
+    for key, weight in weights.items():
+        if not 0 <= weight < math.inf:
+            raise ValidationError(f"{where}[{key!r}] must be a number >= 0, got {weight!r}")
 
 
 @dataclass(frozen=True)
 class CodeSystem:
-    """A versioned synthetic code system, including the generator's declared
+    """A versioned synthetic code system, as a code-system file such as
+    ``fixtures/syn_icd.json`` writes it, including the generator's declared
     base prevalences and per-code usage profiles so reference distributions
-    stay inspectable rather than hard-coded."""
+    stay inspectable rather than hard-coded.
+
+    Construction checks version order and every reference between versions,
+    codes, taxonomy and profiles, and derives the lookups that stages read.
+    """
 
     system_id: str
     versions: tuple[TerminologyVersion, ...]
-    codes_by_version: Mapping[str, Mapping[str, CodeDef]]
-    transitions: Mapping[tuple[str, str], TransitionTable]
-    clinical_groups: tuple[str, ...]
-    billing_categories: tuple[str, ...]
+    code_lists: Mapping[str, tuple[CodeDef, ...]] = field(metadata={"json": "codes"})
+    transitions: tuple[TransitionTable, ...] = ()
+    clinical_groups: tuple[str, ...] = ()
+    billing_categories: tuple[str, ...] = ()
     base_prevalence: Mapping[str, float] = field(default_factory=dict)
-    demographic_profiles: Mapping[str, Mapping[str, Mapping[str, float]]] = field(default_factory=dict)
+    demographic_profiles: Mapping[str, Demographics] = field(default_factory=dict)
     cooccurrence_profiles: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+    codes_by_version: Mapping[str, Mapping[str, CodeDef]] = field(init=False)
+    tables: Mapping[tuple[str, str], TransitionTable] = field(init=False)
+
+    def __post_init__(self) -> None:
+        labels = [v.label for v in self.versions]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError(f"duplicate version label: {label!r}")
+        for earlier, later in zip(self.versions, self.versions[1:]):
+            if not earlier.release_date < later.release_date:
+                raise ValidationError(f"versions must be strictly ordered by release date: "
+                                      f"{earlier.label!r} !< {later.label!r}")
+
+        codes_by_version: dict[str, dict[str, CodeDef]] = {label: {} for label in labels}
+        for label, entries in self.code_lists.items():
+            if label not in codes_by_version:
+                raise ValidationError(f"codes listed for unknown version: {label!r}")
+            for cdef in entries:
+                for kind, value, declared in (
+                    ("clinical group", cdef.clinical_group, self.clinical_groups),
+                    ("billing category", cdef.billing_category, self.billing_categories),
+                ):
+                    if declared and value not in declared:
+                        raise ValidationError(
+                            f"code {cdef.code!r} references undeclared {kind} {value!r}")
+                codes_by_version[label][cdef.code] = cdef
+
+        for table in self.transitions:
+            hop = table.from_version, table.to_version
+            for label in hop:
+                if label not in codes_by_version:
+                    raise ValidationError(f"transition references unknown version: {label!r}")
+            source, target = (codes_by_version[label] for label in hop)
+            for m in table.mappings:
+                if m.from_code not in source:
+                    raise ValidationError(f"transition {hop[0]}->{hop[1]} maps unknown code "
+                                          f"{m.from_code!r}")
+                if m.to_code not in target:
+                    raise ValidationError(f"transition {hop[0]}->{hop[1]} targets unknown code "
+                                          f"{m.to_code!r}")
+            if unknown := sorted(table.unmappable - source.keys()):
+                raise ValidationError(f"transition {hop[0]}->{hop[1]} lists unknown unmappable "
+                                      f"code {unknown[0]!r}")
+
+        all_codes = {code for table in codes_by_version.values() for code in table}
+        for name in ("base_prevalence", "cooccurrence_profiles", "demographic_profiles"):
+            for code in getattr(self, name):
+                if code not in all_codes:
+                    raise ValidationError(f"{name} lists unknown code {code!r}")
+        for code, profile in self.cooccurrence_profiles.items():
+            _check_weights(f"cooccurrence_profiles[{code!r}]", profile)
+        for code, demographics in self.demographic_profiles.items():
+            _check_weights(f"demographic_profiles[{code!r}].age", demographics.age, AGE_BANDS)
+            _check_weights(f"demographic_profiles[{code!r}].sex", demographics.sex, SEXES)
+
+        object.__setattr__(self, "codes_by_version", codes_by_version)
+        object.__setattr__(self, "tables", {(t.from_version, t.to_version): t
+                                            for t in self.transitions})
 
     def version(self, label: str) -> TerminologyVersion:
         for v in self.versions:
-            if v.version_label == label:
+            if v.label == label:
                 return v
         raise ValidationError(f"unknown version: {label!r}")
 
     def has_version(self, label: str) -> bool:
-        return any(v.version_label == label for v in self.versions)
+        return any(v.label == label for v in self.versions)
 
     def codes(self, version_label: str) -> Mapping[str, CodeDef]:
         try:
@@ -368,11 +465,22 @@ class CodeSystem:
 
     def version_chain(self, from_label: str, to_label: str) -> tuple[tuple[str, str], ...]:
         """Adjacent (from, to) hops between two version labels, oldest first."""
-        labels = [v.version_label for v in self.versions]
+        labels = [v.label for v in self.versions]
         i, j = labels.index(from_label), labels.index(to_label)
         if i >= j:
             return ()
         return tuple((labels[k], labels[k + 1]) for k in range(i, j))
+
+
+def load_code_system(path: str | Path) -> CodeSystem:
+    """Load a code-system file and validate all invariants.
+
+    Raises:
+        ValidationError: duplicate version labels, versions not strictly
+            ordered by release date, transition tables referencing unknown
+            codes, or taxonomy violations.
+    """
+    return load_json(path, "code-system file", partial(from_json, CodeSystem))
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +922,6 @@ class PipelineConfig:
     breaker_threshold: float = DEFAULT_BREAKER_THRESHOLD
     dormancy_frequency_threshold: float = 0.002
     release_correlation_window_days: int = 90
-    baseline_window: TimeWindow | None = None
-    current_window: TimeWindow | None = None
     inference_fidelity_cutoff: float = 0.5
     fingerprint_min_support: int = 20
     drift_component_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
@@ -857,152 +963,4 @@ def load_config(path: str | Path) -> PipelineConfig:
         ValidationError: on parse failure, a mistyped value or an
             out-of-range threshold (the message names the offending key).
     """
-    return load_json(path, "config file", lambda data: from_json(PipelineConfig, data))
-
-
-# ---------------------------------------------------------------------------
-# Code-system loading
-# ---------------------------------------------------------------------------
-
-def load_code_system(path: str | Path) -> CodeSystem:
-    """Load a code-system file and validate all invariants.
-
-    Raises:
-        ValidationError: duplicate version labels, versions not strictly
-            ordered by release date, transition tables referencing unknown
-            codes, or taxonomy violations.
-    """
-    return load_json(path, "code-system file", code_system_from_dict)
-
-
-@dataclass(frozen=True)
-class _VersionEntry:
-    label: str
-    release_date: date
-    validated: bool
-
-
-@dataclass(frozen=True)
-class _CodeMapping:
-    from_code: str
-    to_code: str
-
-
-@dataclass(frozen=True)
-class _TransitionEntry:
-    from_version: str = field(metadata={"json": "from"})
-    to_version: str = field(metadata={"json": "to"})
-    mappings: tuple[_CodeMapping, ...]
-    unmappable: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class _Demographics:
-    age: Mapping[str, float] = field(default_factory=dict)
-    sex: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _CodeSystemFile:
-    """A code-system file as it is written, such as ``fixtures/syn_icd.json``."""
-
-    system_id: str
-    versions: tuple[_VersionEntry, ...]
-    codes: Mapping[str, tuple[CodeDef, ...]]
-    transitions: tuple[_TransitionEntry, ...] = ()
-    clinical_groups: tuple[str, ...] = ()
-    billing_categories: tuple[str, ...] = ()
-    base_prevalence: Mapping[str, float] = field(default_factory=dict)
-    cooccurrence_profiles: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
-    demographic_profiles: Mapping[str, _Demographics] = field(default_factory=dict)
-
-
-def _check_weights(where: str, weights: Mapping[str, float], keys: Sequence[str] = ()) -> None:
-    """Each weight is finite and >= 0, and its key one of ``keys`` if any are given."""
-    unknown = weights.keys() - set(keys) if keys else ()
-    if unknown:
-        raise ValidationError(f"{where} has unknown keys {sorted(unknown)}")
-    for key, weight in weights.items():
-        if not 0 <= weight < math.inf:
-            raise ValidationError(f"{where}[{key!r}] must be a number >= 0, got {weight!r}")
-
-
-def code_system_from_dict(data: Any) -> CodeSystem:
-    """The code system a code-system file's JSON value declares, checked
-    for what its types cannot say: version order and every reference
-    between versions, codes, taxonomy and profiles."""
-    file = from_json(_CodeSystemFile, data)
-    labels = [v.label for v in file.versions]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValidationError(f"duplicate version label: {label!r}")
-    for earlier, later in zip(file.versions, file.versions[1:]):
-        if not earlier.release_date < later.release_date:
-            raise ValidationError(f"versions must be strictly ordered by release date: "
-                                  f"{earlier.label!r} !< {later.label!r}")
-
-    codes_by_version: dict[str, dict[str, CodeDef]] = {}
-    for label, entries in file.codes.items():
-        if label not in labels:
-            raise ValidationError(f"codes listed for unknown version: {label!r}")
-        table = codes_by_version[label] = {}
-        for cdef in entries:
-            if not cdef.clinical_group or not cdef.billing_category:
-                raise ValidationError(f"code {cdef.code!r} has empty taxonomy fields")
-            for kind, value, declared in (
-                ("clinical group", cdef.clinical_group, file.clinical_groups),
-                ("billing category", cdef.billing_category, file.billing_categories),
-            ):
-                if declared and value not in declared:
-                    raise ValidationError(
-                        f"code {cdef.code!r} references undeclared {kind} {value!r}")
-            table[cdef.code] = cdef
-    for label in labels:
-        codes_by_version.setdefault(label, {})
-
-    transitions: dict[tuple[str, str], TransitionTable] = {}
-    for entry in file.transitions:
-        hop = entry.from_version, entry.to_version
-        for label in hop:
-            if label not in codes_by_version:
-                raise ValidationError(f"transition references unknown version: {label!r}")
-        source, target = (codes_by_version[label] for label in hop)
-        mappings: dict[str, list[str]] = {}
-        for m in entry.mappings:
-            if m.from_code not in source:
-                raise ValidationError(f"transition {hop[0]}->{hop[1]} maps unknown code "
-                                      f"{m.from_code!r}")
-            if m.to_code not in target:
-                raise ValidationError(f"transition {hop[0]}->{hop[1]} targets unknown code "
-                                      f"{m.to_code!r}")
-            mappings.setdefault(m.from_code, []).append(m.to_code)
-        if unknown := sorted(entry.unmappable - source.keys()):
-            raise ValidationError(f"transition {hop[0]}->{hop[1]} lists unknown unmappable "
-                                  f"code {unknown[0]!r}")
-        transitions[hop] = TransitionTable(
-            *hop, {k: tuple(sorted(v)) for k, v in mappings.items()}, entry.unmappable)
-
-    all_codes = {code for table in codes_by_version.values() for code in table}
-    for name in ("base_prevalence", "cooccurrence_profiles", "demographic_profiles"):
-        for code in getattr(file, name):
-            if code not in all_codes:
-                raise ValidationError(f"{name} lists unknown code {code!r}")
-    for code, profile in file.cooccurrence_profiles.items():
-        _check_weights(f"cooccurrence_profiles[{code!r}]", profile)
-    for code, profile in file.demographic_profiles.items():
-        _check_weights(f"demographic_profiles[{code!r}].age", profile.age, AGE_BANDS)
-        _check_weights(f"demographic_profiles[{code!r}].sex", profile.sex, SEXES)
-
-    return CodeSystem(
-        system_id=file.system_id,
-        versions=tuple(TerminologyVersion(file.system_id, v.label, v.release_date, v.validated)
-                       for v in file.versions),
-        codes_by_version=codes_by_version,
-        transitions=transitions,
-        clinical_groups=file.clinical_groups,
-        billing_categories=file.billing_categories,
-        base_prevalence=file.base_prevalence,
-        demographic_profiles={code: {"age": profile.age, "sex": profile.sex}
-                              for code, profile in file.demographic_profiles.items()},
-        cooccurrence_profiles=file.cooccurrence_profiles,
-    )
+    return load_json(path, "config file", partial(from_json, PipelineConfig))

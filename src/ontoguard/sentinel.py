@@ -191,8 +191,8 @@ def scan(
     administrative type, the conservative "investigate coding practice"
     default.
     """
-    baseline_window = baseline_window or cfg.baseline_window or _infer_window(baseline)
-    current_window = current_window or cfg.current_window or _infer_window(current)
+    baseline_window = baseline_window or _infer_window(baseline)
+    current_window = current_window or _infer_window(current)
     base_fps = build_fingerprints(baseline, baseline_window, cfg)
     curr_fps = build_fingerprints(current, current_window, cfg)
 
@@ -214,7 +214,7 @@ def scan(
     touched: frozenset[str] = frozenset()
     if index:  # neither no match (None) nor the first release (0)
         touched = changed_codes(
-            system, system.versions[index - 1].version_label, release.version_label
+            system, system.versions[index - 1].label, release.label
         )
 
     code_defs = system.codes(current.dominant_version())
@@ -259,7 +259,7 @@ def scan(
                 "clinical_group": None if cdef is None else cdef.clinical_group,
                 "clinical_overlap": score_a,
                 "release_match": None if release is None else {
-                    "version": release.version_label,
+                    "version": release.label,
                     "release_date": release.release_date.isoformat(),
                 },
                 "release_changed_code": bool(score_c),

@@ -25,11 +25,11 @@ from .model import (
     AGE_BANDS,
     SEXES,
     CodeSystem,
+    Demographics,
     InfluenceTag,
     RecordBatch,
     TimeWindow,
     ValidationError,
-    from_json,
     gather,
     group,
     to_json,
@@ -320,11 +320,11 @@ def generate_batch(
     for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
             continue
-        profile = system.demographic_profiles.get(code, {})
-        age_p = _profile_arrays(profile.get("age", {}), AGE_BANDS)
+        profile = system.demographic_profiles.get(code, Demographics())
+        age_p = _profile_arrays(profile.age, AGE_BANDS)
         if code in codes_def and codes_def[code].clinical_group == outbreak_group:
             age_p = 0.5 * age_p + 0.5 * tilt
-        sex_p = _profile_arrays(profile.get("sex", {}), SEXES)
+        sex_p = _profile_arrays(profile.sex, SEXES)
         age_idx[rows] = rng.choice(len(AGE_BANDS), size=rows.size, p=age_p)
         sex_idx[rows] = rng.choice(len(SEXES), size=rows.size, p=sex_p)
 
@@ -500,11 +500,6 @@ def generate_quarter_series(
 # ---------------------------------------------------------------------------
 # Spec and ground-truth (de)serialization
 # ---------------------------------------------------------------------------
-
-def spec_from_dict(data: Any) -> DistortionSpec:
-    """Parse a distortion spec; its keys and their JSON types are DistortionSpec's fields."""
-    return from_json(DistortionSpec, data)
-
 
 def spec_to_dict(spec: DistortionSpec) -> dict[str, Any]:
     return to_json(spec)

@@ -137,12 +137,12 @@ def _map_code(
     None when any hop is missing, ambiguous, or lists the code unmappable."""
     current = code
     for hop in system.version_chain(from_version, to_version):
-        table = system.transitions.get(hop)
+        table = system.tables.get(hop)
         if table is None:
             return None
         if current in table.unmappable:
             return None
-        targets = table.mappings.get(current)
+        targets = table.targets.get(current)
         if targets is None or len(targets) != 1:
             return None
         current = targets[0]
@@ -235,7 +235,7 @@ def validate_migration(
     observed = sorted(set(observed_codes))
     acknowledged = set(acknowledged_codes)
     chain = system.version_chain(from_version, to_version)
-    if chain and any(system.transitions.get(hop) is None for hop in chain):
+    if chain and any(hop not in system.tables for hop in chain):
         return MigrationReport(
             from_version=from_version,
             to_version=to_version,
@@ -269,11 +269,11 @@ def changed_codes(system: CodeSystem, from_version: str, to_version: str) -> fro
     merged, split, or listed unmappable. Used by drift-cause classification."""
     touched: set[str] = set()
     for hop in system.version_chain(from_version, to_version):
-        table = system.transitions.get(hop)
+        table = system.tables.get(hop)
         if table is None:
             continue
         touched.update(table.unmappable)
-        for from_code, to_codes in table.mappings.items():
+        for from_code, to_codes in table.targets.items():
             if len(to_codes) != 1 or to_codes[0] != from_code:
                 touched.add(from_code)
                 touched.update(to_codes)

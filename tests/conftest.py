@@ -12,8 +12,9 @@ from ontoguard import checkpoint, dual_ontology, harness, synthgen, version_gate
 from ontoguard.model import (
     CodedRecord,
     Layer,
+    CodeSystem,
     RecordBatch,
-    code_system_from_dict,
+    from_json,
     jsonl_dumps,
     load_code_system,
     load_config,
@@ -181,7 +182,7 @@ def tiny_system(
         data["cooccurrence_profiles"] = cooccurrence
     if demographics is not None:
         data["demographic_profiles"] = demographics
-    return code_system_from_dict(data)
+    return from_json(CodeSystem, data)
 
 
 def as_batch(records) -> RecordBatch:

@@ -24,13 +24,13 @@ from ontoguard.breaker import (
 )
 from ontoguard.compliance import (
     RESTRICTIVENESS,
+    AdapterRuleSet,
     DataOperation,
     OpKind,
     VerdictKind,
-    adapter_from_dict,
     compose,
 )
-from ontoguard.model import PipelineConfig
+from ontoguard.model import PipelineConfig, from_json
 from ontoguard.oracles import accuracy_recount, jsd_oracle, partition_oracle
 from ontoguard.sentinel import aligned_jsd
 from ontoguard.synthgen import DistortionSpec, InstitutionWeight, spec_to_dict
@@ -198,7 +198,7 @@ def test_a5_breaker_boundary():
 def test_a6_compliance_algebra():
     with criterion("A6 compliance algebra"):
         def stub(adapter_id, key):
-            return adapter_from_dict({
+            return from_json(AdapterRuleSet, {
                 "adapter_id": adapter_id, "jurisdiction": "T",
                 "regulation_id": f"R-{adapter_id}", "regulation_version": "1",
                 "rules": [

@@ -13,13 +13,12 @@ from ontoguard.compliance import (
     OpKind,
     Verdict,
     VerdictKind,
-    adapter_from_dict,
     compose,
     evaluate,
     load_adapter,
 )
 from ontoguard.harness import fixture_dir
-from ontoguard.model import ValidationError
+from ontoguard.model import ValidationError, from_json
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,7 @@ def deploy_op(**context):
 
 def stub_adapter(adapter_id: str, key: str) -> AdapterRuleSet:
     """Adapter whose verdict class is forced through one context key."""
-    return adapter_from_dict({
+    return from_json(AdapterRuleSet, {
         "adapter_id": adapter_id,
         "jurisdiction": "TEST",
         "regulation_id": f"REG-{adapter_id}",
@@ -174,7 +173,7 @@ class TestCompose:
         assert kinds == {VerdictKind.PERMIT_WITH_CONDITIONS}
 
     def test_duplicate_conditions_deduplicated_in_order(self):
-        shared = adapter_from_dict({
+        shared = from_json(AdapterRuleSet, {
             "adapter_id": "dup", "jurisdiction": "T", "regulation_id": "R",
             "regulation_version": "1",
             "rules": [{"when": [], "verdict": "permit_with_conditions",
@@ -191,17 +190,20 @@ class TestCompose:
 
 class TestLoadErrors:
     def test_rule_set_must_end_with_default(self):
-        with pytest.raises(ValidationError, match="default rule"):
-            adapter_from_dict({
+        named = "^adapter 'x': rule set must end with an unconditional default rule$"
+        with pytest.raises(ValidationError, match=named):
+            from_json(AdapterRuleSet, {
                 "adapter_id": "x", "jurisdiction": "T", "regulation_id": "R",
                 "regulation_version": "1",
                 "rules": [{"when": [{"key": "a", "op": "eq", "value": 1}],
                            "verdict": "permit", "provision": "p"}],
             })
+        with pytest.raises(ValidationError, match=named):  # the class checks itself
+            AdapterRuleSet("x", "T", "R", "1", rules=())
 
     def test_unknown_operator_rejected_at_load(self):
         with pytest.raises(ValidationError, match="unknown clause operator"):
-            adapter_from_dict({
+            from_json(AdapterRuleSet, {
                 "adapter_id": "x", "jurisdiction": "T", "regulation_id": "R",
                 "regulation_version": "1",
                 "rules": [{"when": [{"key": "a", "op": "matches", "value": 1}],
@@ -211,7 +213,7 @@ class TestLoadErrors:
 
     def test_comparison_without_value_rejected(self):
         with pytest.raises(ValidationError, match="requires a value"):
-            adapter_from_dict({
+            from_json(AdapterRuleSet, {
                 "adapter_id": "x", "jurisdiction": "T", "regulation_id": "R",
                 "regulation_version": "1",
                 "rules": [{"when": [{"key": "a", "op": "gt"}],
@@ -221,7 +223,7 @@ class TestLoadErrors:
 
     def test_conditional_permit_requires_conditions(self):
         with pytest.raises(ValidationError, match="at least one condition"):
-            adapter_from_dict({
+            from_json(AdapterRuleSet, {
                 "adapter_id": "x", "jurisdiction": "T", "regulation_id": "R",
                 "regulation_version": "1",
                 "rules": [{"when": [], "verdict": "permit_with_conditions",
@@ -239,7 +241,7 @@ class TestLoadErrors:
 
 class TestNumericClauses:
     def test_numeric_comparisons(self):
-        adapter = adapter_from_dict({
+        adapter = from_json(AdapterRuleSet, {
             "adapter_id": "n", "jurisdiction": "T", "regulation_id": "R",
             "regulation_version": "1",
             "rules": [
@@ -259,7 +261,7 @@ class TestNumericClauses:
         assert evaluate(adapter, missing)[0].kind is VerdictKind.PERMIT_WITH_CONDITIONS
 
     def test_clause_values_keep_their_json_type(self):
-        adapter = adapter_from_dict({
+        adapter = from_json(AdapterRuleSet, {
             "adapter_id": "n", "jurisdiction": "T", "regulation_id": "R",
             "regulation_version": "1",
             "rules": [{"when": [{"key": "a", "op": "eq", "value": 5},

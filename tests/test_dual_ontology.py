@@ -106,6 +106,19 @@ class TestInference:
         )
         assert read_overrides(path) == {"R-1": "DM2-HYPER"}
 
+    @pytest.mark.parametrize("line, named", [
+        ('{"record_id": 5, "clinical_code": "DM2-HYPER"}', "record_id must be a string, got 5"),
+        ('{"record_id": "R-1", "clinical_code": "DM2-HYPER", "note": ""}',
+         "has unknown keys ['note']"),
+    ], ids=["int-record-id", "unknown-key"])
+    def test_override_fault_names_line_key_and_value(self, tmp_path, line, named):
+        path = tmp_path / "overrides.jsonl"
+        path.write_text(f'{{"record_id": "R-0", "clinical_code": "X"}}\n{line}\n',
+                        encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_overrides(path)
+        assert str(info.value) == f"{path}:2: {named}"
+
 
 class TestDivergence:
     def test_identical_layers_give_zero(self):

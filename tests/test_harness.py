@@ -354,7 +354,6 @@ CLI_INPUT_FILES = {
         {**record_dict(make_record()), "encounter_time": "notatime"}) + "\n",
     "cfg-drift.json": '{"drift_threshold": [1]}',
     "cfg-weights.json": '{"fidelity_weights": 5}',
-    "cfg-window.json": '{"baseline_window": "x"}',
     "cfg-support.json": '{"fingerprint_min_support": 2.7}',
     "norules.json": json.dumps({k: v for k, v in json.loads(_adapter_text()).items()
                                  if k != "rules"}),
@@ -415,6 +414,10 @@ CLI_INPUT_FILES = {
     ]}),
     "spec-twice.json": json.dumps({"current_version": "2025", "institutions": [
         {"institution_id": "I-A", "weight": 0.5}, {"institution_id": "I-A", "weight": 0.5}]}),
+    "sig-no-conditions.json": walkthrough_text(activation_conditions={}),
+    "sig-unknown-code.json": walkthrough_text(
+        significance_list={"DM-OTEHR": "rare subtype"},
+        activation_conditions={"DM-OTEHR": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}),
     "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
 }
@@ -498,7 +501,8 @@ class TestCli:
         (["breaker", "sweep", "--thresholds", "0.05:0.3:0"], "0.05:0.3:0"),
         (["breaker", "sweep", "--thresholds", "0.3:0.05:0.05"], "0.3:0.05:0.05"),
         (["breaker", "check", "--history", "0.1,abc"], "'abc'"),
-        (["breaker", "check", "--history", '[["q1", "x"]]'], "[period, ratio]"),
+        (["breaker", "check", "--history", '[["q1", "x"]]'],
+         "history [0][1] must be a number, got 'x'"),
         (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
         (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
         (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
@@ -517,7 +521,6 @@ class TestCli:
         (["breaker", "check", "--config", "cfg-drift.json"], "cfg-drift.json drift_threshold"),
         (["breaker", "check", "--config", "cfg-weights.json"],
          "cfg-weights.json fidelity_weights"),
-        (["breaker", "check", "--config", "cfg-window.json"], "cfg-window.json baseline_window"),
         (["breaker", "check", "--config", "cfg-support.json"],
          "cfg-support.json fingerprint_min_support"),
         (["gate", "--records", "records.jsonl", "--system", "object.json",
@@ -575,7 +578,7 @@ class TestCli:
          "argument --start: must be an ISO 8601 date"),
         (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
         (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
-        (["breaker", "check", "--history", "[[1,2]]"], "history entry [1, 2] is not a"),
+        (["breaker", "check", "--history", "[[1,2]]"], "history [0][0] must be a string, got 1"),
         (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
           "--target-version", "2025", "--out-dir", "gated"],
          "system-validated.json versions[1].validated must be true or false, got 'false'"),
@@ -632,13 +635,18 @@ class TestCli:
         (["synth", "generate", "--system", SYSTEM, "--spec", "spec-twice.json", "--n", "10",
           "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
          "spec lists institution 'I-A' more than once"),
+        (["scenario", "run", "sig-no-conditions.json", "--seed", "1"],
+         "sig-no-conditions.json significance_list code 'DM-OTHER' has no "
+         "activation_conditions entry"),
+        (["scenario", "run", "sig-unknown-code.json", "--seed", "1"],
+         "sig-unknown-code.json significance_list lists unknown code 'DM-OTEHR'"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
         "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
         "jsd-not-a-number", "bad-timestamp", "missing-significance", "record-bad-time",
         "scenario-not-json", "scenario-no-name", "config-list-threshold", "config-number-weights",
-        "config-string-window", "config-float-support", "system-empty", "adapter-no-rules",
+        "config-float-support", "system-empty", "adapter-no-rules",
         "spec-empty", "conditions-not-lists", "conditions-bad-kind", "override-missing-code",
         "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
         "partition-missing", "jsd-nan", "assertion-no-kind", "quarters-float",
@@ -653,6 +661,7 @@ class TestCli:
         "scenario-context-list-value",
         "scenario-context-not-object", "scenario-misspelt-key", "system-misspelt-key",
         "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
+        "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

@@ -13,6 +13,7 @@ from conftest import make_record, record_dict, tiny_system
 from ontoguard.model import (
     AGE_BANDS,
     SEXES,
+    CodeSystem,
     CodedRecord,
     FidelityAnnotation,
     InfluenceTag,
@@ -20,7 +21,6 @@ from ontoguard.model import (
     RecordBatch,
     TimeWindow,
     ValidationError,
-    code_system_from_dict,
     from_json,
     jsonl_dumps,
     load_code_system,
@@ -71,15 +71,15 @@ class TestLoadConfig:
 class TestLoadCodeSystem:
     def test_bundled_system(self, walkthrough_spec, bundled_system):
         assert bundled_system.system_id == "SYN-ICD"
-        assert [v.version_label for v in bundled_system.versions] == ["2024", "2025"]
-        assert ("2024", "2025") in bundled_system.transitions
+        assert [v.label for v in bundled_system.versions] == ["2024", "2025"]
+        assert ("2024", "2025") in bundled_system.tables
 
     def test_single_version_no_tables(self):
         system = tiny_system(versions=[
             {"label": "v1", "release_date": "2024-01-01", "validated": True},
         ])
         assert len(system.versions) == 1
-        assert system.transitions == {}
+        assert system.tables == {}
 
     def test_transition_with_unknown_code_rejected(self):
         with pytest.raises(ValidationError, match="unknown code"):
@@ -145,8 +145,10 @@ class TestLoadCodeSystem:
             ])
 
     def test_empty_taxonomy_rejected(self):
-        with pytest.raises(ValidationError, match="empty taxonomy"):
-            code_system_from_dict({
+        # CodeDef checks itself, so the fault names where the code sits.
+        named = re.escape("codes['v1'][0]: code 'A' has empty taxonomy fields")
+        with pytest.raises(ValidationError, match=f"^{named}$"):
+            from_json(CodeSystem, {
                 "system_id": "X",
                 "versions": [{"label": "v1", "release_date": "2024-01-01",
                               "validated": True}],
@@ -156,7 +158,7 @@ class TestLoadCodeSystem:
 
     def test_undeclared_clinical_group_rejected(self):
         with pytest.raises(ValidationError, match="undeclared clinical group"):
-            code_system_from_dict({
+            from_json(CodeSystem, {
                 "system_id": "X",
                 "versions": [{"label": "v1", "release_date": "2024-01-01",
                               "validated": True}],
@@ -294,8 +296,6 @@ def _weights(n):
         lambda ws: tuple(w / sum(ws) for w in ws))
 
 
-_WINDOWS = st.none() | st.lists(st.dates(), min_size=2, max_size=2).map(
-    lambda days: TimeWindow(*sorted(days)))
 CONFIGS = st.builds(
     PipelineConfig,
     fidelity_weights=_weights(3),
@@ -303,8 +303,6 @@ CONFIGS = st.builds(
     breaker_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     dormancy_frequency_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     release_correlation_window_days=st.integers(1, 10**9),
-    baseline_window=_WINDOWS,
-    current_window=_WINDOWS,
     inference_fidelity_cutoff=st.floats(0.0, 1.0),
     fingerprint_min_support=st.integers(1, 10**9),
     drift_component_weights=_weights(4),

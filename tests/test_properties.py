@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from conftest import as_batch, make_record, tiny_system
 from ontoguard.compliance import (
     RESTRICTIVENESS,
+    AdapterRuleSet,
     DataOperation,
     OpKind,
     VerdictKind,
-    adapter_from_dict,
     compose,
 )
+from ontoguard.model import from_json
 from ontoguard.oracles import jsd_oracle, partition_oracle
 from ontoguard.sentinel import aligned_jsd
 from ontoguard.synthgen import _largest_remainder
@@ -62,7 +63,7 @@ def test_apportionment_is_exact_and_proportional(weights, n):
 @settings(max_examples=150, deadline=None)
 def test_composition_class_is_order_invariant(classes, shuffler):
     def stub(adapter_id, key):
-        return adapter_from_dict({
+        return from_json(AdapterRuleSet, {
             "adapter_id": adapter_id, "jurisdiction": "T",
             "regulation_id": f"R-{adapter_id}", "regulation_version": "1",
             "rules": [
@@ -124,8 +125,8 @@ def test_gate_partitions_arbitrary_batches(entries):
         [r.record.record_id for r in outcome.quarantined],
     )
     for item in outcome.reconciled:
-        table = system.transitions[("v1", "v2")]
-        assert item.record.primary_code == table.mappings[item.original_code][0]
+        table = system.tables[("v1", "v2")]
+        assert item.record.primary_code == table.targets[item.original_code][0]
 
 
 @given(

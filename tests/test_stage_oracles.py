@@ -25,9 +25,10 @@ from ontoguard.checkpoint import annotate_batch, build_reference_model
 from ontoguard.dormancy import classify_features
 from ontoguard.dual_ontology import infer_clinical_layer
 from ontoguard.model import (
+    CodeSystem,
     Layer,
     PipelineConfig,
-    code_system_from_dict,
+    from_json,
     profile_batch,
     record_from_dict,
 )
@@ -59,7 +60,7 @@ SYSTEM_DATA = {
         "unmappable": ["GONE"],
     }],
 }
-SYSTEM = code_system_from_dict(SYSTEM_DATA)
+SYSTEM = from_json(CodeSystem, SYSTEM_DATA)
 
 # ZZZ is in no version, so it is missing from every reference model.
 CODES = ("AAA", "BBB", "CCC", "ZZZ")

@@ -14,6 +14,7 @@ from ontoguard import synthgen
 from ontoguard.model import (
     TimeWindow,
     ValidationError,
+    from_json,
     jsonl_dumps,
     write_records,
 )
@@ -217,7 +218,7 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     @given(spec=SPECS)
     def test_spec_round_trip(self, spec):
-        assert synthgen.spec_from_dict(synthgen.spec_to_dict(spec)) == spec
+        assert from_json(synthgen.DistortionSpec, synthgen.spec_to_dict(spec)) == spec
 
 
 # Every distortion switches on by 2025-07-01: catch-alls at two institutions,
@@ -266,7 +267,7 @@ class TestGolden:
         (7, "7da713752627b215b743df1af735acf3ee6450689e4600af21a4ff6cf1faafc8"),
     ])
     def test_batch_with_every_distortion(self, bundled_system, tmp_path, seed, expected):
-        spec = synthgen.spec_from_dict(ALL_DISTORTIONS)
+        spec = from_json(synthgen.DistortionSpec, ALL_DISTORTIONS)
         records, truth = synthgen.generate_batch(
             bundled_system, spec, 5_000, seed,
             window=synthgen.quarter_window(date(2025, 1, 1), 2),
@@ -277,7 +278,7 @@ class TestGolden:
         assert output_digest(tmp_path, records, truth) == expected
 
     def test_quarter_series(self, bundled_system, tmp_path):
-        spec = synthgen.spec_from_dict(ALL_DISTORTIONS)
+        spec = from_json(synthgen.DistortionSpec, ALL_DISTORTIONS)
         batches, truth = synthgen.generate_quarter_series(
             bundled_system, spec, 3, 2_000, SEED
         )
