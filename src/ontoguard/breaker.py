@@ -11,7 +11,6 @@ its predictive quality is a non-goal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -23,7 +22,6 @@ from .model import (
     PipelineConfig,
     RecordBatch,
     ValidationError,
-    from_json,
     group,
     write_json,
 )
@@ -185,27 +183,12 @@ def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:
 
 
 def read_history(text: str) -> list[tuple[str, float]]:
-    """Parse a period history from either JSON or a comma list of ratios.
+    """Parse a period history from a comma list of ratios.
 
     Raises:
-        ValidationError: malformed JSON, a JSON entry that is not a
-            [period, ratio] of a string and a number, or a ratio that is not
-            in [0,1] (the message names the entry).
+        ValidationError: an entry that is not a ratio in [0,1] (the message
+            names the entry).
     """
-    text = text.strip()
-    if not text:
-        return []
-    if text.startswith("["):
-        try:
-            history = from_json(tuple[tuple[str, float], ...], json.loads(text))
-        except ValueError as exc:
-            raise ValidationError(f"history is not a list of [period, ratio]: {exc}") from None
-        except ValidationError as exc:
-            raise ValidationError(f"history {exc}") from None
-        for i, (_, ratio) in enumerate(history):
-            if not 0.0 <= ratio <= 1.0:
-                raise ValidationError(f"history [{i}][1] must be a ratio in [0,1], got {ratio!r}")
-        return list(history)
     history = []
     for part in (part.strip() for part in text.split(",")):
         if not part:

@@ -237,11 +237,6 @@ class InstitutionFidelity:
     deciles: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    rows: tuple[InstitutionFidelity, ...]
-
-
 # The leading comment line states what the score is (and is not), so the
 # report cannot be read as calibrated probabilities.
 REPORT_PREAMBLE = (
@@ -250,7 +245,7 @@ REPORT_PREAMBLE = (
 )
 
 
-def fidelity_report(batch: RecordBatch) -> FidelityReport:
+def fidelity_report(batch: RecordBatch) -> tuple[InstitutionFidelity, ...]:
     """Per-institution fidelity score distribution (mean and deciles)."""
     scores = annotation_scores(batch)
     rows = []
@@ -265,13 +260,13 @@ def fidelity_report(batch: RecordBatch) -> FidelityReport:
             mean=float(own.mean()),
             deciles=tuple(float(d) for d in deciles),
         ))
-    return FidelityReport(rows=tuple(rows))
+    return tuple(rows)
 
 
-def write_fidelity_report(report: FidelityReport, path: str | Path) -> None:
+def write_fidelity_report(report: tuple[InstitutionFidelity, ...], path: str | Path) -> None:
     lines = [REPORT_PREAMBLE,
              "institution,n,mean," + ",".join(f"d{i}" for i in range(1, 10))]
-    for row in report.rows:
+    for row in report:
         deciles = ",".join(f"{d:.6f}" for d in row.deciles)
         lines.append(f"{row.institution_id},{row.n},{row.mean:.6f},{deciles}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

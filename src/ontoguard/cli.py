@@ -249,8 +249,8 @@ def _cmd_gate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(out / "accepted.jsonl", outcome.accepted)
-    write_records(out / "reconciled.jsonl", [r.record for r in outcome.reconciled])
-    gate_mod.write_quarantine(out / "quarantine.jsonl", outcome.quarantined)
+    write_records(out / "reconciled.jsonl", outcome.reconciled)
+    gate_mod.write_quarantine(out / "quarantine.jsonl", outcome)
     print(
         f"accepted={len(outcome.accepted)} reconciled={len(outcome.reconciled)} "
         f"quarantined={len(outcome.quarantined)}"
@@ -274,7 +274,7 @@ def _annotate(args):
 def _cmd_fidelity_report(args) -> int:
     report = checkpoint_mod.fidelity_report(_annotate(args)[-1])
     checkpoint_mod.write_fidelity_report(report, args.out)
-    print(f"wrote fidelity report for {len(report.rows)} institutions to {args.out}")
+    print(f"wrote fidelity report for {len(report)} institutions to {args.out}")
     return 0
 
 
@@ -311,10 +311,9 @@ def _cmd_dormancy_classify(args) -> int:
         # An existing store is carried forward: its entries stay unless
         # this batch updates them.
         existing = dormancy_mod.read_store(args.store) if Path(args.store).exists() else None
-        store = dormancy_mod.store_dormant(
-            classification, profile, conditions, notes_by_code=significance, path=args.store,
-            store=existing,
-        )
+        store = dormancy_mod.store_dormant(classification, profile, conditions, significance,
+                                           existing)
+        dormancy_mod.write_store(store, args.store)
         if args.prune_log:
             dormancy_mod.write_prune_log(store, args.prune_log)
     return 0

@@ -102,11 +102,10 @@ class Event:
     signal_code: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DormantStore:
-    entries: dict[str, DormantEntry]
-    prune_log: list[PruneLogEntry]
-    path: Path | None = None
+    entries: Mapping[str, DormantEntry]
+    prune_log: tuple[PruneLogEntry, ...]
 
 
 def classify_features(
@@ -137,25 +136,21 @@ def store_dormant(
     classification: Mapping[str, FeatureClass],
     profile: BatchProfile,
     conditions_by_code: Mapping[str, Sequence[ActivationCondition]],
-    notes_by_code: Mapping[str, str] | None = None,
-    path: str | Path | None = None,
+    notes_by_code: Mapping[str, str],
     store: DormantStore | None = None,
 ) -> DormantStore:
-    """Persist dormant entries and the prune log.
+    """``store`` with this batch's dormant entries and pruned codes added.
 
-    Re-storing the same batch updates entries in place rather than
-    duplicating them. Every pruned code is logged with its count.
+    Re-storing the same batch replaces entries rather than duplicating
+    them, and ``store`` itself is left as it was. Every pruned code is
+    logged with its count.
 
     Raises:
         ValidationError: a dormant code has no configured activation
             condition (every entry must state when it comes back).
     """
-    notes = notes_by_code or {}
-    if store is None:
-        store = DormantStore(entries={}, prune_log=[], path=None if path is None else Path(path))
-    elif path is not None:
-        store.path = Path(path)
-
+    entries = dict(store.entries) if store else {}
+    prune_log = {entry.code: entry for entry in store.prune_log} if store else {}
     for code, feature_class in sorted(classification.items()):
         usage = profile.codes.get(code)
         if usage is None:
@@ -167,24 +162,20 @@ def store_dormant(
                     f"dormant code {code!r} has no configured activation condition"
                 )
             top = sorted(usage.co_codes.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-            store.entries[code] = DormantEntry(
+            entries[code] = DormantEntry(
                 code=code,
                 count=usage.count,
                 frequency=usage.count / profile.n,
                 top_co_codes=tuple(top),
-                significance_note=notes.get(code, ""),
+                significance_note=notes_by_code.get(code, ""),
                 activation_conditions=conditions,
                 last_observed=usage.last_seen,
             )
         elif feature_class is FeatureClass.PRUNED:
-            store.prune_log = [e for e in store.prune_log if e.code != code]
-            store.prune_log.append(PruneLogEntry(
+            prune_log[code] = PruneLogEntry(
                 code=code, count=usage.count, last_observed=usage.last_seen,
-            ))
-    store.prune_log.sort(key=lambda e: e.code)
-    if store.path is not None:
-        write_store(store, store.path)
-    return store
+            )
+    return DormantStore(entries, tuple(entry for _, entry in sorted(prune_log.items())))
 
 
 def check_activation(
@@ -227,7 +218,7 @@ def write_store(store: DormantStore, path: str | Path) -> None:
 
 def read_store(path: str | Path) -> DormantStore:
     entries = load_json(path, "dormant store", partial(from_json, tuple[DormantEntry, ...]))
-    return DormantStore({entry.code: entry for entry in entries}, [], Path(path))
+    return DormantStore({entry.code: entry for entry in entries}, ())
 
 
 def write_prune_log(store: DormantStore, path: str | Path) -> None:

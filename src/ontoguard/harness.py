@@ -209,7 +209,7 @@ def run_scenario(
 
     model = breaker_mod.ToyRiskModel(model_version="toy-risk-1", weights={})
     ratios: tuple[tuple[str, float], ...] = ()
-    store = dormancy_mod.DormantStore(entries={}, prune_log=[], path=out / "dormant_store.json")
+    store: dormancy_mod.DormantStore | None = None
     baseline: BatchProfile | None = None
     baseline_window: TimeWindow | None = None
     prior_alerts: list[sentinel_mod.DriftAlert] = []
@@ -270,7 +270,7 @@ def run_scenario(
         outcome = stage(
             "gate.batch", gate_mod.gate_batch, batch, system, spec.target_version
         )
-        gate_mod.write_quarantine(qdir / "quarantine.jsonl", outcome.quarantined)
+        gate_mod.write_quarantine(qdir / "quarantine.jsonl", outcome)
         gate_counts = {
             "accepted": len(outcome.accepted),
             "reconciled": len(outcome.reconciled),
@@ -316,9 +316,9 @@ def run_scenario(
         })
         store = stage(
             "dormancy.store", dormancy_mod.store_dormant,
-            classification, profile, spec.activation_conditions,
-            notes_by_code=spec.significance, store=store,
+            classification, profile, spec.activation_conditions, spec.significance, store,
         )
+        dormancy_mod.write_store(store, out / "dormant_store.json")
         dormancy_mod.write_prune_log(store, out / "prune_log.csv")
         tracer.add(q, "dormancy.store", {"entries": len(store.entries)})
         events = [
@@ -379,7 +379,7 @@ def run_scenario(
             "gate": gate_counts,
             "fidelity_by_institution": {
                 row.institution_id: {"n": row.n, "mean": row.mean}
-                for row in fid_report.rows
+                for row in fid_report
             },
             "divergence": {
                 "disagreement_rate": div_report.disagreement_rate,

@@ -812,6 +812,10 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
 
 
 _STRING_FIELDS = ("record_id", "institution_id", "primary_code", "version_tag", "encounter_time")
+_RECORD_KEYS, _TAG_KEYS, _FIDELITY_KEYS = (
+    frozenset(f.name for f in fields(cls))
+    for cls in (CodedRecord, InfluenceTag, FidelityAnnotation)
+)
 
 
 def _field_error(name: str, value: Any) -> ValidationError:
@@ -825,14 +829,20 @@ def _number(data: Mapping[str, Any], name: str) -> float:
     return value
 
 
+def _unknown_keys(where: str, data: dict, known: frozenset[str]) -> ValidationError:
+    return ValidationError(f"{where} has unknown keys {sorted(data.keys() - known)}")
+
+
 def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
-    """Parse one record; a missing or mistyped field raises a ValidationError naming it.
+    """Parse one record; a missing, mistyped or unknown field raises a ValidationError naming it.
 
     The type checks are plain ``type(...) is`` tests because every record
     read from a JSON Lines file passes through here.
     """
     if type(data) is not dict:
         raise ValidationError(f"record must be a JSON object, got {type(data).__name__}")
+    if not data.keys() <= _RECORD_KEYS:
+        raise _unknown_keys("record", data, _RECORD_KEYS)
     try:
         for name in _STRING_FIELDS:
             if type(data[name]) is not str:
@@ -857,6 +867,8 @@ def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
         if tag is not None:
             if type(tag) is not dict:
                 raise _field_error("influence_tag", tag)
+            if not tag.keys() <= _TAG_KEYS:
+                raise _unknown_keys("record field 'influence_tag'", tag, _TAG_KEYS)
             if type(tag["model_version"]) is not str:
                 raise _field_error("model_version", tag["model_version"])
             if type(tag["clinician_modified"]) is not bool:
@@ -868,6 +880,8 @@ def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
         if fid is not None:
             if type(fid) is not dict:
                 raise _field_error("fidelity", fid)
+            if not fid.keys() <= _FIDELITY_KEYS:
+                raise _unknown_keys("record field 'fidelity'", fid, _FIDELITY_KEYS)
             if type(fid["rationale"]) is not str:
                 raise _field_error("rationale", fid["rationale"])
             fid = FidelityAnnotation(

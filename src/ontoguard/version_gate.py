@@ -10,7 +10,6 @@ ambiguous one-to-many mapping counts as unmappable.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -19,7 +18,6 @@ from typing import Iterable
 import numpy as np
 
 from .model import (
-    CodedRecord,
     CodeSystem,
     RecordBatch,
     ValidationError,
@@ -35,21 +33,6 @@ class QuarantineReason(str, Enum):
     UNKNOWN_CODE = "unknown_code"
 
 
-@dataclass(frozen=True)
-class ReconciledRecord:
-    record: CodedRecord
-    original_code: str
-    original_version: str
-
-
-@dataclass(frozen=True)
-class QuarantinedRecord:
-    record: CodedRecord
-    reason: QuarantineReason
-    original_code: str
-    original_version: str
-
-
 # A row's gate status: accepted, reconciled, or the index of its reason in
 # QUARANTINE_REASONS.
 ACCEPTED, RECONCILED = -2, -1
@@ -61,13 +44,13 @@ class GateOutcome:
     """Partition of an input batch; cardinality is always conserved.
 
     ``gated`` is the input batch with each reconciled row's code and
-    version mapped to the target; ``status`` is each row's bucket.
+    version mapped to the target; ``status`` is each row's bucket. A
+    reconciled row's original code and version stay in ``batch``.
     """
 
     batch: RecordBatch
     gated: RecordBatch
     status: np.ndarray
-    target_version: str
 
     def total(self) -> int:
         return len(self.status)
@@ -77,42 +60,23 @@ class GateOutcome:
         return self.gated.select(self.status == ACCEPTED)
 
     @property
-    def reconciled(self) -> Sequence[ReconciledRecord]:
-        return _Bucket(self, np.flatnonzero(self.status == RECONCILED))
+    def reconciled(self) -> RecordBatch:
+        return self.gated.select(self.status == RECONCILED)
 
     @property
-    def quarantined(self) -> Sequence[QuarantinedRecord]:
-        return _Bucket(self, np.flatnonzero(self.status >= 0))
+    def quarantined(self) -> RecordBatch:
+        """The quarantined rows as they arrived."""
+        return self.batch.select(self.status >= 0)
+
+    def quarantine_reasons(self) -> list[QuarantineReason]:
+        """Each row of ``quarantined``'s reason, in the same order."""
+        return [QUARANTINE_REASONS[s] for s in self.status[self.status >= 0].tolist()]
 
     def processed_records(self) -> RecordBatch:
         """Accepted plus reconciled records, sorted by ``record_id``."""
         rows = np.concatenate([np.flatnonzero(self.status == ACCEPTED),
                                np.flatnonzero(self.status == RECONCILED)])
         return self.gated.select(rows[np.argsort(self.gated.record_id[rows], kind="stable")])
-
-
-class _Bucket(Sequence):
-    """The reconciled or quarantined rows of a gate outcome, built when read."""
-
-    def __init__(self, outcome: GateOutcome, rows: np.ndarray) -> None:
-        self.outcome, self.rows = outcome, rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return next(iter(_Bucket(self.outcome, self.rows[[i]])))
-
-    def __iter__(self):
-        outcome = self.outcome
-        for source, gated, status in zip(outcome.batch.select(self.rows),
-                                         outcome.gated.select(self.rows),
-                                         outcome.status[self.rows].tolist()):
-            original = (source.primary_code, source.version_tag)
-            if status == RECONCILED:
-                yield ReconciledRecord(gated, *original)
-            else:
-                yield QuarantinedRecord(source, QUARANTINE_REASONS[status], *original)
 
 
 class MigrationVerdict(str, Enum):
@@ -214,7 +178,7 @@ def gate_batch(
         version=np.where(status == RECONCILED, target_index, batch.version).astype(np.int32),
         versions=tuple(versions),
     )
-    return GateOutcome(batch=batch, gated=gated, status=status, target_version=target_version)
+    return GateOutcome(batch=batch, gated=gated, status=status)
 
 
 def validate_migration(
@@ -280,10 +244,12 @@ def changed_codes(system: CodeSystem, from_version: str, to_version: str) -> fro
     return frozenset(touched)
 
 
-def write_quarantine(path: str | Path, quarantined: Iterable[QuarantinedRecord]) -> None:
+def write_quarantine(path: str | Path, outcome: GateOutcome) -> None:
     """Persist quarantined records as a side file; quarantine is never an
     in-memory-only loss."""
-    write_jsonl(path, quarantined)
+    rows = zip(outcome.quarantined, outcome.quarantine_reasons())
+    write_jsonl(path, ({"record": record, "reason": reason, "original_code": record.primary_code,
+                        "original_version": record.version_tag} for record, reason in rows))
 
 
 def read_quarantine(path: str | Path) -> list[dict]:

@@ -164,8 +164,8 @@ def test_a4_gate_conservation():
             assert partition_oracle(
                 [r.record_id for r in batch],
                 [r.record_id for r in outcome.accepted],
-                [r.record.record_id for r in outcome.reconciled],
-                [r.record.record_id for r in outcome.quarantined],
+                [r.record_id for r in outcome.reconciled],
+                [r.record_id for r in outcome.quarantined],
             )
             assert outcome.total() == len(batch)
 

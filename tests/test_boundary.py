@@ -277,28 +277,20 @@ class TestIterJsonl:
             list(iter_jsonl(path))
 
 
-# Modules allowed to call json.load/json.loads, and where. The oracles keep
-# an independent reader by design; breaker.read_history parses a flag string.
-JSON_READERS = {"model.py": None, "oracles.py": None, "breaker.py": "read_history"}
+# Modules allowed to call json.load/json.loads. The oracles keep an
+# independent reader by design.
+JSON_READERS = {"model.py", "oracles.py"}
 
 
 def test_json_is_parsed_only_at_the_boundary():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = JSON_READERS.get(path.name, ())
-        inside = set()
-        if isinstance(allowed, str):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == allowed:
-                    inside.update(id(n) for n in ast.walk(node))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders.append(f"{path.name}:{node.lineno} imports from json")
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
-                    and node.func.attr in ("load", "loads")
-                    and allowed is not None and id(node) not in inside):
+                    and node.func.attr in ("load", "loads") and path.name not in JSON_READERS):
                 offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
     assert offenders == []
 
@@ -347,6 +339,33 @@ def test_output_format_is_decided_only_in_model():
                 names.add(f"json.{node.attr}")
             offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(
                 names & {"jsonl_dumps", "canonical_dumps", "json.dump", "json.dumps"})]
+    assert offenders == []
+
+
+def _write_calls(node: ast.AST, caller: str):
+    """``(caller, callee)`` for each call of a ``write_*`` function or method
+    under ``node``, where ``caller`` is the innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _write_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            callee = getattr(child.func, "id", getattr(child.func, "attr", ""))
+            if callee.startswith("write_"):
+                yield caller, callee
+        yield from _write_calls(child, caller)
+
+
+def test_only_writers_and_the_entry_points_write_files():
+    # Stages return values; the caller (the CLI or the scenario harness)
+    # decides which files a run writes. Elsewhere only a write_* function
+    # may call write_json, write_jsonl, write_store, Path.write_text and the like.
+    offenders = [
+        f"{path.name} {caller} calls {callee}"
+        for path in sorted(SRC.glob("*.py")) if path.name not in ("cli.py", "harness.py")
+        for caller, callee in _write_calls(ast.parse(path.read_text(encoding="utf-8")), "")
+        if not caller.startswith("write_")
+    ]
     assert offenders == []
 
 

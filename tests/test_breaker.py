@@ -196,7 +196,6 @@ class TestProperties:
 class TestIO:
     def test_history_parsing(self):
         assert read_history("0.04,0.08") == [("period-1", 0.04), ("period-2", 0.08)]
-        assert read_history('[["q1", 0.1]]') == [("q1", 0.1)]
         assert read_history("") == []
 
     def test_dashboard_export(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from conftest import as_batch, make_record, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.checkpoint import (
-    FidelityReport,
     annotate_batch,
     build_reference_model,
     fidelity_report,
@@ -183,17 +182,17 @@ class TestFidelityReport:
         ref = build_reference_model(history, system, "v2")
         batch = annotate_batch(history, ref, cfg)
         report = fidelity_report(batch)
-        assert len(report.rows) == 1
-        assert 0.0 <= report.rows[0].mean <= 1.0
-        assert len(report.rows[0].deciles) == 9
+        assert len(report) == 1
+        assert 0.0 <= report[0].mean <= 1.0
+        assert len(report[0].deciles) == 9
 
     def test_catch_all_institution_has_lowest_mean(self, q1_products):
         report = fidelity_report(q1_products["annotated"])
-        lowest = min(report.rows, key=lambda row: row.mean)
+        lowest = min(report, key=lambda row: row.mean)
         assert lowest.institution_id == "INST-07"
 
     def test_empty_batch_gives_empty_report(self):
-        assert fidelity_report(as_batch([])) == FidelityReport(rows=())
+        assert fidelity_report(as_batch([])) == ()
 
     def test_unannotated_record_rejected(self):
         with pytest.raises(ValidationError, match="not annotated"):

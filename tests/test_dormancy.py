@@ -1,5 +1,6 @@
 """Dormancy: classification, persisted store, activation triggers."""
 
+import copy
 from datetime import date, datetime, timezone
 
 import pytest
@@ -89,15 +90,13 @@ class TestClassifyFeatures:
 
 
 class TestStoreDormant:
-    def test_walkthrough_entry_has_both_conditions(self, q1_products, bundled_cfg,
-                                                   tmp_path):
+    def test_walkthrough_entry_has_both_conditions(self, q1_products, bundled_cfg):
         profile = admin(q1_products["inferred"])
         classes = classify_features(profile, {"DM-OTHER"}, bundled_cfg)
         store = store_dormant(
             classes, profile,
             {"DM-OTHER": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)},
-            notes_by_code={"DM-OTHER": "rare diabetes subtype"},
-            path=tmp_path / "store.json",
+            {"DM-OTHER": "rare diabetes subtype"},
         )
         entry = store.entries["DM-OTHER"]
         assert entry.count == 47
@@ -108,7 +107,7 @@ class TestStoreDormant:
     def test_no_dormant_codes_empty_store_with_prune_log(self, tmp_path):
         profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
         classes = classify_features(profile, set(), CFG)
-        store = store_dormant(classes, profile, {}, path=tmp_path / "store.json")
+        store = store_dormant(classes, profile, {}, {})
         assert store.entries == {}
         assert [e.code for e in store.prune_log] == ["RARE"]
         write_prune_log(store, tmp_path / "prune.csv")
@@ -116,12 +115,12 @@ class TestStoreDormant:
         assert lines[0] == "code,count,last_observed"
         assert lines[1].startswith("RARE,1,")
 
-    def test_restore_is_idempotent(self, tmp_path):
+    def test_restore_is_idempotent(self):
         profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
         classes = classify_features(profile, {"RARE"}, CFG)
         conditions = {"RARE": (PREVALENCE_HALF_PERCENT,)}
-        store = store_dormant(classes, profile, conditions, path=tmp_path / "store.json")
-        store = store_dormant(classes, profile, conditions, store=store)
+        store = store_dormant(classes, profile, conditions, {})
+        store = store_dormant(classes, profile, conditions, {}, store)
         assert len(store.entries) == 1
         assert store.entries["RARE"].count == 1
 
@@ -129,20 +128,32 @@ class TestStoreDormant:
         profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
         classes = classify_features(profile, {"RARE"}, CFG)
         with pytest.raises(ValidationError, match="no configured activation condition"):
-            store_dormant(classes, profile, {})
+            store_dormant(classes, profile, {}, {})
 
     def test_store_file_round_trip(self, tmp_path):
         profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
         classes = classify_features(profile, {"RARE"}, CFG)
         store = store_dormant(
-            classes, profile, {"RARE": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)},
-            path=tmp_path / "store.json",
+            classes, profile, {"RARE": (PREVALENCE_HALF_PERCENT, ENDO_TRANSFER)}, {},
         )
+        write_store(store, tmp_path / "store.json")
         loaded = read_store(tmp_path / "store.json")
         assert loaded.entries["RARE"].activation_conditions \
             == store.entries["RARE"].activation_conditions
         assert loaded.entries["RARE"].last_observed \
             == store.entries["RARE"].last_observed
+
+    def test_input_store_left_unchanged(self):
+        conditions = {"RARE": (PREVALENCE_HALF_PERCENT,)}
+        first = admin(batch_with_counts({"AAA": 9_998, "RARE": 1, "GONE": 1}))
+        store = store_dormant(classify_features(first, {"RARE"}, CFG), first, conditions, {})
+        before = copy.deepcopy(store)
+        later = admin(batch_with_counts({"AAA": 9_997, "RARE": 2, "GONE": 1}))
+        updated = store_dormant(classify_features(later, {"RARE"}, CFG), later, conditions,
+                                {"RARE": "rare subtype"}, store=store)
+        assert store == before
+        assert updated.entries["RARE"].count == 2
+        assert [(e.code, e.count) for e in updated.prune_log] == [("GONE", 1)]
 
 
 _CONDITIONS = st.one_of(
@@ -170,7 +181,7 @@ _ENTRIES = st.lists(st.builds(
 @given(entries=_ENTRIES)
 def test_store_entries_round_trip(tmp_path, entries):
     path = tmp_path / "store.json"
-    write_store(DormantStore(entries, []), path)
+    write_store(DormantStore(entries, ()), path)
     assert read_store(path).entries == entries
 
 
@@ -184,7 +195,7 @@ class TestCheckActivation:
     def make_store(self, conditions) -> DormantStore:
         profile = admin(batch_with_counts({"AAA": 999, "RARE": 1}))
         classes = classify_features(profile, {"RARE"}, CFG)
-        return store_dormant(classes, profile, {"RARE": conditions})
+        return store_dormant(classes, profile, {"RARE": conditions}, {})
 
     def test_prevalence_above_threshold_activates(self):
         store = self.make_store((PREVALENCE_HALF_PERCENT,))

@@ -420,6 +420,10 @@ CLI_INPUT_FILES = {
         activation_conditions={"DM-OTEHR": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}),
     "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
         make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
+    "record-key.jsonl": json.dumps({**record_dict(make_record()), "influence_tg": {
+        "model_version": "m1", "model_confidence": 0.8, "clinician_modified": True}}) + "\n",
+    "tag-key.jsonl": json.dumps({**record_dict(make_record()), "influence_tag": {
+        "model_version": "m1", "confidence": 0.8, "clinician_modified": True}}) + "\n",
 }
 
 
@@ -502,7 +506,7 @@ class TestCli:
         (["breaker", "sweep", "--thresholds", "0.3:0.05:0.05"], "0.3:0.05:0.05"),
         (["breaker", "check", "--history", "0.1,abc"], "'abc'"),
         (["breaker", "check", "--history", '[["q1", "x"]]'],
-         "history [0][1] must be a number, got 'x'"),
+         """history entry '[["q1"' is not a number"""),
         (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
         (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
         (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
@@ -578,7 +582,7 @@ class TestCli:
          "argument --start: must be an ISO 8601 date"),
         (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
         (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
-        (["breaker", "check", "--history", "[[1,2]]"], "history [0][0] must be a string, got 1"),
+        (["breaker", "check", "--history", "[[1,2]]"], "history entry '[[1' is not a number"),
         (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
           "--target-version", "2025", "--out-dir", "gated"],
          "system-validated.json versions[1].validated must be true or false, got 'false'"),
@@ -640,6 +644,10 @@ class TestCli:
          "activation_conditions entry"),
         (["scenario", "run", "sig-unknown-code.json", "--seed", "1"],
          "sig-unknown-code.json significance_list lists unknown code 'DM-OTEHR'"),
+        (["breaker", "check", "--records", "record-key.jsonl"],
+         "record-key.jsonl:1: record has unknown keys ['influence_tg']"),
+        (["breaker", "check", "--records", "tag-key.jsonl"],
+         "tag-key.jsonl:1: record field 'influence_tag' has unknown keys ['confidence']"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -662,6 +670,7 @@ class TestCli:
         "scenario-context-not-object", "scenario-misspelt-key", "system-misspelt-key",
         "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
         "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
+        "record-misspelt-key", "record-misspelt-tag-key",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

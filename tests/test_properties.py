@@ -121,12 +121,13 @@ def test_gate_partitions_arbitrary_batches(entries):
     assert partition_oracle(
         [r.record_id for r in batch],
         [r.record_id for r in outcome.accepted],
-        [r.record.record_id for r in outcome.reconciled],
-        [r.record.record_id for r in outcome.quarantined],
+        [r.record_id for r in outcome.reconciled],
+        [r.record_id for r in outcome.quarantined],
     )
+    originals = {r.record_id: r for r in outcome.batch}
     for item in outcome.reconciled:
         table = system.tables[("v1", "v2")]
-        assert item.record.primary_code == table.targets[item.original_code][0]
+        assert item.primary_code == table.targets[originals[item.record_id].primary_code][0]
 
 
 @given(

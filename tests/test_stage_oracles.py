@@ -196,11 +196,9 @@ def test_gate_matches_recount(rows, target):
     outcome = gate_batch(_batch(rows), SYSTEM, target)
     got = {r.record_id: ("accepted", r.primary_code, r.version_tag) for r in outcome.accepted}
     for item in outcome.reconciled:
-        got[item.record.record_id] = ("reconciled", item.record.primary_code,
-                                      item.record.version_tag)
-    for item in outcome.quarantined:
-        got[item.record.record_id] = (item.reason.value, item.record.primary_code,
-                                      item.record.version_tag)
+        got[item.record_id] = ("reconciled", item.primary_code, item.version_tag)
+    for item, reason in zip(outcome.quarantined, outcome.quarantine_reasons()):
+        got[item.record_id] = (reason.value, item.primary_code, item.version_tag)
     expect = {
         row["record_id"]: (bucket, code, target if bucket == "reconciled" else row["version_tag"])
         for row, (bucket, code) in zip(rows, oracles.gate_recount(rows, SYSTEM_DATA, target))

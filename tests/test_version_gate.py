@@ -52,6 +52,24 @@ def migration_system():
     )
 
 
+def mixed_batch():
+    """Accepted and reconciled rows among one row of each quarantine reason."""
+    return [
+        make_record("A-1", code="KEEP", version="v2"),
+        make_record(
+            "R-7", code="GONE", version="v1", co_codes=("ZZ", "AA"),
+            influence_tag=InfluenceTag("m1", 0.8, True),
+            fidelity=FidelityAnnotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
+            clinical_code="GONE",
+        ),
+        make_record("C-1", code="RENAME-1", version="v1"),
+        make_record("Q-2", code="OLD", version="v0", institution="INST-02"),
+        make_record("Q-3", code="BOGUS", version="v2", sex="male"),
+        make_record("C-2", code="KEEP", version="v1"),
+        make_record("Q-4", code="SPLIT", version="v1", co_codes=("AA",)),
+    ]
+
+
 class TestGateBatch:
     def test_walkthrough_counts(self, q1_products):
         outcome = q1_products["outcome"]
@@ -72,14 +90,14 @@ class TestGateBatch:
         outcome = gate_batch(
             as_batch([make_record(code="GONE", version="v1")]), system, "v2"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_one_to_many_treated_as_unmappable(self):
         system = migration_system()
         outcome = gate_batch(
             as_batch([make_record(code="SPLIT", version="v1")]), system, "v2"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_rename_reconciled_with_audit_fields(self):
         system = migration_system()
@@ -87,38 +105,39 @@ class TestGateBatch:
             as_batch([make_record(code="RENAME-1", version="v1")]), system, "v2"
         )
         item = outcome.reconciled[0]
-        assert item.record.primary_code == "RENAME-2"
-        assert item.record.version_tag == "v2"
-        assert item.original_code == "RENAME-1"
-        assert item.original_version == "v1"
+        assert item.primary_code == "RENAME-2"
+        assert item.version_tag == "v2"
+        original = outcome.batch[0]
+        assert original.primary_code == "RENAME-1"
+        assert original.version_tag == "v1"
 
     def test_unknown_code_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
             as_batch([make_record(code="BOGUS", version="v1")]), system, "v2"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNKNOWN_CODE
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNKNOWN_CODE
 
     def test_unvalidated_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
             as_batch([make_record(code="OLD", version="v0")]), system, "v2"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNVALIDATED_VERSION
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNVALIDATED_VERSION
 
     def test_unknown_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
             as_batch([make_record(code="KEEP", version="v99")]), system, "v2"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNVALIDATED_VERSION
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNVALIDATED_VERSION
 
     def test_newer_than_target_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
             as_batch([make_record(code="KEEP", version="v2")]), system, "v1"
         )
-        assert outcome.quarantined[0].reason is QuarantineReason.UNMAPPABLE_CODE
+        assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_unknown_target_refused(self):
         with pytest.raises(ValidationError, match="unknown version"):
@@ -146,12 +165,12 @@ class TestGateBatch:
             assert partition_oracle(
                 [r.record_id for r in batch],
                 [r.record_id for r in outcome.accepted],
-                [r.record.record_id for r in outcome.reconciled],
-                [r.record.record_id for r in outcome.quarantined],
+                [r.record_id for r in outcome.reconciled],
+                [r.record_id for r in outcome.quarantined],
             )
             assert [r.record_id for r in outcome.processed_records()] == sorted(
                 [r.record_id for r in outcome.accepted]
-                + [r.record.record_id for r in outcome.reconciled]
+                + [r.record_id for r in outcome.reconciled]
             )
 
     def test_quarantine_file_round_trip(self, tmp_path):
@@ -160,22 +179,33 @@ class TestGateBatch:
             as_batch([make_record(code="GONE", version="v1")]), system, "v2"
         )
         path = tmp_path / "quarantine.jsonl"
-        write_quarantine(path, outcome.quarantined)
+        write_quarantine(path, outcome)
         rows = read_quarantine(path)
         assert rows[0]["reason"] == "unmappable_code"
         assert rows[0]["original_code"] == "GONE"
         assert rows[0]["original_version"] == "v1"
 
+    def test_mixed_batch_buckets(self):
+        outcome = gate_batch(as_batch(mixed_batch()), migration_system(), "v2")
+        assert [r.record_id for r in outcome.accepted] == ["A-1"]
+        assert [(r.record_id, r.primary_code, r.version_tag) for r in outcome.reconciled] == [
+            ("C-1", "RENAME-2", "v2"), ("C-2", "KEEP", "v2"),
+        ]
+        # Quarantined rows are the records as they arrived, each with its reason.
+        assert [(r.record_id, r.primary_code, r.version_tag) for r in outcome.quarantined] == [
+            ("R-7", "GONE", "v1"), ("Q-2", "OLD", "v0"), ("Q-3", "BOGUS", "v2"),
+            ("Q-4", "SPLIT", "v1"),
+        ]
+        assert outcome.quarantine_reasons() == [
+            QuarantineReason.UNMAPPABLE_CODE, QuarantineReason.UNVALIDATED_VERSION,
+            QuarantineReason.UNKNOWN_CODE, QuarantineReason.UNMAPPABLE_CODE,
+        ]
+        assert outcome.total() == 7
+
     def test_quarantine_line_text(self, tmp_path):
-        record = make_record(
-            "R-7", code="GONE", version="v1", co_codes=("ZZ", "AA"),
-            influence_tag=InfluenceTag("m1", 0.8, True),
-            fidelity=FidelityAnnotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
-            clinical_code="GONE",
-        )
-        outcome = gate_batch(as_batch([record]), migration_system(), "v2")
+        outcome = gate_batch(as_batch(mixed_batch()), migration_system(), "v2")
         path = tmp_path / "quarantine.jsonl"
-        write_quarantine(path, outcome.quarantined)
+        write_quarantine(path, outcome)
         assert path.read_text(encoding="utf-8") == (
             '{"original_code":"GONE","original_version":"v1","reason":"unmappable_code",'
             '"record":{"clinical_code":"GONE","co_codes":["AA","ZZ"],'
@@ -184,6 +214,21 @@ class TestGateBatch:
             '"score":0.25},"influence_tag":{"clinician_modified":true,"model_confidence":0.8,'
             '"model_version":"m1"},"institution_id":"INST-01","patient_age_band":"50-59",'
             '"patient_sex":"female","primary_code":"GONE","record_id":"R-7","version_tag":"v1"}}\n'
+            '{"original_code":"OLD","original_version":"v0","reason":"unvalidated_version",'
+            '"record":{"clinical_code":null,"co_codes":[],"encounter_time":"2025-02-15T12:00:00",'
+            '"fidelity":null,"influence_tag":null,"institution_id":"INST-02",'
+            '"patient_age_band":"50-59","patient_sex":"female","primary_code":"OLD",'
+            '"record_id":"Q-2","version_tag":"v0"}}\n'
+            '{"original_code":"BOGUS","original_version":"v2","reason":"unknown_code",'
+            '"record":{"clinical_code":null,"co_codes":[],"encounter_time":"2025-02-15T12:00:00",'
+            '"fidelity":null,"influence_tag":null,"institution_id":"INST-01",'
+            '"patient_age_band":"50-59","patient_sex":"male","primary_code":"BOGUS",'
+            '"record_id":"Q-3","version_tag":"v2"}}\n'
+            '{"original_code":"SPLIT","original_version":"v1","reason":"unmappable_code",'
+            '"record":{"clinical_code":null,"co_codes":["AA"],'
+            '"encounter_time":"2025-02-15T12:00:00","fidelity":null,"influence_tag":null,'
+            '"institution_id":"INST-01","patient_age_band":"50-59","patient_sex":"female",'
+            '"primary_code":"SPLIT","record_id":"Q-4","version_tag":"v1"}}\n'
         )
 
 
