@@ -143,7 +143,7 @@ def store_dormant(
 
     Re-storing the same batch replaces entries rather than duplicating
     them, and ``store`` itself is left as it was. Every pruned code is
-    logged with its count.
+    logged with its count and leaves the dormant entries.
 
     Raises:
         ValidationError: a dormant code has no configured activation
@@ -172,6 +172,7 @@ def store_dormant(
                 last_observed=usage.last_seen,
             )
         elif feature_class is FeatureClass.PRUNED:
+            entries.pop(code, None)
             prune_log[code] = PruneLogEntry(
                 code=code, count=usage.count, last_observed=usage.last_seen,
             )

@@ -548,10 +548,15 @@ class CodedRecord:
     clinical_code: str | None = None
 
     def __post_init__(self) -> None:
-        if self.patient_age_band not in AGE_BANDS:
-            raise ValidationError(f"unknown age band: {self.patient_age_band!r}")
-        if self.patient_sex not in SEXES:
-            raise ValidationError(f"unknown sex: {self.patient_sex!r}")
+        _check_patient(self.patient_age_band, self.patient_sex)
+
+
+def _check_patient(age_band: Any, sex: Any) -> None:
+    """A record's age band is one of ``AGE_BANDS`` and its sex one of ``SEXES``."""
+    if age_band not in AGE_BANDS:
+        raise ValidationError(f"unknown age band: {age_band!r}")
+    if sex not in SEXES:
+        raise ValidationError(f"unknown sex: {sex!r}")
 
 
 def gather(table: Sequence[Any], index: np.ndarray) -> list[Any]:
@@ -632,11 +637,16 @@ class RecordBatch:
     def from_records(cls, records: Iterable[CodedRecord]) -> RecordBatch:
         """The batch of ``records``. Fidelity annotations are not merged, so
         each row keeps its own, written back exactly as it was read."""
-        # Fields are moved into column lists a block of records at a time, so
-        # that no more than a block of record objects is alive at once.
+        return cls._from_rows(vars(record).values() for record in records)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[Iterable[Any]]) -> RecordBatch:
+        """The batch of ``rows``, each a record's field values in field order."""
+        # Fields are moved into column lists a block of rows at a time, so
+        # that no more than a block of rows is alive at once.
         column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
-        records = iter(records)
-        while block := [vars(record).values() for record in islice(records, 4096)]:
+        rows = iter(rows)
+        while block := list(islice(rows, 4096)):
             for values, fields_of_block in zip(column.values(), zip(*block)):
                 values.extend(fields_of_block)
         times = column["encounter_time"]
@@ -681,14 +691,18 @@ class RecordBatch:
         zone = self.zone[row]
         return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
 
+    def encounter_times(self) -> list[datetime]:
+        """Each row's encounter time, with its UTC offset if it has one."""
+        if not self.zones:
+            return self.times.tolist()
+        return [when.replace(tzinfo=zone)
+                for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))]
+
     def __iter__(self) -> Iterator[CodedRecord]:
-        times = self.times.tolist()
-        if self.zones:
-            times = [when.replace(tzinfo=zone)
-                     for when, zone in zip(times, gather(self.zones, self.zone))]
         return map(_record, zip(
             self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
-            gather(SEXES, self.sex), gather(self.institutions, self.institution), times,
+            gather(SEXES, self.sex), gather(self.institutions, self.institution),
+            self.encounter_times(),
             gather(self.codes, self.code), gather(self.co_sets, self.co),
             gather(self.versions, self.version), self.influence.tolist(),
             gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
@@ -833,11 +847,12 @@ def _unknown_keys(where: str, data: dict, known: frozenset[str]) -> ValidationEr
     return ValidationError(f"{where} has unknown keys {sorted(data.keys() - known)}")
 
 
-def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
-    """Parse one record; a missing, mistyped or unknown field raises a ValidationError naming it.
+def _record_row(data: Any) -> tuple[Any, ...]:
+    """One record's field values in field order, checked as ``CodedRecord`` checks them.
 
-    The type checks are plain ``type(...) is`` tests because every record
-    read from a JSON Lines file passes through here.
+    A missing, mistyped or unknown field raises a ValidationError naming
+    it. The type checks are plain ``type(...) is`` tests because every
+    record read from a JSON Lines file passes through here.
     """
     if type(data) is not dict:
         raise ValidationError(f"record must be a JSON object, got {type(data).__name__}")
@@ -889,22 +904,48 @@ def record_from_dict(data: Mapping[str, Any]) -> CodedRecord:
                 _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
                 fid["rationale"],
             )
-        return _record((
-            data["record_id"], data["patient_age_band"], data["patient_sex"],
-            data["institution_id"], encounter_time, data["primary_code"],
-            frozenset(co_codes), data["version_tag"], tag, fid, clinical_code,
-        ))
+        age_band, sex = data["patient_age_band"], data["patient_sex"]
+        _check_patient(age_band, sex)
+        return (data["record_id"], age_band, sex, data["institution_id"], encounter_time,
+                data["primary_code"], frozenset(co_codes), data["version_tag"], tag, fid,
+                clinical_code)
     except KeyError as exc:
         raise ValidationError(f"record missing field {exc.args[0]!r}") from None
 
 
-def write_records(path: str | Path, records: Iterable[CodedRecord]) -> None:
-    """Write ``records`` as a records file, one JSON object per line."""
-    write_jsonl(path, records)
-
-
 def read_records(path: str | Path) -> RecordBatch:
-    return RecordBatch.from_records(iter_jsonl(path, record_from_dict))
+    """The batch a records file holds, one JSON object per line."""
+    return RecordBatch._from_rows(iter_jsonl(path, _record_row))
+
+
+def _entries(table: Sequence[Any], index: np.ndarray) -> list[str]:
+    """Each row's JSON text of ``table[index]``, encoding each entry once; -1 gives null."""
+    return np.array([*map(jsonl_dumps, table), "null"], dtype=object)[index].tolist()
+
+
+# One records-file line with each field's JSON text in the place of its
+# ``{}``, keys sorted as ``jsonl_dumps`` sorts them.
+_LINE = "{{" + ",".join(f"{jsonl_dumps(name)}:{{}}" for name in sorted(_RECORD_FIELDS)) + "}}\n"
+
+
+def write_records(path: str | Path, records: RecordBatch) -> None:
+    """Write ``records`` as a records file: each row as ``jsonl_dumps`` writes it, one a line."""
+    text = {
+        "record_id": map(jsonl_dumps, records.record_id.tolist()),
+        "encounter_time": [jsonl_dumps(when.isoformat()) for when in records.encounter_times()],
+        "influence_tag": ["null" if tag is None else jsonl_dumps(vars(tag))
+                          for tag in records.influence.tolist()],
+        "patient_age_band": _entries(AGE_BANDS, records.age_band),
+        "patient_sex": _entries(SEXES, records.sex),
+        "institution_id": _entries(records.institutions, records.institution),
+        "primary_code": _entries(records.codes, records.code),
+        "clinical_code": _entries(records.codes, records.clinical),
+        "co_codes": _entries(records.co_sets, records.co),
+        "version_tag": _entries(records.versions, records.version),
+        "fidelity": _entries(records.annotations, records.fidelity),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(_LINE.format, *(text[name] for name in sorted(_RECORD_FIELDS))))
 
 
 # ---------------------------------------------------------------------------

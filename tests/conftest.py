@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import time
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from ontoguard.model import (
     load_code_system,
     load_config,
     profile_batch,
+    read_records,
 )
 
 SEED = 42
@@ -188,3 +191,12 @@ def tiny_system(
 def as_batch(records) -> RecordBatch:
     """``records`` as the batch a stage takes."""
     return RecordBatch.from_records(records)
+
+
+def read_rows(rows) -> RecordBatch:
+    """The batch ``read_records`` reads from a records file, ``records.jsonl``,
+    that holds each of the JSON values ``rows`` as one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return read_records(path)

@@ -155,6 +155,16 @@ class TestStoreDormant:
         assert updated.entries["RARE"].count == 2
         assert [(e.code, e.count) for e in updated.prune_log] == [("GONE", 1)]
 
+    def test_pruned_code_leaves_the_store(self):
+        profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))
+        conditions = {"RARE": (PREVALENCE_HALF_PERCENT,)}
+        store = store_dormant(classify_features(profile, {"RARE"}, CFG), profile, conditions, {})
+        assert set(store.entries) == {"RARE"}
+        later = store_dormant(classify_features(profile, set(), CFG), profile, conditions, {},
+                              store=store)
+        assert [e.code for e in later.prune_log] == ["RARE"]
+        assert "RARE" not in later.entries
+
 
 _CONDITIONS = st.one_of(
     st.builds(ActivationCondition, kind=st.just(ActivationKind.PREVALENCE_EXCEEDS),

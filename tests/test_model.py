@@ -3,13 +3,14 @@
 import json
 import re
 from dataclasses import FrozenInstanceError
-from datetime import date, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, record_dict, tiny_system
+from conftest import make_record, read_rows, record_dict, tiny_system
+from ontoguard import model
 from ontoguard.model import (
     AGE_BANDS,
     SEXES,
@@ -26,8 +27,8 @@ from ontoguard.model import (
     load_code_system,
     load_config,
     read_records,
-    record_from_dict,
     to_json,
+    write_records,
 )
 
 
@@ -176,7 +177,7 @@ class TestRecords:
             fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, "test"),
             clinical_code="DM2-HYPER",
         )
-        assert record_from_dict(record_dict(record)) == record
+        assert list(read_rows([record_dict(record)])) == [record]
 
     def test_unknown_age_band_rejected(self):
         with pytest.raises(ValidationError, match="age band"):
@@ -195,8 +196,9 @@ class TestRecords:
             InfluenceTag("m1", 1.5, False)
 
     def test_missing_field_named(self):
-        with pytest.raises(ValidationError, match="record_id"):
-            record_from_dict({"primary_code": "X"})
+        with pytest.raises(ValidationError,
+                           match=r"records\.jsonl:1: record missing field 'record_id'"):
+            read_rows([{"primary_code": "X"}])
 
     @pytest.mark.parametrize("field, value, named", [
         ("co_codes", "LAB-GLU-HI", "'co_codes' has type str"),
@@ -222,12 +224,22 @@ class TestRecords:
     ])
     def test_mistyped_field_named(self, field, value, named):
         data = {**record_dict(make_record()), field: value}
-        with pytest.raises(ValidationError, match=named):
-            record_from_dict(data)
+        with pytest.raises(ValidationError, match=rf"records\.jsonl:1: record field {named}"):
+            read_rows([data])
 
     def test_record_must_be_an_object(self):
-        with pytest.raises(ValidationError, match="JSON object, got list"):
-            record_from_dict(["R-000000"])
+        with pytest.raises(ValidationError,
+                           match=r"records\.jsonl:1: record must be a JSON object, got list"):
+            read_rows([["R-000000"]])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("patient_age_band", "200+", "unknown age band: '200\\+'"),
+        ("patient_sex", "unknown", "unknown sex: 'unknown'"),
+    ], ids=["age-band", "sex"])
+    def test_read_unknown_demographics_named(self, field, value, message):
+        data = {**record_dict(make_record()), field: value}
+        with pytest.raises(ValidationError, match=rf"records\.jsonl:1: {message}"):
+            read_rows([data])
 
     def test_read_records_names_path_and_line(self, tmp_path):
         good = json.dumps(record_dict(make_record()))
@@ -267,6 +279,45 @@ def test_batch_rows_read_as_the_constructor_builds(records):
         assert batch[i] == built
         with pytest.raises(FrozenInstanceError):
             row.clinical_code = "X"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(RECORDS, max_size=6))
+def test_records_file_holds_each_row_as_jsonl_dumps_writes_it(tmp_path, records):
+    batch = RecordBatch.from_records(records)
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    write_records(path, batch)
+    text = path.read_text(encoding="utf-8")
+    assert text == "".join(jsonl_dumps(record) + "\n" for record in records)
+    read = read_records(path)
+    assert list(read) == list(batch)
+    write_records(again, read)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
+    # Reading and writing a records file moves field values straight between
+    # lines and columns; neither builds nor checks a CodedRecord.
+    india = timezone(timedelta(hours=5, minutes=30))
+    records = [
+        make_record("R-1", when=datetime(2025, 2, 15, 12, 0, 0, 250000, tzinfo=india),
+                    co_codes=("LAB-A1C", "RX-MET"), influence_tag=InfluenceTag("m-1", 1, True),
+                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok"),
+                    clinical_code="DM2-HYPER"),
+        make_record("R-2", when=datetime(2025, 3, 1, tzinfo=timezone.utc)),
+    ]
+    text = "".join(jsonl_dumps(record) + "\n" for record in records)
+    path, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
+    path.write_text(text, encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("a CodedRecord was built")
+
+    monkeypatch.setattr(model, "_record", refuse)
+    monkeypatch.setattr(CodedRecord, "__post_init__", refuse)
+    write_records(out, read_records(path))
+    assert out.read_text(encoding="utf-8") == text
 
 
 class TestTimeWindow:

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_batch
+from conftest import read_rows
 from ontoguard import oracles
 from ontoguard.breaker import (
     OUTCOME_MARKERS,
@@ -30,7 +30,6 @@ from ontoguard.model import (
     PipelineConfig,
     from_json,
     profile_batch,
-    record_from_dict,
 )
 from ontoguard.version_gate import gate_batch
 
@@ -99,10 +98,6 @@ def batches(draw, codes=CODES, versions=("v2",), min_size=0):
     return rows
 
 
-def _batch(rows):
-    return as_batch([record_from_dict(row) for row in rows])
-
-
 def test_oracles_import_nothing_from_the_package():
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
@@ -115,7 +110,7 @@ def test_oracles_import_nothing_from_the_package():
 @given(batches(), st.sampled_from(list(Layer)))
 @settings(max_examples=150, deadline=None)
 def test_profile_batch_matches_recount(rows, layer):
-    profile = profile_batch(_batch(rows), layer)
+    profile = profile_batch(read_rows(rows), layer)
     expect = oracles.profile_recount(rows, layer.value)
     assert profile.n == expect["n"]
     assert list(profile.codes) == list(expect["codes"])
@@ -143,7 +138,7 @@ def test_dormancy_classes_match_recount(rows, layer, significant, data):
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.integers(1, n).map(lambda k: k / n),
     ).filter(lambda t: t < 1.0))
-    classes = classify_features(profile_batch(_batch(rows), layer), significant,
+    classes = classify_features(profile_batch(read_rows(rows), layer), significant,
                                 PipelineConfig(dormancy_frequency_threshold=threshold))
     expect = oracles.dormancy_recount(rows, layer.value, sorted(significant), threshold)
     assert [(code, c.value) for code, c in classes.items()] == list(expect.items())
@@ -152,7 +147,7 @@ def test_dormancy_classes_match_recount(rows, layer, significant, data):
 @given(batches(min_size=1))
 @settings(max_examples=150, deadline=None)
 def test_reference_model_matches_recount(history):
-    ref = build_reference_model(_batch(history), SYSTEM, "v2")
+    ref = build_reference_model(read_rows(history), SYSTEM, "v2")
     expect = oracles.reference_recount(history, ref.code_set)
     assert ref.code_set == ("AAA", "BBB", "CCC", "SPLIT-A", "SPLIT-B")
     assert ref.n_records == expect["n"]
@@ -170,9 +165,9 @@ def test_reference_model_matches_recount(history):
 @settings(max_examples=150, deadline=None)
 def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
     cfg = PipelineConfig(fidelity_weights=(0.2, 0.5, 0.3), inference_fidelity_cutoff=cutoff)
-    ref = build_reference_model(_batch(history), SYSTEM, "v2")
+    ref = build_reference_model(read_rows(history), SYSTEM, "v2")
     expect = oracles.reference_recount(history, ref.code_set)
-    annotated = annotate_batch(_batch(rows), ref, cfg)
+    annotated = annotate_batch(read_rows(rows), ref, cfg)
     inferred = infer_clinical_layer(annotated, ref, cfg)
     assert len(annotated) == len(inferred) == len(rows)
     for row, record in zip(rows, inferred):
@@ -193,7 +188,7 @@ def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
                versions=("v0", "v1", "v2", "v9")), st.sampled_from(["v1", "v2"]))
 @settings(max_examples=150, deadline=None)
 def test_gate_matches_recount(rows, target):
-    outcome = gate_batch(_batch(rows), SYSTEM, target)
+    outcome = gate_batch(read_rows(rows), SYSTEM, target)
     got = {r.record_id: ("accepted", r.primary_code, r.version_tag) for r in outcome.accepted}
     for item in outcome.reconciled:
         got[item.record_id] = ("reconciled", item.primary_code, item.version_tag)
@@ -210,9 +205,9 @@ def test_gate_matches_recount(rows, target):
 @given(batches(min_size=1))
 @settings(max_examples=150, deadline=None)
 def test_breaker_counts_match_recount(rows):
-    stats = compute_stats(_batch(rows), [])
+    stats = compute_stats(read_rows(rows), [])
     assert stats.tagged_count == sum(row["influence_tag"] is not None for row in rows)
     assert stats.total_count == len(rows)
     closed = BreakerState(BreakerStateKind.CLOSED, "closed", 0.15)
-    model = retrain_gate(closed, _batch(rows), ToyRiskModel("toy-risk-1", {}), stats)
+    model = retrain_gate(closed, read_rows(rows), ToyRiskModel("toy-risk-1", {}), stats)
     assert model.weights == oracles.retrain_recount(rows, sorted(OUTCOME_MARKERS))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import SEED
 from ontoguard import synthgen
 from ontoguard.model import (
+    RecordBatch,
     TimeWindow,
     ValidationError,
     from_json,
@@ -282,7 +283,7 @@ class TestGolden:
         batches, truth = synthgen.generate_quarter_series(
             bundled_system, spec, 3, 2_000, SEED
         )
-        records = [r for batch in batches for r in batch]
+        records = RecordBatch.from_records(r for batch in batches for r in batch)
         assert output_digest(tmp_path, records, truth) == (
             "08d41d872ceeffe2462d5c23785b2cb427b85e152b3ab44bf71ffbd72ab33eb1"
         )
