@@ -226,10 +226,10 @@ def _cmd_synth_generate(args) -> int:
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(system, spec, args.n, args.seed)
         write_records(args.out, records)
-        synthgen_mod.write_ground_truth(args.truth, truth)
+        synthgen_mod.write_ground_truth(args.truth, [records], [truth])
         print(f"wrote {len(records)} records to {args.out}")
         return 0
-    batches, truth = synthgen_mod.generate_quarter_series(
+    batches, truths = synthgen_mod.generate_quarter_series(
         system, spec, args.quarters, args.n, args.seed, start=args.start,
     )
     out = Path(args.out)
@@ -237,7 +237,7 @@ def _cmd_synth_generate(args) -> int:
         path = out.with_name(f"{out.stem}.q{i}{out.suffix}")
         write_records(path, batch)
         print(f"wrote {len(batch)} records to {path}")
-    synthgen_mod.write_ground_truth(args.truth, truth)
+    synthgen_mod.write_ground_truth(args.truth, batches, truths)
     return 0
 
 

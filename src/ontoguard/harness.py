@@ -194,8 +194,7 @@ def run_scenario(
     # Reference history: the quarter before the scenario starts, carrying
     # only the standing institutional habits (no onset distortions).
     history_window = synthgen_mod.quarter_window(spec.start, -1)
-    # The ground truth is not read, and holding it would keep every record
-    # id of the batch alive.
+    # No stage reads the ground truth; only the batch is kept.
     history = synthgen_mod.generate_batch(
         system,
         spec.distortion.without_onset_distortions(),

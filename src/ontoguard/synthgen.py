@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from enum import Enum
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -137,8 +138,14 @@ class GroundTruthEntry:
     distortion_labels: frozenset[str]
 
 
-# The ground-truth entry of each generated record, by record id.
-GroundTruth = dict[str, GroundTruthEntry]
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """The ground truth of one batch as a column: the batch's row ``i`` has
+    entry ``entries[index[i]]``. Each distinct entry is held once, and no
+    record id is held."""
+
+    entries: tuple[GroundTruthEntry, ...]
+    index: np.ndarray                # int32, one per batch row
 
 
 def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
@@ -254,16 +261,29 @@ def _weighted_sample_without_replacement(
 ) -> np.ndarray:
     """Per-row weighted sampling without replacement (Efraimidis-Spirakis keys).
 
-    Returns a boolean mask over the support: row i marks its ``sizes[i]``
-    largest keys.
+    Every weight is positive. Returns a boolean mask over the support: row i
+    marks its ``sizes[i]`` largest keys.
     """
     keys = rng.random((len(sizes), len(weights))) ** (1.0 / np.maximum(weights, 1e-12))
-    keys[:, weights <= 0] = -1.0
     picked = np.empty(keys.shape, dtype=bool)
     np.put_along_axis(
         picked, np.argsort(-keys, axis=1), np.arange(len(weights)) < sizes[:, None], axis=1
     )
     return picked
+
+
+def _group_rows(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean matrix in lexicographic order, and each
+    row's index into them: what ``np.unique(masks, axis=0,
+    return_inverse=True)`` returns, from one lexsort and a compare of each
+    sorted row with the one before it."""
+    order = np.lexsort(masks.T[::-1])
+    ordered = masks[order]
+    starts = np.ones(len(masks), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(masks), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def generate_batch(
@@ -286,7 +306,7 @@ def generate_batch(
     if window is None:
         window = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
     if n == 0:
-        return RecordBatch.from_records(()), {}
+        return RecordBatch.from_records(()), GroundTruth((), np.zeros(0, dtype=np.int32))
 
     rng = np.random.default_rng(seed)
     codes_def = system.codes(spec.current_version)
@@ -338,7 +358,7 @@ def generate_batch(
         if rows.size == 0:
             continue
         profile = system.cooccurrence_profiles.get(code, {})
-        support = sorted(profile)
+        support = sorted(c for c, weight in profile.items() if weight > 0)
         if not support:
             continue
         weights = np.array([profile[c] for c in support], dtype=np.float64)
@@ -347,13 +367,10 @@ def generate_batch(
             sizes = np.full(rows.size, len(support))
         else:
             sizes = rng.integers(2, k_max + 1, size=rows.size)
-        masks, inverse = np.unique(
-            _weighted_sample_without_replacement(rng, weights, sizes),
-            axis=0, return_inverse=True,
-        )
+        masks, inverse = _group_rows(_weighted_sample_without_replacement(rng, weights, sizes))
         ids = [co_code_sets.setdefault(frozenset(compress(support, mask)), len(co_code_sets))
                for mask in masks]
-        co_index[rows] = np.array(ids)[inverse.reshape(-1)]
+        co_index[rows] = np.array(ids)[inverse]
 
     # Distortions act on code and institution columns; ``labels`` holds one
     # bit per DistortionLabel, in declaration order.
@@ -433,13 +450,13 @@ def generate_batch(
     # One ground-truth entry per distinct (true code, label bits) pair.
     truth_keys, _, _, truth_index = group(code_index * (1 << len(bit)) + labels,
                                           len(names) << len(bit))
-    entries = [
+    entries = tuple(
         GroundTruthEntry(
             true_clinical_code=names[key >> len(bit)],
             distortion_labels=frozenset(l.value for l, b in bit.items() if key & b),
         )
         for key in truth_keys.tolist()
-    ]
+    )
 
     record_ids = list(map((id_prefix.replace("%", "%%") + "-%06d").__mod__, range(n)))
     version_table, version_index = np.unique(versions, return_inverse=True)
@@ -455,7 +472,7 @@ def generate_batch(
         co=co_index.astype(np.int32), co_sets=tuple(co_code_sets),
         influence=influence, fidelity=no_row, annotations=(),
     )
-    return batch, dict(zip(record_ids, gather(entries, truth_index)))
+    return batch, GroundTruth(entries, truth_index.astype(np.int32))
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
@@ -474,13 +491,13 @@ def generate_quarter_series(
     n_per_quarter: int,
     seed: int,
     start: date = date(2025, 1, 1),
-) -> tuple[list[RecordBatch], GroundTruth]:
-    """Generate consecutive quarterly batches; the AI influence fraction is
-    taken per quarter from the spec's schedule."""
+) -> tuple[list[RecordBatch], list[GroundTruth]]:
+    """Generate consecutive quarterly batches and the ground truth of each;
+    the AI influence fraction is taken per quarter from the spec's schedule."""
     if quarters <= 0:
         raise ValidationError(f"quarters must be positive, got {quarters}")
     batches: list[RecordBatch] = []
-    truth: GroundTruth = {}
+    truths: list[GroundTruth] = []
     for q in range(quarters):
         window = quarter_window(start, q)
         batch, batch_truth = generate_batch(
@@ -493,8 +510,8 @@ def generate_quarter_series(
             quarter_index=q,
         )
         batches.append(batch)
-        truth.update(batch_truth)
-    return batches, truth
+        truths.append(batch_truth)
+    return batches, truths
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +522,17 @@ def spec_to_dict(spec: DistortionSpec) -> dict[str, Any]:
     return to_json(spec)
 
 
-def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
-    write_jsonl(path, ({"record_id": record_id, **vars(truth[record_id])}
-                       for record_id in sorted(truth)))
+def write_ground_truth(
+    path: str | Path, batches: Sequence[RecordBatch], truths: Sequence[GroundTruth]
+) -> None:
+    """Write the ground-truth entry of every record of ``batches``, one line
+    each, sorted by record id; ``truths[i]`` is the truth of ``batches[i]``."""
+    rows = sorted(
+        ((record_id, entry)
+         for batch, truth in zip(batches, truths, strict=True)
+         for record_id, entry in zip(batch.record_id.tolist(),
+                                     gather(truth.entries, truth.index))),
+        key=itemgetter(0),
+    )
+    write_jsonl(path, ({"record_id": record_id, **vars(entry)} for record_id, entry in rows))
 

@@ -78,7 +78,7 @@ def _quarter_products(walkthrough_spec, system, cfg, quarter: int):
         "history": history,
         "ref": ref,
         "batch": batch,
-        "truth": truth,
+        "truth": truth_by_id(batch, truth),
         "outcome": outcome,
         "annotated": annotated,
         "inferred": inferred,
@@ -186,6 +186,13 @@ def tiny_system(
     if demographics is not None:
         data["demographic_profiles"] = demographics
     return from_json(CodeSystem, data)
+
+
+def truth_by_id(batch: RecordBatch, truth: synthgen.GroundTruth) -> dict:
+    """Each record id of ``batch`` mapped to its entry in ``truth``, the
+    batch's ground truth."""
+    return dict(zip(batch.record_id.tolist(), (truth.entries[i] for i in truth.index.tolist()),
+                    strict=True))
 
 
 def as_batch(records) -> RecordBatch:

@@ -179,15 +179,64 @@ WALKTHROUGH_DIGESTS = {
 }
 
 
+# sha256 of every file of the drift-storm run directory (perfbench's second
+# scenario workload) at the acceptance seed.
+DRIFT_STORM_DIGESTS = {
+    "deploy_decision.json": "f3260471cb55456dc44d6f4f83b2529748ffe1a56eace76aa064adbd9c2cf8a1",
+    "dormant_store.json": "3ce65eed0931adba72e1681b855f437814eacc0542508c45ac020bbed82885ec",
+    "influence_dashboard.csv": "a5930787a647ddde2dba39db753136c462b5fa1cdd00b8039f20c84fdb08a514",
+    "prune_log.csv": "8c548ba88af74a941407cdcda863567d44e6b77077fac33c8abd4f2c5195008b",
+    "q1/alerts.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q1/divergence.csv": "dd36d4ffdfd0bda52594dd5ae5672ca124e44272f0de19530474514d0ac510cb",
+    "q1/fidelity_report.csv": "a5c04a50e8be3796b2d4ea4f3dd6621cfb324b828d66d2eb933ecbc616e2b83b",
+    "q1/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q2/alerts.jsonl": "1eddbfe2c3a91e4b20566c100b64fdd30f608085b3075c371e6552aa7171e959",
+    "q2/divergence.csv": "eda6453d7f917940c6737d80df1180fbc9d0a87168bac283aab41a42529cd15a",
+    "q2/fidelity_report.csv": "54c014a003398ab79e28cc5dd977074ed784b450c1dc1abce534f21ab90ea5b8",
+    "q2/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q3/alerts.jsonl": "88d70aada2ad7b2b3858c316f719eec009cdc24cdddf5971b249b01a8cb79321",
+    "q3/divergence.csv": "2d0d1d66e20b0cce1b77def3a1d7cd2113d34b7b8ad80faefed9f02f0f4698f9",
+    "q3/fidelity_report.csv": "5dda9455c58dd7e84316e039aee3d75dd3364a194d8836fcb7e1c9981166282e",
+    "q3/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q4/alerts.jsonl": "aa0e9a8c09238ff81656bdef36304e9f1a85b6f18f18187af6c9e91b86169692",
+    "q4/divergence.csv": "c72c1036e2d6189cf42315173c83596a9e95508309015ec35134db75ddc2daba",
+    "q4/fidelity_report.csv": "169f15d7fda09c3678b8a9cf2780a11afe5ec5829c27896095b3f5205af83416",
+    "q4/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q4/refusal.json": "e6f13a7a6f0398efb3bb421bc6ee1e7c913cf538ece97386b8e10697a785da60",
+    "q5/alerts.jsonl": "2136dbdbaf22a671403840c41104f5ab11d8452c1710fdf2970f52ed3dc79a0e",
+    "q5/divergence.csv": "b1d4680e924aa77879ca2e98e72564047c7e2d62d9f280442d42b5e95ce6a2ec",
+    "q5/fidelity_report.csv": "43be2998cc0fc4ef358ffa423935ed44c9f72313f7e229b23f41d02a9eaec1c4",
+    "q5/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q5/refusal.json": "8dbac4cc987e9e2c8680e5d60105fa5907293e8b225f62dd51c40c4e3296ac5c",
+    "q6/alerts.jsonl": "71b1b88143e8798d46e12901df0bcdbfccc18c5446dca3020846d2828e812d16",
+    "q6/divergence.csv": "9c30a006a67c3ddbf9582b0347be57b5c68a5702cb294a3a144a231d744b705a",
+    "q6/fidelity_report.csv": "fb19fb0fab216fbc5ce0517d5b32b49c29262a096865d13c4237d04aba6be6c4",
+    "q6/quarantine.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "q6/refusal.json": "b4b8e734a0ca23cbd8dca499350930f431b5f5b3da2f4e645cb51cf86a72fc9b",
+    "report.json": "c22f20596961089bab945f3236a27bc14e16475892ca68e56b7bb2a5ea40442d",
+    "report.txt": "97cc3f55391612223f2f7602b5bd335477789108712f2baa9b3b7e3c69bc0737",
+}
+
+
+def run_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file under ``out``, by its relative path."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*") if path.is_file()
+    }
+
+
 class TestGolden:
     def test_walkthrough_run_files(self, scenario_run):
         """Pins every byte the walkthrough writes, so a serialisation change shows."""
-        out = scenario_run["out_dir"]
-        digests = {
-            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in out.rglob("*") if path.is_file()
-        }
-        assert digests == WALKTHROUGH_DIGESTS
+        assert run_digests(scenario_run["out_dir"]) == WALKTHROUGH_DIGESTS
+
+    def test_drift_storm_run_files(self, tmp_path):
+        """Pins every byte of the drift-storm run, which onsets every distortion
+        and opens the breaker."""
+        spec = harness.load_scenario(Path(__file__).parents[1] / "perfbench" / "drift_storm.json")
+        harness.run_scenario(spec, SEED, tmp_path)
+        assert run_digests(tmp_path) == DRIFT_STORM_DIGESTS
 
 
 class TestRecordOrder:

@@ -5,11 +5,12 @@ import io
 import json
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEED
+from conftest import SEED, tiny_system, truth_by_id
 from ontoguard import synthgen
 from ontoguard.model import (
     RecordBatch,
@@ -57,7 +58,7 @@ class TestGenerateBatch:
     def test_zero_records(self, bundled_system):
         records, truth = synthgen.generate_batch(bundled_system, simple_spec(), 0, 1)
         assert len(records) == 0
-        assert len(truth) == 0
+        assert len(truth.index) == 0
 
     def test_exact_count_for_lagging_institution(self, bundled_system):
         # 6.4% weight over 50,000 records lands on exactly 3,200.
@@ -67,6 +68,7 @@ class TestGenerateBatch:
             version_mix={"INST-LAG": "2024"},
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 50_000, SEED)
+        truth = truth_by_id(records, truth)
         lagging = [r for r in records if r.version_tag == "2024"]
         assert len(lagging) == 3_200
         assert all(r.institution_id == "INST-LAG" for r in lagging)
@@ -118,6 +120,7 @@ class TestGenerateBatch:
             catch_all=(synthgen.CatchAllSpec("INST-A", "DM2-UNSPEC", 1.0),),
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 20_000, SEED)
+        truth = truth_by_id(records, truth)
         rewritten = [
             r for r in records
             if "catch_all" in truth[r.record_id].distortion_labels
@@ -133,6 +136,35 @@ class TestGenerateBatch:
                 assert r.primary_code == "DM2-UNSPEC"
 
 
+    def test_zero_weight_co_code_is_never_drawn(self):
+        # Rows draw two co-codes from a support with one positive weight:
+        # the zero-weight code stays out rather than filling the second slot.
+        system = tiny_system(base_prevalence={"AAA": 1.0},
+                             cooccurrence={"AAA": {"BBB": 1.0, "CCC": 0.0}})
+        spec = synthgen.DistortionSpec(institutions=(InstitutionWeight("I", 1.0),),
+                                       current_version="v2")
+        records, _ = synthgen.generate_batch(system, spec, 1_000, SEED)
+        assert {r.co_codes for r in records} == {frozenset({"BBB"})}
+
+
+@st.composite
+def bool_matrices(draw):
+    """1-300 rows of width 1-12, drawn from a small pool so rows repeat."""
+    width = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=20))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    return (np.array(rows)[:, None] >> np.arange(width)) & 1 == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks=bool_matrices())
+def test_group_rows_is_np_unique_by_rows(masks):
+    distinct, inverse = synthgen._group_rows(masks)
+    expected, expected_inverse = np.unique(masks, axis=0, return_inverse=True)
+    assert distinct.tolist() == expected.tolist()
+    assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
+
+
 class TestQuarterSeries:
     def test_influence_schedule_fractions(self, bundled_system):
         spec = simple_spec(
@@ -145,11 +177,11 @@ class TestQuarterSeries:
 
     def test_all_zero_schedule_means_no_tags(self, bundled_system):
         spec = simple_spec(ai_influence=synthgen.AIInfluenceSpec("m1", (0.0, 0.0)))
-        batches, truth = synthgen.generate_quarter_series(bundled_system, spec, 2, 5_000, SEED)
+        batches, truths = synthgen.generate_quarter_series(bundled_system, spec, 2, 5_000, SEED)
         for batch in batches:
             assert all(r.influence_tag is None for r in batch)
         assert all("ai_influenced" not in e.distortion_labels
-                   for e in truth.values())
+                   for truth in truths for e in truth.entries)
 
     def test_outbreak_prevalence_ratio(self, bundled_system):
         spec = simple_spec(
@@ -187,6 +219,7 @@ class TestInvariants:
             ai_influence=synthgen.AIInfluenceSpec("m1", (0.1,)),
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 20_000, 7)
+        truth = truth_by_id(records, truth)
         for record in records:
             entry = truth[record.record_id]
             if record.primary_code != entry.true_clinical_code:
@@ -204,9 +237,9 @@ class TestInvariants:
 
     def test_ground_truth_round_trip(self, bundled_system, tmp_path):
         spec = simple_spec(ai_influence=synthgen.AIInfluenceSpec("m1", (0.2,)))
-        _, truth = synthgen.generate_batch(bundled_system, spec, 500, 5)
+        records, truth = synthgen.generate_batch(bundled_system, spec, 500, 5)
         path = tmp_path / "truth.jsonl"
-        synthgen.write_ground_truth(path, truth)
+        synthgen.write_ground_truth(path, [records], [truth])
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         loaded = {
             row["record_id"]: synthgen.GroundTruthEntry(
@@ -214,7 +247,7 @@ class TestInvariants:
             )
             for row in rows
         }
-        assert loaded == truth
+        assert loaded == truth_by_id(records, truth)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=SPECS)
@@ -246,10 +279,11 @@ ALL_DISTORTIONS = {
 }
 
 
-def output_digest(tmp_path, records, truth):
-    """sha256 of the records file followed by the ground-truth file."""
+def output_digest(tmp_path, records, batches, truths):
+    """sha256 of the records file of ``records`` followed by the ground-truth
+    file of ``batches``."""
     write_records(tmp_path / "records.jsonl", records)
-    synthgen.write_ground_truth(tmp_path / "truth.jsonl", truth)
+    synthgen.write_ground_truth(tmp_path / "truth.jsonl", batches, truths)
     digest = hashlib.sha256()
     for name in ("records.jsonl", "truth.jsonl"):
         digest.update((tmp_path / name).read_bytes())
@@ -274,16 +308,16 @@ class TestGolden:
             window=synthgen.quarter_window(date(2025, 1, 1), 2),
             id_prefix="G", quarter_index=2,
         )
-        labels = set().union(*(e.distortion_labels for e in truth.values()))
+        labels = set().union(*(e.distortion_labels for e in truth.entries))
         assert labels == {label.value for label in synthgen.DistortionLabel}
-        assert output_digest(tmp_path, records, truth) == expected
+        assert output_digest(tmp_path, records, [records], [truth]) == expected
 
     def test_quarter_series(self, bundled_system, tmp_path):
         spec = from_json(synthgen.DistortionSpec, ALL_DISTORTIONS)
-        batches, truth = synthgen.generate_quarter_series(
+        batches, truths = synthgen.generate_quarter_series(
             bundled_system, spec, 3, 2_000, SEED
         )
         records = RecordBatch.from_records(r for batch in batches for r in batch)
-        assert output_digest(tmp_path, records, truth) == (
+        assert output_digest(tmp_path, records, batches, truths) == (
             "08d41d872ceeffe2462d5c23785b2cb427b85e152b3ab44bf71ffbd72ab33eb1"
         )
