@@ -32,6 +32,7 @@ from . import synthgen as synthgen_mod
 from . import version_gate as gate_mod
 from .model import (
     BatchProfile,
+    CodeSystem,
     Layer,
     StageError,
     TimeWindow,
@@ -71,7 +72,8 @@ STAGE_LAYERS = {
 class ScenarioSpec:
     """A scenario file. Its file references resolve against the file's
     directory; ``layer_notes`` is free text on what each distortion
-    exercises, which the run never reads."""
+    exercises, which the run never reads. ``system`` is the code system
+    that ``load_scenario`` loaded from ``code_system_path``; no file holds it."""
 
     name: str
     code_system_path: Path = field(metadata={"json": "code_system"})
@@ -89,6 +91,8 @@ class ScenarioSpec:
     deploy_context: Mapping[str, compliance_mod.ContextValue] = field(default_factory=dict)
     assertions: tuple[Mapping[str, Any], ...] = ()
     layer_notes: Mapping[str, str] = field(default_factory=dict)
+    system: CodeSystem | None = field(default=None, repr=False, compare=False,
+                                      metadata={"json": None})
 
     def __post_init__(self) -> None:
         for name in ("quarters", "n_per_quarter"):
@@ -124,7 +128,7 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     Relative file references resolve against the spec file's directory, and
     every referenced file must exist at load time. The codes of
     ``significance_list`` and ``activation_conditions`` must be defined by
-    the code system.
+    the code system, which is loaded here once and kept as ``spec.system``.
     """
     path = Path(name_or_path)
     if not path.exists():
@@ -141,7 +145,7 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
                         ("activation_conditions", spec.activation_conditions)):
         if unknown := sorted(codes.keys() - defined):
             raise ValidationError(f"scenario file {path} {name} lists unknown code {unknown[0]!r}")
-    return spec
+    return replace(spec, system=system)
 
 
 def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
@@ -181,12 +185,13 @@ def _period_label(window: TimeWindow) -> str:
 def run_scenario(
     spec: ScenarioSpec, seed: int, out_dir: str | Path
 ) -> RunReport:
-    """Run the full pipeline over the scenario's quarters; deterministic for
-    a fixed seed. Any stage failure surfaces with its stage name and quarter.
+    """Run the full pipeline over the scenario's quarters, on the code system
+    that ``load_scenario`` loaded; deterministic for a fixed seed. Any stage
+    failure surfaces with its stage name and quarter.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    system = load_code_system(spec.code_system_path)
+    system = spec.system
     cfg = load_config(spec.config_path)
     adapters = [compliance_mod.load_adapter(p) for p in spec.adapter_paths]
     tracer = _Tracer()

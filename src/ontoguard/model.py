@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Mapping as AbcMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
@@ -218,9 +219,11 @@ def _shape(tp: Any) -> _Shape:
 def _plan(cls: type) -> tuple[Mapping[str, tuple[str, _Shape]], tuple[str, ...]]:
     """Each JSON key of dataclass ``cls`` with its field and shape, and the
     required keys. A key is its field's name unless ``metadata["json"]``
-    names it; fields outside ``__init__`` have none."""
+    names it; fields outside ``__init__``, and fields whose
+    ``metadata["json"]`` is None, have none."""
     hints = get_type_hints(cls)
-    keyed = [(f.metadata.get("json", f.name), f) for f in fields(cls) if f.init]
+    keyed = [(key, f) for f in fields(cls)
+             if f.init and (key := f.metadata.get("json", f.name)) is not None]
     return ({key: (f.name, _shape(hints[f.name])) for key, f in keyed},
             tuple(key for key, f in keyed
                   if f.default is MISSING and f.default_factory is MISSING))
@@ -250,11 +253,11 @@ def from_json(tp: Any, data: Any) -> Any:
     an Enum a member's value, ``X | None`` also null, a union of scalars
     exactly those types, tuples and frozensets a list, ``Mapping[str, X]``
     an object, and a dataclass an object keyed by its fields' names or
-    ``metadata["json"]``. An absent key takes the field's default, an
-    unknown key is a fault, and range checks are each class's own
-    ``__post_init__``. A fault names its path, as in ``rules[0].when[1].key
-    must be a string, got 5``; a dataclass missing a required key at the
-    top raises KeyError.
+    ``metadata["json"]`` (None for a field no file holds). An absent key
+    takes the field's default, an unknown key is a fault, and range checks
+    are each class's own ``__post_init__``. A fault names its path, as in
+    ``rules[0].when[1].key must be a string, got 5``; a dataclass missing a
+    required key at the top raises KeyError.
     """
     if not is_dataclass(tp):
         return _at("", _shape(tp), data)
@@ -606,9 +609,11 @@ class RecordBatch:
     table of distinct values. ``codes`` serves both code layers, and the
     ``age_band`` and ``sex`` columns index ``AGE_BANDS`` and ``SEXES``.
     Co-code sets and UTC offsets are interned the same way, and
-    ``fidelity`` indexes ``annotations``, which rows annotated together
-    share. Index -1 stands for None: no clinical code, no annotation, or a
-    naive timestamp. ``times`` holds each encounter's wall-clock time.
+    ``fidelity`` indexes ``annotations``: rows share an entry when they
+    share one annotation object, as rows annotated together do and as rows
+    read from one records file with the same fidelity text do. Index -1
+    stands for None: no clinical code, no annotation, or a naive
+    timestamp. ``times`` holds each encounter's wall-clock time.
 
     Stages read and write the columns. Iterating yields each row as a
     ``CodedRecord``, built on demand, for the files and the oracles.
@@ -635,8 +640,10 @@ class RecordBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[CodedRecord]) -> RecordBatch:
-        """The batch of ``records``. Fidelity annotations are not merged, so
-        each row keeps its own, written back exactly as it was read."""
+        """The batch of ``records``. Rows share an ``annotations`` entry only
+        when they hold the same annotation object, so equal annotations
+        written differently (``-0.0``, ``0`` and ``0.0`` are equal) each keep
+        their own and are written back as they were read."""
         return cls._from_rows(vars(record).values() for record in records)
 
     @classmethod
@@ -649,13 +656,18 @@ class RecordBatch:
         while block := list(islice(rows, 4096)):
             for values, fields_of_block in zip(column.values(), zip(*block)):
                 values.extend(fields_of_block)
+        return cls._from_columns(column)
+
+    @classmethod
+    def _from_columns(cls, column: Mapping[str, list[Any]]) -> RecordBatch:
+        """The batch whose rows hold ``column[name][i]`` as field ``name`` of row ``i``."""
         times = column["encounter_time"]
         zone, zones = _intern([when.tzinfo for when in times])
         if zones:
             times = [when.replace(tzinfo=None) for when in times]
         code, codes = _intern(column["primary_code"])
         clinical, codes = _intern(column["clinical_code"], codes)
-        annotated = np.array([a is not None for a in column["fidelity"]], dtype=bool)
+        shared = {id(a): a for a in column["fidelity"] if a is not None}  # first-seen order
         institution, institutions = _intern(column["institution_id"])
         version, versions = _intern(column["version_tag"])
         co, co_sets = _intern(column["co_codes"])
@@ -669,8 +681,9 @@ class RecordBatch:
             institution=institution, institutions=institutions,
             code=code, clinical=clinical, codes=codes, version=version, versions=versions,
             co=co, co_sets=co_sets, influence=np.array(column["influence_tag"], dtype=object),
-            fidelity=np.where(annotated, np.cumsum(annotated) - 1, -1).astype(np.int32),
-            annotations=tuple(a for a in column["fidelity"] if a is not None),
+            fidelity=_intern([None if a is None else id(a) for a in column["fidelity"]],
+                             shared)[0],
+            annotations=tuple(shared.values()),
         )
 
     def __len__(self) -> int:
@@ -847,12 +860,61 @@ def _unknown_keys(where: str, data: dict, known: frozenset[str]) -> ValidationEr
     return ValidationError(f"{where} has unknown keys {sorted(data.keys() - known)}")
 
 
+# Each check below takes one field's JSON value and returns the field's
+# value; ``_record_row`` and the canonical-line reader share them.
+def _co_codes(value: Any) -> frozenset[str]:
+    if type(value) is not list:
+        raise _field_error("co_codes", value)
+    for co in value:
+        if type(co) is not str:
+            raise _field_error("co_codes", co)
+    return frozenset(value)
+
+
+def _clinical_code(value: Any) -> str | None:
+    if value is not None and type(value) is not str:
+        raise _field_error("clinical_code", value)
+    return value
+
+
+def _influence_tag(tag: Any) -> InfluenceTag | None:
+    if tag is None:
+        return None
+    if type(tag) is not dict:
+        raise _field_error("influence_tag", tag)
+    if not tag.keys() <= _TAG_KEYS:
+        raise _unknown_keys("record field 'influence_tag'", tag, _TAG_KEYS)
+    if type(tag["model_version"]) is not str:
+        raise _field_error("model_version", tag["model_version"])
+    if type(tag["clinician_modified"]) is not bool:
+        raise _field_error("clinician_modified", tag["clinician_modified"])
+    return InfluenceTag(
+        tag["model_version"], _number(tag, "model_confidence"), tag["clinician_modified"])
+
+
+def _fidelity(fid: Any) -> FidelityAnnotation | None:
+    if fid is None:
+        return None
+    if type(fid) is not dict:
+        raise _field_error("fidelity", fid)
+    if not fid.keys() <= _FIDELITY_KEYS:
+        raise _unknown_keys("record field 'fidelity'", fid, _FIDELITY_KEYS)
+    if type(fid["rationale"]) is not str:
+        raise _field_error("rationale", fid["rationale"])
+    return FidelityAnnotation(
+        _number(fid, "score"), _number(fid, "prevalence_subscore"),
+        _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
+        fid["rationale"],
+    )
+
+
 def _record_row(data: Any) -> tuple[Any, ...]:
     """One record's field values in field order, checked as ``CodedRecord`` checks them.
 
     A missing, mistyped or unknown field raises a ValidationError naming
-    it. The type checks are plain ``type(...) is`` tests because every
-    record read from a JSON Lines file passes through here.
+    it; this is the one place such a message is worded. The type checks
+    are plain ``type(...) is`` tests, and a missing key of a field's
+    object is a missing field.
     """
     if type(data) is not dict:
         raise ValidationError(f"record must be a JSON object, got {type(data).__name__}")
@@ -862,15 +924,8 @@ def _record_row(data: Any) -> tuple[Any, ...]:
         for name in _STRING_FIELDS:
             if type(data[name]) is not str:
                 raise _field_error(name, data[name])
-        co_codes = data["co_codes"]
-        if type(co_codes) is not list:
-            raise _field_error("co_codes", co_codes)
-        for co in co_codes:
-            if type(co) is not str:
-                raise _field_error("co_codes", co)
-        clinical_code = data.get("clinical_code")
-        if clinical_code is not None and type(clinical_code) is not str:
-            raise _field_error("clinical_code", clinical_code)
+        co_codes = _co_codes(data["co_codes"])
+        clinical_code = _clinical_code(data.get("clinical_code"))
         try:
             encounter_time = datetime.fromisoformat(data["encounter_time"])
         except ValueError:
@@ -878,54 +933,98 @@ def _record_row(data: Any) -> tuple[Any, ...]:
                 "record field 'encounter_time' is not an ISO 8601 timestamp: "
                 f"{data['encounter_time']!r}"
             ) from None
-        tag = data.get("influence_tag")
-        if tag is not None:
-            if type(tag) is not dict:
-                raise _field_error("influence_tag", tag)
-            if not tag.keys() <= _TAG_KEYS:
-                raise _unknown_keys("record field 'influence_tag'", tag, _TAG_KEYS)
-            if type(tag["model_version"]) is not str:
-                raise _field_error("model_version", tag["model_version"])
-            if type(tag["clinician_modified"]) is not bool:
-                raise _field_error("clinician_modified", tag["clinician_modified"])
-            tag = InfluenceTag(
-                tag["model_version"], _number(tag, "model_confidence"), tag["clinician_modified"]
-            )
-        fid = data.get("fidelity")
-        if fid is not None:
-            if type(fid) is not dict:
-                raise _field_error("fidelity", fid)
-            if not fid.keys() <= _FIDELITY_KEYS:
-                raise _unknown_keys("record field 'fidelity'", fid, _FIDELITY_KEYS)
-            if type(fid["rationale"]) is not str:
-                raise _field_error("rationale", fid["rationale"])
-            fid = FidelityAnnotation(
-                _number(fid, "score"), _number(fid, "prevalence_subscore"),
-                _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
-                fid["rationale"],
-            )
+        tag = _influence_tag(data.get("influence_tag"))
+        fid = _fidelity(data.get("fidelity"))
         age_band, sex = data["patient_age_band"], data["patient_sex"]
         _check_patient(age_band, sex)
         return (data["record_id"], age_band, sex, data["institution_id"], encounter_time,
-                data["primary_code"], frozenset(co_codes), data["version_tag"], tag, fid,
-                clinical_code)
+                data["primary_code"], co_codes, data["version_tag"], tag, fid, clinical_code)
     except KeyError as exc:
         raise ValidationError(f"record missing field {exc.args[0]!r}") from None
 
 
+# One records-file line with each field's JSON text in the place of its
+# ``{}``, keys sorted as ``jsonl_dumps`` sorts them.
+_LINE_FIELDS = sorted(_RECORD_FIELDS)
+_LINE = "{{" + ",".join(f"{jsonl_dumps(name)}:{{}}" for name in _LINE_FIELDS) + "}}\n"
+
+# The same line as a pattern. A JSON string with no escape or control
+# character is its own text, so a string field is captured without its
+# quotes; every other field is captured as its JSON text. A line that
+# matches is a JSON object with exactly the record's keys, and each capture
+# decodes to the value that ``json.loads`` of the whole line holds there.
+_STRING_TEXT = r'"([^"\\\x00-\x1f]*)"'
+_OBJECT_TEXT = r"(null|\{[^{}\n]*\})"
+_TEXT = {"clinical_code": r'(null|"[^"\\\x00-\x1f]*")', "co_codes": r"(\[[^\]\n]*\])",
+         "influence_tag": _OBJECT_TEXT, "fidelity": _OBJECT_TEXT}
+_CANONICAL = re.compile(r"^\{" + ",".join(
+    f"{re.escape(jsonl_dumps(name))}:{_TEXT.get(name, _STRING_TEXT)}" for name in _LINE_FIELDS
+) + r"\}$", re.MULTILINE)
+
+# Each interned field's value from one of its distinct captured texts,
+# checked as ``_record_row`` checks it; record ids and encounter times are
+# kept per row instead.
+_DECODE: Mapping[str, Callable[[str], Any]] = {
+    "co_codes": lambda text: _co_codes(json.loads(text)),
+    "clinical_code": lambda text: _clinical_code(json.loads(text)),
+    "influence_tag": lambda text: _influence_tag(json.loads(text)),
+    "fidelity": lambda text: _fidelity(json.loads(text)),
+    "patient_age_band": lambda text: AGE_BANDS[AGE_BANDS.index(text)],
+    "patient_sex": lambda text: SEXES[SEXES.index(text)],
+    "institution_id": _identity, "primary_code": _identity, "version_tag": _identity,
+}
+
+# Lines read and matched at a time: enough that matching and moving a
+# block's fields run in C, few enough that a block's text stays small.
+_BLOCK_LINES = 1024
+
+
+def _canonical_columns(path: str | Path) -> dict[str, list[Any]] | None:
+    """Each field's values, one a line, of a records file whose every line
+    matches ``_CANONICAL`` and passes its checks; None for any other file.
+
+    The file is read a block of lines at a time. Each distinct text of a
+    field is decoded and checked once, and every row holding it shares
+    its value; only record ids and encounter times are kept per row.
+    """
+    column: dict[str, list[Any]] = {name: [] for name in _LINE_FIELDS}
+    values: dict[str, dict[str, Any]] = {name: {} for name in _DECODE}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while lines := list(islice(fh, _BLOCK_LINES)):
+                rows = _CANONICAL.findall("".join(lines))
+                if len(rows) != len(lines):
+                    return None
+                for name, texts in zip(_LINE_FIELDS, zip(*rows)):
+                    if name not in values:
+                        column[name].extend(texts)
+                        continue
+                    value = values[name]
+                    for text in set(texts).difference(value):
+                        value[text] = _DECODE[name](text)
+                    column[name].extend(map(value.__getitem__, texts))
+        column["encounter_time"] = list(map(datetime.fromisoformat, column["encounter_time"]))
+    except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
+        return None
+    return column
+
+
 def read_records(path: str | Path) -> RecordBatch:
-    """The batch a records file holds, one JSON object per line."""
-    return RecordBatch._from_rows(iter_jsonl(path, _record_row))
+    """The batch a records file holds, one JSON object per line.
+
+    A file that ``write_records`` wrote is read by ``_canonical_columns``.
+    Any other file, and any file with a fault, is read line by line through
+    ``_record_row``, which names the fault and its ``path:line``.
+    """
+    column = _canonical_columns(path)
+    if column is None:
+        return RecordBatch._from_rows(iter_jsonl(path, _record_row))
+    return RecordBatch._from_columns(column)
 
 
 def _entries(table: Sequence[Any], index: np.ndarray) -> list[str]:
     """Each row's JSON text of ``table[index]``, encoding each entry once; -1 gives null."""
     return np.array([*map(jsonl_dumps, table), "null"], dtype=object)[index].tolist()
-
-
-# One records-file line with each field's JSON text in the place of its
-# ``{}``, keys sorted as ``jsonl_dumps`` sorts them.
-_LINE = "{{" + ",".join(f"{jsonl_dumps(name)}:{{}}" for name in sorted(_RECORD_FIELDS)) + "}}\n"
 
 
 def write_records(path: str | Path, records: RecordBatch) -> None:
@@ -945,7 +1044,7 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
         "fidelity": _entries(records.annotations, records.fidelity),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_LINE.format, *(text[name] for name in sorted(_RECORD_FIELDS))))
+        fh.writelines(map(_LINE.format, *(text[name] for name in _LINE_FIELDS)))
 
 
 # ---------------------------------------------------------------------------

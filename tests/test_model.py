@@ -320,6 +320,156 @@ def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == text
 
 
+
+def _rows_or_error(read):
+    """Each row ``read()`` gives as ``jsonl_dumps`` writes it, or its ValidationError text."""
+    try:
+        return [jsonl_dumps(row) for row in read()]
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _row_reader(path):
+    """What ``_record_row`` reads from each line of ``path``, as records."""
+    return (dict(zip(model._RECORD_FIELDS, row))
+            for row in model.iter_jsonl(path, model._record_row))
+
+
+_BLOCK = model._BLOCK_LINES
+_ANNOTATION = {"cooccurrence_subscore": 0.5, "institutional_subscore": 0.5,
+               "prevalence_subscore": 0.5, "rationale": "r", "score": 0.5}
+# Each turns one line's JSON object into the text of one or more lines.
+_MUTATIONS = {
+    "reordered-keys": lambda data: json.dumps(dict(reversed(data.items())), separators=(",", ":"),
+                                              ensure_ascii=False) + "\n",
+    "added-spaces": lambda data: json.dumps(data, sort_keys=True, ensure_ascii=False) + "\n",
+    "escaped-characters": lambda data: json.dumps(
+        {**data, "institution_id": data["institution_id"] + 'é"/',
+         "co_codes": [*data["co_codes"], "\\]"]}, sort_keys=True, separators=(",", ":")) + "\n",
+    "crlf": lambda data: jsonl_dumps(data) + "\r\n",
+    "blank-lines": lambda data: "\n" + jsonl_dumps(data) + "\n  \n",
+    "unknown-key": lambda data: jsonl_dumps({**data, "extra": 1}) + "\n",
+    "missing-key": lambda data: jsonl_dumps({k: v for k, v in data.items() if k != "version_tag"})
+    + "\n",
+    "record-id-int": lambda data: jsonl_dumps({**data, "record_id": 7}) + "\n",
+    "co-codes-string": lambda data: jsonl_dumps({**data, "co_codes": "LAB"}) + "\n",
+    "unknown-sex": lambda data: jsonl_dumps({**data, "patient_sex": "unknown"}) + "\n",
+    "time-not-iso": lambda data: jsonl_dumps({**data, "encounter_time": "notatime"}) + "\n",
+    "score-out-of-range": lambda data: jsonl_dumps(
+        {**data, "fidelity": {**(data["fidelity"] or _ANNOTATION), "score": 1.5}}) + "\n",
+    "confidence-out-of-range": lambda data: jsonl_dumps(
+        {**data, "influence_tag": {"clinician_modified": False, "model_confidence": 2,
+                                   "model_version": "m"}}) + "\n",
+    "rationale-int": lambda data: jsonl_dumps(
+        {**data, "fidelity": {**_ANNOTATION, "rationale": 3}}) + "\n",
+    "not-json": lambda data: jsonl_dumps(data)[:-1] + "\n",
+}
+
+
+def _assert_read_as_the_row_reader_reads(path, lines):
+    path.write_bytes("".join(lines).encode("utf-8"))
+    assert _rows_or_error(lambda: read_records(path)) == _rows_or_error(lambda: _row_reader(path))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(RECORDS, min_size=1, max_size=6),
+       mutation=st.none() | st.sampled_from(sorted(_MUTATIONS)), where=st.integers(0, 5),
+       filler=st.sampled_from([0, _BLOCK - 2, _BLOCK - 1, _BLOCK]))
+def test_read_records_reads_what_the_row_reader_reads(tmp_path, records, mutation, where,
+                                                        filler):
+    # ``filler`` canonical lines come first, so the mutated line lands
+    # before, at or after the boundary between the first two blocks.
+    lines = [jsonl_dumps(make_record()) + "\n"] * filler
+    lines += [jsonl_dumps(record) + "\n" for record in records]
+    if mutation is not None:
+        at = filler + where % len(records)
+        lines[at] = _MUTATIONS[mutation](json.loads(lines[at]))
+    _assert_read_as_the_row_reader_reads(tmp_path / "records.jsonl", lines)
+
+
+@pytest.mark.parametrize("line", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_each_mutation_reads_as_the_row_reader_reads(tmp_path, mutation, line):
+    # Most hostile records need escapes, which send the whole file to the
+    # row reader; these files are canonical but for line ``line``.
+    records = [
+        make_record(f"R-{i}", when=datetime(2025, 2, 15, i % 24, tzinfo=timezone.utc),
+                    co_codes=["LAB-A1C"][:i % 2], clinical_code="DM2-HYPER" if i % 3 else None,
+                    influence_tag=InfluenceTag("m-1", 0.5, True) if i % 2 else None,
+                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok") if i % 5 else None)
+        for i in range(_BLOCK + 2)
+    ]
+    lines = [jsonl_dumps(record) + "\n" for record in records]
+    lines[line - 1] = _MUTATIONS[mutation](json.loads(lines[line - 1]))
+    _assert_read_as_the_row_reader_reads(tmp_path / "records.jsonl", lines)
+
+
+def test_reading_a_file_write_records_wrote_never_calls_the_row_reader(tmp_path, monkeypatch):
+    # A file write_records wrote takes the canonical-line reader; if it fell
+    # back to the line-by-line reader, every result would stay the same and
+    # only the speed would be lost.
+    india = timezone(timedelta(hours=5, minutes=30))
+    records = [
+        make_record(f"R-{i}",
+                    when=datetime(2025, 2, 15, 12, i % 60, tzinfo=india if i % 3 else None),
+                    code=f"C-{i % 7}", co_codes=[f"X-{i % 5}", f"Y-{i % 2}"][:i % 3],
+                    influence_tag=InfluenceTag("m-1", i / 4000, i % 2 == 0) if i % 4 else None,
+                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, f"r{i % 9}") if i % 5 else None,
+                    clinical_code=f"C-{i % 11}" if i % 6 else None)
+        for i in range(2 * _BLOCK + 5)
+    ]
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    write_records(path, RecordBatch.from_records(records))
+
+    def refuse(data):
+        raise AssertionError("a line was read by _record_row")
+
+    monkeypatch.setattr(model, "_record_row", refuse)
+    batch = read_records(path)
+    assert list(batch) == records
+    assert len(batch.annotations) == 9
+    write_records(again, batch)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_fault_in_the_first_line_after_the_first_block_is_named(tmp_path):
+    good = jsonl_dumps(make_record()) + "\n"
+    bad = jsonl_dumps({**record_dict(make_record()), "patient_sex": "x"}) + "\n"
+    path = tmp_path / "records.jsonl"
+    path.write_text(good * _BLOCK + bad + good, encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=rf"records\.jsonl:{_BLOCK + 1}: unknown sex: 'x'$"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\n"], ids=["empty", "blank", "blank-lines"])
+def test_file_without_records_reads_as_an_empty_batch(tmp_path, text):
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    path.write_text(text, encoding="utf-8")
+    batch = read_records(path)
+    assert len(batch) == 0 and list(batch) == []
+    write_records(again, batch)
+    assert again.read_text(encoding="utf-8") == ""
+
+
+def test_read_back_annotations_are_shared_by_text(tmp_path):
+    # -0.0, 0 and 0.0 are equal numbers but different texts: each keeps an
+    # entry of its own, and lines with the same text share one.
+    lines = [
+        jsonl_dumps({**record_dict(make_record(f"R-{i}")), "fidelity": {**_ANNOTATION,
+                                                                         "score": score}})
+        for i, score in enumerate([-0.0, 0, 0.0, 0.0, -0.0])
+    ]
+    text = "".join(line + "\n" for line in lines)
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    path.write_text(text, encoding="utf-8")
+    batch = read_records(path)
+    assert len(batch.annotations) == 3
+    assert batch.fidelity.tolist() == [0, 1, 2, 2, 0]
+    write_records(again, batch)
+    assert again.read_text(encoding="utf-8") == text
+
 class TestTimeWindow:
     def test_inverted_window_rejected(self):
         with pytest.raises(ValidationError):
