@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
 from functools import cache, partial
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from types import UnionType
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
@@ -593,7 +593,20 @@ def _record(values: Iterable[Any]) -> CodedRecord:
     vars(record).update(zip(_RECORD_FIELDS, values))
     record.__post_init__()
     return record
+
+
 _EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
+
+
+def _wall_clock(whens: Sequence[datetime],
+                zones: dict[tzinfo, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each time's wall-clock time, and its UTC offset's number in ``zones``
+    (-1 when naive), numbering new offsets as first seen."""
+    zone = [-1 if when.tzinfo is None else zones.setdefault(when.tzinfo, len(zones))
+            for when in whens]
+    wall = np.fromiter(((when.replace(tzinfo=None) - _EPOCH) // _MICROSECOND for when in whens),
+                       np.int64, len(whens))
+    return wall.astype("datetime64[us]"), np.array(zone, np.int32)
 
 
 # The per-row fields of a RecordBatch; every other field is a table.
@@ -656,34 +669,39 @@ class RecordBatch:
         while block := list(islice(rows, 4096)):
             for values, fields_of_block in zip(column.values(), zip(*block)):
                 values.extend(fields_of_block)
-        return cls._from_columns(column)
+        zones: dict[tzinfo, int] = {}
+        return cls._from_columns(column, *_wall_clock(column["encounter_time"], zones), zones)
 
     @classmethod
-    def _from_columns(cls, column: Mapping[str, list[Any]]) -> RecordBatch:
-        """The batch whose rows hold ``column[name][i]`` as field ``name`` of row ``i``."""
-        times = column["encounter_time"]
-        zone, zones = _intern([when.tzinfo for when in times])
-        if zones:
-            times = [when.replace(tzinfo=None) for when in times]
+    def _from_columns(cls, column: Mapping[str, Sequence[Any]], times: np.ndarray,
+                      zone: np.ndarray, zones: Iterable[tzinfo],
+                      row: Mapping[str, np.ndarray] | None = None) -> RecordBatch:
+        """The batch with columns ``times`` and ``zone`` over ``zones`` whose
+        row ``i`` holds ``column[name][row[name][i]]`` as interned field
+        ``name``, or ``column[name][i]`` when ``row`` is None, and its own
+        record id and influence tag. Tables are in first-seen order of
+        ``column``'s values."""
+        def index(name: str, position: np.ndarray) -> np.ndarray:
+            return position if row is None else position[row[name]]
+
         code, codes = _intern(column["primary_code"])
         clinical, codes = _intern(column["clinical_code"], codes)
         shared = {id(a): a for a in column["fidelity"] if a is not None}  # first-seen order
         institution, institutions = _intern(column["institution_id"])
         version, versions = _intern(column["version_tag"])
         co, co_sets = _intern(column["co_codes"])
+        fidelity = _intern([None if a is None else id(a) for a in column["fidelity"]], shared)[0]
         return cls(
             record_id=np.array(column["record_id"], dtype=object),
-            times=np.fromiter(((when - _EPOCH) // _MICROSECOND for when in times), np.int64,
-                              len(times)).astype("datetime64[us]"),
-            zone=zone, zones=zones,
-            age_band=_intern(column["patient_age_band"], AGE_BANDS)[0],
-            sex=_intern(column["patient_sex"], SEXES)[0],
-            institution=institution, institutions=institutions,
-            code=code, clinical=clinical, codes=codes, version=version, versions=versions,
-            co=co, co_sets=co_sets, influence=np.array(column["influence_tag"], dtype=object),
-            fidelity=_intern([None if a is None else id(a) for a in column["fidelity"]],
-                             shared)[0],
-            annotations=tuple(shared.values()),
+            times=times, zone=zone, zones=tuple(zones),
+            age_band=index("patient_age_band", _intern(column["patient_age_band"], AGE_BANDS)[0]),
+            sex=index("patient_sex", _intern(column["patient_sex"], SEXES)[0]),
+            institution=index("institution_id", institution), institutions=institutions,
+            code=index("primary_code", code), clinical=index("clinical_code", clinical),
+            codes=codes, version=index("version_tag", version), versions=versions,
+            co=index("co_codes", co), co_sets=co_sets,
+            influence=np.array(column["influence_tag"], dtype=object),
+            fidelity=index("fidelity", fidelity), annotations=tuple(shared.values()),
         )
 
     def __len__(self) -> int:
@@ -704,18 +722,12 @@ class RecordBatch:
         zone = self.zone[row]
         return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
 
-    def encounter_times(self) -> list[datetime]:
-        """Each row's encounter time, with its UTC offset if it has one."""
-        if not self.zones:
-            return self.times.tolist()
-        return [when.replace(tzinfo=zone)
-                for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))]
-
     def __iter__(self) -> Iterator[CodedRecord]:
         return map(_record, zip(
             self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
             gather(SEXES, self.sex), gather(self.institutions, self.institution),
-            self.encounter_times(),
+            [when.replace(tzinfo=zone)
+             for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))],
             gather(self.codes, self.code), gather(self.co_sets, self.co),
             gather(self.versions, self.version), self.influence.tolist(),
             gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
@@ -943,108 +955,169 @@ def _record_row(data: Any) -> tuple[Any, ...]:
         raise ValidationError(f"record missing field {exc.args[0]!r}") from None
 
 
-# One records-file line with each field's JSON text in the place of its
-# ``{}``, keys sorted as ``jsonl_dumps`` sorts them.
+# A records file's fields in line order, keys sorted as ``jsonl_dumps``
+# sorts them. The reader captures three fields per row, and each maximal
+# run of the others as one span, whose distinct texts are few: a line's
+# captures are each such field's name and each span's tuple of names.
 _LINE_FIELDS = sorted(_RECORD_FIELDS)
-_LINE = "{{" + ",".join(f"{jsonl_dumps(name)}:{{}}" for name in _LINE_FIELDS) + "}}\n"
+_ROW_FIELDS = ("encounter_time", "influence_tag", "record_id")
+_CAPTURES = [capture for per_row, names in groupby(_LINE_FIELDS, _ROW_FIELDS.__contains__)
+             for capture in (names if per_row else [tuple(names)])]
+_SPANS = [capture for capture in _CAPTURES if type(capture) is tuple]
 
-# The same line as a pattern. A JSON string with no escape or control
-# character is its own text, so a string field is captured without its
-# quotes; every other field is captured as its JSON text. A line that
-# matches is a JSON object with exactly the record's keys, and each capture
-# decodes to the value that ``json.loads`` of the whole line holds there.
-_STRING_TEXT = r'"([^"\\\x00-\x1f]*)"'
-_OBJECT_TEXT = r"(null|\{[^{}\n]*\})"
-_TEXT = {"clinical_code": r'(null|"[^"\\\x00-\x1f]*")', "co_codes": r"(\[[^\]\n]*\])",
-         "influence_tag": _OBJECT_TEXT, "fidelity": _OBJECT_TEXT}
-_CANONICAL = re.compile(r"^\{" + ",".join(
-    f"{re.escape(jsonl_dumps(name))}:{_TEXT.get(name, _STRING_TEXT)}" for name in _LINE_FIELDS
-) + r"\}$", re.MULTILINE)
+# One records-file line as a pattern. A JSON string with no escape or
+# control character is its own text, so a per-row string is captured
+# without its quotes. A line that matches is a JSON object with exactly
+# the record's keys; each span's text, put in braces, is a JSON object
+# with its fields' keys, and every capture decodes to the value that
+# ``json.loads`` of the whole line holds there.
+_PLAIN = r'[^"\\\x00-\x1f]*'
+_OBJECT_TEXT = r"(?:null|\{[^{}\n]*\})"
+_TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]\n]*\]",
+         "fidelity": _OBJECT_TEXT, "influence_tag": f"({_OBJECT_TEXT})",
+         "encounter_time": f'"({_PLAIN})"', "record_id": f'"({_PLAIN})"'}
 
-# Each interned field's value from one of its distinct captured texts,
-# checked as ``_record_row`` checks it; record ids and encounter times are
-# kept per row instead.
-_DECODE: Mapping[str, Callable[[str], Any]] = {
-    "co_codes": lambda text: _co_codes(json.loads(text)),
-    "clinical_code": lambda text: _clinical_code(json.loads(text)),
-    "influence_tag": lambda text: _influence_tag(json.loads(text)),
-    "fidelity": lambda text: _fidelity(json.loads(text)),
-    "patient_age_band": lambda text: AGE_BANDS[AGE_BANDS.index(text)],
-    "patient_sex": lambda text: SEXES[SEXES.index(text)],
-    "institution_id": _identity, "primary_code": _identity, "version_tag": _identity,
+
+def _capture_text(capture: str | tuple[str, ...]) -> str:
+    if type(capture) is tuple:
+        return f"({','.join(map(_capture_text, capture))})"
+    return f"{re.escape(jsonl_dumps(capture))}:" + _TEXT.get(capture, f'"{_PLAIN}"')
+
+
+_CANONICAL = re.compile(r"^\{" + ",".join(map(_capture_text, _CAPTURES)) + r"\}$", re.MULTILINE)
+
+# A block's encounter times, each followed by a newline, in ``isoformat``'s
+# exact naive layout, which NumPy reads as ``datetime.fromisoformat`` does.
+_NAIVE_TIMES = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{6})?\n)*", re.ASCII)
+
+# Each span field's check of its JSON value, as ``_record_row`` checks it.
+_CHECK: Mapping[str, Callable[[Any], Any]] = {
+    "clinical_code": _clinical_code, "co_codes": _co_codes, "fidelity": _fidelity,
+    "patient_age_band": lambda band: AGE_BANDS[AGE_BANDS.index(band)],
+    "patient_sex": lambda sex: SEXES[SEXES.index(sex)],
 }
 
-# Lines read and matched at a time: enough that matching and moving a
-# block's fields run in C, few enough that a block's text stays small.
+# Lines read and matched, or encoded and written, at a time: enough that
+# each step runs in C, few enough that a block's text stays small.
 _BLOCK_LINES = 1024
 
 
-def _canonical_columns(path: str | Path) -> dict[str, list[Any]] | None:
-    """Each field's values, one a line, of a records file whose every line
-    matches ``_CANONICAL`` and passes its checks; None for any other file.
+def _times(texts: Sequence[str], zones: dict[tzinfo, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``_wall_clock`` of ISO 8601 time texts. Texts in ``_NAIVE_TIMES``'
+    layout are checked by ``datetime.fromisoformat``, which raises
+    ValueError on a time that does not exist, and read by NumPy."""
+    if not _NAIVE_TIMES.fullmatch("\n".join(texts) + "\n"):
+        return _wall_clock(list(map(datetime.fromisoformat, texts)), zones)
+    all(map(datetime.fromisoformat, texts))
+    return np.array(texts, dtype="datetime64[us]"), np.full(len(texts), -1, np.int32)
 
-    The file is read a block of lines at a time. Each distinct text of a
-    field is decoded and checked once, and every row holding it shares
-    its value; only record ids and encounter times are kept per row.
+
+def _canonical_batch(path: str | Path) -> RecordBatch | None:
+    """The batch of a records file whose every line matches ``_CANONICAL`` and
+    passes its checks; None for any other file.
+
+    The file is read a block of lines at a time. A block numbers each span
+    text as first seen in the file and keeps only those numbers, record
+    ids, times and influence tags. Each distinct span is then decoded and
+    checked once, and each field's column is its span's numbers mapped to
+    the field's index, so every table is in first-seen row order.
     """
+    spans: dict[tuple[str, ...], dict[str, int]] = {names: {} for names in _SPANS}
+    numbers: dict[Any, list[np.ndarray]] = {names: [np.empty(0, np.int32)] for names in _SPANS}
     column: dict[str, list[Any]] = {name: [] for name in _LINE_FIELDS}
-    values: dict[str, dict[str, Any]] = {name: {} for name in _DECODE}
+    times, zone, zones = [np.empty(0, "datetime64[us]")], [np.empty(0, np.int32)], {}
     try:
         with open(path, encoding="utf-8") as fh:
             while lines := list(islice(fh, _BLOCK_LINES)):
                 rows = _CANONICAL.findall("".join(lines))
                 if len(rows) != len(lines):
                     return None
-                for name, texts in zip(_LINE_FIELDS, zip(*rows)):
-                    if name not in values:
-                        column[name].extend(texts)
-                        continue
-                    value = values[name]
-                    for text in set(texts).difference(value):
-                        value[text] = _DECODE[name](text)
-                    column[name].extend(map(value.__getitem__, texts))
-        column["encounter_time"] = list(map(datetime.fromisoformat, column["encounter_time"]))
+                block = dict(zip(_CAPTURES, zip(*rows)))
+                for names, table in spans.items():  # new texts numbered as first seen
+                    for text in dict.fromkeys(block[names]):
+                        table.setdefault(text, len(table))
+                    numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
+                                                      np.int32, len(rows)))
+                column["record_id"].extend(block["record_id"])
+                tags = {text: _influence_tag(json.loads(text))
+                        for text in set(block["influence_tag"])}
+                column["influence_tag"].extend(map(tags.__getitem__, block["influence_tag"]))
+                when, offset = _times(block["encounter_time"], zones)
+                times.append(when)
+                zone.append(offset)
+        row: dict[str, np.ndarray] = {}
+        for names, table in spans.items():
+            row.update(dict.fromkeys(names, np.concatenate(numbers[names])))
+            for text in table:
+                data = json.loads("{" + text + "}")
+                for name in names:
+                    column[name].append(_CHECK.get(name, _identity)(data[name]))
     except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
         return None
-    return column
+    return RecordBatch._from_columns(column, np.concatenate(times), np.concatenate(zone), zones,
+                                     row)
 
 
 def read_records(path: str | Path) -> RecordBatch:
     """The batch a records file holds, one JSON object per line.
 
-    A file that ``write_records`` wrote is read by ``_canonical_columns``.
+    A file that ``write_records`` wrote is read by ``_canonical_batch``.
     Any other file, and any file with a fault, is read line by line through
     ``_record_row``, which names the fault and its ``path:line``.
     """
-    column = _canonical_columns(path)
-    if column is None:
+    batch = _canonical_batch(path)
+    if batch is None:
         return RecordBatch._from_rows(iter_jsonl(path, _record_row))
-    return RecordBatch._from_columns(column)
+    return batch
 
 
-def _entries(table: Sequence[Any], index: np.ndarray) -> list[str]:
-    """Each row's JSON text of ``table[index]``, encoding each entry once; -1 gives null."""
-    return np.array([*map(jsonl_dumps, table), "null"], dtype=object)[index].tolist()
+# The constant texts of a records-file line, before, between and after its
+# fields' texts in ``_LINE_FIELDS`` order, an encounter time's quotes among them.
+_SEPARATORS = ("{" + ",".join(
+    jsonl_dumps(name) + (':"\0"' if name == "encounter_time" else ":\0") for name in _LINE_FIELDS
+) + "}\n").split("\0")
 
 
 def write_records(path: str | Path, records: RecordBatch) -> None:
-    """Write ``records`` as a records file: each row as ``jsonl_dumps`` writes it, one a line."""
-    text = {
-        "record_id": map(jsonl_dumps, records.record_id.tolist()),
-        "encounter_time": [jsonl_dumps(when.isoformat()) for when in records.encounter_times()],
-        "influence_tag": ["null" if tag is None else jsonl_dumps(vars(tag))
-                          for tag in records.influence.tolist()],
-        "patient_age_band": _entries(AGE_BANDS, records.age_band),
-        "patient_sex": _entries(SEXES, records.sex),
-        "institution_id": _entries(records.institutions, records.institution),
-        "primary_code": _entries(records.codes, records.code),
-        "clinical_code": _entries(records.codes, records.clinical),
-        "co_codes": _entries(records.co_sets, records.co),
-        "version_tag": _entries(records.versions, records.version),
-        "fidelity": _entries(records.annotations, records.fidelity),
+    """Write ``records`` as a records file: each row as ``jsonl_dumps`` writes it, one a line.
+
+    Rows are encoded and written a block at a time. Each table entry and
+    UTC offset is encoded once and times by NumPy, and a block's lines are
+    one list of the constant texts with each field's texts slotted in.
+    """
+    tables = {  # each table-held field's table and index column
+        "clinical_code": (records.codes, records.clinical),
+        "co_codes": (records.co_sets, records.co),
+        "fidelity": (records.annotations, records.fidelity),
+        "institution_id": (records.institutions, records.institution),
+        "patient_age_band": (AGE_BANDS, records.age_band), "patient_sex": (SEXES, records.sex),
+        "primary_code": (records.codes, records.code),
+        "version_tag": (records.versions, records.version),
     }
+    entries = {name: np.array([*map(jsonl_dumps, table), "null"], dtype=object)
+               for name, (table, _) in tables.items()}
+    offsets = np.array([datetime(1, 1, 1, tzinfo=zone).isoformat()[19:] for zone in records.zones]
+                       + [""])
+    line: list[Any] = [None] * (2 * len(_SEPARATORS) - 1)
+    line[::2] = _SEPARATORS
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_LINE.format, *(text[name] for name in _LINE_FIELDS)))
+        for start in range(0, len(records), _BLOCK_LINES):
+            rows = slice(start, start + _BLOCK_LINES)
+            text = {name: entries[name][index[rows]].tolist()
+                    for name, (_, index) in tables.items()}
+            text["record_id"] = list(map(jsonl_dumps, records.record_id[rows].tolist()))
+            text["influence_tag"] = ["null" if tag is None else jsonl_dumps(vars(tag))
+                                     for tag in records.influence[rows].tolist()]
+            times = records.times[rows]
+            when = np.datetime_as_string(times, unit="s")
+            fraction = times.astype(np.int64) % 1_000_000 != 0
+            if fraction.any():  # isoformat writes microseconds only when there are some
+                when = np.where(fraction, np.datetime_as_string(times, unit="us"), when)
+            text["encounter_time"] = np.char.add(when, offsets[records.zone[rows]]).tolist()
+            parts = line * len(when)
+            for i, name in enumerate(_LINE_FIELDS):
+                parts[2 * i + 1::len(line)] = text[name]
+            fh.write("".join(parts))
 
 
 # ---------------------------------------------------------------------------

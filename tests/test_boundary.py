@@ -4,6 +4,7 @@ model.iter_jsonl, and any malformed file raises a ValidationError naming it."""
 import ast
 import copy
 import json
+import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -292,6 +293,27 @@ def test_json_is_parsed_only_at_the_boundary():
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
                     and node.func.attr in ("load", "loads") and path.name not in JSON_READERS):
                 offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
+    assert offenders == []
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_itself():
+    # pyproject.toml declares numpy alone. A package that is merely installed,
+    # such as orjson, must not give the package a second code path.
+    allowed = {*sys.stdlib_module_names, "numpy", "ontoguard"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif (isinstance(node, ast.Name) and node.id == "__import__"
+                  or isinstance(node, ast.Attribute) and node.attr == "import_module"):
+                names = ["a module named at run time"]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                          if name.partition(".")[0] not in allowed]
     assert offenders == []
 
 

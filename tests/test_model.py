@@ -1,9 +1,13 @@
 """Core types, config loading, and code-system loading."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -254,8 +258,11 @@ _TEXT = st.text(max_size=8)
 # Integers and -0.0 are valid JSON numbers that must be written back as read.
 _SCORES = st.floats(0, 1) | st.sampled_from([0, 1, -0.0])
 _ANNOTATIONS = st.builds(FidelityAnnotation, _SCORES, _SCORES, _SCORES, _SCORES, _TEXT)
-_ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
-                          timezone(timedelta(hours=-8))])
+# UTC offsets as isoformat writes them: minutes, seconds and microseconds.
+_OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8)),
+            timezone(timedelta(hours=-3, seconds=7)),
+            timezone(timedelta(minutes=-1, microseconds=5))]
+_ZONES = st.sampled_from([None, *_OFFSETS])
 RECORDS = st.builds(
     make_record, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
     sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(timezones=_ZONES),
@@ -364,6 +371,17 @@ _MUTATIONS = {
         {**data, "fidelity": {**_ANNOTATION, "rationale": 3}}) + "\n",
     "not-json": lambda data: jsonl_dumps(data)[:-1] + "\n",
 }
+# Times that datetime.fromisoformat reads but that are not in isoformat's
+# naive layout, where NumPy alone would read "20250101" as a year near
+# -209,291; and year 0, in that layout, which NumPy reads and it rejects.
+_TIME_TEXTS = {
+    "time-basic-date": "20250101", "time-basic-fraction": "20250101T103000.123",
+    "time-date-only": "2025-01-01", "time-space-separator": "2025-01-01 10:30:00",
+    "time-z-suffix": "2025-01-01T10:30:00Z", "time-3-digit-fraction": "2025-01-01T10:30:00.123",
+    "time-year-0": "0000-01-01T10:30:00",
+}
+_MUTATIONS.update({name: lambda data, text=text: jsonl_dumps({**data, "encounter_time": text})
+                   + "\n" for name, text in _TIME_TEXTS.items()})
 
 
 def _assert_read_as_the_row_reader_reads(path, lines):
@@ -392,17 +410,19 @@ def test_read_records_reads_what_the_row_reader_reads(tmp_path, records, mutatio
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 def test_each_mutation_reads_as_the_row_reader_reads(tmp_path, mutation, line):
     # Most hostile records need escapes, which send the whole file to the
-    # row reader; these files are canonical but for line ``line``.
-    records = [
-        make_record(f"R-{i}", when=datetime(2025, 2, 15, i % 24, tzinfo=timezone.utc),
-                    co_codes=["LAB-A1C"][:i % 2], clinical_code="DM2-HYPER" if i % 3 else None,
-                    influence_tag=InfluenceTag("m-1", 0.5, True) if i % 2 else None,
-                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok") if i % 5 else None)
-        for i in range(_BLOCK + 2)
-    ]
-    lines = [jsonl_dumps(record) + "\n" for record in records]
-    lines[line - 1] = _MUTATIONS[mutation](json.loads(lines[line - 1]))
-    _assert_read_as_the_row_reader_reads(tmp_path / "records.jsonl", lines)
+    # row reader; these files are canonical but for line ``line``. Offset
+    # times are read row by row, naive ones a block at a time by NumPy.
+    for zone in (timezone.utc, None):
+        records = [
+            make_record(f"R-{i}", when=datetime(2025, 2, 15, i % 24, tzinfo=zone),
+                        co_codes=["LAB-A1C"][:i % 2], clinical_code="DM2-HYPER" if i % 3 else None,
+                        influence_tag=InfluenceTag("m-1", 0.5, True) if i % 2 else None,
+                        fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok") if i % 5 else None)
+            for i in range(_BLOCK + 2)
+        ]
+        lines = [jsonl_dumps(record) + "\n" for record in records]
+        lines[line - 1] = _MUTATIONS[mutation](json.loads(lines[line - 1]))
+        _assert_read_as_the_row_reader_reads(tmp_path / "records.jsonl", lines)
 
 
 def test_reading_a_file_write_records_wrote_never_calls_the_row_reader(tmp_path, monkeypatch):
@@ -431,6 +451,83 @@ def test_reading_a_file_write_records_wrote_never_calls_the_row_reader(tmp_path,
     assert len(batch.annotations) == 9
     write_records(again, batch)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_write_records_writes_each_row_as_jsonl_dumps_across_blocks(tmp_path):
+    # Two whole blocks and three rows more: ids that need escapes, naive and
+    # offset times with and without microseconds, and years 1 and 9999.
+    n = 2 * _BLOCK + 3
+    records = [
+        make_record(f"R-{i}" + '"\\é\n\x00' * (i % 5 == 0),
+                    when=datetime((1, 9999, 2025)[i % 3], i % 12 + 1, i % 28 + 1, i % 24, i % 60,
+                                  7 * i % 60, 7919 * i % 1_000_000 if i % 4 else 0,
+                                  tzinfo=[None, *_OFFSETS][i % 6]),
+                    influence_tag=InfluenceTag("m-1", i / n, i % 2 == 0) if i % 3 else None,
+                    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, f"r{i % 7}") if i % 2 else None,
+                    clinical_code=f"C-{i % 5}" if i % 4 else None)
+        for i in range(n)
+    ]
+    path = tmp_path / "records.jsonl"
+    write_records(path, RecordBatch.from_records(records))
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines == [jsonl_dumps(record) for record in records] + [""]
+    assert list(read_records(path)) == records
+
+
+def _first_seen_tables(records):
+    """The tables of a batch of ``records``, each in first-seen row order."""
+    codes = dict.fromkeys(record.primary_code for record in records)
+    codes.update(dict.fromkeys(r.clinical_code for r in records if r.clinical_code is not None))
+    return {"codes": list(codes),
+            "institutions": list(dict.fromkeys(r.institution_id for r in records)),
+            "versions": list(dict.fromkeys(r.version_tag for r in records)),
+            "co_sets": list(dict.fromkeys(r.co_codes for r in records)),
+            "annotations": list(dict.fromkeys(r.fidelity for r in records if r.fidelity))}
+
+
+# Reads the records file argv[1] and prints the batch's tables.
+_READ_TABLES = ("import sys; from ontoguard.model import jsonl_dumps, read_records; "
+                "batch = read_records(sys.argv[1]); print(jsonl_dumps({name: getattr(batch, name) "
+                "for name in ('codes', 'institutions', 'versions', 'co_sets', 'annotations')}))")
+
+
+def test_read_tables_come_in_first_seen_row_order_under_any_hash_seed(tmp_path):
+    # Many distinct values, first seen in an order that is neither sorted
+    # nor any set's, spread over three blocks.
+    records = [
+        make_record(f"R-{i}", institution=f"I-{7919 * i % 97}", code=f"C-{31 * i % 53}",
+                    version=f"v{5 * i % 7}", co_codes={f"X-{13 * i % 11}", f"Y-{i % 3}"},
+                    clinical_code=f"K-{17 * i % 41}" if i % 3 else None,
+                    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, f"r{3 * i % 29}")
+                    if i % 4 else None)
+        for i in range(2 * _BLOCK + 5)
+    ]
+    path = tmp_path / "records.jsonl"
+    write_records(path, RecordBatch.from_records(records))
+    expected = _first_seen_tables(records)
+    batch = read_records(path)
+    assert {name: list(getattr(batch, name)) for name in expected} == expected
+    src = str(Path(model.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", _READ_TABLES, str(path)], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        assert json.loads(out.stdout) == to_json(expected)
+
+
+def test_naive_times_of_a_written_file_are_read_by_numpy(tmp_path, monkeypatch):
+    # Times in isoformat's naive layout skip the per-row conversion; the
+    # result would be the same without that, only slower.
+    records = [make_record(f"R-{i}", when=datetime(2025, 1, 1, i % 24, 0, 0, 250000 * (i % 2)))
+               for i in range(_BLOCK + 2)]
+    path = tmp_path / "records.jsonl"
+    write_records(path, RecordBatch.from_records(records))
+
+    def refuse(*args):
+        raise AssertionError("a time was converted row by row")
+
+    monkeypatch.setattr(model, "_wall_clock", refuse)
+    assert list(read_records(path)) == records
 
 
 def test_fault_in_the_first_line_after_the_first_block_is_named(tmp_path):
