@@ -9,6 +9,7 @@ calibrated probabilities.
 
 from __future__ import annotations
 
+import csv
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -264,9 +265,9 @@ def fidelity_report(batch: RecordBatch) -> tuple[InstitutionFidelity, ...]:
 
 
 def write_fidelity_report(report: tuple[InstitutionFidelity, ...], path: str | Path) -> None:
-    lines = [REPORT_PREAMBLE,
-             "institution,n,mean," + ",".join(f"d{i}" for i in range(1, 10))]
-    for row in report:
-        deciles = ",".join(f"{d:.6f}" for d in row.deciles)
-        lines.append(f"{row.institution_id},{row.n},{row.mean:.6f},{deciles}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(REPORT_PREAMBLE + "\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["institution", "n", "mean", *(f"d{i}" for i in range(1, 10))])
+        rows.writerows([row.institution_id, row.n, f"{row.mean:.6f}",
+                        *(f"{d:.6f}" for d in row.deciles)] for row in report)

@@ -8,6 +8,7 @@ significance is always a configured code list, never inferred.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -223,7 +224,8 @@ def read_store(path: str | Path) -> DormantStore:
 
 
 def write_prune_log(store: DormantStore, path: str | Path) -> None:
-    lines = ["code,count,last_observed"]
-    for entry in store.prune_log:
-        lines.append(f"{entry.code},{entry.count},{entry.last_observed.isoformat()}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["code", "count", "last_observed"])
+        rows.writerows([entry.code, entry.count, entry.last_observed.isoformat()]
+                       for entry in store.prune_log)

@@ -150,7 +150,7 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
 
 def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
     def resolve(ref: Path) -> Path:
-        if not (base / ref).exists():
+        if not (base / ref).is_file():
             raise ValidationError(f"references missing file: {ref}")
         return base / ref
     return replace(spec, code_system_path=resolve(spec.code_system_path),

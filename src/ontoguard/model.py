@@ -133,6 +133,11 @@ def _only(*types: type) -> Callable[[Any], Any]:
 
 _list, _object, _str, _json_number = _only(list), _only(dict), _only(str), _only(int, float)
 
+# A number kept as the JSON type it was read as, so that it is written back
+# as read: ``1`` stays an int and ``-0.0`` a float. A ``float`` field takes
+# any number as a float.
+Number = float | int
+
 # A field's JSON shape: what its value must be, what a list of such values
 # holds, and the conversion of its JSON value, which raises TypeError or
 # ValueError on a value of the wrong type.
@@ -142,6 +147,7 @@ _SCALARS: Mapping[Any, _Shape] = {
     int: ("an integer", "integers", _only(int)),
     bool: ("true or false", "booleans", _only(bool)),
     float: ("a number", "numbers", lambda value: float(_json_number(value))),
+    Number: ("a number", "numbers", _json_number),
     date: ("an ISO 8601 date", "ISO 8601 dates", date.fromisoformat),
     datetime: ("an ISO 8601 timestamp", "ISO 8601 timestamps", datetime.fromisoformat),
     Path: ("a string", "strings", lambda value: Path(_str(value))),
@@ -216,31 +222,30 @@ def _shape(tp: Any) -> _Shape:
 
 
 @cache
-def _plan(cls: type) -> tuple[Mapping[str, tuple[str, _Shape]], tuple[str, ...]]:
-    """Each JSON key of dataclass ``cls`` with its field and shape, and the
-    required keys. A key is its field's name unless ``metadata["json"]``
-    names it; fields outside ``__init__``, and fields whose
-    ``metadata["json"]`` is None, have none."""
+def _plan(cls: type) -> tuple[Mapping[str, tuple[str, str, _Shape]], tuple[str, ...]]:
+    """Each JSON key of dataclass ``cls`` with its field, its step ``.key``
+    and its shape, and the required keys. A key is its field's name unless
+    ``metadata["json"]`` names it; fields outside ``__init__``, and fields
+    whose ``metadata["json"]`` is None, have none."""
     hints = get_type_hints(cls)
     keyed = [(key, f) for f in fields(cls)
              if f.init and (key := f.metadata.get("json", f.name)) is not None]
-    return ({key: (f.name, _shape(hints[f.name])) for key, f in keyed},
+    return ({key: (f.name, f".{key}", _shape(hints[f.name])) for key, f in keyed},
             tuple(key for key, f in keyed
                   if f.default is MISSING and f.default_factory is MISSING))
 
 
 def _decode(cls: type[T], data: dict) -> T:
     plan, required = _plan(cls)
-    unknown = data.keys() - plan.keys()
-    if unknown:
-        raise _Fault("", f" has unknown keys {sorted(unknown)}")
+    if not data.keys() <= plan.keys():
+        raise _Fault("", f" has unknown keys {sorted(data.keys() - plan.keys())}")
     for key in required:
         if key not in data:
             raise KeyError(key)
     kwargs = {}
     for key, value in data.items():
-        name, shape = plan[key]
-        kwargs[name] = _at(f".{key}", shape, value)
+        name, step, shape = plan[key]
+        kwargs[name] = _at(step, shape, value)
     return cls(**kwargs)
 
 
@@ -248,7 +253,8 @@ def from_json(tp: Any, data: Any) -> Any:
     """The value of type ``tp`` that JSON value ``data`` holds.
 
     ``tp`` is any annotation a field may carry: ``str``, ``int`` and
-    ``bool`` exactly that type, ``float`` any number, ``date`` and
+    ``bool`` exactly that type, ``float`` any number as a float,
+    ``Number`` any number as read, ``date`` and
     ``datetime`` ISO 8601 text, ``Path`` a string, ``Any`` any JSON value,
     an Enum a member's value, ``X | None`` also null, a union of scalars
     exactly those types, tuples and frozensets a list, ``Mapping[str, X]``
@@ -495,7 +501,7 @@ class InfluenceTag:
     """Marks a record as originating from AI-influenced documentation."""
 
     model_version: str
-    model_confidence: float
+    model_confidence: Number
     clinician_modified: bool
 
     def __post_init__(self) -> None:
@@ -513,10 +519,10 @@ class FidelityAnnotation:
     expected clinical patterns; it is not a calibrated probability.
     """
 
-    score: float
-    prevalence_subscore: float
-    cooccurrence_subscore: float
-    institutional_subscore: float
+    score: Number
+    prevalence_subscore: Number
+    cooccurrence_subscore: Number
+    institutional_subscore: Number
     rationale: str
 
     def __post_init__(self) -> None:
@@ -551,15 +557,10 @@ class CodedRecord:
     clinical_code: str | None = None
 
     def __post_init__(self) -> None:
-        _check_patient(self.patient_age_band, self.patient_sex)
-
-
-def _check_patient(age_band: Any, sex: Any) -> None:
-    """A record's age band is one of ``AGE_BANDS`` and its sex one of ``SEXES``."""
-    if age_band not in AGE_BANDS:
-        raise ValidationError(f"unknown age band: {age_band!r}")
-    if sex not in SEXES:
-        raise ValidationError(f"unknown sex: {sex!r}")
+        if self.patient_age_band not in AGE_BANDS:
+            raise ValidationError(f"unknown age band: {self.patient_age_band!r}")
+        if self.patient_sex not in SEXES:
+            raise ValidationError(f"unknown sex: {self.patient_sex!r}")
 
 
 def gather(table: Sequence[Any], index: np.ndarray) -> list[Any]:
@@ -657,15 +658,10 @@ class RecordBatch:
         when they hold the same annotation object, so equal annotations
         written differently (``-0.0``, ``0`` and ``0.0`` are equal) each keep
         their own and are written back as they were read."""
-        return cls._from_rows(vars(record).values() for record in records)
-
-    @classmethod
-    def _from_rows(cls, rows: Iterable[Iterable[Any]]) -> RecordBatch:
-        """The batch of ``rows``, each a record's field values in field order."""
-        # Fields are moved into column lists a block of rows at a time, so
-        # that no more than a block of rows is alive at once.
+        # Fields are moved into column lists a block of records at a time,
+        # so that no more than a block of records is alive at once.
         column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
-        rows = iter(rows)
+        rows = (vars(record).values() for record in records)
         while block := list(islice(rows, 4096)):
             for values, fields_of_block in zip(column.values(), zip(*block)):
                 values.extend(fields_of_block)
@@ -850,111 +846,6 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
     return BatchProfile(len(batch), codes, versions, days.min().item(), days.max().item())
 
 
-_STRING_FIELDS = ("record_id", "institution_id", "primary_code", "version_tag", "encounter_time")
-_RECORD_KEYS, _TAG_KEYS, _FIDELITY_KEYS = (
-    frozenset(f.name for f in fields(cls))
-    for cls in (CodedRecord, InfluenceTag, FidelityAnnotation)
-)
-
-
-def _field_error(name: str, value: Any) -> ValidationError:
-    return ValidationError(f"record field {name!r} has type {type(value).__name__}")
-
-
-def _number(data: Mapping[str, Any], name: str) -> float:
-    value = data[name]
-    if type(value) is not float and type(value) is not int:
-        raise _field_error(name, value)
-    return value
-
-
-def _unknown_keys(where: str, data: dict, known: frozenset[str]) -> ValidationError:
-    return ValidationError(f"{where} has unknown keys {sorted(data.keys() - known)}")
-
-
-# Each check below takes one field's JSON value and returns the field's
-# value; ``_record_row`` and the canonical-line reader share them.
-def _co_codes(value: Any) -> frozenset[str]:
-    if type(value) is not list:
-        raise _field_error("co_codes", value)
-    for co in value:
-        if type(co) is not str:
-            raise _field_error("co_codes", co)
-    return frozenset(value)
-
-
-def _clinical_code(value: Any) -> str | None:
-    if value is not None and type(value) is not str:
-        raise _field_error("clinical_code", value)
-    return value
-
-
-def _influence_tag(tag: Any) -> InfluenceTag | None:
-    if tag is None:
-        return None
-    if type(tag) is not dict:
-        raise _field_error("influence_tag", tag)
-    if not tag.keys() <= _TAG_KEYS:
-        raise _unknown_keys("record field 'influence_tag'", tag, _TAG_KEYS)
-    if type(tag["model_version"]) is not str:
-        raise _field_error("model_version", tag["model_version"])
-    if type(tag["clinician_modified"]) is not bool:
-        raise _field_error("clinician_modified", tag["clinician_modified"])
-    return InfluenceTag(
-        tag["model_version"], _number(tag, "model_confidence"), tag["clinician_modified"])
-
-
-def _fidelity(fid: Any) -> FidelityAnnotation | None:
-    if fid is None:
-        return None
-    if type(fid) is not dict:
-        raise _field_error("fidelity", fid)
-    if not fid.keys() <= _FIDELITY_KEYS:
-        raise _unknown_keys("record field 'fidelity'", fid, _FIDELITY_KEYS)
-    if type(fid["rationale"]) is not str:
-        raise _field_error("rationale", fid["rationale"])
-    return FidelityAnnotation(
-        _number(fid, "score"), _number(fid, "prevalence_subscore"),
-        _number(fid, "cooccurrence_subscore"), _number(fid, "institutional_subscore"),
-        fid["rationale"],
-    )
-
-
-def _record_row(data: Any) -> tuple[Any, ...]:
-    """One record's field values in field order, checked as ``CodedRecord`` checks them.
-
-    A missing, mistyped or unknown field raises a ValidationError naming
-    it; this is the one place such a message is worded. The type checks
-    are plain ``type(...) is`` tests, and a missing key of a field's
-    object is a missing field.
-    """
-    if type(data) is not dict:
-        raise ValidationError(f"record must be a JSON object, got {type(data).__name__}")
-    if not data.keys() <= _RECORD_KEYS:
-        raise _unknown_keys("record", data, _RECORD_KEYS)
-    try:
-        for name in _STRING_FIELDS:
-            if type(data[name]) is not str:
-                raise _field_error(name, data[name])
-        co_codes = _co_codes(data["co_codes"])
-        clinical_code = _clinical_code(data.get("clinical_code"))
-        try:
-            encounter_time = datetime.fromisoformat(data["encounter_time"])
-        except ValueError:
-            raise ValidationError(
-                "record field 'encounter_time' is not an ISO 8601 timestamp: "
-                f"{data['encounter_time']!r}"
-            ) from None
-        tag = _influence_tag(data.get("influence_tag"))
-        fid = _fidelity(data.get("fidelity"))
-        age_band, sex = data["patient_age_band"], data["patient_sex"]
-        _check_patient(age_band, sex)
-        return (data["record_id"], age_band, sex, data["institution_id"], encounter_time,
-                data["primary_code"], co_codes, data["version_tag"], tag, fid, clinical_code)
-    except KeyError as exc:
-        raise ValidationError(f"record missing field {exc.args[0]!r}") from None
-
-
 # A records file's fields in line order, keys sorted as ``jsonl_dumps``
 # sorts them. The reader captures three fields per row, and each maximal
 # run of the others as one span, whose distinct texts are few: a line's
@@ -990,9 +881,10 @@ _CANONICAL = re.compile(r"^\{" + ",".join(map(_capture_text, _CAPTURES)) + r"\}$
 # exact naive layout, which NumPy reads as ``datetime.fromisoformat`` does.
 _NAIVE_TIMES = re.compile(r"(?:\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{6})?\n)*", re.ASCII)
 
-# Each span field's check of its JSON value, as ``_record_row`` checks it.
+# Each field's conversion of its JSON value, as ``from_json`` converts it;
+# an age band or sex is looked up, as ``CodedRecord`` checks it.
 _CHECK: Mapping[str, Callable[[Any], Any]] = {
-    "clinical_code": _clinical_code, "co_codes": _co_codes, "fidelity": _fidelity,
+    **{key: shape[2] for key, (_, _, shape) in _plan(CodedRecord)[0].items()},
     "patient_age_band": lambda band: AGE_BANDS[AGE_BANDS.index(band)],
     "patient_sex": lambda sex: SEXES[SEXES.index(sex)],
 }
@@ -1039,7 +931,7 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
                     numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
                                                       np.int32, len(rows)))
                 column["record_id"].extend(block["record_id"])
-                tags = {text: _influence_tag(json.loads(text))
+                tags = {text: _CHECK["influence_tag"](json.loads(text))
                         for text in set(block["influence_tag"])}
                 column["influence_tag"].extend(map(tags.__getitem__, block["influence_tag"]))
                 when, offset = _times(block["encounter_time"], zones)
@@ -1051,7 +943,7 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
             for text in table:
                 data = json.loads("{" + text + "}")
                 for name in names:
-                    column[name].append(_CHECK.get(name, _identity)(data[name]))
+                    column[name].append(_CHECK[name](data[name]))
     except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
         return None
     return RecordBatch._from_columns(column, np.concatenate(times), np.concatenate(zone), zones,
@@ -1062,12 +954,13 @@ def read_records(path: str | Path) -> RecordBatch:
     """The batch a records file holds, one JSON object per line.
 
     A file that ``write_records`` wrote is read by ``_canonical_batch``.
-    Any other file, and any file with a fault, is read line by line through
-    ``_record_row``, which names the fault and its ``path:line``.
+    Any other file, and any file with a fault, is read line by line as
+    ``CodedRecord`` values through ``from_json``, which names the fault
+    and its ``path:line``.
     """
     batch = _canonical_batch(path)
     if batch is None:
-        return RecordBatch._from_rows(iter_jsonl(path, _record_row))
+        return RecordBatch.from_records(iter_jsonl(path, partial(from_json, CodedRecord)))
     return batch
 
 

@@ -1,5 +1,6 @@
 """Fidelity annotation: reference model, subscores, reports."""
 
+import csv
 import statistics
 
 import pytest
@@ -197,6 +198,22 @@ class TestFidelityReport:
     def test_unannotated_record_rejected(self):
         with pytest.raises(ValidationError, match="not annotated"):
             fidelity_report(as_batch([make_record()]))
+
+    def test_csv_fields_are_quoted(self, cfg, tmp_path):
+        # Institution ids holding a comma or a quote read back as one field each.
+        system = tiny_system()
+        institutions = ['I,"X', 'say "hi"', "plain"]
+        history = as_batch([make_record(f"R-{i:03d}", institution=institutions[i % 3],
+                                        code="AAA", version="v2") for i in range(30)])
+        report = fidelity_report(annotate_batch(
+            history, build_reference_model(history, system, "v2"), cfg))
+        path = tmp_path / "fidelity.csv"
+        write_fidelity_report(report, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.readline().startswith("#")
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [12] * 4
+        assert sorted(row[0] for row in rows[1:]) == sorted(institutions)
 
     def test_csv_header_states_ordinal_semantics(self, q1_products, tmp_path):
         report = fidelity_report(q1_products["annotated"][:100])

@@ -1,6 +1,7 @@
 """Dormancy: classification, persisted store, activation triggers."""
 
 import copy
+import csv
 from datetime import date, datetime, timezone
 
 import pytest
@@ -114,6 +115,18 @@ class TestStoreDormant:
         lines = (tmp_path / "prune.csv").read_text().splitlines()
         assert lines[0] == "code,count,last_observed"
         assert lines[1].startswith("RARE,1,")
+
+    def test_prune_log_fields_are_quoted(self, tmp_path):
+        # Codes holding a comma or a quote read back as one field each.
+        rare = ['R,"X', 'Q"']
+        profile = admin(batch_with_counts({"AAA": 9_999, rare[0]: 1, rare[1]: 1}))
+        store = store_dormant(classify_features(profile, set(), CFG), profile, {}, {})
+        write_prune_log(store, tmp_path / "prune.csv")
+        with open(tmp_path / "prune.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3] * 3
+        assert sorted(row[0] for row in rows[1:]) == sorted(rare)
+        assert [row[1] for row in rows[1:]] == ["1", "1"]
 
     def test_restore_is_idempotent(self):
         profile = admin(batch_with_counts({"AAA": 9_999, "RARE": 1}))

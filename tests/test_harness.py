@@ -352,7 +352,8 @@ def walkthrough_text(**changes) -> str:
     spec = harness.load_scenario("diabetes-walkthrough")
     data = json.loads((harness.fixture_dir() / "diabetes_walkthrough.json").read_text())
     data.update(code_system=str(spec.code_system_path), config=str(spec.config_path),
-                adapters=[str(p) for p in spec.adapter_paths], **changes)
+                adapters=[str(p) for p in spec.adapter_paths])
+    data.update(changes)
     return json.dumps(data)
 
 
@@ -473,6 +474,8 @@ CLI_INPUT_FILES = {
         "model_version": "m1", "model_confidence": 0.8, "clinician_modified": True}}) + "\n",
     "tag-key.jsonl": json.dumps({**record_dict(make_record()), "influence_tag": {
         "model_version": "m1", "confidence": 0.8, "clinician_modified": True}}) + "\n",
+    "system-dir.json": walkthrough_text(code_system=""),
+    "config-dir.json": walkthrough_text(config="."),
 }
 
 
@@ -694,9 +697,13 @@ class TestCli:
         (["scenario", "run", "sig-unknown-code.json", "--seed", "1"],
          "sig-unknown-code.json significance_list lists unknown code 'DM-OTEHR'"),
         (["breaker", "check", "--records", "record-key.jsonl"],
-         "record-key.jsonl:1: record has unknown keys ['influence_tg']"),
+         "record-key.jsonl:1: has unknown keys ['influence_tg']"),
         (["breaker", "check", "--records", "tag-key.jsonl"],
-         "tag-key.jsonl:1: record field 'influence_tag' has unknown keys ['confidence']"),
+         "tag-key.jsonl:1: influence_tag has unknown keys ['confidence']"),
+        (["scenario", "run", "system-dir.json", "--seed", "1", "--out-dir", "run"],
+         "system-dir.json references missing file: ."),
+        (["scenario", "run", "config-dir.json", "--seed", "1", "--out-dir", "run"],
+         "config-dir.json references missing file: ."),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -720,6 +727,7 @@ class TestCli:
         "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
         "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
         "record-misspelt-key", "record-misspelt-tag-key",
+        "scenario-code-system-directory", "scenario-config-directory",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -201,26 +202,31 @@ class TestRecords:
 
     def test_missing_field_named(self):
         with pytest.raises(ValidationError,
-                           match=r"records\.jsonl:1: record missing field 'record_id'"):
+                           match=r"records\.jsonl:1: is missing key 'record_id'"):
             read_rows([{"primary_code": "X"}])
 
     @pytest.mark.parametrize("field, value, named", [
-        ("co_codes", "LAB-GLU-HI", "'co_codes' has type str"),
-        ("co_codes", ["LAB-GLU-HI", 7], "'co_codes' has type int"),
-        ("encounter_time", "notatime", "'encounter_time' is not an ISO 8601"),
-        ("encounter_time", 20250215, "'encounter_time' has type int"),
-        ("record_id", 17, "'record_id' has type int"),
-        ("clinical_code", ["DM2-HYPER"], "'clinical_code' has type list"),
+        ("co_codes", "LAB-GLU-HI", "co_codes must be a list of strings, got 'LAB-GLU-HI'"),
+        ("co_codes", ["LAB-GLU-HI", 7], "co_codes[1] must be a string, got 7"),
+        ("encounter_time", "notatime",
+         "encounter_time must be an ISO 8601 timestamp, got 'notatime'"),
+        ("encounter_time", 20250215, "encounter_time must be an ISO 8601 timestamp, got 20250215"),
+        ("record_id", 17, "record_id must be a string, got 17"),
+        ("clinical_code", ["DM2-HYPER"],
+         "clinical_code must be a string or null, got ['DM2-HYPER']"),
         ("influence_tag", {"model_version": "m1", "model_confidence": "0.7",
-                           "clinician_modified": False}, "'model_confidence' has type str"),
+                           "clinician_modified": False},
+         "influence_tag.model_confidence must be a number, got '0.7'"),
         ("influence_tag", {"model_version": "m1", "model_confidence": True,
-                           "clinician_modified": False}, "'model_confidence' has type bool"),
+                           "clinician_modified": False},
+         "influence_tag.model_confidence must be a number, got True"),
         ("influence_tag", {"model_version": "m1", "model_confidence": 0.7,
-                           "clinician_modified": "no"}, "'clinician_modified' has type str"),
+                           "clinician_modified": "no"},
+         "influence_tag.clinician_modified must be true or false, got 'no'"),
         ("fidelity", {"score": "high", "prevalence_subscore": 0.5,
                       "cooccurrence_subscore": 0.5, "institutional_subscore": 0.5,
-                      "rationale": ""}, "'score' has type str"),
-        ("fidelity", [0.5], "'fidelity' has type list"),
+                      "rationale": ""}, "fidelity.score must be a number, got 'high'"),
+        ("fidelity", [0.5], "fidelity must be an object or null, got [0.5]"),
     ], ids=[
         "co-codes-string", "co-code-not-string", "time-not-iso", "time-not-string",
         "record-id-int", "clinical-code-list", "confidence-string", "confidence-bool",
@@ -228,12 +234,12 @@ class TestRecords:
     ])
     def test_mistyped_field_named(self, field, value, named):
         data = {**record_dict(make_record()), field: value}
-        with pytest.raises(ValidationError, match=rf"records\.jsonl:1: record field {named}"):
+        with pytest.raises(ValidationError, match=r"records\.jsonl:1: " + re.escape(named) + "$"):
             read_rows([data])
 
     def test_record_must_be_an_object(self):
         with pytest.raises(ValidationError,
-                           match=r"records\.jsonl:1: record must be a JSON object, got list"):
+                           match=r"records\.jsonl:1: must hold a JSON object"):
             read_rows([["R-000000"]])
 
     @pytest.mark.parametrize("field, value, message", [
@@ -250,7 +256,8 @@ class TestRecords:
         bad = json.dumps({**record_dict(make_record()), "co_codes": "LAB-GLU-HI"})
         path = tmp_path / "records.jsonl"
         path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"records\.jsonl:3: .*'co_codes'"):
+        with pytest.raises(ValidationError, match=r"records\.jsonl:3: co_codes must be a list "
+                                                  r"of strings, got 'LAB-GLU-HI'"):
             read_records(path)
 
 
@@ -337,9 +344,9 @@ def _rows_or_error(read):
 
 
 def _row_reader(path):
-    """What ``_record_row`` reads from each line of ``path``, as records."""
-    return (dict(zip(model._RECORD_FIELDS, row))
-            for row in model.iter_jsonl(path, model._record_row))
+    """What the row reader reads from each line of ``path``: a ``CodedRecord``
+    through ``from_json``."""
+    return model.iter_jsonl(path, partial(from_json, CodedRecord))
 
 
 _BLOCK = model._BLOCK_LINES
@@ -442,15 +449,38 @@ def test_reading_a_file_write_records_wrote_never_calls_the_row_reader(tmp_path,
     path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
     write_records(path, RecordBatch.from_records(records))
 
-    def refuse(data):
-        raise AssertionError("a line was read by _record_row")
+    def refuse(*args):
+        raise AssertionError("a line was read by the row reader")
 
-    monkeypatch.setattr(model, "_record_row", refuse)
+    monkeypatch.setattr(model, "iter_jsonl", refuse)
     batch = read_records(path)
     assert list(batch) == records
     assert len(batch.annotations) == 9
     write_records(again, batch)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("layout", ["added-spaces", "reordered-keys"])
+def test_row_reader_keeps_each_number_as_written(tmp_path, layout):
+    # A valid file that is not canonical takes the row reader, which keeps
+    # integer and -0.0 scores as read, so write_records writes the file's
+    # canonical text.
+    records = [
+        make_record("R-1", influence_tag=InfluenceTag("m-1", 1, True),
+                    fidelity=FidelityAnnotation(1, 0, -0.0, 0.5, "a")),
+        make_record("R-2", influence_tag=InfluenceTag("m-1", 0, False),
+                    fidelity=FidelityAnnotation(-0.0, 1, 0, 1.0, "b")),
+        make_record("R-3", influence_tag=InfluenceTag("m-1", -0.0, False)),
+    ]
+    canonical = [jsonl_dumps(record) for record in records]
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    path.write_text("".join(_MUTATIONS[layout](json.loads(line)) for line in canonical),
+                    encoding="utf-8")
+    assert model._canonical_batch(path) is None
+    batch = read_records(path)
+    assert [jsonl_dumps(row) for row in batch] == canonical
+    write_records(again, batch)
+    assert again.read_text(encoding="utf-8") == "".join(line + "\n" for line in canonical)
 
 
 def test_write_records_writes_each_row_as_jsonl_dumps_across_blocks(tmp_path):
@@ -642,7 +672,11 @@ class TestFromJson:
             from_json(InfluenceTag, data)
 
     def test_absent_keys_take_defaults_and_integers_become_floats(self):
+        # A float field takes an integer as a float; a Number keeps it, so
+        # that a records file writes it back as read.
         assert from_json(PipelineConfig, {}) == PipelineConfig()
+        cfg = from_json(PipelineConfig, {"drift_threshold": 1})
+        assert type(cfg.drift_threshold) is float and cfg.drift_threshold == 1.0
         tag = from_json(InfluenceTag, {"model_version": "m", "model_confidence": 1,
                                        "clinician_modified": False})
-        assert type(tag.model_confidence) is float
+        assert type(tag.model_confidence) is int and tag.model_confidence == 1
