@@ -27,6 +27,7 @@ from .model import (
     RecordBatch,
     ValidationError,
     group,
+    intern,
     profile_batch,
 )
 
@@ -156,8 +157,6 @@ def _cooccurrence_subscore(ref: ReferenceModel, code: str, co_codes: frozenset[s
 def _institutional_subscore(ref: ReferenceModel, institution_id: str, code: str) -> float:
     rate = ref.institution_rate(institution_id, code)
     median = ref.peer_median(code)
-    if median <= 0:
-        return 0.0
     return 1.0 - min(1.0, abs(rate - median) / median)
 
 
@@ -195,27 +194,19 @@ def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig)
                                             codes[key % len(codes)]))
 
     # Rows with the same three subscores share one annotation.
-    annotations: dict[tuple[float, float, float], int] = {}
-
-    def annotation(key: int) -> int:
-        rest, i = divmod(key, len(inst))
-        p, c = divmod(rest, len(cooc))
-        return annotations.setdefault((prev[p], cooc[c], inst[i]), len(annotations))
-
-    fidelity, index = _per_key((prev_row * len(cooc) + cooc_row) * len(inst) + inst_row,
-                               len(prev) * len(cooc) * len(inst), annotation)
-    table = []
-    for p, c, i in annotations:
-        score = w_prev * p + w_cooc * c + w_inst * i
-        table.append(FidelityAnnotation(
-            score=min(1.0, max(0.0, score)),
-            prevalence_subscore=p,
-            cooccurrence_subscore=c,
-            institutional_subscore=i,
-            rationale=f"prev={p:.3f} cooc={c:.3f} inst={i:.3f}",
-        ))
-    return replace(batch, fidelity=np.array(index, dtype=np.int32)[fidelity],
-                   annotations=tuple(table))
+    keys, _, _, fidelity = group((prev_row * len(cooc) + cooc_row) * len(inst) + inst_row,
+                                 len(prev) * len(cooc) * len(inst))
+    axes = np.unravel_index(keys, (len(prev), len(cooc), len(inst)))
+    index, triples = intern([(prev[p], cooc[c], inst[i])
+                             for p, c, i in zip(*(axis.tolist() for axis in axes))])
+    table = tuple(FidelityAnnotation(
+        score=min(1.0, max(0.0, w_prev * p + w_cooc * c + w_inst * i)),
+        prevalence_subscore=p,
+        cooccurrence_subscore=c,
+        institutional_subscore=i,
+        rationale=f"prev={p:.3f} cooc={c:.3f} inst={i:.3f}",
+    ) for p, c, i in triples)
+    return replace(batch, fidelity=index[fidelity], annotations=table)
 
 
 def annotation_scores(batch: RecordBatch) -> np.ndarray:

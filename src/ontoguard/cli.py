@@ -496,7 +496,8 @@ def _run(argv: list[str] | None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ValidationError, OSError) as exc:  # OSError: unreadable input, unwritable output
+    # OSError: unreadable input or unwritable output; MemoryError: a size no machine holds
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:

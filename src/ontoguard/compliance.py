@@ -167,26 +167,24 @@ def evaluate(
     op: DataOperation,
     now: datetime | None = None,
 ) -> tuple[Verdict, AuditEntry]:
-    """First matching rule fires; the audit entry cites its provision."""
-    timestamp = EPOCH_TIMESTAMP if now is None else now.isoformat()
-    for rule in adapter.rules:
-        if rule.matches(op):
-            verdict = rule.verdict
-            if verdict.kind is VerdictKind.DENY:
-                reasoning = f"denied: {verdict.reason}"
-            elif verdict.kind is VerdictKind.PERMIT_WITH_CONDITIONS:
-                reasoning = "permitted subject to: " + "; ".join(verdict.conditions)
-            else:
-                reasoning = "permitted with no applicable restriction"
-            return verdict, AuditEntry(
-                regulation_id=adapter.regulation_id,
-                regulation_version=adapter.regulation_version,
-                provision=rule.provision,
-                reasoning=f"{op.op_kind.value}: {reasoning}",
-                adapter_id=adapter.adapter_id,
-                timestamp=timestamp,
-            )
-    raise ValidationError(f"adapter {adapter.adapter_id!r} rule set is not total")
+    """First matching rule fires (the last rule has no clauses, so one
+    always does); the audit entry cites its provision."""
+    rule = next(rule for rule in adapter.rules if rule.matches(op))
+    verdict = rule.verdict
+    if verdict.kind is VerdictKind.DENY:
+        reasoning = f"denied: {verdict.reason}"
+    elif verdict.kind is VerdictKind.PERMIT_WITH_CONDITIONS:
+        reasoning = "permitted subject to: " + "; ".join(verdict.conditions)
+    else:
+        reasoning = "permitted with no applicable restriction"
+    return verdict, AuditEntry(
+        regulation_id=adapter.regulation_id,
+        regulation_version=adapter.regulation_version,
+        provision=rule.provision,
+        reasoning=f"{op.op_kind.value}: {reasoning}",
+        adapter_id=adapter.adapter_id,
+        timestamp=EPOCH_TIMESTAMP if now is None else now.isoformat(),
+    )
 
 
 def compose(

@@ -24,6 +24,7 @@ from .model import (
     RecordBatch,
     ValidationError,
     from_json,
+    intern,
     iter_jsonl,
 )
 
@@ -42,22 +43,16 @@ def _cocode_likelihood(co_codes: frozenset[str], candidate: str, ref: ReferenceM
 
 
 def _likeliest_code(co_codes: frozenset[str], ref: ReferenceModel) -> str | None:
-    best_code = None
-    best_score = -math.inf
-    for candidate in ref.candidate_codes:
-        score = _cocode_likelihood(co_codes, candidate, ref)
-        if score > best_score or (score == best_score and (best_code is None or candidate < best_code)):
-            best_code = candidate
-            best_score = score
-    return best_code
+    # Candidates are sorted, so the first maximum is the smallest tied code.
+    return max(ref.candidate_codes, default=None,
+               key=lambda candidate: _cocode_likelihood(co_codes, candidate, ref))
 
 
 def _with_clinical(batch: RecordBatch, rows: np.ndarray, codes: list[str]) -> RecordBatch:
     """The batch with the clinical code of each of ``rows`` set to the code beside it."""
-    index = {code: i for i, code in enumerate(batch.codes)}
     clinical = batch.clinical.copy()
-    clinical[rows] = [index.setdefault(code, len(index)) for code in codes]
-    return replace(batch, clinical=clinical, codes=tuple(index))
+    clinical[rows], table = intern(codes, batch.codes)
+    return replace(batch, clinical=clinical, codes=table)
 
 
 def infer_clinical_layer(

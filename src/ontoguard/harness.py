@@ -46,26 +46,9 @@ from .model import (
     write_json,
 )
 
-STAGE_LAYERS = {
-    "compliance.ingest": 5,
-    "gate.validate_migration": 1,
-    "gate.batch": 1,
-    "checkpoint.annotate": 1,
-    "dual_ontology.infer": 2,
-    "dual_ontology.divergence": 2,
-    "dormancy.classify": 2,
-    "dormancy.store": 2,
-    "dormancy.activation": 2,
-    "breaker.stats": 3,
-    "breaker.evaluate": 3,
-    "breaker.retrain": 3,
-    "breaker.refusal": 3,
-    "sentinel.scan": 4,
-    "compliance.deploy": 5,
-    "deploy": 5,
-    "compliance.export": 5,
-    "export": 5,
-}
+# Layer of each stage module, the part of a stage name before the dot.
+STAGE_LAYERS = {"gate": 1, "checkpoint": 1, "dual_ontology": 2, "dormancy": 2, "breaker": 3,
+                "sentinel": 4, "compliance": 5, "deploy": 5, "export": 5}
 
 
 @dataclass(frozen=True)
@@ -167,7 +150,7 @@ class _Tracer:
             "seq": len(self.entries),
             "quarter": quarter,
             "stage": stage,
-            "layer": STAGE_LAYERS[stage],
+            "layer": STAGE_LAYERS[stage.partition(".")[0]],
         }
         if detail:
             entry["detail"] = dict(detail)
@@ -311,12 +294,8 @@ def run_scenario(
             profile, spec.significance.keys(), cfg,
         )
         tracer.add(q, "dormancy.classify", {
-            "active": sum(1 for c in classification.values()
-                          if c is dormancy_mod.FeatureClass.ACTIVE),
-            "dormant": sum(1 for c in classification.values()
-                           if c is dormancy_mod.FeatureClass.DORMANT),
-            "pruned": sum(1 for c in classification.values()
-                          if c is dormancy_mod.FeatureClass.PRUNED),
+            cls.value: sum(c is cls for c in classification.values())
+            for cls in dormancy_mod.FeatureClass
         })
         store = stage(
             "dormancy.store", dormancy_mod.store_dormant,

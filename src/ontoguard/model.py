@@ -108,7 +108,7 @@ T = TypeVar("T")
 
 # What a parse function raises on data of the wrong shape.
 _PARSE_FAULTS = (ValidationError, LookupError, TypeError, ValueError, AttributeError,
-                 ArithmeticError)
+                 ArithmeticError, RecursionError)  # RecursionError: JSON nested too deeply
 
 
 def _fault(exc: Exception) -> str:
@@ -279,7 +279,7 @@ def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
             data = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{what} not found: {path}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deeply, or not UTF-8
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return parse(data)
@@ -447,6 +447,7 @@ class CodeSystem:
             for code in getattr(self, name):
                 if code not in all_codes:
                     raise ValidationError(f"{name} lists unknown code {code!r}")
+        _check_weights("base_prevalence", self.base_prevalence)
         for code, profile in self.cooccurrence_profiles.items():
             _check_weights(f"cooccurrence_profiles[{code!r}]", profile)
         for code, demographics in self.demographic_profiles.items():
@@ -570,8 +571,8 @@ def gather(table: Sequence[Any], index: np.ndarray) -> list[Any]:
     return column[index].tolist()
 
 
-def _intern(values: Sequence[Hashable | None],
-            table: Iterable[Hashable] = ()) -> tuple[np.ndarray, tuple[Any, ...]]:
+def intern(values: Sequence[Hashable | None],
+           table: Iterable[Hashable] = ()) -> tuple[np.ndarray, tuple[Any, ...]]:
     """``table`` extended with the distinct new ``values`` in first-seen
     order, and each value's position in it (-1 for None)."""
     positions = dict.fromkeys(table)
@@ -680,18 +681,18 @@ class RecordBatch:
         def index(name: str, position: np.ndarray) -> np.ndarray:
             return position if row is None else position[row[name]]
 
-        code, codes = _intern(column["primary_code"])
-        clinical, codes = _intern(column["clinical_code"], codes)
+        code, codes = intern(column["primary_code"])
+        clinical, codes = intern(column["clinical_code"], codes)
         shared = {id(a): a for a in column["fidelity"] if a is not None}  # first-seen order
-        institution, institutions = _intern(column["institution_id"])
-        version, versions = _intern(column["version_tag"])
-        co, co_sets = _intern(column["co_codes"])
-        fidelity = _intern([None if a is None else id(a) for a in column["fidelity"]], shared)[0]
+        institution, institutions = intern(column["institution_id"])
+        version, versions = intern(column["version_tag"])
+        co, co_sets = intern(column["co_codes"])
+        fidelity = intern([None if a is None else id(a) for a in column["fidelity"]], shared)[0]
         return cls(
             record_id=np.array(column["record_id"], dtype=object),
             times=times, zone=zone, zones=tuple(zones),
-            age_band=index("patient_age_band", _intern(column["patient_age_band"], AGE_BANDS)[0]),
-            sex=index("patient_sex", _intern(column["patient_sex"], SEXES)[0]),
+            age_band=index("patient_age_band", intern(column["patient_age_band"], AGE_BANDS)[0]),
+            sex=index("patient_sex", intern(column["patient_sex"], SEXES)[0]),
             institution=index("institution_id", institution), institutions=institutions,
             code=index("primary_code", code), clinical=index("clinical_code", clinical),
             codes=codes, version=index("version_tag", version), versions=versions,

@@ -75,7 +75,7 @@ def partition_oracle_files(
                 if type(data["record_id"]) is not str:  # ids of mixed types do not sort
                     raise TypeError(f"record_id {data['record_id']!r} is not a string")
                 out.append(data["record_id"])
-            except (ValueError, LookupError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno} is not a JSON record: {exc}") from None
         return out
 

@@ -33,6 +33,7 @@ from .model import (
     ValidationError,
     gather,
     group,
+    intern,
     to_json,
     write_jsonl,
 )
@@ -159,9 +160,9 @@ def validate_spec(system: CodeSystem, spec: DistortionSpec) -> None:
         raise ValidationError(f"spec lists institution {repeated[0]!r} more than once")
     institutions = set(ids)
     total_weight = sum(i.weight for i in spec.institutions)
-    if abs(total_weight - 1.0) > 1e-6:
+    if not abs(total_weight - 1.0) <= 1e-6:  # NaN fails too
         raise ValidationError(f"institution weights must sum to 1, got {total_weight}")
-    if any(i.weight < 0 for i in spec.institutions):
+    if not all(i.weight >= 0 for i in spec.institutions):
         raise ValidationError("institution weights must be non-negative")
     for entry in spec.catch_all:
         if entry.institution_id not in institutions:
@@ -217,8 +218,8 @@ def _effective_prevalence(
     observed prevalence ratio equals its multiplier.
     """
     prevalence = dict(system.base_prevalence)
-    if not prevalence:
-        raise ValidationError("code system declares no base_prevalence")
+    if not sum(prevalence.values()):
+        raise ValidationError("code system declares no positive base_prevalence")
     outbreak = spec.outbreak
     if outbreak is None or window.start < outbreak.start:
         total = sum(prevalence.values())
@@ -352,7 +353,7 @@ def generate_batch(
     offsets = rng.integers(0, window_seconds, size=n)
 
     # One frozenset per distinct co-code set, shared by every row that drew it.
-    co_code_sets: dict[frozenset[str], int] = {frozenset(): 0}
+    co_code_sets: tuple[frozenset[str], ...] = (frozenset(),)
     co_index = np.zeros(n, dtype=np.int64)
     for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
@@ -368,9 +369,9 @@ def generate_batch(
         else:
             sizes = rng.integers(2, k_max + 1, size=rows.size)
         masks, inverse = _group_rows(_weighted_sample_without_replacement(rng, weights, sizes))
-        ids = [co_code_sets.setdefault(frozenset(compress(support, mask)), len(co_code_sets))
-               for mask in masks]
-        co_index[rows] = np.array(ids)[inverse]
+        ids, co_code_sets = intern([frozenset(compress(support, mask)) for mask in masks],
+                                   co_code_sets)
+        co_index[rows] = ids[inverse]
 
     # Distortions act on code and institution columns; ``labels`` holds one
     # bit per DistortionLabel, in declaration order.
@@ -469,7 +470,7 @@ def generate_batch(
         institution=inst_index.astype(np.int32), institutions=tuple(inst_ids),
         code=primary.astype(np.int32), clinical=no_row, codes=tuple(names),
         version=version_index.astype(np.int32)[inst_index], versions=tuple(version_table.tolist()),
-        co=co_index.astype(np.int32), co_sets=tuple(co_code_sets),
+        co=co_index.astype(np.int32), co_sets=co_code_sets,
         influence=influence, fidelity=no_row, annotations=(),
     )
     return batch, GroundTruth(entries, truth_index.astype(np.int32))

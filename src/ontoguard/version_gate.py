@@ -22,6 +22,7 @@ from .model import (
     RecordBatch,
     ValidationError,
     group,
+    intern,
     iter_jsonl,
     write_jsonl,
 )
@@ -163,20 +164,15 @@ def gate_batch(
     n_versions = len(batch.versions)
     pairs, _, _, inverse = group(batch.code.astype(np.int64) * n_versions + batch.version,
                                  len(batch.codes) * n_versions)
-    codes = {code: i for i, code in enumerate(batch.codes)}
-    versions = {version: i for i, version in enumerate(batch.versions)}
-    target_index = versions.setdefault(target_version, len(versions))
-    status, mapped = [], []
-    for pair in pairs.tolist():
-        code, version = divmod(pair, n_versions)
-        gated, image = _gate(system, batch.codes[code], batch.versions[version], target_version)
-        status.append(gated)
-        mapped.append(codes.setdefault(image, len(codes)))
-    status = np.array(status, dtype=np.int8)[inverse]
+    outcomes = [_gate(system, batch.codes[code], batch.versions[version], target_version)
+                for code, version in (divmod(pair, n_versions) for pair in pairs.tolist())]
+    status = np.array([gated for gated, _ in outcomes], dtype=np.int8)[inverse]
+    mapped, codes = intern([image for _, image in outcomes], batch.codes)
+    (target_index,), versions = intern([target_version], batch.versions)
     gated = replace(
-        batch, code=np.array(mapped, dtype=np.int32)[inverse], codes=tuple(codes),
+        batch, code=mapped[inverse], codes=codes,
         version=np.where(status == RECONCILED, target_index, batch.version).astype(np.int32),
-        versions=tuple(versions),
+        versions=versions,
     )
     return GateOutcome(batch=batch, gated=gated, status=status)
 

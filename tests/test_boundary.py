@@ -420,6 +420,23 @@ def test_layer_codes_are_read_only_by_profile_batch():
     assert inside and everywhere == inside
 
 
+def _numbers_by_hand(call: ast.Call) -> bool:
+    """A call ``X.setdefault(key, len(...))``: a table entry numbered by hand."""
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "setdefault"
+            and len(call.args) == 2 and isinstance(call.args[1], ast.Call)
+            and getattr(call.args[1].func, "id", None) == "len")
+
+
+def test_table_entries_are_numbered_only_by_model():
+    # model.intern numbers a table's entries in first-seen order; a stage
+    # that rebuilds it with setdefault says the same rule a second time.
+    numbered = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                if path.name != "model.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and _numbers_by_hand(node)]
+    assert numbered == []
+
+
 def _builds_record(call: ast.Call) -> bool:
     """A call of ``CodedRecord`` or one that is handed it: ``map(CodedRecord, ...)``,
     ``object.__new__(CodedRecord)``."""

@@ -76,6 +76,17 @@ class TestInference:
         out = infer_clinical_layer(batch, ref, bundled_cfg)
         assert [r.clinical_code for r in out] == [r.primary_code for r in batch]
 
+    def test_tie_goes_to_the_smallest_candidate_code(self, q1_products, bundled_cfg):
+        # Co-codes outside the reference code set add nothing to any
+        # candidate's likelihood, so every candidate ties at 0.0.
+        ref = q1_products["ref"]
+        outside = ("NOT-A-CODE-1", "NOT-A-CODE-2")
+        assert not set(outside) & set(ref.code_set) and len(ref.candidate_codes) > 1
+        smallest = min(ref.candidate_codes)
+        record = annotated(make_record(code=max(ref.candidate_codes), co_codes=outside), 0.1)
+        out = infer_clinical_layer(as_batch([record]), ref, bundled_cfg)
+        assert out[0].clinical_code == smallest
+
     def test_unannotated_record_rejected(self, q1_products, bundled_cfg):
         with pytest.raises(ValidationError, match="not annotated"):
             infer_clinical_layer(

@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -17,9 +19,11 @@ import pytest
 from conftest import SEED, make_record, record_dict
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
+    FidelityAnnotation,
     StageError,
     ValidationError,
     canonical_dumps,
+    jsonl_dumps,
 )
 from ontoguard.synthgen import InstitutionWeight
 
@@ -381,6 +385,20 @@ def _system_with_misspelt_transitions() -> dict:
     return data
 
 
+def _system_with_prevalence(rates: dict) -> dict:
+    data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
+    data["base_prevalence"].update(rates)
+    return data
+
+
+# A JSON array nested deeper than the json module's recursion limit.
+DEEP = "[" * 5000 + "]" * 5000
+
+# A records-file line as write_records writes it, whose fidelity score holds DEEP.
+DEEP_FIDELITY_LINE = jsonl_dumps(make_record(
+    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, "r"))).replace('"score":0.5', '"score":' + DEEP)
+
+
 def _adapter_text(**rule) -> str:
     """One conditional-permit adapter whose only rule takes ``rule``'s fields."""
     return json.dumps({
@@ -476,6 +494,17 @@ CLI_INPUT_FILES = {
         "model_version": "m1", "confidence": 0.8, "clinician_modified": True}}) + "\n",
     "system-dir.json": walkthrough_text(code_system=""),
     "config-dir.json": walkthrough_text(config="."),
+    "deep.json": DEEP,
+    "deep.jsonl": DEEP + "\n",
+    "deep-fidelity.jsonl": DEEP_FIDELITY_LINE + "\n",
+    "system-prevalence-negative.json": json.dumps(_system_with_prevalence({"DM-OTHER": -0.5})),
+    "system-prevalence-nan.json": json.dumps(_system_with_prevalence({"DM-OTHER": math.nan})),
+    "system-prevalence-inf.json": json.dumps(_system_with_prevalence({"DM-OTHER": math.inf})),
+    "system-prevalence-zero.json": json.dumps(_system_with_prevalence(
+        dict.fromkeys(json.loads(Path(SYSTEM).read_text(encoding="utf-8"))["base_prevalence"], 0))),
+    "spec-nan-weight.json": json.dumps({"current_version": "2025", "institutions": [
+        {"institution_id": "I-A", "weight": math.nan}]}),
+    "n-huge.json": walkthrough_text(n_per_quarter=100_000_000_000),
 }
 
 
@@ -704,6 +733,30 @@ class TestCli:
          "system-dir.json references missing file: ."),
         (["scenario", "run", "config-dir.json", "--seed", "1", "--out-dir", "run"],
          "config-dir.json references missing file: ."),
+        (["breaker", "check", "--records", "deep.jsonl"], "deep.jsonl:1: "),
+        (["breaker", "check", "--records", "deep-fidelity.jsonl"], "deep-fidelity.jsonl:1: "),
+        (["comply-check", "--op", "deploy", "--adapters", "deep.json"],
+         "deep.json is not valid JSON"),
+        (["scenario", "run", "deep.json", "--seed", "1"], "deep.json is not valid JSON"),
+        (["oracle", "partition", "--input", "deep.jsonl", "--accepted", "records.jsonl",
+          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"],
+         "deep.jsonl:1 is not a JSON record"),
+        (["synth", "generate", "--system", "system-prevalence-negative.json", "--spec",
+          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "system-prevalence-negative.json base_prevalence['DM-OTHER'] must be a number >= 0, "
+         "got -0.5"),
+        (["synth", "generate", "--system", "system-prevalence-nan.json", "--spec",
+          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "system-prevalence-nan.json base_prevalence['DM-OTHER'] must be a number >= 0, got nan"),
+        (["synth", "generate", "--system", "system-prevalence-inf.json", "--spec",
+          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "system-prevalence-inf.json base_prevalence['DM-OTHER'] must be a number >= 0, got inf"),
+        (["synth", "generate", "--system", "system-prevalence-zero.json", "--spec",
+          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "code system declares no positive base_prevalence"),
+        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-nan-weight.json", "--n", "10",
+          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+         "institution weights must sum to 1, got nan"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -728,6 +781,10 @@ class TestCli:
         "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
         "record-misspelt-key", "record-misspelt-tag-key",
         "scenario-code-system-directory", "scenario-config-directory",
+        "records-deeply-nested", "records-deeply-nested-fidelity", "adapter-deeply-nested",
+        "scenario-deeply-nested", "partition-deeply-nested", "system-negative-prevalence",
+        "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
+        "spec-nan-weight",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -746,6 +803,32 @@ class TestCli:
         )
         assert result.returncode == 1
         assert "error:" in result.stderr and named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "100000000000",
+         "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+        ["scenario", "run", "n-huge.json", "--seed", "1", "--out-dir", "run"],
+    ], ids=["synth-generate", "scenario-run"])
+    def test_size_no_machine_holds_exits_one_without_traceback(self, tmp_path, argv):
+        # The child's address space is capped at about 3 GB, so the first
+        # array of 10^11 rows fails to allocate and nothing of that size is
+        # ever reserved.
+        def cap_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, hard))
+
+        for name in ("spec.json", "n-huge.json"):
+            (tmp_path / name).write_text(CLI_INPUT_FILES[name], encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "ontoguard.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and "allocate" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -108,6 +108,12 @@ class TestLoadCodeSystem:
         with pytest.raises(ValidationError, match=named):
             tiny_system(base_prevalence={"AAA": 0.5, "BBB": value})
 
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_base_prevalence_must_be_finite_and_not_negative(self, value):
+        named = re.escape(f"base_prevalence['BBB'] must be a number >= 0, got {value!r}")
+        with pytest.raises(ValidationError, match=named):
+            tiny_system(base_prevalence={"AAA": 0.5, "BBB": value})
+
     @pytest.mark.parametrize("profiles, named", [
         ({"cooccurrence": "x"},
          "cooccurrence_profiles must be an object of objects of numbers, got 'x'"),
