@@ -84,6 +84,20 @@ def _load_cfg(path: str | None) -> PipelineConfig:
     return PipelineConfig() if path is None else load_config(path)
 
 
+def _blame(path: str, build, *args):
+    """``build(*args)``, where ``args`` hold what was read from ``path``.
+
+    A profile or reference model can fail on a batch as a whole, such as a
+    code whose times mix naive and UTC-offset timestamps, and no one line
+    holds that fault, so its message names the file. ``read_records``
+    already names ``path:line`` for a line's own faults; call it outside.
+    """
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _parse_context_value(raw: str):
     lowered = raw.lower()
     if lowered in ("true", "false"):
@@ -267,7 +281,8 @@ def _annotate(args):
     _print_layer(Layer.ADMINISTRATIVE)
     system = load_code_system(args.system)
     cfg = _load_cfg(args.config)
-    ref = checkpoint_mod.build_reference_model(read_records(args.history), system)
+    ref = _blame(args.history, checkpoint_mod.build_reference_model,
+                 read_records(args.history), system)
     return cfg, ref, checkpoint_mod.annotate_batch(read_records(args.records), ref, cfg)
 
 
@@ -297,7 +312,7 @@ def _cmd_infer_clinical(args) -> int:
 def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
-    profile = profile_batch(read_records(args.records), args.layer)
+    profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)
     significance = load_json(args.significance, "--significance file",
                              partial(from_json, Mapping[str, str]))
     classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
@@ -322,7 +337,7 @@ def _cmd_dormancy_classify(args) -> int:
 def _cmd_dormancy_activate(args) -> int:
     _print_layer(args.layer)
     store = dormancy_mod.read_store(args.store)
-    profile = profile_batch(read_records(args.records), args.layer)
+    profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)
     events = []
     if args.domain_transfer:
         events.append(dormancy_mod.Event(
@@ -346,8 +361,10 @@ def _cmd_drift_scan(args) -> int:
     _print_layer(args.layer)
     system = load_code_system(args.system)
     cfg = _load_cfg(args.config)
-    baseline = profile_batch(read_records(args.baseline), args.layer)
-    current = profile_batch(read_records(args.current), args.layer)
+    baseline = _blame(args.baseline, profile_batch, read_records(args.baseline), args.layer)
+    current = _blame(args.current, profile_batch, read_records(args.current), args.layer)
+    if current.n:  # scan reads the code set of the current batch's version
+        _blame(args.current, system.codes, current.dominant_version())
     alerts = sentinel_mod.scan(baseline, current, system, cfg)
     for alert in alerts:
         print(

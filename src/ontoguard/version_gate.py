@@ -154,8 +154,6 @@ def gate_batch(
         ValidationError: target version unknown or not validated; the gate
             refuses to run rather than force data through.
     """
-    if not system.has_version(target_version):
-        raise ValidationError(f"unknown version: {target_version!r}")
     target = system.version(target_version)
     if not target.validated:
         raise ValidationError(
@@ -190,8 +188,7 @@ def validate_migration(
     or every uncovered code is explicitly acknowledged.
     """
     for label in (from_version, to_version):
-        if not system.has_version(label):
-            raise ValidationError(f"unknown version: {label!r}")
+        system.version(label)  # raises on an unknown label
     observed = sorted(set(observed_codes))
     acknowledged = set(acknowledged_codes)
     chain = system.version_chain(from_version, to_version)

@@ -31,10 +31,11 @@ from ontoguard.compliance import (
     compose,
 )
 from ontoguard.model import PipelineConfig, from_json
-from ontoguard.oracles import accuracy_recount, jsd_oracle, partition_oracle
+from ontoguard.oracles import jsd_oracle, partition_oracle
 from ontoguard.sentinel import aligned_jsd
 from ontoguard.synthgen import DistortionSpec, InstitutionWeight, spec_to_dict
 from ontoguard.version_gate import gate_batch
+from recounts import accuracy_recount
 
 
 @contextmanager

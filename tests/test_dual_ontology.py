@@ -16,8 +16,8 @@ from ontoguard.dual_ontology import (
     write_divergence_csv,
 )
 from ontoguard.model import FidelityAnnotation, PipelineConfig, ValidationError
-from ontoguard.oracles import accuracy_recount
 from ontoguard.synthgen import InstitutionWeight
+from recounts import accuracy_recount
 
 
 def annotated(record, score):

@@ -505,6 +505,8 @@ CLI_INPUT_FILES = {
     "spec-nan-weight.json": json.dumps({"current_version": "2025", "institutions": [
         {"institution_id": "I-A", "weight": math.nan}]}),
     "n-huge.json": walkthrough_text(n_per_quarter=100_000_000_000),
+    "v1900.jsonl": json.dumps(record_dict(make_record(version="1900"))) + "\n",
+    "store-empty.json": "[]",
 }
 
 
@@ -651,7 +653,8 @@ class TestCli:
          "unrecognized arguments: --layer clinical"),
         (["dormancy", "classify", "--records", "mixed-offsets.jsonl",
           "--significance", "significance.json", "--store", "store.json"],
-         "record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive and UTC-offset"),
+         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive "
+         "and UTC-offset"),
         (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
           "--seed", "-1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
          "argument --seed: must be a non-negative integer, got '-1'"),
@@ -757,6 +760,25 @@ class TestCli:
         (["synth", "generate", "--system", SYSTEM, "--spec", "spec-nan-weight.json", "--n", "10",
           "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
          "institution weights must sum to 1, got nan"),
+        (["fidelity-report", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
+          "--system", SYSTEM, "--out", "fidelity.csv"],
+         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+        (["infer-clinical", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
+          "--system", SYSTEM, "--out", "out.jsonl"],
+         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+        (["drift-scan", "--baseline", "one.jsonl", "--current", "mixed-offsets.jsonl",
+          "--system", SYSTEM],
+         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+        (["dormancy", "activate", "--records", "mixed-offsets.jsonl",
+          "--store", "store-empty.json"],
+         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+        (["infer-clinical", "--records", "one.jsonl", "--history", "v1900.jsonl",
+          "--system", SYSTEM, "--out", "out.jsonl"], "v1900.jsonl: unknown version: '1900'"),
+        (["drift-scan", "--baseline", "one.jsonl", "--current", "v1900.jsonl",
+          "--system", SYSTEM], "v1900.jsonl: unknown version: '1900'"),
+        (["fidelity-report", "--records", "one.jsonl", "--history", "records.jsonl",
+          "--system", SYSTEM, "--out", "fidelity.csv"],
+         "records.jsonl: reference history must be non-empty"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -784,7 +806,9 @@ class TestCli:
         "records-deeply-nested", "records-deeply-nested-fidelity", "adapter-deeply-nested",
         "scenario-deeply-nested", "partition-deeply-nested", "system-negative-prevalence",
         "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
-        "spec-nan-weight",
+        "spec-nan-weight", "fidelity-history-mixed-offsets", "infer-history-mixed-offsets",
+        "scan-current-mixed-offsets", "activate-mixed-offsets", "infer-history-unknown-version",
+        "scan-current-unknown-version", "fidelity-history-empty",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

@@ -4,13 +4,8 @@ import math
 
 import pytest
 
-from ontoguard.oracles import (
-    accuracy_recount,
-    binomial_interval,
-    jsd_oracle,
-    partition_oracle,
-    partition_oracle_files,
-)
+from ontoguard.oracles import jsd_oracle, partition_oracle, partition_oracle_files
+from recounts import accuracy_recount, binomial_interval
 
 
 class TestJsdOracle:

@@ -1,4 +1,8 @@
-"""Each stage against a naive recount of its result in oracles.py.
+"""Each stage against a naive recount of its result in ``tests/recounts.py``.
+
+The recounts live beside the tests because only the tests run them. Like
+``ontoguard.oracles``, they import nothing from the package they check; the
+first test below pins that for both modules.
 
 The batches are hostile on purpose: empty co-code sets, a single record, a
 single institution, codes missing from the reference, every record
@@ -32,6 +36,7 @@ from ontoguard.model import (
     profile_batch,
 )
 from ontoguard.version_gate import gate_batch
+import recounts
 
 
 def _codes(*names):
@@ -99,19 +104,21 @@ def batches(draw, codes=CODES, versions=("v2",), min_size=0):
 
 
 def test_oracles_import_nothing_from_the_package():
-    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
-    assert [m for m in imported if m.startswith(".") or m.startswith("ontoguard")
-            or m == ""] == []
+    for module in (oracles, recounts):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names]
+        assert [m for m in imported if m.startswith(".") or m.startswith("ontoguard")
+                or m == ""] == [], module.__file__
 
 
 @given(batches(), st.sampled_from(list(Layer)))
 @settings(max_examples=150, deadline=None)
 def test_profile_batch_matches_recount(rows, layer):
     profile = profile_batch(read_rows(rows), layer)
-    expect = oracles.profile_recount(rows, layer.value)
+    expect = recounts.profile_recount(rows, layer.value)
     assert profile.n == expect["n"]
     assert list(profile.codes) == list(expect["codes"])
     for code, usage in profile.codes.items():
@@ -140,7 +147,7 @@ def test_dormancy_classes_match_recount(rows, layer, significant, data):
     ).filter(lambda t: t < 1.0))
     classes = classify_features(profile_batch(read_rows(rows), layer), significant,
                                 PipelineConfig(dormancy_frequency_threshold=threshold))
-    expect = oracles.dormancy_recount(rows, layer.value, sorted(significant), threshold)
+    expect = recounts.dormancy_recount(rows, layer.value, sorted(significant), threshold)
     assert [(code, c.value) for code, c in classes.items()] == list(expect.items())
 
 
@@ -148,7 +155,7 @@ def test_dormancy_classes_match_recount(rows, layer, significant, data):
 @settings(max_examples=150, deadline=None)
 def test_reference_model_matches_recount(history):
     ref = build_reference_model(read_rows(history), SYSTEM, "v2")
-    expect = oracles.reference_recount(history, ref.code_set)
+    expect = recounts.reference_recount(history, ref.code_set)
     assert ref.code_set == ("AAA", "BBB", "CCC", "SPLIT-A", "SPLIT-B")
     assert ref.n_records == expect["n"]
     assert ref.code_counts == expect["code_counts"]
@@ -166,17 +173,17 @@ def test_reference_model_matches_recount(history):
 def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
     cfg = PipelineConfig(fidelity_weights=(0.2, 0.5, 0.3), inference_fidelity_cutoff=cutoff)
     ref = build_reference_model(read_rows(history), SYSTEM, "v2")
-    expect = oracles.reference_recount(history, ref.code_set)
+    expect = recounts.reference_recount(history, ref.code_set)
     annotated = annotate_batch(read_rows(rows), ref, cfg)
     inferred = infer_clinical_layer(annotated, ref, cfg)
     assert len(annotated) == len(inferred) == len(rows)
     for row, record in zip(rows, inferred):
         fid = record.fidelity
-        prev, cooc, inst = oracles.fidelity_recount(row, expect)
+        prev, cooc, inst = recounts.fidelity_recount(row, expect)
         assert (fid.prevalence_subscore, fid.cooccurrence_subscore,
                 fid.institutional_subscore) == (prev, cooc, inst)
         assert fid.score == min(1.0, max(0.0, 0.2 * prev + 0.5 * cooc + 0.3 * inst))
-        winner, runner_up, margin = oracles.likeliest_recount(row["co_codes"], expect)
+        winner, runner_up, margin = recounts.likeliest_recount(row["co_codes"], expect)
         assert margin >= 0 and (runner_up is None or runner_up != winner)
         if fid.score < cutoff and row["co_codes"] and winner is not None:
             assert record.clinical_code == winner
@@ -196,7 +203,7 @@ def test_gate_matches_recount(rows, target):
         got[item.record_id] = (reason.value, item.primary_code, item.version_tag)
     expect = {
         row["record_id"]: (bucket, code, target if bucket == "reconciled" else row["version_tag"])
-        for row, (bucket, code) in zip(rows, oracles.gate_recount(rows, SYSTEM_DATA, target))
+        for row, (bucket, code) in zip(rows, recounts.gate_recount(rows, SYSTEM_DATA, target))
     }
     assert got == expect
     assert outcome.total() == len(rows)
@@ -210,4 +217,4 @@ def test_breaker_counts_match_recount(rows):
     assert stats.total_count == len(rows)
     closed = BreakerState(BreakerStateKind.CLOSED, "closed", 0.15)
     model = retrain_gate(closed, read_rows(rows), ToyRiskModel("toy-risk-1", {}), stats)
-    assert model.weights == oracles.retrain_recount(rows, sorted(OUTCOME_MARKERS))
+    assert model.weights == recounts.retrain_recount(rows, sorted(OUTCOME_MARKERS))

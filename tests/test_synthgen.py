@@ -20,8 +20,8 @@ from ontoguard.model import (
     jsonl_dumps,
     write_records,
 )
-from ontoguard.oracles import binomial_interval, prevalence_recount
 from ontoguard.synthgen import InstitutionWeight
+from recounts import binomial_interval, prevalence_recount
 
 
 _NAMES = st.text(max_size=8)
