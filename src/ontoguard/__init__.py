@@ -12,10 +12,8 @@ stages together.
 from .model import (
     AGE_BANDS,
     SEXES,
-    CodedRecord,
     CodeSystem,
     FidelityAnnotation,
-    InfluenceTag,
     Layer,
     OntoguardError,
     PipelineConfig,
@@ -30,10 +28,8 @@ from .model import (
 __all__ = [
     "AGE_BANDS",
     "SEXES",
-    "CodedRecord",
     "CodeSystem",
     "FidelityAnnotation",
-    "InfluenceTag",
     "Layer",
     "OntoguardError",
     "PipelineConfig",

@@ -84,6 +84,11 @@ class ScenarioSpec:
                     f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not all(type(a.get("kind")) is str for a in self.assertions):
             raise ValidationError("assertions must be a list of objects, each with a string kind")
+        for i, assertion in enumerate(self.assertions):  # deploy_verdict has no quarter
+            quarter = assertion.get("quarter", 1)
+            if type(quarter) is not int or not 1 <= quarter <= self.quarters:
+                raise ValidationError(f"assertions[{i}].quarter must be an integer in "
+                                      f"1..{self.quarters}, got {quarter!r}")
         for code in self.significance:
             if not self.activation_conditions.get(code):
                 raise ValidationError(
@@ -499,7 +504,7 @@ def _check_assertion(assertion: Mapping[str, Any], report: RunReport) -> dict[st
             detail = f"verdict={verdict['kind']} conditions={verdict['conditions']}"
         else:
             detail = f"unknown assertion kind {kind!r}"
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         detail = f"assertion lookup failed: {exc!r}"
     return {"assertion": dict(assertion), "passed": passed, "detail": detail}
 

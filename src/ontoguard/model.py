@@ -631,7 +631,8 @@ class RecordBatch:
     timestamp. ``times`` holds each encounter's wall-clock time.
 
     Stages read and write the columns. Iterating yields each row as a
-    ``CodedRecord``, built on demand, for the files and the oracles.
+    ``CodedRecord``, built on demand; only ``version_gate.write_quarantine``
+    and perfbench's traced counter iterate.
     """
 
     record_id: np.ndarray            # str objects
@@ -652,22 +653,6 @@ class RecordBatch:
     influence: np.ndarray            # InfluenceTag or None objects
     fidelity: np.ndarray             # index into annotations, -1 when not annotated
     annotations: tuple[FidelityAnnotation, ...]
-
-    @classmethod
-    def from_records(cls, records: Iterable[CodedRecord]) -> RecordBatch:
-        """The batch of ``records``. Rows share an ``annotations`` entry only
-        when they hold the same annotation object, so equal annotations
-        written differently (``-0.0``, ``0`` and ``0.0`` are equal) each keep
-        their own and are written back as they were read."""
-        # Fields are moved into column lists a block of records at a time,
-        # so that no more than a block of records is alive at once.
-        column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
-        rows = (vars(record).values() for record in records)
-        while block := list(islice(rows, 4096)):
-            for values, fields_of_block in zip(column.values(), zip(*block)):
-                values.extend(fields_of_block)
-        zones: dict[tzinfo, int] = {}
-        return cls._from_columns(column, *_wall_clock(column["encounter_time"], zones), zones)
 
     @classmethod
     def _from_columns(cls, column: Mapping[str, Sequence[Any]], times: np.ndarray,
@@ -707,12 +692,6 @@ class RecordBatch:
     def select(self, rows: Any) -> RecordBatch:
         """The batch of the rows that ``rows`` (a mask, indices or a slice) picks."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
-
-    def __getitem__(self, rows: Any) -> Any:
-        """Row ``rows`` as a record when it is an integer, else ``select(rows)``."""
-        if isinstance(rows, (int, np.integer)):
-            return next(iter(self.select([rows])))
-        return self.select(rows)
 
     def encounter_time(self, row: int) -> datetime:
         """Row ``row``'s encounter time, with its UTC offset if it has one."""
@@ -761,6 +740,12 @@ class BatchProfile:
     def dominant_version(self) -> str:
         """Most common version tag; ties go to the greater label."""
         return max(self.versions, key=lambda t: (self.versions[t], t))
+
+    def window(self) -> TimeWindow:
+        """The days from the first encounter to the last."""
+        if self.first_day is None:
+            raise ValidationError("cannot infer a window from an empty batch")
+        return TimeWindow(self.first_day, self.last_day)
 
 
 def group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -957,12 +942,21 @@ def read_records(path: str | Path) -> RecordBatch:
     A file that ``write_records`` wrote is read by ``_canonical_batch``.
     Any other file, and any file with a fault, is read line by line as
     ``CodedRecord`` values through ``from_json``, which names the fault
-    and its ``path:line``.
+    and its ``path:line``. Each such row keeps an annotation entry of its
+    own, so equal annotations written differently are written back as read.
     """
     batch = _canonical_batch(path)
-    if batch is None:
-        return RecordBatch.from_records(iter_jsonl(path, partial(from_json, CodedRecord)))
-    return batch
+    if batch is not None:
+        return batch
+    # Fields are moved into column lists a block of records at a time, so
+    # that no more than a block of records is alive at once.
+    column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
+    rows = (vars(record).values() for record in iter_jsonl(path, partial(from_json, CodedRecord)))
+    while block := list(islice(rows, 4096)):
+        for values, fields_of_block in zip(column.values(), zip(*block)):
+            values.extend(fields_of_block)
+    zones: dict[tzinfo, int] = {}
+    return RecordBatch._from_columns(column, *_wall_clock(column["encounter_time"], zones), zones)
 
 
 # The constant texts of a records-file line, before, between and after its

@@ -181,8 +181,8 @@ def scan(
     current: BatchProfile,
     system: CodeSystem,
     cfg: PipelineConfig,
-    baseline_window: TimeWindow | None = None,
-    current_window: TimeWindow | None = None,
+    baseline_window: TimeWindow,
+    current_window: TimeWindow,
 ) -> list[DriftAlert]:
     """Compare fingerprints across two windows and classify alerts by cause.
 
@@ -191,8 +191,6 @@ def scan(
     administrative type, the conservative "investigate coding practice"
     default.
     """
-    baseline_window = baseline_window or _infer_window(baseline)
-    current_window = current_window or _infer_window(current)
     base_fps = build_fingerprints(baseline, baseline_window, cfg)
     curr_fps = build_fingerprints(current, current_window, cfg)
 
@@ -267,12 +265,6 @@ def scan(
         ))
     alerts.sort(key=lambda a: (-a.divergence, a.code))
     return alerts
-
-
-def _infer_window(profile: BatchProfile) -> TimeWindow:
-    if profile.first_day is None:
-        raise ValidationError("cannot infer a window from an empty batch")
-    return TimeWindow(profile.first_day, profile.last_day)
 
 
 def write_alerts(alerts: Iterable[DriftAlert], path: str | Path) -> None:

@@ -304,8 +304,6 @@ def generate_batch(
     validate_spec(system, spec)
     if window is None:
         window = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
-    if n == 0:
-        return RecordBatch.from_records(()), GroundTruth((), np.zeros(0, dtype=np.int32))
 
     rng = np.random.default_rng(seed)
     codes_def = system.codes(spec.current_version)

@@ -12,16 +12,16 @@ import pytest
 
 from ontoguard import checkpoint, dual_ontology, harness, synthgen, version_gate
 from ontoguard.model import (
-    CodedRecord,
     Layer,
     CodeSystem,
     RecordBatch,
     from_json,
-    jsonl_dumps,
     load_code_system,
     load_config,
     profile_batch,
     read_records,
+    to_json,
+    write_records,
 )
 
 SEED = 42
@@ -112,7 +112,7 @@ def seeded_batch(walkthrough_spec, bundled_system):
     return outcome.processed_records()
 
 
-def make_record(
+def row(
     record_id: str = "R-000000",
     age_band: str = "50-59",
     sex: str = "female",
@@ -121,30 +121,36 @@ def make_record(
     code: str = "DM2-UNSPEC",
     co_codes=(),
     version: str = "2025",
-    **kwargs,
-) -> CodedRecord:
-    return CodedRecord(
-        record_id=record_id,
-        patient_age_band=age_band,
-        patient_sex=sex,
-        institution_id=institution,
-        encounter_time=when or datetime(2025, 2, 15, 12, 0, 0),
-        primary_code=code,
-        co_codes=frozenset(co_codes),
-        version_tag=version,
-        **kwargs,
-    )
+    influence_tag: dict | None = None,
+    fidelity: dict | None = None,
+    clinical_code: str | None = None,
+) -> dict:
+    """The JSON object of one records-file line."""
+    return to_json({
+        "record_id": record_id, "patient_age_band": age_band, "patient_sex": sex,
+        "institution_id": institution, "encounter_time": when or datetime(2025, 2, 15, 12, 0, 0),
+        "primary_code": code, "co_codes": frozenset(co_codes), "version_tag": version,
+        "influence_tag": influence_tag, "fidelity": fidelity, "clinical_code": clinical_code,
+    })
 
 
-def record_dict(record: CodedRecord) -> dict:
-    """``record`` as the JSON object a records file holds."""
-    return json.loads(jsonl_dumps(record))
+def tag(model_version: str, model_confidence, clinician_modified: bool) -> dict:
+    """The JSON object of a line's influence tag."""
+    return {"model_version": model_version, "model_confidence": model_confidence,
+            "clinician_modified": clinician_modified}
+
+
+def annotation(score, prevalence, cooccurrence, institutional, rationale: str) -> dict:
+    """The JSON object of a line's fidelity annotation."""
+    return {"score": score, "prevalence_subscore": prevalence,
+            "cooccurrence_subscore": cooccurrence, "institutional_subscore": institutional,
+            "rationale": rationale}
 
 
 def admin(batch):
-    """The administrative-layer profile of ``batch``, a batch or a list of records."""
+    """The administrative-layer profile of ``batch``, a batch or a list of rows."""
     if not isinstance(batch, RecordBatch):
-        batch = as_batch(batch)
+        batch = read_rows(batch)
     return profile_batch(batch, Layer.ADMINISTRATIVE)
 
 
@@ -195,15 +201,20 @@ def truth_by_id(batch: RecordBatch, truth: synthgen.GroundTruth) -> dict:
                     strict=True))
 
 
-def as_batch(records) -> RecordBatch:
-    """``records`` as the batch a stage takes."""
-    return RecordBatch.from_records(records)
-
-
-def read_rows(rows) -> RecordBatch:
+def read_rows(values) -> RecordBatch:
     """The batch ``read_records`` reads from a records file, ``records.jsonl``,
-    that holds each of the JSON values ``rows`` as one line."""
+    that holds each of the JSON values ``values`` as one line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        path.write_text("".join(json.dumps(value) + "\n" for value in values), encoding="utf-8")
         return read_records(path)
+
+
+def rows(batch: RecordBatch) -> list[dict]:
+    """Each row of ``batch`` as the JSON object of its line in the records
+    file that ``write_records`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        write_records(path, batch)
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh]

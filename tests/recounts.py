@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime
-from typing import Any, Sequence
+from typing import Sequence
 
 
 def binomial_interval(n: int, p: float, coverage: float = 0.99) -> tuple[int, int]:
@@ -43,13 +43,12 @@ def binomial_interval(n: int, p: float, coverage: float = 0.99) -> tuple[int, in
     return lo, hi
 
 
-def prevalence_recount(records: Sequence[Any], code: str) -> float:
-    """Fraction of records whose primary code equals ``code``, recounted
-    directly from the record objects."""
-    if not records:
+def prevalence_recount(rows: Sequence[dict], code: str) -> float:
+    """Fraction of JSON-form rows whose primary code equals ``code``."""
+    if not rows:
         return 0.0
-    hits = sum(1 for r in records if r.primary_code == code)
-    return hits / len(records)
+    hits = sum(1 for r in rows if r["primary_code"] == code)
+    return hits / len(rows)
 
 
 def accuracy_recount(pairs: Sequence[tuple[str, str]]) -> float:

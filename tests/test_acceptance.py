@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import SEED, as_batch, make_record, tiny_system
+from conftest import SEED, read_rows, row, rows, tiny_system
 from ontoguard import cli
 from ontoguard.breaker import (
     BreakerStateKind,
@@ -88,12 +88,12 @@ def test_a2_checkpoint_separation(q1_products):
     with criterion("A2 checkpoint separation"):
         truth = q1_products["truth"]
         catch, clean = [], []
-        for record in q1_products["annotated"]:
-            labels = truth[record.record_id].distortion_labels
+        for record in rows(q1_products["annotated"]):
+            labels = truth[record["record_id"]].distortion_labels
             if "catch_all" in labels:
-                catch.append(record.fidelity.score)
+                catch.append(record["fidelity"]["score"])
             elif not labels:
-                clean.append(record.fidelity.score)
+                clean.append(record["fidelity"]["score"])
         assert len(catch) > 100
         assert statistics.mean(clean) - statistics.mean(catch) >= 0.05
 
@@ -154,19 +154,19 @@ def test_a4_gate_conservation():
         versions = ["v0", "v1", "v2", "v-unregistered"]
         for trial in range(200):
             batch = [
-                make_record(
+                row(
                     f"T{trial}-{i}",
                     code=codes[rng.integers(len(codes))],
                     version=versions[rng.integers(len(versions))],
                 )
                 for i in range(int(rng.integers(0, 60)))
             ]
-            outcome = gate_batch(as_batch(batch), system, "v2")
+            outcome = gate_batch(read_rows(batch), system, "v2")
             assert partition_oracle(
-                [r.record_id for r in batch],
-                [r.record_id for r in outcome.accepted],
-                [r.record_id for r in outcome.reconciled],
-                [r.record_id for r in outcome.quarantined],
+                [r["record_id"] for r in batch],
+                outcome.accepted.record_id.tolist(),
+                outcome.reconciled.record_id.tolist(),
+                outcome.quarantined.record_id.tolist(),
             )
             assert outcome.total() == len(batch)
 
@@ -181,7 +181,7 @@ def test_a5_breaker_boundary():
 
         rng = np.random.default_rng(SEED)
         model = ToyRiskModel("toy-risk-1", {})
-        cohort = as_batch([make_record(f"R-{i}") for i in range(10)])
+        cohort = read_rows([row(f"R-{i}") for i in range(10)])
         for _ in range(1_000):
             ratio = float(rng.random())
             history = tuple(
@@ -233,13 +233,13 @@ def test_a6_compliance_algebra():
 def test_a7_dual_layer_lift(q3_products):
     with criterion("A7 dual-layer lift"):
         truth = q3_products["truth"]
-        inferred = q3_products["inferred"]
+        inferred = rows(q3_products["inferred"])
         admin = accuracy_recount(
-            [(r.primary_code, truth[r.record_id].true_clinical_code)
+            [(r["primary_code"], truth[r["record_id"]].true_clinical_code)
              for r in inferred]
         )
         clinical = accuracy_recount(
-            [(r.clinical_code, truth[r.record_id].true_clinical_code)
+            [(r["clinical_code"], truth[r["record_id"]].true_clinical_code)
              for r in inferred]
         )
         assert clinical > admin

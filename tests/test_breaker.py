@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_batch, make_record
+from conftest import read_rows, row, rows, tag
 from ontoguard import synthgen
 from ontoguard.breaker import (
     OUTCOME_MARKERS,
@@ -22,20 +22,23 @@ from ontoguard.breaker import (
     write_influence_csv,
     write_refusal_packet,
 )
-from ontoguard.model import InfluenceTag, PipelineConfig, ValidationError
+from ontoguard.model import PipelineConfig, ValidationError
 from ontoguard.synthgen import InstitutionWeight
 
 CFG = PipelineConfig()  # breaker threshold 0.15
 
 
 def tagged(record_id, modified=False):
-    return make_record(record_id, influence_tag=InfluenceTag("m1", 0.8, modified))
+    return row(record_id, influence_tag=tag("m1", 0.8, modified))
+
+
+def cohort_rows(n, ratio):
+    k = int(round(n * ratio))
+    return [tagged(f"T-{i}") for i in range(k)] + [row(f"U-{i}") for i in range(n - k)]
 
 
 def cohort_with_ratio(n, ratio):
-    k = int(round(n * ratio))
-    return as_batch([tagged(f"T-{i}") for i in range(k)]
-                    + [make_record(f"U-{i}") for i in range(n - k)])
+    return read_rows(cohort_rows(n, ratio))
 
 
 def stats_for(ratio, history=()):
@@ -51,12 +54,12 @@ class TestComputeStats:
         assert stats.total_count == 50_000
 
     def test_zero_tags_closed(self):
-        stats = compute_stats(as_batch([make_record(f"R-{i}") for i in range(100)]), [])
+        stats = compute_stats(read_rows([row(f"R-{i}") for i in range(100)]), [])
         assert stats.ratio == 0.0
         assert evaluate(stats, CFG).state is BreakerStateKind.CLOSED
 
     def test_empty_cohort(self):
-        stats = compute_stats(as_batch([]), [])
+        stats = compute_stats(read_rows([]), [])
         assert stats.ratio == 0.0
         assert stats.total_count == 0
 
@@ -118,7 +121,7 @@ class TestRetrainGate:
         stats = compute_stats(cohort_with_ratio(10, 0.0), [])
         state = evaluate(stats, CFG)
         with pytest.raises(ValidationError, match="empty cohort"):
-            retrain_gate(state, as_batch([]), model, stats)
+            retrain_gate(state, read_rows([]), model, stats)
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(
@@ -126,14 +129,14 @@ class TestRetrainGate:
         st.frozensets(st.sampled_from(["AAA", "CCC", *sorted(OUTCOME_MARKERS)]), max_size=3),
     ), min_size=1, max_size=30))
     def test_weights_are_per_code_outcome_rates(self, pairs):
-        cohort = as_batch([make_record(f"R-{i}", code=code, co_codes=co)
-                           for i, (code, co) in enumerate(pairs)])
+        cohort = read_rows([row(f"R-{i}", code=code, co_codes=co)
+                            for i, (code, co) in enumerate(pairs)])
         stats = compute_stats(cohort, [])
         model = retrain_gate(evaluate(stats, CFG), cohort, ToyRiskModel("toy-risk-1", {}), stats)
         counts = {}  # code -> (records carrying it, of which positive), record by record
-        for record in cohort:
-            positive = bool(record.co_codes & OUTCOME_MARKERS)
-            for code in {record.primary_code, *record.co_codes}:
+        for record in rows(cohort):
+            positive = bool(OUTCOME_MARKERS.intersection(record["co_codes"]))
+            for code in {record["primary_code"], *record["co_codes"]}:
                 n, k = counts.get(code, (0, 0))
                 counts[code] = (n + 1, k + positive)
         assert list(model.weights) == sorted(counts)
@@ -172,6 +175,7 @@ class TestProperties:
         # No retraining ever happens while the breaker is open.
         rng = np.random.default_rng(37)
         model = ToyRiskModel("toy-risk-1", {})
+        cohort = cohort_with_ratio(10, 0.0)
         for _ in range(1_000):
             ratio = float(rng.random())
             history = tuple(
@@ -180,16 +184,16 @@ class TestProperties:
             stats = InfluenceStats("c", ratio, int(ratio * 100), 100,
                                    history + (("now", ratio),))
             state = evaluate(stats, CFG)
-            result = retrain_gate(state, cohort_with_ratio(10, 0.0), model, stats)
+            result = retrain_gate(state, cohort, model, stats)
             if state.state is BreakerStateKind.OPEN:
                 assert isinstance(result, Refusal)
             else:
                 assert isinstance(result, ToyRiskModel)
 
     def test_ratio_monotone_in_tagged_records(self):
-        cohort = cohort_with_ratio(200, 0.1)
-        base = compute_stats(cohort, []).ratio
-        grown = compute_stats(as_batch([*cohort, tagged("X-1"), tagged("X-2")]), []).ratio
+        cohort = cohort_rows(200, 0.1)
+        base = compute_stats(read_rows(cohort), []).ratio
+        grown = compute_stats(read_rows([*cohort, tagged("X-1"), tagged("X-2")]), []).ratio
         assert grown >= base
 
 
@@ -209,7 +213,7 @@ class TestIO:
     def test_refusal_packet(self, tmp_path):
         stats = stats_for(0.2)
         state = evaluate(stats, CFG)
-        result = retrain_gate(state, as_batch([]), ToyRiskModel("toy-risk-1", {}), stats)
+        result = retrain_gate(state, read_rows([]), ToyRiskModel("toy-risk-1", {}), stats)
         write_refusal_packet(result, tmp_path / "refusal.json")
         import json
 
@@ -219,7 +223,7 @@ class TestIO:
 
     def test_refusal_packet_text(self, tmp_path):
         stats = stats_for(0.2, [("q1", 0.04)])
-        refusal = retrain_gate(evaluate(stats, CFG), as_batch([]), ToyRiskModel("toy-risk-1", {}),
+        refusal = retrain_gate(evaluate(stats, CFG), read_rows([]), ToyRiskModel("toy-risk-1", {}),
                                stats)
         write_refusal_packet(refusal, tmp_path / "refusal.json")
         assert (tmp_path / "refusal.json").read_text(encoding="utf-8") == """{

@@ -1,11 +1,12 @@
 """Fidelity annotation: reference model, subscores, reports."""
 
 import csv
+import json
 import statistics
 
 import pytest
 
-from conftest import as_batch, make_record, tiny_system
+from conftest import read_rows, row, rows, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.checkpoint import (
     annotate_batch,
@@ -26,18 +27,17 @@ class TestBuildReferenceModel:
     def test_hand_counted_prevalence(self):
         system = tiny_system()
         history = (
-            [make_record(f"R-{i:03d}", code="AAA", version="v2") for i in range(60)]
-            + [make_record(f"S-{i:03d}", code="BBB", version="v2") for i in range(40)]
+            [row(f"R-{i:03d}", code="AAA", version="v2") for i in range(60)]
+            + [row(f"S-{i:03d}", code="BBB", version="v2") for i in range(40)]
         )
-        ref = build_reference_model(as_batch(history), system, "v2")
+        ref = build_reference_model(read_rows(history), system, "v2")
         # 3-code smoothing support: (60 + 1) / (100 + 3)
         assert ref.expected_prevalence("AAA", "50-59", "female") == pytest.approx(61 / 103)
         assert ref.marginal_prevalence("AAA") == pytest.approx(61 / 103)
 
     def test_single_record_history(self):
         system = tiny_system()
-        ref = build_reference_model(as_batch([make_record(code="AAA", version="v2")]), system,
-                                    "v2")
+        ref = build_reference_model(read_rows([row(code="AAA", version="v2")]), system, "v2")
         observed = ref.expected_prevalence("AAA", "50-59", "female")
         assert observed == pytest.approx(2 / 4)
         for band in ("0-9", "60-69"):
@@ -45,7 +45,7 @@ class TestBuildReferenceModel:
 
     def test_empty_history_rejected(self, bundled_system):
         with pytest.raises(ValidationError, match="non-empty"):
-            build_reference_model(as_batch([]), bundled_system)
+            build_reference_model(read_rows([]), bundled_system)
 
     def test_prevalences_track_generator_base_rates(self, bundled_system, cfg):
         spec = synthgen.DistortionSpec(
@@ -71,18 +71,18 @@ class TestAnnotate:
         i = 0
         for inst, count in (("P1", 10), ("P2", 10), ("P3", 10), ("HOT", 30)):
             for _ in range(count):
-                history.append(make_record(f"R-{i:04d}", institution=inst,
-                                           code="AAA", version="v2"))
+                history.append(row(f"R-{i:04d}", institution=inst,
+                                   code="AAA", version="v2"))
                 i += 1
             for _ in range(70 - count if inst == "HOT" else 90 - count):
-                history.append(make_record(f"R-{i:04d}", institution=inst,
-                                           code="BBB", version="v2"))
+                history.append(row(f"R-{i:04d}", institution=inst,
+                                   code="BBB", version="v2"))
                 i += 1
-        ref = build_reference_model(as_batch(history), system, "v2")
-        record = annotate_batch(
-            as_batch([make_record(institution="HOT", code="AAA", version="v2")]), ref, cfg
-        )[0]
-        assert record.fidelity.institutional_subscore < 0.5
+        ref = build_reference_model(read_rows(history), system, "v2")
+        [record] = rows(annotate_batch(
+            read_rows([row(institution="HOT", code="AAA", version="v2")]), ref, cfg
+        ))
+        assert record["fidelity"]["institutional_subscore"] < 0.5
 
     def test_best_case_record_scores_high(self, cfg):
         # Code concentrated on one stratum, co-codes matching the reference
@@ -91,63 +91,63 @@ class TestAnnotate:
         history = []
         for i in range(100):
             inst = f"I{i % 4}"
-            history.append(make_record(
+            history.append(row(
                 f"R-{i:04d}", institution=inst, code="AAA",
                 co_codes=("CCC",), version="v2",
             ))
         for i in range(1900):
             inst = f"I{i % 4}"
-            history.append(make_record(
+            history.append(row(
                 f"S-{i:04d}", age_band="20-29", sex="male", institution=inst,
                 code="BBB", version="v2",
             ))
-        ref = build_reference_model(as_batch(history), system, "v2")
-        record = annotate_batch(
-            as_batch([make_record(institution="I0", code="AAA", co_codes=("CCC",),
-                                  version="v2")]),
+        ref = build_reference_model(read_rows(history), system, "v2")
+        [record] = rows(annotate_batch(
+            read_rows([row(institution="I0", code="AAA", co_codes=("CCC",), version="v2")]),
             ref, cfg,
-        )[0]
-        fid = record.fidelity
-        assert fid.prevalence_subscore >= 0.9
-        assert fid.cooccurrence_subscore >= 0.9
-        assert fid.institutional_subscore >= 0.9
+        ))
+        fid = record["fidelity"]
+        assert fid["prevalence_subscore"] >= 0.9
+        assert fid["cooccurrence_subscore"] >= 0.9
+        assert fid["institutional_subscore"] >= 0.9
 
     def test_annotation_is_idempotent(self, q1_products, cfg, bundled_cfg):
-        record = q1_products["outcome"].accepted[0]
+        record = q1_products["outcome"].accepted.select([0])
         ref = q1_products["ref"]
-        once = annotate_batch(as_batch([record]), ref, bundled_cfg)[0]
-        twice = annotate_batch(as_batch([once]), ref, bundled_cfg)[0]
-        assert once.fidelity == twice.fidelity
-        assert once.record_id == record.record_id
+        once = annotate_batch(record, ref, bundled_cfg)
+        twice = annotate_batch(once, ref, bundled_cfg)
+        [once_row], [twice_row] = rows(once), rows(twice)
+        assert once_row["fidelity"] == twice_row["fidelity"]
+        assert once_row["record_id"] == record.record_id[0]
 
     def test_batch_scores_each_record_as_alone(self, seeded_batch, q1_products, bundled_cfg):
         # Subscores are cached per key within a batch; the result must not
         # depend on which other records share the batch.
         ref = q1_products["ref"]
-        together = annotate_batch(seeded_batch, ref, bundled_cfg)
-        alone = [annotate_batch(as_batch([record]), ref, bundled_cfg)[0]
-                 for record in seeded_batch]
+        together = rows(annotate_batch(seeded_batch, ref, bundled_cfg))
+        alone = [rows(annotate_batch(read_rows([record]), ref, bundled_cfg))[0]
+                 for record in rows(seeded_batch)]
         assert len(together) == len(seeded_batch) == 2000
-        assert list(together) == alone
-        assert len({r.fidelity for r in together}) > 1
+        assert together == alone
+        assert len({json.dumps(r["fidelity"]) for r in together}) > 1
 
     def test_catch_all_records_score_lower_on_average(self, q1_products):
         truth = q1_products["truth"]
         scores = {"catch": [], "clean": []}
-        for record in q1_products["annotated"]:
-            labels = truth[record.record_id].distortion_labels
+        for record in rows(q1_products["annotated"]):
+            labels = truth[record["record_id"]].distortion_labels
             if "catch_all" in labels:
-                scores["catch"].append(record.fidelity.score)
+                scores["catch"].append(record["fidelity"]["score"])
             elif not labels:
-                scores["clean"].append(record.fidelity.score)
+                scores["clean"].append(record["fidelity"]["score"])
         assert statistics.mean(scores["catch"]) < statistics.mean(scores["clean"])
 
     def test_catch_all_records_sit_below_batch_median(self, q1_products):
-        batch = q1_products["annotated"]
+        batch = rows(q1_products["annotated"])
         truth = q1_products["truth"]
-        median = statistics.median(r.fidelity.score for r in batch)
-        catch = [r.fidelity.score for r in batch
-                 if "catch_all" in truth[r.record_id].distortion_labels]
+        median = statistics.median(r["fidelity"]["score"] for r in batch)
+        catch = [r["fidelity"]["score"] for r in batch
+                 if "catch_all" in truth[r["record_id"]].distortion_labels]
         below = sum(1 for s in catch if s < median)
         assert below / len(catch) > 0.9
 
@@ -156,10 +156,10 @@ class TestAnnotate:
         assert len(annotate_batch(batch, q1_products["ref"], bundled_cfg)) == len(batch)
 
     def test_all_scores_bounded(self, q1_products):
-        for record in q1_products["annotated"]:
-            fid = record.fidelity
-            for value in (fid.score, fid.prevalence_subscore,
-                          fid.cooccurrence_subscore, fid.institutional_subscore):
+        for record in rows(q1_products["annotated"]):
+            fid = record["fidelity"]
+            for value in (fid["score"], fid["prevalence_subscore"],
+                          fid["cooccurrence_subscore"], fid["institutional_subscore"]):
                 assert 0.0 <= value <= 1.0
 
     def test_score_monotone_in_each_subscore(self):
@@ -178,8 +178,7 @@ class TestAnnotate:
 class TestFidelityReport:
     def test_single_institution(self, cfg):
         system = tiny_system()
-        history = as_batch([make_record(f"R-{i:03d}", code="AAA", version="v2")
-                            for i in range(30)])
+        history = read_rows([row(f"R-{i:03d}", code="AAA", version="v2") for i in range(30)])
         ref = build_reference_model(history, system, "v2")
         batch = annotate_batch(history, ref, cfg)
         report = fidelity_report(batch)
@@ -193,18 +192,18 @@ class TestFidelityReport:
         assert lowest.institution_id == "INST-07"
 
     def test_empty_batch_gives_empty_report(self):
-        assert fidelity_report(as_batch([])) == ()
+        assert fidelity_report(read_rows([])) == ()
 
     def test_unannotated_record_rejected(self):
         with pytest.raises(ValidationError, match="not annotated"):
-            fidelity_report(as_batch([make_record()]))
+            fidelity_report(read_rows([row()]))
 
     def test_csv_fields_are_quoted(self, cfg, tmp_path):
         # Institution ids holding a comma or a quote read back as one field each.
         system = tiny_system()
         institutions = ['I,"X', 'say "hi"', "plain"]
-        history = as_batch([make_record(f"R-{i:03d}", institution=institutions[i % 3],
-                                        code="AAA", version="v2") for i in range(30)])
+        history = read_rows([row(f"R-{i:03d}", institution=institutions[i % 3],
+                                 code="AAA", version="v2") for i in range(30)])
         report = fidelity_report(annotate_batch(
             history, build_reference_model(history, system, "v2"), cfg))
         path = tmp_path / "fidelity.csv"
@@ -216,7 +215,7 @@ class TestFidelityReport:
         assert sorted(row[0] for row in rows[1:]) == sorted(institutions)
 
     def test_csv_header_states_ordinal_semantics(self, q1_products, tmp_path):
-        report = fidelity_report(q1_products["annotated"][:100])
+        report = fidelity_report(q1_products["annotated"].select(slice(100)))
         path = tmp_path / "fidelity.csv"
         write_fidelity_report(report, path)
         lines = path.read_text().splitlines()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import admin, as_batch, make_record
+from conftest import admin, read_rows, row, rows
 from ontoguard import synthgen
 from ontoguard.dormancy import (
     ActivationCondition,
@@ -50,7 +50,7 @@ def batch_with_counts(counts: dict[str, int]) -> list:
     i = 0
     for code, count in counts.items():
         for _ in range(count):
-            records.append(make_record(f"R-{i:06d}", code=code))
+            records.append(row(f"R-{i:06d}", code=code))
             i += 1
     return records
 
@@ -77,15 +77,15 @@ class TestClassifyFeatures:
     def test_no_silent_loss(self, q1_products, bundled_cfg):
         batch = q1_products["inferred"]
         classes = classify_features(admin(batch), {"DM-OTHER"}, bundled_cfg)
-        assert set(classes) == {r.primary_code for r in batch}
+        assert set(classes) == {r["primary_code"] for r in rows(batch)}
 
     def test_clinical_layer_selector(self):
         batch = [
-            make_record(f"R-{i}", code="AAA", clinical_code="BBB")
+            row(f"R-{i}", code="AAA", clinical_code="BBB")
             for i in range(100)
         ]
         administrative = classify_features(admin(batch), set(), CFG)
-        clinical = classify_features(profile_batch(as_batch(batch), Layer.CLINICAL), set(), CFG)
+        clinical = classify_features(profile_batch(read_rows(batch), Layer.CLINICAL), set(), CFG)
         assert set(administrative) == {"AAA"}
         assert set(clinical) == {"BBB"}
 

@@ -5,7 +5,7 @@ from datetime import date
 
 import pytest
 
-from conftest import as_batch, make_record, tiny_system
+from conftest import annotation, read_rows, row, rows, tiny_system
 from ontoguard import checkpoint, synthgen
 from ontoguard.dual_ontology import (
     DivergenceReport,
@@ -15,23 +15,25 @@ from ontoguard.dual_ontology import (
     read_overrides,
     write_divergence_csv,
 )
-from ontoguard.model import FidelityAnnotation, PipelineConfig, ValidationError
+from ontoguard.model import PipelineConfig, ValidationError
 from ontoguard.synthgen import InstitutionWeight
 from recounts import accuracy_recount
 
 
 def annotated(record, score):
-    return record.__class__(**{
-        **record.__dict__,
-        "fidelity": FidelityAnnotation(score, score, score, score, "test"),
-    })
+    return {**record, "fidelity": annotation(score, score, score, score, "test")}
+
+
+def clinical_codes(batch):
+    """Each row's clinical code, as its records-file line holds it."""
+    return [r["clinical_code"] for r in rows(batch)]
 
 
 class TestInference:
     def test_high_fidelity_copies_primary(self, q1_products, bundled_cfg):
-        record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
-        assert out[0].clinical_code == "HTN-ESS"
+        record = annotated(row(code="HTN-ESS"), 0.95)
+        out = infer_clinical_layer(read_rows([record]), q1_products["ref"], bundled_cfg)
+        assert clinical_codes(out) == ["HTN-ESS"]
 
     def test_low_fidelity_catch_all_recovers_subtype(
         self, q1_products, bundled_cfg
@@ -39,17 +41,17 @@ class TestInference:
         # Catch-all coded record whose co-codes carry the hyperglycaemia
         # markers: the clinical layer lands on the specific subtype.
         record = annotated(
-            make_record(code="DM2-UNSPEC",
+            row(code="DM2-UNSPEC",
                         co_codes=("LAB-HBA1C-HI", "LAB-GLU-HI", "RX-INSULIN")),
             0.3,
         )
-        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
-        assert out[0].clinical_code == "DM2-HYPER"
+        out = infer_clinical_layer(read_rows([record]), q1_products["ref"], bundled_cfg)
+        assert clinical_codes(out) == ["DM2-HYPER"]
 
     def test_no_co_codes_keeps_primary(self, q1_products, bundled_cfg):
-        record = annotated(make_record(code="DM2-UNSPEC", co_codes=()), 0.1)
-        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
-        assert out[0].clinical_code == "DM2-UNSPEC"
+        record = annotated(row(code="DM2-UNSPEC", co_codes=()), 0.1)
+        out = infer_clinical_layer(read_rows([record]), q1_products["ref"], bundled_cfg)
+        assert clinical_codes(out) == ["DM2-UNSPEC"]
 
     def test_batch_infers_each_record_as_alone(
         self, seeded_batch, q1_products, bundled_cfg
@@ -59,22 +61,22 @@ class TestInference:
         batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
         together = infer_clinical_layer(batch, ref, bundled_cfg)
         alone = [
-            infer_clinical_layer(as_batch([record]), ref, bundled_cfg)[0]
-            for record in batch
+            rows(infer_clinical_layer(read_rows([record]), ref, bundled_cfg))[0]
+            for record in rows(batch)
         ]
-        assert list(together) == alone
-        assert any(r.clinical_code != r.primary_code for r in together)
+        assert rows(together) == alone
+        assert any(r["clinical_code"] != r["primary_code"] for r in alone)
 
     def test_no_candidate_codes_keeps_primary(
         self, seeded_batch, q1_products, bundled_cfg
     ):
         ref = replace(q1_products["ref"], candidate_codes=())
         batch = checkpoint.annotate_batch(seeded_batch, ref, bundled_cfg)
-        low = [r for r in batch
-               if r.fidelity.score < bundled_cfg.inference_fidelity_cutoff and r.co_codes]
+        low = [r for r in rows(batch)
+               if r["fidelity"]["score"] < bundled_cfg.inference_fidelity_cutoff and r["co_codes"]]
         assert low
         out = infer_clinical_layer(batch, ref, bundled_cfg)
-        assert [r.clinical_code for r in out] == [r.primary_code for r in batch]
+        assert clinical_codes(out) == [r["primary_code"] for r in rows(batch)]
 
     def test_tie_goes_to_the_smallest_candidate_code(self, q1_products, bundled_cfg):
         # Co-codes outside the reference code set add nothing to any
@@ -83,32 +85,32 @@ class TestInference:
         outside = ("NOT-A-CODE-1", "NOT-A-CODE-2")
         assert not set(outside) & set(ref.code_set) and len(ref.candidate_codes) > 1
         smallest = min(ref.candidate_codes)
-        record = annotated(make_record(code=max(ref.candidate_codes), co_codes=outside), 0.1)
-        out = infer_clinical_layer(as_batch([record]), ref, bundled_cfg)
-        assert out[0].clinical_code == smallest
+        record = annotated(row(code=max(ref.candidate_codes), co_codes=outside), 0.1)
+        out = infer_clinical_layer(read_rows([record]), ref, bundled_cfg)
+        assert clinical_codes(out) == [smallest]
 
     def test_unannotated_record_rejected(self, q1_products, bundled_cfg):
         with pytest.raises(ValidationError, match="not annotated"):
             infer_clinical_layer(
-                as_batch([make_record()]), q1_products["ref"], bundled_cfg
+                read_rows([row()]), q1_products["ref"], bundled_cfg
             )
 
     def test_clinical_layer_beats_administrative_accuracy(self, q3_products):
         truth = q3_products["truth"]
-        inferred = q3_products["inferred"]
+        inferred = rows(q3_products["inferred"])
         admin = accuracy_recount(
-            [(r.primary_code, truth[r.record_id].true_clinical_code) for r in inferred]
+            [(r["primary_code"], truth[r["record_id"]].true_clinical_code) for r in inferred]
         )
         clinical = accuracy_recount(
-            [(r.clinical_code, truth[r.record_id].true_clinical_code) for r in inferred]
+            [(r["clinical_code"], truth[r["record_id"]].true_clinical_code) for r in inferred]
         )
         assert clinical > admin
 
     def test_overrides_win_over_inference(self, q1_products, bundled_cfg):
-        record = annotated(make_record(code="HTN-ESS"), 0.95)
-        out = infer_clinical_layer(as_batch([record]), q1_products["ref"], bundled_cfg)
-        out = apply_clinical_overrides(out, {record.record_id: "MH-DEPR"})
-        assert out[0].clinical_code == "MH-DEPR"
+        record = annotated(row(code="HTN-ESS"), 0.95)
+        out = infer_clinical_layer(read_rows([record]), q1_products["ref"], bundled_cfg)
+        out = apply_clinical_overrides(out, {record["record_id"]: "MH-DEPR"})
+        assert clinical_codes(out) == ["MH-DEPR"]
 
     def test_override_file_round_trip(self, tmp_path):
         path = tmp_path / "overrides.jsonl"
@@ -133,16 +135,16 @@ class TestInference:
 
 class TestDivergence:
     def test_identical_layers_give_zero(self):
-        batch = as_batch([
-            make_record(f"R-{i}", clinical_code="DM2-UNSPEC") for i in range(10)
+        batch = read_rows([
+            row(f"R-{i}", clinical_code="DM2-UNSPEC") for i in range(10)
         ])
         report = divergence(batch)
         assert report.disagreement_rate == 0.0
         assert report.n == 10
 
     def test_fully_rewritten_gives_one(self):
-        batch = as_batch([
-            make_record(f"R-{i}", code="DM2-UNSPEC", clinical_code="DM2-HYPER")
+        batch = read_rows([
+            row(f"R-{i}", code="DM2-UNSPEC", clinical_code="DM2-HYPER")
             for i in range(10)
         ])
         report = divergence(batch)
@@ -196,14 +198,14 @@ class TestDivergence:
         assert 0.05 <= report.disagreement_rate <= 0.15
 
     def test_transposing_layers_preserves_rate(self):
-        batch = as_batch([
-            make_record("R-1", code="AAA", clinical_code="BBB"),
-            make_record("R-2", code="AAA", clinical_code="AAA"),
-            make_record("R-3", code="BBB", clinical_code="AAA"),
+        batch = read_rows([
+            row("R-1", code="AAA", clinical_code="BBB"),
+            row("R-2", code="AAA", clinical_code="AAA"),
+            row("R-3", code="BBB", clinical_code="AAA"),
         ])
-        swapped = as_batch([
-            make_record(r.record_id, code=r.clinical_code, clinical_code=r.primary_code)
-            for r in batch
+        swapped = read_rows([
+            row(r["record_id"], code=r["clinical_code"], clinical_code=r["primary_code"])
+            for r in rows(batch)
         ])
         fwd, rev = divergence(batch), divergence(swapped)
         assert fwd.disagreement_rate == rev.disagreement_rate == 2 / 3
@@ -211,14 +213,14 @@ class TestDivergence:
     def test_empty_batch_gives_one_report_of_zero(self):
         # `infer-clinical --divergence-out` on an empty records file writes
         # a population row of n=0 instead of failing on a missing report.
-        assert divergence(as_batch([])) == DivergenceReport(disagreement_rate=0.0, n=0)
+        assert divergence(read_rows([])) == DivergenceReport(disagreement_rate=0.0, n=0)
 
     def test_unpopulated_record_rejected(self):
         with pytest.raises(ValidationError, match="no clinical layer"):
-            divergence(as_batch([make_record()]))
+            divergence(read_rows([row()]))
 
     def test_csv_export(self, tmp_path):
-        batch = as_batch([make_record("R-1", clinical_code="DM2-UNSPEC")])
+        batch = read_rows([row("R-1", clinical_code="DM2-UNSPEC")])
         path = tmp_path / "divergence.csv"
         write_divergence_csv(divergence(batch), path)
         lines = path.read_text().splitlines()

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEED, make_record, record_dict
+from conftest import SEED, annotation, row
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
-    FidelityAnnotation,
     StageError,
     ValidationError,
     canonical_dumps,
@@ -361,6 +360,13 @@ def walkthrough_text(**changes) -> str:
     return json.dumps(data)
 
 
+def breaker_assertion_text(**changes) -> str:
+    """The walkthrough at 500 records a quarter whose one assertion is its
+    quarter-3 breaker assertion with ``changes``."""
+    return walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "breaker", "quarter": 3, "ratio": 0.12, "state": "warning", **changes}])
+
+
 def _system_with_string_validated() -> dict:
     data = json.loads(Path(SYSTEM).read_text(encoding="utf-8"))
     data["versions"][-1]["validated"] = "false"
@@ -395,8 +401,8 @@ def _system_with_prevalence(rates: dict) -> dict:
 DEEP = "[" * 5000 + "]" * 5000
 
 # A records-file line as write_records writes it, whose fidelity score holds DEEP.
-DEEP_FIDELITY_LINE = jsonl_dumps(make_record(
-    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, "r"))).replace('"score":0.5', '"score":' + DEEP)
+DEEP_FIDELITY_LINE = jsonl_dumps(row(
+    fidelity=annotation(0.5, 0.5, 0.5, 0.5, "r"))).replace('"score":0.5', '"score":' + DEEP)
 
 
 def _adapter_text(**rule) -> str:
@@ -413,13 +419,13 @@ def _adapter_text(**rule) -> str:
 # Input files of the bad-input CLI cases, by name.
 CLI_INPUT_FILES = {
     "records.jsonl": "",
-    "one.jsonl": json.dumps(record_dict(make_record())) + "\n",
+    "one.jsonl": json.dumps(row()) + "\n",
     "bad.json": "{not json",
     "partial.json": '[{"code": "X"}]',
     "object.json": "{}",
     "trunc.jsonl": '{"record_id": "a",\n',
     "badtype.jsonl": json.dumps(
-        {**record_dict(make_record()), "encounter_time": "notatime"}) + "\n",
+        {**row(), "encounter_time": "notatime"}) + "\n",
     "cfg-drift.json": '{"drift_threshold": [1]}',
     "cfg-weights.json": '{"fidelity_weights": 5}',
     "cfg-support.json": '{"fingerprint_min_support": 2.7}',
@@ -486,11 +492,11 @@ CLI_INPUT_FILES = {
     "sig-unknown-code.json": walkthrough_text(
         significance_list={"DM-OTEHR": "rare subtype"},
         activation_conditions={"DM-OTEHR": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}),
-    "mixed-offsets.jsonl": "".join(json.dumps(record_dict(r)) + "\n" for r in (
-        make_record("R-1"), make_record("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
-    "record-key.jsonl": json.dumps({**record_dict(make_record()), "influence_tg": {
+    "mixed-offsets.jsonl": "".join(json.dumps(r) + "\n" for r in (
+        row("R-1"), row("R-2", when=datetime(2025, 2, 16, tzinfo=timezone.utc)))),
+    "record-key.jsonl": json.dumps({**row(), "influence_tg": {
         "model_version": "m1", "model_confidence": 0.8, "clinician_modified": True}}) + "\n",
-    "tag-key.jsonl": json.dumps({**record_dict(make_record()), "influence_tag": {
+    "tag-key.jsonl": json.dumps({**row(), "influence_tag": {
         "model_version": "m1", "confidence": 0.8, "clinician_modified": True}}) + "\n",
     "system-dir.json": walkthrough_text(code_system=""),
     "config-dir.json": walkthrough_text(config="."),
@@ -505,8 +511,13 @@ CLI_INPUT_FILES = {
     "spec-nan-weight.json": json.dumps({"current_version": "2025", "institutions": [
         {"institution_id": "I-A", "weight": math.nan}]}),
     "n-huge.json": walkthrough_text(n_per_quarter=100_000_000_000),
-    "v1900.jsonl": json.dumps(record_dict(make_record(version="1900"))) + "\n",
+    "v1900.jsonl": json.dumps(row(version="1900")) + "\n",
     "store-empty.json": "[]",
+    "quarter-string.json": breaker_assertion_text(quarter="1"),
+    "quarter-float.json": breaker_assertion_text(quarter=1.0),
+    "quarter-zero.json": breaker_assertion_text(quarter=0),
+    "quarter-negative.json": breaker_assertion_text(quarter=-1),
+    "quarter-bool.json": breaker_assertion_text(quarter=True),
 }
 
 
@@ -520,6 +531,15 @@ class TestCli:
         assert status == 0
         assert "PASS gate_counts" in out
         assert (tmp_path / "run" / "report.json").exists()
+
+    def test_assertion_of_the_wrong_type_fails_as_a_lookup(self, tmp_path, capsys):
+        # A ratio that is not a number cannot be compared with the run's.
+        spec = tmp_path / "ratio-string.json"
+        spec.write_text(breaker_assertion_text(ratio="0.12"), encoding="utf-8")
+        status = cli.main(["scenario", "run", str(spec), "--seed", "1",
+                           "--out-dir", str(tmp_path / "run")])
+        assert status == 1
+        assert "FAIL breaker: assertion lookup failed: TypeError(" in capsys.readouterr().out
 
     def test_gate_unknown_version_is_validation_error(self, tmp_path, capsys,
                                                       walkthrough_spec):
@@ -779,6 +799,14 @@ class TestCli:
         (["fidelity-report", "--records", "one.jsonl", "--history", "records.jsonl",
           "--system", SYSTEM, "--out", "fidelity.csv"],
          "records.jsonl: reference history must be non-empty"),
+        (["drift-scan", "--baseline", "records.jsonl", "--current", "one.jsonl",
+          "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
+        (["drift-scan", "--baseline", "one.jsonl", "--current", "records.jsonl",
+          "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
+        *((["scenario", "run", f"quarter-{name}.json", "--seed", "1"],
+           f"quarter-{name}.json assertions[0].quarter must be an integer in 1..3, got {value}")
+          for name, value in (("string", "'1'"), ("float", "1.0"), ("zero", "0"),
+                              ("negative", "-1"), ("bool", "True"))),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -808,7 +836,9 @@ class TestCli:
         "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
         "spec-nan-weight", "fidelity-history-mixed-offsets", "infer-history-mixed-offsets",
         "scan-current-mixed-offsets", "activate-mixed-offsets", "infer-history-unknown-version",
-        "scan-current-unknown-version", "fidelity-history-empty",
+        "scan-current-unknown-version", "fidelity-history-empty", "scan-baseline-empty",
+        "scan-current-empty", "assertion-quarter-string", "assertion-quarter-float",
+        "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -979,12 +1009,12 @@ class TestCli:
     def test_dormancy_classify_carries_an_existing_store_forward(self, tmp_path, capsys):
         # DM-OTHER goes dormant in the first batch and is absent from the
         # second; classifying the second into the same store keeps it.
-        common = [make_record(f"C-{i}") for i in range(1000)]
-        batches = {"q1.jsonl": common + [make_record("R-1", code="DM-OTHER")],
+        common = [row(f"C-{i}") for i in range(1000)]
+        batches = {"q1.jsonl": common + [row("R-1", code="DM-OTHER")],
                    "q2.jsonl": common}
         for name, batch in batches.items():
             (tmp_path / name).write_text(
-                "".join(json.dumps(record_dict(r)) + "\n" for r in batch), encoding="utf-8")
+                "".join(json.dumps(r) + "\n" for r in batch), encoding="utf-8")
         (tmp_path / "significance.json").write_text('{"DM-OTHER": "rare"}', encoding="utf-8")
         (tmp_path / "conditions.json").write_text(
             '{"DM-OTHER": [{"kind": "prevalence_exceeds", "threshold": 0.005}]}',

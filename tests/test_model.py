@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, read_rows, record_dict, tiny_system
+from conftest import annotation, read_rows, row, rows, tag, tiny_system
 from ontoguard import model
 from ontoguard.model import (
     AGE_BANDS,
@@ -24,7 +24,6 @@ from ontoguard.model import (
     FidelityAnnotation,
     InfluenceTag,
     PipelineConfig,
-    RecordBatch,
     TimeWindow,
     ValidationError,
     from_json,
@@ -35,6 +34,7 @@ from ontoguard.model import (
     to_json,
     write_records,
 )
+from ontoguard.version_gate import gate_batch, read_quarantine, write_quarantine
 
 
 def write_config(tmp_path, data):
@@ -182,21 +182,21 @@ class TestLoadCodeSystem:
 
 class TestRecords:
     def test_record_round_trip(self):
-        record = make_record(
+        record = row(
             co_codes=("LAB-GLU-HI", "RX-INSULIN"),
-            influence_tag=InfluenceTag("m1", 0.7, False),
-            fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, "test"),
+            influence_tag=tag("m1", 0.7, False),
+            fidelity=annotation(0.5, 0.5, 0.5, 0.5, "test"),
             clinical_code="DM2-HYPER",
         )
-        assert list(read_rows([record_dict(record)])) == [record]
+        assert rows(read_rows([record])) == [record]
 
     def test_unknown_age_band_rejected(self):
         with pytest.raises(ValidationError, match="age band"):
-            make_record(age_band="200+")
+            from_json(CodedRecord, row(age_band="200+"))
 
     def test_unknown_sex_rejected(self):
         with pytest.raises(ValidationError, match="sex"):
-            make_record(sex="unknown")
+            from_json(CodedRecord, row(sex="unknown"))
 
     def test_fidelity_scores_bounded(self):
         with pytest.raises(ValidationError, match="score"):
@@ -239,7 +239,7 @@ class TestRecords:
         "modified-string", "score-string", "fidelity-list",
     ])
     def test_mistyped_field_named(self, field, value, named):
-        data = {**record_dict(make_record()), field: value}
+        data = {**row(), field: value}
         with pytest.raises(ValidationError, match=r"records\.jsonl:1: " + re.escape(named) + "$"):
             read_rows([data])
 
@@ -253,13 +253,13 @@ class TestRecords:
         ("patient_sex", "unknown", "unknown sex: 'unknown'"),
     ], ids=["age-band", "sex"])
     def test_read_unknown_demographics_named(self, field, value, message):
-        data = {**record_dict(make_record()), field: value}
+        data = {**row(), field: value}
         with pytest.raises(ValidationError, match=rf"records\.jsonl:1: {message}"):
             read_rows([data])
 
     def test_read_records_names_path_and_line(self, tmp_path):
-        good = json.dumps(record_dict(make_record()))
-        bad = json.dumps({**record_dict(make_record()), "co_codes": "LAB-GLU-HI"})
+        good = json.dumps(row())
+        bad = json.dumps({**row(), "co_codes": "LAB-GLU-HI"})
         path = tmp_path / "records.jsonl"
         path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"records\.jsonl:3: co_codes must be a list "
@@ -270,17 +270,18 @@ class TestRecords:
 _TEXT = st.text(max_size=8)
 # Integers and -0.0 are valid JSON numbers that must be written back as read.
 _SCORES = st.floats(0, 1) | st.sampled_from([0, 1, -0.0])
-_ANNOTATIONS = st.builds(FidelityAnnotation, _SCORES, _SCORES, _SCORES, _SCORES, _TEXT)
+_ANNOTATIONS = st.builds(annotation, _SCORES, _SCORES, _SCORES, _SCORES, _TEXT)
 # UTC offsets as isoformat writes them: minutes, seconds and microseconds.
 _OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8)),
             timezone(timedelta(hours=-3, seconds=7)),
             timezone(timedelta(minutes=-1, microseconds=5))]
 _ZONES = st.sampled_from([None, *_OFFSETS])
+# Records-file lines as JSON objects.
 RECORDS = st.builds(
-    make_record, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
+    row, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
     sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(timezones=_ZONES),
     code=_TEXT, co_codes=st.frozensets(_TEXT, max_size=4), version=_TEXT,
-    influence_tag=st.none() | st.builds(InfluenceTag, _TEXT, st.floats(0, 1), st.booleans()),
+    influence_tag=st.none() | st.builds(tag, _TEXT, _SCORES, st.booleans()),
     fidelity=st.none() | _ANNOTATIONS, clinical_code=st.none() | _TEXT,
 )
 
@@ -288,32 +289,56 @@ RECORDS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(records=st.lists(RECORDS, max_size=6))
 def test_batch_rows_read_as_the_constructor_builds(records):
-    batch = RecordBatch.from_records(records)
-    rows = list(batch)
-    assert len(batch) == len(rows) == len(records)
-    for i, (row, record) in enumerate(zip(rows, records)):
-        built = CodedRecord(**vars(record))
-        assert type(row) is CodedRecord
-        assert row == built and hash(row) == hash(built)
-        assert jsonl_dumps(row) == jsonl_dumps(built)
-        assert batch[i] == built
+    batch = read_rows(records)
+    built_rows = list(batch)
+    assert len(batch) == len(built_rows) == len(records)
+    for built_row, record in zip(built_rows, records):
+        built = from_json(CodedRecord, record)
+        assert type(built_row) is CodedRecord
+        assert built_row == built and hash(built_row) == hash(built)
+        assert jsonl_dumps(built_row) == jsonl_dumps(built)
         with pytest.raises(FrozenInstanceError):
-            row.clinical_code = "X"
+            built_row.clinical_code = "X"
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=st.lists(RECORDS, max_size=6))
 def test_records_file_holds_each_row_as_jsonl_dumps_writes_it(tmp_path, records):
-    batch = RecordBatch.from_records(records)
+    batch = read_rows(records)
     path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
     write_records(path, batch)
     text = path.read_text(encoding="utf-8")
     assert text == "".join(jsonl_dumps(record) + "\n" for record in records)
     read = read_records(path)
-    assert list(read) == list(batch)
+    assert rows(read) == records
     write_records(again, read)
     assert again.read_bytes() == path.read_bytes()
+
+
+# Records that the gate of tiny_system() to "v2" splits: a hostile code or
+# version is quarantined, "AAA" on "v2" accepted and "AAA" on "v1", which
+# has no transition table, quarantined.
+GATED = st.tuples(RECORDS, st.sampled_from([None, "v1", "v2"])).map(
+    lambda pair: pair[0] if pair[1] is None
+    else {**pair[0], "primary_code": "AAA", "version_tag": pair[1]})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(GATED, max_size=6))
+def test_quarantine_file_reads_back_as_the_quarantined_rows(tmp_path, records):
+    # Quarantine is never a lossy sink: each line's record is the row as it
+    # arrived, text for text, numbers keeping their JSON types.
+    outcome = gate_batch(read_rows(records), tiny_system(), "v2")
+    path = tmp_path / "quarantine.jsonl"
+    write_quarantine(path, outcome)
+    lines = read_quarantine(path)
+    quarantined = rows(outcome.quarantined)
+    assert ([jsonl_dumps(r) for r in rows(read_rows([line["record"] for line in lines]))]
+            == [jsonl_dumps(r) for r in quarantined])
+    assert ([(line["original_code"], line["original_version"]) for line in lines]
+            == [(r["primary_code"], r["version_tag"]) for r in quarantined])
 
 
 def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
@@ -321,11 +346,10 @@ def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
     # lines and columns; neither builds nor checks a CodedRecord.
     india = timezone(timedelta(hours=5, minutes=30))
     records = [
-        make_record("R-1", when=datetime(2025, 2, 15, 12, 0, 0, 250000, tzinfo=india),
-                    co_codes=("LAB-A1C", "RX-MET"), influence_tag=InfluenceTag("m-1", 1, True),
-                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok"),
-                    clinical_code="DM2-HYPER"),
-        make_record("R-2", when=datetime(2025, 3, 1, tzinfo=timezone.utc)),
+        row("R-1", when=datetime(2025, 2, 15, 12, 0, 0, 250000, tzinfo=india),
+            co_codes=("LAB-A1C", "RX-MET"), influence_tag=tag("m-1", 1, True),
+            fidelity=annotation(0.25, -0.0, 1, 0.5, "ok"), clinical_code="DM2-HYPER"),
+        row("R-2", when=datetime(2025, 3, 1, tzinfo=timezone.utc)),
     ]
     text = "".join(jsonl_dumps(record) + "\n" for record in records)
     path, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
@@ -399,7 +423,8 @@ _MUTATIONS.update({name: lambda data, text=text: jsonl_dumps({**data, "encounter
 
 def _assert_read_as_the_row_reader_reads(path, lines):
     path.write_bytes("".join(lines).encode("utf-8"))
-    assert _rows_or_error(lambda: read_records(path)) == _rows_or_error(lambda: _row_reader(path))
+    assert (_rows_or_error(lambda: rows(read_records(path)))
+            == _rows_or_error(lambda: _row_reader(path)))
 
 
 @settings(max_examples=200, deadline=None,
@@ -411,7 +436,7 @@ def test_read_records_reads_what_the_row_reader_reads(tmp_path, records, mutatio
                                                         filler):
     # ``filler`` canonical lines come first, so the mutated line lands
     # before, at or after the boundary between the first two blocks.
-    lines = [jsonl_dumps(make_record()) + "\n"] * filler
+    lines = [jsonl_dumps(row()) + "\n"] * filler
     lines += [jsonl_dumps(record) + "\n" for record in records]
     if mutation is not None:
         at = filler + where % len(records)
@@ -427,10 +452,10 @@ def test_each_mutation_reads_as_the_row_reader_reads(tmp_path, mutation, line):
     # times are read row by row, naive ones a block at a time by NumPy.
     for zone in (timezone.utc, None):
         records = [
-            make_record(f"R-{i}", when=datetime(2025, 2, 15, i % 24, tzinfo=zone),
-                        co_codes=["LAB-A1C"][:i % 2], clinical_code="DM2-HYPER" if i % 3 else None,
-                        influence_tag=InfluenceTag("m-1", 0.5, True) if i % 2 else None,
-                        fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, "ok") if i % 5 else None)
+            row(f"R-{i}", when=datetime(2025, 2, 15, i % 24, tzinfo=zone),
+                co_codes=["LAB-A1C"][:i % 2], clinical_code="DM2-HYPER" if i % 3 else None,
+                influence_tag=tag("m-1", 0.5, True) if i % 2 else None,
+                fidelity=annotation(0.25, -0.0, 1, 0.5, "ok") if i % 5 else None)
             for i in range(_BLOCK + 2)
         ]
         lines = [jsonl_dumps(record) + "\n" for record in records]
@@ -444,23 +469,22 @@ def test_reading_a_file_write_records_wrote_never_calls_the_row_reader(tmp_path,
     # only the speed would be lost.
     india = timezone(timedelta(hours=5, minutes=30))
     records = [
-        make_record(f"R-{i}",
-                    when=datetime(2025, 2, 15, 12, i % 60, tzinfo=india if i % 3 else None),
-                    code=f"C-{i % 7}", co_codes=[f"X-{i % 5}", f"Y-{i % 2}"][:i % 3],
-                    influence_tag=InfluenceTag("m-1", i / 4000, i % 2 == 0) if i % 4 else None,
-                    fidelity=FidelityAnnotation(0.25, -0.0, 1, 0.5, f"r{i % 9}") if i % 5 else None,
-                    clinical_code=f"C-{i % 11}" if i % 6 else None)
+        row(f"R-{i}", when=datetime(2025, 2, 15, 12, i % 60, tzinfo=india if i % 3 else None),
+            code=f"C-{i % 7}", co_codes=[f"X-{i % 5}", f"Y-{i % 2}"][:i % 3],
+            influence_tag=tag("m-1", i / 4000, i % 2 == 0) if i % 4 else None,
+            fidelity=annotation(0.25, -0.0, 1, 0.5, f"r{i % 9}") if i % 5 else None,
+            clinical_code=f"C-{i % 11}" if i % 6 else None)
         for i in range(2 * _BLOCK + 5)
     ]
     path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
-    write_records(path, RecordBatch.from_records(records))
+    write_records(path, read_rows(records))
 
     def refuse(*args):
         raise AssertionError("a line was read by the row reader")
 
     monkeypatch.setattr(model, "iter_jsonl", refuse)
     batch = read_records(path)
-    assert list(batch) == records
+    assert rows(batch) == records
     assert len(batch.annotations) == 9
     write_records(again, batch)
     assert again.read_bytes() == path.read_bytes()
@@ -472,11 +496,9 @@ def test_row_reader_keeps_each_number_as_written(tmp_path, layout):
     # integer and -0.0 scores as read, so write_records writes the file's
     # canonical text.
     records = [
-        make_record("R-1", influence_tag=InfluenceTag("m-1", 1, True),
-                    fidelity=FidelityAnnotation(1, 0, -0.0, 0.5, "a")),
-        make_record("R-2", influence_tag=InfluenceTag("m-1", 0, False),
-                    fidelity=FidelityAnnotation(-0.0, 1, 0, 1.0, "b")),
-        make_record("R-3", influence_tag=InfluenceTag("m-1", -0.0, False)),
+        row("R-1", influence_tag=tag("m-1", 1, True), fidelity=annotation(1, 0, -0.0, 0.5, "a")),
+        row("R-2", influence_tag=tag("m-1", 0, False), fidelity=annotation(-0.0, 1, 0, 1.0, "b")),
+        row("R-3", influence_tag=tag("m-1", -0.0, False)),
     ]
     canonical = [jsonl_dumps(record) for record in records]
     path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
@@ -484,7 +506,7 @@ def test_row_reader_keeps_each_number_as_written(tmp_path, layout):
                     encoding="utf-8")
     assert model._canonical_batch(path) is None
     batch = read_records(path)
-    assert [jsonl_dumps(row) for row in batch] == canonical
+    assert [jsonl_dumps(line) for line in rows(batch)] == canonical
     write_records(again, batch)
     assert again.read_text(encoding="utf-8") == "".join(line + "\n" for line in canonical)
 
@@ -494,31 +516,35 @@ def test_write_records_writes_each_row_as_jsonl_dumps_across_blocks(tmp_path):
     # offset times with and without microseconds, and years 1 and 9999.
     n = 2 * _BLOCK + 3
     records = [
-        make_record(f"R-{i}" + '"\\é\n\x00' * (i % 5 == 0),
-                    when=datetime((1, 9999, 2025)[i % 3], i % 12 + 1, i % 28 + 1, i % 24, i % 60,
-                                  7 * i % 60, 7919 * i % 1_000_000 if i % 4 else 0,
-                                  tzinfo=[None, *_OFFSETS][i % 6]),
-                    influence_tag=InfluenceTag("m-1", i / n, i % 2 == 0) if i % 3 else None,
-                    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, f"r{i % 7}") if i % 2 else None,
-                    clinical_code=f"C-{i % 5}" if i % 4 else None)
+        row(f"R-{i}" + '"\\é\n\x00' * (i % 5 == 0),
+            when=datetime((1, 9999, 2025)[i % 3], i % 12 + 1, i % 28 + 1, i % 24, i % 60,
+                          7 * i % 60, 7919 * i % 1_000_000 if i % 4 else 0,
+                          tzinfo=[None, *_OFFSETS][i % 6]),
+            influence_tag=tag("m-1", i / n, i % 2 == 0) if i % 3 else None,
+            fidelity=annotation(0.5, 0.5, 0.5, 0.5, f"r{i % 7}") if i % 2 else None,
+            clinical_code=f"C-{i % 5}" if i % 4 else None)
         for i in range(n)
     ]
     path = tmp_path / "records.jsonl"
-    write_records(path, RecordBatch.from_records(records))
+    write_records(path, read_rows(records))
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines == [jsonl_dumps(record) for record in records] + [""]
-    assert list(read_records(path)) == records
+    assert rows(read_records(path)) == records
 
 
 def _first_seen_tables(records):
-    """The tables of a batch of ``records``, each in first-seen row order."""
-    codes = dict.fromkeys(record.primary_code for record in records)
-    codes.update(dict.fromkeys(r.clinical_code for r in records if r.clinical_code is not None))
-    return {"codes": list(codes),
-            "institutions": list(dict.fromkeys(r.institution_id for r in records)),
-            "versions": list(dict.fromkeys(r.version_tag for r in records)),
-            "co_sets": list(dict.fromkeys(r.co_codes for r in records)),
-            "annotations": list(dict.fromkeys(r.fidelity for r in records if r.fidelity))}
+    """The tables of a batch of JSON-form ``records``, each in first-seen row
+    order, as JSON values."""
+    codes = dict.fromkeys(r["primary_code"] for r in records)
+    codes.update(dict.fromkeys(r["clinical_code"] for r in records
+                             if r["clinical_code"] is not None))
+    return to_json({
+        "codes": list(codes),
+        "institutions": list(dict.fromkeys(r["institution_id"] for r in records)),
+        "versions": list(dict.fromkeys(r["version_tag"] for r in records)),
+        "co_sets": list(dict.fromkeys(frozenset(r["co_codes"]) for r in records)),
+        "annotations": list({jsonl_dumps(r["fidelity"]): r["fidelity"]
+                             for r in records if r["fidelity"]}.values())})
 
 
 # Reads the records file argv[1] and prints the batch's tables.
@@ -531,44 +557,43 @@ def test_read_tables_come_in_first_seen_row_order_under_any_hash_seed(tmp_path):
     # Many distinct values, first seen in an order that is neither sorted
     # nor any set's, spread over three blocks.
     records = [
-        make_record(f"R-{i}", institution=f"I-{7919 * i % 97}", code=f"C-{31 * i % 53}",
-                    version=f"v{5 * i % 7}", co_codes={f"X-{13 * i % 11}", f"Y-{i % 3}"},
-                    clinical_code=f"K-{17 * i % 41}" if i % 3 else None,
-                    fidelity=FidelityAnnotation(0.5, 0.5, 0.5, 0.5, f"r{3 * i % 29}")
-                    if i % 4 else None)
+        row(f"R-{i}", institution=f"I-{7919 * i % 97}", code=f"C-{31 * i % 53}",
+            version=f"v{5 * i % 7}", co_codes={f"X-{13 * i % 11}", f"Y-{i % 3}"},
+            clinical_code=f"K-{17 * i % 41}" if i % 3 else None,
+            fidelity=annotation(0.5, 0.5, 0.5, 0.5, f"r{3 * i % 29}") if i % 4 else None)
         for i in range(2 * _BLOCK + 5)
     ]
     path = tmp_path / "records.jsonl"
-    write_records(path, RecordBatch.from_records(records))
+    write_records(path, read_rows(records))
     expected = _first_seen_tables(records)
     batch = read_records(path)
-    assert {name: list(getattr(batch, name)) for name in expected} == expected
+    assert to_json({name: getattr(batch, name) for name in expected}) == expected
     src = str(Path(model.__file__).resolve().parents[1])
     for seed in ("1", "2"):
         out = subprocess.run([sys.executable, "-c", _READ_TABLES, str(path)], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
-        assert json.loads(out.stdout) == to_json(expected)
+        assert json.loads(out.stdout) == expected
 
 
 def test_naive_times_of_a_written_file_are_read_by_numpy(tmp_path, monkeypatch):
     # Times in isoformat's naive layout skip the per-row conversion; the
     # result would be the same without that, only slower.
-    records = [make_record(f"R-{i}", when=datetime(2025, 1, 1, i % 24, 0, 0, 250000 * (i % 2)))
+    records = [row(f"R-{i}", when=datetime(2025, 1, 1, i % 24, 0, 0, 250000 * (i % 2)))
                for i in range(_BLOCK + 2)]
     path = tmp_path / "records.jsonl"
-    write_records(path, RecordBatch.from_records(records))
+    write_records(path, read_rows(records))
 
     def refuse(*args):
         raise AssertionError("a time was converted row by row")
 
     monkeypatch.setattr(model, "_wall_clock", refuse)
-    assert list(read_records(path)) == records
+    assert rows(read_records(path)) == records
 
 
 def test_fault_in_the_first_line_after_the_first_block_is_named(tmp_path):
-    good = jsonl_dumps(make_record()) + "\n"
-    bad = jsonl_dumps({**record_dict(make_record()), "patient_sex": "x"}) + "\n"
+    good = jsonl_dumps(row()) + "\n"
+    bad = jsonl_dumps({**row(), "patient_sex": "x"}) + "\n"
     path = tmp_path / "records.jsonl"
     path.write_text(good * _BLOCK + bad + good, encoding="utf-8")
     with pytest.raises(ValidationError,
@@ -581,7 +606,7 @@ def test_file_without_records_reads_as_an_empty_batch(tmp_path, text):
     path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
     path.write_text(text, encoding="utf-8")
     batch = read_records(path)
-    assert len(batch) == 0 and list(batch) == []
+    assert len(batch) == 0 and rows(batch) == []
     write_records(again, batch)
     assert again.read_text(encoding="utf-8") == ""
 
@@ -590,8 +615,7 @@ def test_read_back_annotations_are_shared_by_text(tmp_path):
     # -0.0, 0 and 0.0 are equal numbers but different texts: each keeps an
     # entry of its own, and lines with the same text share one.
     lines = [
-        jsonl_dumps({**record_dict(make_record(f"R-{i}")), "fidelity": {**_ANNOTATION,
-                                                                         "score": score}})
+        jsonl_dumps({**row(f"R-{i}"), "fidelity": {**_ANNOTATION, "score": score}})
         for i, score in enumerate([-0.0, 0, 0.0, 0.0, -0.0])
     ]
     text = "".join(line + "\n" for line in lines)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_batch, make_record, tiny_system
+from conftest import read_rows, row, rows, tiny_system
 from ontoguard.compliance import (
     RESTRICTIVENESS,
     AdapterRuleSet,
@@ -114,20 +114,20 @@ def test_gate_partitions_arbitrary_batches(entries):
         }],
     )
     batch = [
-        make_record(f"R-{i}", code=code, version=version)
+        row(f"R-{i}", code=code, version=version)
         for i, (code, version) in enumerate(entries)
     ]
-    outcome = gate_batch(as_batch(batch), system, "v2")
+    outcome = gate_batch(read_rows(batch), system, "v2")
     assert partition_oracle(
-        [r.record_id for r in batch],
-        [r.record_id for r in outcome.accepted],
-        [r.record_id for r in outcome.reconciled],
-        [r.record_id for r in outcome.quarantined],
+        [r["record_id"] for r in batch],
+        outcome.accepted.record_id.tolist(),
+        outcome.reconciled.record_id.tolist(),
+        outcome.quarantined.record_id.tolist(),
     )
-    originals = {r.record_id: r for r in outcome.batch}
-    for item in outcome.reconciled:
+    originals = {r["record_id"]: r for r in rows(outcome.batch)}
+    for item in rows(outcome.reconciled):
         table = system.tables[("v1", "v2")]
-        assert item.primary_code == table.targets[originals[item.record_id].primary_code][0]
+        assert item["primary_code"] == table.targets[originals[item["record_id"]]["primary_code"]][0]
 
 
 @given(

@@ -5,7 +5,7 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 
-from conftest import admin, make_record, tiny_system
+from conftest import admin, row, tiny_system
 from ontoguard import synthgen
 from ontoguard.model import PipelineConfig, TimeWindow, ValidationError
 from ontoguard.oracles import jsd_oracle
@@ -37,8 +37,8 @@ class TestBuildFingerprints:
     def test_low_support_codes_reported_not_fingerprinted(self):
         cfg = PipelineConfig(fingerprint_min_support=20)
         batch = (
-            [make_record(f"R-{i}", code="COMMON") for i in range(30)]
-            + [make_record(f"S-{i}", code="SPARSE") for i in range(5)]
+            [row(f"R-{i}", code="COMMON") for i in range(30)]
+            + [row(f"S-{i}", code="SPARSE") for i in range(5)]
         )
         fps = build_fingerprints(admin(batch), Q1, cfg)
         assert "SPARSE" not in fps.by_code
@@ -61,7 +61,7 @@ class TestBuildFingerprints:
             assert abs(probability - uniform) <= 0.03
 
     def test_same_batch_gives_identical_fingerprints(self, q1_products, bundled_cfg):
-        batch = q1_products["inferred"][:5000]
+        batch = q1_products["inferred"].select(slice(5000))
         a = build_fingerprints(admin(batch), Q1, bundled_cfg)
         b = build_fingerprints(admin(batch), Q1, bundled_cfg)
         assert a.by_code == b.by_code
@@ -89,7 +89,7 @@ class TestCompare:
         # maximal JSD (disjoint point masses), the rest equal, equal
         # weights: total = 1/4.
         batches = [
-            [make_record(f"{co}-{i}", code="AAA", version="v2", co_codes=(co,))
+            [row(f"{co}-{i}", code="AAA", version="v2", co_codes=(co,))
              for i in range(30)]
             for co in ("BBB", "CCC")
         ]
@@ -159,15 +159,15 @@ class TestScan:
         jan = TimeWindow(date(2025, 1, 1), date(2025, 1, 31))
         feb = TimeWindow(date(2025, 2, 1), date(2025, 2, 28))
         baseline = [
-            make_record(f"B-{i}", code="RESP-COV2", institution="I-OLD",
-                        when=datetime(2025, 1, 10, 8, 0),
-                        co_codes=("LAB-CRP-HI",))
+            row(f"B-{i}", code="RESP-COV2", institution="I-OLD",
+                when=datetime(2025, 1, 10, 8, 0),
+                co_codes=("LAB-CRP-HI",))
             for i in range(40)
         ]
         current = [
-            make_record(f"C-{i}", code="RESP-COV2", institution="I-NEW",
-                        when=datetime(2025, 2, 10, 8, 0),
-                        co_codes=("LAB-CRP-HI",))
+            row(f"C-{i}", code="RESP-COV2", institution="I-NEW",
+                when=datetime(2025, 2, 10, 8, 0),
+                co_codes=("LAB-CRP-HI",))
             for i in range(40)
         ]
         alerts = scan(
@@ -213,8 +213,8 @@ class TestScan:
             transitions=[hop("v1", "v2", {"OLD": "NEW"}), hop("v2", "v3", {"CCC": "DDD"})],
         )
         batches = [
-            [make_record(f"{month}-{i}", code=code, version=version, institution=f"I-{month}",
-                         when=datetime(year, month, 10, 8, 0)) for i in range(40)]
+            [row(f"{month}-{i}", code=code, version=version, institution=f"I-{month}",
+                 when=datetime(year, month, 10, 8, 0)) for i in range(40)]
             for month in (1, 2)
         ]
         alerts = scan(
@@ -230,7 +230,7 @@ class TestScan:
 
     def test_identical_windows_give_no_alerts(self, q1_products, bundled_system,
                                               bundled_cfg):
-        profile = admin(q1_products["inferred"][:10_000])
+        profile = admin(q1_products["inferred"].select(slice(10_000)))
         alerts = scan(
             profile, profile, bundled_system, bundled_cfg,
             baseline_window=Q1, current_window=Q1,

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_rows
+from conftest import rows as written_rows
 from ontoguard import oracles
 from ontoguard.breaker import (
     OUTCOME_MARKERS,
@@ -177,18 +178,18 @@ def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
     annotated = annotate_batch(read_rows(rows), ref, cfg)
     inferred = infer_clinical_layer(annotated, ref, cfg)
     assert len(annotated) == len(inferred) == len(rows)
-    for row, record in zip(rows, inferred):
-        fid = record.fidelity
+    for row, record in zip(rows, written_rows(inferred)):
+        fid = record["fidelity"]
         prev, cooc, inst = recounts.fidelity_recount(row, expect)
-        assert (fid.prevalence_subscore, fid.cooccurrence_subscore,
-                fid.institutional_subscore) == (prev, cooc, inst)
-        assert fid.score == min(1.0, max(0.0, 0.2 * prev + 0.5 * cooc + 0.3 * inst))
+        assert (fid["prevalence_subscore"], fid["cooccurrence_subscore"],
+                fid["institutional_subscore"]) == (prev, cooc, inst)
+        assert fid["score"] == min(1.0, max(0.0, 0.2 * prev + 0.5 * cooc + 0.3 * inst))
         winner, runner_up, margin = recounts.likeliest_recount(row["co_codes"], expect)
         assert margin >= 0 and (runner_up is None or runner_up != winner)
-        if fid.score < cutoff and row["co_codes"] and winner is not None:
-            assert record.clinical_code == winner
+        if fid["score"] < cutoff and row["co_codes"] and winner is not None:
+            assert record["clinical_code"] == winner
         else:
-            assert record.clinical_code == row["primary_code"]
+            assert record["clinical_code"] == row["primary_code"]
 
 
 @given(batches(codes=("AAA", "BBB", "OLD", "GONE", "SPLIT", "ZZZ"),
@@ -196,11 +197,12 @@ def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
 @settings(max_examples=150, deadline=None)
 def test_gate_matches_recount(rows, target):
     outcome = gate_batch(read_rows(rows), SYSTEM, target)
-    got = {r.record_id: ("accepted", r.primary_code, r.version_tag) for r in outcome.accepted}
-    for item in outcome.reconciled:
-        got[item.record_id] = ("reconciled", item.primary_code, item.version_tag)
-    for item, reason in zip(outcome.quarantined, outcome.quarantine_reasons()):
-        got[item.record_id] = (reason.value, item.primary_code, item.version_tag)
+    got = {r["record_id"]: ("accepted", r["primary_code"], r["version_tag"])
+           for r in written_rows(outcome.accepted)}
+    for item in written_rows(outcome.reconciled):
+        got[item["record_id"]] = ("reconciled", item["primary_code"], item["version_tag"])
+    for item, reason in zip(written_rows(outcome.quarantined), outcome.quarantine_reasons()):
+        got[item["record_id"]] = (reason.value, item["primary_code"], item["version_tag"])
     expect = {
         row["record_id"]: (bucket, code, target if bucket == "reconciled" else row["version_tag"])
         for row, (bucket, code) in zip(rows, recounts.gate_recount(rows, SYSTEM_DATA, target))

@@ -3,21 +3,19 @@
 import hashlib
 import io
 import json
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, tiny_system, truth_by_id
+from conftest import SEED, rows, tiny_system, truth_by_id
 from ontoguard import synthgen
 from ontoguard.model import (
-    RecordBatch,
     TimeWindow,
     ValidationError,
     from_json,
-    jsonl_dumps,
     write_records,
 )
 from ontoguard.synthgen import InstitutionWeight
@@ -50,8 +48,11 @@ def simple_spec(**overrides):
     return synthgen.DistortionSpec(**base)
 
 
-def serialize(records):
-    return "\n".join(jsonl_dumps(r) for r in records)
+def serialize(tmp_path, batch):
+    """The bytes of ``batch``'s records file."""
+    path = tmp_path / "records.jsonl"
+    write_records(path, batch)
+    return path.read_bytes()
 
 
 class TestGenerateBatch:
@@ -69,28 +70,28 @@ class TestGenerateBatch:
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 50_000, SEED)
         truth = truth_by_id(records, truth)
-        lagging = [r for r in records if r.version_tag == "2024"]
+        lagging = [r for r in rows(records) if r["version_tag"] == "2024"]
         assert len(lagging) == 3_200
-        assert all(r.institution_id == "INST-LAG" for r in lagging)
+        assert all(r["institution_id"] == "INST-LAG" for r in lagging)
         assert all(
-            "version_lag" in truth[r.record_id].distortion_labels for r in lagging
+            "version_lag" in truth[r["record_id"]].distortion_labels for r in lagging
         )
 
     def test_rare_code_count_pinned_and_plausible(self, bundled_system):
         records, _ = synthgen.generate_batch(bundled_system, simple_spec(), 50_000, SEED)
-        count = sum(1 for r in records if r.primary_code == "DM-OTHER")
+        count = sum(1 for r in rows(records) if r["primary_code"] == "DM-OTHER")
         assert count == 47  # stratified exactness: 0.00094 * 50,000
         lo, hi = binomial_interval(50_000, 0.00094, 0.99)
         assert lo <= count <= hi
 
-    def test_deterministic_byte_identical(self, bundled_system):
+    def test_deterministic_byte_identical(self, bundled_system, tmp_path):
         spec = simple_spec(
             catch_all=(synthgen.CatchAllSpec("INST-A", "DM2-UNSPEC", 0.5),),
             ai_influence=synthgen.AIInfluenceSpec("m1", (0.1,)),
         )
         a, _ = synthgen.generate_batch(bundled_system, spec, 3_000, 123)
         b, _ = synthgen.generate_batch(bundled_system, spec, 3_000, 123)
-        assert serialize(a) == serialize(b)
+        assert serialize(tmp_path, a) == serialize(tmp_path, b)
 
     def test_unknown_institution_rejected(self, bundled_system):
         spec = simple_spec(
@@ -121,19 +122,20 @@ class TestGenerateBatch:
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 20_000, SEED)
         truth = truth_by_id(records, truth)
+        records = rows(records)
         rewritten = [
             r for r in records
-            if "catch_all" in truth[r.record_id].distortion_labels
+            if "catch_all" in truth[r["record_id"]].distortion_labels
         ]
         assert rewritten
         for r in rewritten:
-            assert r.primary_code == "DM2-UNSPEC"
-            assert truth[r.record_id].true_clinical_code in {"DM2-HYPER", "DM2-COMPL"}
+            assert r["primary_code"] == "DM2-UNSPEC"
+            assert truth[r["record_id"]].true_clinical_code in {"DM2-HYPER", "DM2-COMPL"}
         # excess 1.0 at INST-A rewrites every sibling record there
         for r in records:
-            if (r.institution_id == "INST-A"
-                    and truth[r.record_id].true_clinical_code in {"DM2-HYPER", "DM2-COMPL"}):
-                assert r.primary_code == "DM2-UNSPEC"
+            if (r["institution_id"] == "INST-A"
+                    and truth[r["record_id"]].true_clinical_code in {"DM2-HYPER", "DM2-COMPL"}):
+                assert r["primary_code"] == "DM2-UNSPEC"
 
 
     def test_zero_weight_co_code_is_never_drawn(self):
@@ -144,7 +146,7 @@ class TestGenerateBatch:
         spec = synthgen.DistortionSpec(institutions=(InstitutionWeight("I", 1.0),),
                                        current_version="v2")
         records, _ = synthgen.generate_batch(system, spec, 1_000, SEED)
-        assert {r.co_codes for r in records} == {frozenset({"BBB"})}
+        assert {tuple(r["co_codes"]) for r in rows(records)} == {("BBB",)}
 
 
 @st.composite
@@ -172,14 +174,14 @@ class TestQuarterSeries:
         )
         batches, _ = synthgen.generate_quarter_series(bundled_system, spec, 3, 10_000, SEED)
         for batch, expected in zip(batches, (0.04, 0.08, 0.12)):
-            fraction = sum(1 for r in batch if r.influence_tag is not None) / len(batch)
+            fraction = sum(1 for r in rows(batch) if r["influence_tag"] is not None) / len(batch)
             assert abs(fraction - expected) <= 0.005
 
     def test_all_zero_schedule_means_no_tags(self, bundled_system):
         spec = simple_spec(ai_influence=synthgen.AIInfluenceSpec("m1", (0.0, 0.0)))
         batches, truths = synthgen.generate_quarter_series(bundled_system, spec, 2, 5_000, SEED)
         for batch in batches:
-            assert all(r.influence_tag is None for r in batch)
+            assert all(r["influence_tag"] is None for r in rows(batch))
         assert all("ai_influenced" not in e.distortion_labels
                    for truth in truths for e in truth.entries)
 
@@ -188,8 +190,8 @@ class TestQuarterSeries:
             outbreak=synthgen.OutbreakSpec("RESP-FLU", date(2025, 4, 1), 3.0),
         )
         batches, _ = synthgen.generate_quarter_series(bundled_system, spec, 2, 50_000, SEED)
-        p1 = prevalence_recount(batches[0], "RESP-FLU")
-        p2 = prevalence_recount(batches[1], "RESP-FLU")
+        p1 = prevalence_recount(rows(batches[0]), "RESP-FLU")
+        p2 = prevalence_recount(rows(batches[1]), "RESP-FLU")
         assert 2.5 <= p2 / p1 <= 3.5
 
     def test_quarter_windows_are_consecutive(self, bundled_system):
@@ -197,8 +199,8 @@ class TestQuarterSeries:
         batches, _ = synthgen.generate_quarter_series(
             bundled_system, spec, 2, 500, SEED, start=date(2025, 1, 1)
         )
-        q1_days = {r.encounter_time.date() for r in batches[0]}
-        q2_days = {r.encounter_time.date() for r in batches[1]}
+        q1_days = {datetime.fromisoformat(r["encounter_time"]).date() for r in rows(batches[0])}
+        q2_days = {datetime.fromisoformat(r["encounter_time"]).date() for r in rows(batches[1])}
         assert max(q1_days) <= date(2025, 3, 31)
         assert min(q2_days) >= date(2025, 4, 1)
 
@@ -220,10 +222,10 @@ class TestInvariants:
         )
         records, truth = synthgen.generate_batch(bundled_system, spec, 20_000, 7)
         truth = truth_by_id(records, truth)
-        for record in records:
-            entry = truth[record.record_id]
-            if record.primary_code != entry.true_clinical_code:
-                assert entry.distortion_labels, record.record_id
+        for record in rows(records):
+            entry = truth[record["record_id"]]
+            if record["primary_code"] != entry.true_clinical_code:
+                assert entry.distortion_labels, record["record_id"]
 
     def test_stratified_institution_exactness(self, bundled_system):
         spec = simple_spec(institutions=(
@@ -231,8 +233,8 @@ class TestInvariants:
         ))
         records, _ = synthgen.generate_batch(bundled_system, spec, 10_000, 3)
         counts = {}
-        for r in records:
-            counts[r.institution_id] = counts.get(r.institution_id, 0) + 1
+        for r in rows(records):
+            counts[r["institution_id"]] = counts.get(r["institution_id"], 0) + 1
         assert counts == {"A": 2_500, "B": 2_500, "C": 5_000}
 
     def test_ground_truth_round_trip(self, bundled_system, tmp_path):
@@ -279,14 +281,14 @@ ALL_DISTORTIONS = {
 }
 
 
-def output_digest(tmp_path, records, batches, truths):
-    """sha256 of the records file of ``records`` followed by the ground-truth
-    file of ``batches``."""
-    write_records(tmp_path / "records.jsonl", records)
-    synthgen.write_ground_truth(tmp_path / "truth.jsonl", batches, truths)
+def output_digest(tmp_path, batches, truths):
+    """sha256 of the records files of ``batches``, one after another, followed
+    by their ground-truth file."""
     digest = hashlib.sha256()
-    for name in ("records.jsonl", "truth.jsonl"):
-        digest.update((tmp_path / name).read_bytes())
+    for batch in batches:
+        digest.update(serialize(tmp_path, batch))
+    synthgen.write_ground_truth(tmp_path / "truth.jsonl", batches, truths)
+    digest.update((tmp_path / "truth.jsonl").read_bytes())
     return digest.hexdigest()
 
 
@@ -310,14 +312,13 @@ class TestGolden:
         )
         labels = set().union(*(e.distortion_labels for e in truth.entries))
         assert labels == {label.value for label in synthgen.DistortionLabel}
-        assert output_digest(tmp_path, records, [records], [truth]) == expected
+        assert output_digest(tmp_path, [records], [truth]) == expected
 
     def test_quarter_series(self, bundled_system, tmp_path):
         spec = from_json(synthgen.DistortionSpec, ALL_DISTORTIONS)
         batches, truths = synthgen.generate_quarter_series(
             bundled_system, spec, 3, 2_000, SEED
         )
-        records = RecordBatch.from_records(r for batch in batches for r in batch)
-        assert output_digest(tmp_path, records, batches, truths) == (
+        assert output_digest(tmp_path, batches, truths) == (
             "08d41d872ceeffe2462d5c23785b2cb427b85e152b3ab44bf71ffbd72ab33eb1"
         )

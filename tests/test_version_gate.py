@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import as_batch, make_record, tiny_system
-from ontoguard.model import FidelityAnnotation, InfluenceTag, ValidationError
+from conftest import annotation, read_rows, row, rows, tag, tiny_system
+from ontoguard.model import ValidationError
 from ontoguard.oracles import partition_oracle
 from ontoguard.version_gate import (
     MigrationVerdict,
@@ -55,18 +55,18 @@ def migration_system():
 def mixed_batch():
     """Accepted and reconciled rows among one row of each quarantine reason."""
     return [
-        make_record("A-1", code="KEEP", version="v2"),
-        make_record(
+        row("A-1", code="KEEP", version="v2"),
+        row(
             "R-7", code="GONE", version="v1", co_codes=("ZZ", "AA"),
-            influence_tag=InfluenceTag("m1", 0.8, True),
-            fidelity=FidelityAnnotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
+            influence_tag=tag("m1", 0.8, True),
+            fidelity=annotation(0.25, 0.5, 0.125, 0.0, "low \u00e9"),
             clinical_code="GONE",
         ),
-        make_record("C-1", code="RENAME-1", version="v1"),
-        make_record("Q-2", code="OLD", version="v0", institution="INST-02"),
-        make_record("Q-3", code="BOGUS", version="v2", sex="male"),
-        make_record("C-2", code="KEEP", version="v1"),
-        make_record("Q-4", code="SPLIT", version="v1", co_codes=("AA",)),
+        row("C-1", code="RENAME-1", version="v1"),
+        row("Q-2", code="OLD", version="v0", institution="INST-02"),
+        row("Q-3", code="BOGUS", version="v2", sex="male"),
+        row("C-2", code="KEEP", version="v1"),
+        row("Q-4", code="SPLIT", version="v1", co_codes=("AA",)),
     ]
 
 
@@ -79,73 +79,73 @@ class TestGateBatch:
 
     def test_batch_already_on_target_is_identity(self):
         system = migration_system()
-        batch = [make_record(f"R-{i}", code="KEEP", version="v2") for i in range(5)]
-        outcome = gate_batch(as_batch(batch), system, "v2")
-        assert list(outcome.accepted) == batch
+        batch = [row(f"R-{i}", code="KEEP", version="v2") for i in range(5)]
+        outcome = gate_batch(read_rows(batch), system, "v2")
+        assert rows(outcome.accepted) == batch
         assert len(outcome.reconciled) == 0
         assert len(outcome.quarantined) == 0
 
     def test_unmappable_code_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="GONE", version="v1")]), system, "v2"
+            read_rows([row(code="GONE", version="v1")]), system, "v2"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_one_to_many_treated_as_unmappable(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="SPLIT", version="v1")]), system, "v2"
+            read_rows([row(code="SPLIT", version="v1")]), system, "v2"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_rename_reconciled_with_audit_fields(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="RENAME-1", version="v1")]), system, "v2"
+            read_rows([row(code="RENAME-1", version="v1")]), system, "v2"
         )
-        item = outcome.reconciled[0]
-        assert item.primary_code == "RENAME-2"
-        assert item.version_tag == "v2"
-        original = outcome.batch[0]
-        assert original.primary_code == "RENAME-1"
-        assert original.version_tag == "v1"
+        [item] = rows(outcome.reconciled)
+        assert item["primary_code"] == "RENAME-2"
+        assert item["version_tag"] == "v2"
+        [original] = rows(outcome.batch)
+        assert original["primary_code"] == "RENAME-1"
+        assert original["version_tag"] == "v1"
 
     def test_unknown_code_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="BOGUS", version="v1")]), system, "v2"
+            read_rows([row(code="BOGUS", version="v1")]), system, "v2"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNKNOWN_CODE
 
     def test_unvalidated_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="OLD", version="v0")]), system, "v2"
+            read_rows([row(code="OLD", version="v0")]), system, "v2"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNVALIDATED_VERSION
 
     def test_unknown_source_version_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="KEEP", version="v99")]), system, "v2"
+            read_rows([row(code="KEEP", version="v99")]), system, "v2"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNVALIDATED_VERSION
 
     def test_newer_than_target_quarantined(self):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="KEEP", version="v2")]), system, "v1"
+            read_rows([row(code="KEEP", version="v2")]), system, "v1"
         )
         assert outcome.quarantine_reasons()[0] is QuarantineReason.UNMAPPABLE_CODE
 
     def test_unknown_target_refused(self):
         with pytest.raises(ValidationError, match="unknown version"):
-            gate_batch(as_batch([]), migration_system(), "v9")
+            gate_batch(read_rows([]), migration_system(), "v9")
 
     def test_unvalidated_target_refused(self):
         with pytest.raises(ValidationError, match="migration validation"):
-            gate_batch(as_batch([]), migration_system(), "v0")
+            gate_batch(read_rows([]), migration_system(), "v0")
 
     def test_partition_on_randomized_batches(self):
         system = migration_system()
@@ -154,29 +154,28 @@ class TestGateBatch:
         versions = ["v0", "v1", "v2", "v99"]
         for trial in range(50):
             batch = [
-                make_record(
+                row(
                     f"T{trial}-{i}",
                     code=codes[rng.integers(len(codes))],
                     version=versions[rng.integers(len(versions))],
                 )
                 for i in range(int(rng.integers(1, 40)))
             ]
-            outcome = gate_batch(as_batch(batch), system, "v2")
+            outcome = gate_batch(read_rows(batch), system, "v2")
             assert partition_oracle(
-                [r.record_id for r in batch],
-                [r.record_id for r in outcome.accepted],
-                [r.record_id for r in outcome.reconciled],
-                [r.record_id for r in outcome.quarantined],
+                [r["record_id"] for r in batch],
+                outcome.accepted.record_id.tolist(),
+                outcome.reconciled.record_id.tolist(),
+                outcome.quarantined.record_id.tolist(),
             )
-            assert [r.record_id for r in outcome.processed_records()] == sorted(
-                [r.record_id for r in outcome.accepted]
-                + [r.record_id for r in outcome.reconciled]
+            assert outcome.processed_records().record_id.tolist() == sorted(
+                outcome.accepted.record_id.tolist() + outcome.reconciled.record_id.tolist()
             )
 
     def test_quarantine_file_round_trip(self, tmp_path):
         system = migration_system()
         outcome = gate_batch(
-            as_batch([make_record(code="GONE", version="v1")]), system, "v2"
+            read_rows([row(code="GONE", version="v1")]), system, "v2"
         )
         path = tmp_path / "quarantine.jsonl"
         write_quarantine(path, outcome)
@@ -186,13 +185,15 @@ class TestGateBatch:
         assert rows[0]["original_version"] == "v1"
 
     def test_mixed_batch_buckets(self):
-        outcome = gate_batch(as_batch(mixed_batch()), migration_system(), "v2")
-        assert [r.record_id for r in outcome.accepted] == ["A-1"]
-        assert [(r.record_id, r.primary_code, r.version_tag) for r in outcome.reconciled] == [
+        outcome = gate_batch(read_rows(mixed_batch()), migration_system(), "v2")
+        assert outcome.accepted.record_id.tolist() == ["A-1"]
+        assert [(r["record_id"], r["primary_code"], r["version_tag"])
+                for r in rows(outcome.reconciled)] == [
             ("C-1", "RENAME-2", "v2"), ("C-2", "KEEP", "v2"),
         ]
         # Quarantined rows are the records as they arrived, each with its reason.
-        assert [(r.record_id, r.primary_code, r.version_tag) for r in outcome.quarantined] == [
+        assert [(r["record_id"], r["primary_code"], r["version_tag"])
+                for r in rows(outcome.quarantined)] == [
             ("R-7", "GONE", "v1"), ("Q-2", "OLD", "v0"), ("Q-3", "BOGUS", "v2"),
             ("Q-4", "SPLIT", "v1"),
         ]
@@ -203,7 +204,7 @@ class TestGateBatch:
         assert outcome.total() == 7
 
     def test_quarantine_line_text(self, tmp_path):
-        outcome = gate_batch(as_batch(mixed_batch()), migration_system(), "v2")
+        outcome = gate_batch(read_rows(mixed_batch()), migration_system(), "v2")
         path = tmp_path / "quarantine.jsonl"
         write_quarantine(path, outcome)
         assert path.read_text(encoding="utf-8") == (
