@@ -79,17 +79,12 @@ def compute_stats(
 ) -> InfluenceStats:
     """Tagged-over-total ratio for a cohort, appended to the period history."""
     total = len(cohort)
-    tagged = int(np.count_nonzero(np.not_equal(cohort.influence, None)))
+    tagged = int(np.count_nonzero(cohort.tag >= 0))
     ratio = tagged / total if total else 0.0
     if period is None:
         period = f"period-{len(history) + 1}"
-    return InfluenceStats(
-        cohort_id=cohort_id,
-        ratio=ratio,
-        tagged_count=tagged,
-        total_count=total,
-        history=tuple(history) + ((period, ratio),),
-    )
+    return InfluenceStats(cohort_id=cohort_id, ratio=ratio, tagged_count=tagged,
+                          total_count=total, history=tuple(history) + ((period, ratio),))
 
 
 def evaluate(stats: InfluenceStats, cfg: PipelineConfig) -> BreakerState:

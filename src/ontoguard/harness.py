@@ -51,6 +51,17 @@ STAGE_LAYERS = {"gate": 1, "checkpoint": 1, "dual_ontology": 2, "dormancy": 2, "
                 "sentinel": 4, "compliance": 5, "deploy": 5, "export": 5}
 
 
+# The fields each assertion kind reads besides its quarter, with their types;
+# an absent field is null, so only a field that may be null may be left out.
+_ASSERTIONS: Mapping[str, Mapping[str, Any]] = {
+    "gate_counts": {"accepted": int, "reconciled": int, "quarantined": int},
+    "dormant_entry": {"code": str, "count": int, "conditions": int},
+    "breaker": {"ratio": float, "state": str},
+    "drift_alert": {"code": str, "drift_type": str, "evidence_billing_category": str | None},
+    "deploy_verdict": {"verdict": str, "condition_contains": str | None},
+}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A scenario file. Its file references resolve against the file's
@@ -84,11 +95,20 @@ class ScenarioSpec:
                     f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not all(type(a.get("kind")) is str for a in self.assertions):
             raise ValidationError("assertions must be a list of objects, each with a string kind")
-        for i, assertion in enumerate(self.assertions):  # deploy_verdict has no quarter
-            quarter = assertion.get("quarter", 1)
+        for i, assertion in enumerate(self.assertions):
+            kind = assertion["kind"]
+            if kind not in _ASSERTIONS:
+                raise ValidationError(f"assertions[{i}].kind must be one of "
+                                      f"{sorted(_ASSERTIONS)}, got {kind!r}")
+            quarter = assertion.get("quarter", 1 if kind == "deploy_verdict" else None)
             if type(quarter) is not int or not 1 <= quarter <= self.quarters:
                 raise ValidationError(f"assertions[{i}].quarter must be an integer in "
                                       f"1..{self.quarters}, got {quarter!r}")
+            for key, tp in _ASSERTIONS[kind].items():
+                try:
+                    from_json(tp, assertion.get(key))
+                except ValidationError as exc:
+                    raise ValidationError(f"assertions[{i}].{key} {exc}") from None
         for code in self.significance:
             if not self.activation_conditions.get(code):
                 raise ValidationError(
@@ -189,13 +209,8 @@ def run_scenario(
     history_window = synthgen_mod.quarter_window(spec.start, -1)
     # No stage reads the ground truth; only the batch is kept.
     history = synthgen_mod.generate_batch(
-        system,
-        spec.distortion.without_onset_distortions(),
-        spec.n_per_quarter,
-        seed=[seed, 10_007],
-        window=history_window,
-        id_prefix="H",
-    )[0]
+        system, spec.distortion.without_onset_distortions(), spec.n_per_quarter,
+        seed=[seed, 10_007], window=history_window, id_prefix="H")[0]
     ref = checkpoint_mod.build_reference_model(history, system, spec.target_version)
     del history  # no stage reads the history records again
 
@@ -462,50 +477,41 @@ def run_scenario(
 
 
 def _check_assertion(assertion: Mapping[str, Any], report: RunReport) -> dict[str, Any]:
+    """The result of one assertion, whose fields ``ScenarioSpec`` checked."""
     kind = assertion["kind"]
-    passed = False
-    detail = ""
-    try:
-        if kind == "gate_counts":
-            gate = report.quarters[assertion["quarter"] - 1]["gate"]
-            passed = all(gate[k] == assertion[k]
-                         for k in ("accepted", "reconciled", "quarantined"))
-            detail = (f"accepted={gate['accepted']} reconciled={gate['reconciled']} "
-                      f"quarantined={gate['quarantined']}")
-        elif kind == "dormant_entry":
-            entries = report.quarters[assertion["quarter"] - 1]["dormancy"]["entries"]
-            entry = entries.get(assertion["code"])
-            passed = (entry is not None
-                      and entry["count"] == assertion["count"]
-                      and entry["conditions"] == assertion["conditions"])
-            detail = f"entry={entry}"
-        elif kind == "breaker":
-            breaker = report.quarters[assertion["quarter"] - 1]["breaker"]
-            passed = (abs(breaker["ratio"] - assertion["ratio"]) < 1e-9
-                      and breaker["state"] == assertion["state"])
-            detail = f"ratio={breaker['ratio']} state={breaker['state']}"
-        elif kind == "drift_alert":
-            alerts = report.quarters[assertion["quarter"] - 1]["alerts"]
-            matches = [
-                a for a in alerts
-                if a["code"] == assertion["code"]
-                and a["drift_type"] == assertion["drift_type"]
-                and a["billing_category"] == assertion.get(
-                    "evidence_billing_category", a["billing_category"])
-            ]
-            passed = bool(matches)
-            detail = f"matching_alerts={len(matches)} of {len(alerts)}"
-        elif kind == "deploy_verdict":
-            verdict = report.deploy["verdict"]
-            passed = verdict["kind"] == assertion["verdict"] and any(
-                assertion.get("condition_contains", "") in c
-                for c in verdict["conditions"]
-            ) and report.deploy["audit_entries"] == len(report.deploy["audit_adapters"])
-            detail = f"verdict={verdict['kind']} conditions={verdict['conditions']}"
-        else:
-            detail = f"unknown assertion kind {kind!r}"
-    except (KeyError, IndexError, TypeError) as exc:
-        detail = f"assertion lookup failed: {exc!r}"
+    if kind == "gate_counts":
+        gate = report.quarters[assertion["quarter"] - 1]["gate"]
+        passed = all(gate[k] == assertion[k] for k in ("accepted", "reconciled", "quarantined"))
+        detail = (f"accepted={gate['accepted']} reconciled={gate['reconciled']} "
+                  f"quarantined={gate['quarantined']}")
+    elif kind == "dormant_entry":
+        entries = report.quarters[assertion["quarter"] - 1]["dormancy"]["entries"]
+        entry = entries.get(assertion["code"])
+        passed = entry == {"count": assertion["count"], "conditions": assertion["conditions"]}
+        detail = f"entry={entry}"
+    elif kind == "breaker":
+        breaker = report.quarters[assertion["quarter"] - 1]["breaker"]
+        passed = (abs(breaker["ratio"] - assertion["ratio"]) < 1e-9
+                  and breaker["state"] == assertion["state"])
+        detail = f"ratio={breaker['ratio']} state={breaker['state']}"
+    elif kind == "drift_alert":
+        alerts = report.quarters[assertion["quarter"] - 1]["alerts"]
+        matches = [
+            a for a in alerts
+            if a["code"] == assertion["code"]
+            and a["drift_type"] == assertion["drift_type"]
+            and a["billing_category"] == assertion.get(
+                "evidence_billing_category", a["billing_category"])
+        ]
+        passed = bool(matches)
+        detail = f"matching_alerts={len(matches)} of {len(alerts)}"
+    else:  # deploy_verdict
+        verdict = report.deploy["verdict"]
+        passed = verdict["kind"] == assertion["verdict"] and any(
+            (assertion.get("condition_contains") or "") in c
+            for c in verdict["conditions"]
+        ) and report.deploy["audit_entries"] == len(report.deploy["audit_adapters"])
+        detail = f"verdict={verdict['kind']} conditions={verdict['conditions']}"
     return {"assertion": dict(assertion), "passed": passed, "detail": detail}
 
 

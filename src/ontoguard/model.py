@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import defaultdict
 from collections.abc import Mapping as AbcMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
@@ -613,7 +614,7 @@ def _wall_clock(whens: Sequence[datetime],
 
 # The per-row fields of a RecordBatch; every other field is a table.
 _COLUMNS = ("record_id", "times", "zone", "age_band", "sex", "institution", "code",
-            "clinical", "version", "co", "influence", "fidelity")
+            "clinical", "version", "co", "tag", "confidence", "fidelity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,9 +627,11 @@ class RecordBatch:
     Co-code sets and UTC offsets are interned the same way, and
     ``fidelity`` indexes ``annotations``: rows share an entry when they
     share one annotation object, as rows annotated together do and as rows
-    read from one records file with the same fidelity text do. Index -1
-    stands for None: no clinical code, no annotation, or a naive
-    timestamp. ``times`` holds each encounter's wall-clock time.
+    read from one records file with the same fidelity text do. ``tag``
+    indexes influence tags' ``tags``, whose number type keeps a
+    ``confidence``'s JSON type. Index -1 stands for None: no clinical code,
+    no annotation, no tag, or a naive timestamp. ``times`` holds each
+    encounter's wall-clock time. Record ids are the one object column.
 
     Stages read and write the columns. Iterating yields each row as a
     ``CodedRecord``, built on demand; only ``version_gate.write_quarantine``
@@ -650,19 +653,19 @@ class RecordBatch:
     versions: tuple[str, ...]
     co: np.ndarray                   # index into co_sets
     co_sets: tuple[frozenset[str], ...]
-    influence: np.ndarray            # InfluenceTag or None objects
+    tag: np.ndarray                  # index into tags, -1 when not AI-influenced
+    confidence: np.ndarray           # float64, a tag's model_confidence; NaN when untagged
+    tags: tuple[tuple[str, bool, type], ...]  # (model version, clinician modified, int or float)
     fidelity: np.ndarray             # index into annotations, -1 when not annotated
     annotations: tuple[FidelityAnnotation, ...]
 
     @classmethod
-    def _from_columns(cls, column: Mapping[str, Sequence[Any]], times: np.ndarray,
-                      zone: np.ndarray, zones: Iterable[tzinfo],
-                      row: Mapping[str, np.ndarray] | None = None) -> RecordBatch:
-        """The batch with columns ``times`` and ``zone`` over ``zones`` whose
-        row ``i`` holds ``column[name][row[name][i]]`` as interned field
-        ``name``, or ``column[name][i]`` when ``row`` is None, and its own
-        record id and influence tag. Tables are in first-seen order of
-        ``column``'s values."""
+    def _from_columns(cls, column: Mapping[str, Sequence[Any]],
+                      row: Mapping[str, np.ndarray] | None = None, **own: Any) -> RecordBatch:
+        """The batch whose row ``i`` holds ``column[name][row[name][i]]`` as
+        interned field ``name``, or ``column[name][i]`` when ``row`` is None,
+        its own record id, and the fields ``own`` gives (times and tags).
+        Tables are in first-seen order of ``column``'s values."""
         def index(name: str, position: np.ndarray) -> np.ndarray:
             return position if row is None else position[row[name]]
 
@@ -675,15 +678,13 @@ class RecordBatch:
         fidelity = intern([None if a is None else id(a) for a in column["fidelity"]], shared)[0]
         return cls(
             record_id=np.array(column["record_id"], dtype=object),
-            times=times, zone=zone, zones=tuple(zones),
             age_band=index("patient_age_band", intern(column["patient_age_band"], AGE_BANDS)[0]),
             sex=index("patient_sex", intern(column["patient_sex"], SEXES)[0]),
             institution=index("institution_id", institution), institutions=institutions,
             code=index("primary_code", code), clinical=index("clinical_code", clinical),
             codes=codes, version=index("version_tag", version), versions=versions,
             co=index("co_codes", co), co_sets=co_sets,
-            influence=np.array(column["influence_tag"], dtype=object),
-            fidelity=index("fidelity", fidelity), annotations=tuple(shared.values()),
+            fidelity=index("fidelity", fidelity), annotations=tuple(shared.values()), **own,
         )
 
     def __len__(self) -> int:
@@ -705,7 +706,9 @@ class RecordBatch:
             [when.replace(tzinfo=zone)
              for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))],
             gather(self.codes, self.code), gather(self.co_sets, self.co),
-            gather(self.versions, self.version), self.influence.tolist(),
+            gather(self.versions, self.version),
+            [None if head is None else InfluenceTag(head[0], head[2](confidence), head[1])
+             for head, confidence in zip(gather(self.tags, self.tag), self.confidence.tolist())],
             gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
         ))
 
@@ -849,10 +852,14 @@ _SPANS = [capture for capture in _CAPTURES if type(capture) is tuple]
 # with its fields' keys, and every capture decodes to the value that
 # ``json.loads`` of the whole line holds there.
 _PLAIN = r'[^"\\\x00-\x1f]*'
-_OBJECT_TEXT = r"(?:null|\{[^{}\n]*\})"
+# A tag's captures: flag, confidence, the confidence's fraction and exponent
+# (empty for an int) and version; null's are empty. [0-9]: \d matches more.
+_TAG_GROUPS = ("clinician_modified", "model_confidence", "fraction", "model_version")
 _TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]\n]*\]",
-         "fidelity": _OBJECT_TEXT, "influence_tag": f"({_OBJECT_TEXT})",
-         "encounter_time": f'"({_PLAIN})"', "record_id": f'"({_PLAIN})"'}
+         "fidelity": r"(?:null|\{[^{}\n]*\})", "encounter_time": f'"({_PLAIN})"',
+         "influence_tag": r'(?:null|\{"clinician_modified":(true|false),"model_confidence":'
+         r'(-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)),'
+         f'"model_version":"({_PLAIN})"' r"\})", "record_id": f'"({_PLAIN})"'}
 
 
 def _capture_text(capture: str | tuple[str, ...]) -> str:
@@ -862,6 +869,7 @@ def _capture_text(capture: str | tuple[str, ...]) -> str:
 
 
 _CANONICAL = re.compile(r"^\{" + ",".join(map(_capture_text, _CAPTURES)) + r"\}$", re.MULTILINE)
+_GROUPS = [g for name in _CAPTURES for g in (_TAG_GROUPS if name == "influence_tag" else [name])]
 
 # A block's encounter times, each followed by a newline, in ``isoformat``'s
 # exact naive layout, which NumPy reads as ``datetime.fromisoformat`` does.
@@ -895,31 +903,35 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
     passes its checks; None for any other file.
 
     The file is read a block of lines at a time. A block numbers each span
-    text as first seen in the file and keeps only those numbers, record
-    ids, times and influence tags. Each distinct span is then decoded and
-    checked once, and each field's column is its span's numbers mapped to
-    the field's index, so every table is in first-seen row order.
+    text and tag head as first seen in the file and keeps only those
+    numbers, record ids, times and confidences. Each distinct span is then
+    decoded and checked once, and each field's column is its span's numbers
+    mapped to the field's index, so every table is in first-seen row order.
     """
     spans: dict[tuple[str, ...], dict[str, int]] = {names: {} for names in _SPANS}
     numbers: dict[Any, list[np.ndarray]] = {names: [np.empty(0, np.int32)] for names in _SPANS}
     column: dict[str, list[Any]] = {name: [] for name in _LINE_FIELDS}
     times, zone, zones = [np.empty(0, "datetime64[us]")], [np.empty(0, np.int32)], {}
+    # Tag heads numbered as first seen; an untagged row's captures are empty.
+    heads = defaultdict(lambda: len(heads) - 1, {("", "", False): -1})
+    tag, confidences = [np.empty(0, np.int32)], []
     try:
         with open(path, encoding="utf-8") as fh:
             while lines := list(islice(fh, _BLOCK_LINES)):
                 rows = _CANONICAL.findall("".join(lines))
                 if len(rows) != len(lines):
                     return None
-                block = dict(zip(_CAPTURES, zip(*rows)))
+                block = dict(zip(_GROUPS, zip(*rows)))
                 for names, table in spans.items():  # new texts numbered as first seen
                     for text in dict.fromkeys(block[names]):
                         table.setdefault(text, len(table))
                     numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
                                                       np.int32, len(rows)))
                 column["record_id"].extend(block["record_id"])
-                tags = {text: _CHECK["influence_tag"](json.loads(text))
-                        for text in set(block["influence_tag"])}
-                column["influence_tag"].extend(map(tags.__getitem__, block["influence_tag"]))
+                keys = zip(block["model_version"], block["clinician_modified"],
+                           map(bool, block["fraction"]))
+                tag.append(np.fromiter(map(heads.__getitem__, keys), np.int32, len(rows)))
+                confidences.extend(filter(None, block["model_confidence"]))
                 when, offset = _times(block["encounter_time"], zones)
                 times.append(when)
                 zone.append(offset)
@@ -930,10 +942,17 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
                 data = json.loads("{" + text + "}")
                 for name in names:
                     column[name].append(_CHECK[name](data[name]))
+        tag = np.concatenate(tag)
+        confidence = np.full(len(tag), math.nan)
+        confidence[tag >= 0] = list(map(float, confidences))  # as json reads them
     except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
         return None
-    return RecordBatch._from_columns(column, np.concatenate(times), np.concatenate(zone), zones,
-                                     row)
+    if ((confidence < 0) | (confidence > 1)).any():  # NaN is neither
+        return None
+    return RecordBatch._from_columns(
+        column, row, times=np.concatenate(times), zone=np.concatenate(zone), zones=tuple(zones),
+        tag=tag, confidence=confidence, tags=tuple((version, flag == "true", (int, float)[fraction])
+                                                    for version, flag, fraction in heads if flag))
 
 
 def read_records(path: str | Path) -> RecordBatch:
@@ -956,7 +975,13 @@ def read_records(path: str | Path) -> RecordBatch:
         for values, fields_of_block in zip(column.values(), zip(*block)):
             values.extend(fields_of_block)
     zones: dict[tzinfo, int] = {}
-    return RecordBatch._from_columns(column, *_wall_clock(column["encounter_time"], zones), zones)
+    times, zone = _wall_clock(column["encounter_time"], zones)
+    tags = column["influence_tag"]
+    tag, heads = intern([t and (t.model_version, t.clinician_modified, type(t.model_confidence))
+                         for t in tags])
+    return RecordBatch._from_columns(
+        column, times=times, zone=zone, zones=tuple(zones), tag=tag, tags=heads,
+        confidence=np.array([t.model_confidence if t else math.nan for t in tags]))
 
 
 # The constant texts of a records-file line, before, between and after its
@@ -969,21 +994,27 @@ _SEPARATORS = ("{" + ",".join(
 def write_records(path: str | Path, records: RecordBatch) -> None:
     """Write ``records`` as a records file: each row as ``jsonl_dumps`` writes it, one a line.
 
-    Rows are encoded and written a block at a time. Each table entry and
-    UTC offset is encoded once and times by NumPy, and a block's lines are
-    one list of the constant texts with each field's texts slotted in.
+    Rows are encoded and written a block at a time. Each table entry that a
+    row uses and each UTC offset is encoded once and times by NumPy, and a
+    block's lines are one list of the constant texts with each field's
+    texts slotted in. A tag's entry holds null for its confidence.
     """
     tables = {  # each table-held field's table and index column
         "clinical_code": (records.codes, records.clinical),
         "co_codes": (records.co_sets, records.co),
         "fidelity": (records.annotations, records.fidelity),
+        "influence_tag": ([dict(clinician_modified=m, model_confidence=None, model_version=v)
+                           for v, m, _ in records.tags], records.tag),
         "institution_id": (records.institutions, records.institution),
         "patient_age_band": (AGE_BANDS, records.age_band), "patient_sex": (SEXES, records.sex),
         "primary_code": (records.codes, records.code),
         "version_tag": (records.versions, records.version),
     }
-    entries = {name: np.array([*map(jsonl_dumps, table), "null"], dtype=object)
-               for name, (table, _) in tables.items()}
+    entries = {}
+    for name, (table, index) in tables.items():  # only the entries that rows use
+        used = (np.bincount(index + 1, minlength=len(table) + 1)[1:] > 0).tolist()
+        entries[name] = np.array([jsonl_dumps(entry) if use else None
+                                  for entry, use in zip(table, used)] + ["null"], object)
     offsets = np.array([datetime(1, 1, 1, tzinfo=zone).isoformat()[19:] for zone in records.zones]
                        + [""])
     line: list[Any] = [None] * (2 * len(_SEPARATORS) - 1)
@@ -994,8 +1025,10 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
             text = {name: entries[name][index[rows]].tolist()
                     for name, (_, index) in tables.items()}
             text["record_id"] = list(map(jsonl_dumps, records.record_id[rows].tolist()))
-            text["influence_tag"] = ["null" if tag is None else jsonl_dumps(vars(tag))
-                                     for tag in records.influence[rows].tolist()]
+            text["influence_tag"] = [  # a tag's first null is its confidence's
+                tag if i < 0 else tag.replace("null", repr(records.tags[i][2](confidence)), 1)
+                for i, tag, confidence in zip(records.tag[rows].tolist(), text["influence_tag"],
+                                              records.confidence[rows].tolist())]
             times = records.times[rows]
             when = np.datetime_as_string(times, unit="s")
             fraction = times.astype(np.int64) % 1_000_000 != 0

@@ -27,7 +27,6 @@ from .model import (
     SEXES,
     CodeSystem,
     Demographics,
-    InfluenceTag,
     RecordBatch,
     TimeWindow,
     ValidationError,
@@ -124,13 +123,8 @@ class DistortionSpec:
     def without_onset_distortions(self) -> "DistortionSpec":
         """Standing institutional habits only: strips the distortions that
         switch on at a point in time. Used to build reference history."""
-        return replace(
-            self,
-            billing_inflation=(),
-            ai_influence=None,
-            outbreak=None,
-            version_mix={},
-        )
+        return replace(self, billing_inflation=(), ai_influence=None, outbreak=None,
+                       version_mix={})
 
 
 @dataclass(frozen=True)
@@ -430,19 +424,16 @@ def generate_batch(
     lagging = np.array([v != spec.current_version for v in versions])[inst_index]
     labels[lagging] |= bit[DistortionLabel.VERSION_LAG]
 
-    influence = np.full(n, None, dtype=object)
-    if spec.ai_influence is not None:
-        fraction = spec.ai_influence.fraction_for(quarter_index)
-        count = int(round(fraction * n))
-        if count > 0:
-            chosen = rng.choice(n, size=count, replace=False)
-            confidences = rng.uniform(0.55, 0.95, size=count)
-            modified = rng.random(count) < 0.25
-            influence[chosen] = [
-                InfluenceTag(spec.ai_influence.model_version, confidence, flag)
-                for confidence, flag in zip(confidences.tolist(), modified.tolist())
-            ]
-            labels[chosen] |= bit[DistortionLabel.AI_INFLUENCED]
+    # An influence tag's head is (model version, clinician modified, float).
+    tag, confidence, tags = np.full(n, -1, dtype=np.int32), np.full(n, np.nan), ()
+    ai = spec.ai_influence
+    count = 0 if ai is None else round(ai.fraction_for(quarter_index) * n)
+    if count > 0:
+        chosen = rng.choice(n, size=count, replace=False)
+        confidence[chosen] = rng.uniform(0.55, 0.95, size=count)
+        tag[chosen] = rng.random(count) < 0.25
+        tags = tuple((ai.model_version, flag, float) for flag in (False, True))
+        labels[chosen] |= bit[DistortionLabel.AI_INFLUENCED]
 
     # One ground-truth entry per distinct (true code, label bits) pair.
     truth_keys, _, _, truth_index = group(code_index * (1 << len(bit)) + labels,
@@ -455,11 +446,10 @@ def generate_batch(
         for key in truth_keys.tolist()
     )
 
-    record_ids = list(map((id_prefix.replace("%", "%%") + "-%06d").__mod__, range(n)))
     version_table, version_index = np.unique(versions, return_inverse=True)
     no_row = np.full(n, -1, dtype=np.int32)
     batch = RecordBatch(
-        record_id=np.array(record_ids, dtype=object),
+        record_id=_record_ids(id_prefix, range(n)),
         times=np.datetime64(window.start, "us") + offsets.astype("timedelta64[s]"),
         zone=no_row, zones=(),
         age_band=age_idx.astype(np.int32), sex=sex_idx.astype(np.int32),
@@ -467,9 +457,27 @@ def generate_batch(
         code=primary.astype(np.int32), clinical=no_row, codes=tuple(names),
         version=version_index.astype(np.int32)[inst_index], versions=tuple(version_table.tolist()),
         co=co_index.astype(np.int32), co_sets=co_code_sets,
-        influence=influence, fidelity=no_row, annotations=(),
+        tag=tag, confidence=confidence, tags=tags, fidelity=no_row, annotations=(),
     )
     return batch, GroundTruth(entries, truth_index.astype(np.int32))
+
+
+_ID_BLOCK = 4096  # ids formatted at a time, so that their characters stay small
+
+
+def _record_ids(prefix: str, rows: range) -> np.ndarray:
+    """``f"{prefix}-{i:06d}"`` for each ``i`` in ``rows``, as an object array. A
+    block of ids of one width is UCS-4 code units read as fixed-width strings."""
+    ids, start = np.empty(len(rows), dtype=object), rows.start
+    head = np.frombuffer(f"{prefix}-".encode("utf-32-le", "surrogatepass"), "<u4")
+    while start < rows.stop:
+        width = max(6, len(str(start)))
+        stop = min(start + _ID_BLOCK, rows.stop, 10 ** width)
+        digits = np.arange(start, stop)[:, None] // 10 ** np.arange(width)[::-1] % 10 + ord("0")
+        chars = np.hstack([np.broadcast_to(head, (stop - start, len(head))), digits]).astype("<u4")
+        ids[start - rows.start:stop - rows.start] = chars.view(f"<U{chars.shape[1]}")[:, 0]
+        start = stop
+    return ids
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
@@ -497,15 +505,8 @@ def generate_quarter_series(
     truths: list[GroundTruth] = []
     for q in range(quarters):
         window = quarter_window(start, q)
-        batch, batch_truth = generate_batch(
-            system,
-            spec,
-            n_per_quarter,
-            seed=[seed, q],
-            window=window,
-            id_prefix=f"Q{q + 1}",
-            quarter_index=q,
-        )
+        batch, batch_truth = generate_batch(system, spec, n_per_quarter, seed=[seed, q],
+                                            window=window, id_prefix=f"Q{q + 1}", quarter_index=q)
         batches.append(batch)
         truths.append(batch_truth)
     return batches, truths

@@ -7,14 +7,20 @@ import statistics
 import pytest
 
 from conftest import read_rows, row, rows, tiny_system
-from ontoguard import checkpoint, synthgen
+from ontoguard import checkpoint, model, synthgen
 from ontoguard.checkpoint import (
     annotate_batch,
     build_reference_model,
     fidelity_report,
     write_fidelity_report,
 )
-from ontoguard.model import PipelineConfig, ValidationError
+from ontoguard.model import (
+    FidelityAnnotation,
+    PipelineConfig,
+    ValidationError,
+    jsonl_dumps,
+    write_records,
+)
 from ontoguard.synthgen import InstitutionWeight
 
 
@@ -130,6 +136,25 @@ class TestAnnotate:
         assert len(together) == len(seeded_batch) == 2000
         assert together == alone
         assert len({json.dumps(r["fidelity"]) for r in together}) > 1
+
+    def test_writing_a_selection_encodes_only_its_rows_annotations(
+            self, seeded_batch, q1_products, bundled_cfg, tmp_path, monkeypatch):
+        # A selection shares its parent's table of annotations; writing it
+        # costs the rows it holds, not the table.
+        annotated = annotate_batch(seeded_batch, q1_products["ref"], bundled_cfg)
+        assert len(annotated.annotations) > 1000
+        whole, one = tmp_path / "whole.jsonl", tmp_path / "one.jsonl"
+        write_records(whole, annotated)
+        encoded = []
+
+        def counting_dumps(value):
+            encoded.append(type(value))
+            return jsonl_dumps(value)
+
+        monkeypatch.setattr(model, "jsonl_dumps", counting_dumps)
+        write_records(one, annotated.select([0]))
+        assert encoded.count(FidelityAnnotation) <= 1
+        assert one.read_bytes() == whole.read_bytes().splitlines(keepends=True)[0]
 
     def test_catch_all_records_score_lower_on_average(self, q1_products):
         truth = q1_products["truth"]

@@ -284,7 +284,7 @@ class TestRecordLifetimes:
 
         monkeypatch.setattr(harness.synthgen_mod, "generate_batch", sampling_generate_batch)
         harness.run_scenario(spec, 3, tmp_path / "out")
-        assert [len(refs) for refs in samples] == [13] * 4  # history, then three quarters
+        assert [len(refs) for refs in samples] == [14] * 4  # history, then three quarters
         assert alive == [[], [0], [0, 0], [0, 0, 0]]
 
 
@@ -518,6 +518,22 @@ CLI_INPUT_FILES = {
     "quarter-zero.json": breaker_assertion_text(quarter=0),
     "quarter-negative.json": breaker_assertion_text(quarter=-1),
     "quarter-bool.json": breaker_assertion_text(quarter=True),
+    "quarter-missing.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "breaker", "ratio": 0.12, "state": "warning"}]),
+    "ratio-string.json": breaker_assertion_text(ratio="0.12"),
+    "state-missing.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "breaker", "quarter": 3, "ratio": 0.12}]),
+    "count-missing.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "dormant_entry", "quarter": 1, "code": "DM-OTHER", "conditions": 2}]),
+    "accepted-bool.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "gate_counts", "quarter": 1, "accepted": True, "reconciled": 0,
+         "quarantined": 0}]),
+    "category-int.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "drift_alert", "quarter": 3, "code": "DM2-HYPER", "drift_type": "type_b",
+         "evidence_billing_category": 5}]),
+    "verdict-missing.json": walkthrough_text(n_per_quarter=500, assertions=[
+        {"kind": "deploy_verdict", "condition_contains": "90th percentile"}]),
+    "kind-unknown.json": breaker_assertion_text(kind="breakr"),
 }
 
 
@@ -532,14 +548,17 @@ class TestCli:
         assert "PASS gate_counts" in out
         assert (tmp_path / "run" / "report.json").exists()
 
-    def test_assertion_of_the_wrong_type_fails_as_a_lookup(self, tmp_path, capsys):
-        # A ratio that is not a number cannot be compared with the run's.
+    def test_assertion_of_the_wrong_type_fails_before_the_run(self, tmp_path, capsys):
+        # A ratio that is not a number cannot be compared with the run's, so
+        # the scenario is refused before any quarter runs.
         spec = tmp_path / "ratio-string.json"
         spec.write_text(breaker_assertion_text(ratio="0.12"), encoding="utf-8")
         status = cli.main(["scenario", "run", str(spec), "--seed", "1",
                            "--out-dir", str(tmp_path / "run")])
         assert status == 1
-        assert "FAIL breaker: assertion lookup failed: TypeError(" in capsys.readouterr().out
+        assert ("assertions[0].ratio must be a number, got '0.12'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_gate_unknown_version_is_validation_error(self, tmp_path, capsys,
                                                       walkthrough_spec):
@@ -807,6 +826,17 @@ class TestCli:
            f"quarter-{name}.json assertions[0].quarter must be an integer in 1..3, got {value}")
           for name, value in (("string", "'1'"), ("float", "1.0"), ("zero", "0"),
                               ("negative", "-1"), ("bool", "True"))),
+        *((["scenario", "run", name, "--seed", "1"], f"{name} assertions[0].{fault}")
+          for name, fault in (
+              ("quarter-missing.json", "quarter must be an integer in 1..3, got None"),
+              ("ratio-string.json", "ratio must be a number, got '0.12'"),
+              ("state-missing.json", "state must be a string, got None"),
+              ("count-missing.json", "count must be an integer, got None"),
+              ("accepted-bool.json", "accepted must be an integer, got True"),
+              ("category-int.json", "evidence_billing_category must be a string or null, got 5"),
+              ("verdict-missing.json", "verdict must be a string, got None"),
+              ("kind-unknown.json", "kind must be one of ['breaker', 'deploy_verdict', "
+               "'dormant_entry', 'drift_alert', 'gate_counts'], got 'breakr'"))),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -839,6 +869,9 @@ class TestCli:
         "scan-current-unknown-version", "fidelity-history-empty", "scan-baseline-empty",
         "scan-current-empty", "assertion-quarter-string", "assertion-quarter-float",
         "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
+        "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
+        "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
+        "assertion-verdict-missing", "assertion-kind-unknown",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

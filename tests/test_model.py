@@ -10,12 +10,13 @@ from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import annotation, read_rows, row, rows, tag, tiny_system
-from ontoguard import model
+from conftest import SEED, annotation, read_rows, row, rows, tag, tiny_system
+from ontoguard import model, synthgen
 from ontoguard.model import (
     AGE_BANDS,
     SEXES,
@@ -404,6 +405,10 @@ _MUTATIONS = {
     "confidence-out-of-range": lambda data: jsonl_dumps(
         {**data, "influence_tag": {"clinician_modified": False, "model_confidence": 2,
                                    "model_version": "m"}}) + "\n",
+    "confidence-unicode-digit": lambda data: jsonl_dumps(
+        {**data, "influence_tag": {"clinician_modified": False, "model_confidence": 0.5,
+                                   "model_version": "m"}}).replace(
+        '"model_confidence":0.5', '"model_confidence":0.\u0665') + "\n",
     "rationale-int": lambda data: jsonl_dumps(
         {**data, "fidelity": {**_ANNOTATION, "rationale": 3}}) + "\n",
     "not-json": lambda data: jsonl_dumps(data)[:-1] + "\n",
@@ -509,6 +514,57 @@ def test_row_reader_keeps_each_number_as_written(tmp_path, layout):
     assert [jsonl_dumps(line) for line in rows(batch)] == canonical
     write_records(again, batch)
     assert again.read_text(encoding="utf-8") == "".join(line + "\n" for line in canonical)
+
+
+def test_both_readers_keep_each_tag_confidence_as_written(tmp_path, monkeypatch):
+    # Tagged rows on both sides of the edge between the first two blocks,
+    # with confidences that must each be written back as read; the canonical
+    # reader checks them by column, the row reader one tag at a time.
+    confidences = [1, 1.0, 0, -0.0, 1e-05]
+    records = [
+        row(f"R-{i}", influence_tag=tag(f"m-{i % 2}", confidences[i % 5], i % 3 == 0)
+            if _BLOCK - 6 <= i < _BLOCK + 6 else None)
+        for i in range(2 * _BLOCK)
+    ]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(jsonl_dumps(record) + "\n" for record in records), encoding="utf-8")
+    canonical = model._canonical_batch(path)
+    assert canonical is not None
+    monkeypatch.setattr(model, "_canonical_batch", lambda path: None)
+    by_row = read_records(path)
+    expected = [jsonl_dumps(record) for record in records]
+    assert [jsonl_dumps(line) for line in rows(canonical)] == expected
+    assert [jsonl_dumps(line) for line in rows(by_row)] == expected
+
+
+def test_batches_hold_no_python_object_but_record_ids(tmp_path, bundled_system,
+                                                      walkthrough_spec):
+    batch, _ = synthgen.generate_batch(bundled_system, walkthrough_spec.distortion, 500,
+                                       seed=[SEED, 2], quarter_index=2)
+    path = tmp_path / "records.jsonl"
+    write_records(path, batch)
+    for held in (batch, read_records(path)):
+        columns = {name: value for name, value in vars(held).items()
+                   if isinstance(value, np.ndarray)}
+        assert set(columns) == set(model._COLUMNS)
+        assert [name for name, value in columns.items() if value.dtype == object] == ["record_id"]
+
+
+def test_generating_reading_and_writing_build_no_influence_tag(tmp_path, monkeypatch,
+                                                               bundled_system, walkthrough_spec):
+    # Tags live in the tag and confidence columns; only iteration builds
+    # an InfluenceTag.
+    def refuse(*args):
+        raise AssertionError("an InfluenceTag was built")
+
+    monkeypatch.setattr(InfluenceTag, "__post_init__", refuse)
+    batch, _ = synthgen.generate_batch(bundled_system, walkthrough_spec.distortion, 2000,
+                                       seed=[SEED, 2], quarter_index=2)
+    assert np.count_nonzero(batch.tag >= 0) == 240
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    write_records(path, batch)
+    write_records(again, read_records(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_write_records_writes_each_row_as_jsonl_dumps_across_blocks(tmp_path):

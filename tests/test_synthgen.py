@@ -167,6 +167,17 @@ def test_group_rows_is_np_unique_by_rows(masks):
     assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
 
 
+@pytest.mark.parametrize("prefix", ["", "%", "Q1", "é", "\U0001F600"])
+def test_record_ids_are_the_prefix_and_six_digits_or_more(prefix):
+    # Ranges across an edge between two blocks of ids and across the first
+    # id with seven digits; ids count rows from the range's start.
+    for ids in (range(0, 10), range(synthgen._ID_BLOCK - 3, synthgen._ID_BLOCK + 3),
+                range(999_990, 1_000_010), range(5, 5)):
+        formatted = synthgen._record_ids(prefix, ids).tolist()
+        assert formatted == [f"{prefix}-{i:06d}" for i in ids]
+        assert all(type(record_id) is str for record_id in formatted)
+
+
 class TestQuarterSeries:
     def test_influence_schedule_fractions(self, bundled_system):
         spec = simple_spec(
