@@ -807,7 +807,11 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
     offsets = [zone.utcoffset(None) // timedelta(microseconds=1) for zone in batch.zones]
     instant = (batch.times.astype(np.int64)
                - np.array(offsets + [0], dtype=np.int64)[batch.zone])
-    latest = np.lexsort((-instant, inverse))[np.cumsum(counts) - counts]
+    # Each code's latest instant, then the first row that reaches it.
+    peak = np.full(len(counts), np.iinfo(np.int64).min)
+    np.maximum.at(peak, inverse, instant)
+    latest, top = np.full(len(counts), len(batch)), np.flatnonzero(instant == peak[inverse])
+    np.minimum.at(latest, inverse[top], top)
 
     usages = [CodeUsage(n, batch.encounter_time(row))
               for n, row in zip(counts.tolist(), latest.tolist())]
@@ -845,18 +849,29 @@ _CAPTURES = [capture for per_row, names in groupby(_LINE_FIELDS, _ROW_FIELDS.__c
              for capture in (names if per_row else [tuple(names)])]
 _SPANS = [capture for capture in _CAPTURES if type(capture) is tuple]
 
-# One records-file line as a pattern. A JSON string with no escape or
-# control character is its own text, so a per-row string is captured
-# without its quotes. A line that matches is a JSON object with exactly
-# the record's keys; each span's text, put in braces, is a JSON object
-# with its fields' keys, and every capture decodes to the value that
-# ``json.loads`` of the whole line holds there.
-_PLAIN = r'[^"\\\x00-\x1f]*'
+# One records-file line as a pattern. Each field's text is scanned by a
+# one-character negated class: a string by [^"], co-codes by [^\]] and a
+# fidelity object by [^}]. Python's re runs such a class as a tight loop,
+# but tests a class of several ranges one character at a time against a
+# charset, which took half of a read. Backtracking into one fails at once,
+# as it stops at the character that must come next; a possessive *+ would
+# need Python 3.11. What the classes let through is checked after the
+# match, a block of lines at a time:
+# - a match that runs across a newline leaves the block a line short;
+# - the per-row captures, joined, hold no backslash or control character,
+#   so each, put in quotes, is a JSON string whose value is its own text;
+# - each distinct span text, put in braces, decodes to an object with
+#   exactly its span's keys.
+# A line that passes is then the concatenation of valid JSON object
+# members with exactly the record's keys, and every capture decodes to the
+# value that ``json.loads`` of the whole line holds there.
+_PLAIN = r'[^"]*'
+_CONTROL = re.compile(r"[\x00-\x1f]")  # searched only in texts that are not isprintable()
 # A tag's captures: flag, confidence, the confidence's fraction and exponent
 # (empty for an int) and version; null's are empty. [0-9]: \d matches more.
 _TAG_GROUPS = ("clinician_modified", "model_confidence", "fraction", "model_version")
-_TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]\n]*\]",
-         "fidelity": r"(?:null|\{[^{}\n]*\})", "encounter_time": f'"({_PLAIN})"',
+_TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]]*\]",
+         "fidelity": r"(?:null|\{[^}]*\})", "encounter_time": f'"({_PLAIN})"',
          "influence_tag": r'(?:null|\{"clinician_modified":(true|false),"model_confidence":'
          r'(-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)),'
          f'"model_version":"({_PLAIN})"' r"\})", "record_id": f'"({_PLAIN})"'}
@@ -898,6 +913,12 @@ def _times(texts: Sequence[str], zones: dict[tzinfo, int]) -> tuple[np.ndarray, 
     return np.array(texts, dtype="datetime64[us]"), np.full(len(texts), -1, np.int32)
 
 
+def _numbering() -> defaultdict[Hashable, int]:
+    """A dict that numbers each key as it is first looked up: 0, 1, 2, ..."""
+    numbers: defaultdict[Hashable, int] = defaultdict(lambda: len(numbers))
+    return numbers
+
+
 def _canonical_batch(path: str | Path) -> RecordBatch | None:
     """The batch of a records file whose every line matches ``_CANONICAL`` and
     passes its checks; None for any other file.
@@ -908,7 +929,7 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
     decoded and checked once, and each field's column is its span's numbers
     mapped to the field's index, so every table is in first-seen row order.
     """
-    spans: dict[tuple[str, ...], dict[str, int]] = {names: {} for names in _SPANS}
+    spans = {names: _numbering() for names in _SPANS}
     numbers: dict[Any, list[np.ndarray]] = {names: [np.empty(0, np.int32)] for names in _SPANS}
     column: dict[str, list[Any]] = {name: [] for name in _LINE_FIELDS}
     times, zone, zones = [np.empty(0, "datetime64[us]")], [np.empty(0, np.int32)], {}
@@ -922,9 +943,11 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
                 if len(rows) != len(lines):
                     return None
                 block = dict(zip(_GROUPS, zip(*rows)))
-                for names, table in spans.items():  # new texts numbered as first seen
-                    for text in dict.fromkeys(block[names]):
-                        table.setdefault(text, len(table))
+                plain = "".join(block["record_id"] + block["encounter_time"]
+                                + block["model_version"])
+                if "\\" in plain or (not plain.isprintable() and _CONTROL.search(plain)):
+                    return None
+                for names, table in spans.items():
                     numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
                                                       np.int32, len(rows)))
                 column["record_id"].extend(block["record_id"])
@@ -940,6 +963,8 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
             row.update(dict.fromkeys(names, np.concatenate(numbers[names])))
             for text in table:
                 data = json.loads("{" + text + "}")
+                if data.keys() != set(names):
+                    return None
                 for name in names:
                     column[name].append(_CHECK[name](data[name]))
         tag = np.concatenate(tag)

@@ -16,6 +16,7 @@ from ontoguard.model import (
     CodeSystem,
     RecordBatch,
     from_json,
+    jsonl_dumps,
     load_code_system,
     load_config,
     profile_batch,
@@ -203,10 +204,12 @@ def truth_by_id(batch: RecordBatch, truth: synthgen.GroundTruth) -> dict:
 
 def read_rows(values) -> RecordBatch:
     """The batch ``read_records`` reads from a records file, ``records.jsonl``,
-    that holds each of the JSON values ``values`` as one line."""
+    that holds each of the JSON values ``values`` as one line. Lines are
+    written by ``jsonl_dumps``, as ``write_records`` writes them, so a batch
+    of valid records takes the canonical reader."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.jsonl"
-        path.write_text("".join(json.dumps(value) + "\n" for value in values), encoding="utf-8")
+        path.write_text("".join(jsonl_dumps(value) + "\n" for value in values), encoding="utf-8")
         return read_records(path)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import row
-from ontoguard import compliance, dormancy, dual_ontology, harness, synthgen
+from ontoguard import compliance, dormancy, dual_ontology, harness, model, synthgen
 from ontoguard.model import (
     PipelineConfig,
     ValidationError,
@@ -296,6 +296,42 @@ def test_json_is_parsed_only_at_the_boundary():
                     and node.func.attr in ("load", "loads") and path.name not in JSON_READERS):
                 offenders.append(f"{path.name}:{node.lineno} calls json.{node.func.attr}")
     assert offenders == []
+
+
+def _parsed_ops(parsed, subpattern):
+    """Each (op, argument) of a parsed regular expression, at any depth."""
+    for op, arg in parsed:
+        yield op, arg
+        for part in arg if isinstance(arg, tuple) else ():
+            for sub in part if isinstance(part, list) else [part]:
+                if isinstance(sub, subpattern):
+                    yield from _parsed_ops(sub, subpattern)
+
+
+def test_canonical_line_pattern_repeats_only_fast_classes():
+    # re runs a repeat of one negated character, or of [0-9] in a number, as
+    # a tight loop; a repeat of a class with several ranges tests each
+    # character against a charset, which once took half of a records read.
+    # re's parser is private: re._parser from Python 3.11, sre_parse before.
+    try:
+        import re._constants as re_constants
+        import re._parser as re_parser
+    except ImportError:
+        import sre_constants as re_constants
+        import sre_parse as re_parser
+    ops = list(_parsed_ops(re_parser.parse(model._CANONICAL.pattern), re_parser.SubPattern))
+    # Possessive repeats and atomic groups compile only from Python 3.11 on,
+    # and pyproject.toml allows 3.10.
+    newer = {getattr(re_constants, name, None) for name in ("POSSESSIVE_REPEAT", "ATOMIC_GROUP")}
+    assert [op for op, _ in ops if op in newer] == []
+    unbounded = [list(arg[2]) for op, arg in ops
+                 if op in (re_constants.MAX_REPEAT, re_constants.MIN_REPEAT)
+                 and arg[1] is re_constants.MAXREPEAT]
+    digits = [(re_constants.IN, [(re_constants.RANGE, (ord("0"), ord("9")))])]
+    assert unbounded
+    assert [item for item in unbounded
+            if item != digits and not (len(item) == 1 and item[0][0] is re_constants.NOT_LITERAL)
+            ] == []
 
 
 def test_the_package_imports_only_the_standard_library_numpy_and_itself():

@@ -412,7 +412,36 @@ _MUTATIONS = {
     "rationale-int": lambda data: jsonl_dumps(
         {**data, "fidelity": {**_ANNOTATION, "rationale": 3}}) + "\n",
     "not-json": lambda data: jsonl_dumps(data)[:-1] + "\n",
+    # Characters that the canonical reader's one-character classes let
+    # through, or stop at, in the fields they scan.
+    "record-id-control": lambda data: jsonl_dumps(data).replace(
+        '"record_id":"', '"record_id":"\x01', 1) + "\n",
+    "span-string-control": lambda data: jsonl_dumps(data).replace(
+        '"institution_id":"', '"institution_id":"\x01', 1) + "\n",
+    "rationale-brace": lambda data: jsonl_dumps(
+        {**data, "fidelity": {**_ANNOTATION, "rationale": "{"}}) + "\n",
+    "fidelity-nested-object": lambda data: jsonl_dumps(
+        {**data, "fidelity": {**_ANNOTATION, "rationale": {"text": "r"}}}) + "\n",
+    "co-code-quote-bracket": lambda data: jsonl_dumps(
+        {**data, "co_codes": [*data["co_codes"], '"]']}) + "\n",
 }
+
+
+def _escaped(key, escape):
+    """The mutation that writes the string at ``key``, the record id, the
+    encounter time or the tag's model version, led by the JSON escape ``escape``."""
+    def mutate(data):
+        tag = data["influence_tag"] or {"clinician_modified": False, "model_confidence": 0.5,
+                                        "model_version": "m"}
+        line = jsonl_dumps({**data, "influence_tag": tag})
+        return line.replace(f'"{key}":"', f'"{key}":"{escape}', 1) + "\n"
+    return mutate
+
+
+_MUTATIONS.update({f"{key}-escape-{name}": _escaped(key, escape)
+                   for key in ("record_id", "encounter_time", "model_version")
+                   for name, escape in (("quote", '\\"'), ("backslash", "\\\\"),
+                                        ("unicode", "\\u0041"))})
 # Times that datetime.fromisoformat reads but that are not in isoformat's
 # naive layout, where NumPy alone would read "20250101" as a year near
 # -209,291; and year 0, in that layout, which NumPy reads and it rejects.

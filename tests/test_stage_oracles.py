@@ -12,7 +12,7 @@ AI-tagged, and timestamps on month and quarter edges.
 import ast
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_rows
@@ -115,7 +115,19 @@ def test_oracles_import_nothing_from_the_package():
                 or m == ""] == [], module.__file__
 
 
+# An earlier encounter, then one later instant written three ways: the
+# first of the three is the code's last_seen.
+TIED_LATEST = [
+    {"record_id": f"R-{i}", "patient_age_band": "0-9", "patient_sex": "female",
+     "institution_id": "I-1", "encounter_time": when, "primary_code": "AAA", "co_codes": [],
+     "version_tag": "v2", "influence_tag": None, "fidelity": None, "clinical_code": None}
+    for i, when in enumerate(("2024-12-31T23:59:59.999999+00:00", "2025-01-01T05:30:00+05:30",
+                              "2025-01-01T00:00:00+00:00", "2024-12-31T16:00:00-08:00"))
+]
+
+
 @given(batches(), st.sampled_from(list(Layer)))
+@example(TIED_LATEST, Layer.ADMINISTRATIVE)
 @settings(max_examples=150, deadline=None)
 def test_profile_batch_matches_recount(rows, layer):
     profile = profile_batch(read_rows(rows), layer)
