@@ -238,7 +238,8 @@ def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
     spec = load_json(args.spec, "--spec file", partial(from_json, synthgen_mod.DistortionSpec))
     if args.quarters is None:
-        records, truth = synthgen_mod.generate_batch(system, spec, args.n, args.seed)
+        records, truth = synthgen_mod.generate_batch(
+            system, spec, args.n, args.seed, window=synthgen_mod.quarter_window(args.start, 0))
         write_records(args.out, records)
         synthgen_mod.write_ground_truth(args.truth, [records], [truth])
         print(f"wrote {len(records)} records to {args.out}")
@@ -310,6 +311,9 @@ def _cmd_infer_clinical(args) -> int:
 
 
 def _cmd_dormancy_classify(args) -> int:
+    if not args.store and (args.conditions or args.prune_log):
+        flag = "--conditions" if args.conditions else "--prune-log"
+        raise ValidationError(f"{flag} needs --store")
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)

@@ -588,16 +588,6 @@ def intern(values: Sequence[Hashable | None],
 _RECORD_FIELDS = tuple(f.name for f in fields(CodedRecord))
 
 
-def _record(values: Iterable[Any]) -> CodedRecord:
-    """``CodedRecord(*values)``, checked as the constructor checks. It takes
-    its field dict in one update instead of one ``object.__setattr__`` call
-    per field, which costs less than half as much."""
-    record = object.__new__(CodedRecord)
-    vars(record).update(zip(_RECORD_FIELDS, values))
-    record.__post_init__()
-    return record
-
-
 _EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
 
 
@@ -700,17 +690,16 @@ class RecordBatch:
         return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
 
     def __iter__(self) -> Iterator[CodedRecord]:
-        return map(_record, zip(
-            self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
-            gather(SEXES, self.sex), gather(self.institutions, self.institution),
-            [when.replace(tzinfo=zone)
-             for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))],
-            gather(self.codes, self.code), gather(self.co_sets, self.co),
-            gather(self.versions, self.version),
-            [None if head is None else InfluenceTag(head[0], head[2](confidence), head[1])
-             for head, confidence in zip(gather(self.tags, self.tag), self.confidence.tolist())],
-            gather(self.annotations, self.fidelity), gather(self.codes, self.clinical),
-        ))
+        return map(CodedRecord, self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
+                   gather(SEXES, self.sex), gather(self.institutions, self.institution),
+                   [when.replace(tzinfo=zone)
+                    for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))],
+                   gather(self.codes, self.code), gather(self.co_sets, self.co),
+                   gather(self.versions, self.version),
+                   [None if head is None else InfluenceTag(head[0], head[2](confidence), head[1])
+                    for head, confidence in zip(gather(self.tags, self.tag),
+                                                self.confidence.tolist())],
+                   gather(self.annotations, self.fidelity), gather(self.codes, self.clinical))
 
 
 @dataclass(slots=True)

@@ -182,35 +182,27 @@ def validate_migration(
     observed_codes: Iterable[str],
     acknowledged_codes: Iterable[str] = (),
 ) -> MigrationReport:
-    """Check transition-table completeness over the codes actually observed.
+    """The gate's verdict on the codes actually observed.
 
-    The migration is validated only when every observed code maps totally,
-    or every uncovered code is explicitly acknowledged.
+    An observed code is covered when the gate would not quarantine a
+    ``from_version`` record holding it, gating to ``to_version``; a covered
+    code the gate reconciles to a different code is changed. The migration
+    is validated only when every observed code is covered, or every
+    uncovered code is explicitly acknowledged.
     """
     for label in (from_version, to_version):
         system.version(label)  # raises on an unknown label
     observed = sorted(set(observed_codes))
-    acknowledged = set(acknowledged_codes)
-    chain = system.version_chain(from_version, to_version)
-    if chain and any(hop not in system.tables for hop in chain):
-        return MigrationReport(
-            from_version=from_version,
-            to_version=to_version,
-            mapping_coverage=0.0,
-            changed_codes=(),
-            unmappable_codes=tuple(observed),
-            verdict=MigrationVerdict.BLOCKED,
-        )
     changed: list[str] = []
     uncovered: list[str] = []
     for code in observed:
-        mapped = _map_code(system, code, from_version, to_version)
-        if mapped is None:
+        status, mapped = _gate(system, code, from_version, to_version)
+        if status >= 0:
             uncovered.append(code)
         elif mapped != code:
             changed.append(code)
     coverage = 1.0 if not observed else (len(observed) - len(uncovered)) / len(observed)
-    validated = coverage == 1.0 or all(code in acknowledged for code in uncovered)
+    validated = set(acknowledged_codes).issuperset(uncovered)
     return MigrationReport(
         from_version=from_version,
         to_version=to_version,

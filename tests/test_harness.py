@@ -23,6 +23,8 @@ from ontoguard.model import (
     ValidationError,
     canonical_dumps,
     jsonl_dumps,
+    read_records,
+    write_records,
 )
 from ontoguard.synthgen import InstitutionWeight
 
@@ -264,6 +266,51 @@ class TestRecordOrder:
                 == (scenario_run["out_dir"] / rel).read_bytes(), rel
 
 
+class TestCliChain:
+    def test_cli_chain_reproduces_walkthrough_quarters(self, walkthrough_spec, tmp_path,
+                                                       monkeypatch, capsys):
+        # The CLI commands, run on a quarter's batch and the history batch
+        # written as records files, give the run directory's quarter files
+        # byte for byte. The harness annotates the gate's processed records:
+        # accepted plus reconciled, in record-id order.
+        generate_batch = synthgen.generate_batch
+
+        def writing_generate_batch(*args, **kwargs):
+            batch, truth = generate_batch(*args, **kwargs)
+            if kwargs["id_prefix"] in ("H", "Q1", "Q3"):
+                write_records(tmp_path / f"{kwargs['id_prefix']}.jsonl", batch)
+            return batch, truth
+
+        monkeypatch.setattr(harness.synthgen_mod, "generate_batch", writing_generate_batch)
+        run = tmp_path / "run"
+        harness.run_scenario(walkthrough_spec, SEED, run)
+        common = ["--system", str(walkthrough_spec.code_system_path),
+                  "--config", str(walkthrough_spec.config_path)]
+        for quarter in ("Q1", "Q3"):
+            out = tmp_path / quarter
+            assert cli.main(["gate", "--records", str(tmp_path / f"{quarter}.jsonl"), *common,
+                             "--target-version", walkthrough_spec.target_version,
+                             "--out-dir", str(out)]) == 0
+            lines = [line for name in ("accepted.jsonl", "reconciled.jsonl")
+                     for line in (out / name).read_text(encoding="utf-8").splitlines(True)]
+            lines.sort(key=lambda line: json.loads(line)["record_id"])
+            (out / "processed.jsonl").write_text("".join(lines), encoding="utf-8")
+            annotating = ["--records", str(out / "processed.jsonl"),
+                          "--history", str(tmp_path / "H.jsonl"), *common]
+            assert cli.main(["fidelity-report", *annotating,
+                             "--out", str(out / "fidelity_report.csv")]) == 0
+            assert cli.main(["infer-clinical", *annotating, "--out", str(out / "inferred.jsonl"),
+                             "--divergence-out", str(out / "divergence.csv")]) == 0
+            assert cli.main(["drift-scan", "--baseline", str(tmp_path / "Q1" / "inferred.jsonl"),
+                             "--current", str(out / "inferred.jsonl"), *common,
+                             "--out", str(out / "alerts.jsonl")]) == 0
+            for name in ("quarantine.jsonl", "fidelity_report.csv", "divergence.csv",
+                         "alerts.jsonl"):
+                assert (out / name).read_bytes() == (run / quarter.lower() / name).read_bytes(), \
+                    (quarter, name)
+        capsys.readouterr()
+
+
 class TestRecordLifetimes:
     def test_no_earlier_batch_is_alive_when_a_quarter_generates(self, tmp_path, monkeypatch):
         # The history batch dies once the reference model is built, and each
@@ -432,6 +479,7 @@ CLI_INPUT_FILES = {
     "norules.json": json.dumps({k: v for k, v in json.loads(_adapter_text()).items()
                                  if k != "rules"}),
     "significance.json": '{"DM2-UNSPEC": "common code"}',
+    "conditions.json": '{"DM2-UNSPEC": [{"kind": "prevalence_exceeds", "threshold": 0.5}]}',
     "cond-int.json": '{"DM2-UNSPEC": 5}',
     "cond-kind.json": '{"DM2-UNSPEC": [{"kind": "bogus"}]}',
     "overrides.jsonl": '{"record_id": "R-000000"}\n',
@@ -837,6 +885,10 @@ class TestCli:
               ("verdict-missing.json", "verdict must be a string, got None"),
               ("kind-unknown.json", "kind must be one of ['breaker', 'deploy_verdict', "
                "'dormant_entry', 'drift_alert', 'gate_counts'], got 'breakr'"))),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+          "--conditions", "conditions.json"], "--conditions needs --store"),
+        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+          "--prune-log", "prune.csv"], "--prune-log needs --store"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -871,7 +923,8 @@ class TestCli:
         "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
         "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
         "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
-        "assertion-verdict-missing", "assertion-kind-unknown",
+        "assertion-verdict-missing", "assertion-kind-unknown", "conditions-without-store",
+        "prune-log-without-store",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails
@@ -1038,6 +1091,21 @@ class TestCli:
             "--quarantine", str(tmp_path / "gated" / "quarantine.jsonl"),
         ]) == 0
         assert "partition holds" in capsys.readouterr().out
+
+    def test_synth_generate_without_quarters_falls_in_the_quarter_start_begins(
+            self, tmp_path, capsys, walkthrough_spec):
+        spec_dict = synthgen.spec_to_dict(synthgen.DistortionSpec(
+            institutions=(InstitutionWeight("I-A", 1.0),), current_version="2025"))
+        (tmp_path / "spec.json").write_text(json.dumps(spec_dict), encoding="utf-8")
+        assert cli.main([
+            "synth", "generate", "--system", str(walkthrough_spec.code_system_path),
+            "--spec", str(tmp_path / "spec.json"), "--n", "500", "--seed", "3",
+            "--out", str(tmp_path / "batch.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
+            "--start", "2026-04-01",
+        ]) == 0
+        times = read_records(tmp_path / "batch.jsonl").times
+        assert times.min() >= np.datetime64("2026-04-01")
+        assert times.max() < np.datetime64("2026-07-01")
 
     def test_dormancy_classify_carries_an_existing_store_forward(self, tmp_path, capsys):
         # DM-OTHER goes dormant in the first batch and is absent from the

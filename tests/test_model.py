@@ -359,7 +359,6 @@ def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a CodedRecord was built")
 
-    monkeypatch.setattr(model, "_record", refuse)
     monkeypatch.setattr(CodedRecord, "__post_init__", refuse)
     write_records(out, read_records(path))
     assert out.read_text(encoding="utf-8") == text

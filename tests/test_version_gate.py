@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import annotation, read_rows, row, rows, tag, tiny_system
 from ontoguard.model import ValidationError
@@ -288,6 +290,65 @@ class TestValidateMigration:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValidationError, match="unknown version"):
             validate_migration(migration_system(), "v1", "v9", set())
+
+    def test_version_newer_than_target_blocked_with_zero_coverage(self):
+        # No reverse tables exist, so the gate quarantines every v2 record
+        # gated to v1; the report gives the coverage the gate enforces.
+        report = validate_migration(migration_system(), "v2", "v1", {"KEEP", "RENAME-2"})
+        assert report.mapping_coverage == 0.0
+        assert report.verdict is MigrationVerdict.BLOCKED
+        assert report.unmappable_codes == ("KEEP", "RENAME-2")
+        assert report.changed_codes == ()
+
+
+def chain_system():
+    """Five versions, oldest first: ``m`` (validated, but the ``m -> u``
+    table is missing), ``u`` (unvalidated), ``a`` (its table to the target
+    maps, renames, lists ``GONE`` unmappable, splits ``SPLIT`` and leaves
+    ``LOST`` out), the target ``t``, and ``n``, newer than the target."""
+    def defs(*codes):
+        return [{"code": c, "clinical_group": "g", "billing_category": "b", "description": ""}
+                for c in codes]
+
+    def table(source, target, *pairs, unmappable=()):
+        return {"from": source, "to": target, "unmappable": list(unmappable),
+                "mappings": [{"from_code": f, "to_code": t} for f, t in pairs]}
+
+    return tiny_system(
+        versions=[{"label": label, "release_date": f"202{i}-01-01", "validated": label != "u"}
+                  for i, label in enumerate("muatn")],
+        codes={"m": defs("KEEP", "OLD"), "u": defs("KEEP", "OLD"),
+               "a": defs("KEEP", "OLD", "GONE", "SPLIT", "LOST"),
+               "t": defs("KEEP", "NEW", "SPLIT-A", "SPLIT-B"), "n": defs("KEEP", "NEW")},
+        transitions=[
+            table("u", "a", ("KEEP", "KEEP"), ("OLD", "OLD")),
+            table("a", "t", ("KEEP", "KEEP"), ("OLD", "NEW"), ("SPLIT", "SPLIT-A"),
+                  ("SPLIT", "SPLIT-B"), unmappable=["GONE"]),
+            table("t", "n", ("KEEP", "KEEP"), ("NEW", "NEW")),
+        ],
+    )
+
+
+@given(st.lists(st.tuples(st.sampled_from(["KEEP", "OLD", "GONE", "SPLIT", "LOST", "NEW", "ZZZ"]),
+                          st.sampled_from("muatn")), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_migration_report_is_the_gates_verdict(entries):
+    # One rule: a migration report's uncovered codes are the codes the gate
+    # quarantines, and its changed codes those the gate reconciles to
+    # another code, version by version.
+    system = chain_system()
+    outcome = gate_batch(
+        read_rows([row(f"R-{i}", code=code, version=version)
+                   for i, (code, version) in enumerate(entries)]), system, "t")
+    arrived = {r["record_id"]: (r["primary_code"], r["version_tag"]) for r in rows(outcome.batch)}
+    quarantined = {(r["primary_code"], r["version_tag"]) for r in rows(outcome.quarantined)}
+    changed = {arrived[r["record_id"]] for r in rows(outcome.reconciled)
+               if r["primary_code"] != arrived[r["record_id"]][0]}
+    for version in {version for _, version in entries} - {"t"}:
+        report = validate_migration(system, version, "t",
+                                    [code for code, v in entries if v == version])
+        assert report.unmappable_codes == tuple(sorted(c for c, v in quarantined if v == version))
+        assert report.changed_codes == tuple(sorted(c for c, v in changed if v == version))
 
 
 def test_changed_codes_cover_renames_splits_unmappables():
