@@ -13,7 +13,6 @@ from .model import (
     AGE_BANDS,
     SEXES,
     CodeSystem,
-    FidelityAnnotation,
     Layer,
     OntoguardError,
     PipelineConfig,
@@ -29,7 +28,6 @@ __all__ = [
     "AGE_BANDS",
     "SEXES",
     "CodeSystem",
-    "FidelityAnnotation",
     "Layer",
     "OntoguardError",
     "PipelineConfig",

@@ -152,10 +152,7 @@ def retrain_gate(
             if outcome:
                 positives[code] = positives.get(code, 0) + n
     weights = {code: positives.get(code, 0) / totals[code] for code in sorted(totals)}
-    return ToyRiskModel(
-        model_version=f"toy-risk-{model.version_number() + 1}",
-        weights=weights,
-    )
+    return ToyRiskModel(model_version=f"toy-risk-{model.version_number() + 1}", weights=weights)
 
 
 def write_influence_csv(

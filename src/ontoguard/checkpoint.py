@@ -13,7 +13,7 @@ import csv
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -21,13 +21,11 @@ from .model import (
     AGE_BANDS,
     SEXES,
     CodeSystem,
-    FidelityAnnotation,
     Layer,
     PipelineConfig,
     RecordBatch,
     ValidationError,
     group,
-    intern,
     profile_batch,
 )
 
@@ -58,15 +56,6 @@ class ReferenceModel:
 
     def marginal_prevalence(self, code: str) -> float:
         return (self.code_counts.get(code, 0) + 1) / (self.n_records + len(self.code_set))
-
-    def institution_rate(self, institution_id: str, code: str) -> float:
-        rate = self.institution_rates.get((institution_id, code))
-        if rate is not None:
-            return rate
-        return 1.0 / len(self.code_set)
-
-    def peer_median(self, code: str) -> float:
-        return self.peer_medians.get(code, 1.0 / len(self.code_set))
 
 
 def build_reference_model(
@@ -101,42 +90,27 @@ def build_reference_model(
             inst_code_counts[(institution, code)] = count
 
     cooccurrence: dict[str, dict[str, float]] = {}
-    top_cooccurring: dict[str, tuple[str, ...]] = {}
     for code in code_set:
         usage = profile.codes.get(code)
         counts = usage.co_codes if usage is not None else {}
         denominator = sum(counts.values()) + n_codes
-        dist = {co: (counts.get(co, 0) + 1) / denominator for co in code_set}
-        cooccurrence[code] = dist
-        ranked = sorted(dist, key=lambda c: (-dist[c], c))
-        top_cooccurring[code] = tuple(ranked[:TOP_K_COOCCURRENCE])
+        cooccurrence[code] = {co: (counts.get(co, 0) + 1) / denominator for co in code_set}
+    top_cooccurring = {code: tuple(sorted(dist, key=lambda c: (-dist[c], c))[:TOP_K_COOCCURRENCE])
+                       for code, dist in cooccurrence.items()}
 
-    institution_rates: dict[tuple[str, str], float] = {}
-    for institution, total in inst_totals.items():
-        for code in code_set:
-            count = inst_code_counts.get((institution, code), 0)
-            institution_rates[(institution, code)] = (count + 1) / (total + n_codes)
-    peer_medians = {
-        code: statistics.median(
-            institution_rates[(institution, code)] for institution in inst_totals
-        )
-        for code in code_set
-    }
+    institution_rates = {
+        (institution, code): (inst_code_counts.get((institution, code), 0) + 1) / (total + n_codes)
+        for institution, total in inst_totals.items() for code in code_set}
+    peer_medians = {code: statistics.median(institution_rates[(institution, code)]
+                                            for institution in inst_totals) for code in code_set}
 
     candidates = tuple(sorted(c for c in code_counts if c in set(code_set)))
     return ReferenceModel(
-        version_label=version_label,
-        code_set=code_set,
-        candidate_codes=candidates,
-        n_records=profile.n,
-        code_counts=code_counts,
-        stratum_counts=stratum_counts,
-        code_stratum_counts=code_stratum_counts,
-        cooccurrence=cooccurrence,
-        top_cooccurring=top_cooccurring,
-        institution_rates=institution_rates,
-        peer_medians=peer_medians,
-    )
+        version_label=version_label, code_set=code_set, candidate_codes=candidates,
+        n_records=profile.n, code_counts=code_counts, stratum_counts=stratum_counts,
+        code_stratum_counts=code_stratum_counts, cooccurrence=cooccurrence,
+        top_cooccurring=top_cooccurring, institution_rates=institution_rates,
+        peer_medians=peer_medians)
 
 
 def _prevalence_subscore(ref: ReferenceModel, code: str, age_band: str, sex: str) -> float:
@@ -155,16 +129,18 @@ def _cooccurrence_subscore(ref: ReferenceModel, code: str, co_codes: frozenset[s
 
 
 def _institutional_subscore(ref: ReferenceModel, institution_id: str, code: str) -> float:
-    rate = ref.institution_rate(institution_id, code)
-    median = ref.peer_median(code)
+    # An institution or code the history lacks takes the uniform rate.
+    rate = ref.institution_rates.get((institution_id, code), 1.0 / len(ref.code_set))
+    median = ref.peer_medians.get(code, 1.0 / len(ref.code_set))
     return 1.0 - min(1.0, abs(rate - median) / median)
 
 
-def _per_key(keys: np.ndarray, size: int, value: Callable[[int], Any]
-             ) -> tuple[np.ndarray, list[Any]]:
-    """Each row's index into its distinct key, and ``value`` of each distinct key."""
+def _per_key(keys: np.ndarray, size: int, value: Callable[[int], float]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's index into the sorted distinct ``value`` of the keys, and those values."""
     distinct, _, _, index = group(keys, size)
-    return index, [value(key) for key in distinct.tolist()]
+    values, inverse = np.unique([value(key) for key in distinct.tolist()], return_inverse=True)
+    return inverse[index], values
 
 
 def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig) -> RecordBatch:
@@ -173,7 +149,8 @@ def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig)
     Pure and idempotent: re-annotating with the same reference yields the
     same annotation. Never rejects. Each subscore depends on a few record
     fields only, so it is computed once per distinct key of the batch, and
-    records with the same three subscores share one immutable annotation.
+    records with the same three subscores share one entry of the batch's
+    annotation table, whose scores NumPy computes by column.
     """
     w_prev, w_cooc, w_inst = cfg.fidelity_weights
     codes, sets, institutions = batch.codes, batch.co_sets, batch.institutions
@@ -193,20 +170,15 @@ def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig)
         lambda key: _institutional_subscore(ref, institutions[key // len(codes)],
                                             codes[key % len(codes)]))
 
-    # Rows with the same three subscores share one annotation.
+    # Rows with the same three subscores share one entry.
     keys, _, _, fidelity = group((prev_row * len(cooc) + cooc_row) * len(inst) + inst_row,
                                  len(prev) * len(cooc) * len(inst))
-    axes = np.unravel_index(keys, (len(prev), len(cooc), len(inst)))
-    index, triples = intern([(prev[p], cooc[c], inst[i])
-                             for p, c, i in zip(*(axis.tolist() for axis in axes))])
-    table = tuple(FidelityAnnotation(
-        score=min(1.0, max(0.0, w_prev * p + w_cooc * c + w_inst * i)),
-        prevalence_subscore=p,
-        cooccurrence_subscore=c,
-        institutional_subscore=i,
-        rationale=f"prev={p:.3f} cooc={c:.3f} inst={i:.3f}",
-    ) for p, c, i in triples)
-    return replace(batch, fidelity=index[fidelity], annotations=table)
+    p, c, i = (values[axis] for values, axis in zip(
+        (prev, cooc, inst), np.unravel_index(keys, (len(prev), len(cooc), len(inst)))))
+    score = np.clip(w_prev * p + w_cooc * c + w_inst * i, 0.0, 1.0)
+    return replace(batch, fidelity=fidelity.astype(np.int32),
+                   annotations=np.column_stack([score, p, c, i]),
+                   notes=((None, float, float, float, float),) * len(keys))
 
 
 def annotation_scores(batch: RecordBatch) -> np.ndarray:
@@ -217,8 +189,8 @@ def annotation_scores(batch: RecordBatch) -> np.ndarray:
     """
     if (batch.fidelity < 0).any():
         row = int(np.argmax(batch.fidelity < 0))
-        raise ValidationError(f"record {batch.record_id[row]} is not annotated")
-    return np.array([a.score for a in batch.annotations], dtype=np.float64)[batch.fidelity]
+        raise ValidationError(f"record {str(batch.record_id[row])} is not annotated")
+    return batch.annotations[batch.fidelity, 0]
 
 
 @dataclass(frozen=True)
@@ -246,12 +218,9 @@ def fidelity_report(batch: RecordBatch) -> tuple[InstitutionFidelity, ...]:
                               key=batch.institutions.__getitem__):
         own = scores[batch.institution == institution]
         deciles = np.quantile(own, np.arange(1, 10) / 10.0)
-        rows.append(InstitutionFidelity(
-            institution_id=batch.institutions[institution],
-            n=len(own),
-            mean=float(own.mean()),
-            deciles=tuple(float(d) for d in deciles),
-        ))
+        rows.append(InstitutionFidelity(institution_id=batch.institutions[institution], n=len(own),
+                                        mean=float(own.mean()),
+                                        deciles=tuple(float(d) for d in deciles)))
     return tuple(rows)
 
 

@@ -23,6 +23,7 @@ from .model import (
     PipelineConfig,
     RecordBatch,
     ValidationError,
+    check_record_id,
     from_json,
     intern,
     iter_jsonl,
@@ -93,6 +94,9 @@ class ClinicalOverride:
     record_id: str
     clinical_code: str
 
+    def __post_init__(self) -> None:
+        check_record_id(self.record_id)  # as a batch's ids are, which it is matched against
+
 
 def read_overrides(path: str | Path) -> dict[str, str]:
     """Clinical code by record id, one ``{"record_id", "clinical_code"}`` per line."""
@@ -109,7 +113,7 @@ def divergence(batch: RecordBatch) -> DivergenceReport:
     if (batch.clinical < 0).any():
         row = int(np.argmax(batch.clinical < 0))
         raise ValidationError(
-            f"record {batch.record_id[row]} has no clinical layer; run inference first"
+            f"record {str(batch.record_id[row])} has no clinical layer; run inference first"
         )
     n = len(batch)
     disagreements = int(np.count_nonzero(batch.clinical != batch.code))

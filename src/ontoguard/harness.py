@@ -171,12 +171,8 @@ class _Tracer:
         self.entries: list[dict[str, Any]] = []
 
     def add(self, quarter: int, stage: str, detail: Mapping[str, Any] | None = None) -> None:
-        entry = {
-            "seq": len(self.entries),
-            "quarter": quarter,
-            "stage": stage,
-            "layer": STAGE_LAYERS[stage.partition(".")[0]],
-        }
+        entry = {"seq": len(self.entries), "quarter": quarter, "stage": stage,
+                 "layer": STAGE_LAYERS[stage.partition(".")[0]]}
         if detail:
             entry["detail"] = dict(detail)
         self.entries.append(entry)

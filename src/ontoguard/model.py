@@ -508,9 +508,11 @@ class InfluenceTag:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.model_confidence <= 1.0:
-            raise ValidationError(
-                f"model_confidence must be in [0,1], got {self.model_confidence}"
-            )
+            raise ValidationError(f"model_confidence must be in [0,1], got {self.model_confidence}")
+
+
+# An annotation's four numbers: the columns of ``RecordBatch.annotations``.
+_SCORES = ("score", "prevalence_subscore", "cooccurrence_subscore", "institutional_subscore")
 
 
 @dataclass(frozen=True)
@@ -528,11 +530,20 @@ class FidelityAnnotation:
     rationale: str
 
     def __post_init__(self) -> None:
-        for name in ("score", "prevalence_subscore", "cooccurrence_subscore",
-                     "institutional_subscore"):
+        for name in _SCORES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must be in [0,1], got {value}")
+
+
+MAX_RECORD_ID = 256  # a batch's ids are fixed-width text, which drops a trailing U+0000
+
+
+def check_record_id(record_id: str) -> None:
+    """Raise ValidationError unless ``record_id`` fits a batch's id column."""
+    if len(record_id) > MAX_RECORD_ID or "\0" in record_id:
+        raise ValidationError(f"record id {record_id[:32]!r} of {len(record_id)} characters must "
+                              f"have at most {MAX_RECORD_ID}, none of them U+0000")
 
 
 @dataclass(frozen=True)
@@ -559,6 +570,7 @@ class CodedRecord:
     clinical_code: str | None = None
 
     def __post_init__(self) -> None:
+        check_record_id(self.record_id)
         if self.patient_age_band not in AGE_BANDS:
             raise ValidationError(f"unknown age band: {self.patient_age_band!r}")
         if self.patient_sex not in SEXES:
@@ -586,8 +598,6 @@ def intern(values: Sequence[Hashable | None],
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(CodedRecord))
-
-
 _EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
 
 
@@ -607,6 +617,22 @@ _COLUMNS = ("record_id", "times", "zone", "age_band", "sex", "institution", "cod
             "clinical", "version", "co", "tag", "confidence", "fidelity")
 
 
+def _annotation_json(values: Sequence[float], note: tuple[Any, ...]) -> dict[str, Any]:
+    """The ``fidelity`` object of the annotation entry of ``values`` and ``note``."""
+    score, prev, cooc, inst = (number(value) for number, value in zip(note[1:], values))
+    return {"score": score, "prevalence_subscore": prev, "cooccurrence_subscore": cooc,
+            "institutional_subscore": inst, "rationale": note[0] if note[0] is not None
+            else f"prev={prev:.3f} cooc={cooc:.3f} inst={inst:.3f}"}
+
+
+def _annotation_entry(data: Mapping[str, Any]) -> tuple[list[float], tuple[Any, ...]]:
+    """The values and note of a ``fidelity`` object of exactly its keys and types."""
+    if data.keys() != {*_SCORES, "rationale"}:
+        raise TypeError
+    values = [_json_number(data[name]) for name in _SCORES]
+    return list(map(float, values)), (_str(data["rationale"]), *map(type, values))
+
+
 @dataclass(frozen=True, eq=False)
 class RecordBatch:
     """A batch of coded records held as columns, one row per record.
@@ -614,21 +640,21 @@ class RecordBatch:
     Each string field is interned: its column holds a row's index into a
     table of distinct values. ``codes`` serves both code layers, and the
     ``age_band`` and ``sex`` columns index ``AGE_BANDS`` and ``SEXES``.
-    Co-code sets and UTC offsets are interned the same way, and
-    ``fidelity`` indexes ``annotations``: rows share an entry when they
-    share one annotation object, as rows annotated together do and as rows
-    read from one records file with the same fidelity text do. ``tag``
-    indexes influence tags' ``tags``, whose number type keeps a
-    ``confidence``'s JSON type. Index -1 stands for None: no clinical code,
-    no annotation, no tag, or a naive timestamp. ``times`` holds each
-    encounter's wall-clock time. Record ids are the one object column.
+    Co-code sets and UTC offsets are interned the same way. ``fidelity``
+    indexes the rows of ``annotations``, each a score and its subscores, as
+    ``tag`` indexes influence tags' ``tags``; a note and a head hold each
+    number's type, so a value keeps its JSON type. Rows annotated with the
+    same subscores share an entry, as do rows read with the same fidelity
+    text. Index -1 stands for None: no clinical code, no annotation, no
+    tag, or a naive timestamp. ``times`` holds each encounter's wall-clock
+    time. Record ids are fixed-width text: no field holds objects per row.
 
     Stages read and write the columns. Iterating yields each row as a
     ``CodedRecord``, built on demand; only ``version_gate.write_quarantine``
     and perfbench's traced counter iterate.
     """
 
-    record_id: np.ndarray            # str objects
+    record_id: np.ndarray            # fixed-width text, at most MAX_RECORD_ID characters
     times: np.ndarray                # datetime64[us], wall clock
     zone: np.ndarray                 # index into zones, -1 when naive
     zones: tuple[tzinfo, ...]
@@ -646,43 +672,47 @@ class RecordBatch:
     tag: np.ndarray                  # index into tags, -1 when not AI-influenced
     confidence: np.ndarray           # float64, a tag's model_confidence; NaN when untagged
     tags: tuple[tuple[str, bool, type], ...]  # (model version, clinician modified, int or float)
-    fidelity: np.ndarray             # index into annotations, -1 when not annotated
-    annotations: tuple[FidelityAnnotation, ...]
+    fidelity: np.ndarray             # row of annotations, -1 when not annotated
+    annotations: np.ndarray          # float64 (entries, 4): the values of _SCORES
+    notes: tuple[tuple[Any, ...], ...]  # (rationale or None for prev=..., 4 x int or float)
 
     @classmethod
     def _from_columns(cls, column: Mapping[str, Sequence[Any]],
                       row: Mapping[str, np.ndarray] | None = None, **own: Any) -> RecordBatch:
         """The batch whose row ``i`` holds ``column[name][row[name][i]]`` as
         interned field ``name``, or ``column[name][i]`` when ``row`` is None,
-        its own record id, and the fields ``own`` gives (times and tags).
-        Tables are in first-seen order of ``column``'s values."""
+        and the fields ``own`` gives (record ids, times and tags).
+        Tables are in first-seen order of ``column``'s values; each annotation is an entry."""
         def index(name: str, position: np.ndarray) -> np.ndarray:
             return position if row is None else position[row[name]]
 
         code, codes = intern(column["primary_code"])
         clinical, codes = intern(column["clinical_code"], codes)
-        shared = {id(a): a for a in column["fidelity"] if a is not None}  # first-seen order
         institution, institutions = intern(column["institution_id"])
         version, versions = intern(column["version_tag"])
         co, co_sets = intern(column["co_codes"])
-        fidelity = intern([None if a is None else id(a) for a in column["fidelity"]], shared)[0]
+        entries = [entry for entry in column["fidelity"] if entry is not None]
+        annotated = [entry is not None for entry in column["fidelity"]]
+        fidelity = np.where(annotated, np.cumsum(annotated, dtype=np.int32) - 1, -1)
         return cls(
-            record_id=np.array(column["record_id"], dtype=object),
             age_band=index("patient_age_band", intern(column["patient_age_band"], AGE_BANDS)[0]),
             sex=index("patient_sex", intern(column["patient_sex"], SEXES)[0]),
             institution=index("institution_id", institution), institutions=institutions,
             code=index("primary_code", code), clinical=index("clinical_code", clinical),
             codes=codes, version=index("version_tag", version), versions=versions,
-            co=index("co_codes", co), co_sets=co_sets,
-            fidelity=index("fidelity", fidelity), annotations=tuple(shared.values()), **own,
+            co=index("co_codes", co), co_sets=co_sets, fidelity=index("fidelity", fidelity),
+            annotations=np.array([values for values, _ in entries], np.float64).reshape(-1, 4),
+            notes=tuple(note for _, note in entries), **own,
         )
 
     def __len__(self) -> int:
         return len(self.record_id)
 
     def select(self, rows: Any) -> RecordBatch:
-        """The batch of the rows that ``rows`` (a mask, indices or a slice) picks."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+        """The rows that ``rows`` (a mask, indices or a slice) picks, one copy per column array."""
+        columns = {name: getattr(self, name) for name in _COLUMNS}
+        picked = {key: column[rows] for key, column in {id(c): c for c in columns.values()}.items()}
+        return replace(self, **{name: picked[id(column)] for name, column in columns.items()})
 
     def encounter_time(self, row: int) -> datetime:
         """Row ``row``'s encounter time, with its UTC offset if it has one."""
@@ -690,6 +720,8 @@ class RecordBatch:
         return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
 
     def __iter__(self) -> Iterator[CodedRecord]:
+        annotations = [FidelityAnnotation(**_annotation_json(values, note))
+                       for values, note in zip(self.annotations.tolist(), self.notes)]
         return map(CodedRecord, self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
                    gather(SEXES, self.sex), gather(self.institutions, self.institution),
                    [when.replace(tzinfo=zone)
@@ -699,7 +731,7 @@ class RecordBatch:
                    [None if head is None else InfluenceTag(head[0], head[2](confidence), head[1])
                     for head, confidence in zip(gather(self.tags, self.tag),
                                                 self.confidence.tolist())],
-                   gather(self.annotations, self.fidelity), gather(self.codes, self.clinical))
+                   gather(annotations, self.fidelity), gather(self.codes, self.clinical))
 
 
 @dataclass(slots=True)
@@ -791,7 +823,7 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
     mixed = aware != aware[first][inverse]
     if mixed.any():
         row = int(np.argmax(mixed))
-        raise ValidationError(f"record {batch.record_id[row]!r}: encounter times of code "
+        raise ValidationError(f"record {str(batch.record_id[row])!r}: encounter times of code "
                               f"{batch.codes[code[row]]!r} mix naive and UTC-offset timestamps")
     offsets = [zone.utcoffset(None) // timedelta(microseconds=1) for zone in batch.zones]
     instant = (batch.times.astype(np.int64)
@@ -863,7 +895,7 @@ _TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]]*\]",
          "fidelity": r"(?:null|\{[^}]*\})", "encounter_time": f'"({_PLAIN})"',
          "influence_tag": r'(?:null|\{"clinician_modified":(true|false),"model_confidence":'
          r'(-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)),'
-         f'"model_version":"({_PLAIN})"' r"\})", "record_id": f'"({_PLAIN})"'}
+         f'"model_version":"({_PLAIN})"' r"\})", "record_id": f'"([^"]{{0,{MAX_RECORD_ID}}})"'}
 
 
 def _capture_text(capture: str | tuple[str, ...]) -> str:
@@ -885,6 +917,7 @@ _CHECK: Mapping[str, Callable[[Any], Any]] = {
     **{key: shape[2] for key, (_, _, shape) in _plan(CodedRecord)[0].items()},
     "patient_age_band": lambda band: AGE_BANDS[AGE_BANDS.index(band)],
     "patient_sex": lambda sex: SEXES[SEXES.index(sex)],
+    "fidelity": lambda data: None if data is None else _annotation_entry(_object(data)),
 }
 
 # Lines read and matched, or encoded and written, at a time: enough that
@@ -924,7 +957,7 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
     times, zone, zones = [np.empty(0, "datetime64[us]")], [np.empty(0, np.int32)], {}
     # Tag heads numbered as first seen; an untagged row's captures are empty.
     heads = defaultdict(lambda: len(heads) - 1, {("", "", False): -1})
-    tag, confidences = [np.empty(0, np.int32)], []
+    tag, confidences, ids = [np.empty(0, np.int32)], [], [np.empty(0, str)]
     try:
         with open(path, encoding="utf-8") as fh:
             while lines := list(islice(fh, _BLOCK_LINES)):
@@ -939,7 +972,7 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
                 for names, table in spans.items():
                     numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
                                                       np.int32, len(rows)))
-                column["record_id"].extend(block["record_id"])
+                ids.append(np.array(block["record_id"], dtype=str))  # no str outlives its block
                 keys = zip(block["model_version"], block["clinician_modified"],
                            map(bool, block["fraction"]))
                 tag.append(np.fromiter(map(heads.__getitem__, keys), np.int32, len(rows)))
@@ -961,12 +994,16 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
         confidence[tag >= 0] = list(map(float, confidences))  # as json reads them
     except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
         return None
-    if ((confidence < 0) | (confidence > 1)).any():  # NaN is neither
-        return None
-    return RecordBatch._from_columns(
-        column, row, times=np.concatenate(times), zone=np.concatenate(zone), zones=tuple(zones),
+    batch = RecordBatch._from_columns(
+        column, row, record_id=np.concatenate(ids), times=np.concatenate(times),
+        zone=np.concatenate(zone), zones=tuple(zones),
         tag=tag, confidence=confidence, tags=tuple((version, flag == "true", (int, float)[fraction])
                                                     for version, flag, fraction in heads if flag))
+    # Range checks by column; NaN, an untagged row's confidence, may be a fidelity value too.
+    scores = batch.annotations
+    if ((confidence < 0) | (confidence > 1)).any() or not ((scores >= 0) & (scores <= 1)).all():
+        return None
+    return batch
 
 
 def read_records(path: str | Path) -> RecordBatch:
@@ -990,11 +1027,13 @@ def read_records(path: str | Path) -> RecordBatch:
             values.extend(fields_of_block)
     zones: dict[tzinfo, int] = {}
     times, zone = _wall_clock(column["encounter_time"], zones)
+    column["fidelity"] = [a and _annotation_entry(vars(a)) for a in column["fidelity"]]
     tags = column["influence_tag"]
     tag, heads = intern([t and (t.model_version, t.clinician_modified, type(t.model_confidence))
                          for t in tags])
     return RecordBatch._from_columns(
-        column, times=times, zone=zone, zones=tuple(zones), tag=tag, tags=heads,
+        column, record_id=np.array(column["record_id"], dtype=str), times=times, zone=zone,
+        zones=tuple(zones), tag=tag, tags=heads,
         confidence=np.array([t.model_confidence if t else math.nan for t in tags]))
 
 
@@ -1016,7 +1055,7 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
     tables = {  # each table-held field's table and index column
         "clinical_code": (records.codes, records.clinical),
         "co_codes": (records.co_sets, records.co),
-        "fidelity": (records.annotations, records.fidelity),
+        "fidelity": (list(zip(records.annotations.tolist(), records.notes)), records.fidelity),
         "influence_tag": ([dict(clinician_modified=m, model_confidence=None, model_version=v)
                            for v, m, _ in records.tags], records.tag),
         "institution_id": (records.institutions, records.institution),
@@ -1027,7 +1066,8 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
     entries = {}
     for name, (table, index) in tables.items():  # only the entries that rows use
         used = (np.bincount(index + 1, minlength=len(table) + 1)[1:] > 0).tolist()
-        entries[name] = np.array([jsonl_dumps(entry) if use else None
+        value = (lambda entry: _annotation_json(*entry)) if name == "fidelity" else _identity
+        entries[name] = np.array([jsonl_dumps(value(entry)) if use else None
                                   for entry, use in zip(table, used)] + ["null"], object)
     offsets = np.array([datetime(1, 1, 1, tzinfo=zone).isoformat()[19:] for zone in records.zones]
                        + [""])
@@ -1089,33 +1129,27 @@ class PipelineConfig:
     drift_component_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self) -> None:
-        if len(self.fidelity_weights) != 3 or not all(w >= 0 for w in self.fidelity_weights):
-            raise ValidationError("fidelity_weights must be three non-negative reals")
-        if not abs(sum(self.fidelity_weights) - 1.0) <= 1e-9:
-            raise ValidationError("fidelity_weights: weights must sum to 1")
+        for name, size, words in (("fidelity_weights", 3, "three"),
+                                  ("drift_component_weights", 4, "four")):
+            weights = getattr(self, name)
+            if len(weights) != size or not all(w >= 0 for w in weights):
+                raise ValidationError(f"{name} must be {words} non-negative reals")
+            if not abs(sum(weights) - 1.0) <= 1e-9:
+                raise ValidationError(f"{name}: weights must sum to 1")
         if not self.drift_threshold > 0:
             raise ValidationError(f"drift_threshold must be > 0, got {self.drift_threshold}")
         if not 0.0 < self.breaker_threshold < 1.0:
-            raise ValidationError(
-                f"breaker_threshold must be in (0,1), got {self.breaker_threshold}"
-            )
+            raise ValidationError("breaker_threshold must be in (0,1), "
+                                  f"got {self.breaker_threshold}")
         if not 0.0 < self.dormancy_frequency_threshold < 1.0:
-            raise ValidationError(
-                "dormancy_frequency_threshold must be in (0,1), "
-                f"got {self.dormancy_frequency_threshold}"
-            )
+            raise ValidationError("dormancy_frequency_threshold must be in (0,1), "
+                                  f"got {self.dormancy_frequency_threshold}")
         if self.release_correlation_window_days <= 0:
             raise ValidationError("release_correlation_window_days must be positive")
         if not 0.0 <= self.inference_fidelity_cutoff <= 1.0:
             raise ValidationError("inference_fidelity_cutoff must be in [0,1]")
         if self.fingerprint_min_support < 1:
             raise ValidationError("fingerprint_min_support must be >= 1")
-        if len(self.drift_component_weights) != 4 or not all(
-            w >= 0 for w in self.drift_component_weights
-        ):
-            raise ValidationError("drift_component_weights must be four non-negative reals")
-        if not abs(sum(self.drift_component_weights) - 1.0) <= 1e-9:
-            raise ValidationError("drift_component_weights: weights must sum to 1")
 
 
 def load_config(path: str | Path) -> PipelineConfig:

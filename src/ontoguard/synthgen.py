@@ -457,25 +457,27 @@ def generate_batch(
         code=primary.astype(np.int32), clinical=no_row, codes=tuple(names),
         version=version_index.astype(np.int32)[inst_index], versions=tuple(version_table.tolist()),
         co=co_index.astype(np.int32), co_sets=co_code_sets,
-        tag=tag, confidence=confidence, tags=tags, fidelity=no_row, annotations=(),
+        tag=tag, confidence=confidence, tags=tags, fidelity=no_row,
+        annotations=np.empty((0, 4)), notes=(),
     )
     return batch, GroundTruth(entries, truth_index.astype(np.int32))
 
 
-_ID_BLOCK = 4096  # ids formatted at a time, so that their characters stay small
-
-
 def _record_ids(prefix: str, rows: range) -> np.ndarray:
-    """``f"{prefix}-{i:06d}"`` for each ``i`` in ``rows``, as an object array. A
-    block of ids of one width is UCS-4 code units read as fixed-width strings."""
-    ids, start = np.empty(len(rows), dtype=object), rows.start
+    """``f"{prefix}-{i:06d}"`` for each ``i`` in ``rows``, as fixed-width text written
+    a column of digits at a time in the narrowest unsigned type that holds them."""
     head = np.frombuffer(f"{prefix}-".encode("utf-32-le", "surrogatepass"), "<u4")
+    ids = np.zeros(len(rows), f"<U{len(head) + max(6, len(str(rows.stop - 1)))}")
+    chars, start = ids.view(("<u4", ids.itemsize // 4)), rows.start
+    chars[:, :len(head)] = head
     while start < rows.stop:
         width = max(6, len(str(start)))
-        stop = min(start + _ID_BLOCK, rows.stop, 10 ** width)
-        digits = np.arange(start, stop)[:, None] // 10 ** np.arange(width)[::-1] % 10 + ord("0")
-        chars = np.hstack([np.broadcast_to(head, (stop - start, len(head))), digits]).astype("<u4")
-        ids[start - rows.start:stop - rows.start] = chars.view(f"<U{chars.shape[1]}")[:, 0]
+        stop = min(rows.stop, 10 ** width)
+        number = np.min_scalar_type(max(stop, 10 ** (width - 1))).type
+        numbers = np.arange(start, stop, dtype=number)
+        digits = chars[start - rows.start:stop - rows.start, len(head):]
+        for place, power in enumerate(10 ** np.arange(width - 1, -1, -1, dtype=number)):
+            digits[:, place] = numbers // power % 10 + ord("0")
         start = stop
     return ids
 

@@ -74,10 +74,10 @@ class GateOutcome:
         return [QUARANTINE_REASONS[s] for s in self.status[self.status >= 0].tolist()]
 
     def processed_records(self) -> RecordBatch:
-        """Accepted plus reconciled records, sorted by ``record_id``."""
-        rows = np.concatenate([np.flatnonzero(self.status == ACCEPTED),
-                               np.flatnonzero(self.status == RECONCILED)])
-        return self.gated.select(rows[np.argsort(self.gated.record_id[rows], kind="stable")])
+        """Accepted plus reconciled records, sorted by ``record_id`` with no copy
+        of the ids; equal ids keep accepted rows first, each in row order."""
+        order = np.lexsort((self.status != ACCEPTED, self.gated.record_id))
+        return self.gated.select(order[self.status[order] < 0])
 
 
 class MigrationVerdict(str, Enum):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ontoguard import checkpoint, dual_ontology, harness, synthgen, version_gate
+from ontoguard import checkpoint, dual_ontology, harness, model, synthgen, version_gate
 from ontoguard.model import (
     Layer,
     CodeSystem,
@@ -211,6 +211,16 @@ def read_rows(values) -> RecordBatch:
         path = Path(tmp) / "records.jsonl"
         path.write_text("".join(jsonl_dumps(value) + "\n" for value in values), encoding="utf-8")
         return read_records(path)
+
+
+def tables(batch: RecordBatch) -> dict:
+    """The tables of ``batch`` as JSON values: its codes, institutions,
+    versions and co-code sets, and each annotation entry as its line's
+    ``fidelity`` object."""
+    return to_json({
+        **{name: getattr(batch, name) for name in ("codes", "institutions", "versions", "co_sets")},
+        "annotations": [model._annotation_json(values, note)
+                        for values, note in zip(batch.annotations.tolist(), batch.notes)]})
 
 
 def rows(batch: RecordBatch) -> list[dict]:

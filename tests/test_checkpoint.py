@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from conftest import read_rows, row, rows, tiny_system
+from conftest import annotation, read_rows, row, rows, tiny_system
 from ontoguard import checkpoint, model, synthgen
 from ontoguard.checkpoint import (
     annotate_batch,
@@ -15,7 +15,6 @@ from ontoguard.checkpoint import (
     write_fidelity_report,
 )
 from ontoguard.model import (
-    FidelityAnnotation,
     PipelineConfig,
     ValidationError,
     jsonl_dumps,
@@ -117,6 +116,12 @@ class TestAnnotate:
         assert fid["cooccurrence_subscore"] >= 0.9
         assert fid["institutional_subscore"] >= 0.9
 
+    def test_unannotated_record_is_named_by_its_plain_id(self):
+        batch = read_rows([row("R-1", fidelity=annotation(0.5, 0.5, 0.5, 0.5, "r")), row("R-2")])
+        with pytest.raises(ValidationError) as info:
+            checkpoint.annotation_scores(batch)
+        assert str(info.value) == "record R-2 is not annotated"
+
     def test_annotation_is_idempotent(self, q1_products, cfg, bundled_cfg):
         record = q1_products["outcome"].accepted.select([0])
         ref = q1_products["ref"]
@@ -148,12 +153,12 @@ class TestAnnotate:
         encoded = []
 
         def counting_dumps(value):
-            encoded.append(type(value))
+            encoded.append(value)
             return jsonl_dumps(value)
 
         monkeypatch.setattr(model, "jsonl_dumps", counting_dumps)
         write_records(one, annotated.select([0]))
-        assert encoded.count(FidelityAnnotation) <= 1
+        assert sum(type(value) is dict and "rationale" in value for value in encoded) == 1
         assert one.read_bytes() == whole.read_bytes().splitlines(keepends=True)[0]
 
     def test_catch_all_records_score_lower_on_average(self, q1_products):

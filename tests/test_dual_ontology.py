@@ -123,7 +123,9 @@ class TestInference:
         ('{"record_id": 5, "clinical_code": "DM2-HYPER"}', "record_id must be a string, got 5"),
         ('{"record_id": "R-1", "clinical_code": "DM2-HYPER", "note": ""}',
          "has unknown keys ['note']"),
-    ], ids=["int-record-id", "unknown-key"])
+        ('{"record_id": "R-1\\u0000", "clinical_code": "DM2-HYPER"}',
+         "record id 'R-1\\x00' of 4 characters must have at most 256, none of them U+0000"),
+    ], ids=["int-record-id", "unknown-key", "record-id-u0000"])
     def test_override_fault_names_line_key_and_value(self, tmp_path, line, named):
         path = tmp_path / "overrides.jsonl"
         path.write_text(f'{{"record_id": "R-0", "clinical_code": "X"}}\n{line}\n',
@@ -218,6 +220,12 @@ class TestDivergence:
     def test_unpopulated_record_rejected(self):
         with pytest.raises(ValidationError, match="no clinical layer"):
             divergence(read_rows([row()]))
+
+    def test_unpopulated_record_is_named_by_its_plain_id(self):
+        batch = read_rows([row("R-1", clinical_code="DM2-UNSPEC"), row("R-2")])
+        with pytest.raises(ValidationError) as info:
+            divergence(batch)
+        assert str(info.value) == "record R-2 has no clinical layer; run inference first"
 
     def test_csv_export(self, tmp_path):
         batch = read_rows([row("R-1", clinical_code="DM2-UNSPEC")])

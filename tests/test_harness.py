@@ -19,6 +19,7 @@ import pytest
 from conftest import SEED, annotation, row
 from ontoguard import cli, harness, synthgen
 from ontoguard.model import (
+    FidelityAnnotation,
     StageError,
     ValidationError,
     canonical_dumps,
@@ -244,6 +245,18 @@ class TestGolden:
         assert run_digests(tmp_path) == DRIFT_STORM_DIGESTS
 
 
+def test_a_run_builds_no_fidelity_annotation(walkthrough_spec, tmp_path, monkeypatch):
+    # Annotations live in the fidelity column and the annotation table;
+    # only iterating a batch builds a FidelityAnnotation.
+    def refuse(*args):
+        raise AssertionError("a FidelityAnnotation was built")
+
+    monkeypatch.setattr(FidelityAnnotation, "__post_init__", refuse)
+    report = harness.run_scenario(replace(walkthrough_spec, n_per_quarter=2000), SEED, tmp_path)
+    assert all(sum(row["n"] for row in quarter["fidelity_by_institution"].values()) > 0
+               for quarter in report.quarters)
+
+
 class TestRecordOrder:
     def test_shuffled_batches_write_a_byte_identical_run(self, scenario_run, walkthrough_spec,
                                                          tmp_path, monkeypatch):
@@ -331,7 +344,8 @@ class TestRecordLifetimes:
 
         monkeypatch.setattr(harness.synthgen_mod, "generate_batch", sampling_generate_batch)
         harness.run_scenario(spec, 3, tmp_path / "out")
-        assert [len(refs) for refs in samples] == [14] * 4  # history, then three quarters
+        # History, then three quarters: each batch, its 13 columns and its annotation table.
+        assert [len(refs) for refs in samples] == [15] * 4
         assert alive == [[], [0], [0, 0], [0, 0, 0]]
 
 

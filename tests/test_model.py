@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, annotation, read_rows, row, rows, tag, tiny_system
+from conftest import SEED, annotation, read_rows, row, rows, tables, tag, tiny_system
 from ontoguard import model, synthgen
+from ontoguard.checkpoint import annotate_batch, build_reference_model
 from ontoguard.model import (
     AGE_BANDS,
     SEXES,
@@ -269,6 +270,8 @@ class TestRecords:
 
 
 _TEXT = st.text(max_size=8)
+# Record ids hold no U+0000, which a batch's fixed-width id column would drop.
+_IDS = _TEXT.filter(lambda text: "\0" not in text)
 # Integers and -0.0 are valid JSON numbers that must be written back as read.
 _SCORES = st.floats(0, 1) | st.sampled_from([0, 1, -0.0])
 _ANNOTATIONS = st.builds(annotation, _SCORES, _SCORES, _SCORES, _SCORES, _TEXT)
@@ -279,7 +282,7 @@ _OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(tim
 _ZONES = st.sampled_from([None, *_OFFSETS])
 # Records-file lines as JSON objects.
 RECORDS = st.builds(
-    row, record_id=_TEXT, age_band=st.sampled_from(AGE_BANDS),
+    row, record_id=_IDS, age_band=st.sampled_from(AGE_BANDS),
     sex=st.sampled_from(SEXES), institution=_TEXT, when=st.datetimes(timezones=_ZONES),
     code=_TEXT, co_codes=st.frozensets(_TEXT, max_size=4), version=_TEXT,
     influence_tag=st.none() | st.builds(tag, _TEXT, _SCORES, st.booleans()),
@@ -565,17 +568,26 @@ def test_both_readers_keep_each_tag_confidence_as_written(tmp_path, monkeypatch)
     assert [jsonl_dumps(line) for line in rows(by_row)] == expected
 
 
-def test_batches_hold_no_python_object_but_record_ids(tmp_path, bundled_system,
-                                                      walkthrough_spec):
+def test_batches_hold_no_python_object(tmp_path, bundled_system, walkthrough_spec):
+    # Neither a column nor the annotation table holds objects, for a
+    # generated batch, an annotated one and one read back.
     batch, _ = synthgen.generate_batch(bundled_system, walkthrough_spec.distortion, 500,
                                        seed=[SEED, 2], quarter_index=2)
+    reference = build_reference_model(batch, bundled_system)
+    annotated = annotate_batch(batch, reference, PipelineConfig())
     path = tmp_path / "records.jsonl"
-    write_records(path, batch)
-    for held in (batch, read_records(path)):
-        columns = {name: value for name, value in vars(held).items()
-                   if isinstance(value, np.ndarray)}
-        assert set(columns) == set(model._COLUMNS)
-        assert [name for name, value in columns.items() if value.dtype == object] == ["record_id"]
+    write_records(path, annotated)
+    for held in (batch, annotated, read_records(path)):
+        arrays = {name: value for name, value in vars(held).items()
+                  if isinstance(value, np.ndarray)}
+        assert set(arrays) == {*model._COLUMNS, "annotations"}
+        assert [name for name, value in arrays.items() if value.dtype == object] == []
+        assert held.record_id.dtype.kind == "U"
+        assert held.annotations.dtype == np.float64 and held.annotations.shape[1:] == (4,)
+    # A generated batch's -1 columns are one array, and a selection copies it once.
+    picked = batch.select(np.arange(0, 500, 7))
+    assert picked.zone is picked.clinical is picked.fidelity
+    assert rows(picked) == rows(batch)[::7]
 
 
 def test_generating_reading_and_writing_build_no_influence_tag(tmp_path, monkeypatch,
@@ -600,7 +612,7 @@ def test_write_records_writes_each_row_as_jsonl_dumps_across_blocks(tmp_path):
     # offset times with and without microseconds, and years 1 and 9999.
     n = 2 * _BLOCK + 3
     records = [
-        row(f"R-{i}" + '"\\é\n\x00' * (i % 5 == 0),
+        row(f"R-{i}" + '"\\é\n\x01' * (i % 5 == 0),
             when=datetime((1, 9999, 2025)[i % 3], i % 12 + 1, i % 28 + 1, i % 24, i % 60,
                           7 * i % 60, 7919 * i % 1_000_000 if i % 4 else 0,
                           tzinfo=[None, *_OFFSETS][i % 6]),
@@ -632,9 +644,8 @@ def _first_seen_tables(records):
 
 
 # Reads the records file argv[1] and prints the batch's tables.
-_READ_TABLES = ("import sys; from ontoguard.model import jsonl_dumps, read_records; "
-                "batch = read_records(sys.argv[1]); print(jsonl_dumps({name: getattr(batch, name) "
-                "for name in ('codes', 'institutions', 'versions', 'co_sets', 'annotations')}))")
+_READ_TABLES = ("import sys; from conftest import tables; from ontoguard.model import "
+                "jsonl_dumps, read_records; print(jsonl_dumps(tables(read_records(sys.argv[1]))))")
 
 
 def test_read_tables_come_in_first_seen_row_order_under_any_hash_seed(tmp_path):
@@ -650,13 +661,14 @@ def test_read_tables_come_in_first_seen_row_order_under_any_hash_seed(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, read_rows(records))
     expected = _first_seen_tables(records)
-    batch = read_records(path)
-    assert to_json({name: getattr(batch, name) for name in expected}) == expected
+    assert tables(read_records(path)) == expected
     src = str(Path(model.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     for seed in ("1", "2"):
         out = subprocess.run([sys.executable, "-c", _READ_TABLES, str(path)], check=True,
                              capture_output=True, text=True,
-                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": os.pathsep.join([src, tests])})
         assert json.loads(out.stdout) == expected
 
 
@@ -710,6 +722,63 @@ def test_read_back_annotations_are_shared_by_text(tmp_path):
     assert batch.fidelity.tolist() == [0, 1, 2, 2, 0]
     write_records(again, batch)
     assert again.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("reader", ["canonical", "row"])
+def test_each_annotation_number_type_and_rationale_is_written_back_as_read(
+        tmp_path, monkeypatch, reader):
+    # 1, 1.0, 0 and -0.0 in each of the four values, and rationales that
+    # are not the checkpoint's own text, come back byte for byte.
+    numbers = [1, 1.0, 0, -0.0]
+    lines = [
+        jsonl_dumps(row(f"R-{i}", fidelity=annotation(
+            *(numbers[(i + k) % 4] for k in range(4)),
+            ["", "prev=0.500", "{é}", "prev=0.500 cooc=0.500 inst=0.500!"][i % 4])))
+        for i in range(16)
+    ]
+    text = "".join(line + "\n" for line in lines)
+    path, again = tmp_path / "records.jsonl", tmp_path / "again.jsonl"
+    path.write_text(text, encoding="utf-8")
+    if reader == "row":
+        monkeypatch.setattr(model, "_canonical_batch", lambda path: None)
+    batch = read_records(path)
+    assert batch.notes[0] == ("", int, float, int, float)
+    write_records(again, batch)
+    assert again.read_text(encoding="utf-8") == text
+    assert [jsonl_dumps(record) for record in batch] == [
+        jsonl_dumps(from_json(CodedRecord, json.loads(line))) for line in lines]
+
+
+@pytest.mark.parametrize("layout", ["canonical", "added-spaces"])
+def test_record_id_with_u0000_is_a_named_fault(tmp_path, layout):
+    # A batch's fixed-width id column would drop a trailing U+0000, so the
+    # id is refused, whichever reader the file's layout takes.
+    lines = [jsonl_dumps(row("R-0")), jsonl_dumps(row("R-1\0")), jsonl_dumps(row("R-2"))]
+    if layout == "added-spaces":
+        lines = [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=re.escape("records.jsonl:2: record id 'R-1\\x00' of 4 characters "
+                                       "must have at most 256, none of them U+0000")):
+        read_records(path)
+
+
+def test_record_id_longer_than_the_limit_is_a_named_fault(tmp_path):
+    # One 1 MB id among 50,000 rows: the canonical reader leaves the file
+    # to the row reader, which names the line before any column is built.
+    lines = [jsonl_dumps(row(f"R-{i}")) + "\n" for i in range(50_000)]
+    lines[-2] = jsonl_dumps(row("R" * 2**20)) + "\n"
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"records.jsonl:49999: record id {'R' * 32!r} of {2**20} characters must have at "
+            f"most {model.MAX_RECORD_ID}, none of them U+0000")):
+        read_records(path)
+    lines[-2] = jsonl_dumps(row("R" * model.MAX_RECORD_ID)) + "\n"
+    path.write_text("".join(lines[-3:]), encoding="utf-8")
+    assert model._canonical_batch(path).record_id[1] == "R" * model.MAX_RECORD_ID
+
 
 class TestTimeWindow:
     def test_inverted_window_rejected(self):

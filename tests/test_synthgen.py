@@ -169,9 +169,9 @@ def test_group_rows_is_np_unique_by_rows(masks):
 
 @pytest.mark.parametrize("prefix", ["", "%", "Q1", "é", "\U0001F600"])
 def test_record_ids_are_the_prefix_and_six_digits_or_more(prefix):
-    # Ranges across an edge between two blocks of ids and across the first
-    # id with seven digits; ids count rows from the range's start.
-    for ids in (range(0, 10), range(synthgen._ID_BLOCK - 3, synthgen._ID_BLOCK + 3),
+    # Ranges across the first id with seven digits and across the first
+    # whose digits need 64 bits; ids count rows from the range's start.
+    for ids in (range(0, 10), range(2**32 - 3, 2**32 + 3),
                 range(999_990, 1_000_010), range(5, 5)):
         formatted = synthgen._record_ids(prefix, ids).tolist()
         assert formatted == [f"{prefix}-{i:06d}" for i in ids]
