@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation/usage error, 2 stage error. Analytical
+Exit codes: 0 success, 1 validation/usage error or a file or memory fault,
+2 stage error. Every command runs through ``harness.run_stage``, so any other
+fault exits 2 with one ``stage error:`` line, not a traceback. Analytical
 subcommands always print the code layer they read. Those that count codes
 (dormancy, drift-scan) take ``--layer``, by default the administrative one.
 """
@@ -266,10 +268,7 @@ def _cmd_gate(args) -> int:
     write_records(out / "accepted.jsonl", outcome.accepted)
     write_records(out / "reconciled.jsonl", outcome.reconciled)
     gate_mod.write_quarantine(out / "quarantine.jsonl", outcome)
-    print(
-        f"accepted={len(outcome.accepted)} reconciled={len(outcome.reconciled)} "
-        f"quarantined={len(outcome.quarantined)}"
-    )
+    print(" ".join(f"{bucket}={n}" for bucket, n in outcome.counts().items()))
     return 0
 
 
@@ -517,7 +516,8 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        command = f"{args.command} {getattr(args, 'subcommand', '')}".rstrip()
+        return harness_mod.run_stage(None, command, args.handler, args)
     # OSError: unreadable input or unwritable output; MemoryError: a size no machine holds
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,9 @@ retraining), then monitoring (drift scan against the first quarter).
 Compliance wraps the external-facing operations: every ingest, the final
 deployment decision, and the report export. Quarters are causally chained
 through the breaker history and the model, so they run sequentially.
+Every stage call goes through ``run_stage``, as every CLI command does: it
+names the stage and quarter in any fault that is not the input's or the
+machine's, and appends the stage's ordering-trace entry.
 
 All timestamps in run artifacts come from the simulated calendar, which
 keeps outputs byte-identical for a fixed seed.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time as dtime
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -169,13 +172,31 @@ def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
 class _Tracer:
     def __init__(self) -> None:
         self.entries: list[dict[str, Any]] = []
+        self.quarter = 0
 
-    def add(self, quarter: int, stage: str, detail: Mapping[str, Any] | None = None) -> None:
-        entry = {"seq": len(self.entries), "quarter": quarter, "stage": stage,
-                 "layer": STAGE_LAYERS[stage.partition(".")[0]]}
-        if detail:
-            entry["detail"] = dict(detail)
-        self.entries.append(entry)
+    def add(self, stage: str, detail: Mapping[str, Any]) -> None:
+        self.entries.append({"seq": len(self.entries), "quarter": self.quarter, "stage": stage,
+                             "layer": STAGE_LAYERS[stage.partition(".")[0]],
+                             "detail": dict(detail)})
+
+
+def run_stage(trace: _Tracer | None, name: str, fn: Callable[..., Any], /, *args: Any,
+              detail: Callable[[Any], Mapping[str, Any]] | None = None, **kwargs: Any) -> Any:
+    """``fn(*args, **kwargs)`` as stage ``name`` of the trace's quarter, or of a
+    command when ``trace`` is None; its leading parameters are positional-only,
+    so any other keyword reaches ``fn``. Faults of the input or the machine
+    pass unchanged, as does a ``StageError``; any other exception becomes a
+    ``StageError`` naming the stage. ``detail(result)`` is its trace entry."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ValidationError, OSError, MemoryError, StageError):
+        raise
+    except Exception as exc:
+        where = "" if trace is None else f" in quarter {trace.quarter}"
+        raise StageError(f"stage {name} failed{where}: {exc}") from exc
+    if detail is not None:
+        trace.add(name, detail(result))
+    return result
 
 
 def _simulated_now(window: TimeWindow) -> datetime:
@@ -186,12 +207,16 @@ def _period_label(window: TimeWindow) -> str:
     return f"{window.start.year}Q{(window.start.month - 1) // 3 + 1}"
 
 
+def _verdict(decision: tuple[compliance_mod.Verdict, Any]) -> dict[str, str]:
+    return {"verdict": decision[0].kind.value}
+
+
 def run_scenario(
     spec: ScenarioSpec, seed: int, out_dir: str | Path
 ) -> RunReport:
     """Run the full pipeline over the scenario's quarters, on the code system
-    that ``load_scenario`` loaded; deterministic for a fixed seed. Any stage
-    failure surfaces with its stage name and quarter.
+    that ``load_scenario`` loaded; deterministic for a fixed seed. Every stage
+    runs through ``run_stage``, so a stage failure surfaces with its name and quarter.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,34 +245,23 @@ def run_scenario(
     quarter_summaries: list[dict[str, Any]] = []
 
     for q in range(1, spec.quarters + 1):
+        tracer.quarter = q
         window = synthgen_mod.quarter_window(spec.start, q - 1)
         period = _period_label(window)
         now = _simulated_now(window)
         qdir = out / f"q{q}"
         qdir.mkdir(exist_ok=True)
 
-        def stage(name: str, fn, *args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except ValidationError:
-                raise
-            except Exception as exc:  # surface with stage context
-                raise StageError(f"stage {name} failed in quarter {q}: {exc}") from exc
-
-        batch = stage(
-            "synthgen", synthgen_mod.generate_batch,
-            system, spec.distortion, spec.n_per_quarter,
-            seed=[seed, q - 1], window=window, id_prefix=f"Q{q}",
-            quarter_index=q - 1,
-        )[0]
+        batch = run_stage(tracer, "synthgen", synthgen_mod.generate_batch,
+                          system, spec.distortion, spec.n_per_quarter, seed=[seed, q - 1],
+                          window=window, id_prefix=f"Q{q}", quarter_index=q - 1)[0]
 
         ingest_op = compliance_mod.DataOperation(
             op_kind=compliance_mod.OpKind.INGEST, context=dict(spec.ingest_context)
         )
-        ingest_verdict, ingest_audit = stage(
-            "compliance.ingest", compliance_mod.compose, adapters, ingest_op, now=now
-        )
-        tracer.add(q, "compliance.ingest", {"verdict": ingest_verdict.kind.value})
+        ingest_verdict, ingest_audit = run_stage(
+            tracer, "compliance.ingest", compliance_mod.compose, adapters, ingest_op, now=now,
+            detail=_verdict)
         if ingest_verdict.kind is compliance_mod.VerdictKind.DENY:
             raise StageError(
                 f"stage compliance.ingest denied in quarter {q}: {ingest_verdict.reason}"
@@ -260,66 +274,49 @@ def run_scenario(
                 if batch.versions[v] != spec.target_version
             )
             for from_version, v in lagging:
-                migration = stage(
-                    "gate.validate_migration", gate_mod.validate_migration,
+                migration = run_stage(
+                    tracer, "gate.validate_migration", gate_mod.validate_migration,
                     system, from_version, spec.target_version,
                     {batch.codes[c] for c in np.unique(batch.code[batch.version == v]).tolist()},
-                )
-                tracer.add(q, "gate.validate_migration", {
-                    "from": from_version, "coverage": migration.mapping_coverage,
-                    "verdict": migration.verdict.value,
-                })
+                    detail=lambda m: {"from": m.from_version, "coverage": m.mapping_coverage,
+                                      "verdict": m.verdict.value})
 
-        outcome = stage(
-            "gate.batch", gate_mod.gate_batch, batch, system, spec.target_version
-        )
+        outcome = run_stage(tracer, "gate.batch", gate_mod.gate_batch, batch, system,
+                            spec.target_version, detail=gate_mod.GateOutcome.counts)
         gate_mod.write_quarantine(qdir / "quarantine.jsonl", outcome)
-        gate_counts = {
-            "accepted": len(outcome.accepted),
-            "reconciled": len(outcome.reconciled),
-            "quarantined": len(outcome.quarantined),
-        }
-        tracer.add(q, "gate.batch", gate_counts)
+        gate_counts = outcome.counts()
 
         # Each batch is freed after its last reader, so a quarter holds at
         # most two batches of its records and none of the last quarter's.
         processed = outcome.processed_records()
         del batch, outcome
-        annotated = stage(
-            "checkpoint.annotate", checkpoint_mod.annotate_batch, processed, ref, cfg
-        )
+        annotated = run_stage(tracer, "checkpoint.annotate", checkpoint_mod.annotate_batch,
+                              processed, ref, cfg, detail=lambda a: {"n": len(a)})
         del processed
-        fid_report = checkpoint_mod.fidelity_report(annotated)
+        fid_report = run_stage(tracer, "checkpoint.fidelity_report",
+                               checkpoint_mod.fidelity_report, annotated)
         checkpoint_mod.write_fidelity_report(fid_report, qdir / "fidelity_report.csv")
-        tracer.add(q, "checkpoint.annotate", {"n": len(annotated)})
 
-        inferred = stage("dual_ontology.infer", dual_mod.infer_clinical_layer, annotated, ref, cfg)
+        inferred = run_stage(tracer, "dual_ontology.infer", dual_mod.infer_clinical_layer,
+                             annotated, ref, cfg, detail=lambda i: {"n": len(i)})
         del annotated
-        tracer.add(q, "dual_ontology.infer", {"n": len(inferred)})
-        div_report = stage("dual_ontology.divergence", dual_mod.divergence, inferred)
+        div_report = run_stage(tracer, "dual_ontology.divergence", dual_mod.divergence, inferred,
+                               detail=lambda d: {"disagreement_rate": d.disagreement_rate})
         dual_mod.write_divergence_csv(div_report, qdir / "divergence.csv")
-        tracer.add(q, "dual_ontology.divergence", {
-            "disagreement_rate": div_report.disagreement_rate,
-        })
 
         # Dormancy and the drift scan read one profile of the quarter; the
         # first quarter's profile is the scan baseline for the whole run.
-        profile = profile_batch(inferred, Layer.ADMINISTRATIVE)
-        classification = stage(
-            "dormancy.classify", dormancy_mod.classify_features,
+        profile = run_stage(tracer, "profile", profile_batch, inferred, Layer.ADMINISTRATIVE)
+        classification = run_stage(
+            tracer, "dormancy.classify", dormancy_mod.classify_features,
             profile, spec.significance.keys(), cfg,
-        )
-        tracer.add(q, "dormancy.classify", {
-            cls.value: sum(c is cls for c in classification.values())
-            for cls in dormancy_mod.FeatureClass
-        })
-        store = stage(
-            "dormancy.store", dormancy_mod.store_dormant,
-            classification, profile, spec.activation_conditions, spec.significance, store,
-        )
+            detail=lambda c: {cls.value: sum(v is cls for v in c.values())
+                              for cls in dormancy_mod.FeatureClass})
+        store = run_stage(tracer, "dormancy.store", dormancy_mod.store_dormant, classification,
+                          profile, spec.activation_conditions, spec.significance, store,
+                          detail=lambda s: {"entries": len(s.entries)})
         dormancy_mod.write_store(store, out / "dormant_store.json")
         dormancy_mod.write_prune_log(store, out / "prune_log.csv")
-        tracer.add(q, "dormancy.store", {"entries": len(store.entries)})
         events = [
             dormancy_mod.Event(
                 kind=dormancy_mod.ActivationKind.OUTBREAK_SIGNAL, signal_code=alert.code
@@ -327,42 +324,34 @@ def run_scenario(
             for alert in prior_alerts
             if alert.drift_type is sentinel_mod.DriftType.TYPE_A
         ]
-        activations = stage(
-            "dormancy.activation", dormancy_mod.check_activation, store, profile, events
-        )
-        tracer.add(q, "dormancy.activation", {"activated": sorted({c for c, _ in activations})})
+        activations = run_stage(
+            tracer, "dormancy.activation", dormancy_mod.check_activation, store, profile, events,
+            detail=lambda a: {"activated": sorted({c for c, _ in a})})
 
-        stats = stage(
-            "breaker.stats", breaker_mod.compute_stats,
-            inferred, ratios, cohort_id=f"cohort-{period}", period=period,
-        )
+        stats = run_stage(tracer, "breaker.stats", breaker_mod.compute_stats, inferred, ratios,
+                          cohort_id=f"cohort-{period}", period=period,
+                          detail=lambda s: {"ratio": s.ratio})
         ratios = stats.history
-        tracer.add(q, "breaker.stats", {"ratio": stats.ratio})
-        state = breaker_mod.evaluate(stats, cfg)
-        tracer.add(q, "breaker.evaluate", {"state": state.state.value})
+        state = run_stage(tracer, "breaker.evaluate", breaker_mod.evaluate, stats, cfg,
+                          detail=lambda s: {"state": s.state.value})
         dashboard_rows.append((period, stats, state))
-        gate_result = stage(
-            "breaker.retrain", breaker_mod.retrain_gate, state, inferred, model, stats
-        )
+        gate_result = run_stage(tracer, "breaker.retrain", breaker_mod.retrain_gate,
+                                state, inferred, model, stats)
         if isinstance(gate_result, breaker_mod.Refusal):
             breaker_mod.write_refusal_packet(gate_result, qdir / "refusal.json")
-            tracer.add(q, "breaker.refusal", {"reason": gate_result.reason})
+            tracer.add("breaker.refusal", {"reason": gate_result.reason})
         else:
             model = gate_result
-            tracer.add(q, "breaker.retrain", {"model_version": model.model_version})
+            tracer.add("breaker.retrain", {"model_version": model.model_version})
         del inferred
 
         if baseline is None:
             baseline, baseline_window = profile, window
-        alerts = stage(
-            "sentinel.scan", sentinel_mod.scan,
-            baseline, profile, system, cfg,
+        alerts = run_stage(
+            tracer, "sentinel.scan", sentinel_mod.scan, baseline, profile, system, cfg,
             baseline_window=baseline_window, current_window=window,
-        )
+            detail=lambda a: {"baseline_quarter": 1, "current_quarter": q, "alerts": len(a)})
         sentinel_mod.write_alerts(alerts, qdir / "alerts.jsonl")
-        tracer.add(q, "sentinel.scan", {
-            "baseline_quarter": 1, "current_quarter": q, "alerts": len(alerts),
-        })
         prior_alerts = alerts
 
         quarter_summaries.append({
@@ -430,26 +419,23 @@ def run_scenario(
 
     breaker_mod.write_influence_csv(dashboard_rows, out / "influence_dashboard.csv")
 
-    final_window = synthgen_mod.quarter_window(spec.start, spec.quarters - 1)
-    final_now = _simulated_now(final_window)
+    final_now = _simulated_now(synthgen_mod.quarter_window(spec.start, spec.quarters - 1))
     deploy_op = compliance_mod.DataOperation(
         op_kind=compliance_mod.OpKind.DEPLOY, context=dict(spec.deploy_context)
     )
-    deploy_verdict, deploy_audit = compliance_mod.compose(adapters, deploy_op, now=final_now)
+    deploy_verdict, deploy_audit = run_stage(tracer, "compliance.deploy", compliance_mod.compose,
+                                             adapters, deploy_op, now=final_now, detail=_verdict)
     compliance_mod.write_decision(deploy_verdict, deploy_audit, out / "deploy_decision.json")
-    tracer.add(spec.quarters, "compliance.deploy", {"verdict": deploy_verdict.kind.value})
     deployed = deploy_verdict.kind is not compliance_mod.VerdictKind.DENY
-    tracer.add(spec.quarters, "deploy", {
-        "model_version": model.model_version, "deployed": deployed,
-    })
+    tracer.add("deploy", {"model_version": model.model_version, "deployed": deployed})
 
     export_op = compliance_mod.DataOperation(
         op_kind=compliance_mod.OpKind.EXPORT,
         context={**spec.ingest_context, "artifact": "run-report"},
     )
-    export_verdict, _export_audit = compliance_mod.compose(adapters, export_op, now=final_now)
-    tracer.add(spec.quarters, "compliance.export", {"verdict": export_verdict.kind.value})
-    tracer.add(spec.quarters, "export", {"path": "report.json"})
+    run_stage(tracer, "compliance.export", compliance_mod.compose,
+              adapters, export_op, now=final_now, detail=_verdict)
+    tracer.add("export", {"path": "report.json"})
 
     report = RunReport(
         scenario=spec.name,

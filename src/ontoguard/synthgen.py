@@ -311,13 +311,13 @@ def generate_batch(
     code_counts = list(
         _largest_remainder([prevalence[c] for c in code_list], code_list, n).values()
     )
-    code_index = np.repeat(np.arange(len(code_list)), code_counts)
+    code_index = np.repeat(np.arange(len(code_list), dtype=np.int32), code_counts)
     rng.shuffle(code_index)
     rows_of_code = np.split(np.argsort(code_index, kind="stable"), np.cumsum(code_counts)[:-1])
 
     inst_ids = list(spec.institution_ids())
     inst_counts = _largest_remainder([i.weight for i in spec.institutions], inst_ids, n)
-    inst_index = np.repeat(np.arange(len(inst_ids)), [inst_counts[i] for i in inst_ids])
+    inst_index = np.repeat(np.arange(len(inst_ids), dtype=np.int32), list(inst_counts.values()))
     rng.shuffle(inst_index)
 
     outbreak = spec.outbreak
@@ -325,8 +325,8 @@ def generate_batch(
         outbreak = None
     outbreak_group = None if outbreak is None else codes_def[outbreak.code].clinical_group
 
-    age_idx = np.zeros(n, dtype=np.int64)
-    sex_idx = np.zeros(n, dtype=np.int64)
+    age_idx = np.zeros(n, dtype=np.int32)
+    sex_idx = np.zeros(n, dtype=np.int32)
     tilt = _profile_arrays(OUTBREAK_AGE_TILT, AGE_BANDS)
     for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
@@ -344,7 +344,7 @@ def generate_batch(
 
     # One frozenset per distinct co-code set, shared by every row that drew it.
     co_code_sets: tuple[frozenset[str], ...] = (frozenset(),)
-    co_index = np.zeros(n, dtype=np.int64)
+    co_index = np.zeros(n, dtype=np.int32)
     for code, rows in zip(code_list, rows_of_code):
         if rows.size == 0:
             continue
@@ -452,11 +452,10 @@ def generate_batch(
         record_id=_record_ids(id_prefix, range(n)),
         times=np.datetime64(window.start, "us") + offsets.astype("timedelta64[s]"),
         zone=no_row, zones=(),
-        age_band=age_idx.astype(np.int32), sex=sex_idx.astype(np.int32),
-        institution=inst_index.astype(np.int32), institutions=tuple(inst_ids),
-        code=primary.astype(np.int32), clinical=no_row, codes=tuple(names),
+        age_band=age_idx, sex=sex_idx, institution=inst_index, institutions=tuple(inst_ids),
+        code=primary, clinical=no_row, codes=tuple(names),
         version=version_index.astype(np.int32)[inst_index], versions=tuple(version_table.tolist()),
-        co=co_index.astype(np.int32), co_sets=co_code_sets,
+        co=co_index, co_sets=co_code_sets,
         tag=tag, confidence=confidence, tags=tags, fidelity=no_row,
         annotations=np.empty((0, 4)), notes=(),
     )

@@ -56,6 +56,11 @@ class GateOutcome:
     def total(self) -> int:
         return len(self.status)
 
+    def counts(self) -> dict[str, int]:
+        return {"accepted": int(np.count_nonzero(self.status == ACCEPTED)),
+                "reconciled": int(np.count_nonzero(self.status == RECONCILED)),
+                "quarantined": int(np.count_nonzero(self.status >= 0))}
+
     @property
     def accepted(self) -> RecordBatch:
         return self.gated.select(self.status == ACCEPTED)

@@ -17,7 +17,18 @@ import numpy as np
 import pytest
 
 from conftest import SEED, annotation, row
-from ontoguard import cli, harness, synthgen
+from ontoguard import (
+    breaker,
+    checkpoint,
+    cli,
+    compliance,
+    dormancy,
+    dual_ontology,
+    harness,
+    sentinel,
+    synthgen,
+    version_gate,
+)
 from ontoguard.model import (
     FidelityAnnotation,
     StageError,
@@ -280,12 +291,15 @@ class TestRecordOrder:
 
 
 class TestCliChain:
-    def test_cli_chain_reproduces_walkthrough_quarters(self, walkthrough_spec, tmp_path,
-                                                       monkeypatch, capsys):
+    @pytest.mark.parametrize("scenario", [
+        "diabetes-walkthrough", Path(__file__).parents[1] / "perfbench" / "drift_storm.json",
+    ], ids=["walkthrough", "drift-storm"])
+    def test_cli_chain_reproduces_run_quarters(self, scenario, tmp_path, monkeypatch, capsys):
         # The CLI commands, run on a quarter's batch and the history batch
         # written as records files, give the run directory's quarter files
         # byte for byte. The harness annotates the gate's processed records:
         # accepted plus reconciled, in record-id order.
+        spec = harness.load_scenario(scenario)
         generate_batch = synthgen.generate_batch
 
         def writing_generate_batch(*args, **kwargs):
@@ -296,13 +310,13 @@ class TestCliChain:
 
         monkeypatch.setattr(harness.synthgen_mod, "generate_batch", writing_generate_batch)
         run = tmp_path / "run"
-        harness.run_scenario(walkthrough_spec, SEED, run)
-        common = ["--system", str(walkthrough_spec.code_system_path),
-                  "--config", str(walkthrough_spec.config_path)]
+        harness.run_scenario(spec, SEED, run)
+        common = ["--system", str(spec.code_system_path),
+                  "--config", str(spec.config_path)]
         for quarter in ("Q1", "Q3"):
             out = tmp_path / quarter
             assert cli.main(["gate", "--records", str(tmp_path / f"{quarter}.jsonl"), *common,
-                             "--target-version", walkthrough_spec.target_version,
+                             "--target-version", spec.target_version,
                              "--out-dir", str(out)]) == 0
             lines = [line for name in ("accepted.jsonl", "reconciled.jsonl")
                      for line in (out / name).read_text(encoding="utf-8").splitlines(True)]
@@ -347,6 +361,30 @@ class TestRecordLifetimes:
         # History, then three quarters: each batch, its 13 columns and its annotation table.
         assert [len(refs) for refs in samples] == [15] * 4
         assert alive == [[], [0], [0, 0], [0, 0, 0]]
+
+
+# Each stage of a run: its name, the module function it calls, the number of
+# the call of that function that runs the stage, and that call's quarter.
+STAGE_CALLS = [
+    ("synthgen", synthgen, "generate_batch", 2, 1),  # the history batch is the first call
+    ("compliance.ingest", compliance, "compose", 1, 1),
+    ("gate.validate_migration", version_gate, "validate_migration", 1, 1),
+    ("gate.batch", version_gate, "gate_batch", 1, 1),
+    ("checkpoint.annotate", checkpoint, "annotate_batch", 1, 1),
+    ("checkpoint.fidelity_report", checkpoint, "fidelity_report", 1, 1),
+    ("dual_ontology.infer", dual_ontology, "infer_clinical_layer", 1, 1),
+    ("dual_ontology.divergence", dual_ontology, "divergence", 1, 1),
+    ("profile", harness, "profile_batch", 1, 1),
+    ("dormancy.classify", dormancy, "classify_features", 1, 1),
+    ("dormancy.store", dormancy, "store_dormant", 1, 1),
+    ("dormancy.activation", dormancy, "check_activation", 1, 1),
+    ("breaker.stats", breaker, "compute_stats", 1, 1),
+    ("breaker.evaluate", breaker, "evaluate", 1, 1),
+    ("breaker.retrain", breaker, "retrain_gate", 1, 1),
+    ("sentinel.scan", sentinel, "scan", 1, 1),
+    ("compliance.deploy", compliance, "compose", 4, 3),  # after three ingests
+    ("compliance.export", compliance, "compose", 5, 3),
+]
 
 
 class TestWiring:
@@ -394,6 +432,27 @@ class TestWiring:
         spec = harness.load_scenario(spec_path)
         with pytest.raises(StageError, match="compliance.ingest denied in quarter 1"):
             harness.run_scenario(spec, 3, tmp_path / "out")
+
+    @pytest.mark.parametrize("name, module, function, call, quarter", STAGE_CALLS,
+                             ids=[case[0] for case in STAGE_CALLS])
+    def test_a_stage_fault_names_the_stage_and_quarter(self, walkthrough_spec, tmp_path,
+                                                       monkeypatch, name, module, function,
+                                                       call, quarter):
+        # An unexpected exception in any stage becomes a StageError with one
+        # wording, whichever stage raised it.
+        real = getattr(module, function)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, failing)
+        with pytest.raises(StageError) as raised:
+            harness.run_scenario(replace(walkthrough_spec, n_per_quarter=2000), SEED, tmp_path)
+        assert str(raised.value) == f"stage {name} failed in quarter {quarter}: boom"
 
     def test_missing_referenced_file_rejected(self, tmp_path):
         spec_path = write_null_scenario(tmp_path)
@@ -684,6 +743,37 @@ class TestCli:
         status = cli.main(["oracle", "jsd", "--p", "1,0", "--q", "0,1"])
         assert status == 0
         assert capsys.readouterr().out.strip() == "1.000000000000"
+
+    @pytest.mark.parametrize("command, message", [
+        ("fidelity-report", "stage fidelity-report failed: boom"),
+        # A run's own stage error already names its stage and is not wrapped again.
+        ("scenario", "stage checkpoint.annotate failed in quarter 1: boom"),
+    ], ids=["fidelity-report", "scenario-run"])
+    def test_an_unexpected_fault_in_a_command_exits_two(self, walkthrough_spec, tmp_path,
+                                                        monkeypatch, capsys, command, message):
+        # Every command runs through harness.run_stage, as every stage of
+        # `scenario run` does: a fault that is neither the input's nor the
+        # machine's exits 2 with one `stage error:` line, not a traceback.
+        batch, _ = synthgen.generate_batch(walkthrough_spec.system, walkthrough_spec.distortion,
+                                           500, SEED)
+        records = str(tmp_path / "batch.jsonl")
+        write_records(records, batch)
+        argv = {
+            "fidelity-report": ["fidelity-report", "--records", records, "--history", records,
+                                "--system", str(walkthrough_spec.code_system_path),
+                                "--out", str(tmp_path / "fidelity.csv")],
+            "scenario": ["scenario", "run", "diabetes-walkthrough", "--seed", "1",
+                         "--out-dir", str(tmp_path / "run")],
+        }[command]
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checkpoint, "annotate_batch", failing)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"stage error: {message}\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, named", [
         (["breaker", "sweep", "--thresholds", "0.05:0.3:0"], "0.05:0.3:0"),
