@@ -16,7 +16,9 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import BatchProfile, PipelineConfig, ValidationError, from_json, load_json, write_json
+from .model import (
+    BatchProfile, PipelineConfig, ValidationError, from_json, load_json, to_json, write_json,
+)
 
 
 class FeatureClass(str, Enum):
@@ -53,14 +55,7 @@ class ActivationCondition:
             raise ValidationError("outbreak_signal requires a code")
 
     def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"kind": self.kind.value}
-        if self.threshold is not None:
-            data["threshold"] = self.threshold
-        if self.domain is not None:
-            data["domain"] = self.domain
-        if self.signal_code is not None:
-            data["signal_code"] = self.signal_code
-        return data
+        return {key: value for key, value in to_json(self).items() if value is not None}
 
 
 # Activation conditions by code, as a conditions file holds them.

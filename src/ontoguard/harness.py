@@ -225,14 +225,16 @@ def run_scenario(
     adapters = [compliance_mod.load_adapter(p) for p in spec.adapter_paths]
     tracer = _Tracer()
 
-    # Reference history: the quarter before the scenario starts, carrying
-    # only the standing institutional habits (no onset distortions).
+    # Reference history, run as quarter 0 with no trace entry: the quarter
+    # before the scenario starts, carrying only the standing institutional
+    # habits (no onset distortions). No stage reads the ground truth; only
+    # the batch is kept.
     history_window = synthgen_mod.quarter_window(spec.start, -1)
-    # No stage reads the ground truth; only the batch is kept.
-    history = synthgen_mod.generate_batch(
-        system, spec.distortion.without_onset_distortions(), spec.n_per_quarter,
-        seed=[seed, 10_007], window=history_window, id_prefix="H")[0]
-    ref = checkpoint_mod.build_reference_model(history, system, spec.target_version)
+    history = run_stage(tracer, "synthgen", synthgen_mod.generate_batch,
+                        system, spec.distortion.without_onset_distortions(), spec.n_per_quarter,
+                        seed=[seed, 10_007], window=history_window, id_prefix="H")[0]
+    ref = run_stage(tracer, "checkpoint.reference", checkpoint_mod.build_reference_model,
+                    history, system, spec.target_version)
     del history  # no stage reads the history records again
 
     model = breaker_mod.ToyRiskModel(model_version="toy-risk-1", weights={})

@@ -1,10 +1,10 @@
 """Semantic drift monitoring over per-code usage fingerprints.
 
-A fingerprint captures how a code is used: which co-codes accompany it, who
-it is coded for, when and how often within the window, and where. Baseline
-and current fingerprints are compared by a weighted mean of base-2
-Jensen-Shannon divergences, and alerts above the threshold are classified
-by probable cause:
+A fingerprint captures how a code is used, as one distribution per name in
+``COMPONENTS``: which co-codes accompany it, who it is coded for, when and
+how often within the window, and where. Baseline and current fingerprints
+are compared component by component with ``aligned_jsd``, weighted into one
+divergence, and alerts above the threshold are classified by probable cause:
 
 * epidemiological - co-drift concentrates in the code's clinical group;
 * administrative - co-drift concentrates in the code's billing category;
@@ -16,6 +16,7 @@ The classification confidence is an ordinal score ratio, not a probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,25 +42,12 @@ class DriftType(str, Enum):
     TYPE_C = "type_c"  # terminological
 
 
-@dataclass(frozen=True)
-class SemanticFingerprint:
-    """Usage context of one code within one window.
-
-    ``temporal_mass`` is the monthly share of all window records carrying
-    the code, plus the complement, so that pure level shifts register as
-    drift.
-    """
-
-    code: str
-    cooccurrence_dist: Mapping[str, float]
-    demographic_dist: Mapping[tuple[str, str], float]
-    temporal_mass: tuple[float, ...]
-    institutional_dist: Mapping[str, float]
+COMPONENTS = ("cooccurrence", "demographic", "temporal", "institutional")
 
 
 @dataclass(frozen=True)
 class FingerprintSet:
-    by_code: Mapping[str, SemanticFingerprint]
+    by_code: Mapping[str, Mapping[str, Mapping[Any, float]]]
     low_support: tuple[tuple[str, int], ...]
 
 
@@ -97,21 +85,26 @@ def build_fingerprints(
         total = sum(counts.values())  # every count is >= 1, so an empty dict stays empty
         return {key: value / total for key, value in counts.items()}
 
-    by_code: dict[str, SemanticFingerprint] = {}
+    by_code: dict[str, dict[str, Mapping[Any, float]]] = {}
     low_support: list[tuple[str, int]] = []
     for code in sorted(profile.codes):
         usage = profile.codes[code]
         if usage.count < cfg.fingerprint_min_support:
             low_support.append((code, usage.count))
             continue
+        # Each month's share of all window records carrying the code, then
+        # the complement, so that pure level shifts register as drift. The
+        # complement's key sorts after every month index, so windows of
+        # different lengths align month by month with both complements last.
         mass = np.array([usage.months.get(ym, 0) for ym in months], dtype=np.float64) / profile.n
-        by_code[code] = SemanticFingerprint(
-            code=code,
-            cooccurrence_dist=normalized(usage.co_codes),
-            demographic_dist=normalized(usage.strata),
-            temporal_mass=tuple(float(x) for x in mass) + (float(1.0 - mass.sum()),),
-            institutional_dist=normalized(usage.institutions),
-        )
+        temporal = dict(enumerate(mass.tolist()))
+        temporal[math.inf] = float(1.0 - mass.sum())
+        by_code[code] = {
+            "cooccurrence": normalized(usage.co_codes),
+            "demographic": normalized(usage.strata),
+            "temporal": temporal,
+            "institutional": normalized(usage.institutions),
+        }
     return FingerprintSet(by_code=by_code, low_support=tuple(low_support))
 
 
@@ -131,35 +124,10 @@ def aligned_jsd(dist_a: Mapping, dist_b: Mapping) -> float:
     return kernels.jsd_base2(p, q)
 
 
-def _temporal_jsd(mass_a: tuple[float, ...], mass_b: tuple[float, ...]) -> float:
-    # Mass vectors end with the complement cell; pad the month cells so the
-    # complements stay aligned.
-    k = max(len(mass_a), len(mass_b)) - 1
-    p = np.zeros(k + 1)
-    q = np.zeros(k + 1)
-    p[: len(mass_a) - 1] = mass_a[:-1]
-    p[-1] = mass_a[-1]
-    q[: len(mass_b) - 1] = mass_b[:-1]
-    q[-1] = mass_b[-1]
-    return kernels.jsd_base2(p, q)
-
-
-COMPONENTS = ("cooccurrence", "demographic", "temporal", "institutional")
-
-
 def component_divergences(
-    baseline: SemanticFingerprint, current: SemanticFingerprint
+    baseline: Mapping[str, Mapping], current: Mapping[str, Mapping]
 ) -> dict[str, float]:
-    if baseline.code != current.code:
-        raise ValidationError(
-            f"fingerprint code mismatch: {baseline.code!r} vs {current.code!r}"
-        )
-    return {
-        "cooccurrence": aligned_jsd(baseline.cooccurrence_dist, current.cooccurrence_dist),
-        "demographic": aligned_jsd(baseline.demographic_dist, current.demographic_dist),
-        "temporal": _temporal_jsd(baseline.temporal_mass, current.temporal_mass),
-        "institutional": aligned_jsd(baseline.institutional_dist, current.institutional_dist),
-    }
+    return {name: aligned_jsd(baseline[name], current[name]) for name in COMPONENTS}
 
 
 def _jaccard(a: set[str], b: set[str]) -> float:

@@ -494,28 +494,29 @@ def test_records_are_built_only_in_model():
     assert {name: lines for name, lines in built.items() if lines} == {}
 
 
-def test_the_quarter_loop_calls_stages_only_through_the_runner():
+def test_run_scenario_calls_stages_only_through_the_runner():
     # harness.run_stage names a stage and its quarter in a fault and appends
-    # its trace entry; a stage called directly in the loop would do neither.
-    # Writers, constructors and the calendar are not stages.
+    # its trace entry; a stage called directly, in the quarter loop or in
+    # the set-up before it, would do neither. Writers, loaders,
+    # constructors, to_json and the calendar are not stages.
     tree = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
     modules = {alias.asname for node in imports if node.module is None for alias in node.names}
     functions = {alias.name for node in imports if node.module for alias in node.names}
     run_scenario = next(node for node in tree.body
                         if isinstance(node, ast.FunctionDef) and node.name == "run_scenario")
-    loop = next(node for node in run_scenario.body if isinstance(node, ast.For))
     direct = []
-    for call in (node for node in ast.walk(loop) if isinstance(node, ast.Call)):
+    for call in (node for node in ast.walk(run_scenario) if isinstance(node, ast.Call)):
         if getattr(call.func, "id", None) in functions:
             name = call.func.id
         elif getattr(getattr(call.func, "value", None), "id", None) in modules:
             name = call.func.attr
         else:
             continue
-        if not (name.startswith("write_") or name[0].isupper() or name == "quarter_window"):
+        if not (name.startswith(("write_", "load_")) or name[0].isupper()
+                or name in ("to_json", "quarter_window")):
             direct.append(f"harness.py:{call.lineno} {name}")
-    assert _calls(loop, "run_stage")
+    assert _calls(run_scenario, "run_stage")
     assert direct == []
 
 

@@ -1,5 +1,6 @@
 """Drift sentinel: fingerprints, divergence, cause classification."""
 
+import math
 from datetime import date, datetime
 
 import numpy as np
@@ -10,8 +11,8 @@ from ontoguard import synthgen
 from ontoguard.model import PipelineConfig, TimeWindow, ValidationError
 from ontoguard.oracles import jsd_oracle
 from ontoguard.sentinel import (
+    COMPONENTS,
     DriftType,
-    SemanticFingerprint,
     aligned_jsd,
     build_fingerprints,
     component_divergences,
@@ -23,14 +24,13 @@ from ontoguard.synthgen import InstitutionWeight
 Q1 = TimeWindow(date(2025, 1, 1), date(2025, 3, 31))
 
 
-def fingerprint(code="X", co=None, demo=None, temporal_mass=(0.2, 0.8), inst=None):
-    return SemanticFingerprint(
-        code=code,
-        cooccurrence_dist=co if co is not None else {"A": 1.0},
-        demographic_dist=demo if demo is not None else {("50-59", "female"): 1.0},
-        temporal_mass=tuple(temporal_mass),
-        institutional_dist=inst if inst is not None else {"I1": 1.0},
-    )
+def fingerprint(co=None, demo=None, temporal=None, inst=None):
+    return {
+        "cooccurrence": co if co is not None else {"A": 1.0},
+        "demographic": demo if demo is not None else {("50-59", "female"): 1.0},
+        "temporal": temporal if temporal is not None else {0: 0.2, math.inf: 0.8},
+        "institutional": inst if inst is not None else {"I1": 1.0},
+    }
 
 
 class TestBuildFingerprints:
@@ -54,7 +54,7 @@ class TestBuildFingerprints:
         )
         batch, _ = synthgen.generate_batch(system, spec, 50_000, 13, window=Q1)
         fps = build_fingerprints(admin(batch), Q1, bundled_cfg)
-        demo = fps.by_code["AAA"].demographic_dist
+        demo = fps.by_code["AAA"]["demographic"]
         uniform = 1.0 / 30.0
         assert len(demo) == 30
         for probability in demo.values():
@@ -70,9 +70,9 @@ class TestBuildFingerprints:
     def test_distributions_normalized(self, q1_products, bundled_cfg):
         fps = build_fingerprints(admin(q1_products["inferred"]), Q1, bundled_cfg)
         for fp in fps.by_code.values():
-            for dist in (fp.cooccurrence_dist, fp.demographic_dist, fp.institutional_dist):
+            assert tuple(fp) == COMPONENTS
+            for dist in fp.values():
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
-            assert sum(fp.temporal_mass) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_batch_rejected(self, bundled_cfg):
         with pytest.raises(ValidationError, match="empty"):
@@ -122,9 +122,30 @@ class TestCompare:
                 component_divergences(b, a), abs=1e-12
             )
 
-    def test_code_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="code mismatch"):
-            component_divergences(fingerprint(code="X"), fingerprint(code="Y"))
+    def test_temporal_cells_align_across_windows_of_different_lengths(self):
+        # A three-month window's month cells are zero-filled to the
+        # four-month window's, and the complements stay aligned last.
+        def batch(counts):
+            rows = [row(f"A{month}-{i}", code="AAA", when=datetime(2025, month, 10, 8, 0))
+                    for month, count in enumerate(counts, start=1) for i in range(count)]
+            return rows + [row(f"B-{i}", code="BBB") for i in range(10)]
+
+        cfg = PipelineConfig(fingerprint_min_support=1)
+        short = batch([3, 5, 7])
+        long = batch([4, 2, 6, 8])
+        fp_short = build_fingerprints(
+            admin(short), TimeWindow(date(2025, 1, 1), date(2025, 3, 31)), cfg
+        ).by_code["AAA"]
+        fp_long = build_fingerprints(
+            admin(long), TimeWindow(date(2025, 1, 1), date(2025, 4, 30)), cfg
+        ).by_code["AAA"]
+        p = [3 / 25, 5 / 25, 7 / 25, 0.0]
+        q = [4 / 30, 2 / 30, 6 / 30, 8 / 30]
+        p.append(1.0 - sum(p))
+        q.append(1.0 - sum(q))
+        assert component_divergences(fp_short, fp_long)["temporal"] == pytest.approx(
+            jsd_oracle(p, q), abs=1e-12
+        )
 
     def test_aligned_jsd_matches_oracle(self):
         rng = np.random.default_rng(29)
