@@ -23,6 +23,7 @@ from .model import (
     RecordBatch,
     ValidationError,
     group,
+    write_csv,
     write_json,
 )
 
@@ -159,10 +160,9 @@ def write_influence_csv(
     rows: Iterable[tuple[str, InfluenceStats, BreakerState]], path: str | Path
 ) -> None:
     """Dashboard export: one line per (period, cohort) with ratio and state."""
-    lines = ["period,cohort,ratio,state"]
-    for period, stats, state in rows:
-        lines.append(f"{period},{stats.cohort_id},{stats.ratio:.6f},{state.state.value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["period", "cohort", "ratio", "state"],
+              ([period, stats.cohort_id, f"{stats.ratio:.6f}", state.state.value]
+               for period, stats, state in rows))
 
 
 def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:

@@ -9,7 +9,6 @@ calibrated probabilities.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .model import (
     ValidationError,
     group,
     profile_batch,
+    write_csv,
 )
 
 TOP_K_COOCCURRENCE = 10
@@ -225,9 +225,6 @@ def fidelity_report(batch: RecordBatch) -> tuple[InstitutionFidelity, ...]:
 
 
 def write_fidelity_report(report: tuple[InstitutionFidelity, ...], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(REPORT_PREAMBLE + "\n")
-        rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(["institution", "n", "mean", *(f"d{i}" for i in range(1, 10))])
-        rows.writerows([row.institution_id, row.n, f"{row.mean:.6f}",
-                        *(f"{d:.6f}" for d in row.deciles)] for row in report)
+    write_csv(path, ["institution", "n", "mean", *(f"d{i}" for i in range(1, 10))],
+              ([row.institution_id, row.n, f"{row.mean:.6f}", *(f"{d:.6f}" for d in row.deciles)]
+               for row in report), preamble=REPORT_PREAMBLE)

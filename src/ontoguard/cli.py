@@ -343,12 +343,12 @@ def _cmd_dormancy_activate(args) -> int:
     profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)
     events = []
     if args.domain_transfer:
-        events.append(dormancy_mod.Event(
+        events.append(dormancy_mod.ActivationCondition(
             kind=dormancy_mod.ActivationKind.DOMAIN_TRANSFER_REQUEST,
             domain=args.domain_transfer,
         ))
     if args.outbreak_signal:
-        events.append(dormancy_mod.Event(
+        events.append(dormancy_mod.ActivationCondition(
             kind=dormancy_mod.ActivationKind.OUTBREAK_SIGNAL,
             signal_code=args.outbreak_signal,
         ))

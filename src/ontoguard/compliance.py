@@ -5,7 +5,7 @@ predicate rules over a data operation's context, terminated by a mandatory
 default rule so evaluation is total. Rules are declarative configuration,
 never compiled-in legal logic, and the shipped fixtures are demonstration
 content only. Composition runs every adapter (a deny never short-circuits,
-so the audit trail stays complete) and the most restrictive verdict
+so the audit trail stays complete) and the first most restrictive verdict
 prevails: deny > permit-with-conditions > permit.
 """
 
@@ -192,46 +192,27 @@ def compose(
     op: DataOperation,
     now: datetime | None = None,
 ) -> tuple[Verdict, list[AuditEntry]]:
-    """Evaluate every adapter and keep the most restrictive verdict.
+    """Evaluate every adapter and keep the first most restrictive verdict.
 
     All adapters run even after a deny so each contributes exactly one audit
-    entry. Conditions from all conditional permits are concatenated in
-    adapter order with duplicates removed; conflicting conditions are not
-    resolved here, only surfaced together.
+    entry. A deny keeps its reason. A conditional permit carries the
+    conditions of every verdict that lists any, in adapter order with
+    duplicates removed; conflicting conditions are not resolved here, only
+    surfaced together.
     """
     if not adapters:
         raise ValidationError("compose requires at least one adapter")
-    verdicts: list[Verdict] = []
-    audit: list[AuditEntry] = []
-    for adapter in adapters:
-        verdict, entry = evaluate(adapter, op, now=now)
-        verdicts.append(verdict)
-        audit.append(entry)
-    worst = max(RESTRICTIVENESS[v.kind] for v in verdicts)
-    if worst == RESTRICTIVENESS[VerdictKind.DENY]:
-        first_deny = next(v for v in verdicts if v.kind is VerdictKind.DENY)
-        return Verdict(kind=VerdictKind.DENY, reason=first_deny.reason), audit
-    if worst == RESTRICTIVENESS[VerdictKind.PERMIT_WITH_CONDITIONS]:
-        conditions: list[str] = []
-        contributing = 0
-        for verdict in verdicts:
-            if verdict.conditions:
-                contributing += 1
-            for condition in verdict.conditions:
-                if condition not in conditions:
-                    conditions.append(condition)
-        note = ""
-        if contributing > 1:
-            note = (
-                "conditions from multiple adapters concatenated; "
-                "potential conflicts flagged, not resolved"
-            )
-        return Verdict(
-            kind=VerdictKind.PERMIT_WITH_CONDITIONS,
-            conditions=tuple(conditions),
-            reason=note,
-        ), audit
-    return Verdict(kind=VerdictKind.PERMIT), audit
+    verdicts, audit = zip(*(evaluate(adapter, op, now=now) for adapter in adapters))
+    worst = max(verdicts, key=lambda verdict: RESTRICTIVENESS[verdict.kind])
+    if worst.kind is VerdictKind.DENY:
+        return Verdict(kind=VerdictKind.DENY, reason=worst.reason), list(audit)
+    if worst.kind is VerdictKind.PERMIT:
+        return Verdict(kind=VerdictKind.PERMIT), list(audit)
+    carrying = [verdict for verdict in verdicts if verdict.conditions]
+    note = ("conditions from multiple adapters concatenated; "
+            "potential conflicts flagged, not resolved") if len(carrying) > 1 else ""
+    conditions = tuple(dict.fromkeys(c for verdict in carrying for c in verdict.conditions))
+    return Verdict(VerdictKind.PERMIT_WITH_CONDITIONS, conditions, note), list(audit)
 
 
 def write_decision(

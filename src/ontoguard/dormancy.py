@@ -3,12 +3,12 @@
 Low-frequency codes on the clinical-significance list are parked in a
 dormant store with explicit activation conditions instead of being
 discarded; pruned codes are logged so pruning stays auditable. Clinical
-significance is always a configured code list, never inferred.
+significance is always a configured code list, never inferred. A parked
+code wakes when a condition fires, and an event is the condition it fires.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -16,9 +16,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import (
-    BatchProfile, PipelineConfig, ValidationError, from_json, load_json, to_json, write_json,
-)
+from .model import (BatchProfile, PipelineConfig, ValidationError, from_json, load_json,
+                    to_json, write_csv, write_json)
 
 
 class FeatureClass(str, Enum):
@@ -31,6 +30,10 @@ class ActivationKind(str, Enum):
     PREVALENCE_EXCEEDS = "prevalence_exceeds"
     DOMAIN_TRANSFER_REQUEST = "domain_transfer_request"
     OUTBREAK_SIGNAL = "outbreak_signal"
+
+
+# The one field each kind of condition reads, in the kinds' order.
+_READS = dict(zip(ActivationKind, ("threshold", "domain", "signal_code")))
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,9 @@ class ActivationCondition:
             raise ValidationError("domain_transfer_request requires a domain id")
         elif self.kind is ActivationKind.OUTBREAK_SIGNAL and not self.signal_code:
             raise ValidationError("outbreak_signal requires a code")
+        for name in _READS.values():
+            if name != _READS[self.kind] and getattr(self, name) is not None:
+                raise ValidationError(f"{self.kind.value} condition must not set {name}")
 
     def to_dict(self) -> dict[str, Any]:
         return {key: value for key, value in to_json(self).items() if value is not None}
@@ -87,15 +93,6 @@ class PruneLogEntry:
     code: str
     count: int
     last_observed: datetime
-
-
-@dataclass(frozen=True)
-class Event:
-    """External trigger checked against dormant activation conditions."""
-
-    kind: ActivationKind
-    domain: str | None = None
-    signal_code: str | None = None
 
 
 @dataclass(frozen=True)
@@ -178,30 +175,24 @@ def store_dormant(
 def check_activation(
     store: DormantStore,
     quarter: BatchProfile,
-    events: Sequence[Event],
+    events: Sequence[ActivationCondition],
 ) -> list[tuple[str, ActivationCondition]]:
     """Codes whose activation conditions fire against this quarter's profile.
 
-    A code appears once per triggered condition; prevalence conditions use
-    strict exceedance, so adding more records of a code never un-triggers.
+    A prevalence condition fires when the code's share of the quarter
+    strictly exceeds its threshold, so adding more records of a code never
+    un-triggers; any other condition fires when ``events`` holds an equal
+    condition. A code appears once per triggered condition.
     """
     activations: list[tuple[str, ActivationCondition]] = []
     for code in sorted(store.entries):
-        entry = store.entries[code]
         usage = quarter.codes.get(code)
         prevalence = usage.count / quarter.n if usage is not None else 0.0
-        for condition in entry.activation_conditions:
-            if condition.kind is ActivationKind.PREVALENCE_EXCEEDS:
-                if condition.threshold is not None and prevalence > condition.threshold:
-                    activations.append((code, condition))
-            elif condition.kind is ActivationKind.DOMAIN_TRANSFER_REQUEST:
-                if any(e.kind is condition.kind and e.domain == condition.domain
-                       for e in events):
-                    activations.append((code, condition))
-            elif condition.kind is ActivationKind.OUTBREAK_SIGNAL:
-                if any(e.kind is condition.kind and e.signal_code == condition.signal_code
-                       for e in events):
-                    activations.append((code, condition))
+        activations += [
+            (code, condition) for condition in store.entries[code].activation_conditions
+            if (prevalence > condition.threshold
+                if condition.kind is ActivationKind.PREVALENCE_EXCEEDS else condition in events)
+        ]
     return activations
 
 
@@ -219,8 +210,6 @@ def read_store(path: str | Path) -> DormantStore:
 
 
 def write_prune_log(store: DormantStore, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(["code", "count", "last_observed"])
-        rows.writerows([entry.code, entry.count, entry.last_observed.isoformat()]
-                       for entry in store.prune_log)
+    write_csv(path, ["code", "count", "last_observed"],
+              ([entry.code, entry.count, entry.last_observed.isoformat()]
+               for entry in store.prune_log))

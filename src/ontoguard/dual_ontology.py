@@ -27,6 +27,7 @@ from .model import (
     from_json,
     intern,
     iter_jsonl,
+    write_csv,
 )
 
 
@@ -122,8 +123,5 @@ def divergence(batch: RecordBatch) -> DivergenceReport:
 
 def write_divergence_csv(report: DivergenceReport, path: str | Path) -> None:
     """Write the report as one CSV row, scoped to the whole batch (``population,all``)."""
-    Path(path).write_text(
-        "scope,scope_key,n,disagreement_rate\n"
-        f"population,all,{report.n},{report.disagreement_rate:.6f}\n",
-        encoding="utf-8",
-    )
+    write_csv(path, ["scope", "scope_key", "n", "disagreement_rate"],
+              [["population", "all", report.n, f"{report.disagreement_rate:.6f}"]])

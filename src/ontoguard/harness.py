@@ -320,7 +320,7 @@ def run_scenario(
         dormancy_mod.write_store(store, out / "dormant_store.json")
         dormancy_mod.write_prune_log(store, out / "prune_log.csv")
         events = [
-            dormancy_mod.Event(
+            dormancy_mod.ActivationCondition(
                 kind=dormancy_mod.ActivationKind.OUTBREAK_SIGNAL, signal_code=alert.code
             )
             for alert in prior_alerts

@@ -6,6 +6,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
 from functools import cache, partial
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from pathlib import Path
 from types import UnionType
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar,
@@ -99,6 +100,15 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
         for row in rows:
             fh.write(jsonl_dumps(row))
             fh.write("\n")
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
+              preamble: str | None = None) -> None:
+    """Write ``header`` and ``rows`` as CSV, after ``preamble`` as a raw first line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if preamble is not None:
+            fh.write(preamble + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
 
 
 # ---------------------------------------------------------------------------

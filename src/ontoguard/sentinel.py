@@ -4,12 +4,13 @@ A fingerprint captures how a code is used, as one distribution per name in
 ``COMPONENTS``: which co-codes accompany it, who it is coded for, when and
 how often within the window, and where. Baseline and current fingerprints
 are compared component by component with ``aligned_jsd``, weighted into one
-divergence, and alerts above the threshold are classified by probable cause:
+divergence, and alerts above the threshold are classified by probable cause,
+the highest of three scores, a tie going to the one listed first:
 
-* epidemiological - co-drift concentrates in the code's clinical group;
 * administrative - co-drift concentrates in the code's billing category;
 * terminological - the window follows a terminology release that changed
-  the code in a transition table.
+  the code in a transition table;
+* epidemiological - co-drift concentrates in the code's clinical group.
 
 The classification confidence is an ordinal score ratio, not a probability.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from . import kernels
 from .model import (
     BatchProfile,
+    CodeDef,
     CodeSystem,
     PipelineConfig,
     TimeWindow,
@@ -130,9 +132,13 @@ def component_divergences(
     return {name: aligned_jsd(baseline[name], current[name]) for name in COMPONENTS}
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
-    union = a | b
-    return len(a & b) / len(union) if union else 0.0
+def _overlap(others: set[str], code_defs: Mapping[str, CodeDef], code: str, attr: str) -> float:
+    """Jaccard index of ``others`` and ``code``'s peers: the other codes whose ``attr``
+    (billing category or clinical group) is ``code``'s; a code outside ``code_defs`` has none."""
+    value = getattr(code_defs[code], attr) if code in code_defs else None
+    peers = {c for c, d in code_defs.items() if c != code and getattr(d, attr) == value}
+    union = others | peers
+    return len(others & peers) / len(union) if union else 0.0
 
 
 def _release_match(window: TimeWindow, system: CodeSystem, window_days: int) -> int | None:
@@ -189,46 +195,31 @@ def scan(
     for code in sorted(drifting):
         co_drifting = drifting - {code}
         cdef = code_defs.get(code)
-        billing_peers = {
-            c for c, d in code_defs.items()
-            if cdef is not None and d.billing_category == cdef.billing_category and c != code
+        # Keys in tie order; the total sums A + B + C, which fixes the confidence's last bit.
+        scores = {
+            DriftType.TYPE_B: _overlap(co_drifting, code_defs, code, "billing_category"),
+            DriftType.TYPE_C: 1.0 if code in touched else 0.0,
+            DriftType.TYPE_A: _overlap(co_drifting, code_defs, code, "clinical_group"),
         }
-        clinical_peers = {
-            c for c, d in code_defs.items()
-            if cdef is not None and d.clinical_group == cdef.clinical_group and c != code
-        }
-        score_c = 1.0 if code in touched else 0.0
-        score_b = _jaccard(co_drifting, billing_peers)
-        score_a = _jaccard(co_drifting, clinical_peers)
-        total = score_a + score_b + score_c
-        if total == 0.0:
-            drift_type, confidence = DriftType.TYPE_B, 1.0 / 3.0
-        else:
-            best = max(score_a, score_b, score_c)
-            if score_b == best:
-                drift_type = DriftType.TYPE_B  # ties resolve to administrative
-            elif score_c == best:
-                drift_type = DriftType.TYPE_C
-            else:
-                drift_type = DriftType.TYPE_A
-            confidence = best / total
+        total = scores[DriftType.TYPE_A] + scores[DriftType.TYPE_B] + scores[DriftType.TYPE_C]
+        drift_type = max(scores, key=scores.__getitem__)
         alerts.append(DriftAlert(
             code=code,
             divergence=divergences[code],
             drift_type=drift_type,
-            confidence=confidence,
+            confidence=scores[drift_type] / total if total else 1.0 / 3.0,
             component_divergences=components[code],
             evidence={
                 "co_drifting_codes": sorted(co_drifting),
                 "billing_category": None if cdef is None else cdef.billing_category,
-                "billing_overlap": score_b,
+                "billing_overlap": scores[DriftType.TYPE_B],
                 "clinical_group": None if cdef is None else cdef.clinical_group,
-                "clinical_overlap": score_a,
+                "clinical_overlap": scores[DriftType.TYPE_A],
                 "release_match": None if release is None else {
                     "version": release.label,
                     "release_date": release.release_date.isoformat(),
                 },
-                "release_changed_code": bool(score_c),
+                "release_changed_code": bool(scores[DriftType.TYPE_C]),
             },
         ))
     alerts.sort(key=lambda a: (-a.divergence, a.code))

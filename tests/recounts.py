@@ -273,3 +273,77 @@ def dormancy_recount(rows: Sequence[dict], layer: str, significant: Sequence[str
         else:
             classes[code] = "pruned"
     return classes
+
+
+def activation_recount(rows: Sequence[dict], layer: str,
+                       conditions_by_code: dict[str, list[dict]],
+                       events: Sequence[dict]) -> list[tuple[str, dict]]:
+    """Each (code, condition) that fires against a batch on ``layer``, codes
+    sorted and each code's conditions in their order. A prevalence_exceeds
+    condition fires when the code's share of the records is above its
+    threshold; a domain_transfer_request fires when an event of that kind
+    names its domain, and an outbreak_signal when one names its code."""
+    fired = []
+    for code in sorted(conditions_by_code):
+        count = sum(1 for row in rows if _layer_code(row, layer) == code)
+        for condition in conditions_by_code[code]:
+            if condition["kind"] == "prevalence_exceeds":
+                hit = bool(rows) and count / len(rows) > condition["threshold"]
+            else:
+                field = "domain" if condition["kind"] == "domain_transfer_request" \
+                    else "signal_code"
+                hit = any(event["kind"] == condition["kind"]
+                          and event.get(field) == condition[field] for event in events)
+            if hit:
+                fired.append((code, condition))
+    return fired
+
+
+def _jaccard(a: set, b: set) -> float:
+    if not a and not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def drift_cause_recount(drifting: Sequence[str], release_changed: dict[str, bool],
+                        taxonomy: Sequence[dict]) -> dict[str, dict]:
+    """The probable cause of each drifting code's drift, from the other
+    drifting codes, whether the matched release changed the code, and the
+    current version's taxonomy (objects with ``code``, ``billing_category``
+    and ``clinical_group``).
+
+    The billing and clinical overlaps are the Jaccard index of the other
+    drifting codes and the code's other taxonomy peers; the release score is
+    1 or 0. The cause is the highest score, ties going to administrative
+    (type_b), then terminological (type_c), then epidemiological (type_a);
+    the confidence is its score over the sum clinical + billing + release,
+    or 1/3 when every score is 0."""
+    placement = {entry["code"]: entry for entry in taxonomy}
+    causes = {}
+    for code in drifting:
+        others = set(drifting) - {code}
+        billing_peers, clinical_peers = set(), set()
+        if code in placement:
+            for entry in taxonomy:
+                if entry["code"] == code:
+                    continue
+                if entry["billing_category"] == placement[code]["billing_category"]:
+                    billing_peers.add(entry["code"])
+                if entry["clinical_group"] == placement[code]["clinical_group"]:
+                    clinical_peers.add(entry["code"])
+        billing = _jaccard(others, billing_peers)
+        clinical = _jaccard(others, clinical_peers)
+        release = 1.0 if release_changed[code] else 0.0
+        total = clinical + billing + release
+        if total == 0.0:
+            drift_type, confidence = "type_b", 1.0 / 3.0
+        else:
+            drift_type, best = "type_b", billing
+            if release > best:
+                drift_type, best = "type_c", release
+            if clinical > best:
+                drift_type, best = "type_a", clinical
+            confidence = best / total
+        causes[code] = {"drift_type": drift_type, "confidence": confidence,
+                        "billing_overlap": billing, "clinical_overlap": clinical}
+    return causes

@@ -181,6 +181,35 @@ def test_unknown_keys_are_rejected_by_path(fuzz_dir, name):
         assert f"{path} {named}".rstrip() + " has unknown keys ['surplus_key']" in str(info.value)
 
 
+# Conditions that set a field their kind does not read, with that field.
+STRAY_FIELDS = [
+    ({"kind": "domain_transfer_request", "domain": "d", "threshold": 0.5}, "threshold"),
+    ({"kind": "prevalence_exceeds", "threshold": 0.5, "signal_code": "DM-OTHER"},
+     "signal_code"),
+]
+# Where each loader's valid document holds a list of activation conditions.
+CONDITION_LISTS = {"conditions": ("DM-OTHER",), "store": (0, "activation_conditions"),
+                   "scenario": ("activation_conditions", "DM-OTHER")}
+
+
+@pytest.mark.parametrize("name", sorted(CONDITION_LISTS))
+@pytest.mark.parametrize("condition, field", STRAY_FIELDS,
+                         ids=["threshold-of-domain-transfer", "signal-code-of-prevalence"])
+def test_a_condition_field_its_kind_does_not_read_is_named(fuzz_dir, name, condition, field):
+    load, document = LOADERS[name]
+    doc = copy.deepcopy(document)
+    node = doc
+    for step in CONDITION_LISTS[name]:
+        node = node[step]
+    node.append(condition)
+    path = fuzz_dir / f"stray-{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+    assert f"{condition['kind']} condition must not set {field}" in str(info.value)
+
+
 @pytest.mark.parametrize("name", sorted(LINE_LOADERS))
 def test_jsonl_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name):
     load, document = LINE_LOADERS[name]
@@ -389,21 +418,30 @@ def test_json_types_are_checked_only_by_the_decoder():
     assert offenders == []
 
 
+# The entry points may write a plain-text file of their own, report.txt.
+TEXT_WRITERS = {"cli.py", "harness.py"}
+
+
 def test_output_format_is_decided_only_in_model():
-    # Every output file is encoded by model.write_json, model.write_jsonl or
-    # model.write_records, so no other module names the encoders or json.dump(s).
+    # Every output file is encoded by model.write_json, model.write_jsonl,
+    # model.write_csv or model.write_records, so no other module names the
+    # encoders, json.dump(s) or the csv module, and no stage writes text itself.
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "model.py":
             continue
+        forbidden = {"jsonl_dumps", "canonical_dumps", "json.dump", "json.dumps", "csv"}
+        if path.name not in TEXT_WRITERS:
+            forbidden.add("write_text")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.partition(".")[0] for alias in node.names}
             if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
+                names.add(node.module)
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
                 names.add(f"json.{node.attr}")
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(
-                names & {"jsonl_dumps", "canonical_dumps", "json.dump", "json.dumps"})]
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & forbidden)]
     assert offenders == []
 
 

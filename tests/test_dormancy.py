@@ -15,7 +15,6 @@ from ontoguard.dormancy import (
     ActivationKind,
     DormantEntry,
     DormantStore,
-    Event,
     FeatureClass,
     check_activation,
     classify_features,
@@ -239,8 +238,8 @@ class TestCheckActivation:
     def test_domain_transfer_event_activates(self):
         store = self.make_store((ENDO_TRANSFER,))
         quarterly = batch_with_counts({"AAA": 1_000})
-        events = [Event(kind=ActivationKind.DOMAIN_TRANSFER_REQUEST,
-                        domain="endocrinology")]
+        events = [ActivationCondition(kind=ActivationKind.DOMAIN_TRANSFER_REQUEST,
+                                      domain="endocrinology")]
         activations = check_activation(store, admin(quarterly), events)
         assert activations == [("RARE", ENDO_TRANSFER)]
 
@@ -280,7 +279,7 @@ class TestCheckActivation:
         )
         store = self.make_store((condition,))
         events = [
-            Event(kind=ActivationKind.OUTBREAK_SIGNAL, signal_code=a.code)
+            ActivationCondition(kind=ActivationKind.OUTBREAK_SIGNAL, signal_code=a.code)
             for a in alerts if a.drift_type is DriftType.TYPE_A
         ]
         activations = check_activation(store, admin(batch_with_counts({"AAA": 100})), events)
@@ -294,3 +293,12 @@ def test_condition_validation():
         ActivationCondition(kind=ActivationKind.DOMAIN_TRANSFER_REQUEST)
     with pytest.raises(ValidationError, match="code"):
         ActivationCondition(kind=ActivationKind.OUTBREAK_SIGNAL)
+    # A field the kind does not read is a fault, not ignored.
+    with pytest.raises(ValidationError,
+                       match="domain_transfer_request condition must not set threshold"):
+        ActivationCondition(kind=ActivationKind.DOMAIN_TRANSFER_REQUEST, domain="d",
+                            threshold=0.5)
+    with pytest.raises(ValidationError,
+                       match="prevalence_exceeds condition must not set signal_code"):
+        ActivationCondition(kind=ActivationKind.PREVALENCE_EXCEEDS, threshold=0.5,
+                            signal_code="DM-OTHER")

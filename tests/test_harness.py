@@ -594,6 +594,12 @@ CLI_INPUT_FILES = {
         "significance_note": "", "last_observed": "2025-03-01T08:00:00",
         "activation_conditions": [{"kind": "outbreak_signal", "signal_code": "DM2-UNSPEC"}],
     }]),
+    "store-stray-field.json": json.dumps([{
+        "code": "DM2-UNSPEC", "count": 1, "frequency": 0.5, "top_co_codes": [],
+        "significance_note": "", "last_observed": "2025-03-01T08:00:00",
+        "activation_conditions": [{"kind": "domain_transfer_request", "domain": "d",
+                                   "threshold": 0.5}],
+    }]),
     "adapter-ids.json": json.dumps({**json.loads(_adapter_text()), "adapter_id": 5,
                                     "jurisdiction": ["x"], "regulation_version": 1}),
     "adapter-key.json": json.dumps({**json.loads(_adapter_text()), "rules": [
@@ -1006,6 +1012,9 @@ class TestCli:
           "--conditions", "conditions.json"], "--conditions needs --store"),
         (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
           "--prune-log", "prune.csv"], "--prune-log needs --store"),
+        (["dormancy", "activate", "--store", "store-stray-field.json", "--records", "one.jsonl"],
+         "store-stray-field.json [0].activation_conditions[0]: domain_transfer_request "
+         "condition must not set threshold"),
     ], ids=[
         "zero-step", "start-after-stop", "bad-history", "bad-json-history",
         "missing-store", "bad-store", "tiny-step", "infinite-stop",
@@ -1041,7 +1050,7 @@ class TestCli:
         "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
         "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
         "assertion-verdict-missing", "assertion-kind-unknown", "conditions-without-store",
-        "prune-log-without-store",
+        "prune-log-without-store", "store-condition-stray-field",
     ])
     def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
         # A child process with a timeout, so a flag that loops forever fails

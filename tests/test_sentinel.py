@@ -1,14 +1,25 @@
 """Drift sentinel: fingerprints, divergence, cause classification."""
 
 import math
+from dataclasses import replace
 from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import admin, row, tiny_system
-from ontoguard import synthgen
-from ontoguard.model import PipelineConfig, TimeWindow, ValidationError
+from conftest import SEED, admin, row, tiny_system
+from ontoguard import harness, synthgen
+from ontoguard.model import (
+    PipelineConfig,
+    TimeWindow,
+    ValidationError,
+    load_code_system,
+    load_config,
+    read_records,
+    to_json,
+    write_records,
+)
 from ontoguard.oracles import jsd_oracle
 from ontoguard.sentinel import (
     COMPONENTS,
@@ -280,6 +291,37 @@ class TestScan:
                  bundled_system, bundled_cfg, **kwargs)
         assert [(x.code, x.divergence, x.drift_type, x.confidence) for x in a] \
             == [(x.code, x.divergence, x.drift_type, x.confidence) for x in b]
+
+    @pytest.mark.parametrize("scenario", [
+        "diabetes-walkthrough",
+        Path(__file__).parents[1] / "perfbench" / "drift_storm.json",
+    ], ids=["walkthrough", "drift-storm"])
+    def test_doubled_batches_and_support_leave_every_alert_equal(self, scenario, tmp_path):
+        # Metamorphic relation: fingerprints are normalised, so doubling both
+        # batches changes no alert once the support threshold, an absolute
+        # count, doubles with them. Each batch is doubled by writing its
+        # records file twice over.
+        spec = harness.load_scenario(scenario)
+        system, cfg = load_code_system(spec.code_system_path), load_config(spec.config_path)
+        profiles = {}
+        for quarter in (0, 2):
+            batch, _ = synthgen.generate_batch(
+                system, spec.distortion, 20_000, seed=[SEED, quarter],
+                window=synthgen.quarter_window(spec.start, quarter), quarter_index=quarter)
+            path = tmp_path / f"q{quarter}.jsonl"
+            write_records(path, batch)
+            text = path.read_text(encoding="utf-8")
+            for copies in (1, 2):
+                path.write_text(text * copies, encoding="utf-8")
+                profiles[copies, quarter] = admin(read_records(path))
+        windows = [synthgen.quarter_window(spec.start, quarter) for quarter in (0, 2)]
+        alerts = [
+            to_json(scan(profiles[copies, 0], profiles[copies, 2], system,
+                         replace(cfg, fingerprint_min_support=copies
+                                 * cfg.fingerprint_min_support), *windows))
+            for copies in (1, 2)
+        ]
+        assert alerts[0] and alerts[1] == alerts[0]
 
     def test_alert_file_export(self, scenario_run, tmp_path):
         source = scenario_run["out_dir"] / "q3" / "alerts.jsonl"

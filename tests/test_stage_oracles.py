@@ -10,8 +10,10 @@ AI-tagged, and timestamps on month and quarter edges.
 """
 
 import ast
+from datetime import date, datetime
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,15 +29,23 @@ from ontoguard.breaker import (
     retrain_gate,
 )
 from ontoguard.checkpoint import annotate_batch, build_reference_model
-from ontoguard.dormancy import classify_features
+from ontoguard.dormancy import (
+    ActivationCondition,
+    DormantEntry,
+    DormantStore,
+    check_activation,
+    classify_features,
+)
 from ontoguard.dual_ontology import infer_clinical_layer
 from ontoguard.model import (
     CodeSystem,
     Layer,
     PipelineConfig,
+    TimeWindow,
     from_json,
     profile_batch,
 )
+from ontoguard.sentinel import scan
 from ontoguard.version_gate import gate_batch
 import recounts
 
@@ -232,3 +242,121 @@ def test_breaker_counts_match_recount(rows):
     closed = BreakerState(BreakerStateKind.CLOSED, "closed", 0.15)
     model = retrain_gate(closed, read_rows(rows), ToyRiskModel("toy-risk-1", {}), stats)
     assert model.weights == recounts.retrain_recount(rows, sorted(OUTCOME_MARKERS))
+
+
+DOMAINS = ("cardiology", "endocrinology")
+EVENTS = st.one_of(
+    st.sampled_from(DOMAINS).map(lambda d: {"kind": "domain_transfer_request", "domain": d}),
+    st.sampled_from(CODES).map(lambda c: {"kind": "outbreak_signal", "signal_code": c}),
+)
+
+
+@given(batches(), st.sampled_from(list(Layer)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_activation_matches_recount(rows, layer, data):
+    # Half the thresholds are a count's exact share of the batch, where
+    # "above the threshold" and "at least it" part.
+    n = len(rows)
+    threshold = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if n > 1:
+        threshold |= st.integers(1, n - 1).map(lambda k: k / n)
+    condition = threshold.map(lambda t: {"kind": "prevalence_exceeds", "threshold": t}) | EVENTS
+    conditions = data.draw(st.dictionaries(st.sampled_from(CODES),
+                                           st.lists(condition, min_size=1, max_size=3)))
+    events = data.draw(st.lists(EVENTS, max_size=3))
+    store = DormantStore({
+        code: DormantEntry(code, 1, 0.0, (), "", tuple(from_json(ActivationCondition, c)
+                                                         for c in conds),
+                           datetime(2025, 1, 1))
+        for code, conds in conditions.items()
+    }, ())
+    activations = check_activation(store, profile_batch(read_rows(rows), layer),
+                                   [from_json(ActivationCondition, event) for event in events])
+    assert [(code, condition.to_dict()) for code, condition in activations] \
+        == recounts.activation_recount(rows, layer.value, conditions, events)
+
+
+def _placed(code, clinical_group, billing_category):
+    return {"code": code, "clinical_group": clinical_group,
+            "billing_category": billing_category, "description": ""}
+
+
+# The v1 -> v2 hop renames X0, T10 and T20 to X, T1 and T2, so a window
+# just after the v2 release blames those three. X shares its clinical group
+# with P and its billing category with Q and B1-B4; T1 shares its billing
+# category with U1 only, T2 its clinical group with V2 only.
+_SHARED = [_placed("P", "gX", "bP"), _placed("Q", "gQ", "bX"),
+           *(_placed(f"B{i}", "gB", "bX") for i in range(1, 5)),
+           _placed("U1", "gU", "bT"), _placed("V2", "gT2", "bV"), _placed("SOLO", "gS", "bS")]
+_RENAMED = {"X0": _placed("X", "gX", "bX"), "T10": _placed("T1", "gT1", "bT"),
+            "T20": _placed("T2", "gT2", "bT2")}
+DRIFT_SYSTEM_DATA = {
+    "system_id": "DRIFT",
+    "versions": [{"label": "v1", "release_date": "2024-01-01", "validated": True},
+                 {"label": "v2", "release_date": "2025-01-01", "validated": True}],
+    "codes": {"v1": [*_SHARED, *(_placed(old, "g0", "b0") for old in _RENAMED)],
+              "v2": [*_SHARED, *_RENAMED.values()]},
+    "transitions": [{"from": "v1", "to": "v2", "mappings": [
+        *({"from_code": c["code"], "to_code": c["code"]} for c in _SHARED),
+        *({"from_code": old, "to_code": new["code"]} for old, new in _RENAMED.items()),
+    ]}],
+}
+DRIFT_SYSTEM = from_json(CodeSystem, DRIFT_SYSTEM_DATA)
+# ZZZ is in no version, so it has no taxonomy peers.
+DRIFT_CODES = tuple(c["code"] for c in DRIFT_SYSTEM_DATA["codes"]["v2"]) + ("ZZZ",)
+
+
+def _drift_scan(drifting, matched):
+    """Alerts of a scan where exactly ``drifting`` drifts: each code has one
+    record a window, at another institution in the current one. The current
+    window starts at the v2 release when ``matched``, half a year later if not."""
+    windows = (TimeWindow(date(2024, 10, 1), date(2024, 12, 31)),
+               TimeWindow(date(2025, 1, 1), date(2025, 3, 31)) if matched
+               else TimeWindow(date(2025, 7, 1), date(2025, 9, 30)))
+    batches = [[{"record_id": f"R-{code}", "patient_age_band": "50-59", "patient_sex": "female",
+                 "institution_id": institution, "encounter_time": f"{window.start}T08:00:00",
+                 "primary_code": code, "co_codes": [], "version_tag": "v2",
+                 "influence_tag": None, "fidelity": None, "clinical_code": None}
+                for code in drifting]
+               for institution, window in zip(("I-1", "I-2"), windows)]
+    cfg = PipelineConfig(drift_threshold=0.01, fingerprint_min_support=1)
+    profiles = [profile_batch(read_rows(batch), Layer.ADMINISTRATIVE) for batch in batches]
+    return scan(*profiles, DRIFT_SYSTEM, cfg, *windows)
+
+
+def _causes(alerts):
+    got = {alert.code: {"drift_type": alert.drift_type.value, "confidence": alert.confidence,
+                        "billing_overlap": alert.evidence["billing_overlap"],
+                        "clinical_overlap": alert.evidence["clinical_overlap"]}
+           for alert in alerts}
+    expect = recounts.drift_cause_recount(
+        [alert.code for alert in alerts],
+        {alert.code: alert.evidence["release_changed_code"] for alert in alerts},
+        DRIFT_SYSTEM_DATA["codes"]["v2"])
+    assert got == expect
+    return got
+
+
+@given(st.sets(st.sampled_from(DRIFT_CODES), min_size=1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_drift_causes_match_recount(drifting, matched):
+    alerts = _drift_scan(sorted(drifting), matched)
+    assert sorted(alert.code for alert in alerts) == sorted(drifting)
+    _causes(alerts)
+
+
+@pytest.mark.parametrize("drifting, cause", [
+    # billing 1 = release 1 > clinical 0: administrative wins the tie
+    (("T1", "U1"), {"drift_type": "type_b", "confidence": 0.5,
+                    "billing_overlap": 1.0, "clinical_overlap": 0.0}),
+    # release 1 = clinical 1 > billing 0: terminological wins the tie
+    (("T2", "V2"), {"drift_type": "type_c", "confidence": 0.5,
+                    "billing_overlap": 0.0, "clinical_overlap": 1.0}),
+    # clinical 1/2, billing 1/6, release 1: clinical + billing + release is
+    # 1.6666666666666665, one bit below the sum in any order that adds the
+    # release before the clinical overlap
+    (("X", "P", "Q"), {"drift_type": "type_c", "confidence": 1.0 / (0.5 + 1 / 6 + 1.0),
+                       "billing_overlap": 1 / 6, "clinical_overlap": 0.5}),
+], ids=["billing-ties-release", "release-ties-clinical", "three-scores"])
+def test_drift_cause_hand_built(drifting, cause):
+    assert _causes(_drift_scan(drifting, matched=True))[drifting[0]] == cause
