@@ -22,7 +22,6 @@ from .model import (
     PipelineConfig,
     RecordBatch,
     ValidationError,
-    group,
     write_csv,
     write_json,
 )
@@ -142,11 +141,8 @@ def retrain_gate(
         raise ValidationError("cannot retrain on an empty cohort")
     totals: dict[str, int] = {}
     positives: dict[str, int] = {}
-    n_sets = len(cohort.co_sets)
-    pairs, _, counts, _ = group(cohort.code.astype(np.int64) * n_sets + cohort.co,
-                                len(cohort.codes) * n_sets)
-    for pair, n in zip(pairs.tolist(), counts.tolist()):
-        primary_code, co_codes = cohort.codes[pair // n_sets], cohort.co_sets[pair % n_sets]
+    pairs, counts, _ = cohort.groups("code", "co")
+    for (primary_code, co_codes), n in zip(pairs, counts):
         outcome = bool(co_codes & OUTCOME_MARKERS)
         for code in {primary_code, *co_codes}:
             totals[code] = totals.get(code, 0) + n

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .model import (
-    AGE_BANDS,
-    SEXES,
     CodeSystem,
     Layer,
     PipelineConfig,
@@ -135,11 +134,12 @@ def _institutional_subscore(ref: ReferenceModel, institution_id: str, code: str)
     return 1.0 - min(1.0, abs(rate - median) / median)
 
 
-def _per_key(keys: np.ndarray, size: int, value: Callable[[int], float]
+def _per_key(batch: RecordBatch, names: tuple[str, ...], value: Callable[..., float]
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's index into the sorted distinct ``value`` of the keys, and those values."""
-    distinct, _, _, index = group(keys, size)
-    values, inverse = np.unique([value(key) for key in distinct.tolist()], return_inverse=True)
+    """Each row's index into the sorted distinct ``value`` of each combination
+    of columns ``names``, and those values."""
+    keys, _, index = batch.groups(*names)
+    values, inverse = np.unique([value(*key) for key in keys], return_inverse=True)
     return inverse[index], values
 
 
@@ -148,37 +148,25 @@ def annotate_batch(batch: RecordBatch, ref: ReferenceModel, cfg: PipelineConfig)
 
     Pure and idempotent: re-annotating with the same reference yields the
     same annotation. Never rejects. Each subscore depends on a few record
-    fields only, so it is computed once per distinct key of the batch, and
-    records with the same three subscores share one entry of the batch's
-    annotation table, whose scores NumPy computes by column.
+    fields only, so it is computed once per distinct combination of them
+    that ``batch.groups`` finds, and records with the same three subscores
+    share one entry of the batch's annotation table, scored by column.
     """
     w_prev, w_cooc, w_inst = cfg.fidelity_weights
-    codes, sets, institutions = batch.codes, batch.co_sets, batch.institutions
-    n_strata = len(AGE_BANDS) * len(SEXES)
-    prev_row, prev = _per_key(
-        batch.code.astype(np.int64) * n_strata + batch.age_band * len(SEXES) + batch.sex,
-        len(codes) * n_strata,
-        lambda key: _prevalence_subscore(ref, codes[key // n_strata],
-                                         AGE_BANDS[key % n_strata // len(SEXES)],
-                                         SEXES[key % len(SEXES)]))
-    cooc_row, cooc = _per_key(
-        batch.code.astype(np.int64) * len(sets) + batch.co, len(codes) * len(sets),
-        lambda key: _cooccurrence_subscore(ref, codes[key // len(sets)], sets[key % len(sets)]))
-    inst_row, inst = _per_key(
-        batch.institution.astype(np.int64) * len(codes) + batch.code,
-        len(institutions) * len(codes),
-        lambda key: _institutional_subscore(ref, institutions[key // len(codes)],
-                                            codes[key % len(codes)]))
+    prev_row, prev = _per_key(batch, ("code", "age_band", "sex"),
+                              partial(_prevalence_subscore, ref))
+    cooc_row, cooc = _per_key(batch, ("code", "co"), partial(_cooccurrence_subscore, ref))
+    inst_row, inst = _per_key(batch, ("institution", "code"),
+                              partial(_institutional_subscore, ref))
 
     # Rows with the same three subscores share one entry.
-    keys, _, _, fidelity = group((prev_row * len(cooc) + cooc_row) * len(inst) + inst_row,
-                                 len(prev) * len(cooc) * len(inst))
-    p, c, i = (values[axis] for values, axis in zip(
-        (prev, cooc, inst), np.unravel_index(keys, (len(prev), len(cooc), len(inst)))))
+    entries, _, _, fidelity = group([prev_row, cooc_row, inst_row],
+                                    [len(prev), len(cooc), len(inst)])
+    p, c, i = (values[entry] for values, entry in zip((prev, cooc, inst), entries))
     score = np.clip(w_prev * p + w_cooc * c + w_inst * i, 0.0, 1.0)
     return replace(batch, fidelity=fidelity.astype(np.int32),
                    annotations=np.column_stack([score, p, c, i]),
-                   notes=((None, float, float, float, float),) * len(keys))
+                   notes=((None, float, float, float, float),) * len(score))
 
 
 def annotation_scores(batch: RecordBatch) -> np.ndarray:

@@ -23,8 +23,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from . import breaker as breaker_mod
 from . import checkpoint as checkpoint_mod
 from . import compliance as compliance_mod
@@ -271,15 +269,13 @@ def run_scenario(
 
         migration = None
         if q == 1:
-            lagging = sorted(
-                (batch.versions[v], v) for v in np.unique(batch.version).tolist()
-                if batch.versions[v] != spec.target_version
-            )
-            for from_version, v in lagging:
+            lagging: dict[str, set[str]] = {}
+            for version, code in batch.groups("version", "code")[0]:
+                lagging.setdefault(version, set()).add(code)
+            for from_version in sorted(lagging.keys() - {spec.target_version}):
                 migration = run_stage(
                     tracer, "gate.validate_migration", gate_mod.validate_migration,
-                    system, from_version, spec.target_version,
-                    {batch.codes[c] for c in np.unique(batch.code[batch.version == v]).tolist()},
+                    system, from_version, spec.target_version, lagging[from_version],
                     detail=lambda m: {"from": m.from_version, "coverage": m.mapping_coverage,
                                       "verdict": m.verdict.value})
 

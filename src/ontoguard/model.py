@@ -626,6 +626,14 @@ def _wall_clock(whens: Sequence[datetime],
 _COLUMNS = ("record_id", "times", "zone", "age_band", "sex", "institution", "code",
             "clinical", "version", "co", "tag", "confidence", "fidelity")
 
+# Each interned column of a RecordBatch: the records-file field it holds and
+# the batch's table it indexes. The primary code's column is interned first.
+_INTERNED: Mapping[str, tuple[str, str]] = {
+    "age_band": ("patient_age_band", "age_bands"), "sex": ("patient_sex", "sexes"),
+    "institution": ("institution_id", "institutions"), "code": ("primary_code", "codes"),
+    "clinical": ("clinical_code", "codes"), "co": ("co_codes", "co_sets"),
+    "version": ("version_tag", "versions")}
+
 
 def _annotation_json(values: Sequence[float], note: tuple[Any, ...]) -> dict[str, Any]:
     """The ``fidelity`` object of the annotation entry of ``values`` and ``note``."""
@@ -648,9 +656,9 @@ class RecordBatch:
     """A batch of coded records held as columns, one row per record.
 
     Each string field is interned: its column holds a row's index into a
-    table of distinct values. ``codes`` serves both code layers, and the
-    ``age_band`` and ``sex`` columns index ``AGE_BANDS`` and ``SEXES``.
-    Co-code sets and UTC offsets are interned the same way. ``fidelity``
+    table of distinct values, as ``_INTERNED`` names them. ``codes`` serves
+    both code layers, and ``age_bands`` and ``sexes`` are the fixed
+    ``AGE_BANDS`` and ``SEXES``. UTC offsets are interned the same way. ``fidelity``
     indexes the rows of ``annotations``, each a score and its subscores, as
     ``tag`` indexes influence tags' ``tags``; a note and a head hold each
     number's type, so a value keeps its JSON type. Rows annotated with the
@@ -659,7 +667,8 @@ class RecordBatch:
     tag, or a naive timestamp. ``times`` holds each encounter's wall-clock
     time. Record ids are fixed-width text: no field holds objects per row.
 
-    Stages read and write the columns. Iterating yields each row as a
+    Stages read and write the columns, and ``groups`` the distinct
+    combinations of named columns. Iterating yields each row as a
     ``CodedRecord``, built on demand; only ``version_gate.write_quarantine``
     and perfbench's traced counter iterate.
     """
@@ -685,6 +694,7 @@ class RecordBatch:
     fidelity: np.ndarray             # row of annotations, -1 when not annotated
     annotations: np.ndarray          # float64 (entries, 4): the values of _SCORES
     notes: tuple[tuple[Any, ...], ...]  # (rationale or None for prev=..., 4 x int or float)
+    age_bands, sexes = AGE_BANDS, SEXES  # the fixed tables of age_band and sex, not fields
 
     @classmethod
     def _from_columns(cls, column: Mapping[str, Sequence[Any]],
@@ -693,24 +703,16 @@ class RecordBatch:
         interned field ``name``, or ``column[name][i]`` when ``row`` is None,
         and the fields ``own`` gives (record ids, times and tags).
         Tables are in first-seen order of ``column``'s values; each annotation is an entry."""
-        def index(name: str, position: np.ndarray) -> np.ndarray:
-            return position if row is None else position[row[name]]
-
-        code, codes = intern(column["primary_code"])
-        clinical, codes = intern(column["clinical_code"], codes)
-        institution, institutions = intern(column["institution_id"])
-        version, versions = intern(column["version_tag"])
-        co, co_sets = intern(column["co_codes"])
+        index, tables = {}, {}
+        for name, (key, table) in _INTERNED.items():
+            pos, tables[table] = intern(column[key], tables.get(table, getattr(cls, table, ())))
+            index[name] = pos if row is None else pos[row[key]]
         entries = [entry for entry in column["fidelity"] if entry is not None]
         annotated = [entry is not None for entry in column["fidelity"]]
         fidelity = np.where(annotated, np.cumsum(annotated, dtype=np.int32) - 1, -1)
         return cls(
-            age_band=index("patient_age_band", intern(column["patient_age_band"], AGE_BANDS)[0]),
-            sex=index("patient_sex", intern(column["patient_sex"], SEXES)[0]),
-            institution=index("institution_id", institution), institutions=institutions,
-            code=index("primary_code", code), clinical=index("clinical_code", clinical),
-            codes=codes, version=index("version_tag", version), versions=versions,
-            co=index("co_codes", co), co_sets=co_sets, fidelity=index("fidelity", fidelity),
+            **index, **{name: table for name, table in tables.items() if not hasattr(cls, name)},
+            fidelity=fidelity if row is None else fidelity[row["fidelity"]],
             annotations=np.array([values for values, _ in entries], np.float64).reshape(-1, 4),
             notes=tuple(note for _, note in entries), **own,
         )
@@ -729,19 +731,28 @@ class RecordBatch:
         zone = self.zone[row]
         return self.times[row].item().replace(tzinfo=self.zones[zone] if zone >= 0 else None)
 
+    def groups(self, *names: str) -> tuple[list[tuple[Any, ...]], list[int], np.ndarray]:
+        """Each distinct combination of the interned columns ``names`` as a
+        tuple of their values, sorted by the first column's table order, then
+        the next's; its row count; and each row's index into the combinations."""
+        tables = [getattr(self, _INTERNED[name][1]) for name in names]
+        distinct, _, counts, index = group([getattr(self, name) for name in names],
+                                           [len(table) for table in tables])
+        return list(zip(*map(gather, tables, distinct))), counts.tolist(), index
+
     def __iter__(self) -> Iterator[CodedRecord]:
         annotations = [FidelityAnnotation(**_annotation_json(values, note))
                        for values, note in zip(self.annotations.tolist(), self.notes)]
-        return map(CodedRecord, self.record_id.tolist(), gather(AGE_BANDS, self.age_band),
-                   gather(SEXES, self.sex), gather(self.institutions, self.institution),
-                   [when.replace(tzinfo=zone)
-                    for when, zone in zip(self.times.tolist(), gather(self.zones, self.zone))],
-                   gather(self.codes, self.code), gather(self.co_sets, self.co),
-                   gather(self.versions, self.version),
-                   [None if head is None else InfluenceTag(head[0], head[2](confidence), head[1])
-                    for head, confidence in zip(gather(self.tags, self.tag),
-                                                self.confidence.tolist())],
-                   gather(annotations, self.fidelity), gather(self.codes, self.clinical))
+        row = {key: gather(getattr(self, table), getattr(self, name))
+               for name, (key, table) in _INTERNED.items()}
+        row["record_id"] = self.record_id.tolist()
+        row["fidelity"] = gather(annotations, self.fidelity)
+        row["encounter_time"] = [when.replace(tzinfo=zone) for when, zone
+                                 in zip(self.times.tolist(), gather(self.zones, self.zone))]
+        row["influence_tag"] = [None if head is None else InfluenceTag(head[0], head[2](c), head[1])
+                                for head, c in zip(gather(self.tags, self.tag),
+                                                   self.confidence.tolist())]
+        return map(CodedRecord, *(row[name] for name in _RECORD_FIELDS))
 
 
 @dataclass(slots=True)
@@ -782,16 +793,19 @@ class BatchProfile:
         return TimeWindow(self.first_day, self.last_day)
 
 
-def group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group rows by their integer ``keys``, each in ``range(size)``.
+def group(columns: Sequence[np.ndarray], sizes: Sequence[int]
+          ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by their values in ``columns``, column ``c``'s in ``range(sizes[c])``.
 
-    Returns the distinct keys in increasing order, the first row and the
-    count of each, and each row's index into the distinct keys. Counting
-    is one pass over the rows; keys spread over a range much wider than
-    the rows are numbered densely first.
+    Returns the distinct rows, one array per column, sorted by the first
+    column, then the next; the first row and the count of each; and each
+    row's index into them. Counting is one pass over the rows, each packed
+    into one int64 key; keys spread far wider than the rows are numbered densely first.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    distinct = None
+    keys = np.asarray(columns[0], dtype=np.int64)
+    for column, size in zip(columns[1:], sizes[1:]):
+        keys = keys * size + column
+    size, distinct = math.prod(sizes), None
     if size > 2 * len(keys) + 4096:
         distinct, keys = np.unique(keys, return_inverse=True)
         size = len(distinct)
@@ -800,15 +814,16 @@ def group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     np.minimum.at(first, keys, np.arange(len(keys)))
     present = np.flatnonzero(counts)
     index = (np.cumsum(counts > 0) - 1)[keys]
-    return (present if distinct is None else distinct[present]), first[present], \
-        counts[present], index
+    keys = present if distinct is None else distinct[present]
+    return [keys // math.prod(sizes[c + 1:]) % sizes[c] for c in range(len(sizes))], \
+        first[present], counts[present], index
 
 
-def _first_seen(keys: np.ndarray, size: int) -> zip:
-    """Each distinct key of ``keys`` with its count, in first-seen order."""
-    distinct, first, counts, _ = group(keys, size)
+def _first_seen(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> zip:
+    """Each distinct row of ``columns``, its values then its count, in first-seen order."""
+    distinct, first, counts, _ = group(columns, sizes)
     order = np.argsort(first)
-    return zip(distinct[order].tolist(), counts[order].tolist())
+    return zip(*(column[order].tolist() for column in distinct), counts[order].tolist())
 
 
 def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
@@ -825,7 +840,7 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
         code = np.where(batch.clinical >= 0, batch.clinical, batch.code)
     if not len(batch):
         return BatchProfile(0, {}, {}, None, None)
-    distinct, first, counts, inverse = group(code, len(batch.codes))
+    (distinct,), first, counts, inverse = group([code], [len(batch.codes)])
 
     # A code's times compare as instants, so they must all be naive or all
     # carry a UTC offset; the first row that breaks this is named.
@@ -848,24 +863,24 @@ def profile_batch(batch: RecordBatch, layer: Layer) -> BatchProfile:
               for n, row in zip(counts.tolist(), latest.tolist())]
     codes = {batch.codes[distinct[key]]: usages[key] for key in np.argsort(first).tolist()}
 
-    def tally(name: str, other: np.ndarray, width: int, label: Callable[[int], Any]) -> None:
-        for key, n in _first_seen(inverse * width + other, len(distinct) * width):
-            getattr(usages[key // width], name)[label(key % width)] = n
+    def tally(name: str, columns: list, sizes: list, label: Callable[..., Any]) -> None:
+        for key, *values, n in _first_seen([inverse, *columns], [len(distinct), *sizes]):
+            getattr(usages[key], name)[label(*values)] = n
 
-    strata = [(band, sex) for band in AGE_BANDS for sex in SEXES]
-    tally("strata", batch.age_band * len(SEXES) + batch.sex, len(strata), strata.__getitem__)
+    tally("strata", [batch.age_band, batch.sex], [len(AGE_BANDS), len(SEXES)],
+          lambda band, sex: (AGE_BANDS[band], SEXES[sex]))
     month = batch.times.astype("datetime64[M]").astype(np.int64)  # months since 1970-01
     low = int(month.min())
-    tally("months", month - low, int(month.max()) - low + 1,
+    tally("months", [month - low], [int(month.max()) - low + 1],
           lambda m: (1970 + (m + low) // 12, (m + low) % 12 + 1))
-    tally("institutions", batch.institution, len(batch.institutions),
+    tally("institutions", [batch.institution], [len(batch.institutions)],
           batch.institutions.__getitem__)
-    for key, n in _first_seen(inverse * len(batch.co_sets) + batch.co,
-                              len(distinct) * len(batch.co_sets)):
-        co_codes = usages[key // len(batch.co_sets)].co_codes
-        for co in batch.co_sets[key % len(batch.co_sets)]:
-            co_codes[co] = co_codes.get(co, 0) + n
-    versions = {batch.versions[v]: n for v, n in _first_seen(batch.version, len(batch.versions))}
+    for key, co, n in _first_seen([inverse, batch.co], [len(distinct), len(batch.co_sets)]):
+        co_codes = usages[key].co_codes
+        for co_code in batch.co_sets[co]:
+            co_codes[co_code] = co_codes.get(co_code, 0) + n
+    versions = {batch.versions[v]: n
+                for v, n in _first_seen([batch.version], [len(batch.versions)])}
     days = batch.times.astype("datetime64[D]")
     return BatchProfile(len(batch), codes, versions, days.min().item(), days.max().item())
 
@@ -1063,16 +1078,11 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
     texts slotted in. A tag's entry holds null for its confidence.
     """
     tables = {  # each table-held field's table and index column
-        "clinical_code": (records.codes, records.clinical),
-        "co_codes": (records.co_sets, records.co),
-        "fidelity": (list(zip(records.annotations.tolist(), records.notes)), records.fidelity),
-        "influence_tag": ([dict(clinician_modified=m, model_confidence=None, model_version=v)
-                           for v, m, _ in records.tags], records.tag),
-        "institution_id": (records.institutions, records.institution),
-        "patient_age_band": (AGE_BANDS, records.age_band), "patient_sex": (SEXES, records.sex),
-        "primary_code": (records.codes, records.code),
-        "version_tag": (records.versions, records.version),
-    }
+        key: (getattr(records, table), getattr(records, name))
+        for name, (key, table) in _INTERNED.items()}
+    tables["fidelity"] = (list(zip(records.annotations.tolist(), records.notes)), records.fidelity)
+    tables["influence_tag"] = ([dict(clinician_modified=m, model_confidence=None, model_version=v)
+                                for v, m, _ in records.tags], records.tag)
     entries = {}
     for name, (table, index) in tables.items():  # only the entries that rows use
         used = (np.bincount(index + 1, minlength=len(table) + 1)[1:] > 0).tolist()

@@ -436,14 +436,13 @@ def generate_batch(
         labels[chosen] |= bit[DistortionLabel.AI_INFLUENCED]
 
     # One ground-truth entry per distinct (true code, label bits) pair.
-    truth_keys, _, _, truth_index = group(code_index * (1 << len(bit)) + labels,
-                                          len(names) << len(bit))
+    truth, _, _, truth_index = group([code_index, labels], [len(names), 1 << len(bit)])
     entries = tuple(
         GroundTruthEntry(
-            true_clinical_code=names[key >> len(bit)],
-            distortion_labels=frozenset(l.value for l, b in bit.items() if key & b),
+            true_clinical_code=names[code],
+            distortion_labels=frozenset(l.value for l, b in bit.items() if label & b),
         )
-        for key in truth_keys.tolist()
+        for code, label in zip(*(column.tolist() for column in truth))
     )
 
     version_table, version_index = np.unique(versions, return_inverse=True)

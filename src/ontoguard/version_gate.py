@@ -21,7 +21,6 @@ from .model import (
     CodeSystem,
     RecordBatch,
     ValidationError,
-    group,
     intern,
     iter_jsonl,
     write_jsonl,
@@ -164,11 +163,8 @@ def gate_batch(
         raise ValidationError(
             f"target version {target_version!r} has not passed migration validation"
         )
-    n_versions = len(batch.versions)
-    pairs, _, _, inverse = group(batch.code.astype(np.int64) * n_versions + batch.version,
-                                 len(batch.codes) * n_versions)
-    outcomes = [_gate(system, batch.codes[code], batch.versions[version], target_version)
-                for code, version in (divmod(pair, n_versions) for pair in pairs.tolist())]
+    pairs, _, inverse = batch.groups("code", "version")
+    outcomes = [_gate(system, code, version, target_version) for code, version in pairs]
     status = np.array([gated for gated, _ in outcomes], dtype=np.int8)[inverse]
     mapped, codes = intern([image for _, image in outcomes], batch.codes)
     (target_index,), versions = intern([target_version], batch.versions)
@@ -185,15 +181,14 @@ def validate_migration(
     from_version: str,
     to_version: str,
     observed_codes: Iterable[str],
-    acknowledged_codes: Iterable[str] = (),
 ) -> MigrationReport:
     """The gate's verdict on the codes actually observed.
 
     An observed code is covered when the gate would not quarantine a
     ``from_version`` record holding it, gating to ``to_version``; a covered
     code the gate reconciles to a different code is changed. The migration
-    is validated only when every observed code is covered, or every
-    uncovered code is explicitly acknowledged.
+    is validated exactly when every observed code is covered, and blocked
+    when any is not.
     """
     for label in (from_version, to_version):
         system.version(label)  # raises on an unknown label
@@ -207,14 +202,13 @@ def validate_migration(
         elif mapped != code:
             changed.append(code)
     coverage = 1.0 if not observed else (len(observed) - len(uncovered)) / len(observed)
-    validated = set(acknowledged_codes).issuperset(uncovered)
     return MigrationReport(
         from_version=from_version,
         to_version=to_version,
         mapping_coverage=coverage,
         changed_codes=tuple(changed),
         unmappable_codes=tuple(uncovered),
-        verdict=MigrationVerdict.VALIDATED if validated else MigrationVerdict.BLOCKED,
+        verdict=MigrationVerdict.BLOCKED if uncovered else MigrationVerdict.VALIDATED,
     )
 
 

@@ -105,6 +105,12 @@ def profile_recount(rows: Sequence[dict], layer: str) -> dict:
             "first_day": min(days) if days else None, "last_day": max(days) if days else None}
 
 
+def group_keys(rows: Sequence[dict], keys: Sequence[str]) -> list[tuple]:
+    """Each row's values at ``keys``, co-codes as a frozenset."""
+    return [tuple(frozenset(row[key]) if key == "co_codes" else row[key] for key in keys)
+            for row in rows]
+
+
 def _median(values: list[float]) -> float:
     ordered = sorted(values)
     middle = len(ordered) // 2

@@ -513,6 +513,37 @@ def test_table_entries_are_numbered_only_by_model():
     assert numbered == []
 
 
+def _grouped_by_hand(node: ast.AST, params: set[str] = frozenset()):
+    """Each call under ``node`` of ``group`` or ``_first_seen`` that is not
+    passed a list or tuple display of columns, a list comprehension or the
+    enclosing function's own parameter, and each call of a function that
+    packs or unpacks a key: ``divmod`` and NumPy's (un)ravel of indices."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            yield from _grouped_by_hand(child, {arg.arg for arg in child.args.args})
+            continue
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            columns = child.args[0] if child.args else None
+            if name in ("group", "_first_seen") and not (
+                    isinstance(columns, (ast.List, ast.Tuple, ast.ListComp))
+                    or getattr(columns, "id", None) in params):
+                yield name, child.lineno
+            if name in ("divmod", "unravel_index", "ravel_multi_index"):
+                yield name, child.lineno
+        yield from _grouped_by_hand(child, params)
+
+
+def test_rows_are_grouped_by_named_columns():
+    # A stage names the columns it groups by and gets their values back;
+    # packing interned columns into one integer key by hand, and decoding
+    # it again, repeats what model.group does, the one place that may.
+    offenders = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+                 for name, line in _grouped_by_hand(ast.parse(path.read_text(encoding="utf-8")))
+                 if path.name != "model.py" or name in ("group", "_first_seen")]
+    assert offenders == []
+
+
 def _builds_record(call: ast.Call) -> bool:
     """A call of ``CodedRecord`` or one that is handed it: ``map(CodedRecord, ...)``,
     ``object.__new__(CodedRecord)``."""

@@ -290,6 +290,57 @@ class TestRecordOrder:
                 == (scenario_run["out_dir"] / rel).read_bytes(), rel
 
 
+class TestInstitutionRenaming:
+    def test_renamed_institutions_permute_fidelity_rows_and_change_nothing_else(
+            self, walkthrough_spec, bundled_system, tmp_path, capsys):
+        # Metamorphic relation: a one-to-one renaming of institution ids that
+        # does not keep their order permutes the fidelity report's rows and
+        # changes no inferred record but its institution id. drift-scan is
+        # left out: its institutional component sums JSD terms over the
+        # institution keys in sorted order, so a renaming reorders a float sum.
+        history, _ = synthgen.generate_batch(
+            bundled_system, walkthrough_spec.distortion.without_onset_distortions(), 2000,
+            seed=[SEED, 10_007], window=synthgen.quarter_window(walkthrough_spec.start, -1),
+            id_prefix="H")
+        batch, _ = synthgen.generate_batch(
+            bundled_system, walkthrough_spec.distortion, 2000, seed=[SEED, 2],
+            window=synthgen.quarter_window(walkthrough_spec.start, 2), id_prefix="Q3",
+            quarter_index=2)
+        names = sorted({*history.institutions, *batch.institutions})
+        assert len(names) > 2
+        rename = {name: f"renamed-{new}" for name, new in zip(names, reversed(names))}
+        back = {new: name for name, new in rename.items()}
+        common = ["--system", str(walkthrough_spec.code_system_path),
+                  "--config", str(walkthrough_spec.config_path)]
+        for run, table in (("plain", dict(zip(names, names))), ("renamed", rename)):
+            out = tmp_path / run
+            out.mkdir()
+            for name, records in (("history", history), ("quarter", batch)):
+                write_records(out / f"{name}.jsonl", replace(
+                    records, institutions=tuple(map(table.__getitem__, records.institutions))))
+            annotating = ["--records", str(out / "quarter.jsonl"),
+                          "--history", str(out / "history.jsonl"), *common]
+            assert cli.main(["fidelity-report", *annotating,
+                             "--out", str(out / "fidelity_report.csv")]) == 0
+            assert cli.main(["infer-clinical", *annotating,
+                             "--out", str(out / "inferred.jsonl")]) == 0
+        capsys.readouterr()
+
+        def read(run, name):
+            return (tmp_path / run / name).read_text(encoding="utf-8").splitlines()
+
+        plain = read("plain", "fidelity_report.csv")
+        renamed = read("renamed", "fidelity_report.csv")
+        assert renamed[:2] == plain[:2]  # the preamble and the header
+        institution = [row.split(",", 1) for row in renamed[2:]]
+        assert [name for name, _ in institution] == sorted(back)
+        assert sorted(f"{back[name]},{rest}" for name, rest in institution) == plain[2:]
+        inferred = [json.loads(line) for line in read("renamed", "inferred.jsonl")]
+        for record in inferred:
+            record["institution_id"] = back[record["institution_id"]]
+        assert inferred == [json.loads(line) for line in read("plain", "inferred.jsonl")]
+
+
 class TestCliChain:
     @pytest.mark.parametrize("scenario, changes", [
         ("diabetes-walkthrough", {}),

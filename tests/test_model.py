@@ -1,10 +1,12 @@
 """Core types, config loading, and code-system loading."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
@@ -778,6 +780,44 @@ def test_record_id_longer_than_the_limit_is_a_named_fault(tmp_path):
     lines[-2] = jsonl_dumps(row("R" * model.MAX_RECORD_ID)) + "\n"
     path.write_text("".join(lines[-3:]), encoding="utf-8")
     assert model._canonical_batch(path).record_id[1] == "R" * model.MAX_RECORD_ID
+
+
+def group_recount(columns: list[list[int]]) -> tuple[list[tuple[int, ...]], list[int],
+                                                     list[int], list[int]]:
+    """What ``model.group`` returns, from a Counter of the zipped rows of values."""
+    rows = list(zip(*columns))
+    counts = Counter(rows)
+    distinct = sorted(counts)
+    return distinct, [rows.index(key) for key in distinct], [counts[key] for key in distinct], \
+        [distinct.index(key) for key in rows]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_matches_a_recount(sparse, data):
+    # group numbers the keys through np.unique once the key space, the
+    # product of the sizes, exceeds 2 * rows + 4096; each side is drawn.
+    n = data.draw(st.integers(0, 40))
+    sizes = data.draw(st.lists(st.integers(2 * 40 + 4097, 10**6) if sparse
+                               else st.integers(1, 16), min_size=1, max_size=3))
+    assert (math.prod(sizes) > 2 * n + 4096) is sparse
+    # A few values per column, so that rows repeat.
+    pools = [data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+             for size in sizes]
+    columns = [data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+               for pool in pools]
+    distinct, first, counts, index = model.group([np.array(c, np.int32) for c in columns], sizes)
+    assert len(distinct) == len(sizes)
+    expect = group_recount(columns)
+    assert list(zip(*(column.tolist() for column in distinct))) == expect[0]
+    assert [first.tolist(), counts.tolist(), index.tolist()] == list(expect[1:])
+
+
+def test_group_of_no_rows_is_empty():
+    distinct, first, counts, index = model.group([np.empty(0, np.int32)] * 2, [3, 5])
+    assert [column.tolist() for column in distinct] == [[], []]
+    assert first.tolist() == counts.tolist() == index.tolist() == []
 
 
 class TestTimeWindow:

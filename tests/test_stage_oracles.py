@@ -10,6 +10,7 @@ AI-tagged, and timestamps on month and quarter edges.
 """
 
 import ast
+from collections import Counter
 from datetime import date, datetime
 from pathlib import Path
 
@@ -38,6 +39,8 @@ from ontoguard.dormancy import (
 )
 from ontoguard.dual_ontology import infer_clinical_layer
 from ontoguard.model import (
+    AGE_BANDS,
+    SEXES,
     CodeSystem,
     Layer,
     PipelineConfig,
@@ -155,6 +158,29 @@ def test_profile_batch_matches_recount(rows, layer):
     days = [None if day is None else day.isoformat()
             for day in (profile.first_day, profile.last_day)]
     assert days == [expect["first_day"], expect["last_day"]]
+
+
+# Each column that RecordBatch.groups groups by, and its records-file field.
+GROUPED = {"age_band": "patient_age_band", "sex": "patient_sex", "institution": "institution_id",
+           "code": "primary_code", "co": "co_codes", "version": "version_tag"}
+
+
+@given(batches(versions=("v1", "v2")),
+       st.lists(st.sampled_from(sorted(GROUPED)), min_size=1, max_size=3, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_groups_match_recount(rows, names):
+    batch = read_rows(rows)
+    combinations, counts, index = batch.groups(*names)
+    expect = recounts.group_keys(rows, [GROUPED[name] for name in names])
+    assert dict(zip(combinations, counts)) == Counter(expect)
+    assert len(combinations) == len(set(expect))
+    assert [combinations[i] for i in index.tolist()] == expect
+    # Sorted by the first column's table order, then the next's.
+    tables = {"age_band": AGE_BANDS, "sex": SEXES, "institution": batch.institutions,
+              "code": batch.codes, "co": batch.co_sets, "version": batch.versions}
+    ranks = [tuple(tables[name].index(value) for name, value in zip(names, combination))
+             for combination in combinations]
+    assert ranks == sorted(ranks)
 
 
 @given(batches(min_size=1), st.sampled_from(list(Layer)), st.sets(st.sampled_from(CODES)),

@@ -279,14 +279,6 @@ class TestValidateMigration:
         assert report.mapping_coverage == 0.0
         assert report.verdict is MigrationVerdict.BLOCKED
 
-    def test_acknowledged_codes_unblock(self):
-        report = validate_migration(
-            migration_system(), "v1", "v2", {"KEEP", "GONE"},
-            acknowledged_codes={"GONE"},
-        )
-        assert report.verdict is MigrationVerdict.VALIDATED
-        assert report.mapping_coverage == pytest.approx(0.5)
-
     def test_unknown_version_rejected(self):
         with pytest.raises(ValidationError, match="unknown version"):
             validate_migration(migration_system(), "v1", "v9", set())
