@@ -34,7 +34,7 @@ TOP_K_COOCCURRENCE = 10
 @dataclass(frozen=True)
 class ReferenceModel:
     """Expected distribution model estimated from historical records with
-    add-one smoothing over the active version's code set."""
+    add-one smoothing over the history's dominant version's code set."""
 
     version_label: str
     code_set: tuple[str, ...]
@@ -57,21 +57,13 @@ class ReferenceModel:
         return (self.code_counts.get(code, 0) + 1) / (self.n_records + len(self.code_set))
 
 
-def build_reference_model(
-    history: RecordBatch,
-    system: CodeSystem,
-    version_label: str | None = None,
-) -> ReferenceModel:
-    """Estimate empirical frequencies from a history batch.
-
-    The smoothing support is the code set of ``version_label`` (defaults to
-    the most common version tag in the history).
-    """
+def build_reference_model(history: RecordBatch, system: CodeSystem) -> ReferenceModel:
+    """Estimate empirical frequencies from a history batch, smoothed over the code
+    set of its ``dominant_version``, so the model depends on the history alone."""
     profile = profile_batch(history, Layer.ADMINISTRATIVE)
     if not profile.n:
         raise ValidationError("reference history must be non-empty")
-    if version_label is None:
-        version_label = profile.dominant_version()
+    version_label = profile.dominant_version()
     code_set = tuple(sorted(system.codes(version_label)))
     n_codes = len(code_set)
 

@@ -366,10 +366,11 @@ def _cmd_drift_scan(args) -> int:
     cfg = _load_cfg(args.config)
     baseline = _blame(args.baseline, profile_batch, read_records(args.baseline), args.layer)
     current = _blame(args.current, profile_batch, read_records(args.current), args.layer)
-    windows = _blame(args.baseline, baseline.window), _blame(args.current, current.window)
-    # scan reads the code set of the current batch's version
+    # scan reads each batch's window and the code set of the current batch's version
+    _blame(args.baseline, baseline.window)
+    _blame(args.current, current.window)
     _blame(args.current, system.codes, current.dominant_version())
-    alerts = sentinel_mod.scan(baseline, current, system, cfg, *windows)
+    alerts = sentinel_mod.scan(baseline, current, system, cfg)
     for alert in alerts:
         print(
             f"alert {alert.code}: divergence={alert.divergence:.4f} "

@@ -8,8 +8,9 @@ Compliance wraps the external-facing operations: every ingest, the final
 deployment decision, and the report export. Quarters are causally chained
 through the breaker history and the model, so they run sequentially.
 Every stage call goes through ``run_stage``, as every CLI command does: it
-names the stage and quarter in any fault that is not the input's or the
-machine's, and appends the stage's ordering-trace entry.
+names the stage and quarter in any fault that is not the machine's, and
+appends the stage's ordering-trace entry. A fault of the input, such as a
+quarter whose every record is quarantined, stops the run with exit code 1.
 
 All timestamps in run artifacts come from the simulated calendar, which
 keeps outputs byte-identical for a fixed seed.
@@ -182,16 +183,21 @@ def run_stage(trace: _Tracer | None, name: str, fn: Callable[..., Any], /, *args
               detail: Callable[[Any], Mapping[str, Any]] | None = None, **kwargs: Any) -> Any:
     """``fn(*args, **kwargs)`` as stage ``name`` of the trace's quarter, or of a
     command when ``trace`` is None; its leading parameters are positional-only,
-    so any other keyword reaches ``fn``. Faults of the input or the machine
-    pass unchanged, as does a ``StageError``; any other exception becomes a
-    ``StageError`` naming the stage. ``detail(result)`` is its trace entry."""
+    so any other keyword reaches ``fn``. Faults of the machine pass unchanged,
+    as does a ``StageError``. A ``ValidationError`` stays one, naming the stage
+    and quarter in a run; a command's passes unchanged, as its files are named
+    there. Any other exception becomes a ``StageError`` naming the stage.
+    ``detail(result)`` is its trace entry."""
     try:
         result = fn(*args, **kwargs)
-    except (ValidationError, OSError, MemoryError, StageError):
+    except (OSError, MemoryError, StageError):
         raise
     except Exception as exc:
+        if trace is None and isinstance(exc, ValidationError):
+            raise
         where = "" if trace is None else f" in quarter {trace.quarter}"
-        raise StageError(f"stage {name} failed{where}: {exc}") from exc
+        error = ValidationError if isinstance(exc, ValidationError) else StageError
+        raise error(f"stage {name} failed{where}: {exc}") from exc
     if detail is not None:
         trace.add(name, detail(result))
     return result
@@ -232,14 +238,13 @@ def run_scenario(
                         system, spec.distortion.without_onset_distortions(), spec.n_per_quarter,
                         seed=[seed, 10_007], window=history_window, id_prefix="H")[0]
     ref = run_stage(tracer, "checkpoint.reference", checkpoint_mod.build_reference_model,
-                    history, system, spec.target_version)
+                    history, system)
     del history  # no stage reads the history records again
 
     model = breaker_mod.ToyRiskModel(model_version="toy-risk-1", weights={})
     ratios: tuple[tuple[str, float], ...] = ()
     store: dormancy_mod.DormantStore | None = None
     baseline: BatchProfile | None = None
-    baseline_window: TimeWindow | None = None
     prior_alerts: list[sentinel_mod.DriftAlert] = []
     dashboard_rows: list[tuple[str, breaker_mod.InfluenceStats, breaker_mod.BreakerState]] = []
     quarter_summaries: list[dict[str, Any]] = []
@@ -344,10 +349,9 @@ def run_scenario(
         del inferred
 
         if baseline is None:
-            baseline, baseline_window = profile, window
+            baseline = profile
         alerts = run_stage(
             tracer, "sentinel.scan", sentinel_mod.scan, baseline, profile, system, cfg,
-            baseline_window=baseline_window, current_window=window,
             detail=lambda a: {"baseline_quarter": 1, "current_quarter": q, "alerts": len(a)})
         sentinel_mod.write_alerts(alerts, qdir / "alerts.jsonl")
         prior_alerts = alerts

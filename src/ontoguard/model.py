@@ -787,10 +787,10 @@ class BatchProfile:
         return max(self.versions, key=lambda t: (self.versions[t], t))
 
     def window(self) -> TimeWindow:
-        """The days from the first encounter to the last."""
+        """From the 1st of the first encounter's month to the last encounter's day."""
         if self.first_day is None:
             raise ValidationError("cannot infer a window from an empty batch")
-        return TimeWindow(self.first_day, self.last_day)
+        return TimeWindow(self.first_day.replace(day=1), self.last_day)
 
 
 def group(columns: Sequence[np.ndarray], sizes: Sequence[int]

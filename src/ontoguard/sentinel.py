@@ -74,14 +74,13 @@ def _month_index(window: TimeWindow) -> list[tuple[int, int]]:
     return months
 
 
-def build_fingerprints(
-    profile: BatchProfile, window: TimeWindow, cfg: PipelineConfig
-) -> FingerprintSet:
+def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> FingerprintSet:
     """One fingerprint per code observed at least ``fingerprint_min_support``
-    times; under-supported codes are listed instead of fingerprinted."""
+    times over the months of ``profile.window()``; under-supported codes are
+    listed instead of fingerprinted."""
     if not profile.n:
         raise ValidationError("cannot fingerprint an empty batch")
-    months = _month_index(window)
+    months = _month_index(profile.window())
 
     def normalized(counts: Mapping[Any, int]) -> dict:
         total = sum(counts.values())  # every count is >= 1, so an empty dict stays empty
@@ -151,22 +150,18 @@ def _release_match(window: TimeWindow, system: CodeSystem, window_days: int) -> 
 
 
 def scan(
-    baseline: BatchProfile,
-    current: BatchProfile,
-    system: CodeSystem,
-    cfg: PipelineConfig,
-    baseline_window: TimeWindow,
-    current_window: TimeWindow,
+    baseline: BatchProfile, current: BatchProfile, system: CodeSystem, cfg: PipelineConfig
 ) -> list[DriftAlert]:
-    """Compare fingerprints across two windows and classify alerts by cause.
+    """Compare fingerprints across the two profiles' windows and classify
+    alerts by cause; a release matches from the current window's start.
 
     Only alerts at or above ``cfg.drift_threshold`` are emitted, sorted by
     divergence descending. Classification is deterministic; ties fall to the
     administrative type, the conservative "investigate coding practice"
     default.
     """
-    base_fps = build_fingerprints(baseline, baseline_window, cfg)
-    curr_fps = build_fingerprints(current, current_window, cfg)
+    base_fps = build_fingerprints(baseline, cfg)
+    curr_fps = build_fingerprints(current, cfg)
 
     shared = sorted(set(base_fps.by_code) & set(curr_fps.by_code))
     divergences: dict[str, float] = {}
@@ -179,7 +174,7 @@ def scan(
         )
 
     drifting = {code for code, d in divergences.items() if d >= cfg.drift_threshold}
-    index = _release_match(current_window, system, cfg.release_correlation_window_days)
+    index = _release_match(current.window(), system, cfg.release_correlation_window_days)
     release = None if index is None else system.versions[index]
     # Only the hop into the matched release can explain this window; the
     # first release has no predecessor and changed nothing.

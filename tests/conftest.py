@@ -62,7 +62,7 @@ def _quarter_products(walkthrough_spec, system, cfg, quarter: int):
         window=synthgen.quarter_window(walkthrough_spec.start, -1),
         id_prefix="H",
     )
-    ref = checkpoint.build_reference_model(history, system, walkthrough_spec.target_version)
+    ref = checkpoint.build_reference_model(history, system)
     batch, truth = synthgen.generate_batch(
         system,
         walkthrough_spec.distortion,

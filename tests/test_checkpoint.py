@@ -35,18 +35,32 @@ class TestBuildReferenceModel:
             [row(f"R-{i:03d}", code="AAA", version="v2") for i in range(60)]
             + [row(f"S-{i:03d}", code="BBB", version="v2") for i in range(40)]
         )
-        ref = build_reference_model(read_rows(history), system, "v2")
+        ref = build_reference_model(read_rows(history), system)
         # 3-code smoothing support: (60 + 1) / (100 + 3)
         assert ref.expected_prevalence("AAA", "50-59", "female") == pytest.approx(61 / 103)
         assert ref.marginal_prevalence("AAA") == pytest.approx(61 / 103)
 
     def test_single_record_history(self):
         system = tiny_system()
-        ref = build_reference_model(read_rows([row(code="AAA", version="v2")]), system, "v2")
+        ref = build_reference_model(read_rows([row(code="AAA", version="v2")]), system)
         observed = ref.expected_prevalence("AAA", "50-59", "female")
         assert observed == pytest.approx(2 / 4)
         for band in ("0-9", "60-69"):
             assert ref.expected_prevalence("AAA", band, "female") < observed
+
+    @pytest.mark.parametrize("n_v1, n_v2, dominant", [(3, 1, "v1"), (2, 2, "v2")],
+                             ids=["most-records", "tie-to-greater-label"])
+    def test_smoothing_support_is_the_dominant_versions_code_set(self, n_v1, n_v2, dominant):
+        # The two versions' code sets differ, so the support shows which was read.
+        system = tiny_system(codes={
+            label: [{"code": code, "clinical_group": "g", "billing_category": "b",
+                     "description": ""} for code in names]
+            for label, names in (("v1", ("OLD", "AAA")), ("v2", ("AAA", "BBB", "NEW")))})
+        history = ([row(f"R-{i}", code="AAA", version="v1") for i in range(n_v1)]
+                   + [row(f"S-{i}", code="AAA", version="v2") for i in range(n_v2)])
+        ref = build_reference_model(read_rows(history), system)
+        assert ref.version_label == dominant
+        assert ref.code_set == tuple(sorted(system.codes(dominant)))
 
     def test_empty_history_rejected(self, bundled_system):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -58,7 +72,7 @@ class TestBuildReferenceModel:
             current_version="2025",
         )
         history, _ = synthgen.generate_batch(bundled_system, spec, 50_000, 9)
-        ref = build_reference_model(history, bundled_system, "2025")
+        ref = build_reference_model(history, bundled_system)
         for code, base in bundled_system.base_prevalence.items():
             assert abs(ref.marginal_prevalence(code) - base) <= 0.02
 
@@ -83,7 +97,7 @@ class TestAnnotate:
                 history.append(row(f"R-{i:04d}", institution=inst,
                                    code="BBB", version="v2"))
                 i += 1
-        ref = build_reference_model(read_rows(history), system, "v2")
+        ref = build_reference_model(read_rows(history), system)
         [record] = rows(annotate_batch(
             read_rows([row(institution="HOT", code="AAA", version="v2")]), ref, cfg
         ))
@@ -106,7 +120,7 @@ class TestAnnotate:
                 f"S-{i:04d}", age_band="20-29", sex="male", institution=inst,
                 code="BBB", version="v2",
             ))
-        ref = build_reference_model(read_rows(history), system, "v2")
+        ref = build_reference_model(read_rows(history), system)
         [record] = rows(annotate_batch(
             read_rows([row(institution="I0", code="AAA", co_codes=("CCC",), version="v2")]),
             ref, cfg,
@@ -209,7 +223,7 @@ class TestFidelityReport:
     def test_single_institution(self, cfg):
         system = tiny_system()
         history = read_rows([row(f"R-{i:03d}", code="AAA", version="v2") for i in range(30)])
-        ref = build_reference_model(history, system, "v2")
+        ref = build_reference_model(history, system)
         batch = annotate_batch(history, ref, cfg)
         report = fidelity_report(batch)
         assert len(report) == 1
@@ -235,7 +249,7 @@ class TestFidelityReport:
         history = read_rows([row(f"R-{i:03d}", institution=institutions[i % 3],
                                  code="AAA", version="v2") for i in range(30)])
         report = fidelity_report(annotate_batch(
-            history, build_reference_model(history, system, "v2"), cfg))
+            history, build_reference_model(history, system), cfg))
         path = tmp_path / "fidelity.csv"
         write_fidelity_report(report, path)
         with open(path, encoding="utf-8", newline="") as fh:

@@ -268,8 +268,6 @@ class TestCheckActivation:
         )
         alerts = scan(
             admin(batches[0]), admin(batches[1]), bundled_system, cfg,
-            baseline_window=synthgen.quarter_window(date(2025, 1, 1), 0),
-            current_window=synthgen.quarter_window(date(2025, 1, 1), 1),
         )
         type_a_codes = {a.code for a in alerts if a.drift_type is DriftType.TYPE_A}
         assert "RESP-FLU" in type_a_codes

@@ -193,7 +193,7 @@ class TestDivergence:
             catch_all=(synthgen.CatchAllSpec("I-A", "CA-TARGET", 0.4),),
         )
         batch, truth = synthgen.generate_batch(system, spec, 20_000, 5)
-        ref = checkpoint.build_reference_model(batch, system, "v2")
+        ref = checkpoint.build_reference_model(batch, system)
         cfg = PipelineConfig(inference_fidelity_cutoff=0.8)
         inferred = infer_clinical_layer(checkpoint.annotate_batch(batch, ref, cfg), ref, cfg)
         report = divergence(inferred)

@@ -346,11 +346,7 @@ class TestCliChain:
         ("diabetes-walkthrough", {}),
         (Path(__file__).parents[1] / "perfbench" / "drift_storm.json", {}),
         # A target behind the history's dominant version, 2025.
-        pytest.param("diabetes-walkthrough", {"target_version": "2024", "n_per_quarter": 2000},
-                     marks=pytest.mark.xfail(strict=True, reason=(
-                         "fidelity_report.csv of q1 and q3 differs: the harness smooths the "
-                         "reference model over the target version's codes, the CLI over the "
-                         "history's dominant version's"))),
+        ("diabetes-walkthrough", {"target_version": "2024", "n_per_quarter": 2000}),
         # Quarters whose encounters do not span the calendar quarter.
         ("diabetes-walkthrough", {"n_per_quarter": 60}),
     ], ids=["walkthrough", "drift-storm", "target-behind-history", "sparse-quarter"])
@@ -358,8 +354,8 @@ class TestCliChain:
                                                capsys):
         # The CLI commands, run on a quarter's batch and the history batch
         # written as records files, give the run directory's quarter files
-        # byte for byte. The harness annotates the gate's processed records:
-        # accepted plus reconciled, in record-id order.
+        # and its deploy decision byte for byte. The harness annotates the
+        # gate's processed records: accepted plus reconciled, in record-id order.
         spec = replace(harness.load_scenario(scenario), **changes)
         generate_batch = synthgen.generate_batch
 
@@ -396,6 +392,16 @@ class TestCliChain:
                          "alerts.jsonl"):
                 assert (out / name).read_bytes() == (run / quarter.lower() / name).read_bytes(), \
                     (quarter, name)
+        # Booleans are written as comply-check reads them back, as JSON booleans.
+        context = [f"{key}={json.dumps(value) if isinstance(value, bool) else value}"
+                   for key, value in spec.deploy_context.items()]
+        last = synthgen.quarter_window(spec.start, spec.quarters - 1)
+        assert cli.main(["comply-check", "--op", "deploy", "--context", *context,
+                         "--adapters", *map(str, spec.adapter_paths),
+                         "--timestamp", f"{last.end}T23:59:59",
+                         "--out", str(tmp_path / "deploy_decision.json")]) == 0
+        assert (tmp_path / "deploy_decision.json").read_bytes() \
+            == (run / "deploy_decision.json").read_bytes()
         capsys.readouterr()
 
 
@@ -750,6 +756,45 @@ class TestCli:
         assert ("assertions[0].ratio must be a number, got '0.12'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_fully_quarantined_quarter_stops_naming_its_stage_and_quarter(self, tmp_path,
+                                                                           capsys, n):
+        # Behind the generated version 2025, a batch this small has every
+        # record quarantined, and dormancy cannot classify the empty quarter.
+        spec = tmp_path / "all-quarantined.json"
+        spec.write_text(walkthrough_text(target_version="2024", n_per_quarter=n, assertions=[]),
+                        encoding="utf-8")
+        status = cli.main(["scenario", "run", str(spec), "--seed", "1",
+                           "--out-dir", str(tmp_path / "run")])
+        assert status == 1
+        assert capsys.readouterr().err == ("error: stage dormancy.classify failed in quarter 1: "
+                                           "cannot classify features of an empty batch\n")
+        quarantine = tmp_path / "run" / "q1" / "quarantine.jsonl"
+        assert len(quarantine.read_text(encoding="utf-8").splitlines()) == n
+
+    def test_drift_scan_matches_a_release_from_the_first_of_the_month(self, tmp_path, capsys):
+        # The current batch's first encounter, 2025-03-16, is 91 days after
+        # the 2025 release of 2024-12-15, one more than the correlation
+        # window; its window starts on 2025-03-01, 76 days after the release.
+        for name, institution, when in (("baseline", "I-1", datetime(2025, 1, 10, 8, 0)),
+                                        ("current", "I-2", datetime(2025, 3, 16, 8, 0))):
+            (tmp_path / f"{name}.jsonl").write_text("".join(
+                jsonl_dumps(row(f"{name}-{i}", institution=institution, when=when)) + "\n"
+                for i in range(3)), encoding="utf-8")
+        (tmp_path / "config.json").write_text(canonical_dumps(
+            {"fingerprint_min_support": 1, "drift_threshold": 0.01}), encoding="utf-8")
+        status = cli.main(["drift-scan", "--baseline", str(tmp_path / "baseline.jsonl"),
+                           "--current", str(tmp_path / "current.jsonl"), "--system", SYSTEM,
+                           "--config", str(tmp_path / "config.json"),
+                           "--out", str(tmp_path / "alerts.jsonl")])
+        capsys.readouterr()
+        assert status == 0
+        [alert] = map(json.loads, (tmp_path / "alerts.jsonl").read_text(encoding="utf-8")
+                      .splitlines())
+        assert alert["code"] == "DM2-UNSPEC"
+        assert alert["evidence"]["release_match"] == {"version": "2025",
+                                                      "release_date": "2024-12-15"}
 
     def test_gate_unknown_version_is_validation_error(self, tmp_path, capsys,
                                                       walkthrough_spec):

@@ -51,7 +51,7 @@ class TestBuildFingerprints:
             [row(f"R-{i}", code="COMMON") for i in range(30)]
             + [row(f"S-{i}", code="SPARSE") for i in range(5)]
         )
-        fps = build_fingerprints(admin(batch), Q1, cfg)
+        fps = build_fingerprints(admin(batch), cfg)
         assert "SPARSE" not in fps.by_code
         assert ("SPARSE", 5) in fps.low_support
         assert "COMMON" in fps.by_code
@@ -64,7 +64,7 @@ class TestBuildFingerprints:
             institutions=(InstitutionWeight("I-A", 1.0),), current_version="v2"
         )
         batch, _ = synthgen.generate_batch(system, spec, 50_000, 13, window=Q1)
-        fps = build_fingerprints(admin(batch), Q1, bundled_cfg)
+        fps = build_fingerprints(admin(batch), bundled_cfg)
         demo = fps.by_code["AAA"]["demographic"]
         uniform = 1.0 / 30.0
         assert len(demo) == 30
@@ -73,13 +73,13 @@ class TestBuildFingerprints:
 
     def test_same_batch_gives_identical_fingerprints(self, q1_products, bundled_cfg):
         batch = q1_products["inferred"].select(slice(5000))
-        a = build_fingerprints(admin(batch), Q1, bundled_cfg)
-        b = build_fingerprints(admin(batch), Q1, bundled_cfg)
+        a = build_fingerprints(admin(batch), bundled_cfg)
+        b = build_fingerprints(admin(batch), bundled_cfg)
         assert a.by_code == b.by_code
         assert a.low_support == b.low_support
 
     def test_distributions_normalized(self, q1_products, bundled_cfg):
-        fps = build_fingerprints(admin(q1_products["inferred"]), Q1, bundled_cfg)
+        fps = build_fingerprints(admin(q1_products["inferred"]), bundled_cfg)
         for fp in fps.by_code.values():
             assert tuple(fp) == COMPONENTS
             for dist in fp.values():
@@ -87,7 +87,7 @@ class TestBuildFingerprints:
 
     def test_empty_batch_rejected(self, bundled_cfg):
         with pytest.raises(ValidationError, match="empty"):
-            build_fingerprints(admin([]), Q1, bundled_cfg)
+            build_fingerprints(admin([]), bundled_cfg)
 
 
 class TestCompare:
@@ -106,7 +106,6 @@ class TestCompare:
         ]
         alerts = scan(
             *map(admin, batches), tiny_system(), PipelineConfig(),
-            baseline_window=Q1, current_window=Q1,
         )
         assert [alert.code for alert in alerts] == ["AAA"]
         assert alerts[0].divergence == pytest.approx(0.25)
@@ -144,12 +143,8 @@ class TestCompare:
         cfg = PipelineConfig(fingerprint_min_support=1)
         short = batch([3, 5, 7])
         long = batch([4, 2, 6, 8])
-        fp_short = build_fingerprints(
-            admin(short), TimeWindow(date(2025, 1, 1), date(2025, 3, 31)), cfg
-        ).by_code["AAA"]
-        fp_long = build_fingerprints(
-            admin(long), TimeWindow(date(2025, 1, 1), date(2025, 4, 30)), cfg
-        ).by_code["AAA"]
+        fp_short = build_fingerprints(admin(short), cfg).by_code["AAA"]
+        fp_long = build_fingerprints(admin(long), cfg).by_code["AAA"]
         p = [3 / 25, 5 / 25, 7 / 25, 0.0]
         q = [4 / 30, 2 / 30, 6 / 30, 8 / 30]
         p.append(1.0 - sum(p))
@@ -188,8 +183,6 @@ class TestScan:
         # Fingerprint shift on a code the transition table changed, in a
         # window that starts just after the 2025 release.
         cfg = PipelineConfig(drift_threshold=0.1, fingerprint_min_support=20)
-        jan = TimeWindow(date(2025, 1, 1), date(2025, 1, 31))
-        feb = TimeWindow(date(2025, 2, 1), date(2025, 2, 28))
         baseline = [
             row(f"B-{i}", code="RESP-COV2", institution="I-OLD",
                 when=datetime(2025, 1, 10, 8, 0),
@@ -204,7 +197,6 @@ class TestScan:
         ]
         alerts = scan(
             admin(baseline), admin(current), bundled_system, cfg,
-            baseline_window=jan, current_window=feb,
         )
         assert len(alerts) == 1
         alert = alerts[0]
@@ -252,8 +244,6 @@ class TestScan:
         alerts = scan(
             *map(admin, batches), system,
             PipelineConfig(drift_threshold=0.1, fingerprint_min_support=20),
-            baseline_window=TimeWindow(date(year, 1, 1), date(year, 1, 31)),
-            current_window=TimeWindow(date(year, 2, 1), date(year, 2, 28)),
         )
         assert [alert.code for alert in alerts] == [code]
         assert alerts[0].evidence["release_match"]["version"] == version
@@ -265,7 +255,6 @@ class TestScan:
         profile = admin(q1_products["inferred"].select(slice(10_000)))
         alerts = scan(
             profile, profile, bundled_system, bundled_cfg,
-            baseline_window=Q1, current_window=Q1,
         )
         assert alerts == []
 
@@ -281,14 +270,10 @@ class TestScan:
 
     def test_scan_is_deterministic(self, q1_products, q3_products, bundled_system,
                                    bundled_cfg):
-        kwargs = dict(
-            baseline_window=Q1,
-            current_window=TimeWindow(date(2025, 7, 1), date(2025, 9, 30)),
-        )
         a = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
-                 bundled_system, bundled_cfg, **kwargs)
+                 bundled_system, bundled_cfg)
         b = scan(admin(q1_products["inferred"]), admin(q3_products["inferred"]),
-                 bundled_system, bundled_cfg, **kwargs)
+                 bundled_system, bundled_cfg)
         assert [(x.code, x.divergence, x.drift_type, x.confidence) for x in a] \
             == [(x.code, x.divergence, x.drift_type, x.confidence) for x in b]
 
@@ -314,11 +299,10 @@ class TestScan:
             for copies in (1, 2):
                 path.write_text(text * copies, encoding="utf-8")
                 profiles[copies, quarter] = admin(read_records(path))
-        windows = [synthgen.quarter_window(spec.start, quarter) for quarter in (0, 2)]
         alerts = [
             to_json(scan(profiles[copies, 0], profiles[copies, 2], system,
                          replace(cfg, fingerprint_min_support=copies
-                                 * cfg.fingerprint_min_support), *windows))
+                                 * cfg.fingerprint_min_support)))
             for copies in (1, 2)
         ]
         assert alerts[0] and alerts[1] == alerts[0]

@@ -203,7 +203,7 @@ def test_dormancy_classes_match_recount(rows, layer, significant, data):
 @given(batches(min_size=1))
 @settings(max_examples=150, deadline=None)
 def test_reference_model_matches_recount(history):
-    ref = build_reference_model(read_rows(history), SYSTEM, "v2")
+    ref = build_reference_model(read_rows(history), SYSTEM)
     expect = recounts.reference_recount(history, ref.code_set)
     assert ref.code_set == ("AAA", "BBB", "CCC", "SPLIT-A", "SPLIT-B")
     assert ref.n_records == expect["n"]
@@ -221,7 +221,7 @@ def test_reference_model_matches_recount(history):
 @settings(max_examples=150, deadline=None)
 def test_fidelity_and_clinical_layer_match_recount(history, rows, cutoff):
     cfg = PipelineConfig(fidelity_weights=(0.2, 0.5, 0.3), inference_fidelity_cutoff=cutoff)
-    ref = build_reference_model(read_rows(history), SYSTEM, "v2")
+    ref = build_reference_model(read_rows(history), SYSTEM)
     expect = recounts.reference_recount(history, ref.code_set)
     annotated = annotate_batch(read_rows(rows), ref, cfg)
     inferred = infer_clinical_layer(annotated, ref, cfg)
@@ -347,7 +347,7 @@ def _drift_scan(drifting, matched):
                for institution, window in zip(("I-1", "I-2"), windows)]
     cfg = PipelineConfig(drift_threshold=0.01, fingerprint_min_support=1)
     profiles = [profile_batch(read_rows(batch), Layer.ADMINISTRATIVE) for batch in batches]
-    return scan(*profiles, DRIFT_SYSTEM, cfg, *windows)
+    return scan(*profiles, DRIFT_SYSTEM, cfg)
 
 
 def _causes(alerts):
