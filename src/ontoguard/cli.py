@@ -14,7 +14,6 @@ import gc
 import math
 import sys
 from datetime import date, datetime
-from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -33,7 +32,6 @@ from .model import (
     PipelineConfig,
     StageError,
     ValidationError,
-    from_json,
     load_code_system,
     load_config,
     load_json,
@@ -238,7 +236,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
-    spec = load_json(args.spec, "--spec file", partial(from_json, synthgen_mod.DistortionSpec))
+    spec = load_json(args.spec, "--spec file", synthgen_mod.DistortionSpec)
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(
             system, spec, args.n, args.seed, window=synthgen_mod.quarter_window(args.start, 0))
@@ -316,16 +314,15 @@ def _cmd_dormancy_classify(args) -> int:
     _print_layer(args.layer)
     cfg = _load_cfg(args.config)
     profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)
-    significance = load_json(args.significance, "--significance file",
-                             partial(from_json, Mapping[str, str]))
-    classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
+    significance = load_json(args.significance, "--significance file", Mapping[str, str])
+    classification = _blame(args.records, dormancy_mod.classify_features, profile,
+                            significance.keys(), cfg)
     for code in sorted(classification):
         print(f"{code}: {classification[code].value}")
     if args.store:
         conditions = {}
         if args.conditions:
-            conditions = load_json(args.conditions, "--conditions file",
-                                   partial(from_json, dormancy_mod.Conditions))
+            conditions = load_json(args.conditions, "--conditions file", dormancy_mod.Conditions)
         # An existing store is carried forward: its entries stay unless
         # this batch updates them.
         existing = dormancy_mod.read_store(args.store) if Path(args.store).exists() else None

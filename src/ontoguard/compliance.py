@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .model import ValidationError, from_json, load_json, write_json
+from .model import ValidationError, load_json, write_json
 
 
 class OpKind(str, Enum):
@@ -154,7 +153,7 @@ class AdapterRuleSet:
 def load_adapter(path: str | Path) -> AdapterRuleSet:
     """Load one adapter rule file; malformed conditions fail here, at load
     time, never during evaluation."""
-    return load_json(path, "adapter file", partial(from_json, AdapterRuleSet))
+    return load_json(path, "adapter file", AdapterRuleSet)
 
 
 # Deterministic placeholder used when no wall-clock timestamp is supplied,

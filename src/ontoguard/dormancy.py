@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import (BatchProfile, PipelineConfig, ValidationError, from_json, load_json,
+from .model import (BatchProfile, PipelineConfig, ValidationError, load_json,
                     to_json, write_csv, write_json)
 
 
@@ -205,7 +204,7 @@ def write_store(store: DormantStore, path: str | Path) -> None:
 
 
 def read_store(path: str | Path) -> DormantStore:
-    entries = load_json(path, "dormant store", partial(from_json, tuple[DormantEntry, ...]))
+    entries = load_json(path, "dormant store", tuple[DormantEntry, ...])
     return DormantStore({entry.code: entry for entry in entries}, ())
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -24,7 +23,6 @@ from .model import (
     RecordBatch,
     ValidationError,
     check_record_id,
-    from_json,
     intern,
     iter_jsonl,
     write_csv,
@@ -102,7 +100,7 @@ class ClinicalOverride:
 def read_overrides(path: str | Path) -> dict[str, str]:
     """Clinical code by record id, one ``{"record_id", "clinical_code"}`` per line."""
     return {override.record_id: override.clinical_code
-            for override in iter_jsonl(path, partial(from_json, ClinicalOverride))}
+            for override in iter_jsonl(path, ClinicalOverride)}
 
 
 def divergence(batch: RecordBatch) -> DivergenceReport:

@@ -34,7 +34,6 @@ from . import synthgen as synthgen_mod
 from . import version_gate as gate_mod
 from .model import (
     BatchProfile,
-    CodeSystem,
     Layer,
     StageError,
     TimeWindow,
@@ -68,8 +67,7 @@ _ASSERTIONS: Mapping[str, Mapping[str, Any]] = {
 class ScenarioSpec:
     """A scenario file. Its file references resolve against the file's
     directory; ``layer_notes`` is free text on what each distortion
-    exercises, which the run never reads. ``system`` is the code system
-    that ``load_scenario`` loaded from ``code_system_path``; no file holds it."""
+    exercises, which the run never reads."""
 
     name: str
     code_system_path: Path = field(metadata={"json": "code_system"})
@@ -87,8 +85,6 @@ class ScenarioSpec:
     deploy_context: Mapping[str, compliance_mod.ContextValue] = field(default_factory=dict)
     assertions: tuple[Mapping[str, Any], ...] = ()
     layer_notes: Mapping[str, str] = field(default_factory=dict)
-    system: CodeSystem | None = field(default=None, repr=False, compare=False,
-                                      metadata={"json": None})
 
     def __post_init__(self) -> None:
         for name in ("quarters", "n_per_quarter"):
@@ -138,7 +134,7 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     Relative file references resolve against the spec file's directory, and
     every referenced file must exist at load time. The codes of
     ``significance_list`` and ``activation_conditions`` must be defined by
-    the code system, which is loaded here once and kept as ``spec.system``.
+    the code system, which is loaded here to check them.
     """
     path = Path(name_or_path)
     if not path.exists():
@@ -147,22 +143,22 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
             path = candidate
         else:
             raise ValidationError(f"scenario not found: {name_or_path}")
-    spec = load_json(path, "scenario file",
-                     lambda data: _resolve_files(from_json(ScenarioSpec, data), path.parent))
+    spec = _resolve_files(load_json(path, "scenario file", ScenarioSpec), path)
     system = load_code_system(spec.code_system_path)
     defined = {code for codes in system.codes_by_version.values() for code in codes}
     for name, codes in (("significance_list", spec.significance),
                         ("activation_conditions", spec.activation_conditions)):
         if unknown := sorted(codes.keys() - defined):
             raise ValidationError(f"scenario file {path} {name} lists unknown code {unknown[0]!r}")
-    return replace(spec, system=system)
+    return spec
 
 
-def _resolve_files(spec: ScenarioSpec, base: Path) -> ScenarioSpec:
+def _resolve_files(spec: ScenarioSpec, path: Path) -> ScenarioSpec:
+    """``spec``, its file references resolved beside scenario file ``path``."""
     def resolve(ref: Path) -> Path:
-        if not (base / ref).is_file():
-            raise ValidationError(f"references missing file: {ref}")
-        return base / ref
+        if not (path.parent / ref).is_file():
+            raise ValidationError(f"scenario file {path} references missing file: {ref}")
+        return path.parent / ref
     return replace(spec, code_system_path=resolve(spec.code_system_path),
                    config_path=resolve(spec.config_path),
                    adapter_paths=tuple(map(resolve, spec.adapter_paths)))
@@ -218,13 +214,14 @@ def _verdict(decision: tuple[compliance_mod.Verdict, Any]) -> dict[str, str]:
 def run_scenario(
     spec: ScenarioSpec, seed: int, out_dir: str | Path
 ) -> RunReport:
-    """Run the full pipeline over the scenario's quarters, on the code system
-    that ``load_scenario`` loaded; deterministic for a fixed seed. Every stage
-    runs through ``run_stage``, so a stage failure surfaces with its name and quarter.
+    """Run the full pipeline over the scenario's quarters, on the code system,
+    config and adapters that its files name; deterministic for a fixed seed.
+    Every stage runs through ``run_stage``, so a stage failure surfaces with
+    its name and quarter. A denied ingest or export stops the run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    system = spec.system
+    system = load_code_system(spec.code_system_path)
     cfg = load_config(spec.config_path)
     adapters = [compliance_mod.load_adapter(p) for p in spec.adapter_paths]
     tracer = _Tracer()
@@ -435,8 +432,10 @@ def run_scenario(
         op_kind=compliance_mod.OpKind.EXPORT,
         context={**spec.ingest_context, "artifact": "run-report"},
     )
-    run_stage(tracer, "compliance.export", compliance_mod.compose,
-              adapters, export_op, now=final_now, detail=_verdict)
+    export_verdict, _ = run_stage(tracer, "compliance.export", compliance_mod.compose,
+                                  adapters, export_op, now=final_now, detail=_verdict)
+    if export_verdict.kind is compliance_mod.VerdictKind.DENY:
+        raise StageError(f"stage compliance.export denied: {export_verdict.reason}")
     tracer.add("export", {"path": "report.json"})
 
     report = RunReport(

@@ -15,7 +15,7 @@ from collections.abc import Mapping as AbcMapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date, datetime, timedelta, tzinfo
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from itertools import chain, groupby, islice
 from pathlib import Path
 from types import UnionType
@@ -124,8 +124,6 @@ _PARSE_FAULTS = (ValidationError, LookupError, TypeError, ValueError, AttributeE
 
 def _fault(exc: Exception) -> str:
     """A parse fault, worded to follow the name of the file."""
-    if isinstance(exc, KeyError):
-        return f"is missing key {exc.args[0]!r}"
     return str(exc) if isinstance(exc, ValidationError) else f"is malformed: {exc}"
 
 
@@ -182,8 +180,6 @@ def _at(step: str, shape: _Shape, value: Any) -> Any:
         return shape[2](value)
     except _Fault as fault:
         raise _Fault(step + fault.path, fault.detail) from None
-    except KeyError as exc:  # an object lacks a required key
-        raise _Fault(step, f" is missing key {exc.args[0]!r}") from None
     except ValidationError as exc:  # a __post_init__ check
         raise _Fault(step, f": {exc}") from None
     except (TypeError, ValueError):
@@ -236,11 +232,9 @@ def _shape(tp: Any) -> _Shape:
 def _plan(cls: type) -> tuple[Mapping[str, tuple[str, str, _Shape]], tuple[str, ...]]:
     """Each JSON key of dataclass ``cls`` with its field, its step ``.key``
     and its shape, and the required keys. A key is its field's name unless
-    ``metadata["json"]`` names it; fields outside ``__init__``, and fields
-    whose ``metadata["json"]`` is None, have none."""
+    ``metadata["json"]`` names it; fields outside ``__init__`` have none."""
     hints = get_type_hints(cls)
-    keyed = [(key, f) for f in fields(cls)
-             if f.init and (key := f.metadata.get("json", f.name)) is not None]
+    keyed = [(f.metadata.get("json", f.name), f) for f in fields(cls) if f.init]
     return ({key: (f.name, f".{key}", _shape(hints[f.name])) for key, f in keyed},
             tuple(key for key, f in keyed
                   if f.default is MISSING and f.default_factory is MISSING))
@@ -252,7 +246,7 @@ def _decode(cls: type[T], data: dict) -> T:
         raise _Fault("", f" has unknown keys {sorted(data.keys() - plan.keys())}")
     for key in required:
         if key not in data:
-            raise KeyError(key)
+            raise _Fault("", f" is missing key {key!r}")
     kwargs = {}
     for key, value in data.items():
         name, step, shape = plan[key]
@@ -270,11 +264,10 @@ def from_json(tp: Any, data: Any) -> Any:
     an Enum a member's value, ``X | None`` also null, a union of scalars
     exactly those types, tuples and frozensets a list, ``Mapping[str, X]``
     an object, and a dataclass an object keyed by its fields' names or
-    ``metadata["json"]`` (None for a field no file holds). An absent key
-    takes the field's default, an unknown key is a fault, and range checks
-    are each class's own ``__post_init__``. A fault names its path, as in
-    ``rules[0].when[1].key must be a string, got 5``; a dataclass missing a
-    required key at the top raises KeyError.
+    ``metadata["json"]``. An absent key takes the field's default, and an
+    absent required key or an unknown key is a fault; range checks are each
+    class's own ``__post_init__``. A fault names its path, as in
+    ``rules[0].when[1].key must be a string, got 5``.
     """
     if not is_dataclass(tp):
         return _at("", _shape(tp), data)
@@ -283,8 +276,9 @@ def from_json(tp: Any, data: Any) -> Any:
     return _decode(tp, data)
 
 
-def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
-    """``parse`` of a JSON file's value; any fault names ``what`` and the path."""
+def load_json(path: str | Path, what: str, tp: Any) -> Any:
+    """The value of type ``tp`` that a JSON file holds, as ``from_json``
+    decodes it; any fault names ``what`` and the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -293,18 +287,19 @@ def load_json(path: str | Path, what: str, parse: Callable[[Any], T]) -> T:
     except (ValueError, RecursionError) as exc:  # not JSON, nested too deeply, or not UTF-8
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
-        return parse(data)
+        return from_json(tp, data)
     except _PARSE_FAULTS as exc:
         raise ValidationError(f"{what} {path} {_fault(exc)}") from None
 
 
-def iter_jsonl(path: str | Path, parse: Callable[[Any], T] = _identity) -> Iterator[T]:
-    """``parse`` of each non-blank line of a JSON Lines file; a fault names ``path:line``."""
+def iter_jsonl(path: str | Path, tp: Any = Any) -> Iterator[Any]:
+    """The value of type ``tp`` that each non-blank line of a JSON Lines
+    file holds, as ``from_json`` decodes it; a fault names ``path:line``."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    value = parse(json.loads(line))
+                    value = from_json(tp, json.loads(line))
                 except json.JSONDecodeError as exc:
                     if line.isspace():
                         continue
@@ -501,7 +496,7 @@ def load_code_system(path: str | Path) -> CodeSystem:
             ordered by release date, transition tables referencing unknown
             codes, or taxonomy violations.
     """
-    return load_json(path, "code-system file", partial(from_json, CodeSystem))
+    return load_json(path, "code-system file", CodeSystem)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1041,7 @@ def read_records(path: str | Path) -> RecordBatch:
     # Fields are moved into column lists a block of records at a time, so
     # that no more than a block of records is alive at once.
     column: dict[str, list[Any]] = {name: [] for name in _RECORD_FIELDS}
-    rows = (vars(record).values() for record in iter_jsonl(path, partial(from_json, CodedRecord)))
+    rows = (vars(record).values() for record in iter_jsonl(path, CodedRecord))
     while block := list(islice(rows, 4096)):
         for values, fields_of_block in zip(column.values(), zip(*block)):
             values.extend(fields_of_block)
@@ -1179,4 +1174,4 @@ def load_config(path: str | Path) -> PipelineConfig:
         ValidationError: on parse failure, a mistyped value or an
             out-of-range threshold (the message names the offending key).
     """
-    return load_json(path, "config file", partial(from_json, PipelineConfig))
+    return load_json(path, "config file", PipelineConfig)

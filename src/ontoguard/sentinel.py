@@ -50,7 +50,6 @@ COMPONENTS = ("cooccurrence", "demographic", "temporal", "institutional")
 @dataclass(frozen=True)
 class FingerprintSet:
     by_code: Mapping[str, Mapping[str, Mapping[Any, float]]]
-    low_support: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ def _month_index(window: TimeWindow) -> list[tuple[int, int]]:
 
 def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> FingerprintSet:
     """One fingerprint per code observed at least ``fingerprint_min_support``
-    times over the months of ``profile.window()``; under-supported codes are
-    listed instead of fingerprinted."""
+    times over the months of ``profile.window()``; under-supported codes have none."""
     if not profile.n:
         raise ValidationError("cannot fingerprint an empty batch")
     months = _month_index(profile.window())
@@ -87,11 +85,9 @@ def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> Fingerprin
         return {key: value / total for key, value in counts.items()}
 
     by_code: dict[str, dict[str, Mapping[Any, float]]] = {}
-    low_support: list[tuple[str, int]] = []
     for code in sorted(profile.codes):
         usage = profile.codes[code]
         if usage.count < cfg.fingerprint_min_support:
-            low_support.append((code, usage.count))
             continue
         # Each month's share of all window records carrying the code, then
         # the complement, so that pure level shifts register as drift. The
@@ -106,7 +102,7 @@ def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> Fingerprin
             "temporal": temporal,
             "institutional": normalized(usage.institutions),
         }
-    return FingerprintSet(by_code=by_code, low_support=tuple(low_support))
+    return FingerprintSet(by_code=by_code)
 
 
 def aligned_jsd(dist_a: Mapping, dist_b: Mapping) -> float:

@@ -7,9 +7,9 @@ import importlib
 import json
 import sys
 from collections import Counter
-from dataclasses import fields
-from functools import partial
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,6 @@ from ontoguard import compliance, dormancy, dual_ontology, harness, model, synth
 from ontoguard.model import (
     PipelineConfig,
     ValidationError,
-    from_json,
     iter_jsonl,
     load_code_system,
     load_config,
@@ -62,11 +61,11 @@ LOADERS = {
     "store": (dormancy.read_store, STORE),
     "scenario": (harness.load_scenario, _scenario()),
     "spec": (
-        lambda path: load_json(path, "--spec file", partial(from_json, synthgen.DistortionSpec)),
+        lambda path: load_json(path, "--spec file", synthgen.DistortionSpec),
         _scenario()["distortion"],
     ),
     "conditions": (
-        lambda path: load_json(path, "--conditions file", partial(from_json, dormancy.Conditions)),
+        lambda path: load_json(path, "--conditions file", dormancy.Conditions),
         _scenario()["activation_conditions"],
     ),
 }
@@ -224,6 +223,18 @@ def test_jsonl_file_faults_are_validation_errors_naming_the_file(fuzz_dir, name)
     check()
 
 
+@dataclass(frozen=True)
+class Named:
+    """A document with a required key, and a check of its own that raises
+    a fault other than a ValidationError."""
+
+    name: str
+    items: Any = ()
+
+    def __post_init__(self):
+        iter(self.items)
+
+
 class TestLoadJson:
     def write(self, tmp_path, text):
         path = tmp_path / "input.json"
@@ -232,27 +243,25 @@ class TestLoadJson:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="thing not found: .*nope.json"):
-            load_json(tmp_path / "nope.json", "thing", dict)
+            load_json(tmp_path / "nope.json", "thing", Any)
 
     def test_invalid_json(self, tmp_path):
         with pytest.raises(ValidationError, match=r"input\.json is not valid JSON"):
-            load_json(self.write(tmp_path, "{"), "thing", dict)
+            load_json(self.write(tmp_path, "{"), "thing", Any)
 
-    @pytest.mark.parametrize("fault, message", [
-        (KeyError("name"), "input.json is missing key 'name'"),
-        (TypeError("'int' object is not iterable"), "input.json is malformed: 'int'"),
-        (ValidationError("must hold a JSON object"), "input.json must hold a JSON object"),
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "input.json is missing key 'name'"),
+        ('{"name": "n", "items": 5}', "input.json is malformed: 'int'"),
+        ("[]", "input.json must hold a JSON object"),
     ], ids=["missing-key", "wrong-type", "validation-error"])
-    def test_parse_fault_names_file(self, tmp_path, fault, message):
-        def parse(data):
-            raise fault
-
+    def test_parse_fault_names_file(self, tmp_path, text, message):
         with pytest.raises(ValidationError, match=message) as info:
-            load_json(self.write(tmp_path, "{}"), "thing", parse)
+            load_json(self.write(tmp_path, text), "thing", Named)
         assert str(info.value).startswith("thing ")
 
     def test_returns_parse_of_value(self, tmp_path):
-        assert load_json(self.write(tmp_path, '{"a": [1]}'), "thing", len) == 1
+        path = self.write(tmp_path, '{"a": [1]}')
+        assert load_json(path, "thing", Mapping[str, tuple[int, ...]]) == {"a": (1,)}
 
 
 class TestConfigSchema:
@@ -286,12 +295,18 @@ class TestConfigSchema:
         assert cfg.fidelity_weights == (1.0, 0.0, 0.0)
 
 
+@dataclass(frozen=True)
+class Pair:
+    a: int
+    b: int = 0
+
+
 class TestIterJsonl:
     def test_parse_fault_names_path_and_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match=r"rows\.jsonl:3: is missing key 'a'"):
-            list(iter_jsonl(path, lambda row: row["a"]))
+            list(iter_jsonl(path, Pair))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -645,16 +660,18 @@ def _defined_names(statement: ast.stmt) -> list[str]:
 
 
 def _referenced_names(statement: ast.stmt) -> set[str]:
-    # String constants count: the perfbench tracer names the functions it wraps.
     names = set()
     for node in ast.walk(statement):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
     return names
+
+
+# Public names that only the perfbench tracer calls, wrapping them by the
+# name it holds as a string; ROADMAP item 1b removes both.
+KEPT_FOR_THE_TRACER = {"jsd_rows", "read_quarantine"}
 
 
 def _attributes(node: ast.AST) -> Counter:
@@ -680,10 +697,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
              if path.name != "__init__.py"}
     statements = [(path, statement) for path, tree in trees.items() for statement in tree.body]
     references = [(statement, _referenced_names(statement)) for _, statement in statements]
+    defined = [(path, statement, name) for path, statement in statements if path.parent == SRC
+               for name in _defined_names(statement)]
+    assert KEPT_FOR_THE_TRACER <= {name for _, _, name in defined}
     unused = [
-        f"{path.name} {name}" for path, statement in statements
-        if path.parent == SRC
-        for name in _defined_names(statement) if not name.startswith("_")
+        f"{path.name} {name}" for path, statement, name in defined
+        if not name.startswith("_") and name not in KEPT_FOR_THE_TRACER
         and not any(name in names for other, names in references if other is not statement)
     ]
     attributes = sum(map(_attributes, trees.values()), Counter())

@@ -502,6 +502,30 @@ class TestWiring:
         with pytest.raises(StageError, match="compliance.ingest denied in quarter 1"):
             harness.run_scenario(spec, 3, tmp_path / "out")
 
+    def test_denied_export_stops_before_the_report(self, tmp_path, capsys):
+        # As a denied ingest stops its quarter, a denied export stops the run
+        # before the report is written; the deploy decision before it stays.
+        spec_path = write_null_scenario(tmp_path, n=500)
+        (tmp_path / "no_export.json").write_text(canonical_dumps({
+            "adapter_id": "no-export", "jurisdiction": "EU", "regulation_id": "DEMO",
+            "regulation_version": "1",
+            "rules": [{"provision": "no export", "verdict": "deny", "reason": "export forbidden",
+                       "when": [{"key": "op_kind", "op": "eq", "value": "export"}]},
+                      {"provision": "default", "verdict": "permit", "when": []}],
+        }), encoding="utf-8")
+        raw = json.loads(spec_path.read_text())
+        raw["adapters"] = [str(harness.fixture_dir() / "adapters" / "ehds_demo.json"),
+                           "no_export.json"]
+        spec_path.write_text(canonical_dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        status = cli.main(["scenario", "run", str(spec_path), "--seed", "3",
+                           "--out-dir", str(out)])
+        assert status == 2
+        assert capsys.readouterr().err == ("stage error: stage compliance.export denied: "
+                                           "export forbidden\n")
+        assert (out / "deploy_decision.json").exists()
+        assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+
     @pytest.mark.parametrize("name, module, function, call, quarter", STAGE_CALLS,
                              ids=[name if quarter else f"{name}-history"
                                   for name, _, _, _, quarter in STAGE_CALLS])
@@ -773,6 +797,16 @@ class TestCli:
         quarantine = tmp_path / "run" / "q1" / "quarantine.jsonl"
         assert len(quarantine.read_text(encoding="utf-8").splitlines()) == n
 
+    def test_dormancy_classify_names_an_empty_records_file(self, tmp_path, capsys):
+        records = tmp_path / "empty.jsonl"
+        records.write_text("", encoding="utf-8")
+        (tmp_path / "significance.json").write_text("{}", encoding="utf-8")
+        status = cli.main(["dormancy", "classify", "--records", str(records),
+                           "--significance", str(tmp_path / "significance.json")])
+        assert status == 1
+        assert capsys.readouterr().err == (f"error: {records}: "
+                                           "cannot classify features of an empty batch\n")
+
     def test_drift_scan_matches_a_release_from_the_first_of_the_month(self, tmp_path, capsys):
         # The current batch's first encounter, 2025-03-16, is 91 days after
         # the 2025 release of 2024-12-15, one more than the correlation
@@ -864,13 +898,13 @@ class TestCli:
         # A run's own stage error already names its stage and is not wrapped again.
         ("scenario", "stage checkpoint.annotate failed in quarter 1: boom"),
     ], ids=["fidelity-report", "scenario-run"])
-    def test_an_unexpected_fault_in_a_command_exits_two(self, walkthrough_spec, tmp_path,
-                                                        monkeypatch, capsys, command, message):
+    def test_an_unexpected_fault_in_a_command_exits_two(self, walkthrough_spec, bundled_system,
+                                                        tmp_path, monkeypatch, capsys, command,
+                                                        message):
         # Every command runs through harness.run_stage, as every stage of
         # `scenario run` does: a fault that is neither the input's nor the
         # machine's exits 2 with one `stage error:` line, not a traceback.
-        batch, _ = synthgen.generate_batch(walkthrough_spec.system, walkthrough_spec.distortion,
-                                           500, SEED)
+        batch, _ = synthgen.generate_batch(bundled_system, walkthrough_spec.distortion, 500, SEED)
         records = str(tmp_path / "batch.jsonl")
         write_records(records, batch)
         argv = {
