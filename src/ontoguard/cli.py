@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import sys
 from datetime import date, datetime
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
@@ -400,33 +400,33 @@ MAX_SWEEP_THRESHOLDS = 10_000
 
 
 def _cmd_breaker_sweep(args) -> int:
-    records = read_records(args.records)
-    history = breaker_mod.read_history(args.history)
-    stats = breaker_mod.compute_stats(records, history)
+    # Each number as the shortest decimal that reads back as its float, so that
+    # 0.7 + 0.1 is 0.8 exactly and no exponent is too large to expand.
     try:
-        start, stop, step = (float(x) for x in args.thresholds.split(":"))
+        start, stop, step = (Fraction(repr(float(x))) for x in args.thresholds.split(":"))
     except ValueError:
         raise ValidationError(
-            f"--thresholds must be start:stop:step, got {args.thresholds!r}"
+            f"--thresholds must be start:stop:step of finite numbers, got {args.thresholds!r}"
         ) from None
-    if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ValidationError(f"--thresholds must be finite, got {args.thresholds!r}")
     if not step > 0 or start > stop:
         raise ValidationError(
             f"--thresholds needs step > 0 and start <= stop, got {args.thresholds!r}"
         )
+    if not (start > 0 and stop < 1):
+        raise ValidationError(f"--thresholds must lie in (0,1), got {args.thresholds!r}")
     if (stop - start) / step >= MAX_SWEEP_THRESHOLDS:
         raise ValidationError(
             f"--thresholds sweeps more than {MAX_SWEEP_THRESHOLDS} thresholds, "
             f"got {args.thresholds!r}"
         )
+    records = read_records(args.records)
+    history = breaker_mod.read_history(args.history)
+    stats = breaker_mod.compute_stats(records, history)
     print(f"ratio: {stats.ratio:.4f}")
-    threshold = start
-    while threshold <= stop + 1e-12:
-        cfg = PipelineConfig(breaker_threshold=threshold)
-        state = breaker_mod.evaluate(stats, cfg)
+    for i in range((stop - start) // step + 1):
+        threshold = float(start + i * step)
+        state = breaker_mod.evaluate(stats, PipelineConfig(breaker_threshold=threshold))
         print(f"threshold {threshold:.3f}: {state.state.value}")
-        threshold += step
     return 0
 
 

@@ -340,7 +340,8 @@ def run_scenario(
         if isinstance(gate_result, breaker_mod.Refusal):
             breaker_mod.write_refusal_packet(gate_result, qdir / "refusal.json")
             tracer.add("breaker.refusal", {"reason": gate_result.reason})
-        else:
+        else:  # a reused out dir keeps no refusal of an earlier run
+            (qdir / "refusal.json").unlink(missing_ok=True)
             model = gate_result
             tracer.add("breaker.retrain", {"model_version": model.model_version})
         del inferred

@@ -664,8 +664,8 @@ class RecordBatch:
 
     Stages read and write the columns, and ``groups`` the distinct
     combinations of named columns. Iterating yields each row as a
-    ``CodedRecord``, built on demand; only ``version_gate.write_quarantine``
-    and perfbench's traced counter iterate.
+    ``CodedRecord``, built on demand; only perfbench's traced counter
+    iterates, and no stage does.
     """
 
     record_id: np.ndarray            # fixed-width text, at most MAX_RECORD_ID characters
@@ -1057,27 +1057,34 @@ def read_records(path: str | Path) -> RecordBatch:
         confidence=np.array([t.model_confidence if t else math.nan for t in tags]))
 
 
-# The constant texts of a records-file line, before, between and after its
-# fields' texts in ``_LINE_FIELDS`` order, an encounter time's quotes among them.
-_SEPARATORS = ("{" + ",".join(
-    jsonl_dumps(name) + (':"\0"' if name == "encounter_time" else ":\0") for name in _LINE_FIELDS
-) + "}\n").split("\0")
+# A row's object, each field's name between NULs where its text goes (an
+# encounter time's inside its quotes), and a records-file line split at the NULs.
+_ROW_OBJECT = "{" + ",".join(
+    jsonl_dumps(name) + (':"\0%s\0"' if name == "encounter_time" else ":\0%s\0") % name
+    for name in _LINE_FIELDS) + "}"
+_LINE = (_ROW_OBJECT + "\n").split("\0")
 
 
-def write_records(path: str | Path, records: RecordBatch) -> None:
+def write_records(path: str | Path, records: RecordBatch,
+                  **extra: tuple[Sequence[Any], np.ndarray]) -> None:
     """Write ``records`` as a records file: each row as ``jsonl_dumps`` writes it, one a line.
 
-    Rows are encoded and written a block at a time. Each table entry that a
-    row uses and each UTC offset is encoded once and times by NumPy, and a
-    block's lines are one list of the constant texts with each field's
-    texts slotted in. A tag's entry holds null for its confidence.
+    Each ``extra`` field is a table and an index column, like a row's table-held
+    fields; with any, line ``i`` is the object of each extra key's ``table[index[i]]``
+    and row ``i`` under ``record``, keys sorted. Rows are encoded and written a block at
+    a time. Each table entry that a row uses and each UTC offset is encoded once and
+    times by NumPy, and a block's lines are one list of the constant texts with each
+    field's texts slotted in. A tag's entry holds null for its confidence.
     """
     tables = {  # each table-held field's table and index column
         key: (getattr(records, table), getattr(records, name))
-        for name, (key, table) in _INTERNED.items()}
+        for name, (key, table) in _INTERNED.items()} | extra
     tables["fidelity"] = (list(zip(records.annotations.tolist(), records.notes)), records.fidelity)
     tables["influence_tag"] = ([dict(clinician_modified=m, model_confidence=None, model_version=v)
                                 for v, m, _ in records.tags], records.tag)
+    line = _LINE if not extra else ("{" + ",".join(
+        jsonl_dumps(key) + ":" + (_ROW_OBJECT if key == "record" else "\0%s\0" % key)
+        for key in sorted([*extra, "record"])) + "}\n").split("\0")
     entries = {}
     for name, (table, index) in tables.items():  # only the entries that rows use
         used = (np.bincount(index + 1, minlength=len(table) + 1)[1:] > 0).tolist()
@@ -1086,8 +1093,6 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
                                   for entry, use in zip(table, used)] + ["null"], object)
     offsets = np.array([datetime(1, 1, 1, tzinfo=zone).isoformat()[19:] for zone in records.zones]
                        + [""])
-    line: list[Any] = [None] * (2 * len(_SEPARATORS) - 1)
-    line[::2] = _SEPARATORS
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(records), _BLOCK_LINES):
             rows = slice(start, start + _BLOCK_LINES)
@@ -1105,7 +1110,7 @@ def write_records(path: str | Path, records: RecordBatch) -> None:
                 when = np.where(fraction, np.datetime_as_string(times, unit="us"), when)
             text["encounter_time"] = np.char.add(when, offsets[records.zone[rows]]).tolist()
             parts = line * len(when)
-            for i, name in enumerate(_LINE_FIELDS):
+            for i, name in enumerate(line[1::2]):
                 parts[2 * i + 1::len(line)] = text[name]
             fh.write("".join(parts))
 

@@ -62,23 +62,14 @@ class DriftAlert:
     evidence: Mapping[str, Any]
 
 
-def _month_index(window: TimeWindow) -> list[tuple[int, int]]:
-    months = []
-    y, m = window.start.year, window.start.month
-    while (y, m) <= (window.end.year, window.end.month):
-        months.append((y, m))
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return months
-
-
 def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> FingerprintSet:
     """One fingerprint per code observed at least ``fingerprint_min_support``
-    times over the months of ``profile.window()``; under-supported codes have none."""
+    times over the calendar months of ``profile.window()``; under-supported codes have none."""
     if not profile.n:
         raise ValidationError("cannot fingerprint an empty batch")
-    months = _month_index(profile.window())
+    window = profile.window()
+    months = [(first.year, first.month) for first in np.arange(
+        np.datetime64(window.start, "M"), np.datetime64(window.end, "M") + 1).tolist()]
 
     def normalized(counts: Mapping[Any, int]) -> dict:
         total = sum(counts.values())  # every count is >= 1, so an empty dict stays empty

@@ -481,12 +481,9 @@ def _record_ids(prefix: str, rows: range) -> np.ndarray:
 
 
 def quarter_window(start: date, quarter_index: int) -> TimeWindow:
-    """Calendar window of the (0-based) quarter beginning at ``start``."""
-    month = start.month - 1 + 3 * quarter_index
-    first = date(start.year + month // 12, month % 12 + 1, 1)
-    end_month = start.month - 1 + 3 * (quarter_index + 1)
-    next_first = date(start.year + end_month // 12, end_month % 12 + 1, 1)
-    return TimeWindow(first, next_first - timedelta(days=1))
+    """The (0-based) quarter's three calendar months, counted from ``start``'s month."""
+    first = np.datetime64(start, "M") + 3 * quarter_index
+    return TimeWindow(first.item(), (first + 3).item() - timedelta(days=1))
 
 
 def generate_quarter_series(

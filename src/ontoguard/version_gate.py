@@ -23,7 +23,7 @@ from .model import (
     ValidationError,
     intern,
     iter_jsonl,
-    write_jsonl,
+    write_records,
 )
 
 
@@ -229,11 +229,12 @@ def changed_codes(system: CodeSystem, from_version: str, to_version: str) -> fro
 
 
 def write_quarantine(path: str | Path, outcome: GateOutcome) -> None:
-    """Persist quarantined records as a side file; quarantine is never an
-    in-memory-only loss."""
-    rows = zip(outcome.quarantined, outcome.quarantine_reasons())
-    write_jsonl(path, ({"record": record, "reason": reason, "original_code": record.primary_code,
-                        "original_version": record.version_tag} for record, reason in rows))
+    """Persist quarantined records as a side file, never an in-memory-only loss: each
+    row as it arrived under ``record``, beside its original code and version and its reason."""
+    rows = outcome.quarantined
+    reason, reasons = intern(outcome.quarantine_reasons())
+    write_records(path, rows, original_code=(rows.codes, rows.code),
+                  original_version=(rows.versions, rows.version), reason=(reasons, reason))
 
 
 def read_quarantine(path: str | Path) -> list[dict]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEED, annotation, row
+from conftest import SEED, annotation, row, tag
 from ontoguard import (
     breaker,
     checkpoint,
@@ -31,6 +31,7 @@ from ontoguard import (
 )
 from ontoguard.model import (
     FidelityAnnotation,
+    RecordBatch,
     StageError,
     ValidationError,
     canonical_dumps,
@@ -266,6 +267,33 @@ def test_a_run_builds_no_fidelity_annotation(walkthrough_spec, tmp_path, monkeyp
     report = harness.run_scenario(replace(walkthrough_spec, n_per_quarter=2000), SEED, tmp_path)
     assert all(sum(row["n"] for row in quarter["fidelity_by_institution"].values()) > 0
                for quarter in report.quarters)
+
+
+def test_a_quarantining_run_and_gate_iterate_no_batch(walkthrough_spec, bundled_system, tmp_path,
+                                                     monkeypatch):
+    # Behind the generated version 2025 the gate quarantines most of each
+    # quarter. The quarantine file is written by column, like every records
+    # file, so neither a run nor the gate command turns a batch into rows.
+    def refuse(self):
+        raise AssertionError("a RecordBatch was iterated")
+
+    monkeypatch.setattr(RecordBatch, "__iter__", refuse)
+    spec = tmp_path / "behind.json"
+    spec.write_text(walkthrough_text(target_version="2024", n_per_quarter=2000, assertions=[]),
+                    encoding="utf-8")
+    assert cli.main(["scenario", "run", str(spec), "--seed", str(SEED),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+    assert [len((tmp_path / "run" / f"q{q}" / "quarantine.jsonl").read_text(
+        encoding="utf-8").splitlines()) for q in (1, 2, 3)] == [1872] * 3
+    batch, _ = synthgen.generate_batch(
+        bundled_system, walkthrough_spec.distortion, 2000, seed=[SEED, 2000],
+        window=synthgen.quarter_window(walkthrough_spec.start, 0), quarter_index=0)
+    write_records(tmp_path / "quarter.jsonl", batch)
+    assert cli.main(["gate", "--records", str(tmp_path / "quarter.jsonl"), "--system", SYSTEM,
+                     "--target-version", "2024", "--out-dir", str(tmp_path / "gated")]) == 0
+    lines = {name: len((tmp_path / "gated" / f"{name}.jsonl").read_text(
+        encoding="utf-8").splitlines()) for name in ("accepted", "reconciled", "quarantine")}
+    assert lines["quarantine"] > 0 and sum(lines.values()) == len(batch)
 
 
 class TestRecordOrder:
@@ -758,6 +786,322 @@ CLI_INPUT_FILES = {
 }
 
 
+# The bad-input CLI cases: each argv, and a text that its error must name.
+BAD_INPUT_CASES = [
+    (["breaker", "sweep", "--thresholds", "0.05:0.3:0"], "0.05:0.3:0"),
+    (["breaker", "sweep", "--thresholds", "0.3:0.05:0.05"], "0.3:0.05:0.05"),
+    (["breaker", "check", "--history", "0.1,abc"], "'abc'"),
+    (["breaker", "check", "--history", '[["q1", "x"]]'],
+     """history entry '[["q1"' is not a number"""),
+    (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
+    (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
+    (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
+    (["breaker", "sweep", "--thresholds", "0.05:inf:0.05"], "0.05:inf:0.05"),
+    (["dormancy", "activate", "--store", "partial.json"],
+     "partial.json [0] is missing key 'count'"),
+    (["dormancy", "activate", "--store", "object.json"],
+     "object.json must be a list of objects, got {}"),
+    (["breaker", "check", "--records", "trunc.jsonl"], "trunc.jsonl:1 is not valid JSON"),
+    (["oracle", "jsd", "--p", "1,x", "--q", "0,1"], "--p"),
+    (["comply-check", "--op", "deploy", "--timestamp", "notatime"], "--timestamp"),
+    (["dormancy", "classify", "--significance", "missing.json"], "missing.json"),
+    (["breaker", "check", "--records", "badtype.jsonl"], "badtype.jsonl:1"),
+    (["scenario", "run", "bad.json", "--seed", "1"], "bad.json is not valid JSON"),
+    (["scenario", "run", "object.json", "--seed", "1"], "object.json is missing key 'name'"),
+    (["breaker", "check", "--config", "cfg-drift.json"], "cfg-drift.json drift_threshold"),
+    (["breaker", "check", "--config", "cfg-weights.json"],
+     "cfg-weights.json fidelity_weights"),
+    (["breaker", "check", "--config", "cfg-support.json"],
+     "cfg-support.json fingerprint_min_support"),
+    (["gate", "--records", "records.jsonl", "--system", "object.json",
+      "--target-version", "2025", "--out-dir", "gated"], "object.json is missing key 'system_id'"),
+    (["comply-check", "--op", "deploy", "--adapters", "norules.json"],
+     "norules.json is missing key 'rules'"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "object.json", "--n", "10",
+      "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "object.json is missing key 'institutions'"),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+      "--conditions", "cond-int.json", "--store", "store.json"], "cond-int.json"),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+      "--conditions", "cond-kind.json", "--store", "store.json"], "cond-kind.json"),
+    (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
+      "--out", "inferred.jsonl", "--overrides", "overrides.jsonl"],
+     "overrides.jsonl:1: is missing key 'clinical_code'"),
+    (["breaker", "check", "--records", "missing.jsonl"], "missing.jsonl"),
+    (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
+      "--out", "nodir/inferred.jsonl"], "nodir/inferred.jsonl"),
+    (["drift-scan", "--baseline", "one.jsonl", "--current", "one.jsonl", "--system", SYSTEM,
+      "--out", "nodir/alerts.jsonl"], "nodir/alerts.jsonl"),
+    (["breaker", "check", "--config", "cfgdir"], "cfgdir"),
+    (["oracle", "partition", "--input", "records.jsonl", "--accepted", "missing.jsonl",
+      "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "missing.jsonl"),
+    (["oracle", "jsd", "--p", "nan,1", "--q", "0,1"], "--p"),
+    (["scenario", "run", "no-kind.json", "--seed", "1"],
+     "no-kind.json assertions must be a list of objects, each with a string kind"),
+    (["scenario", "run", "quarters-float.json", "--seed", "1"],
+     "quarters-float.json quarters must be an integer, got 1.9"),
+    (["scenario", "run", "quarters-bool.json", "--seed", "1"],
+     "quarters-bool.json quarters must be an integer, got True"),
+    (["scenario", "run", "n-string.json", "--seed", "1"],
+     "n-string.json n_per_quarter must be an integer, got '2'"),
+    (["scenario", "run", "n-zero.json", "--seed", "1"],
+     "n-zero.json n_per_quarter must be an integer >= 1, got 0"),
+    (["oracle", "partition", "--input", "records.jsonl", "--accepted", "trunc.jsonl",
+      "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "trunc.jsonl:1"),
+    (["oracle", "partition", "--input", "one.jsonl", "--accepted", "one.jsonl",
+      "--reconciled", "int-id.jsonl", "--quarantine", "records.jsonl"],
+     "int-id.jsonl:1 is not a JSON record: record_id 5 is not a string"),
+    (["fidelity-report", "--records", "one.jsonl", "--history", "one.jsonl",
+      "--system", SYSTEM, "--out", "fidelity.csv", "--layer", "clinical"],
+     "unrecognized arguments: --layer clinical"),
+    (["dormancy", "classify", "--records", "mixed-offsets.jsonl",
+      "--significance", "significance.json", "--store", "store.json"],
+     "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive "
+     "and UTC-offset"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
+      "--seed", "-1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["scenario", "run", "diabetes-walkthrough", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
+      "--seed", "1", "--quarters", "2", "--start", "notadate",
+      "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "argument --start: must be an ISO 8601 date"),
+    (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
+    (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
+    (["breaker", "check", "--history", "[[1,2]]"], "history entry '[[1' is not a number"),
+    (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
+      "--target-version", "2025", "--out-dir", "gated"],
+     "system-validated.json versions[1].validated must be true or false, got 'false'"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-conditions.json"],
+     "adapter-conditions.json rules[0].conditions must be a list of strings, "
+     "got 'pseudonymise'"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-reason.json"],
+     "adapter-reason.json rules[0].reason must be a string, got 5"),
+    (["dormancy", "activate", "--store", "store-types.json", "--records", "one.jsonl"],
+     "store-types.json [0].count must be an integer, got 'many'"),
+    (["dormancy", "activate", "--store", "store-negative.json", "--records", "one.jsonl"],
+     "store-negative.json [0]: count must be >= 0, got -1"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-ids.json"],
+     "adapter-ids.json adapter_id must be a string, got 5"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-key.json"],
+     "adapter-key.json rules[0].when[0].key must be a string, got ['model_card_present']"),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "sig-int.json",
+      "--store", "store.json"],
+     "sig-int.json ['DM2-UNSPEC'] must be a string, got 5"),
+    (["scenario", "run", "sig-scenario.json", "--seed", "1"],
+     "sig-scenario.json significance_list['DM-OTHER'] must be a string, got 5"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec-weight.json", "--n", "10",
+      "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "spec-weight.json institutions[0].weight must be a number, got '1.0'"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec-extra.json", "--n", "10",
+      "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "spec-extra.json has unknown keys ['outbreaks']"),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+      "--conditions", "cond-domain.json", "--store", "store.json"],
+     "cond-domain.json ['DM2-UNSPEC'][0].domain must be a string or null, got 5"),
+    (["synth", "generate", "--system", "system-prevalence.json", "--spec", "spec.json",
+      "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "system-prevalence.json base_prevalence['DM-OTHER'] must be a number, got '0."),
+    (["synth", "generate", "--system", "system-cooccurrence.json", "--spec", "spec.json",
+      "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "system-cooccurrence.json cooccurrence_profiles['DM-OTHER']['LAB-GLU-HI'] must be a "
+     "number, got '0.3'"),
+    (["scenario", "run", "context-list.json", "--seed", "1"],
+     "context-list.json ingest_context['purpose'] must be a string, an integer, a number "
+     "or true or false, got ['training']"),
+    (["scenario", "run", "context-pairs.json", "--seed", "1"],
+     "context-pairs.json deploy_context must be an object of strings, integers, numbers "
+     "or booleans, got [['purpose', 'demo']]"),
+    (["scenario", "run", "sig-typo.json", "--seed", "1"],
+     "sig-typo.json has unknown keys ['signficance_list']"),
+    (["gate", "--records", "records.jsonl", "--system", "system-transitons.json",
+      "--target-version", "2025", "--out-dir", "gated"],
+     "system-transitons.json has unknown keys ['transitons']"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-wehn.json"],
+     "adapter-wehn.json rules[0] has unknown keys ['wehn']"),
+    (["comply-check", "--op", "deploy", "--adapters", "adapter-value-list.json"],
+     "adapter-value-list.json rules[0].when[0].value must be a string, an integer, a number "
+     "or true or false or null, got ['high']"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec-twice.json", "--n", "10",
+      "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "spec lists institution 'I-A' more than once"),
+    (["scenario", "run", "sig-no-conditions.json", "--seed", "1"],
+     "sig-no-conditions.json significance_list code 'DM-OTHER' has no "
+     "activation_conditions entry"),
+    (["scenario", "run", "sig-unknown-code.json", "--seed", "1"],
+     "sig-unknown-code.json significance_list lists unknown code 'DM-OTEHR'"),
+    (["breaker", "check", "--records", "record-key.jsonl"],
+     "record-key.jsonl:1: has unknown keys ['influence_tg']"),
+    (["breaker", "check", "--records", "tag-key.jsonl"],
+     "tag-key.jsonl:1: influence_tag has unknown keys ['confidence']"),
+    (["scenario", "run", "system-dir.json", "--seed", "1", "--out-dir", "run"],
+     "system-dir.json references missing file: ."),
+    (["scenario", "run", "config-dir.json", "--seed", "1", "--out-dir", "run"],
+     "config-dir.json references missing file: ."),
+    (["breaker", "check", "--records", "deep.jsonl"], "deep.jsonl:1: "),
+    (["breaker", "check", "--records", "deep-fidelity.jsonl"], "deep-fidelity.jsonl:1: "),
+    (["comply-check", "--op", "deploy", "--adapters", "deep.json"],
+     "deep.json is not valid JSON"),
+    (["scenario", "run", "deep.json", "--seed", "1"], "deep.json is not valid JSON"),
+    (["oracle", "partition", "--input", "deep.jsonl", "--accepted", "records.jsonl",
+      "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"],
+     "deep.jsonl:1 is not a JSON record"),
+    (["synth", "generate", "--system", "system-prevalence-negative.json", "--spec",
+      "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "system-prevalence-negative.json base_prevalence['DM-OTHER'] must be a number >= 0, "
+     "got -0.5"),
+    (["synth", "generate", "--system", "system-prevalence-nan.json", "--spec",
+      "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "system-prevalence-nan.json base_prevalence['DM-OTHER'] must be a number >= 0, got nan"),
+    (["synth", "generate", "--system", "system-prevalence-inf.json", "--spec",
+      "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "system-prevalence-inf.json base_prevalence['DM-OTHER'] must be a number >= 0, got inf"),
+    (["synth", "generate", "--system", "system-prevalence-zero.json", "--spec",
+      "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "code system declares no positive base_prevalence"),
+    (["synth", "generate", "--system", SYSTEM, "--spec", "spec-nan-weight.json", "--n", "10",
+      "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
+     "institution weights must sum to 1, got nan"),
+    (["fidelity-report", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
+      "--system", SYSTEM, "--out", "fidelity.csv"],
+     "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+    (["infer-clinical", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
+      "--system", SYSTEM, "--out", "out.jsonl"],
+     "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+    (["drift-scan", "--baseline", "one.jsonl", "--current", "mixed-offsets.jsonl",
+      "--system", SYSTEM],
+     "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+    (["dormancy", "activate", "--records", "mixed-offsets.jsonl",
+      "--store", "store-empty.json"],
+     "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
+    (["infer-clinical", "--records", "one.jsonl", "--history", "v1900.jsonl",
+      "--system", SYSTEM, "--out", "out.jsonl"], "v1900.jsonl: unknown version: '1900'"),
+    (["drift-scan", "--baseline", "one.jsonl", "--current", "v1900.jsonl",
+      "--system", SYSTEM], "v1900.jsonl: unknown version: '1900'"),
+    (["fidelity-report", "--records", "one.jsonl", "--history", "records.jsonl",
+      "--system", SYSTEM, "--out", "fidelity.csv"],
+     "records.jsonl: reference history must be non-empty"),
+    (["drift-scan", "--baseline", "records.jsonl", "--current", "one.jsonl",
+      "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
+    (["drift-scan", "--baseline", "one.jsonl", "--current", "records.jsonl",
+      "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
+    *((["scenario", "run", f"quarter-{name}.json", "--seed", "1"],
+       f"quarter-{name}.json assertions[0].quarter must be an integer in 1..3, got {value}")
+      for name, value in (("string", "'1'"), ("float", "1.0"), ("zero", "0"),
+                          ("negative", "-1"), ("bool", "True"))),
+    *((["scenario", "run", name, "--seed", "1"], f"{name} assertions[0].{fault}")
+      for name, fault in (
+          ("quarter-missing.json", "quarter must be an integer in 1..3, got None"),
+          ("ratio-string.json", "ratio must be a number, got '0.12'"),
+          ("state-missing.json", "state must be a string, got None"),
+          ("count-missing.json", "count must be an integer, got None"),
+          ("accepted-bool.json", "accepted must be an integer, got True"),
+          ("category-int.json", "evidence_billing_category must be a string or null, got 5"),
+          ("verdict-missing.json", "verdict must be a string, got None"),
+          ("kind-unknown.json", "kind must be one of ['breaker', 'deploy_verdict', "
+           "'dormant_entry', 'drift_alert', 'gate_counts'], got 'breakr'"))),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+      "--conditions", "conditions.json"], "--conditions needs --store"),
+    (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
+      "--prune-log", "prune.csv"], "--prune-log needs --store"),
+    (["dormancy", "activate", "--store", "store-stray-field.json", "--records", "one.jsonl"],
+     "store-stray-field.json [0].activation_conditions[0]: domain_transfer_request "
+     "condition must not set threshold"),
+]
+BAD_INPUT_IDS = [
+    "zero-step", "start-after-stop", "bad-history", "bad-json-history",
+    "missing-store", "bad-store", "tiny-step", "infinite-stop",
+    "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
+    "jsd-not-a-number", "bad-timestamp", "missing-significance", "record-bad-time",
+    "scenario-not-json", "scenario-no-name", "config-list-threshold", "config-number-weights",
+    "config-float-support", "system-empty", "adapter-no-rules",
+    "spec-empty", "conditions-not-lists", "conditions-bad-kind", "override-missing-code",
+    "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
+    "partition-missing", "jsd-nan", "assertion-no-kind", "quarters-float",
+    "quarters-bool", "n-per-quarter-string", "n-per-quarter-zero", "partition-bad-line",
+    "partition-int-id", "fidelity-layer", "mixed-utc-offsets", "synth-negative-seed",
+    "scenario-negative-seed", "synth-bad-start", "history-nan", "history-out-of-range",
+    "history-int-period", "system-string-validated", "adapter-string-conditions",
+    "adapter-int-reason", "store-entry-types", "store-entry-negative-count",
+    "adapter-int-fields", "adapter-list-clause-key", "significance-int-note",
+    "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
+    "conditions-int-domain", "system-string-prevalence", "system-string-cooccurrence",
+    "scenario-context-list-value",
+    "scenario-context-not-object", "scenario-misspelt-key", "system-misspelt-key",
+    "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
+    "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
+    "record-misspelt-key", "record-misspelt-tag-key",
+    "scenario-code-system-directory", "scenario-config-directory",
+    "records-deeply-nested", "records-deeply-nested-fidelity", "adapter-deeply-nested",
+    "scenario-deeply-nested", "partition-deeply-nested", "system-negative-prevalence",
+    "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
+    "spec-nan-weight", "fidelity-history-mixed-offsets", "infer-history-mixed-offsets",
+    "scan-current-mixed-offsets", "activate-mixed-offsets", "infer-history-unknown-version",
+    "scan-current-unknown-version", "fidelity-history-empty", "scan-baseline-empty",
+    "scan-current-empty", "assertion-quarter-string", "assertion-quarter-float",
+    "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
+    "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
+    "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
+    "assertion-verdict-missing", "assertion-kind-unknown", "conditions-without-store",
+    "prune-log-without-store", "store-condition-stray-field",
+]
+
+
+# Runs the cases of a JSON file, ``[argvs, files]``, one after another in this
+# process: each calls ``cli.main(argv)`` in a fresh directory under the third
+# argument holding ``files`` and a ``cfgdir`` directory, and appends a JSON
+# line to the results file, its exit status and stderr. An exception that
+# escapes ``main`` has status null and its traceback as stderr; an interrupt
+# or exit ends the child, which fails every case it did not finish.
+_BAD_INPUT_RUNNER = """
+import contextlib, io, json, os, sys, traceback
+from pathlib import Path
+from ontoguard import cli
+argvs, files = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
+with open(sys.argv[2], "w", encoding="utf-8") as results:
+    for i, argv in enumerate(argvs):
+        case = Path(sys.argv[3]) / str(i)
+        (case / "cfgdir").mkdir(parents=True)
+        for name, text in files.items():
+            (case / name).write_text(text, encoding="utf-8")
+        os.chdir(case)
+        status, err = None, io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except Exception:
+                err.write(traceback.format_exc())
+        results.write(json.dumps([status, err.getvalue()]) + "\\n")
+        results.flush()
+"""
+
+
+@pytest.fixture(scope="module")
+def bad_input_results(tmp_path_factory):
+    """Each bad-input case's exit status and stderr by its id, from one child
+    process under one timeout, and the child's own stderr. A case that the
+    child did not finish, by a hang or a crash, has no result."""
+    root = tmp_path_factory.mktemp("bad-input")
+    argvs = [[*argv, "--records", "records.jsonl"]
+             if argv[0] in ("breaker", "dormancy") and "--records" not in argv else argv
+             for argv, _ in BAD_INPUT_CASES]
+    (root / "cases.json").write_text(json.dumps([argvs, CLI_INPUT_FILES]), encoding="utf-8")
+    results = root / "results.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        child_stderr = subprocess.run(
+            [sys.executable, "-c", _BAD_INPUT_RUNNER, str(root / "cases.json"), str(results),
+             str(root / "cases")], env=env, capture_output=True, text=True, timeout=120,
+        ).stderr
+    except subprocess.TimeoutExpired:
+        child_stderr = "timed out after 120 s"
+    done = results.read_text(encoding="utf-8").split("\n")[:-1] if results.exists() else []
+    return dict(zip(BAD_INPUT_IDS, map(json.loads, done))), child_stderr
+
+
 class TestCli:
     def test_scenario_run_bundled(self, tmp_path, capsys):
         status = cli.main([
@@ -796,6 +1140,44 @@ class TestCli:
                                            "cannot classify features of an empty batch\n")
         quarantine = tmp_path / "run" / "q1" / "quarantine.jsonl"
         assert len(quarantine.read_text(encoding="utf-8").splitlines()) == n
+
+    def test_breaker_sweep_evaluates_each_threshold_as_written(self, tmp_path, capsys):
+        # Summed as floats, 0.7 + 0.1 is 0.7999999999999999, which a ratio of
+        # 0.8 exceeds; the sweep's second threshold is 0.8, which it does not.
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text("".join(
+            jsonl_dumps(row(f"R-{i}", influence_tag=tag("m-1", 0.9, False) if i else None)) + "\n"
+            for i in range(5)), encoding="utf-8")
+        assert cli.main(["breaker", "sweep", "--records", str(cohort),
+                         "--thresholds", "0.7:0.9:0.1"]) == 0
+        assert capsys.readouterr().out == ("ratio: 0.8000\nthreshold 0.700: open\n"
+                                           "threshold 0.800: closed\nthreshold 0.900: closed\n")
+
+    @pytest.mark.parametrize("thresholds", ["0:0.3:0.1", "0.5:1.5:0.5"])
+    def test_breaker_sweep_out_of_range_fails_before_any_output(self, tmp_path, capsys,
+                                                                thresholds):
+        # A threshold of 0 or from 1 up is no breaker threshold; the whole
+        # range is checked before the ratio or any threshold is printed.
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text(jsonl_dumps(row()) + "\n", encoding="utf-8")
+        assert cli.main(["breaker", "sweep", "--records", str(cohort),
+                         "--thresholds", thresholds]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --thresholds must lie in (0,1), got {thresholds!r}\n"
+
+    def test_a_reused_out_dir_keeps_no_stale_refusal(self, tmp_path):
+        # A run that refuses retraining in q1, then one that does not, into
+        # the same directory: it holds what a fresh run of the second holds.
+        spec = harness.load_scenario("diabetes-walkthrough")
+        small = replace(spec, n_per_quarter=2000)
+        ai = replace(small.distortion.ai_influence, schedule=(0.5,))
+        refusing = replace(small, distortion=replace(small.distortion, ai_influence=ai))
+        harness.run_scenario(refusing, SEED, tmp_path / "reused")
+        assert (tmp_path / "reused" / "q1" / "refusal.json").exists()
+        harness.run_scenario(small, SEED, tmp_path / "reused")
+        harness.run_scenario(small, SEED, tmp_path / "fresh")
+        assert run_digests(tmp_path / "reused") == run_digests(tmp_path / "fresh")
 
     def test_dormancy_classify_names_an_empty_records_file(self, tmp_path, capsys):
         records = tmp_path / "empty.jsonl"
@@ -924,282 +1306,19 @@ class TestCli:
         assert err == f"stage error: {message}\n"
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, named", [
-        (["breaker", "sweep", "--thresholds", "0.05:0.3:0"], "0.05:0.3:0"),
-        (["breaker", "sweep", "--thresholds", "0.3:0.05:0.05"], "0.3:0.05:0.05"),
-        (["breaker", "check", "--history", "0.1,abc"], "'abc'"),
-        (["breaker", "check", "--history", '[["q1", "x"]]'],
-         """history entry '[["q1"' is not a number"""),
-        (["dormancy", "activate", "--store", "missing.json"], "missing.json"),
-        (["dormancy", "activate", "--store", "bad.json"], "bad.json"),
-        (["breaker", "sweep", "--thresholds", "0.05:0.3:1e-12"], "0.05:0.3:1e-12"),
-        (["breaker", "sweep", "--thresholds", "0.05:inf:0.05"], "0.05:inf:0.05"),
-        (["dormancy", "activate", "--store", "partial.json"],
-         "partial.json [0] is missing key 'count'"),
-        (["dormancy", "activate", "--store", "object.json"],
-         "object.json must be a list of objects, got {}"),
-        (["breaker", "check", "--records", "trunc.jsonl"], "trunc.jsonl:1 is not valid JSON"),
-        (["oracle", "jsd", "--p", "1,x", "--q", "0,1"], "--p"),
-        (["comply-check", "--op", "deploy", "--timestamp", "notatime"], "--timestamp"),
-        (["dormancy", "classify", "--significance", "missing.json"], "missing.json"),
-        (["breaker", "check", "--records", "badtype.jsonl"], "badtype.jsonl:1"),
-        (["scenario", "run", "bad.json", "--seed", "1"], "bad.json is not valid JSON"),
-        (["scenario", "run", "object.json", "--seed", "1"], "object.json is missing key 'name'"),
-        (["breaker", "check", "--config", "cfg-drift.json"], "cfg-drift.json drift_threshold"),
-        (["breaker", "check", "--config", "cfg-weights.json"],
-         "cfg-weights.json fidelity_weights"),
-        (["breaker", "check", "--config", "cfg-support.json"],
-         "cfg-support.json fingerprint_min_support"),
-        (["gate", "--records", "records.jsonl", "--system", "object.json",
-          "--target-version", "2025", "--out-dir", "gated"], "object.json is missing key 'system_id'"),
-        (["comply-check", "--op", "deploy", "--adapters", "norules.json"],
-         "norules.json is missing key 'rules'"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "object.json", "--n", "10",
-          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "object.json is missing key 'institutions'"),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
-          "--conditions", "cond-int.json", "--store", "store.json"], "cond-int.json"),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
-          "--conditions", "cond-kind.json", "--store", "store.json"], "cond-kind.json"),
-        (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
-          "--out", "inferred.jsonl", "--overrides", "overrides.jsonl"],
-         "overrides.jsonl:1: is missing key 'clinical_code'"),
-        (["breaker", "check", "--records", "missing.jsonl"], "missing.jsonl"),
-        (["infer-clinical", "--records", "one.jsonl", "--history", "one.jsonl", "--system", SYSTEM,
-          "--out", "nodir/inferred.jsonl"], "nodir/inferred.jsonl"),
-        (["drift-scan", "--baseline", "one.jsonl", "--current", "one.jsonl", "--system", SYSTEM,
-          "--out", "nodir/alerts.jsonl"], "nodir/alerts.jsonl"),
-        (["breaker", "check", "--config", "cfgdir"], "cfgdir"),
-        (["oracle", "partition", "--input", "records.jsonl", "--accepted", "missing.jsonl",
-          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "missing.jsonl"),
-        (["oracle", "jsd", "--p", "nan,1", "--q", "0,1"], "--p"),
-        (["scenario", "run", "no-kind.json", "--seed", "1"],
-         "no-kind.json assertions must be a list of objects, each with a string kind"),
-        (["scenario", "run", "quarters-float.json", "--seed", "1"],
-         "quarters-float.json quarters must be an integer, got 1.9"),
-        (["scenario", "run", "quarters-bool.json", "--seed", "1"],
-         "quarters-bool.json quarters must be an integer, got True"),
-        (["scenario", "run", "n-string.json", "--seed", "1"],
-         "n-string.json n_per_quarter must be an integer, got '2'"),
-        (["scenario", "run", "n-zero.json", "--seed", "1"],
-         "n-zero.json n_per_quarter must be an integer >= 1, got 0"),
-        (["oracle", "partition", "--input", "records.jsonl", "--accepted", "trunc.jsonl",
-          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"], "trunc.jsonl:1"),
-        (["oracle", "partition", "--input", "one.jsonl", "--accepted", "one.jsonl",
-          "--reconciled", "int-id.jsonl", "--quarantine", "records.jsonl"],
-         "int-id.jsonl:1 is not a JSON record: record_id 5 is not a string"),
-        (["fidelity-report", "--records", "one.jsonl", "--history", "one.jsonl",
-          "--system", SYSTEM, "--out", "fidelity.csv", "--layer", "clinical"],
-         "unrecognized arguments: --layer clinical"),
-        (["dormancy", "classify", "--records", "mixed-offsets.jsonl",
-          "--significance", "significance.json", "--store", "store.json"],
-         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix naive "
-         "and UTC-offset"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
-          "--seed", "-1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "argument --seed: must be a non-negative integer, got '-1'"),
-        (["scenario", "run", "diabetes-walkthrough", "--seed", "-1"],
-         "argument --seed: must be a non-negative integer, got '-1'"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "10",
-          "--seed", "1", "--quarters", "2", "--start", "notadate",
-          "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "argument --start: must be an ISO 8601 date"),
-        (["breaker", "check", "--history", "nan"], "history entry 'nan' is not a ratio in [0,1]"),
-        (["breaker", "check", "--history", "5,inf"], "history entry '5' is not a ratio in [0,1]"),
-        (["breaker", "check", "--history", "[[1,2]]"], "history entry '[[1' is not a number"),
-        (["gate", "--records", "records.jsonl", "--system", "system-validated.json",
-          "--target-version", "2025", "--out-dir", "gated"],
-         "system-validated.json versions[1].validated must be true or false, got 'false'"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-conditions.json"],
-         "adapter-conditions.json rules[0].conditions must be a list of strings, "
-         "got 'pseudonymise'"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-reason.json"],
-         "adapter-reason.json rules[0].reason must be a string, got 5"),
-        (["dormancy", "activate", "--store", "store-types.json", "--records", "one.jsonl"],
-         "store-types.json [0].count must be an integer, got 'many'"),
-        (["dormancy", "activate", "--store", "store-negative.json", "--records", "one.jsonl"],
-         "store-negative.json [0]: count must be >= 0, got -1"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-ids.json"],
-         "adapter-ids.json adapter_id must be a string, got 5"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-key.json"],
-         "adapter-key.json rules[0].when[0].key must be a string, got ['model_card_present']"),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "sig-int.json",
-          "--store", "store.json"],
-         "sig-int.json ['DM2-UNSPEC'] must be a string, got 5"),
-        (["scenario", "run", "sig-scenario.json", "--seed", "1"],
-         "sig-scenario.json significance_list['DM-OTHER'] must be a string, got 5"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-weight.json", "--n", "10",
-          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "spec-weight.json institutions[0].weight must be a number, got '1.0'"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-extra.json", "--n", "10",
-          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "spec-extra.json has unknown keys ['outbreaks']"),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
-          "--conditions", "cond-domain.json", "--store", "store.json"],
-         "cond-domain.json ['DM2-UNSPEC'][0].domain must be a string or null, got 5"),
-        (["synth", "generate", "--system", "system-prevalence.json", "--spec", "spec.json",
-          "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-prevalence.json base_prevalence['DM-OTHER'] must be a number, got '0."),
-        (["synth", "generate", "--system", "system-cooccurrence.json", "--spec", "spec.json",
-          "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-cooccurrence.json cooccurrence_profiles['DM-OTHER']['LAB-GLU-HI'] must be a "
-         "number, got '0.3'"),
-        (["scenario", "run", "context-list.json", "--seed", "1"],
-         "context-list.json ingest_context['purpose'] must be a string, an integer, a number "
-         "or true or false, got ['training']"),
-        (["scenario", "run", "context-pairs.json", "--seed", "1"],
-         "context-pairs.json deploy_context must be an object of strings, integers, numbers "
-         "or booleans, got [['purpose', 'demo']]"),
-        (["scenario", "run", "sig-typo.json", "--seed", "1"],
-         "sig-typo.json has unknown keys ['signficance_list']"),
-        (["gate", "--records", "records.jsonl", "--system", "system-transitons.json",
-          "--target-version", "2025", "--out-dir", "gated"],
-         "system-transitons.json has unknown keys ['transitons']"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-wehn.json"],
-         "adapter-wehn.json rules[0] has unknown keys ['wehn']"),
-        (["comply-check", "--op", "deploy", "--adapters", "adapter-value-list.json"],
-         "adapter-value-list.json rules[0].when[0].value must be a string, an integer, a number "
-         "or true or false or null, got ['high']"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-twice.json", "--n", "10",
-          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "spec lists institution 'I-A' more than once"),
-        (["scenario", "run", "sig-no-conditions.json", "--seed", "1"],
-         "sig-no-conditions.json significance_list code 'DM-OTHER' has no "
-         "activation_conditions entry"),
-        (["scenario", "run", "sig-unknown-code.json", "--seed", "1"],
-         "sig-unknown-code.json significance_list lists unknown code 'DM-OTEHR'"),
-        (["breaker", "check", "--records", "record-key.jsonl"],
-         "record-key.jsonl:1: has unknown keys ['influence_tg']"),
-        (["breaker", "check", "--records", "tag-key.jsonl"],
-         "tag-key.jsonl:1: influence_tag has unknown keys ['confidence']"),
-        (["scenario", "run", "system-dir.json", "--seed", "1", "--out-dir", "run"],
-         "system-dir.json references missing file: ."),
-        (["scenario", "run", "config-dir.json", "--seed", "1", "--out-dir", "run"],
-         "config-dir.json references missing file: ."),
-        (["breaker", "check", "--records", "deep.jsonl"], "deep.jsonl:1: "),
-        (["breaker", "check", "--records", "deep-fidelity.jsonl"], "deep-fidelity.jsonl:1: "),
-        (["comply-check", "--op", "deploy", "--adapters", "deep.json"],
-         "deep.json is not valid JSON"),
-        (["scenario", "run", "deep.json", "--seed", "1"], "deep.json is not valid JSON"),
-        (["oracle", "partition", "--input", "deep.jsonl", "--accepted", "records.jsonl",
-          "--reconciled", "records.jsonl", "--quarantine", "records.jsonl"],
-         "deep.jsonl:1 is not a JSON record"),
-        (["synth", "generate", "--system", "system-prevalence-negative.json", "--spec",
-          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-prevalence-negative.json base_prevalence['DM-OTHER'] must be a number >= 0, "
-         "got -0.5"),
-        (["synth", "generate", "--system", "system-prevalence-nan.json", "--spec",
-          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-prevalence-nan.json base_prevalence['DM-OTHER'] must be a number >= 0, got nan"),
-        (["synth", "generate", "--system", "system-prevalence-inf.json", "--spec",
-          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "system-prevalence-inf.json base_prevalence['DM-OTHER'] must be a number >= 0, got inf"),
-        (["synth", "generate", "--system", "system-prevalence-zero.json", "--spec",
-          "spec.json", "--n", "10", "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "code system declares no positive base_prevalence"),
-        (["synth", "generate", "--system", SYSTEM, "--spec", "spec-nan-weight.json", "--n", "10",
-          "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-         "institution weights must sum to 1, got nan"),
-        (["fidelity-report", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
-          "--system", SYSTEM, "--out", "fidelity.csv"],
-         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
-        (["infer-clinical", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
-          "--system", SYSTEM, "--out", "out.jsonl"],
-         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
-        (["drift-scan", "--baseline", "one.jsonl", "--current", "mixed-offsets.jsonl",
-          "--system", SYSTEM],
-         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
-        (["dormancy", "activate", "--records", "mixed-offsets.jsonl",
-          "--store", "store-empty.json"],
-         "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
-        (["infer-clinical", "--records", "one.jsonl", "--history", "v1900.jsonl",
-          "--system", SYSTEM, "--out", "out.jsonl"], "v1900.jsonl: unknown version: '1900'"),
-        (["drift-scan", "--baseline", "one.jsonl", "--current", "v1900.jsonl",
-          "--system", SYSTEM], "v1900.jsonl: unknown version: '1900'"),
-        (["fidelity-report", "--records", "one.jsonl", "--history", "records.jsonl",
-          "--system", SYSTEM, "--out", "fidelity.csv"],
-         "records.jsonl: reference history must be non-empty"),
-        (["drift-scan", "--baseline", "records.jsonl", "--current", "one.jsonl",
-          "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
-        (["drift-scan", "--baseline", "one.jsonl", "--current", "records.jsonl",
-          "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
-        *((["scenario", "run", f"quarter-{name}.json", "--seed", "1"],
-           f"quarter-{name}.json assertions[0].quarter must be an integer in 1..3, got {value}")
-          for name, value in (("string", "'1'"), ("float", "1.0"), ("zero", "0"),
-                              ("negative", "-1"), ("bool", "True"))),
-        *((["scenario", "run", name, "--seed", "1"], f"{name} assertions[0].{fault}")
-          for name, fault in (
-              ("quarter-missing.json", "quarter must be an integer in 1..3, got None"),
-              ("ratio-string.json", "ratio must be a number, got '0.12'"),
-              ("state-missing.json", "state must be a string, got None"),
-              ("count-missing.json", "count must be an integer, got None"),
-              ("accepted-bool.json", "accepted must be an integer, got True"),
-              ("category-int.json", "evidence_billing_category must be a string or null, got 5"),
-              ("verdict-missing.json", "verdict must be a string, got None"),
-              ("kind-unknown.json", "kind must be one of ['breaker', 'deploy_verdict', "
-               "'dormant_entry', 'drift_alert', 'gate_counts'], got 'breakr'"))),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
-          "--conditions", "conditions.json"], "--conditions needs --store"),
-        (["dormancy", "classify", "--records", "one.jsonl", "--significance", "significance.json",
-          "--prune-log", "prune.csv"], "--prune-log needs --store"),
-        (["dormancy", "activate", "--store", "store-stray-field.json", "--records", "one.jsonl"],
-         "store-stray-field.json [0].activation_conditions[0]: domain_transfer_request "
-         "condition must not set threshold"),
-    ], ids=[
-        "zero-step", "start-after-stop", "bad-history", "bad-json-history",
-        "missing-store", "bad-store", "tiny-step", "infinite-stop",
-        "store-entry-missing-key", "store-not-a-list", "truncated-jsonl",
-        "jsd-not-a-number", "bad-timestamp", "missing-significance", "record-bad-time",
-        "scenario-not-json", "scenario-no-name", "config-list-threshold", "config-number-weights",
-        "config-float-support", "system-empty", "adapter-no-rules",
-        "spec-empty", "conditions-not-lists", "conditions-bad-kind", "override-missing-code",
-        "records-missing", "infer-out-dir-missing", "scan-out-dir-missing", "config-is-directory",
-        "partition-missing", "jsd-nan", "assertion-no-kind", "quarters-float",
-        "quarters-bool", "n-per-quarter-string", "n-per-quarter-zero", "partition-bad-line",
-        "partition-int-id", "fidelity-layer", "mixed-utc-offsets", "synth-negative-seed",
-        "scenario-negative-seed", "synth-bad-start", "history-nan", "history-out-of-range",
-        "history-int-period", "system-string-validated", "adapter-string-conditions",
-        "adapter-int-reason", "store-entry-types", "store-entry-negative-count",
-        "adapter-int-fields", "adapter-list-clause-key", "significance-int-note",
-        "scenario-significance-int-note", "spec-string-weight", "spec-unknown-key",
-        "conditions-int-domain", "system-string-prevalence", "system-string-cooccurrence",
-        "scenario-context-list-value",
-        "scenario-context-not-object", "scenario-misspelt-key", "system-misspelt-key",
-        "adapter-misspelt-rule-key", "adapter-list-clause-value", "spec-repeated-institution",
-        "scenario-significance-without-conditions", "scenario-unknown-dormancy-code",
-        "record-misspelt-key", "record-misspelt-tag-key",
-        "scenario-code-system-directory", "scenario-config-directory",
-        "records-deeply-nested", "records-deeply-nested-fidelity", "adapter-deeply-nested",
-        "scenario-deeply-nested", "partition-deeply-nested", "system-negative-prevalence",
-        "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
-        "spec-nan-weight", "fidelity-history-mixed-offsets", "infer-history-mixed-offsets",
-        "scan-current-mixed-offsets", "activate-mixed-offsets", "infer-history-unknown-version",
-        "scan-current-unknown-version", "fidelity-history-empty", "scan-baseline-empty",
-        "scan-current-empty", "assertion-quarter-string", "assertion-quarter-float",
-        "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
-        "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
-        "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
-        "assertion-verdict-missing", "assertion-kind-unknown", "conditions-without-store",
-        "prune-log-without-store", "store-condition-stray-field",
-    ])
-    def test_bad_flag_or_store_exits_one_without_traceback(self, tmp_path, argv, named):
-        # A child process with a timeout, so a flag that loops forever fails
-        # the test instead of hanging the suite.
-        for name, text in CLI_INPUT_FILES.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
-        (tmp_path / "cfgdir").mkdir()
-        if argv[0] in ("breaker", "dormancy") and "--records" not in argv:
-            argv = [*argv, "--records", "records.jsonl"]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "ontoguard.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
-        )
-        assert result.returncode == 1
-        assert "error:" in result.stderr and named in result.stderr
-        assert "Traceback" not in result.stderr
+    @pytest.mark.parametrize("argv, named", BAD_INPUT_CASES, ids=BAD_INPUT_IDS)
+    def test_bad_flag_or_store_exits_one_without_traceback(self, bad_input_results, request,
+                                                           argv, named):
+        # All cases run in one child process under one timeout (the fixture),
+        # so a flag that loops forever fails the cases left instead of hanging
+        # the suite.
+        results, child_stderr = bad_input_results
+        case = request.node.callspec.id
+        assert case in results, f"the child process did not finish the case: {child_stderr}"
+        status, stderr = results[case]
+        assert status == 1
+        assert "error:" in stderr and named in stderr
+        assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("argv", [
         ["synth", "generate", "--system", SYSTEM, "--spec", "spec.json", "--n", "100000000000",

@@ -348,13 +348,15 @@ def test_quarantine_file_reads_back_as_the_quarantined_rows(tmp_path, records):
 
 def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
     # Reading and writing a records file moves field values straight between
-    # lines and columns; neither builds nor checks a CodedRecord.
+    # lines and columns; neither builds nor checks a CodedRecord, and nor
+    # does writing the gate's quarantine file.
     india = timezone(timedelta(hours=5, minutes=30))
     records = [
         row("R-1", when=datetime(2025, 2, 15, 12, 0, 0, 250000, tzinfo=india),
             co_codes=("LAB-A1C", "RX-MET"), influence_tag=tag("m-1", 1, True),
             fidelity=annotation(0.25, -0.0, 1, 0.5, "ok"), clinical_code="DM2-HYPER"),
         row("R-2", when=datetime(2025, 3, 1, tzinfo=timezone.utc)),
+        row("R-3", code="AAA", version="v2"),
     ]
     text = "".join(jsonl_dumps(record) + "\n" for record in records)
     path, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
@@ -364,8 +366,16 @@ def test_records_file_boundary_builds_no_row(tmp_path, monkeypatch):
         raise AssertionError("a CodedRecord was built")
 
     monkeypatch.setattr(CodedRecord, "__post_init__", refuse)
-    write_records(out, read_records(path))
+    batch = read_records(path)
+    write_records(out, batch)
     assert out.read_text(encoding="utf-8") == text
+    # tiny_system() has no version "2025"; "AAA" on "v2" is accepted.
+    write_quarantine(out, gate_batch(batch, tiny_system(), "v2"))
+    assert out.read_text(encoding="utf-8") == "".join(
+        jsonl_dumps({"original_code": record["primary_code"],
+                     "original_version": record["version_tag"],
+                     "reason": "unvalidated_version", "record": record}) + "\n"
+        for record in records[:2])
 
 
 

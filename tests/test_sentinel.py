@@ -130,6 +130,18 @@ class TestCompare:
                 component_divergences(b, a), abs=1e-12
             )
 
+    def test_a_window_across_a_year_end_has_a_temporal_cell_per_month(self):
+        # November to February: one cell per calendar month in order, an
+        # empty January included, then the complement.
+        counts = {(2024, 11): 3, (2024, 12): 5, (2025, 1): 0, (2025, 2): 2}
+        rows = [row(f"A-{year}-{month}-{i}", code="AAA", when=datetime(year, month, 10, 8, 0))
+                for (year, month), count in counts.items() for i in range(count)]
+        rows.append(row("B-0", code="BBB", when=datetime(2024, 12, 1, 8, 0)))
+        cfg = PipelineConfig(fingerprint_min_support=1)
+        temporal = build_fingerprints(admin(rows), cfg).by_code["AAA"]["temporal"]
+        assert list(temporal) == [0, 1, 2, 3, math.inf]
+        assert list(temporal.values()) == pytest.approx([3 / 11, 5 / 11, 0.0, 2 / 11, 1 / 11])
+
     def test_temporal_cells_align_across_windows_of_different_lengths(self):
         # A three-month window's month cells are zero-filled to the
         # four-month window's, and the complements stay aligned last.

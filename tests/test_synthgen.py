@@ -3,7 +3,7 @@
 import hashlib
 import io
 import json
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -214,6 +214,27 @@ class TestQuarterSeries:
         q2_days = {datetime.fromisoformat(r["encounter_time"]).date() for r in rows(batches[1])}
         assert max(q1_days) <= date(2025, 3, 31)
         assert min(q2_days) >= date(2025, 4, 1)
+
+    @pytest.mark.parametrize("start", [
+        date(2025, 1, 1), date(2024, 8, 15), date(2025, 12, 28), date(2024, 2, 29),
+        date(2023, 11, 30), date(2024, 1, 31), date(2023, 12, 31), date(2025, 10, 1),
+    ])
+    def test_quarter_window_matches_a_hand_recount(self, start):
+        # A quarter is three calendar months counted from the start's month,
+        # whatever the start's day; a negative index counts back before it.
+        def next_first(day):
+            return (day.replace(day=1) + timedelta(days=32)).replace(day=1)
+
+        def previous_first(day):
+            return (day.replace(day=1) - timedelta(days=1)).replace(day=1)
+
+        for quarter in range(-6, 8):
+            first = start.replace(day=1)
+            for _ in range(3 * abs(quarter)):
+                first = (next_first if quarter > 0 else previous_first)(first)
+            last = next_first(next_first(next_first(first))) - timedelta(days=1)
+            window = synthgen.quarter_window(start, quarter)
+            assert (window.start, window.end) == (first, last), quarter
 
     def test_invalid_quarter_count(self, bundled_system):
         with pytest.raises(ValidationError, match="quarters"):
