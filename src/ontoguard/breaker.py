@@ -62,7 +62,6 @@ class ToyRiskModel:
 
 @dataclass(frozen=True)
 class Refusal:
-    reason: str
     stats: InfluenceStats
     state: BreakerState
 
@@ -132,13 +131,13 @@ def retrain_gate(
 
     Retraining fits per-code empirical outcome rates over the cohort and
     bumps the model version; the new model is trained on ``stats``' cohort.
-    A record's codes and outcome depend on its primary code and co-code set
-    alone, so each distinct pair is counted once.
+    An empty cohort keeps ``model``. A record's codes and outcome depend on
+    its primary code and co-code set alone, so each distinct pair is counted once.
     """
     if state.state is BreakerStateKind.OPEN:
-        return Refusal(reason=state.reason, stats=stats, state=state)
+        return Refusal(stats=stats, state=state)
     if not len(cohort):
-        raise ValidationError("cannot retrain on an empty cohort")
+        return model
     totals: dict[str, int] = {}
     positives: dict[str, int] = {}
     pairs, counts, _ = cohort.groups("code", "co")
@@ -163,7 +162,7 @@ def write_influence_csv(
 
 def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:
     write_json(path, {
-        "reason": refusal.reason,
+        "reason": refusal.state.reason,
         "state": refusal.state.state,
         "threshold_used": refusal.state.threshold_used,
         "stats": refusal.stats,

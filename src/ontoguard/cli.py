@@ -87,10 +87,10 @@ def _load_cfg(path: str | None) -> PipelineConfig:
 def _blame(path: str, build, *args):
     """``build(*args)``, where ``args`` hold what was read from ``path``.
 
-    A profile or reference model can fail on a batch as a whole, such as a
-    code whose times mix naive and UTC-offset timestamps, and no one line
-    holds that fault, so its message names the file. ``read_records``
-    already names ``path:line`` for a line's own faults; call it outside.
+    A profile, reference model, drift scan or distortion spec can fail on a
+    file as a whole, such as a code whose times mix naive and UTC-offset
+    timestamps; no one line holds that fault, so its message names the file.
+    ``read_records`` names ``path:line`` for a line's own faults; call it outside.
     """
     try:
         return build(*args)
@@ -237,6 +237,7 @@ def build_parser() -> _Parser:
 def _cmd_synth_generate(args) -> int:
     system = load_code_system(args.system)
     spec = load_json(args.spec, "--spec file", synthgen_mod.DistortionSpec)
+    _blame(args.spec, synthgen_mod.validate_spec, system, spec)
     if args.quarters is None:
         records, truth = synthgen_mod.generate_batch(
             system, spec, args.n, args.seed, window=synthgen_mod.quarter_window(args.start, 0))
@@ -315,8 +316,7 @@ def _cmd_dormancy_classify(args) -> int:
     cfg = _load_cfg(args.config)
     profile = _blame(args.records, profile_batch, read_records(args.records), args.layer)
     significance = load_json(args.significance, "--significance file", Mapping[str, str])
-    classification = _blame(args.records, dormancy_mod.classify_features, profile,
-                            significance.keys(), cfg)
+    classification = dormancy_mod.classify_features(profile, significance.keys(), cfg)
     for code in sorted(classification):
         print(f"{code}: {classification[code].value}")
     if args.store:
@@ -363,11 +363,8 @@ def _cmd_drift_scan(args) -> int:
     cfg = _load_cfg(args.config)
     baseline = _blame(args.baseline, profile_batch, read_records(args.baseline), args.layer)
     current = _blame(args.current, profile_batch, read_records(args.current), args.layer)
-    # scan reads each batch's window and the code set of the current batch's version
-    _blame(args.baseline, baseline.window)
-    _blame(args.current, current.window)
-    _blame(args.current, system.codes, current.dominant_version())
-    alerts = sentinel_mod.scan(baseline, current, system, cfg)
+    # scan reads the code set of the current batch's version
+    alerts = _blame(args.current, sentinel_mod.scan, baseline, current, system, cfg)
     for alert in alerts:
         print(
             f"alert {alert.code}: divergence={alert.divergence:.4f} "

@@ -110,8 +110,6 @@ def classify_features(
     Frequency at or above the dormancy threshold: active. Below threshold
     and on the significance list: dormant. Below threshold otherwise: pruned.
     """
-    if not profile.n:
-        raise ValidationError("cannot classify features of an empty batch")
     significant = set(significance_list)
     classification: dict[str, FeatureClass] = {}
     for code, usage in profile.codes.items():

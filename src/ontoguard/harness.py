@@ -9,8 +9,8 @@ deployment decision, and the report export. Quarters are causally chained
 through the breaker history and the model, so they run sequentially.
 Every stage call goes through ``run_stage``, as every CLI command does: it
 names the stage and quarter in any fault that is not the machine's, and
-appends the stage's ordering-trace entry. A fault of the input, such as a
-quarter whose every record is quarantined, stops the run with exit code 1.
+appends the stage's ordering-trace entry. A fault of the input stops the run
+with exit code 1; an empty batch, as of a fully quarantined quarter, is none.
 
 All timestamps in run artifacts come from the simulated calendar, which
 keeps outputs byte-identical for a fixed seed.
@@ -134,7 +134,7 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     Relative file references resolve against the spec file's directory, and
     every referenced file must exist at load time. The codes of
     ``significance_list`` and ``activation_conditions`` must be defined by
-    the code system, which is loaded here to check them.
+    the code system, which is loaded here to check them and the distortion.
     """
     path = Path(name_or_path)
     if not path.exists():
@@ -146,10 +146,14 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     spec = _resolve_files(load_json(path, "scenario file", ScenarioSpec), path)
     system = load_code_system(spec.code_system_path)
     defined = {code for codes in system.codes_by_version.values() for code in codes}
-    for name, codes in (("significance_list", spec.significance),
-                        ("activation_conditions", spec.activation_conditions)):
-        if unknown := sorted(codes.keys() - defined):
-            raise ValidationError(f"scenario file {path} {name} lists unknown code {unknown[0]!r}")
+    try:
+        synthgen_mod.validate_spec(system, spec.distortion)
+        for name, codes in (("significance_list", spec.significance),
+                            ("activation_conditions", spec.activation_conditions)):
+            if unknown := sorted(codes.keys() - defined):
+                raise ValidationError(f"{name} lists unknown code {unknown[0]!r}")
+    except ValidationError as exc:
+        raise ValidationError(f"scenario file {path} {exc}") from None
     return spec
 
 
@@ -339,7 +343,7 @@ def run_scenario(
                                 state, inferred, model, stats)
         if isinstance(gate_result, breaker_mod.Refusal):
             breaker_mod.write_refusal_packet(gate_result, qdir / "refusal.json")
-            tracer.add("breaker.refusal", {"reason": gate_result.reason})
+            tracer.add("breaker.refusal", {"reason": gate_result.state.reason})
         else:  # a reused out dir keeps no refusal of an earlier run
             (qdir / "refusal.json").unlink(missing_ok=True)
             model = gate_result

@@ -32,7 +32,6 @@ from .model import (
     CodeSystem,
     PipelineConfig,
     TimeWindow,
-    ValidationError,
     write_jsonl,
 )
 from .version_gate import changed_codes
@@ -63,10 +62,10 @@ class DriftAlert:
 
 
 def build_fingerprints(profile: BatchProfile, cfg: PipelineConfig) -> FingerprintSet:
-    """One fingerprint per code observed at least ``fingerprint_min_support``
-    times over the calendar months of ``profile.window()``; under-supported codes have none."""
+    """One fingerprint per code observed at least ``fingerprint_min_support`` times
+    over the calendar months of ``profile.window()``; an empty batch has none."""
     if not profile.n:
-        raise ValidationError("cannot fingerprint an empty batch")
+        return FingerprintSet(by_code={})
     window = profile.window()
     months = [(first.year, first.month) for first in np.arange(
         np.datetime64(window.start, "M"), np.datetime64(window.end, "M") + 1).tolist()]
@@ -160,7 +159,11 @@ def scan(
             w * parts[name] for w, name in zip(cfg.drift_component_weights, COMPONENTS)
         )
 
+    # The current batch's version is checked whenever it has rows, drifting or not.
+    code_defs = system.codes(current.dominant_version()) if current.n else {}
     drifting = {code for code, d in divergences.items() if d >= cfg.drift_threshold}
+    if not drifting:
+        return []
     index = _release_match(current.window(), system, cfg.release_correlation_window_days)
     release = None if index is None else system.versions[index]
     # Only the hop into the matched release can explain this window; the
@@ -170,8 +173,6 @@ def scan(
         touched = changed_codes(
             system, system.versions[index - 1].label, release.label
         )
-
-    code_defs = system.codes(current.dominant_version())
 
     alerts: list[DriftAlert] = []
     for code in sorted(drifting):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 import time
@@ -221,6 +222,14 @@ def tables(batch: RecordBatch) -> dict:
         **{name: getattr(batch, name) for name in ("codes", "institutions", "versions", "co_sets")},
         "annotations": [model._annotation_json(values, note)
                         for values, note in zip(batch.annotations.tolist(), batch.notes)]})
+
+
+def run_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file under ``out``, by its relative path."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*") if path.is_file()
+    }
 
 
 def rows(batch: RecordBatch) -> list[dict]:

@@ -22,7 +22,7 @@ from ontoguard.breaker import (
     write_influence_csv,
     write_refusal_packet,
 )
-from ontoguard.model import PipelineConfig, ValidationError
+from ontoguard.model import PipelineConfig
 from ontoguard.synthgen import InstitutionWeight
 
 CFG = PipelineConfig()  # breaker threshold 0.15
@@ -116,12 +116,12 @@ class TestRetrainGate:
         assert result.stats.ratio == pytest.approx(0.2)
         assert model.model_version == "toy-risk-1"
 
-    def test_empty_cohort_with_closed_state_rejected(self):
-        model = ToyRiskModel("toy-risk-1", {})
-        stats = compute_stats(cohort_with_ratio(10, 0.0), [])
+    def test_empty_cohort_keeps_the_model(self):
+        model = ToyRiskModel("toy-risk-3", {"AAA": 0.5})
+        stats = compute_stats(read_rows([]), [])
         state = evaluate(stats, CFG)
-        with pytest.raises(ValidationError, match="empty cohort"):
-            retrain_gate(state, read_rows([]), model, stats)
+        assert state.state is BreakerStateKind.CLOSED
+        assert retrain_gate(state, read_rows([]), model, stats) is model
 
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(

@@ -69,9 +69,8 @@ class TestClassifyFeatures:
         classes = classify_features(admin(batch), set(), CFG)
         assert classes["RARE"] is FeatureClass.PRUNED
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValidationError, match="empty batch"):
-            classify_features(admin([]), set(), CFG)
+    def test_empty_batch_has_no_classes(self):
+        assert classify_features(admin([]), {"DM-OTHER"}, CFG) == {}
 
     def test_no_silent_loss(self, q1_products, bundled_cfg):
         batch = q1_products["inferred"]

@@ -1,7 +1,6 @@
 """Scenario harness: wiring order, compliance wrapping, determinism, CLI."""
 
 import gc
-import hashlib
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SEED, annotation, row, tag
+from conftest import SEED, annotation, row, run_digests, tag
 from ontoguard import (
     breaker,
     checkpoint,
@@ -234,14 +233,6 @@ DRIFT_STORM_DIGESTS = {
     "report.json": "c22f20596961089bab945f3236a27bc14e16475892ca68e56b7bb2a5ea40442d",
     "report.txt": "97cc3f55391612223f2f7602b5bd335477789108712f2baa9b3b7e3c69bc0737",
 }
-
-
-def run_digests(out: Path) -> dict[str, str]:
-    """sha256 of every file under ``out``, by its relative path."""
-    return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in out.rglob("*") if path.is_file()
-    }
 
 
 class TestGolden:
@@ -759,6 +750,9 @@ CLI_INPUT_FILES = {
         dict.fromkeys(json.loads(Path(SYSTEM).read_text(encoding="utf-8"))["base_prevalence"], 0))),
     "spec-nan-weight.json": json.dumps({"current_version": "2025", "institutions": [
         {"institution_id": "I-A", "weight": math.nan}]}),
+    "catch-all-nope.json": walkthrough_text(distortion={
+        **json.loads(walkthrough_text())["distortion"],
+        "catch_all": [{"institution_id": "INST-07", "target_code": "NOPE", "excess_rate": 0.8}]}),
     "n-huge.json": walkthrough_text(n_per_quarter=100_000_000_000),
     "v1900.jsonl": json.dumps(row(version="1900")) + "\n",
     "store-empty.json": "[]",
@@ -962,7 +956,9 @@ BAD_INPUT_CASES = [
      "code system declares no positive base_prevalence"),
     (["synth", "generate", "--system", SYSTEM, "--spec", "spec-nan-weight.json", "--n", "10",
       "--seed", "1", "--out", "out.jsonl", "--truth", "truth.jsonl"],
-     "institution weights must sum to 1, got nan"),
+     "spec-nan-weight.json: institution weights must sum to 1, got nan"),
+    (["scenario", "run", "catch-all-nope.json", "--seed", "1", "--out-dir", "run"],
+     "scenario file catch-all-nope.json catch_all references unknown code 'NOPE'"),
     (["fidelity-report", "--records", "one.jsonl", "--history", "mixed-offsets.jsonl",
       "--system", SYSTEM, "--out", "fidelity.csv"],
      "mixed-offsets.jsonl: record 'R-2': encounter times of code 'DM2-UNSPEC' mix"),
@@ -982,10 +978,6 @@ BAD_INPUT_CASES = [
     (["fidelity-report", "--records", "one.jsonl", "--history", "records.jsonl",
       "--system", SYSTEM, "--out", "fidelity.csv"],
      "records.jsonl: reference history must be non-empty"),
-    (["drift-scan", "--baseline", "records.jsonl", "--current", "one.jsonl",
-      "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
-    (["drift-scan", "--baseline", "one.jsonl", "--current", "records.jsonl",
-      "--system", SYSTEM], "records.jsonl: cannot infer a window from an empty batch"),
     *((["scenario", "run", f"quarter-{name}.json", "--seed", "1"],
        f"quarter-{name}.json assertions[0].quarter must be an integer in 1..3, got {value}")
       for name, value in (("string", "'1'"), ("float", "1.0"), ("zero", "0"),
@@ -1036,10 +1028,10 @@ BAD_INPUT_IDS = [
     "records-deeply-nested", "records-deeply-nested-fidelity", "adapter-deeply-nested",
     "scenario-deeply-nested", "partition-deeply-nested", "system-negative-prevalence",
     "system-nan-prevalence", "system-infinite-prevalence", "system-zero-prevalence",
-    "spec-nan-weight", "fidelity-history-mixed-offsets", "infer-history-mixed-offsets",
-    "scan-current-mixed-offsets", "activate-mixed-offsets", "infer-history-unknown-version",
-    "scan-current-unknown-version", "fidelity-history-empty", "scan-baseline-empty",
-    "scan-current-empty", "assertion-quarter-string", "assertion-quarter-float",
+    "spec-nan-weight", "scenario-catch-all-unknown-code", "fidelity-history-mixed-offsets",
+    "infer-history-mixed-offsets", "scan-current-mixed-offsets", "activate-mixed-offsets",
+    "infer-history-unknown-version", "scan-current-unknown-version", "fidelity-history-empty",
+    "assertion-quarter-string", "assertion-quarter-float",
     "assertion-quarter-zero", "assertion-quarter-negative", "assertion-quarter-bool",
     "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
     "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
@@ -1126,18 +1118,17 @@ class TestCli:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_a_fully_quarantined_quarter_stops_naming_its_stage_and_quarter(self, tmp_path,
-                                                                           capsys, n):
+    def test_a_fully_quarantined_quarter_completes(self, tmp_path, capsys, n):
         # Behind the generated version 2025, a batch this small has every
-        # record quarantined, and dormancy cannot classify the empty quarter.
+        # record quarantined; each stage gives its result for no rows.
         spec = tmp_path / "all-quarantined.json"
         spec.write_text(walkthrough_text(target_version="2024", n_per_quarter=n, assertions=[]),
                         encoding="utf-8")
         status = cli.main(["scenario", "run", str(spec), "--seed", "1",
                            "--out-dir", str(tmp_path / "run")])
-        assert status == 1
-        assert capsys.readouterr().err == ("error: stage dormancy.classify failed in quarter 1: "
-                                           "cannot classify features of an empty batch\n")
+        assert status == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run" / "report.json").exists()
         quarantine = tmp_path / "run" / "q1" / "quarantine.jsonl"
         assert len(quarantine.read_text(encoding="utf-8").splitlines()) == n
 
@@ -1179,15 +1170,21 @@ class TestCli:
         harness.run_scenario(small, SEED, tmp_path / "fresh")
         assert run_digests(tmp_path / "reused") == run_digests(tmp_path / "fresh")
 
-    def test_dormancy_classify_names_an_empty_records_file(self, tmp_path, capsys):
-        records = tmp_path / "empty.jsonl"
-        records.write_text("", encoding="utf-8")
-        (tmp_path / "significance.json").write_text("{}", encoding="utf-8")
-        status = cli.main(["dormancy", "classify", "--records", str(records),
-                           "--significance", str(tmp_path / "significance.json")])
-        assert status == 1
-        assert capsys.readouterr().err == (f"error: {records}: "
-                                           "cannot classify features of an empty batch\n")
+    @pytest.mark.parametrize("command, out", [
+        (["dormancy", "classify", "--records", "empty.jsonl", "--significance", "sig.json"], ""),
+        (["drift-scan", "--baseline", "one.jsonl", "--current", "empty.jsonl",
+          "--system", SYSTEM], "no drift alerts\n"),
+        (["drift-scan", "--baseline", "empty.jsonl", "--current", "one.jsonl",
+          "--system", SYSTEM], "no drift alerts\n"),
+    ], ids=["classify", "scan-current", "scan-baseline"])
+    def test_an_empty_records_file_is_an_empty_batch(self, tmp_path, monkeypatch, capsys,
+                                                    command, out):
+        monkeypatch.chdir(tmp_path)
+        for name, text in (("empty.jsonl", ""), ("one.jsonl", json.dumps(row()) + "\n"),
+                           ("sig.json", "{}")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert cli.main(command) == 0
+        assert capsys.readouterr() == ("layer: administrative\n" + out, "")
 
     def test_drift_scan_matches_a_release_from_the_first_of_the_month(self, tmp_path, capsys):
         # The current batch's first encounter, 2025-03-16, is 91 days after

@@ -83,9 +83,8 @@ class TestBuildFingerprints:
             for dist in fp.values():
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-6)
 
-    def test_empty_batch_rejected(self, bundled_cfg):
-        with pytest.raises(ValidationError, match="empty"):
-            build_fingerprints(admin([]), bundled_cfg)
+    def test_empty_batch_has_no_fingerprints(self, bundled_cfg):
+        assert build_fingerprints(admin([]), bundled_cfg).by_code == {}
 
 
 class TestCompare:
@@ -176,6 +175,21 @@ class TestCompare:
 
 
 class TestScan:
+    @pytest.mark.parametrize("baseline, current", [(0, 0), (0, 3), (3, 0)],
+                             ids=["both-empty", "baseline-empty", "current-empty"])
+    def test_an_empty_batch_gives_no_alerts(self, bundled_system, baseline, current):
+        # Any shift would drift at this threshold, but an empty batch has no
+        # fingerprint to compare, and no window to match a release from.
+        cfg = PipelineConfig(drift_threshold=1e-9, fingerprint_min_support=1)
+        batches = [admin([row(f"{side}-{i}") for i in range(n)])
+                   for side, n in (("B", baseline), ("C", current))]
+        assert scan(*batches, bundled_system, cfg) == []
+
+    def test_an_unknown_current_version_is_a_fault_when_nothing_drifts(self, bundled_system,
+                                                                       bundled_cfg):
+        with pytest.raises(ValidationError, match="unknown version: '1900'"):
+            scan(admin([]), admin([row(version="1900")]), bundled_system, bundled_cfg)
+
     def test_billing_drift_classified_administrative(
         self, scenario_run
     ):
