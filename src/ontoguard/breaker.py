@@ -161,12 +161,7 @@ def write_influence_csv(
 
 
 def write_refusal_packet(refusal: Refusal, path: str | Path) -> None:
-    write_json(path, {
-        "reason": refusal.state.reason,
-        "state": refusal.state.state,
-        "threshold_used": refusal.state.threshold_used,
-        "stats": refusal.stats,
-    })
+    write_json(path, {**vars(refusal.state), "stats": refusal.stats})
 
 
 def read_history(text: str) -> list[tuple[str, float]]:

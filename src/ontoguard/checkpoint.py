@@ -36,7 +36,6 @@ class ReferenceModel:
     """Expected distribution model estimated from historical records with
     add-one smoothing over the history's dominant version's code set."""
 
-    version_label: str
     code_set: tuple[str, ...]
     candidate_codes: tuple[str, ...]
     n_records: int
@@ -63,8 +62,7 @@ def build_reference_model(history: RecordBatch, system: CodeSystem) -> Reference
     profile = profile_batch(history, Layer.ADMINISTRATIVE)
     if not profile.n:
         raise ValidationError("reference history must be non-empty")
-    version_label = profile.dominant_version()
-    code_set = tuple(sorted(system.codes(version_label)))
+    code_set = tuple(sorted(system.codes(profile.dominant_version())))
     n_codes = len(code_set)
 
     code_counts = {code: usage.count for code, usage in profile.codes.items()}
@@ -97,7 +95,7 @@ def build_reference_model(history: RecordBatch, system: CodeSystem) -> Reference
 
     candidates = tuple(sorted(c for c in code_counts if c in set(code_set)))
     return ReferenceModel(
-        version_label=version_label, code_set=code_set, candidate_codes=candidates,
+        code_set=code_set, candidate_codes=candidates,
         n_records=profile.n, code_counts=code_counts, stratum_counts=stratum_counts,
         code_stratum_counts=code_stratum_counts, cooccurrence=cooccurrence,
         top_cooccurring=top_cooccurring, institution_rates=institution_rates,

@@ -18,6 +18,8 @@ keeps outputs byte-identical for a fixed seed.
 
 from __future__ import annotations
 
+import re
+import shutil
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time as dtime
 from importlib import resources
@@ -148,6 +150,9 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     defined = {code for codes in system.codes_by_version.values() for code in codes}
     try:
         synthgen_mod.validate_spec(system, spec.distortion)
+        if not any(v.label == spec.target_version and v.validated for v in system.versions):
+            raise ValidationError(f"target_version {spec.target_version!r} is not a validated "
+                                  "version of the code system")
         for name, codes in (("significance_list", spec.significance),
                             ("activation_conditions", spec.activation_conditions)):
             if unknown := sorted(codes.keys() - defined):
@@ -225,6 +230,9 @@ def run_scenario(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.iterdir():  # a reused out dir keeps no quarter of an earlier run
+        if stale.is_dir() and re.fullmatch("q[0-9]+", stale.name):
+            shutil.rmtree(stale)
     system = load_code_system(spec.code_system_path)
     cfg = load_config(spec.config_path)
     adapters = [compliance_mod.load_adapter(p) for p in spec.adapter_paths]
@@ -344,8 +352,7 @@ def run_scenario(
         if isinstance(gate_result, breaker_mod.Refusal):
             breaker_mod.write_refusal_packet(gate_result, qdir / "refusal.json")
             tracer.add("breaker.refusal", {"reason": gate_result.state.reason})
-        else:  # a reused out dir keeps no refusal of an earlier run
-            (qdir / "refusal.json").unlink(missing_ok=True)
+        else:
             model = gate_result
             tracer.add("breaker.retrain", {"model_version": model.model_version})
         del inferred

@@ -899,8 +899,10 @@ _SPANS = [capture for capture in _CAPTURES if type(capture) is tuple]
 # need Python 3.11. What the classes let through is checked after the
 # match, a block of lines at a time:
 # - a match that runs across a newline leaves the block a line short;
-# - the per-row captures, joined, hold no backslash or control character,
+# - the ids and times, joined, hold no backslash or control character,
 #   so each, put in quotes, is a JSON string whose value is its own text;
+# - the tag texts decode as one JSON array, a value per text: a string run
+#   past its text's end would meet null or {"c and fail;
 # - each distinct span text, put in braces, decodes to an object with
 #   exactly its span's keys.
 # A line that passes is then the concatenation of valid JSON object
@@ -908,14 +910,13 @@ _SPANS = [capture for capture in _CAPTURES if type(capture) is tuple]
 # value that ``json.loads`` of the whole line holds there.
 _PLAIN = r'[^"]*'
 _CONTROL = re.compile(r"[\x00-\x1f]")  # searched only in texts that are not isprintable()
-# A tag's captures: flag, confidence, the confidence's fraction and exponent
-# (empty for an int) and version; null's are empty. [0-9]: \d matches more.
-_TAG_GROUPS = ("clinician_modified", "model_confidence", "fraction", "model_version")
+# A tag is captured whole, null or an object whose keys, literals and
+# number the pattern spells out, and decoded by json. [0-9]: \d matches more.
 _TEXT = {"clinical_code": f'(?:null|"{_PLAIN}")', "co_codes": r"\[[^\]]*\]",
          "fidelity": r"(?:null|\{[^}]*\})", "encounter_time": f'"({_PLAIN})"',
-         "influence_tag": r'(?:null|\{"clinician_modified":(true|false),"model_confidence":'
-         r'(-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)),'
-         f'"model_version":"({_PLAIN})"' r"\})", "record_id": f'"([^"]{{0,{MAX_RECORD_ID}}})"'}
+         "influence_tag": r'(null|\{"clinician_modified":(?:true|false),"model_confidence":'
+         r'-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?,'
+         f'"model_version":"{_PLAIN}"' r"\})", "record_id": f'"([^"]{{0,{MAX_RECORD_ID}}})"'}
 
 
 def _capture_text(capture: str | tuple[str, ...]) -> str:
@@ -925,7 +926,6 @@ def _capture_text(capture: str | tuple[str, ...]) -> str:
 
 
 _CANONICAL = re.compile(r"^\{" + ",".join(map(_capture_text, _CAPTURES)) + r"\}$", re.MULTILINE)
-_GROUPS = [g for name in _CAPTURES for g in (_TAG_GROUPS if name == "influence_tag" else [name])]
 
 # A block's encounter times, each followed by a newline, in ``isoformat``'s
 # exact naive layout, which NumPy reads as ``datetime.fromisoformat`` does.
@@ -961,13 +961,23 @@ def _numbering() -> defaultdict[Hashable, int]:
     return numbers
 
 
+def _tags(tags: Sequence[Mapping[str, Any] | None],
+          heads: defaultdict[Hashable, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each tag object's (model_version, clinician_modified, type(model_confidence)) head as
+    ``heads`` numbers it when first seen, and its confidence; -1 and NaN for None."""
+    tag = [-1 if t is None else heads[t["model_version"], t["clinician_modified"],
+                                      type(t["model_confidence"])] for t in tags]
+    confidence = [math.nan if t is None else t["model_confidence"] for t in tags]
+    return np.array(tag, np.int32), np.array(confidence, np.float64)
+
+
 def _canonical_batch(path: str | Path) -> RecordBatch | None:
     """The batch of a records file whose every line matches ``_CANONICAL`` and
     passes its checks; None for any other file.
 
     The file is read a block of lines at a time. A block numbers each span
-    text and tag head as first seen in the file and keeps only those
-    numbers, record ids, times and confidences. Each distinct span is then
+    text as first seen in the file and keeps only those numbers, record ids,
+    times and the tag columns of ``_tags``. Each distinct span is then
     decoded and checked once, and each field's column is its span's numbers
     mapped to the field's index, so every table is in first-seen row order.
     """
@@ -975,28 +985,22 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
     numbers: dict[Any, list[np.ndarray]] = {names: [np.empty(0, np.int32)] for names in _SPANS}
     column: dict[str, list[Any]] = {name: [] for name in _LINE_FIELDS}
     times, zone, zones = [np.empty(0, "datetime64[us]")], [np.empty(0, np.int32)], {}
-    # Tag heads numbered as first seen; an untagged row's captures are empty.
-    heads = defaultdict(lambda: len(heads) - 1, {("", "", False): -1})
-    tag, confidences, ids = [np.empty(0, np.int32)], [], [np.empty(0, str)]
+    heads, tagged, ids = _numbering(), [(np.empty(0, np.int32), np.empty(0))], [np.empty(0, str)]
     try:
         with open(path, encoding="utf-8") as fh:
             while lines := list(islice(fh, _BLOCK_LINES)):
                 rows = _CANONICAL.findall("".join(lines))
                 if len(rows) != len(lines):
                     return None
-                block = dict(zip(_GROUPS, zip(*rows)))
-                plain = "".join(block["record_id"] + block["encounter_time"]
-                                + block["model_version"])
+                block = dict(zip(_CAPTURES, zip(*rows)))
+                plain = "".join(block["record_id"] + block["encounter_time"])
                 if "\\" in plain or (not plain.isprintable() and _CONTROL.search(plain)):
                     return None
                 for names, table in spans.items():
                     numbers[names].append(np.fromiter(map(table.__getitem__, block[names]),
                                                       np.int32, len(rows)))
                 ids.append(np.array(block["record_id"], dtype=str))  # no str outlives its block
-                keys = zip(block["model_version"], block["clinician_modified"],
-                           map(bool, block["fraction"]))
-                tag.append(np.fromiter(map(heads.__getitem__, keys), np.int32, len(rows)))
-                confidences.extend(filter(None, block["model_confidence"]))
+                tagged.append(_tags(json.loads(f'[{",".join(block["influence_tag"])}]'), heads))
                 when, offset = _times(block["encounter_time"], zones)
                 times.append(when)
                 zone.append(offset)
@@ -1009,16 +1013,13 @@ def _canonical_batch(path: str | Path) -> RecordBatch | None:
                     return None
                 for name in names:
                     column[name].append(_CHECK[name](data[name]))
-        tag = np.concatenate(tag)
-        confidence = np.full(len(tag), math.nan)
-        confidence[tag >= 0] = list(map(float, confidences))  # as json reads them
+        tag, confidence = map(np.concatenate, zip(*tagged))
     except (FileNotFoundError, *_PARSE_FAULTS):  # UnicodeDecodeError is a ValueError
         return None
     batch = RecordBatch._from_columns(
         column, row, record_id=np.concatenate(ids), times=np.concatenate(times),
         zone=np.concatenate(zone), zones=tuple(zones),
-        tag=tag, confidence=confidence, tags=tuple((version, flag == "true", (int, float)[fraction])
-                                                    for version, flag, fraction in heads if flag))
+        tag=tag, confidence=confidence, tags=tuple(heads))
     # Range checks by column; NaN, an untagged row's confidence, may be a fidelity value too.
     scores = batch.annotations
     if ((confidence < 0) | (confidence > 1)).any() or not ((scores >= 0) & (scores <= 1)).all():
@@ -1048,13 +1049,11 @@ def read_records(path: str | Path) -> RecordBatch:
     zones: dict[tzinfo, int] = {}
     times, zone = _wall_clock(column["encounter_time"], zones)
     column["fidelity"] = [a and _annotation_entry(vars(a)) for a in column["fidelity"]]
-    tags = column["influence_tag"]
-    tag, heads = intern([t and (t.model_version, t.clinician_modified, type(t.model_confidence))
-                         for t in tags])
+    heads = _numbering()
+    tag, confidence = _tags([t and vars(t) for t in column["influence_tag"]], heads)
     return RecordBatch._from_columns(
         column, record_id=np.array(column["record_id"], dtype=str), times=times, zone=zone,
-        zones=tuple(zones), tag=tag, tags=heads,
-        confidence=np.array([t.model_confidence if t else math.nan for t in tags]))
+        zones=tuple(zones), tag=tag, confidence=confidence, tags=tuple(heads))
 
 
 # A row's object, each field's name between NULs where its text goes (an

@@ -378,6 +378,12 @@ def test_canonical_line_pattern_repeats_only_fast_classes():
             ] == []
 
 
+def test_canonical_line_pattern_captures_each_field_or_span_once():
+    # A capture group costs a string per row: a line's pattern captures each
+    # per-row field, the influence tag whole, and each span, and no more.
+    assert model._CANONICAL.groups == len(model._CAPTURES)
+
+
 def test_the_package_imports_only_the_standard_library_numpy_and_itself():
     # pyproject.toml declares numpy alone. A package that is merely installed,
     # such as orjson, must not give the package a second code path.

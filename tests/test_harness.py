@@ -777,6 +777,7 @@ CLI_INPUT_FILES = {
     "verdict-missing.json": walkthrough_text(n_per_quarter=500, assertions=[
         {"kind": "deploy_verdict", "condition_contains": "90th percentile"}]),
     "kind-unknown.json": breaker_assertion_text(kind="breakr"),
+    "target-2026.json": walkthrough_text(target_version="2026"),
 }
 
 
@@ -1000,6 +1001,9 @@ BAD_INPUT_CASES = [
     (["dormancy", "activate", "--store", "store-stray-field.json", "--records", "one.jsonl"],
      "store-stray-field.json [0].activation_conditions[0]: domain_transfer_request "
      "condition must not set threshold"),
+    (["scenario", "run", "target-2026.json", "--seed", "1"],
+     "scenario file target-2026.json target_version '2026' is not a validated version of the "
+     "code system"),
 ]
 BAD_INPUT_IDS = [
     "zero-step", "start-after-stop", "bad-history", "bad-json-history",
@@ -1036,7 +1040,7 @@ BAD_INPUT_IDS = [
     "assertion-quarter-missing", "assertion-ratio-string", "assertion-state-missing",
     "assertion-count-missing", "assertion-accepted-bool", "assertion-category-int",
     "assertion-verdict-missing", "assertion-kind-unknown", "conditions-without-store",
-    "prune-log-without-store", "store-condition-stray-field",
+    "prune-log-without-store", "store-condition-stray-field", "scenario-unknown-target-version",
 ]
 
 
@@ -1158,17 +1162,22 @@ class TestCli:
         assert err == f"error: --thresholds must lie in (0,1), got {thresholds!r}\n"
 
     def test_a_reused_out_dir_keeps_no_stale_refusal(self, tmp_path):
-        # A run that refuses retraining in q1, then one that does not, into
-        # the same directory: it holds what a fresh run of the second holds.
+        # A run into a directory that an earlier run wrote holds what a fresh
+        # run holds: after a run that refuses retraining in q1, and after a
+        # run of more quarters.
         spec = harness.load_scenario("diabetes-walkthrough")
         small = replace(spec, n_per_quarter=2000)
         ai = replace(small.distortion.ai_influence, schedule=(0.5,))
         refusing = replace(small, distortion=replace(small.distortion, ai_influence=ai))
-        harness.run_scenario(refusing, SEED, tmp_path / "reused")
-        assert (tmp_path / "reused" / "q1" / "refusal.json").exists()
-        harness.run_scenario(small, SEED, tmp_path / "reused")
-        harness.run_scenario(small, SEED, tmp_path / "fresh")
-        assert run_digests(tmp_path / "reused") == run_digests(tmp_path / "fresh")
+        one_quarter = replace(small, quarters=1, assertions=())
+        for i, (earlier, later, kept) in enumerate([(refusing, small, "q1/refusal.json"),
+                                                    (small, one_quarter, "q3")]):
+            reused, fresh = tmp_path / f"reused-{i}", tmp_path / f"fresh-{i}"
+            harness.run_scenario(earlier, SEED, reused)
+            assert (reused / kept).exists()
+            harness.run_scenario(later, SEED, reused)
+            harness.run_scenario(later, SEED, fresh)
+            assert run_digests(reused) == run_digests(fresh)
 
     @pytest.mark.parametrize("command, out", [
         (["dormancy", "classify", "--records", "empty.jsonl", "--significance", "sig.json"], ""),

@@ -570,13 +570,34 @@ def test_both_readers_keep_each_tag_confidence_as_written(tmp_path, monkeypatch)
     ]
     path = tmp_path / "records.jsonl"
     path.write_text("".join(jsonl_dumps(record) + "\n" for record in records), encoding="utf-8")
-    canonical = model._canonical_batch(path)
+    canonical_batch = model._canonical_batch
+    canonical = canonical_batch(path)
     assert canonical is not None
     monkeypatch.setattr(model, "_canonical_batch", lambda path: None)
     by_row = read_records(path)
     expected = [jsonl_dumps(record) for record in records]
     assert [jsonl_dumps(line) for line in rows(canonical)] == expected
     assert [jsonl_dumps(line) for line in rows(by_row)] == expected
+    # Confidence texts that the pattern accepts but the writer never writes:
+    # both readers read the same batch and write it back as the same bytes.
+    texts = ["1E-5", "5e-1", "-0", "0.50"]
+    path.write_text("".join(
+        jsonl_dumps(row(f"R-{i}", influence_tag=tag(f"m-{i % 2}", 0.25, i % 3 == 0)
+                        if _BLOCK - 6 <= i < _BLOCK + 6 else None)).replace(
+            '"model_confidence":0.25', '"model_confidence":' + texts[i % 4]) + "\n"
+        for i in range(2 * _BLOCK)), encoding="utf-8")
+    canonical = canonical_batch(path)
+    assert canonical is not None
+    by_row = read_records(path)
+    for name, value in vars(canonical).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(value, getattr(by_row, name), err_msg=name)
+        else:
+            assert value == getattr(by_row, name), name
+    again, back = tmp_path / "again.jsonl", tmp_path / "back.jsonl"
+    write_records(again, canonical)
+    write_records(back, by_row)
+    assert again.read_bytes() == back.read_bytes()
 
 
 def test_batches_hold_no_python_object(tmp_path, bundled_system, walkthrough_spec):

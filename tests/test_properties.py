@@ -159,7 +159,7 @@ DROPPED = {"catch_all": (), "billing_inflation": (), "version_mix": {}, "outbrea
            "ai_influence": None}
 
 scenario_edits = st.fixed_dictionaries({
-    "quarters": st.integers(1, 3),
+    "quarters": st.integers(1, 4),
     "n_per_quarter": st.integers(1, 2_000),
     "target_version": st.sampled_from(["2024", "2025"]),
     "distortions": st.sets(st.sampled_from(sorted(DROPPED))),
@@ -228,7 +228,7 @@ def _check_generated_scenario(edits, seed):
 
 def generated_scenario_property(max_examples: int):
     """The generated-scenario property, drawing ``max_examples`` edits of the
-    bundled walkthrough: 1-3 quarters of 1-2,000 records, target 2024 or 2025,
+    bundled walkthrough: 1-4 quarters of 1-2,000 records, target 2024 or 2025,
     any subset of five distortions, and an AI schedule on either side of the
     breaker threshold. Tier-1 draws a few; a longer run by hand:
 
